@@ -4,7 +4,7 @@ divided-difference equations, derivative ladders, three-term-recurrence
 matrices, monic families and connection coefficients.
 """
 
-from .exactfield import GaussianRational, Rational, field_arithmetic, pochhammer, rat, rat_str
+from .exactfield import GaussianRational, Rational, pochhammer, rat, rat_str
 from .families import (
     ALL_FAMILIES,
     CDH,
@@ -83,7 +83,6 @@ __all__ = [
     "eval_family",
     "exact_inverse",
     "f_basis_eval",
-    "field_arithmetic",
     "generate",
     "g_corrections",
     "g_primes",

@@ -4,8 +4,8 @@ with JSON output.
 Every report embeds the resolved exact parameter set and the coefficient
 table version; all numbers are exact strings, never floats.  Exit codes:
 0 all requested residuals are exactly zero and consistency diffs are empty,
-2 degenerate parameters / bad usage, 3 a residual or oracle comparison
-failed.
+2 degenerate parameters / bad usage, 3 a residual or oracle comparison or
+an internal consistency check failed.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import product
 
 from . import families as fam
 from . import pdeverify as pv
 from . import ttrr
 from .exactfield import field_str, rat
-from .latticeops import SingularPointError
 
 TABLES_VERSION = "tables-v1"
 
@@ -64,8 +64,9 @@ def build_parser():
             metavar="NAME=VALUE",
             help="exact parameter override, repeatable (e.g. --param beta0=1/5)",
         )
+
+    def seeded(p):
         p.add_argument("--seed", type=int, default=0, help="grid jitter seed")
-        p.add_argument("--grid-size", type=int, default=None)
 
     p = sub.add_parser("eval", help="evaluate a family member at a point")
     common(p)
@@ -74,29 +75,38 @@ def build_parser():
 
     p = sub.add_parser("verify-pde", help="fourth-order residual sweep")
     common(p)
+    seeded(p)
     p.add_argument("--max-total-degree", type=int, default=3)
+    p.add_argument("--grid-size", type=int, default=None)
 
     p = sub.add_parser("verify-trivariate", help="six-order residual sweep")
     common(p, family=False)
+    seeded(p)
     p.add_argument("--max-total-degree", type=int, default=2)
-    p.set_defaults(grid_size=3)
+    p.add_argument("--grid-size", type=int, default=3)
 
     p = sub.add_parser("verify-ladder", help="difference-derivative identities")
     common(p)
+    seeded(p)
     p.add_argument("--max-total-degree", type=int, default=2)
 
     p = sub.add_parser("verify-second-order", help="second-order equations")
     common(p)
+    seeded(p)
     p.add_argument("--max-total-degree", type=int, default=3)
+    p.add_argument("--grid-size", type=int, default=None)
 
     p = sub.add_parser("verify-difference-form", help="nine-term stencil forms")
     common(p)
+    seeded(p)
     p.add_argument("--max-total-degree", type=int, default=3)
+    p.add_argument("--grid-size", type=int, default=None)
 
     p = sub.add_parser(
         "recover-coeffs", help="re-derive the Racah table from the stencil form"
     )
     common(p)
+    seeded(p)
 
     p = sub.add_parser("ttrr", help="dump recurrence matrices for one degree")
     common(p)
@@ -147,8 +157,11 @@ def _report_base(args, spec):
     }
 
 
-def _sweep_labels(spec, bound):
-    return pv._labels_up_to(spec.nvars, bound)
+def _pass_records(spec, bound, points, check):
+    return [
+        {"label": list(label), "pass": witness is None}
+        for label, _, witness in pv.sweep(spec, bound, points, check)
+    ]
 
 
 def _run(args):
@@ -165,72 +178,41 @@ def _run(args):
         report["point"] = [field_str(v) for v in point]
         report["value"] = field_str(value)
 
-    elif args.command == "verify-pde":
-        results = pv.verify_table(
+    elif args.command in ("verify-pde", "verify-trivariate"):
+        report["results"] = pv.verify_table(
             spec, args.max_total_degree, grid_size=args.grid_size
         )
-        report["results"] = results
-        if not all(r["pass"] for r in results):
-            status = EXIT_MISMATCH
-
-    elif args.command == "verify-trivariate":
-        results = pv.verify_table(spec, args.max_total_degree, grid_size=args.grid_size)
-        report["results"] = results
-        if not all(r["pass"] for r in results):
-            status = EXIT_MISMATCH
 
     elif args.command == "verify-ladder":
         if spec.family not in fam.LADDER_DIRECTION:
             raise ValueError(f"no printed ladder for family {spec.family}")
-        results = []
-        axes = pv.residual_grid(spec, (1, 1), size=3, offset=offset)
-        points = [(axes[0][i], axes[1][i]) for i in range(3)]
-        for label in _sweep_labels(spec, args.max_total_degree):
-            ok = True
-            for pt in points:
-                if fam.derivative_ladder_check(spec, label, pt):
-                    ok = False
-                    break
-            results.append({"label": list(label), "pass": ok})
-        report["results"] = results
-        if not all(r["pass"] for r in results):
-            status = EXIT_MISMATCH
+        diagonal = list(zip(*pv.residual_grid(spec, (1, 1), size=3, offset=offset)))
+        report["results"] = _pass_records(
+            spec,
+            args.max_total_degree,
+            lambda label: diagonal,
+            lambda label, pt: fam.derivative_ladder_check(spec, label, pt),
+        )
 
-    elif args.command == "verify-second-order":
-        kind = SECOND_ORDER_BY_FAMILY.get(spec.family)
+    elif args.command in ("verify-second-order", "verify-difference-form"):
+        if args.command == "verify-second-order":
+            kinds, what = SECOND_ORDER_BY_FAMILY, "second-order equation"
+            form_residual = pv.second_order_residual
+        else:
+            kinds, what = DIFFERENCE_FORM_BY_FAMILY, "difference form"
+            form_residual = pv.difference_form_residual
+        kind = kinds.get(spec.family)
         if kind is None:
-            raise ValueError(f"no printed second-order equation for {spec.family}")
+            raise ValueError(f"no printed {what} for {spec.family}")
         report["kind"] = kind
-        results = []
-        for label in _sweep_labels(spec, args.max_total_degree):
-            axes = pv.residual_grid(spec, label, size=args.grid_size, offset=offset)
-            ok = True
-            for pt in pv._tensor_points(axes):
-                if pv.second_order_residual(kind, spec, label, pt):
-                    ok = False
-                    break
-            results.append({"label": list(label), "pass": ok})
-        report["results"] = results
-        if not all(r["pass"] for r in results):
-            status = EXIT_MISMATCH
-
-    elif args.command == "verify-difference-form":
-        kind = DIFFERENCE_FORM_BY_FAMILY.get(spec.family)
-        if kind is None:
-            raise ValueError(f"no printed difference form for {spec.family}")
-        report["kind"] = kind
-        results = []
-        for label in _sweep_labels(spec, args.max_total_degree):
-            axes = pv.residual_grid(spec, label, size=args.grid_size, offset=offset)
-            ok = True
-            for pt in pv._tensor_points(axes):
-                if pv.difference_form_residual(kind, spec, label, pt):
-                    ok = False
-                    break
-            results.append({"label": list(label), "pass": ok})
-        report["results"] = results
-        if not all(r["pass"] for r in results):
-            status = EXIT_MISMATCH
+        report["results"] = _pass_records(
+            spec,
+            args.max_total_degree,
+            lambda label: product(
+                *pv.residual_grid(spec, label, size=args.grid_size, offset=offset)
+            ),
+            lambda label, pt: form_residual(kind, spec, label, pt),
+        )
 
     elif args.command == "recover-coeffs":
         if spec.family != fam.RACAH:
@@ -317,34 +299,35 @@ def _run(args):
     else:  # pragma: no cover
         raise ValueError(args.command)
 
+    if not all(r["pass"] for r in report.get("results", ())):
+        status = EXIT_MISMATCH
     return status, report
+
+
+def _run_reporting_errors(args):
+    """_run, with a raised error turned into an error report: exit 2 for
+    bad input, exit 3 for a failed internal consistency check."""
+    try:
+        return _run(args)
+    except (ValueError, ArithmeticError, AssertionError) as exc:
+        # DegenerateParameterError and SingularPointError are ValueErrors; a
+        # ZeroDivisionError is an ArithmeticError, yet it means degenerate input
+        degenerate = isinstance(exc, (ValueError, ZeroDivisionError))
+        return EXIT_DEGENERATE if degenerate else EXIT_MISMATCH, {
+            "command": args.command,
+            "error": str(exc),
+            "tables_version": TABLES_VERSION,
+        }
 
 
 def run(argv=None):
     """Parse arguments, run the command, and return (exit_code, report)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        status, report = _run(args)
-    except (fam.DegenerateParameterError, SingularPointError) as exc:
-        return EXIT_DEGENERATE, {
-            "command": args.command,
-            "error": str(exc),
-            "tables_version": TABLES_VERSION,
-        }
-    except (ValueError, ZeroDivisionError) as exc:
-        return EXIT_DEGENERATE, {
-            "command": args.command,
-            "error": str(exc),
-            "tables_version": TABLES_VERSION,
-        }
-    return status, report
+    return _run_reporting_errors(build_parser().parse_args(argv))
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    status, report = run(argv if argv is not None else sys.argv[1:])
+    args = build_parser().parse_args(argv)
+    status, report = _run_reporting_errors(args)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -206,25 +206,6 @@ def field_str(value) -> str:
     return rat_str(value)
 
 
-def field_arithmetic(a, b, op: str):
-    """Exact field arithmetic on rationals / Gaussian rationals.
-
-    ``op`` is one of "add", "sub", "mul", "div".  Division by zero raises
-    ZeroDivisionError; there is no sentinel value.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if not b:
-            raise ZeroDivisionError("exact division by zero")
-        return a / b
-    raise ValueError(f"unknown field operation {op!r}")
-
-
 def pochhammer(a, n: int):
     """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
     if n < 0:
@@ -232,13 +213,6 @@ def pochhammer(a, n: int):
     out = a - a + 1 if not isinstance(a, int) else Fraction(1)
     for k in range(n):
         out = out * (a + k)
-    return out
-
-
-def factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
     return out
 
 

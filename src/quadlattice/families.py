@@ -27,7 +27,9 @@ term-by-term series summation) used as a brute-force oracle by the tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import factorial
+from operator import mul
 
 from .exactfield import GaussianRational, demote, gauss, imag_part, pochhammer, rat
 from .latticeops import apply_D, linear, quadratic, wilson_square
@@ -75,7 +77,7 @@ def racah_uni(n, alpha, beta, gamma, delta, s):
             * pochhammer(bd1 + k, n - k)
             * pochhammer(g1 + k, n - k)
         )
-        total = total + num * tail / _fact(k)
+        total = total + num * tail / factorial(k)
     return demote(total)
 
 
@@ -101,7 +103,7 @@ def wilson_uni(n, a, b, c, d, x):
             * pochhammer(ac + k, n - k)
             * pochhammer(ad + k, n - k)
         )
-        total = total + num * tail / _fact(k)
+        total = total + num * tail / factorial(k)
     return demote(total)
 
 
@@ -118,7 +120,7 @@ def cdh_uni(n, a, b, c, x):
         if not num:
             continue
         tail = pochhammer(ab + k, n - k) * pochhammer(ac + k, n - k)
-        total = total + num * tail / _fact(k)
+        total = total + num * tail / factorial(k)
     return demote(total)
 
 
@@ -138,16 +140,8 @@ def ch_uni(n, a, b, c, d, x):
         if not num:
             continue
         tail = pochhammer(ab + k, n - k) * pochhammer(ad + k, n - k)
-        total = total + num * tail / _fact(k)
+        total = total + num * tail / factorial(k)
     return demote(GaussianRational(0, 1) ** n * total)
-
-
-@lru_cache(maxsize=None)
-def _fact(k):
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return Fraction(out)
 
 
 # ---------------------------------------------------------------------------
@@ -394,113 +388,102 @@ def eval_family(spec: FamilySpec, label, point):
     return _eval_cached(spec.key(), label, point)
 
 
+def _factors(family, p, label, point):
+    """The family's univariate factor calls (kind, n, args): the couplings
+    of the module docstring, shared by the primary and the oracle paths."""
+    ii = GaussianRational(0, 1)
+    if family == RACAH:
+        (n, m), (s, t) = label, point
+        return (
+            ("racah", n, (p["beta1"] - p["beta0"] - 1, p["beta2"] - p["beta1"] - 1,
+                          -t - 1, p["beta1"] + t, s)),
+            ("racah", m, (2 * n + p["beta2"] - p["beta0"] - 1, p["beta3"] - p["beta2"] - 1,
+                          n - p["N"] - 1, n + p["beta2"] + p["N"], t - n)),
+        )
+    if family == RACAH_BAR:
+        (n, m), (s, t) = label, point
+        return (
+            ("racah", n, (2 * m - p["beta1"] + p["beta3"] - 1, p["beta1"] - p["beta0"] - 1,
+                          m - p["N"] - 1, m - p["N"] - p["beta1"], p["N"] - m - s)),
+            ("racah", m, (p["beta3"] - p["beta2"] - 1, p["beta2"] - p["beta1"] - 1,
+                          s - p["N"] - 1, -p["beta2"] - p["N"] - s, p["N"] - t)),
+        )
+    if family == WILSON:
+        (n, m), (x, y) = label, point
+        iy = ii * gauss(y)
+        return (
+            ("wilson", n, (p["a"], p["b"], gauss(p["e2"]) + iy, gauss(p["e2"]) - iy, x)),
+            ("wilson", m, (n + p["a"] + p["e2"], n + p["b"] + p["e2"], p["c"], p["d"], y)),
+        )
+    if family == WILSON_BAR:
+        (n, m), (x, y) = label, point
+        ix = ii * gauss(x)
+        return (
+            ("wilson", n, (m + p["c"] + p["e2"], m + p["d"] + p["e2"], p["a"], p["b"], x)),
+            ("wilson", m, (p["c"], p["d"], gauss(p["e2"]) + ix, gauss(p["e2"]) - ix, y)),
+        )
+    if family == CDH:
+        (n, m), (x, y) = label, point
+        iy = ii * gauss(y)
+        return (
+            ("cdh", n, (p["a"], gauss(p["e2"]) + iy, gauss(p["e2"]) - iy, x)),
+            ("cdh", m, (n + p["a"] + p["e2"], p["b"], p["c"], y)),
+        )
+    if family == CH:
+        (n, m), (x, y) = label, point
+        iy = ii * gauss(y)
+        return (
+            ("ch", n, (p["a1"], p["b1"], gauss(p["e2"]) - iy, gauss(p["e2"]) + iy, x)),
+            ("ch", m, (n + p["a1"] + p["e2"], n + p["b1"] + p["e2"], p["b3"], p["a3"], y)),
+        )
+    if family == CH_BAR:
+        (n, m), (x, y) = label, point
+        ix = ii * gauss(x)
+        return (
+            ("ch", n, (m + p["e2"] + p["b3"], m + p["e2"] + p["a3"], p["a1"], p["b1"], x)),
+            ("ch", m, (p["b3"], p["a3"], gauss(p["e2"]) - ix, gauss(p["e2"]) + ix, y)),
+        )
+    if family == CH_TRI:
+        (n, m, r), (x, y, z) = label, point
+        iy = ii * gauss(y)
+        iz = ii * gauss(z)
+        return (
+            ("ch", n, (p["a1"], p["b1"], gauss(p["e2"]) - iy, gauss(p["e2"]) + iy, x)),
+            ("ch", m, (n + p["a1"] + p["e2"], n + p["b1"] + p["e2"],
+                       gauss(p["e3"]) - iz, gauss(p["e3"]) + iz, y)),
+            ("ch", r, (n + m + p["a1"] + p["e2"] + p["e3"], n + m + p["b1"] + p["e2"] + p["e3"],
+                       p["b4"], p["a4"], z)),
+        )
+    raise ValueError(family)  # pragma: no cover
+
+
+def _multiply(uni, factors):
+    """Product of the factor calls through the {kind: function} backend."""
+    return demote(reduce(mul, (uni[kind](n, *args) for kind, n, args in factors)))
+
+
 @lru_cache(maxsize=None)
 def _eval_cached(spec_key, label, point):
     family = spec_key[0]
     p = dict(zip(PARAM_NAMES[family], spec_key[1:]))
-    real_families = (RACAH, RACAH_BAR, WILSON, WILSON_BAR, CDH)
-
-    if family == RACAH:
-        n, m = label
-        s, t = point
-        value = racah_uni(
-            n, p["beta1"] - p["beta0"] - 1, p["beta2"] - p["beta1"] - 1, -t - 1, p["beta1"] + t, s
-        ) * racah_uni(
-            m,
-            2 * n + p["beta2"] - p["beta0"] - 1,
-            p["beta3"] - p["beta2"] - 1,
-            n - p["N"] - 1,
-            n + p["beta2"] + p["N"],
-            t - n,
-        )
-    elif family == RACAH_BAR:
-        n, m = label
-        s, t = point
-        value = racah_uni(
-            n,
-            2 * m - p["beta1"] + p["beta3"] - 1,
-            p["beta1"] - p["beta0"] - 1,
-            m - p["N"] - 1,
-            m - p["N"] - p["beta1"],
-            p["N"] - m - s,
-        ) * racah_uni(
-            m,
-            p["beta3"] - p["beta2"] - 1,
-            p["beta2"] - p["beta1"] - 1,
-            s - p["N"] - 1,
-            -p["beta2"] - p["N"] - s,
-            p["N"] - t,
-        )
-    elif family == WILSON:
-        n, m = label
-        x, y = point
-        iy = GaussianRational(0, 1) * gauss(y)
-        value = wilson_uni(
-            n, p["a"], p["b"], gauss(p["e2"]) + iy, gauss(p["e2"]) - iy, x
-        ) * wilson_uni(m, n + p["a"] + p["e2"], n + p["b"] + p["e2"], p["c"], p["d"], y)
-    elif family == WILSON_BAR:
-        n, m = label
-        x, y = point
-        ix = GaussianRational(0, 1) * gauss(x)
-        value = wilson_uni(
-            n, m + p["c"] + p["e2"], m + p["d"] + p["e2"], p["a"], p["b"], x
-        ) * wilson_uni(m, p["c"], p["d"], gauss(p["e2"]) + ix, gauss(p["e2"]) - ix, y)
-    elif family == CDH:
-        n, m = label
-        x, y = point
-        iy = GaussianRational(0, 1) * gauss(y)
-        value = cdh_uni(
-            n, p["a"], gauss(p["e2"]) + iy, gauss(p["e2"]) - iy, x
-        ) * cdh_uni(m, n + p["a"] + p["e2"], p["b"], p["c"], y)
-    elif family == CH:
-        n, m = label
-        x, y = point
-        iy = GaussianRational(0, 1) * gauss(y)
-        value = ch_uni(
-            n, p["a1"], p["b1"], gauss(p["e2"]) - iy, gauss(p["e2"]) + iy, x
-        ) * ch_uni(m, n + p["a1"] + p["e2"], n + p["b1"] + p["e2"], p["b3"], p["a3"], y)
-    elif family == CH_BAR:
-        n, m = label
-        x, y = point
-        ix = GaussianRational(0, 1) * gauss(x)
-        value = ch_uni(
-            n, m + p["e2"] + p["b3"], m + p["e2"] + p["a3"], p["a1"], p["b1"], x
-        ) * ch_uni(m, p["b3"], p["a3"], gauss(p["e2"]) - ix, gauss(p["e2"]) + ix, y)
-    elif family == CH_TRI:
-        n, m, r = label
-        x, y, z = point
-        iy = GaussianRational(0, 1) * gauss(y)
-        iz = GaussianRational(0, 1) * gauss(z)
-        value = (
-            ch_uni(n, p["a1"], p["b1"], gauss(p["e2"]) - iy, gauss(p["e2"]) + iy, x)
-            * ch_uni(
-                m,
-                n + p["a1"] + p["e2"],
-                n + p["b1"] + p["e2"],
-                gauss(p["e3"]) - iz,
-                gauss(p["e3"]) + iz,
-                y,
-            )
-            * ch_uni(
-                r,
-                n + m + p["a1"] + p["e2"] + p["e3"],
-                n + m + p["b1"] + p["e2"] + p["e3"],
-                p["b4"],
-                p["a4"],
-                z,
-            )
-        )
-    else:  # pragma: no cover
-        raise ValueError(family)
-
-    value = demote(value)
-    if family in real_families and all(imag_part(v) == 0 for v in point):
+    # looked up per call, so that patched module attributes are honoured
+    uni = {"racah": racah_uni, "wilson": wilson_uni, "cdh": cdh_uni, "ch": ch_uni}
+    value = _multiply(uni, _factors(family, p, label, point))
+    real_family = family in (RACAH, RACAH_BAR, WILSON, WILSON_BAR, CDH)
+    if real_family and all(imag_part(v) == 0 for v in point):
         if imag_part(value) != 0:
             raise ArithmeticError(
                 f"{family} value at {point} came out non-real: {value}"
             )
-        value = value.re if isinstance(value, GaussianRational) else value
     return value
+
+
+_ORACLES = {
+    "racah": racah_uni_oracle,
+    "wilson": wilson_uni_oracle,
+    "cdh": cdh_uni_oracle,
+    "ch": ch_uni_oracle,
+}
 
 
 def eval_family_oracle(spec: FamilySpec, label, point):
@@ -508,110 +491,7 @@ def eval_family_oracle(spec: FamilySpec, label, point):
     univariate factor summed term-by-term by the series oracles."""
     label = check_label(spec, label)
     point = check_point(spec, point)
-    p = spec.params
-    family = spec.family
-    ii = GaussianRational(0, 1)
-
-    if family == RACAH:
-        n, m = label
-        s, t = point
-        return demote(
-            racah_uni_oracle(
-                n, p["beta1"] - p["beta0"] - 1, p["beta2"] - p["beta1"] - 1, -t - 1, p["beta1"] + t, s
-            )
-            * racah_uni_oracle(
-                m,
-                2 * n + p["beta2"] - p["beta0"] - 1,
-                p["beta3"] - p["beta2"] - 1,
-                n - p["N"] - 1,
-                n + p["beta2"] + p["N"],
-                t - n,
-            )
-        )
-    if family == RACAH_BAR:
-        n, m = label
-        s, t = point
-        return demote(
-            racah_uni_oracle(
-                n,
-                2 * m - p["beta1"] + p["beta3"] - 1,
-                p["beta1"] - p["beta0"] - 1,
-                m - p["N"] - 1,
-                m - p["N"] - p["beta1"],
-                p["N"] - m - s,
-            )
-            * racah_uni_oracle(
-                m,
-                p["beta3"] - p["beta2"] - 1,
-                p["beta2"] - p["beta1"] - 1,
-                s - p["N"] - 1,
-                -p["beta2"] - p["N"] - s,
-                p["N"] - t,
-            )
-        )
-    if family == WILSON:
-        n, m = label
-        x, y = point
-        iy = ii * gauss(y)
-        return demote(
-            wilson_uni_oracle(n, p["a"], p["b"], gauss(p["e2"]) + iy, gauss(p["e2"]) - iy, x)
-            * wilson_uni_oracle(m, n + p["a"] + p["e2"], n + p["b"] + p["e2"], p["c"], p["d"], y)
-        )
-    if family == WILSON_BAR:
-        n, m = label
-        x, y = point
-        ix = ii * gauss(x)
-        return demote(
-            wilson_uni_oracle(n, m + p["c"] + p["e2"], m + p["d"] + p["e2"], p["a"], p["b"], x)
-            * wilson_uni_oracle(m, p["c"], p["d"], gauss(p["e2"]) + ix, gauss(p["e2"]) - ix, y)
-        )
-    if family == CDH:
-        n, m = label
-        x, y = point
-        iy = ii * gauss(y)
-        return demote(
-            cdh_uni_oracle(n, p["a"], gauss(p["e2"]) + iy, gauss(p["e2"]) - iy, x)
-            * cdh_uni_oracle(m, n + p["a"] + p["e2"], p["b"], p["c"], y)
-        )
-    if family == CH:
-        n, m = label
-        x, y = point
-        iy = ii * gauss(y)
-        return demote(
-            ch_uni_oracle(n, p["a1"], p["b1"], gauss(p["e2"]) - iy, gauss(p["e2"]) + iy, x)
-            * ch_uni_oracle(m, n + p["a1"] + p["e2"], n + p["b1"] + p["e2"], p["b3"], p["a3"], y)
-        )
-    if family == CH_BAR:
-        n, m = label
-        x, y = point
-        ix = ii * gauss(x)
-        return demote(
-            ch_uni_oracle(n, m + p["e2"] + p["b3"], m + p["e2"] + p["a3"], p["a1"], p["b1"], x)
-            * ch_uni_oracle(m, p["b3"], p["a3"], gauss(p["e2"]) - ix, gauss(p["e2"]) + ix, y)
-        )
-    n, m, r = label
-    x, y, z = point
-    iy = ii * gauss(y)
-    iz = ii * gauss(z)
-    return demote(
-        ch_uni_oracle(n, p["a1"], p["b1"], gauss(p["e2"]) - iy, gauss(p["e2"]) + iy, x)
-        * ch_uni_oracle(
-            m,
-            n + p["a1"] + p["e2"],
-            n + p["b1"] + p["e2"],
-            gauss(p["e3"]) - iz,
-            gauss(p["e3"]) + iz,
-            y,
-        )
-        * ch_uni_oracle(
-            r,
-            n + m + p["a1"] + p["e2"] + p["e3"],
-            n + m + p["b1"] + p["e2"] + p["e3"],
-            p["b4"],
-            p["a4"],
-            z,
-        )
-    )
+    return _multiply(_ORACLES, _factors(spec.family, spec.params, label, point))
 
 
 def family_function(spec, label):

@@ -521,11 +521,6 @@ def h_closed_2(n, beta):
     )
 
 
-def basis_monomial_coeff(basis: PolyBasis, n, power):
-    """Coefficient of u^power in B_n(u)."""
-    return basis_poly(basis, n).coeff((power,))
-
-
 def u_matrices(n, basis_x: PolyBasis, basis_y: PolyBasis):
     """U_{n,n-1} and U_{n,n-2} of the expansion F_n = x^n + U x^{n-1} + ...
 

@@ -18,8 +18,9 @@ values promotes the pointwise zeros to a polynomial identity.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
-from .exactfield import GaussianRational, demote, gauss
+from .exactfield import GaussianRational, demote, field_str, gauss
 from .families import (
     CDH,
     CH,
@@ -40,8 +41,10 @@ from .latticeops import (
     SingularPointError,
     apply_D,
     apply_S,
+    d_denominator,
     grid_points,
     lattice_value,
+    shifted_points,
 )
 from .matrix import ExactMatrix, exact_inverse
 
@@ -110,8 +113,6 @@ class CoeffTable:
         return tuple(lattice_value(l, v) for l, v in zip(self.lattices, point))
 
     def to_json(self):
-        from .exactfield import field_str
-
         return {
             "order": self.order,
             "coefficients": {
@@ -176,8 +177,6 @@ def stencil_weights(lattices, lindex, point):
 
 
 def _weights_op(lattice, var, inner, kind):
-    from .latticeops import d_denominator, shifted_points
-
     def out(pt):
         up, down = shifted_points(lattice, pt[var])
         pt_up = tuple(v if i != var else up for i, v in enumerate(pt))
@@ -1165,6 +1164,31 @@ def residual_grid(spec: FamilySpec, label, size=None, offset=Fraction(1, 7)):
     return axes
 
 
+def sweep(spec: FamilySpec, max_total_degree, points, check):
+    """Walk every label of total degree <= the bound, in (degree, label)
+    order, over the points ``points(label)`` until ``check(label, point)``
+    is nonzero.
+
+    Yields (label, points checked, witness), where the witness is the first
+    (point, nonzero value), or None when every point checked zero.
+    """
+    labels = [
+        l
+        for l in product(range(max_total_degree + 1), repeat=spec.nvars)
+        if sum(l) <= max_total_degree
+    ]
+    for label in sorted(labels, key=lambda l: (sum(l), l)):
+        checked = 0
+        witness = None
+        for point in points(label):
+            value = check(label, point)
+            checked += 1
+            if value:
+                witness = (point, value)
+                break
+        yield label, checked, witness
+
+
 def verify_table(spec: FamilySpec, max_total_degree, grid_size=None, table=None):
     """Residual sweep over all labels with total degree <= the bound.
 
@@ -1174,48 +1198,15 @@ def verify_table(spec: FamilySpec, max_total_degree, grid_size=None, table=None)
     if table is None:
         table = coefficients(spec)
     reports = []
-    labels = _labels_up_to(spec.nvars, max_total_degree)
-    for label in labels:
-        axes = residual_grid(spec, label, size=grid_size)
-        checked = 0
-        witness = None
-        for point in _tensor_points(axes):
-            value = residual(table, spec, label, point)
-            checked += 1
-            if value:
-                witness = (point, value)
-                break
+    for label, checked, witness in sweep(
+        spec,
+        max_total_degree,
+        lambda label: product(*residual_grid(spec, label, size=grid_size)),
+        lambda label, point: residual(table, spec, label, point),
+    ):
         record = {"label": list(label), "points": checked, "pass": witness is None}
         if witness is not None:
-            from .exactfield import field_str
-
             record["point"] = [field_str(v) for v in witness[0]]
             record["value"] = field_str(witness[1])
         reports.append(record)
     return reports
-
-
-def _labels_up_to(nvars, bound):
-    out = []
-    if nvars == 2:
-        for n in range(bound + 1):
-            for m in range(bound + 1 - n):
-                out.append((n, m))
-    else:
-        for n in range(bound + 1):
-            for m in range(bound + 1 - n):
-                for r in range(bound + 1 - n - m):
-                    out.append((n, m, r))
-    return sorted(out, key=lambda l: (sum(l), l))
-
-
-def _tensor_points(axes):
-    if len(axes) == 2:
-        for s in axes[0]:
-            for t in axes[1]:
-                yield (s, t)
-    else:
-        for s in axes[0]:
-            for t in axes[1]:
-                for u in axes[2]:
-                    yield (s, t, u)

@@ -18,6 +18,7 @@ also what arbitrates typos in the long printed entries.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .exactfield import GaussianRational, pochhammer, binomial
 from .families import (
@@ -760,10 +761,8 @@ def g_primes(gnn: ExactMatrix, spec: FamilySpec, n, table=None, st=None):
     return g1, g2
 
 
-def g_corrections(gnn, gp1, gp2, spec: FamilySpec, n, table=None):
+def g_corrections(gnn, gp1, gp2, spec: FamilySpec, n):
     """Monomial-expansion G_{n,n-1} and G_{n,n-2} from the F-expansion ones."""
-    if table is None:
-        table = coefficients(spec)
     bases = working_bases(spec)
     u1, u2 = u_matrices(n, *bases)
     gn1 = gnn * u1 + gp1 if n >= 1 else None
@@ -800,9 +799,7 @@ class GChain:
             if k >= 1:
                 packed = (st[k][0], st[k][1], st[k - 1][0] if k >= 2 else None)
                 gp1, gp2 = g_primes(g, spec, k, table=self.table, st=packed)
-                self.gn1[k], self.gn2[k] = g_corrections(
-                    g, gp1, gp2, spec, k, table=self.table
-                )
+                self.gn1[k], self.gn2[k] = g_corrections(g, gp1, gp2, spec, k)
 
     def g(self, k, j):
         if j == k:
@@ -909,7 +906,7 @@ def leading_matrix(family, params, n) -> ExactMatrix:
                     * pochhammer(2 * n - i - b0 + b3 - 1, i)
                     * pochhammer(Fraction(i - n), n - j)
                     * pochhammer(n - i - b0 + b2 - 1, n - j)
-                    / (_fact(n - j) * pochhammer(b1 - b0, n - j))
+                    / (factorial(n - j) * pochhammer(b1 - b0, n - j))
                 )
                 out[i, j] = val
     elif family == RACAH_BAR:
@@ -977,13 +974,6 @@ def leading_matrix(family, params, n) -> ExactMatrix:
     else:
         raise ValueError(f"no leading matrix for family {family!r}")
     return out
-
-
-def _fact(k):
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return Fraction(out)
 
 
 def family_poly_vector(spec: FamilySpec, n, pad=1) -> PolyVector:

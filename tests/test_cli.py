@@ -1,6 +1,57 @@
+import hashlib
 import json
+from fractions import Fraction
 
+import pytest
+
+from quadlattice import families, pdeverify
 from quadlattice.cli import EXIT_DEGENERATE, EXIT_MISMATCH, EXIT_OK, main, run
+
+# (argv, exit code, sha256 of json.dumps(report, indent=2, sort_keys=True)):
+# at least one argv per command, so a refactor must keep every report
+# byte-identical.
+PINNED_REPORTS = [
+    (["eval", "--family", "racah", "--label", "1,1", "--point", "3/2,5/2"], 0,
+     "6fb95154e2e0c5ab7259eafaa685b9e397eb5470f8d080983ddaf83efd20e49c"),
+    (["eval", "--family", "racah-bar", "--label", "1,1", "--point", "3/2,5/2"], 0,
+     "6e518d732ea3c2b41aedbb2fadce9784d4a3c383374d49f748045f68bef5f92f"),
+    (["eval", "--family", "wilson", "--label", "1,1", "--point", "1/2,1/3"], 0,
+     "002500fbb2be4907c5d326804661a79ecbfb05daa8bf9d54b21daf8bb035aeed"),
+    (["eval", "--family", "wilson-bar", "--label", "1,1", "--point", "1/2,1/3"], 0,
+     "e84ee51e7e456aa0f3cdb609997136ed68c9b3802f108e63f2d7c00ec87e620a"),
+    (["eval", "--family", "cdh", "--label", "1,1", "--point", "1/2,1/3"], 0,
+     "0d628442f71a9c41e037e8ab49033bbfb4fa214f2d68d26adb91ce60d8b4c870"),
+    (["eval", "--family", "ch", "--label", "1,1", "--point", "1/2,1/3"], 0,
+     "4f0be6072aecb9603ea1a5b83e3081d107e41eedacfe47eef52f3698669c32b7"),
+    (["eval", "--family", "ch-bar", "--label", "1,1", "--point", "1/2,1/3"], 0,
+     "adeca86f0979956d87aabdabd9e2b5fe4b5c11ea07ee02badc5204c93a69265b"),
+    (["eval", "--family", "ch-tri", "--label", "1,1,1", "--point", "1/2,1/3,1/5"], 0,
+     "424ded2326b81ad29d9e83b2a621d674acfdab9b2baff4210c305f1ea38b0780"),
+    (["verify-pde", "--family", "cdh", "--max-total-degree", "1"], 0,
+     "3fb44f242a3cdb44f1e9c22aedb9ad66f132fc641a3b60ef38626708f9359586"),
+    (["verify-pde", "--family", "wilson", "--max-total-degree", "0", "--grid-size", "3"], 0,
+     "d3606ca48d8d69ecfd4ff86e87964a7b11ec4a08d701ea7ba676c49e1b599565"),
+    (["verify-trivariate", "--max-total-degree", "0", "--grid-size", "2"], 0,
+     "6055f477a2e3f8cfd466f24f3a29224ba32e0d3349a1819148e2c11365fc5f7f"),
+    (["verify-ladder", "--family", "racah", "--max-total-degree", "1", "--seed", "5"], 0,
+     "41e0864804348278bc2f51442e2f7d5291140fea7f96f51cee1f7e42900344c4"),
+    (["verify-second-order", "--family", "wilson", "--max-total-degree", "1", "--seed", "3"], 0,
+     "c66d8d6bd031bee8e3e8129b147e30b5f53ce8102a136aec8bb9880085aa071f"),
+    (["verify-difference-form", "--family", "ch", "--max-total-degree", "1", "--grid-size", "3"], 0,
+     "68970247357078cbf184ca51d2811513d131a5ffcbc7debf7d0116d8819152ec"),
+    (["recover-coeffs", "--family", "racah"], 0,
+     "b12261783aafc3a3cc8acfa945a743b6d42d8ddd32d917eb09d2ad1f9e7617b2"),
+    (["ttrr", "--family", "cdh", "--n", "2"], 0,
+     "a7dfed540e1d96e904146ddd2ea4b2b895a89639d94b8f28ebc7f13e14727f73"),
+    (["generate", "--family", "wilson", "--upto", "2", "--monic"], 0,
+     "643d25aa169f58db94b6ad32973972685570b2acc8fd85e2d0c16098a84b3477"),
+    (["connect", "--family", "ch", "--n", "2"], 0,
+     "ff05024adb5c2b7ee69eca6fec865c0ca6f59b30b8797ff83710b9ade7ef8286"),
+    (["eval", "--family", "racah", "--label", "2,0", "--point", "8/7,16/7", "--param", "beta0=2/3"], 2,
+     "c1744678a2694ddf3d06a741feacde1f68d7467dcb2cb637868a099edf355c93"),
+    (["verify-second-order", "--family", "ch", "--max-total-degree", "0"], 2,
+     "4b1b765768323b648e8dcead01c462156dfc20ca4e3f224f59f4f56e94a97605"),
+]
 
 
 def test_eval_command():
@@ -64,6 +115,12 @@ def test_usage_errors_exit_2():
     code, report = run(["eval", "--family", "racah", "--label", "1,1",
                         "--point", "8/7,16/7", "--param", "beta0=oops"])
     assert code == EXIT_DEGENERATE
+    # --seed and --grid-size exist only where a sweep uses them
+    for argv in (["eval", "--family", "cdh", "--label", "0,0", "--point", "1/2,1/3", "--seed", "1"],
+                 ["verify-ladder", "--family", "racah", "--grid-size", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == EXIT_DEGENERATE
 
 
 def test_degenerate_parameters_exit_2():
@@ -82,18 +139,44 @@ def test_trivariate_has_no_recurrence_machinery():
     assert "no recurrence machinery" in report["error"]
 
 
-def test_verification_failure_exits_3(monkeypatch):
-    from fractions import Fraction
+SWEEP_FAILURES = {
+    "verify-pde": (pdeverify, "residual", "cdh"),
+    "verify-ladder": (families, "derivative_ladder_check", "racah"),
+    "verify-second-order": (pdeverify, "second_order_residual", "cdh"),
+    "verify-difference-form": (pdeverify, "difference_form_residual", "ch"),
+}
 
-    from quadlattice import pdeverify
 
-    monkeypatch.setattr(
-        pdeverify, "residual", lambda *a, **k: Fraction(1)
-    )
-    code, report = run(["verify-pde", "--family", "cdh", "--max-total-degree", "0"])
+@pytest.mark.parametrize("command", SWEEP_FAILURES)
+def test_verification_failure_exits_3(monkeypatch, command):
+    module, name, family = SWEEP_FAILURES[command]
+    monkeypatch.setattr(module, name, lambda *a, **k: Fraction(1))
+    code, report = run([command, "--family", family, "--max-total-degree", "0"])
     assert code == EXIT_MISMATCH
     assert not report["results"][0]["pass"]
-    assert report["results"][0]["value"] == "1"
+    if command == "verify-pde":
+        assert report["results"][0]["value"] == "1"
+
+
+@pytest.mark.parametrize("error", [AssertionError, ArithmeticError])
+def test_internal_consistency_failure_exits_3(monkeypatch, error):
+    def fail(*args):
+        raise error("inconsistent")
+
+    monkeypatch.setattr(families, "eval_family", fail)
+    code, report = run(["eval", "--family", "cdh", "--label", "0,0", "--point", "1/2,1/3"])
+    assert code == EXIT_MISMATCH
+    assert report["error"] == "inconsistent"
+
+
+def test_reports_match_pinned_digests():
+    mismatches = []
+    for argv, expected_code, digest in PINNED_REPORTS:
+        code, report = run(argv)
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if (code, hashlib.sha256(text.encode()).hexdigest()) != (expected_code, digest):
+            mismatches.append(" ".join(argv))
+    assert not mismatches
 
 
 def test_determinism_byte_identical(tmp_path):

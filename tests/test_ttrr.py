@@ -142,15 +142,13 @@ def test_g_corrections_use_u_matrices():
     table = coefficients(spec)
     gnn = ExactMatrix.identity(3)
     gp1, gp2 = ttrr.g_primes(gnn, spec, 2, table=table)
-    gn1, gn2 = ttrr.g_corrections(gnn, gp1, gp2, spec, 2, table=table)
+    gn1, gn2 = ttrr.g_corrections(gnn, gp1, gp2, spec, 2)
     # top-left of U_{2,1} is H^(1)_{2,1}
     b1 = spec.params["beta1"]
     assert gn1.data[0][0] - gp1.data[0][0] == h_closed_1(2, b1)
     # n = 1 has no G_{n,n-2} path
     gp1_only, _ = ttrr.g_primes(ExactMatrix.identity(2), spec, 1, table=table)
-    gn1_only, gn2_only = ttrr.g_corrections(
-        ExactMatrix.identity(2), gp1_only, None, spec, 1, table=table
-    )
+    gn1_only, gn2_only = ttrr.g_corrections(ExactMatrix.identity(2), gp1_only, None, spec, 1)
     assert gn2_only is None
 
 
@@ -160,7 +158,7 @@ def test_wilson_chain_has_no_u_corrections():
     table = coefficients(spec)
     gnn = ExactMatrix.identity(3)
     gp1, gp2 = ttrr.g_primes(gnn, spec, 2, table=table)
-    gn1, gn2 = ttrr.g_corrections(gnn, gp1, gp2, spec, 2, table=table)
+    gn1, gn2 = ttrr.g_corrections(gnn, gp1, gp2, spec, 2)
     assert gn1 == gp1 and gn2 == gp2
 
 
