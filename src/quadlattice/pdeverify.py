@@ -40,7 +40,6 @@ from .latticeops import (
     LatticeSpec,
     SingularPointError,
     apply_D,
-    apply_S,
     d_denominator,
     grid_points,
     lattice_value,
@@ -48,6 +47,7 @@ from .latticeops import (
 )
 from .matrix import ExactMatrix, exact_inverse
 
+ONE = Fraction(1)
 HALF = Fraction(1, 2)
 II = GaussianRational(0, 1)
 
@@ -135,24 +135,97 @@ def _fix_var(g, point, var):
     return h
 
 
-def _op_in_var(lattice, var, g, kind):
-    if kind == "D":
-        return lambda pt: apply_D(lattice, _fix_var(g, pt, var), pt[var])
-    return lambda pt: apply_S(lattice, _fix_var(g, pt, var), pt[var])
+def _checked_denominator(lattice, s):
+    den = d_denominator(lattice, s)
+    if not den:
+        raise SingularPointError(f"stencil denominator vanishes at {s} on {lattice!r}")
+    return den
 
 
-def apply_mixed(lattices, lindex, f, point):
-    """(E_{lindex} f)(point): per variable, entry 1 applies S D and entry 2
-    applies D^2; entry 0 leaves the variable alone."""
-    lindex = validate_mixed_index(lindex, len(lattices))
-    g = f
-    for var in range(len(lattices) - 1, -1, -1):
-        l = lindex[var]
-        if l == 0:
-            continue
-        g = _op_in_var(lattices[var], var, g, "D")
-        g = _op_in_var(lattices[var], var, g, "D" if l == 2 else "S")
-    return g(tuple(point))
+def _axis(lattice, s):
+    """The neighbours s + 1, s, s - 1 (as the half shifts compose) and the
+    reciprocal inner-D denominators at s + 1/2 and s - 1/2."""
+    up, down = shifted_points(lattice, s)
+    inv_up = 1 / _checked_denominator(lattice, up)
+    inv_down = 1 / _checked_denominator(lattice, down)
+    up_up, mid = shifted_points(lattice, up)
+    return (up_up, mid, shifted_points(lattice, down)[1]), inv_up, inv_down
+
+
+def _weights_1d(lattice, s, axis, l):
+    """Weights of S D (l = 1) or D^2 (l = 2) at the coordinate s, keyed by
+    absolute coordinate, zero weights dropped.  The outer D^2 denominator is
+    checked after the inner ones, the order nested application meets them."""
+    (up_up, mid, down_down), inv_up, inv_down = axis
+    if l == 2:
+        outer = 1 / _checked_denominator(lattice, s)
+        w_up, w_down = outer * inv_up, -outer * inv_down
+    else:
+        w_up, w_down = HALF * inv_up, HALF * inv_down
+    pairs = ((up_up, w_up), (mid, w_down - w_up), (down_down, -w_down))
+    return {q: w for q, w in pairs if w}
+
+
+class PointStencils:
+    """The pointwise operator engine at one point.
+
+    Every operator denominator depends on its own coordinate only, so E_l is
+    the tensor product of one-variable weights, built once per (variable,
+    entry) and shared by every operator asked for at this point.  A linear
+    combination of operators is contracted one variable at a time.
+    """
+
+    __slots__ = ("lattices", "point", "_axes", "_one_d")
+
+    def __init__(self, lattices, point):
+        self.lattices = tuple(lattices)
+        self.point = tuple(point)
+        self._axes = {}
+        self._one_d = {}
+
+    def _factor(self, var, l):
+        w1 = self._one_d.get((var, l))
+        if w1 is None:
+            lattice, s = self.lattices[var], self.point[var]
+            axis = self._axes.get(var)
+            if axis is None:
+                axis = self._axes[var] = _axis(lattice, s)
+            w1 = self._one_d[(var, l)] = _weights_1d(lattice, s, axis, l)
+        return w1
+
+    def fold(self, terms):
+        """{q: w} with sum w f(q) = sum of c (E_lindex f)(point) over the
+        (c, lindex) in terms: one weight per neighbour q."""
+        # denominators are met as nested application meets them: operator by
+        # operator, last variable first
+        for _, lindex in terms:
+            for var in range(len(lindex) - 1, -1, -1):
+                if lindex[var]:
+                    self._factor(var, lindex[var])
+        # contract the last variable first, so that terms agreeing on the
+        # earlier entries share one weight table over the later coordinates
+        layer = {}
+        for c, lindex in terms:
+            tail = layer.setdefault(lindex, {})
+            tail[()] = tail[()] + c if () in tail else c
+        for var in range(len(self.point) - 1, -1, -1):
+            merged = {}
+            for lindex, tail in layer.items():
+                acc = merged.setdefault(lindex[:var], {})
+                if lindex[var]:
+                    factor = self._factor(var, lindex[var]).items()
+                    pairs = [((c,) + q, wc * w) for c, wc in factor for q, w in tail.items()]
+                else:
+                    pairs = [((self.point[var],) + q, w) for q, w in tail.items()]
+                for q, w in pairs:
+                    acc[q] = acc[q] + w if q in acc else w
+            layer = merged
+        return layer[()]
+
+    def apply(self, terms, f):
+        """sum of c (E_lindex f)(point) over (c, lindex) in terms, sampling f
+        once per neighbour."""
+        return demote(sum(w * f(q) for q, w in self.fold(terms).items()))
 
 
 def stencil_weights(lattices, lindex, point):
@@ -162,46 +235,13 @@ def stencil_weights(lattices, lindex, point):
     quadratic lattices, integer imaginary shifts otherwise).
     """
     lindex = validate_mixed_index(lindex, len(lattices))
-
-    def base(pt):
-        return {tuple(pt): Fraction(1)}
-
-    builder = base
-    for var in range(len(lattices) - 1, -1, -1):
-        l = lindex[var]
-        if l == 0:
-            continue
-        builder = _weights_op(lattices[var], var, builder, "D")
-        builder = _weights_op(lattices[var], var, builder, "D" if l == 2 else "S")
-    return builder(tuple(point))
+    return PointStencils(lattices, point).fold([(ONE, lindex)])
 
 
-def _weights_op(lattice, var, inner, kind):
-    def out(pt):
-        up, down = shifted_points(lattice, pt[var])
-        pt_up = tuple(v if i != var else up for i, v in enumerate(pt))
-        pt_down = tuple(v if i != var else down for i, v in enumerate(pt))
-        wu = inner(pt_up)
-        wd = inner(pt_down)
-        acc = {}
-        if kind == "D":
-            den = d_denominator(lattice, pt[var])
-            if not den:
-                raise SingularPointError(
-                    f"stencil denominator vanishes at {pt[var]} on {lattice!r}"
-                )
-            for q, w in wu.items():
-                acc[q] = acc.get(q, 0) + w / den
-            for q, w in wd.items():
-                acc[q] = acc.get(q, 0) - w / den
-        else:
-            for q, w in wu.items():
-                acc[q] = acc.get(q, 0) + w * HALF
-            for q, w in wd.items():
-                acc[q] = acc.get(q, 0) + w * HALF
-        return {q: w for q, w in acc.items() if w}
-
-    return out
+def apply_mixed(lattices, lindex, f, point):
+    """(E_{lindex} f)(point): per variable, entry 1 applies S D and entry 2
+    applies D^2; entry 0 leaves the variable alone."""
+    return demote(sum(w * f(q) for q, w in stencil_weights(lattices, lindex, point).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -724,15 +764,13 @@ def table_residual_on(table: CoeffTable, f, label, point):
     """Residual of the table's equation on an arbitrary stencil function."""
     point = tuple(point)
     latpt = table.lattice_point(point)
-    total = table.eigenvalue(label) * f(point)
+    terms = [(table.eigenvalue(label), (0,) * table.nvars)]
     for fi, lind in zip(table.coeffs, table.lindices):
         ci = fi.eval(latpt)
-        if not ci:
-            continue
-        weights = stencil_weights(table.lattices, lind, point)
-        term = sum((w * f(q) for q, w in weights.items()), start=Fraction(0))
-        total = total + ci * term
-    return demote(total)
+        # a zero coefficient skips its stencil, singular or not
+        if ci:
+            terms.append((ci, lind))
+    return PointStencils(table.lattices, point).apply(terms, f)
 
 
 def residual(table: CoeffTable, spec: FamilySpec, label, point):
@@ -841,13 +879,13 @@ def second_order_residual(kind, spec: FamilySpec, label, point):
         raise ValueError(f"unknown second-order kind {kind!r}")
 
     lattices = spec.lattices()
-    f = family_function(spec, label)
     latpt = tuple(lattice_value(l, v) for l, v in zip(lattices, point))
-    lindex_d2 = tuple(2 if i == var else 0 for i in range(2))
-    lindex_sd = tuple(1 if i == var else 0 for i in range(2))
-    d2 = apply_mixed(lattices, lindex_d2, f, point)
-    sd = apply_mixed(lattices, lindex_sd, f, point)
-    return demote(phi.eval(latpt) * d2 + tau.eval(latpt) * sd + lam * f(tuple(point)))
+    terms = (
+        (lam, (0, 0)),
+        (phi.eval(latpt), tuple(2 if i == var else 0 for i in range(2))),
+        (tau.eval(latpt), tuple(1 if i == var else 0 for i in range(2))),
+    )
+    return PointStencils(lattices, point).apply(terms, family_function(spec, label))
 
 
 # ---------------------------------------------------------------------------
@@ -1064,9 +1102,10 @@ def difference_form_residual(kind, spec: FamilySpec, label, point):
     f = family_function(spec, label)
     total = Fraction(0)
     for (o1, o2), coeff in stencil.items():
-        q = (gauss(point[0]) + step * o1, gauss(point[1]) + step * o2)
         if step == 1:
             q = (point[0] + o1, point[1] + o2)
+        else:
+            q = (gauss(point[0]) + step * o1, gauss(point[1]) + step * o2)
         total = total + coeff * f(q)
     return demote(total)
 
@@ -1081,9 +1120,10 @@ OFFSETS_3X3 = tuple((o1, o2) for o1 in (-1, 0, 1) for o2 in (-1, 0, 1))
 
 def operator_to_shift_matrix(lattices, point):
     """9 x 9 matrix M with (E_op f)(point) = sum_q M[op, q] f(point + q)."""
+    stencils = PointStencils(lattices, point)
     rows = []
     for lind in OP_ORDER_WITH_IDENTITY:
-        weights = stencil_weights(lattices, lind, point)
+        weights = stencils.fold([(ONE, lind)])
         row = []
         for off in OFFSETS_3X3:
             q = (point[0] + off[0], point[1] + off[1])

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from quadlattice import families as fam
+from quadlattice import latticeops as lo
 from quadlattice import pdeverify as pv
 from quadlattice.exactfield import GaussianRational
+from quadlattice.fbasis import MPoly
 from quadlattice.latticeops import SingularPointError
 
 PTS2 = [(Fraction(8, 7), Fraction(16, 7)), (Fraction(15, 7), Fraction(23, 7))]
@@ -149,6 +152,111 @@ def test_residual_raises_on_singular_point():
     bad_s = -spec.params["beta1"] / 2
     with pytest.raises(SingularPointError):
         pv.residual(table, spec, (1, 1), (bad_s, Fraction(16, 7)))
+
+
+# -- the pointwise operator engine ---------------------------------------------------
+
+def _nested_mixed(lattices, lindex, f, point):
+    """E_lindex f by composing apply_D / apply_S one variable at a time."""
+
+    def in_var(var, g, op):
+        lat = lattices[var]
+        return lambda pt: op(lat, lambda v: g(pt[:var] + (v,) + pt[var + 1:]), pt[var])
+
+    g = f
+    for var in reversed(range(len(lattices))):
+        l = lindex[var]
+        if l:
+            g = in_var(var, g, lo.apply_D)
+            g = in_var(var, g, lo.apply_D if l == 2 else lo.apply_S)
+    return g(tuple(point))
+
+
+def _rational_function(q):
+    # not a polynomial, so a wrong tensor-product weight cannot cancel
+    num = 1 + sum((k + 2) * v for k, v in enumerate(q))
+    den = Fraction(7, 3) + sum(v * v * (k + 1) for k, v in enumerate(q)) + q[0] * q[-1]
+    return num / den
+
+
+ENGINE_LATTICES = {
+    "quadratic": (lo.quadratic(Fraction(3, 5)), lo.quadratic(Fraction(-7, 3)),
+                  lo.quadratic(Fraction(2, 9))),
+    "wilson-square": (lo.wilson_square(), lo.wilson_square("y"), lo.wilson_square("z")),
+    "linear": (lo.linear(), lo.linear("y"), lo.linear("z")),
+    "mixed": (lo.quadratic(Fraction(3, 5)), lo.wilson_square("y"), lo.linear("z")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINE_LATTICES))
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_engine_matches_nested_operator_composition(kind, nvars):
+    lattices = ENGINE_LATTICES[kind][:nvars]
+    point = PTS3[0][:nvars]
+    for lindex in product(range(3), repeat=nvars):
+        weights = pv.stencil_weights(lattices, lindex, point)
+        engine = sum(w * _rational_function(q) for q, w in weights.items())
+        expect = _nested_mixed(lattices, lindex, _rational_function, point)
+        assert engine == expect, (kind, lindex)
+        assert pv.apply_mixed(lattices, lindex, _rational_function, point) == expect
+        assert len(weights) <= 3 ** sum(1 for l in lindex if l)
+
+
+@pytest.mark.parametrize("name", [fam.RACAH, fam.WILSON, fam.CH_TRI])
+def test_folded_residual_matches_operator_by_operator_sum(name):
+    spec = fam.FamilySpec(name)
+    table = pv.coefficients(spec)
+    point = PTS3[1][:spec.nvars]
+    label = (1,) * spec.nvars
+    latpt = table.lattice_point(point)
+    expect = table.eigenvalue(label) * _rational_function(point) + sum(
+        fi.eval(latpt) * _nested_mixed(table.lattices, lind, _rational_function, point)
+        for fi, lind in zip(table.coeffs, table.lindices)
+    )
+    assert expect != 0
+    assert pv.table_residual_on(table, _rational_function, label, point) == expect
+
+
+def test_fold_adds_repeated_operators():
+    stencils = pv.PointStencils(ENGINE_LATTICES["mixed"][:2], PTS2[0])
+    assert stencils.fold([(2, (1, 2)), (3, (1, 2))]) == stencils.fold([(5, (1, 2))])
+
+
+def test_engine_nested_denominator_singularity():
+    # 2s + beta1 = -1 is nonzero, but the inner D at s + 1/2 divides by zero
+    spec = fam.FamilySpec(fam.RACAH)
+    lattices = spec.lattices()
+    s = (-spec.params["beta1"] - 1) / 2
+    point = (s, Fraction(16, 7))
+    assert lo.d_denominator(lattices[0], s) == -1
+    for lindex in ((2, 0), (1, 0)):
+        with pytest.raises(SingularPointError, match=f"vanishes at {s + Fraction(1, 2)} on"):
+            pv.stencil_weights(lattices, lindex, point)
+    assert len(pv.stencil_weights(lattices, (0, 1), point)) == 3
+
+
+def test_zero_coefficients_skip_singular_stencils():
+    spec = fam.FamilySpec(fam.RACAH)
+    lattices = spec.lattices()
+    s = (-spec.params["beta1"] - 1) / 2
+    point = (s, Fraction(16, 7))
+    x, y = MPoly.var(0, 2), MPoly.var(1, 2)
+    x0 = lo.lattice_value(lattices[0], s)
+    zero = MPoly.zero(2)
+    # every operator acting on x is singular at s; its coefficient vanishes there
+    coeffs = [zero, zero, zero, zero, (x - x0) * (x - x0), y + 1, x - x0, y + 3]
+    table = pv.CoeffTable(fam.RACAH, coeffs, pv.BIVARIATE_OPS, lambda label: 5,
+                          lattices, +1)
+    latpt = table.lattice_point(point)
+    expect = 5 * _rational_function(point) + sum(
+        fi.eval(latpt) * _nested_mixed(lattices, lind, _rational_function, point)
+        for fi, lind in zip(coeffs[5:], ((0, 2), (1, 0), (0, 1)))
+        if fi.eval(latpt)
+    )
+    assert pv.table_residual_on(table, _rational_function, (1, 1), point) == expect
+    table.coeffs[6] = x - x0 + 1
+    with pytest.raises(SingularPointError):
+        pv.table_residual_on(table, _rational_function, (1, 1), point)
 
 
 # -- derived tables --------------------------------------------------------------
