@@ -1,0 +1,193 @@
+"""Layer timings for the quadlattice proof engine (standard library only).
+
+Usage (from the repository root):
+
+    python3 bench/run_bench.py [--quick] [--out PATH] [--baseline PATH]
+
+Layers timed:
+
+  L0  scalar field operations: Fraction and GaussianRational add, mul, div
+      and hash, plus GaussianRational x Fraction in both operand orders;
+  L1  the four univariate primaries (racah_uni, wilson_uni, cdh_uni,
+      ch_uni) at n = 1..4, with their caches cleared before every repeat.
+
+Every input is fixed (drawn from a seeded ``random.Random``), so two runs
+on the same machine time the same work.  Each entry reports the operation
+count of one repeat and the min and median seconds over the repeats.  The
+result is a JSON object with an environment record (Python version, CPU
+count, repeat count) and the entries; it is printed and, with ``--out``,
+written to a file.  With ``--baseline`` the result embeds an earlier run
+under ``baseline`` and adds the change/baseline median ratio of each entry,
+so one file holds a before/after comparison.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from quadlattice import families as fam  # noqa: E402
+from quadlattice.exactfield import GaussianRational  # noqa: E402
+
+SCHEMA = "quadlattice-bench/1"
+
+
+def _rationals(rng, count, lo, hi):
+    """Rationals p/q with lo <= p <= hi and 1 <= q <= 11, p != 0."""
+    out = []
+    while len(out) < count:
+        num = rng.randint(lo, hi)
+        if num:
+            out.append(Fraction(num, rng.randint(1, 11)))
+    return out
+
+
+def _gaussians(rng, count):
+    return [
+        GaussianRational(a, b)
+        for a, b in zip(_rationals(rng, count, -9, 9), _rationals(rng, count, -9, 9))
+    ]
+
+
+def _l0_entries(size):
+    rng = random.Random(0)
+    qa, qb = _rationals(rng, size, -9, 9), _rationals(rng, size, -9, 9)
+    ga, gb = _gaussians(rng, size), _gaussians(rng, size)
+    qpairs, gpairs = list(zip(qa, qb)), list(zip(ga, gb))
+    mixed = list(zip(ga, qb))
+
+    def loop(op, pairs):
+        return lambda: [op(a, b) for a, b in pairs]
+
+    return {
+        "L0.fraction.add": (loop(lambda a, b: a + b, qpairs), size),
+        "L0.fraction.mul": (loop(lambda a, b: a * b, qpairs), size),
+        "L0.fraction.div": (loop(lambda a, b: a / b, qpairs), size),
+        "L0.fraction.hash": (lambda: [hash(a) for a in qa], size),
+        "L0.gauss.add": (loop(lambda a, b: a + b, gpairs), size),
+        "L0.gauss.mul": (loop(lambda a, b: a * b, gpairs), size),
+        "L0.gauss.div": (loop(lambda a, b: a / b, gpairs), size),
+        "L0.gauss.hash": (lambda: [hash(a) for a in ga], size),
+        "L0.gauss_x_fraction.mul": (loop(lambda g, q: g * q, mixed), size),
+        "L0.fraction_x_gauss.mul": (loop(lambda g, q: q * g, mixed), size),
+    }
+
+
+def _l1_args(points):
+    """Argument tuples (without n) of each primary, shaped as the family
+    couplings pass them: real Racah data, the conjugate pair e2 +- iy for
+    Wilson and continuous dual Hahn, Gaussian continuous Hahn arguments."""
+    # grid-like coordinates k + 1/7 and j - 3 + 2/9: no lower Racah
+    # parameter (-t)_n, (t + 7/3)_n and no (-s)_k can vanish
+    xs = [k % 9 + Fraction(1, 7) for k in range(points)]
+    ys = [k % 7 - 3 + Fraction(2, 9) for k in range(points)]
+    e2 = Fraction(2, 5)
+    return {
+        "racah_uni": [
+            (Fraction(-8, 15), Fraction(2, 3), -t - 1, Fraction(2, 3) + t, s)
+            for s, t in zip(xs, ys)
+        ],
+        "wilson_uni": [
+            (Fraction(1, 2), Fraction(3, 4), GaussianRational(e2, y), GaussianRational(e2, -y), x)
+            for x, y in zip(xs, ys)
+        ],
+        "cdh_uni": [
+            (Fraction(1, 2), GaussianRational(e2, y), GaussianRational(e2, -y), x)
+            for x, y in zip(xs, ys)
+        ],
+        "ch_uni": [
+            (Fraction(1, 3), Fraction(5, 6), GaussianRational(e2, -y), GaussianRational(e2, y), x)
+            for x, y in zip(xs, ys)
+        ],
+    }
+
+
+def _l1_entries(points):
+    out = {}
+    for name, arglist in _l1_args(points).items():
+        fn = getattr(fam, name)
+        for n in range(1, 5):
+            def job(fn=fn, n=n, arglist=arglist):
+                fn.cache_clear()
+                return [fn(n, *args) for args in arglist]
+
+            out[f"L1.{name}.n{n}"] = (job, len(arglist))
+    return out
+
+
+def measure(entries, repeats):
+    results = {}
+    for name, (job, ops) in entries.items():
+        job()  # warm-up: imports, method caches
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            job()
+            times.append(time.perf_counter() - start)
+        results[name] = {
+            "ops": ops,
+            "min_s": min(times),
+            "median_s": statistics.median(times),
+        }
+    return results
+
+
+def environment(repeats):
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "repeats": repeats,
+    }
+
+
+def with_baseline(result, baseline):
+    ratios = {}
+    for name, entry in result["entries"].items():
+        old = baseline["entries"].get(name)
+        if old and old["median_s"] > 0:
+            ratios[name] = round(entry["median_s"] / old["median_s"], 4)
+    return dict(result, baseline=baseline, median_ratio=ratios)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="small inputs and 3 repeats instead of 25: a smoke run")
+    parser.add_argument("--out", type=Path, default=None, help="write the JSON here")
+    parser.add_argument("--baseline", type=Path, default=None,
+                        help="an earlier run's JSON to embed and compare against")
+    args = parser.parse_args(argv)
+    repeats, size, points = (3, 200, 4) if args.quick else (25, 2000, 40)
+
+    entries = dict(_l0_entries(size))
+    entries.update(_l1_entries(points))
+    result = {
+        "schema": SCHEMA,
+        "environment": environment(repeats),
+        "entries": measure(entries, repeats),
+    }
+    if args.baseline is not None:
+        baseline = json.loads(args.baseline.read_text(encoding="utf-8"))
+        result = with_baseline(result, baseline)
+    text = json.dumps(result, indent=2, sort_keys=True)
+    if args.out is not None:
+        args.out.write_text(text + "\n", encoding="utf-8")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -41,7 +41,11 @@ class GaussianRational:
     """An element of Q(i), kept in exact canonical form.
 
     Mixed arithmetic with ints and Fractions is supported so that code which
-    happens to stay real never needs explicit wrapping.
+    happens to stay real never needs explicit wrapping; a real operand of
+    ``+ - *`` (or a real divisor) acts on the parts directly instead of being
+    lifted to Q(i).  The public constructor normalises its inputs through
+    ``Fraction``; every arithmetic result is built by :func:`_gauss` from
+    parts that Fraction arithmetic has already reduced.
     """
 
     __slots__ = ("re", "im")
@@ -80,50 +84,51 @@ class GaussianRational:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if isinstance(other, GaussianRational):
+            return _gauss(self.re + other.re, self.im + other.im)
+        if isinstance(other, _REAL):
+            return _gauss(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gauss(-self.re, -self.im)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if isinstance(other, GaussianRational):
+            return _gauss(self.re - other.re, self.im - other.im)
+        if isinstance(other, _REAL):
+            return _gauss(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        if isinstance(other, _REAL):
+            return _gauss(other - self.re, -self.im)
+        return NotImplemented
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if isinstance(other, GaussianRational):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return _gauss(a * c - b * d, a * d + b * c)
+        if isinstance(other, _REAL):
+            return _gauss(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        if isinstance(other, GaussianRational):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            norm = c * c + d * d
+            if not norm:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return _gauss((a * c + b * d) / norm, (b * c - a * d) / norm)
+        if isinstance(other, _REAL):
+            if not other:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return _gauss(self.re / other, self.im / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -134,7 +139,7 @@ class GaussianRational:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer powers are supported")
-        result = GaussianRational(1)
+        result = _gauss(_ONE, _ZERO)
         base = self
         e = exponent
         while e:
@@ -147,7 +152,7 @@ class GaussianRational:
     # -- structure ---------------------------------------------------------
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _gauss(self.re, -self.im)
 
     @property
     def is_real(self):
@@ -161,14 +166,31 @@ class GaussianRational:
         return cls(Fraction(obj["re"]), Fraction(obj["im"]))
 
 
+_REAL = (int, Fraction)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_new = object.__new__
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def _gauss(re, im):
+    """Trusted constructor: ``re`` and ``im`` must already be Fractions
+    (which are always in lowest terms); they are stored as they are."""
+    g = _new(GaussianRational)
+    _set_re(g, re)
+    _set_im(g, im)
+    return g
+
+
 I = GaussianRational(0, 1)
 
 
 def _coerce(value):
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
+    if isinstance(value, _REAL):
+        return _gauss(Fraction(value), _ZERO)
     return NotImplemented
 
 

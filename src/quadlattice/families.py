@@ -20,18 +20,25 @@ couplings implemented here are:
                               * h_m(b3, a3, e2-ix, e2+ix; y)
   ch-tri     three continuous Hahn factors chained through n, m, r.
 
-Every univariate factor has a second, independent implementation (plain
-term-by-term series summation) used as a brute-force oracle by the tests.
+The primary univariate factors share one cancellation-free kernel,
+``_terminating_sum``: the lower Pochhammers are multiplied through, so the
+k-th term is prod (u_j)_k * prod (l_j + k)_{n-k} / k!, with prefix products
+of the upper parameters and suffix products of the lower tails (O(n)
+multiplications), and only k! divides.  Every univariate factor has a
+second, independent implementation used as a brute-force oracle by the
+tests: a prefactor times the plain series summed by running term ratios,
+dividing by every lower parameter at every term.  The two routes share no
+arithmetic beyond the parameters, so a slip in one does not cancel in the
+comparison.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial
 from operator import mul
 
-from .exactfield import GaussianRational, demote, gauss, imag_part, pochhammer, rat
+from .exactfield import GaussianRational, I, demote, gauss, imag_part, pochhammer, rat
 from .latticeops import apply_D, linear, quadratic, wilson_square
 
 HALF = Fraction(1, 2)
@@ -54,6 +61,45 @@ def _check_lower(pairs, n):
 # univariate factors: cancellation-free primaries
 # ---------------------------------------------------------------------------
 
+def _terminating_sum(n, uppers, lowers):
+    """Sum_{k=0}^{n} prod_j (u_j)_k * prod_j (l_j + k)_{n-k} / k!.
+
+    This is prod_j (l_j)_n times the terminating series with upper
+    parameters ``uppers`` (the first one -n) and lower parameters
+    ``lowers``, with every lower Pochhammer cancelled: only k! divides.
+    The upper products grow as prefix products and the lower tails are
+    suffix products, so the sum costs O(n) multiplications.  The sum stops
+    at the first vanishing upper product, after which every term is zero.
+    """
+    tails = [Fraction(1)] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        tail = tails[k + 1]
+        for low in lowers:
+            tail = tail * (low + k)
+        tails[k] = tail
+    total = tails[0]
+    num = Fraction(1)
+    kfact = 1
+    for k in range(1, n + 1):
+        for up in uppers:
+            num = num * (up + (k - 1))
+        if not num:
+            break
+        kfact *= k
+        total = total + num * tails[k] / kfact
+    return total
+
+
+def _plus_ix(a, x):
+    """a + ix, built directly when a and x are real."""
+    if isinstance(a, (int, Fraction)) and isinstance(x, (int, Fraction)):
+        return GaussianRational(a, x)
+    return gauss(a) + I * gauss(x)
+
+
+_I_POWERS = (gauss(1), I, gauss(-1), -I)
+
+
 @lru_cache(maxsize=None)
 def racah_uni(n, alpha, beta, gamma, delta, s):
     """Univariate Racah polynomial r_n(alpha,beta,gamma,delta;s).
@@ -62,23 +108,8 @@ def racah_uni(n, alpha, beta, gamma, delta, s):
     """
     a1, bd1, g1 = alpha + 1, beta + delta + 1, gamma + 1
     _check_lower([("alpha+1", a1), ("beta+delta+1", bd1), ("gamma+1", g1)], n)
-    total = Fraction(0)
-    for k in range(n + 1):
-        num = (
-            pochhammer(Fraction(-n), k)
-            * pochhammer(n + alpha + beta + 1, k)
-            * pochhammer(-s, k)
-            * pochhammer(s + gamma + delta + 1, k)
-        )
-        if not num:
-            continue
-        tail = (
-            pochhammer(a1 + k, n - k)
-            * pochhammer(bd1 + k, n - k)
-            * pochhammer(g1 + k, n - k)
-        )
-        total = total + num * tail / factorial(k)
-    return demote(total)
+    uppers = (-n, n + alpha + beta + 1, -s, s + gamma + delta + 1)
+    return demote(_terminating_sum(n, uppers, (a1, bd1, g1)))
 
 
 @lru_cache(maxsize=None)
@@ -86,25 +117,8 @@ def wilson_uni(n, a, b, c, d, x):
     """Wilson polynomial w_n(x^2; a, b, c, d); an even function of x."""
     ab, ac, ad = a + b, a + c, a + d
     _check_lower([("a+b", ab), ("a+c", ac), ("a+d", ad)], n)
-    aix = gauss(a) + GaussianRational(0, 1) * gauss(x)
-    amx = gauss(a) - GaussianRational(0, 1) * gauss(x)
-    total = gauss(0)
-    for k in range(n + 1):
-        num = (
-            pochhammer(Fraction(-n), k)
-            * pochhammer(n + a + b + c + d - 1, k)
-            * pochhammer(aix, k)
-            * pochhammer(amx, k)
-        )
-        if not num:
-            continue
-        tail = (
-            pochhammer(ab + k, n - k)
-            * pochhammer(ac + k, n - k)
-            * pochhammer(ad + k, n - k)
-        )
-        total = total + num * tail / factorial(k)
-    return demote(total)
+    uppers = (-n, n + a + b + c + d - 1, _plus_ix(a, x), _plus_ix(a, -x))
+    return demote(_terminating_sum(n, uppers, (ab, ac, ad)))
 
 
 @lru_cache(maxsize=None)
@@ -112,16 +126,8 @@ def cdh_uni(n, a, b, c, x):
     """Continuous dual Hahn polynomial d_n(a, b, c | x), even in x."""
     ab, ac = a + b, a + c
     _check_lower([("a+b", ab), ("a+c", ac)], n)
-    aix = gauss(a) + GaussianRational(0, 1) * gauss(x)
-    amx = gauss(a) - GaussianRational(0, 1) * gauss(x)
-    total = gauss(0)
-    for k in range(n + 1):
-        num = pochhammer(Fraction(-n), k) * pochhammer(aix, k) * pochhammer(amx, k)
-        if not num:
-            continue
-        tail = pochhammer(ab + k, n - k) * pochhammer(ac + k, n - k)
-        total = total + num * tail / factorial(k)
-    return demote(total)
+    uppers = (-n, _plus_ix(a, x), _plus_ix(a, -x))
+    return demote(_terminating_sum(n, uppers, (ab, ac)))
 
 
 @lru_cache(maxsize=None)
@@ -129,19 +135,8 @@ def ch_uni(n, a, b, c, d, x):
     """Continuous Hahn polynomial h_n(a, b, c, d | x) with the i^n prefactor."""
     ab, ad = a + b, a + d
     _check_lower([("a+b", ab), ("a+d", ad)], n)
-    aix = gauss(a) + GaussianRational(0, 1) * gauss(x)
-    total = gauss(0)
-    for k in range(n + 1):
-        num = (
-            pochhammer(Fraction(-n), k)
-            * pochhammer(n + a + b + c + d - 1, k)
-            * pochhammer(aix, k)
-        )
-        if not num:
-            continue
-        tail = pochhammer(ab + k, n - k) * pochhammer(ad + k, n - k)
-        total = total + num * tail / factorial(k)
-    return demote(GaussianRational(0, 1) ** n * total)
+    uppers = (-n, n + a + b + c + d - 1, _plus_ix(a, x))
+    return demote(_I_POWERS[n % 4] * _terminating_sum(n, uppers, (ab, ad)))
 
 
 # ---------------------------------------------------------------------------

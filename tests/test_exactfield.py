@@ -1,3 +1,5 @@
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -100,3 +102,101 @@ def test_gaussian_is_immutable_and_hashable():
         g.re = Fraction(3)
     assert hash(gauss(Fraction(1, 2))) == hash(Fraction(1, 2))
     assert len({g, GaussianRational(1, 2)}) == 1
+
+
+# -- field invariants of every arithmetic result -----------------------------
+
+def _parts(value):
+    if isinstance(value, GaussianRational):
+        return value.re, value.im
+    return Fraction(value), Fraction(0)
+
+
+def _reference(op, x, y):
+    """The operation on (re, im) pairs, written out independently of the
+    class: the result a Gaussian operand would give after coercion."""
+    (a, b), (c, d) = _parts(x), _parts(y)
+    if op is operator.add:
+        return a + c, b + d
+    if op is operator.sub:
+        return a - c, b - d
+    if op is operator.mul:
+        return a * c - b * d, a * d + b * c
+    norm = c * c + d * d
+    return (a * c + b * d) / norm, (b * c - a * d) / norm
+
+
+def _assert_canonical(value):
+    assert type(value) is GaussianRational
+    for part in (value.re, value.im):
+        assert type(part) is Fraction
+        assert part.denominator > 0
+        assert math.gcd(part.numerator, part.denominator) == 1
+
+
+FIELD_OPERANDS = [
+    0, 1, -3, 7,
+    Fraction(0), Fraction(-5, 6), Fraction(9, 4),
+    GaussianRational(0, 0), GaussianRational(Fraction(2, 3)), GaussianRational(0, Fraction(-3, 8)),
+    GaussianRational(Fraction(-7, 5), Fraction(4, 9)), GaussianRational(6, -2),
+]
+BINARY_OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@pytest.mark.parametrize("op", BINARY_OPS, ids=lambda op: op.__name__)
+def test_gaussian_results_are_canonical_in_both_operand_orders(op):
+    gaussians = [v for v in FIELD_OPERANDS if isinstance(v, GaussianRational)]
+    for g in gaussians:
+        for other in FIELD_OPERANDS:
+            for x, y in ((g, other), (other, g)):
+                if op is operator.truediv and _parts(y) == (0, 0):
+                    with pytest.raises(ZeroDivisionError, match="division by zero Gaussian rational"):
+                        op(x, y)
+                    continue
+                result = op(x, y)
+                _assert_canonical(result)
+                assert (result.re, result.im) == _reference(op, x, y), (op, x, y)
+                assert result == op(gauss(x), gauss(y))
+
+
+def test_gaussian_unary_results_are_canonical():
+    for g in FIELD_OPERANDS:
+        if not isinstance(g, GaussianRational):
+            continue
+        for result, expect in (
+            (-g, (-g.re, -g.im)),
+            (g.conjugate(), (g.re, -g.im)),
+        ):
+            _assert_canonical(result)
+            assert (result.re, result.im) == expect
+        power = (Fraction(1), Fraction(0))
+        for e in range(6):
+            result = g ** e
+            _assert_canonical(result)
+            assert (result.re, result.im) == power
+            power = _reference(operator.mul, GaussianRational(*power), g)
+
+
+@pytest.mark.parametrize("op", BINARY_OPS, ids=lambda op: op.__name__)
+@pytest.mark.parametrize("bad", [1.5, "1/2"], ids=["float", "str"])
+def test_gaussian_rejects_float_and_str_operands(op, bad):
+    g = GaussianRational(Fraction(1, 2), 3)
+    with pytest.raises(TypeError):
+        op(g, bad)
+    with pytest.raises(TypeError):
+        op(bad, g)
+
+
+def test_arithmetic_results_stay_immutable_and_hash_like_rationals():
+    g = GaussianRational(Fraction(1, 2), Fraction(-2, 3))
+    for result in (g + 1, 2 * g, g - Fraction(1, 3), Fraction(1, 3) - g, g / 4, 3 / g, -g,
+                   g.conjugate(), g ** 2):
+        with pytest.raises(AttributeError):
+            result.re = Fraction(3)
+        with pytest.raises(AttributeError):
+            result.im = Fraction(3)
+    for q in (Fraction(0), Fraction(1, 2), Fraction(-7, 3), Fraction(5)):
+        assert hash(gauss(q)) == hash(q)
+        real = g * 0 + q  # a real value reached through the fast paths
+        assert real.im == 0 and hash(real) == hash(q) and real == q
+        assert hash(g + q - g) == hash(q)

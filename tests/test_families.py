@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,89 @@ def test_degenerate_parameters_raise():
         fam.wilson_uni(2, Fraction(1), Fraction(-1), Fraction(2), Fraction(2), Fraction(8, 7))
     with pytest.raises(fam.DegenerateParameterError):
         fam.hyper_series_oracle([Fraction(-3)], [Fraction(-1)], 4)
+
+
+# The primaries multiply prefix products of the upper parameters with suffix
+# products of the lower tails and divide by k! only; the oracles divide term
+# ratios.  Seed-pinned random draws cover n = 0..6 and three argument kinds:
+# real, the conjugate pair e2 +- iy as the couplings pass it, and general
+# Gaussian arguments; integer Racah points make the numerator truncate.
+PRIMARIES = (
+    ("racah", fam.racah_uni, fam.racah_uni_oracle, 5),
+    ("wilson", fam.wilson_uni, fam.wilson_uni_oracle, 5),
+    ("cdh", fam.cdh_uni, fam.cdh_uni_oracle, 4),
+    ("ch", fam.ch_uni, fam.ch_uni_oracle, 5),
+)
+PAIR_SLOTS = {"racah": None, "wilson": (2, 3), "cdh": (1, 2), "ch": (2, 3)}
+DEGENERATE_MESSAGE = r"^denominator parameter \S+ = -?\d+ hits zero at shift \d+$"
+
+
+def rnd_gauss(rng):
+    return GaussianRational(rnd_fraction(rng), rnd_fraction(rng))
+
+
+def draw_primary_args(rng, kind, arity, argument):
+    if argument == "real":
+        return [rnd_fraction(rng) for _ in range(arity)]
+    if argument == "gaussian":
+        return [rnd_gauss(rng) for _ in range(arity)]
+    args = [rnd_fraction(rng) for _ in range(arity)]
+    e2, y = rnd_fraction(rng), rnd_fraction(rng)
+    if kind == "racah":  # integer lattice point: (-s)_k truncates the sum
+        args[-1] = Fraction(rng.randint(0, 6))
+    else:
+        i, j = PAIR_SLOTS[kind]
+        args[i], args[j] = GaussianRational(e2, y), GaussianRational(e2, -y)
+    return args
+
+
+@pytest.mark.parametrize("kind, primary, oracle, arity", PRIMARIES, ids=[p[0] for p in PRIMARIES])
+@pytest.mark.parametrize("argument", ["real", "pair", "gaussian"])
+def test_primaries_match_series_oracles(kind, primary, oracle, arity, argument):
+    rng = random.Random(f"{kind}-{argument}")
+    checked = 0
+    for n in range(7):
+        for _ in range(4):
+            args = draw_primary_args(rng, kind, arity, argument)
+            try:
+                value = primary(n, *args)
+            except fam.DegenerateParameterError as exc:
+                assert re.match(DEGENERATE_MESSAGE, str(exc)), str(exc)
+                with pytest.raises(fam.DegenerateParameterError):
+                    oracle(n, *args)
+                continue
+            assert value == oracle(n, *args), (kind, n, args)
+            if imag_part(value) == 0:
+                assert type(value) is Fraction
+            else:
+                assert type(value) is GaussianRational
+            checked += 1
+    assert checked >= 20
+
+
+def test_racah_primary_stops_at_truncated_numerator():
+    # at an integer point s < n the factor (-s)_k vanishes for k > s
+    a, b, g, d = RACAH_ARGS
+    for s in range(6):
+        s = Fraction(s)
+        assert fam.racah_uni(6, a, b, g, d, s) == fam.racah_uni_oracle(6, a, b, g, d, s)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fam.racah_uni(3, Fraction(-3), Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(8, 7)),
+     "denominator parameter alpha+1 = -2 hits zero at shift 2"),
+    (lambda: fam.racah_uni(2, Fraction(1, 2), Fraction(1, 3), Fraction(-1), Fraction(1, 5), Fraction(8, 7)),
+     "denominator parameter gamma+1 = 0 hits zero at shift 0"),
+    (lambda: fam.wilson_uni(2, Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(2), Fraction(8, 7)),
+     "denominator parameter a+b = -1 hits zero at shift 1"),
+    (lambda: fam.cdh_uni(4, Fraction(1, 2), Fraction(1, 3), Fraction(-7, 2), Fraction(8, 7)),
+     "denominator parameter a+c = -3 hits zero at shift 3"),
+    (lambda: fam.ch_uni(1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(-1, 2), Fraction(8, 7)),
+     "denominator parameter a+d = 0 hits zero at shift 0"),
+], ids=["racah-alpha", "racah-gamma", "wilson", "cdh", "ch"])
+def test_degenerate_lower_parameter_messages(call, message):
+    with pytest.raises(fam.DegenerateParameterError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # -- bivariate / trivariate evaluation ---------------------------------------
