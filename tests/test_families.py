@@ -105,7 +105,7 @@ PRIMARIES = (
     ("cdh", fam.cdh_uni, fam.cdh_uni_oracle, 4),
     ("ch", fam.ch_uni, fam.ch_uni_oracle, 5),
 )
-PAIR_SLOTS = {"racah": None, "wilson": (2, 3), "cdh": (1, 2), "ch": (2, 3)}
+PAIR_SLOTS = {"wilson": (2, 3), "cdh": (1, 2), "ch": (2, 3)}
 DEGENERATE_MESSAGE = r"^denominator parameter \S+ = -?\d+ hits zero at shift \d+$"
 
 
@@ -150,14 +150,6 @@ def test_primaries_match_series_oracles(kind, primary, oracle, arity, argument):
                 assert type(value) is GaussianRational
             checked += 1
     assert checked >= 20
-
-
-def test_racah_primary_stops_at_truncated_numerator():
-    # at an integer point s < n the factor (-s)_k vanishes for k > s
-    a, b, g, d = RACAH_ARGS
-    for s in range(6):
-        s = Fraction(s)
-        assert fam.racah_uni(6, a, b, g, d, s) == fam.racah_uni_oracle(6, a, b, g, d, s)
 
 
 @pytest.mark.parametrize("call, message", [
