@@ -232,8 +232,12 @@ def pochhammer(a, n: int):
     """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
-    out = a - a + 1 if not isinstance(a, int) else Fraction(1)
-    for k in range(n):
+    if isinstance(a, int):
+        a = Fraction(a)
+    if not n:
+        return a - a + 1
+    out = a
+    for k in range(1, n):
         out = out * (a + k)
     return out
 

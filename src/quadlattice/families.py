@@ -24,7 +24,9 @@ The primary univariate factors share one cancellation-free kernel,
 ``_terminating_sum``: the lower Pochhammers are multiplied through, so the
 k-th term is prod (u_j)_k * prod (l_j + k)_{n-k} / k!, with prefix products
 of the upper parameters and suffix products of the lower tails (O(n)
-multiplications), and only k! divides.  Every univariate factor has a
+multiplications), and only k! divides.  Before summing, each primary
+forms every lower Pochhammer (l)_n with ``pochhammer`` and rejects the
+parameters if one vanishes.  Every univariate factor has a
 second, independent implementation used as a brute-force oracle by the
 tests: a prefactor times the plain series summed by running term ratios,
 dividing by every lower parameter at every term.  The two routes share no
@@ -50,11 +52,11 @@ class DegenerateParameterError(ValueError):
 
 def _check_lower(pairs, n):
     for name, a in pairs:
-        for j in range(n):
-            if not (a + j):
-                raise DegenerateParameterError(
-                    f"denominator parameter {name} = {a} hits zero at shift {j}"
-                )
+        if n and not pochhammer(a, n):
+            j = next(j for j in range(n) if not (a + j))
+            raise DegenerateParameterError(
+                f"denominator parameter {name} = {a} hits zero at shift {j}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -90,16 +92,6 @@ def _terminating_sum(n, uppers, lowers):
     return total
 
 
-def _plus_ix(a, x):
-    """a + ix, built directly when a and x are real."""
-    if isinstance(a, (int, Fraction)) and isinstance(x, (int, Fraction)):
-        return GaussianRational(a, x)
-    return gauss(a) + I * gauss(x)
-
-
-_I_POWERS = (gauss(1), I, gauss(-1), -I)
-
-
 @lru_cache(maxsize=None)
 def racah_uni(n, alpha, beta, gamma, delta, s):
     """Univariate Racah polynomial r_n(alpha,beta,gamma,delta;s).
@@ -117,7 +109,7 @@ def wilson_uni(n, a, b, c, d, x):
     """Wilson polynomial w_n(x^2; a, b, c, d); an even function of x."""
     ab, ac, ad = a + b, a + c, a + d
     _check_lower([("a+b", ab), ("a+c", ac), ("a+d", ad)], n)
-    uppers = (-n, n + a + b + c + d - 1, _plus_ix(a, x), _plus_ix(a, -x))
+    uppers = (-n, n + a + b + c + d - 1, a + I * x, a - I * x)
     return demote(_terminating_sum(n, uppers, (ab, ac, ad)))
 
 
@@ -126,7 +118,7 @@ def cdh_uni(n, a, b, c, x):
     """Continuous dual Hahn polynomial d_n(a, b, c | x), even in x."""
     ab, ac = a + b, a + c
     _check_lower([("a+b", ab), ("a+c", ac)], n)
-    uppers = (-n, _plus_ix(a, x), _plus_ix(a, -x))
+    uppers = (-n, a + I * x, a - I * x)
     return demote(_terminating_sum(n, uppers, (ab, ac)))
 
 
@@ -135,8 +127,8 @@ def ch_uni(n, a, b, c, d, x):
     """Continuous Hahn polynomial h_n(a, b, c, d | x) with the i^n prefactor."""
     ab, ad = a + b, a + d
     _check_lower([("a+b", ab), ("a+d", ad)], n)
-    uppers = (-n, n + a + b + c + d - 1, _plus_ix(a, x))
-    return demote(_I_POWERS[n % 4] * _terminating_sum(n, uppers, (ab, ad)))
+    uppers = (-n, n + a + b + c + d - 1, a + I * x)
+    return demote(I ** n * _terminating_sum(n, uppers, (ab, ad)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,14 @@ def test_pochhammer_examples():
     assert pochhammer(Fraction(7, 3), 0) == 1
     assert pochhammer(Fraction(3), 2) == 12
     assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
+    # an int argument gives a Fraction and a Gaussian one a Gaussian, for
+    # every n including the empty product
+    for a, kind in ((3, Fraction), (Fraction(-5, 2), Fraction), (GaussianRational(1, 2), GaussianRational)):
+        expected = Fraction(1)
+        for n in range(5):
+            assert type(pochhammer(a, n)) is kind
+            assert pochhammer(a, n) == expected
+            expected = expected * (a + n)
 
 
 def test_pochhammer_splitting_property():
