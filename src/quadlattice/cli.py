@@ -235,12 +235,11 @@ def _run(args):
         chain = ttrr.GChain(spec, n + 1, leading=leading)
         a1, b1, c1 = ttrr.abc_matrices(chain, n, 1)
         a2, b2, c2 = ttrr.abc_matrices(chain, n, 2)
-        table = pv.coefficients(spec)
         out = {
             "n": n,
             "leading": leading,
             "entry_indexing": "1-based s_{k,k} lives at 0-based data[k-1][k-1]",
-            "lambda_n": field_str(table.eigenvalue((n,) + (0,) * (spec.nvars - 1))),
+            "lambda_n": field_str(chain.table.eigenvalue((n,) + (0,) * (spec.nvars - 1))),
             "A1": a1.to_json(),
             "A2": a2.to_json(),
             "B1": b1.to_json(),
@@ -252,7 +251,7 @@ def _run(args):
             out["C2"] = c2.to_json()
         if n >= 1:
             out["Gn,n-1"] = chain.g(n, n - 1).to_json()
-            sn, tn = ttrr.sn_tn_derived(spec, n)
+            sn, tn = ttrr.sn_tn_derived(spec, n, table=chain.table)
             out["Sn"] = sn.to_json()
             out["Tn"] = tn.to_json()
         if n >= 2:

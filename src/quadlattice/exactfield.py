@@ -202,12 +202,6 @@ def gauss(value) -> GaussianRational:
     return out
 
 
-def real_part(value) -> Fraction:
-    if isinstance(value, GaussianRational):
-        return value.re
-    return Fraction(value)
-
-
 def imag_part(value) -> Fraction:
     if isinstance(value, GaussianRational):
         return value.im

@@ -378,7 +378,6 @@ def eval_family(spec: FamilySpec, label, point):
 def _factors(family, p, label, point):
     """The family's univariate factor calls (kind, n, args): the couplings
     of the module docstring, shared by the primary and the oracle paths."""
-    ii = GaussianRational(0, 1)
     if family == RACAH:
         (n, m), (s, t) = label, point
         return (
@@ -397,47 +396,40 @@ def _factors(family, p, label, point):
         )
     if family == WILSON:
         (n, m), (x, y) = label, point
-        iy = ii * gauss(y)
         return (
-            ("wilson", n, (p["a"], p["b"], gauss(p["e2"]) + iy, gauss(p["e2"]) - iy, x)),
+            ("wilson", n, (p["a"], p["b"], p["e2"] + I * y, p["e2"] - I * y, x)),
             ("wilson", m, (n + p["a"] + p["e2"], n + p["b"] + p["e2"], p["c"], p["d"], y)),
         )
     if family == WILSON_BAR:
         (n, m), (x, y) = label, point
-        ix = ii * gauss(x)
         return (
             ("wilson", n, (m + p["c"] + p["e2"], m + p["d"] + p["e2"], p["a"], p["b"], x)),
-            ("wilson", m, (p["c"], p["d"], gauss(p["e2"]) + ix, gauss(p["e2"]) - ix, y)),
+            ("wilson", m, (p["c"], p["d"], p["e2"] + I * x, p["e2"] - I * x, y)),
         )
     if family == CDH:
         (n, m), (x, y) = label, point
-        iy = ii * gauss(y)
         return (
-            ("cdh", n, (p["a"], gauss(p["e2"]) + iy, gauss(p["e2"]) - iy, x)),
+            ("cdh", n, (p["a"], p["e2"] + I * y, p["e2"] - I * y, x)),
             ("cdh", m, (n + p["a"] + p["e2"], p["b"], p["c"], y)),
         )
     if family == CH:
         (n, m), (x, y) = label, point
-        iy = ii * gauss(y)
         return (
-            ("ch", n, (p["a1"], p["b1"], gauss(p["e2"]) - iy, gauss(p["e2"]) + iy, x)),
+            ("ch", n, (p["a1"], p["b1"], p["e2"] - I * y, p["e2"] + I * y, x)),
             ("ch", m, (n + p["a1"] + p["e2"], n + p["b1"] + p["e2"], p["b3"], p["a3"], y)),
         )
     if family == CH_BAR:
         (n, m), (x, y) = label, point
-        ix = ii * gauss(x)
         return (
             ("ch", n, (m + p["e2"] + p["b3"], m + p["e2"] + p["a3"], p["a1"], p["b1"], x)),
-            ("ch", m, (p["b3"], p["a3"], gauss(p["e2"]) - ix, gauss(p["e2"]) + ix, y)),
+            ("ch", m, (p["b3"], p["a3"], p["e2"] - I * x, p["e2"] + I * x, y)),
         )
     if family == CH_TRI:
         (n, m, r), (x, y, z) = label, point
-        iy = ii * gauss(y)
-        iz = ii * gauss(z)
         return (
-            ("ch", n, (p["a1"], p["b1"], gauss(p["e2"]) - iy, gauss(p["e2"]) + iy, x)),
+            ("ch", n, (p["a1"], p["b1"], p["e2"] - I * y, p["e2"] + I * y, x)),
             ("ch", m, (n + p["a1"] + p["e2"], n + p["b1"] + p["e2"],
-                       gauss(p["e3"]) - iz, gauss(p["e3"]) + iz, y)),
+                       p["e3"] - I * z, p["e3"] + I * z, y)),
             ("ch", r, (n + m + p["a1"] + p["e2"] + p["e3"], n + m + p["b1"] + p["e2"] + p["e3"],
                        p["b4"], p["a4"], z)),
         )

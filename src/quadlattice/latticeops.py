@@ -128,11 +128,11 @@ def apply_S(spec, f, point):
     return demote((f(up) + f(down)) * HALF)
 
 
-def grid_points(spec, count, origin=1, offset=Fraction(1, 7), depth=2):
+def grid_points(spec, count, origin=1, offset=Fraction(1, 7)):
     """Distinct nonsingular grid coordinates s = k + offset, k = origin, ...
 
     Candidates are dropped whenever any divided-difference denominator that a
-    nested operator of the given depth can touch would vanish there.  The
+    nested second-order operator (S D or D^2) can touch would vanish there.  The
     resulting lattice values are pairwise distinct, which is what the
     interpolation arguments need.
     """
@@ -144,7 +144,7 @@ def grid_points(spec, count, origin=1, offset=Fraction(1, 7), depth=2):
         k += 1
         if k > origin + 40 * count + 100:
             raise SingularPointError("could not assemble a nonsingular grid")
-        if not _nonsingular(spec, s, depth):
+        if not _nonsingular(spec, s):
             continue
         xval = lattice_value(spec, s)
         if xval in seen_lattice:
@@ -154,10 +154,10 @@ def grid_points(spec, count, origin=1, offset=Fraction(1, 7), depth=2):
     return points
 
 
-def _nonsingular(spec, s, depth):
+def _nonsingular(spec, s):
     if spec.kind == LatticeSpec.QUADRATIC:
-        # nested shifts move the evaluation point by multiples of 1/2
-        for j in range(-depth, depth + 1):
+        # nested shifts move the evaluation point by up to two half steps
+        for j in range(-2, 3):
             if 2 * s + spec.beta + j == 0:
                 return False
         return True

@@ -171,9 +171,6 @@ class ExactMatrix:
                 break
         return r
 
-    def inverse(self):
-        return exact_inverse(self)
-
     def to_json(self):
         return {
             "rows": self.rows,

@@ -1,6 +1,6 @@
-"""Coefficient tables of the divided-difference equations, mixed-operator
-application, exact residual verification, and the coefficient-recovery
-oracle.
+"""Coefficient tables of the divided-difference equations, their action
+pointwise (on stencil functions) and symbolically (on polynomials), exact
+residual verification, and the coefficient-recovery oracle.
 
 A fourth-order bivariate table lists eight polynomials f1..f8 paired with
 the mixed operators
@@ -35,7 +35,7 @@ from .families import (
     check_point,
     family_function,
 )
-from .fbasis import MPoly, interpolate_bivariate, poly_D, poly_S
+from .fbasis import MPoly, interpolate_bivariate, poly_D, poly_S, poly_shift_pair
 from .latticeops import (
     LatticeSpec,
     SingularPointError,
@@ -242,6 +242,32 @@ def apply_mixed(lattices, lindex, f, point):
     """(E_{lindex} f)(point): per variable, entry 1 applies S D and entry 2
     applies D^2; entry 0 leaves the variable alone."""
     return demote(sum(w * f(q) for q, w in stencil_weights(lattices, lindex, point).items()))
+
+
+# ---------------------------------------------------------------------------
+# symbolic table action
+# ---------------------------------------------------------------------------
+
+def table_action(table: CoeffTable, p: MPoly) -> MPoly:
+    """(sum f_i E_i) p as a polynomial in the lattice variables: the symbolic
+    counterpart of :meth:`PointStencils.fold`.
+
+    One variable at a time, every image E_l p is kept under its index prefix
+    l; each intermediate q is split once for D q and once more for
+    (S D q, D^2 q).
+    """
+    images = {(): p}
+    for var, lattice in enumerate(table.lattices):
+        layer = {}
+        for prefix, q in images.items():
+            dq = poly_shift_pair(q, var, lattice)[1]
+            sdq, ddq = poly_shift_pair(dq, var, lattice)
+            layer[prefix + (0,)], layer[prefix + (1,)], layer[prefix + (2,)] = q, sdq, ddq
+        images = layer
+    out = MPoly.zero(table.nvars)
+    for fi, lind in zip(table.coeffs, table.lindices):
+        out = out + fi * images[lind]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +745,6 @@ def derived_coefficients(base: CoeffTable, direction) -> CoeffTable:
         g3 = eps * S(f4) + S(f3) + D(f4) * u2
         g2 = eps * D(f2) + D(f1) + S(f2)
         g1 = eps * S(f2) + S(f1) + D(f2) * u2
-        shift_poly = f7
     else:
         g8 = S(f8) + eps * D(f8) + D(f6)
         g7 = f7 + D(f4)
@@ -729,12 +754,8 @@ def derived_coefficients(base: CoeffTable, direction) -> CoeffTable:
         g3 = eps * D(f3) + D(f1) + S(f3)
         g2 = eps * S(f4) + S(f2) + D(f4) * u2
         g1 = eps * S(f3) + S(f1) + D(f3) * u2
-        shift_poly = f8
 
-    shift = D(shift_poly)
-    if shift.total_degree() > 0:
-        raise AssertionError("eigenvalue shift is not constant")
-    shift_c = shift.coeff((0, 0))
+    shift_c = eigenvalue_shift(base, direction)
     base_lam = base.eigenvalue
     lam = lambda label, _b=base_lam, _s=shift_c: _b(label) + _s
 
@@ -749,10 +770,13 @@ def derived_coefficients(base: CoeffTable, direction) -> CoeffTable:
 
 
 def eigenvalue_shift(base: CoeffTable, direction) -> Fraction:
-    """D_x f7 (direction x) or D_y f8 (direction y), as a constant."""
+    """D_x f7 (direction x) or D_y f8 (direction y), which must be a
+    constant."""
     var = 0 if direction == "x" else 1
     p = base.coeffs[6] if direction == "x" else base.coeffs[7]
     shift = poly_D(p, var, base.lattices[var])
+    if shift.total_degree() > 0:
+        raise AssertionError("eigenvalue shift is not constant")
     return shift.coeff((0, 0))
 
 
@@ -1132,7 +1156,7 @@ def operator_to_shift_matrix(lattices, point):
     return ExactMatrix(rows)
 
 
-def recover_coefficients(params, label=(1, 1), degree_bound=4):
+def recover_coefficients(params, label=(1, 1)):
     """Re-derive the Racah coefficient table from the nine-term difference
     equation by expressing the shifted values through the mixed-operator
     expressions and interpolating the resulting polynomial coefficients.
@@ -1142,7 +1166,9 @@ def recover_coefficients(params, label=(1, 1), degree_bound=4):
     """
     spec = FamilySpec(RACAH, params=params)
     lattices = spec.lattices()
-    nodes_count = degree_bound + 2
+    # the coefficients have total degree <= 4 (CoeffTable checks it), so 6
+    # nodes per axis interpolate them with one node to spare
+    nodes_count = 6
     svals = grid_points(lattices[0], nodes_count, origin=1)
     tvals = grid_points(lattices[1], nodes_count, origin=2)
     xnodes = [lattice_value(lattices[0], s) for s in svals]

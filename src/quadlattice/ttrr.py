@@ -44,7 +44,7 @@ from .fbasis import (
 )
 from .latticeops import grid_points, lattice_value
 from .matrix import ExactMatrix, exact_inverse, solve_stacked
-from .pdeverify import coefficients, poly_D, poly_S
+from .pdeverify import coefficients, table_action
 
 II = GaussianRational(0, 1)
 
@@ -68,9 +68,6 @@ class PolyVector:
 
     def __getitem__(self, k):
         return self.entries[k]
-
-    def values_at(self, latpoint):
-        return [p.eval(latpoint) for p in self.entries]
 
 
 # ---------------------------------------------------------------------------
@@ -97,29 +94,6 @@ def _tensor_entry(bases, degree, k):
     return px * py
 
 
-def _apply_table_operator(table, p: MPoly) -> MPoly:
-    """(sum_i f_i E_i) p, computed symbolically in the lattice variables."""
-    out = MPoly.zero(2)
-    for fi, lind in zip(table.coeffs, table.lindices):
-        if fi.is_zero():
-            continue
-        q = p
-        for var, l in enumerate(lind):
-            if l == 0:
-                continue
-            q = poly_D(q, var, table.lattices[var])
-            if l == 2:
-                q = poly_D(q, var, table.lattices[var])
-            else:
-                q = poly_S(q, var, table.lattices[var])
-            if q.is_zero():
-                break
-        if q.is_zero():
-            continue
-        out = out + fi * q
-    return out
-
-
 def _phi_blocks(table, degree, bases):
     """Rows of (sum f_i E_i) F_degree in the tensor basis, split into the
     diagonal, first and second subdiagonal blocks."""
@@ -127,7 +101,7 @@ def _phi_blocks(table, degree, bases):
     sub1 = ExactMatrix.zero(degree + 1, max(degree, 0))
     sub2 = ExactMatrix.zero(degree + 1, max(degree - 1, 0))
     for k in range(degree + 1):
-        image = _apply_table_operator(table, _tensor_entry(bases, degree, k))
+        image = table_action(table, _tensor_entry(bases, degree, k))
         coeffs = BivarPoly.from_mpoly(image, bases).coeffs
         for (i, j), c in coeffs.items():
             d = i + j
@@ -142,17 +116,15 @@ def _phi_blocks(table, degree, bases):
     return diag, sub1, sub2
 
 
-def sn_tn_derived(spec: FamilySpec, n, table=None, bases=None):
+def sn_tn_derived(spec: FamilySpec, n, table=None):
     """S_n and T_n recovered by substituting the working-basis expansion
     into the equation and equating the F_{n-1} and F_{n-2} coefficients."""
     if spec.family not in TTRR_FAMILIES:
         raise ValueError(f"no recurrence machinery for family {spec.family!r}")
     if table is None:
         table = coefficients(spec)
-    if bases is None:
-        bases = working_bases(spec)
     lam_n = table.eigenvalue((n, 0))
-    diag, sub1, sub2 = _phi_blocks(table, n, bases)
+    diag, sub1, sub2 = _phi_blocks(table, n, working_bases(spec))
     # the diagonal block must cancel the eigenvalue exactly
     expect = ExactMatrix.identity(n + 1).scale(-lam_n)
     if diag != expect:
@@ -781,6 +753,8 @@ class GChain:
     def __init__(self, spec: FamilySpec, top, leading="monic"):
         if spec.family not in TTRR_FAMILIES:
             raise ValueError(f"no recurrence machinery for family {spec.family!r}")
+        if leading not in ("monic", "family"):
+            raise ValueError(f"leading must be 'monic' or 'family', not {leading!r}")
         self.spec = spec
         self.table = coefficients(spec)
         self.top = top
@@ -791,10 +765,8 @@ class GChain:
         for k in range(top + 1):
             if leading == "monic":
                 g = ExactMatrix.identity(k + 1)
-            elif leading == "family":
-                g = leading_matrix(spec.family, spec.params, k)
             else:
-                g = leading[k]
+                g = leading_matrix(spec.family, spec.params, k)
             self.gnn.append(g)
             if k >= 1:
                 packed = (st[k][0], st[k][1], st[k - 1][0] if k >= 2 else None)
@@ -854,7 +826,7 @@ def _check_ranks(a1, a2, c1, c2, n):
             raise DegenerateParameterError(f"joint rank C_{n} != {n + 1}")
 
 
-def generate(spec: FamilySpec, upto, leading="monic", check_ranks=True):
+def generate(spec: FamilySpec, upto, leading="monic"):
     """Polynomial vectors P_0..P_upto generated from the recurrences.
 
     Each step solves the stacked joint system
@@ -869,8 +841,7 @@ def generate(spec: FamilySpec, upto, leading="monic", check_ranks=True):
     for n in range(upto):
         a1, b1, c1 = abc_matrices(chain, n, 1)
         a2, b2, c2 = abc_matrices(chain, n, 2)
-        if check_ranks:
-            _check_ranks(a1, a2, c1, c2, n)
+        _check_ranks(a1, a2, c1, c2, n)
         pn = vectors[n].entries
         rhs1 = [xvar * p for p in pn]
         rhs2 = [yvar * p for p in pn]
@@ -976,12 +947,13 @@ def leading_matrix(family, params, n) -> ExactMatrix:
     return out
 
 
-def family_poly_vector(spec: FamilySpec, n, pad=1) -> PolyVector:
+def family_poly_vector(spec: FamilySpec, n) -> PolyVector:
     """The family's degree-n vector interpolated into exact polynomials in
-    the lattice variables (the oracle side of every TTRR comparison)."""
+    the lattice variables (the oracle side of every TTRR comparison), on
+    one node per axis more than degree n needs."""
     lattices = spec.lattices()
-    svals = grid_points(lattices[0], n + 1 + pad, origin=1)
-    tvals = grid_points(lattices[1], n + 1 + pad, origin=2)
+    svals = grid_points(lattices[0], n + 2, origin=1)
+    tvals = grid_points(lattices[1], n + 2, origin=2)
     xnodes = [lattice_value(lattices[0], s) for s in svals]
     ynodes = [lattice_value(lattices[1], t) for t in tvals]
     entries = []

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -7,7 +8,7 @@ from quadlattice import families as fam
 from quadlattice import latticeops as lo
 from quadlattice import pdeverify as pv
 from quadlattice.exactfield import GaussianRational
-from quadlattice.fbasis import MPoly
+from quadlattice.fbasis import MPoly, poly_D, poly_S
 from quadlattice.latticeops import SingularPointError
 
 PTS2 = [(Fraction(8, 7), Fraction(16, 7)), (Fraction(15, 7), Fraction(23, 7))]
@@ -257,6 +258,61 @@ def test_zero_coefficients_skip_singular_stencils():
     table.coeffs[6] = x - x0 + 1
     with pytest.raises(SingularPointError):
         pv.table_residual_on(table, _rational_function, (1, 1), point)
+
+
+# -- the symbolic table action -------------------------------------------------------
+
+def _random_poly(nvars, seed):
+    # total degree <= 4, small rational coefficients
+    rng = random.Random(seed)
+    return MPoly(nvars, {
+        exps: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        for exps in product(range(5), repeat=nvars)
+        if sum(exps) <= 4
+    })
+
+
+def _composed_table_action(table, p):
+    """sum f_i E_i p, every operator applied as its own poly_D / poly_S chain."""
+    out = MPoly.zero(table.nvars)
+    for fi, lind in zip(table.coeffs, table.lindices):
+        q = p
+        for var, l in enumerate(lind):
+            lattice = table.lattices[var]
+            if l:
+                q = poly_D(q, var, lattice)
+                q = poly_D(q, var, lattice) if l == 2 else poly_S(q, var, lattice)
+        out = out + fi * q
+    return out
+
+
+SYMBOLIC_TABLES = [fam.RACAH, fam.WILSON, fam.CDH, fam.CH, fam.CH_TRI]
+
+
+@pytest.mark.parametrize("name", SYMBOLIC_TABLES)
+def test_table_action_matches_operator_by_operator_composition(name):
+    table = pv.coefficients(fam.FamilySpec(name))
+    p = _random_poly(table.nvars, seed=41)
+    image = pv.table_action(table, p)
+    assert not image.is_zero()
+    assert image == _composed_table_action(table, p)
+
+
+@pytest.mark.parametrize("name", SYMBOLIC_TABLES)
+def test_table_action_matches_pointwise_residual(name):
+    # the symbolic and the pointwise route apply the same table to the same p
+    spec = fam.FamilySpec(name)
+    table = pv.coefficients(spec)
+    p = _random_poly(table.nvars, seed=43)
+    image = pv.table_action(table, p)
+    f_p = lambda q: p.eval(table.lattice_point(q))
+    label = (1,) * spec.nvars
+    lam = table.eigenvalue(label)
+    for point in product(*pv.residual_grid(spec, label, size=2)):
+        latpt = table.lattice_point(point)
+        expect = image.eval(latpt) + lam * p.eval(latpt)
+        assert expect != 0
+        assert pv.table_residual_on(table, f_p, label, point) == expect, point
 
 
 # -- derived tables --------------------------------------------------------------

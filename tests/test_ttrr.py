@@ -208,6 +208,12 @@ def test_monic_generation_unit_leading():
                         assert p.coeff((n - c, c)) == 0
 
 
+@pytest.mark.parametrize("leading", ["Monic", "families", ""])
+def test_unknown_leading_is_rejected_by_name(leading):
+    with pytest.raises(ValueError, match="'monic' or 'family'"):
+        ttrr.generate(fam.FamilySpec(fam.CDH), 2, leading=leading)
+
+
 def test_family_generation_matches_hypergeometric_construction():
     for name in (fam.RACAH, fam.WILSON_BAR, fam.CH):
         spec = fam.FamilySpec(name)
