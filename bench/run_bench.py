@@ -9,7 +9,11 @@ Layers timed:
   L0  scalar field operations: Fraction and GaussianRational add, mul, div
       and hash, plus GaussianRational x Fraction in both operand orders;
   L1  the four univariate primaries (racah_uni, wilson_uni, cdh_uni,
-      ch_uni) at n = 1..4, with their caches cleared before every repeat.
+      ch_uni) at n = 1..4, with their caches cleared before every repeat;
+  L2  tables and chains: ``coefficients`` for each family,
+      ``derived_coefficients`` of each distinct bivariate table in the
+      directions x, y and xy, and ``GChain(spec, 4, leading)`` for the
+      seven recurrence families with monic and family leading matrices.
 
 Every input is fixed (drawn from a seeded ``random.Random``), so two runs
 on the same machine time the same work.  Each entry reports the operation
@@ -38,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from quadlattice import families as fam  # noqa: E402
+from quadlattice import pdeverify, ttrr  # noqa: E402
 from quadlattice.exactfield import GaussianRational  # noqa: E402
 
 SCHEMA = "quadlattice-bench/1"
@@ -126,6 +131,28 @@ def _l1_entries(points):
     return out
 
 
+def _l2_entries():
+    """Default parameters throughout; none of these builds touches the
+    family caches, so repeats time the same work."""
+    out = {}
+    for name in fam.ALL_FAMILIES:
+        spec = fam.FamilySpec(name)
+        out[f"L2.coefficients.{name}"] = (lambda spec=spec: pdeverify.coefficients(spec), 1)
+    for name in (fam.RACAH, fam.WILSON, fam.CDH, fam.CH):
+        base = pdeverify.coefficients(fam.FamilySpec(name))
+        for direction in ("x", "y", "xy"):
+            out[f"L2.derived.{name}.{direction}"] = (
+                lambda base=base, d=direction: pdeverify.derived_coefficients(base, d), 1
+            )
+    for name in ttrr.TTRR_FAMILIES:
+        spec = fam.FamilySpec(name)
+        for leading in ("monic", "family"):
+            out[f"L2.gchain.{name}.{leading}"] = (
+                lambda spec=spec, leading=leading: ttrr.GChain(spec, 4, leading), 1
+            )
+    return out
+
+
 def measure(entries, repeats):
     results = {}
     for name, (job, ops) in entries.items():
@@ -174,6 +201,7 @@ def main(argv=None):
 
     entries = dict(_l0_entries(size))
     entries.update(_l1_entries(points))
+    entries.update(_l2_entries())
     result = {
         "schema": SCHEMA,
         "environment": environment(repeats),

@@ -251,7 +251,7 @@ def _run(args):
             out["C2"] = c2.to_json()
         if n >= 1:
             out["Gn,n-1"] = chain.g(n, n - 1).to_json()
-            sn, tn = ttrr.sn_tn_derived(spec, n, table=chain.table)
+            sn, tn = chain.st[n]
             out["Sn"] = sn.to_json()
             out["Tn"] = tn.to_json()
         if n >= 2:

@@ -234,12 +234,3 @@ def pochhammer(a, n: int):
     for k in range(1, n):
         out = out * (a + k)
     return out
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for j in range(k):
-        out = out * (n - j) // (j + 1)
-    return out

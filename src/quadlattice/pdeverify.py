@@ -37,7 +37,6 @@ from .families import (
 )
 from .fbasis import MPoly, interpolate_bivariate, poly_D, poly_S, poly_shift_pair
 from .latticeops import (
-    LatticeSpec,
     SingularPointError,
     apply_D,
     d_denominator,
@@ -67,6 +66,8 @@ TRIVARIATE_OPS = (
     (2, 2, 2),
 )
 
+OPERATORS = {2: BIVARIATE_OPS, 3: TRIVARIATE_OPS}
+
 
 def validate_mixed_index(lindex, nvars):
     lindex = tuple(int(v) for v in lindex)
@@ -76,20 +77,30 @@ def validate_mixed_index(lindex, nvars):
 
 
 class CoeffTable:
-    """An ordered coefficient list plus the eigenvalue closure of one
-    divided-difference equation."""
+    """The printed coefficients f_1..f_k and the eigenvalue closure of one
+    divided-difference equation, on its family's lattices.  The operator
+    list, and with it the order, follows from the number of variables."""
 
-    __slots__ = ("family", "order", "coeffs", "lindices", "eigenvalue", "lattices", "epsilon")
+    __slots__ = ("coeffs", "eigenvalue", "lattices")
 
-    def __init__(self, family, coeffs, lindices, eigenvalue, lattices, epsilon):
-        self.family = family
-        self.order = "sixth" if len(lindices) == 26 else "fourth"
+    def __init__(self, coeffs, eigenvalue, lattices):
         self.coeffs = list(coeffs)
-        self.lindices = [validate_mixed_index(l, len(lattices)) for l in lindices]
         self.eigenvalue = eigenvalue
         self.lattices = tuple(lattices)
-        self.epsilon = epsilon
+        if len(self.coeffs) != len(self.lindices):
+            raise ValueError(
+                f"{self.nvars} variables take {len(self.lindices)} coefficients,"
+                f" not {len(self.coeffs)}"
+            )
         self._check_structure()
+
+    @property
+    def lindices(self):
+        return OPERATORS[self.nvars]
+
+    @property
+    def order(self):
+        return "sixth" if self.nvars == 3 else "fourth"
 
     @property
     def nvars(self):
@@ -273,12 +284,14 @@ def table_action(table: CoeffTable, p: MPoly) -> MPoly:
 # ---------------------------------------------------------------------------
 # the printed coefficient tables
 # ---------------------------------------------------------------------------
+# Each builder returns the printed f_1..f_k and the eigenvalue lambda(label);
+# coefficients() puts them on the family's lattices.
 
 def _xy():
     return MPoly.var(0, 2), MPoly.var(1, 2)
 
 
-def racah_table(params) -> CoeffTable:
+def racah_table(params):
     b0, b1, b2, b3, N = (params[k] for k in ("beta0", "beta1", "beta2", "beta3", "N"))
     x, y = _xy()
     h = HALF
@@ -360,16 +373,10 @@ def racah_table(params) -> CoeffTable:
     )
 
     lam = lambda label: (label[0] + label[1]) * (b3 - b0 + label[0] + label[1] - 1)
-    lattices = (
-        LatticeSpec(LatticeSpec.QUADRATIC, b1, "x"),
-        LatticeSpec(LatticeSpec.QUADRATIC, b2, "y"),
-    )
-    return CoeffTable(
-        RACAH, [f1, f2, f3, f4, f5, f6, f7, f8], BIVARIATE_OPS, lam, lattices, +1
-    )
+    return [f1, f2, f3, f4, f5, f6, f7, f8], lam
 
 
-def wilson_table(params) -> CoeffTable:
+def wilson_table(params):
     a, b, c, d, e2 = (params[k] for k in ("a", "b", "c", "d", "e2"))
     # lattice variables: u = x^2, v = y^2
     u, v = _xy()
@@ -461,16 +468,10 @@ def wilson_table(params) -> CoeffTable:
 
     sigma = 2 * e2 + a + b + c + d
     lam = lambda label: (label[0] + label[1]) * (sigma + label[0] + label[1] - 1)
-    lattices = (
-        LatticeSpec(LatticeSpec.WILSON, None, "x"),
-        LatticeSpec(LatticeSpec.WILSON, None, "y"),
-    )
-    return CoeffTable(
-        WILSON, [f1, f2, f3, f4, f5, f6, f7, f8], BIVARIATE_OPS, lam, lattices, -1
-    )
+    return [f1, f2, f3, f4, f5, f6, f7, f8], lam
 
 
-def cdh_table(params) -> CoeffTable:
+def cdh_table(params):
     a, b, c, e2 = (params[k] for k in ("a", "b", "c", "e2"))
     u, v = _xy()
 
@@ -511,16 +512,10 @@ def cdh_table(params) -> CoeffTable:
     )
 
     lam = lambda label: Fraction(label[0] + label[1])
-    lattices = (
-        LatticeSpec(LatticeSpec.WILSON, None, "x"),
-        LatticeSpec(LatticeSpec.WILSON, None, "y"),
-    )
-    return CoeffTable(
-        CDH, [f1, f2, f3, f4, f5, f6, f7, f8], BIVARIATE_OPS, lam, lattices, -1
-    )
+    return [f1, f2, f3, f4, f5, f6, f7, f8], lam
 
 
-def ch_table(params) -> CoeffTable:
+def ch_table(params):
     a1, e2, a3, b1, b3 = (params[k] for k in ("a1", "e2", "a3", "b1", "b3"))
     x, y = _xy()
     h = HALF
@@ -555,16 +550,10 @@ def ch_table(params) -> CoeffTable:
 
     sigma = a1 - 1 + 2 * e2 + b3 + a3 + b1
     lam = lambda label: (label[0] + label[1]) * (sigma + label[0] + label[1])
-    lattices = (
-        LatticeSpec(LatticeSpec.LINEAR, None, "x"),
-        LatticeSpec(LatticeSpec.LINEAR, None, "y"),
-    )
-    return CoeffTable(
-        CH, [f1, f2, f3, f4, f5, f6, f7, f8], BIVARIATE_OPS, lam, lattices, 0
-    )
+    return [f1, f2, f3, f4, f5, f6, f7, f8], lam
 
 
-def ch_tri_table(params) -> CoeffTable:
+def ch_tri_table(params):
     a1, e2, e3, a4, b1, b4 = (
         params[k] for k in ("a1", "e2", "e3", "a4", "b1", "b4")
     )
@@ -676,16 +665,11 @@ def ch_tri_table(params) -> CoeffTable:
     lam = lambda label: (label[0] + label[1] + label[2]) * (
         label[0] + label[1] + label[2] - 1 + sigma
     )
-    lattices = (
-        LatticeSpec(LatticeSpec.LINEAR, None, "x"),
-        LatticeSpec(LatticeSpec.LINEAR, None, "y"),
-        LatticeSpec(LatticeSpec.LINEAR, None, "z"),
-    )
     coeffs = [
         f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13,
         f14, f15, f16, f17, f18, f19, f20, f21, f22, f23, f24, f25, f26,
     ]
-    return CoeffTable(CH_TRI, coeffs, TRIVARIATE_OPS, lam, lattices, 0)
+    return coeffs, lam
 
 
 _TABLE_BUILDERS = {
@@ -701,18 +685,15 @@ _TABLE_BUILDERS = {
 
 
 def coefficients(spec: FamilySpec) -> CoeffTable:
-    """The printed coefficient table of the equation the family solves."""
-    return _TABLE_BUILDERS[spec.family](spec.params)
+    """The printed coefficient table of the equation the family solves: the
+    builder's f_i and eigenvalue on the family's lattices."""
+    coeffs, eigenvalue = _TABLE_BUILDERS[spec.family](spec.params)
+    return CoeffTable(coeffs, eigenvalue, spec.lattices())
 
 
 # ---------------------------------------------------------------------------
 # derived tables (difference derivatives of solutions)
 # ---------------------------------------------------------------------------
-
-def _wsq_poly(lattice: LatticeSpec, var, nvars):
-    (q0, q1), _ = lattice.shift_algebra()
-    return q1 * MPoly.var(var, nvars) + MPoly.const(nvars, q0)
-
 
 def derived_coefficients(base: CoeffTable, direction) -> CoeffTable:
     """Coefficient table annihilating the requested difference derivative of
@@ -721,7 +702,7 @@ def derived_coefficients(base: CoeffTable, direction) -> CoeffTable:
     direction "x" and "y" follow the printed combination rules; "xy" chains
     y first, then x.
     """
-    if base.order != "fourth":
+    if base.nvars != 2:
         raise ValueError("derived tables are defined for fourth-order tables")
     if direction == "xy":
         return derived_coefficients(derived_coefficients(base, "y"), "x")
@@ -729,9 +710,12 @@ def derived_coefficients(base: CoeffTable, direction) -> CoeffTable:
         raise ValueError(f"unknown direction {direction!r}")
 
     var = 0 if direction == "x" else 1
-    eps = Fraction(base.epsilon, 2)
     lat = base.lattices[var]
-    u2 = _wsq_poly(lat, var, 2)
+    # x(s +- 1/2) = x(s) +- w + c0 with w^2 = u2; the printed rules' epsilon
+    # is 4 c0 and they use epsilon / 2
+    (w0, w1), c0 = lat.shift_algebra()
+    u2 = w1 * MPoly.var(var, 2) + MPoly.const(2, w0)
+    eps = 2 * c0
     f1, f2, f3, f4, f5, f6, f7, f8 = base.coeffs
     D = lambda p: poly_D(p, var, lat)
     S = lambda p: poly_S(p, var, lat)
@@ -759,22 +743,16 @@ def derived_coefficients(base: CoeffTable, direction) -> CoeffTable:
     base_lam = base.eigenvalue
     lam = lambda label, _b=base_lam, _s=shift_c: _b(label) + _s
 
-    return CoeffTable(
-        base.family,
-        [g1, g2, g3, g4, g5, g6, g7, g8],
-        BIVARIATE_OPS,
-        lam,
-        base.lattices,
-        base.epsilon,
-    )
+    return CoeffTable([g1, g2, g3, g4, g5, g6, g7, g8], lam, base.lattices)
 
 
 def eigenvalue_shift(base: CoeffTable, direction) -> Fraction:
     """D_x f7 (direction x) or D_y f8 (direction y), which must be a
     constant."""
+    if direction not in ("x", "y"):
+        raise ValueError(f"unknown direction {direction!r}")
     var = 0 if direction == "x" else 1
-    p = base.coeffs[6] if direction == "x" else base.coeffs[7]
-    shift = poly_D(p, var, base.lattices[var])
+    shift = poly_D(base.coeffs[6 + var], var, base.lattices[var])
     if shift.total_degree() > 0:
         raise AssertionError("eigenvalue shift is not constant")
     return shift.coeff((0, 0))
@@ -832,9 +810,6 @@ def derivative_function(spec: FamilySpec, label, direction):
 # ---------------------------------------------------------------------------
 # second-order equations
 # ---------------------------------------------------------------------------
-
-SECOND_ORDER_KINDS = ("racah-x", "wilson-x", "wilson-bar-y", "cdh-x")
-
 
 def second_order_residual(kind, spec: FamilySpec, label, point):
     """LHS of the printed second-order divided-difference equation."""
@@ -916,9 +891,6 @@ def second_order_residual(kind, spec: FamilySpec, label, point):
 # difference (stencil) forms
 # ---------------------------------------------------------------------------
 
-DIFFERENCE_FORM_KINDS = ("racah-gi", "wilson-f", "ch-f")
-
-
 def racah_gi_stencil(params, label, s, t):
     """Offset -> rational coefficient of the nine-term difference equation
     for the bivariate Racah family (identity parts folded into (0,0))."""
@@ -996,13 +968,13 @@ def racah_gi_stencil(params, label, s, t):
     return c
 
 
-def wilson_f_stencil(params, label, x, y):
-    """Offset -> coefficient of the printed Wilson difference equation."""
+def wilson_f_stencil(table: CoeffTable, label, x, y):
+    """Offset -> coefficient of the printed Wilson difference equation, built
+    from the Wilson table's f_i and eigenvalue."""
     if not x or not y:
         raise SingularPointError("Wilson difference form needs x, y nonzero")
-    table = wilson_table(params)
     f1, f2, f3, f4, f5, f6, f7, f8 = (
-        gauss(fi.eval((x * x, y * y))) for fi in table.coeffs
+        gauss(fi.eval(table.lattice_point((x, y)))) for fi in table.coeffs
     )
     n, m = label
     lam = table.eigenvalue(label)
@@ -1077,11 +1049,11 @@ def wilson_f_stencil(params, label, x, y):
     }
 
 
-def ch_f_stencil(params, label, x, y):
-    """Offset -> coefficient of the printed continuous Hahn difference form."""
-    table = ch_table(params)
+def ch_f_stencil(table: CoeffTable, label, x, y):
+    """Offset -> coefficient of the printed continuous Hahn difference form,
+    built from the continuous Hahn table's f_i and eigenvalue."""
     f1, f2, f3, f4, f5, f6, f7, f8 = (
-        gauss(fi.eval((x, y))) for fi in table.coeffs
+        gauss(fi.eval(table.lattice_point((x, y)))) for fi in table.coeffs
     )
     lam = table.eigenvalue(label)
     i = II
@@ -1113,12 +1085,12 @@ def difference_form_residual(kind, spec: FamilySpec, label, point):
     elif kind == "wilson-f":
         if spec.family not in (WILSON, WILSON_BAR):
             raise ValueError("wilson-f applies to the wilson families")
-        stencil = wilson_f_stencil(spec.params, label, *point)
+        stencil = wilson_f_stencil(coefficients(spec), label, *point)
         step = II
     elif kind == "ch-f":
         if spec.family not in (CH, CH_BAR):
             raise ValueError("ch-f applies to the continuous Hahn families")
-        stencil = ch_f_stencil(spec.params, label, *point)
+        stencil = ch_f_stencil(coefficients(spec), label, *point)
         step = II
     else:
         raise ValueError(f"unknown difference form {kind!r}")
@@ -1199,7 +1171,7 @@ def recover_coefficients(params, label=(1, 1)):
     lam = lambda lbl: (lbl[0] + lbl[1]) * (
         params["beta3"] - params["beta0"] + lbl[0] + lbl[1] - 1
     )
-    table = CoeffTable(RACAH, polys[:8], BIVARIATE_OPS, lam, lattices, +1)
+    table = CoeffTable(polys[:8], lam, lattices)
     return table, eig
 
 

@@ -18,9 +18,9 @@ also what arbitrates typos in the long printed entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from .exactfield import GaussianRational, pochhammer, binomial
+from .exactfield import GaussianRational, pochhammer
 from .families import (
     CDH,
     CH,
@@ -711,16 +711,11 @@ _ST_ENTRIES = {
 # G' and G matrices
 # ---------------------------------------------------------------------------
 
-def g_primes(gnn: ExactMatrix, spec: FamilySpec, n, table=None, st=None):
-    """G'_{n,n-1} and G'_{n,n-2} from the equation, given G'_{n,n} = gnn."""
-    if table is None:
-        table = coefficients(spec)
+def g_primes(gnn: ExactMatrix, table, st, n):
+    """G'_{n,n-1} and G'_{n,n-2} from the equation, given G'_{n,n} = gnn and
+    st = (S_n, T_n, S_{n-1}), where S_{n-1} is None for n < 2."""
     lam = lambda k: table.eigenvalue((k,) + (0,) * (table.nvars - 1))
-    if st is None:
-        sn, tn = sn_tn_derived(spec, n, table=table)
-        sn_prev = sn_tn_derived(spec, n - 1, table=table)[0] if n >= 2 else None
-    else:
-        sn, tn, sn_prev = st
+    sn, tn, sn_prev = st
     for ell in (n - 1, n - 2):
         if ell >= 0 and lam(ell) == lam(n):
             raise DegenerateParameterError(
@@ -761,7 +756,8 @@ class GChain:
         self.gnn = []
         self.gn1 = [None] * (top + 1)
         self.gn2 = [None] * (top + 1)
-        st = {k: sn_tn_derived(spec, k, table=self.table) for k in range(1, top + 1)}
+        # (S_k, T_k) for k = 1..top
+        self.st = {k: sn_tn_derived(spec, k, table=self.table) for k in range(1, top + 1)}
         for k in range(top + 1):
             if leading == "monic":
                 g = ExactMatrix.identity(k + 1)
@@ -769,8 +765,8 @@ class GChain:
                 g = leading_matrix(spec.family, spec.params, k)
             self.gnn.append(g)
             if k >= 1:
-                packed = (st[k][0], st[k][1], st[k - 1][0] if k >= 2 else None)
-                gp1, gp2 = g_primes(g, spec, k, table=self.table, st=packed)
+                sn_prev = self.st[k - 1][0] if k >= 2 else None
+                gp1, gp2 = g_primes(g, self.table, self.st[k] + (sn_prev,), k)
                 self.gn1[k], self.gn2[k] = g_corrections(g, gp1, gp2, spec, k)
 
     def g(self, k, j):
@@ -885,7 +881,7 @@ def leading_matrix(family, params, n) -> ExactMatrix:
         for i in range(n + 1):
             for j in range(i + 1):
                 out[i, j] = (
-                    Fraction(binomial(i, j))
+                    Fraction(comb(i, j))
                     * pochhammer(b2 - b3 - i + 1, i - j)
                     * pochhammer(i - b1 + b3 - 1, j)
                     * pochhammer(i + n - b0 + b3 - 1, n - i)
@@ -897,7 +893,7 @@ def leading_matrix(family, params, n) -> ExactMatrix:
             for s in range(r, n + 1):
                 out[r, s] = (
                     Fraction(1 if (n - r - s) % 2 == 0 else -1)
-                    * binomial(n - r, s - r)
+                    * comb(n - r, s - r)
                     * pochhammer(2 * n - r - 1 + sig, r)
                     * pochhammer(a + b + n - s, s - r)
                     * pochhammer(a + b + 2 * e2 + n - r - 1, n - s)
@@ -909,7 +905,7 @@ def leading_matrix(family, params, n) -> ExactMatrix:
             for s in range(r + 1):
                 out[r, s] = (
                     Fraction(1 if n % 2 == 0 else -1)
-                    * binomial(r, s)
+                    * comb(r, s)
                     * pochhammer(-c - d - r + 1, r - s)
                     * pochhammer(c + d + r + 2 * e2 - 1, s)
                     * pochhammer(sig + r + n - 1, n - r)
@@ -917,7 +913,7 @@ def leading_matrix(family, params, n) -> ExactMatrix:
     elif family == CDH:
         for r in range(n + 1):
             for s in range(r, n + 1):
-                out[r, s] = Fraction(1 if (n - r - s) % 2 == 0 else -1) * binomial(n - r, s - r)
+                out[r, s] = Fraction(1 if (n - r - s) % 2 == 0 else -1) * comb(n - r, s - r)
     elif family == CH:
         a1, e2, a3, b1, b3 = (p[x] for x in ("a1", "e2", "a3", "b1", "b3"))
         sig = a1 + a3 + b1 + b3 + 2 * e2
@@ -925,7 +921,7 @@ def leading_matrix(family, params, n) -> ExactMatrix:
             for s in range(r, n + 1):
                 out[r, s] = (
                     Fraction(1 if (r - s) % 2 == 0 else -1)
-                    * binomial(n - r, s - r)
+                    * comb(n - r, s - r)
                     * pochhammer(a1 + b1 + 2 * e2 - r + n - 1, n - s)
                     * pochhammer(a1 + b1 - s + n, s - r)
                     * pochhammer(sig - r + 2 * n - 1, r)
@@ -937,7 +933,7 @@ def leading_matrix(family, params, n) -> ExactMatrix:
             for s in range(r + 1):
                 out[r, s] = (
                     Fraction(1 if (r - s) % 2 == 0 else -1)
-                    * binomial(r, s)
+                    * comb(r, s)
                     * pochhammer(a3 + b3 + s, r - s)
                     * pochhammer(a3 + b3 + 2 * e2 + r - 1, s)
                     * pochhammer(sig + r + n - 1, n - r)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -246,8 +248,7 @@ def test_zero_coefficients_skip_singular_stencils():
     zero = MPoly.zero(2)
     # every operator acting on x is singular at s; its coefficient vanishes there
     coeffs = [zero, zero, zero, zero, (x - x0) * (x - x0), y + 1, x - x0, y + 3]
-    table = pv.CoeffTable(fam.RACAH, coeffs, pv.BIVARIATE_OPS, lambda label: 5,
-                          lattices, +1)
+    table = pv.CoeffTable(coeffs, lambda label: 5, lattices)
     latpt = table.lattice_point(point)
     expect = 5 * _rational_function(point) + sum(
         fi.eval(latpt) * _nested_mixed(lattices, lind, _rational_function, point)
@@ -328,6 +329,21 @@ def test_derived_tables_annihilate_derivatives():
                 assert pv.table_residual_on(table, dfun, label, pt) == 0
 
 
+@pytest.mark.parametrize("name", [fam.WILSON, fam.WILSON_BAR, fam.CDH, fam.CH, fam.CH_BAR])
+def test_derived_tables_on_wilson_and_linear_lattices(name):
+    # the derived-table rules take epsilon from the lattice: -1 on the Wilson
+    # square lattice and 0 on the linear one (Racah's +1 is tested above)
+    spec = fam.FamilySpec(name)
+    base = pv.coefficients(spec)
+    for direction in ("x", "y", "xy"):
+        table = pv.derived_coefficients(base, direction)
+        for label in [(1, 1), (2, 1)]:
+            dfun = pv.derivative_function(spec, label, direction)
+            for pt in product(*pv.residual_grid(spec, label, size=2)):
+                value = pv.table_residual_on(table, dfun, label, pt)
+                assert value == 0, (direction, label, pt, value)
+
+
 def test_derived_tables_equal_parameter_shifted_tables():
     spec = fam.FamilySpec(fam.RACAH)
     base = pv.coefficients(spec)
@@ -369,6 +385,17 @@ def test_eigenvalue_shift_laws():
     assert dx.eigenvalue((n, m)) == (m + n - 1) * (b3 - b0 + m + n)
     assert dxy.eigenvalue((n, m)) == (m + n - 2) * (b3 - b0 + m + n + 1)
     assert pv.eigenvalue_shift(base, "x") == b0 - b3
+
+
+def test_eigenvalue_shift_rejects_other_directions():
+    base = pv.coefficients(fam.FamilySpec(fam.RACAH))
+    # the xy shift is not the y shift (-43/10 here): it also takes the x
+    # shift of the y-derived table
+    xy_shift = pv.derived_coefficients(base, "xy").eigenvalue((2, 1)) - base.eigenvalue((2, 1))
+    assert xy_shift == Fraction(-53, 5) != pv.eigenvalue_shift(base, "y")
+    for direction in ("xy", "z", "X", ""):
+        with pytest.raises(ValueError, match="unknown direction"):
+            pv.eigenvalue_shift(base, direction)
 
 
 def test_f_i3_two_derivation_routes_agree():
@@ -425,7 +452,7 @@ def test_printed_stencils_match_operator_expansion():
         table = pv.coefficients(spec)
         label = (1, 1)
         for pt in PTS2:
-            printed = builder(spec.params, label, *pt)
+            printed = builder(table, label, *pt)
             derived = {}
             latpt = table.lattice_point(pt)
             lam = table.eigenvalue(label)
@@ -475,6 +502,36 @@ def test_recovered_table_matches_printed_table():
     # closing the loop: the recovered table annihilates R_{2,2}
     for pt in PTS2:
         assert pv.residual(recovered, spec, (2, 2), pt) == 0
+
+
+# sha256 of json.dumps(table.to_json(), sort_keys=True) for every printed
+# table and the Racah and Wilson derived tables: a change to how tables are
+# built must leave every coefficient byte-identical
+TABLE_DIGESTS = [
+    (fam.RACAH, None, "be9ed03708e1e53fa80d669af51c3ce112623e77a6ed494a293e38bd5da044e7"),
+    (fam.RACAH_BAR, None, "be9ed03708e1e53fa80d669af51c3ce112623e77a6ed494a293e38bd5da044e7"),
+    (fam.WILSON, None, "d50ab343e3537b77a27aa66ae28448c03b49639fd02b76085e566827f25e6cec"),
+    (fam.WILSON_BAR, None, "d50ab343e3537b77a27aa66ae28448c03b49639fd02b76085e566827f25e6cec"),
+    (fam.CDH, None, "70d6987bd918fa01da7df2464950b71114fe20acbfaf3b237295d4c7a600ea39"),
+    (fam.CH, None, "4cee4fea09a2f873366fa0e34153eb31035fc75144d4a17dcc2feaab8656a889"),
+    (fam.CH_BAR, None, "4cee4fea09a2f873366fa0e34153eb31035fc75144d4a17dcc2feaab8656a889"),
+    (fam.CH_TRI, None, "11d50a0a4f5995988b17ea47c58548bd34839d75620ec5683dbe21620beca643"),
+    (fam.RACAH, "x", "57e29b2022fbcdc28695276b02ddfb6ba968efb0686e3fb8f3047db4abe59016"),
+    (fam.RACAH, "y", "9ee700d1547fc2fd0c5fa15942eb3feb4ded1928816076c7304fbe4439d89f88"),
+    (fam.RACAH, "xy", "ce7ab9c200b865e30c2c71836f4644483a1c47d60463978f5d51dbdea34c7df1"),
+    (fam.WILSON, "x", "d19c937e37672e3f6ebb9a30c19f0bfaa1780cbd087c9edd08183a25bd461772"),
+    (fam.WILSON, "y", "3bfa73bda799970d26edbf855fce201bc5e38e026e4180c321fc201f9ef9a831"),
+    (fam.WILSON, "xy", "876c3aebd10e8f83ec2a80de5f66686574de8d9ef8c2d030dbd58941eef2b303"),
+]
+
+
+@pytest.mark.parametrize("name, direction, digest", TABLE_DIGESTS)
+def test_table_json_matches_pinned_digest(name, direction, digest):
+    table = pv.coefficients(fam.FamilySpec(name))
+    if direction is not None:
+        table = pv.derived_coefficients(table, direction)
+    blob = json.dumps(table.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_coefficient_table_json():

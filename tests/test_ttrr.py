@@ -115,12 +115,18 @@ def test_racah_s11_at_n1_matches_printed_formula():
 
 # -- G' and G chains ------------------------------------------------------------------
 
+def _st(spec, n):
+    # (S_n, T_n, S_{n-1}) as GChain passes them to g_primes
+    sn, tn = ttrr.sn_tn_derived(spec, n)
+    return sn, tn, ttrr.sn_tn_derived(spec, n - 1)[0] if n >= 2 else None
+
+
 def test_g_primes_n1_and_z_scalar():
     spec = fam.FamilySpec(fam.RACAH)
     table = coefficients(spec)
     lam = lambda k: table.eigenvalue((k, 0))
     s1 = ttrr.sn_tn_derived(spec, 1)[0]
-    g1, g2 = ttrr.g_primes(ExactMatrix.identity(2), spec, 1, table=table)
+    g1, g2 = ttrr.g_primes(ExactMatrix.identity(2), table, _st(spec, 1), 1)
     assert g2 is None
     assert g1 == s1.scale(1 / (lam(0) - lam(1)))
     # Z_2(lambda_0) for the default Racah parameters is (53/5) I_3
@@ -133,21 +139,21 @@ def test_eigenvalue_collision_rejected():
         fam.RACAH,
         params={"beta0": Fraction(1, 5), "beta3": Fraction(1, 5) - 2},
     )
-    with pytest.raises(fam.DegenerateParameterError):
-        ttrr.g_primes(ExactMatrix.identity(3), bad, 2)
+    with pytest.raises(fam.DegenerateParameterError, match="eigenvalue collision"):
+        ttrr.GChain(bad, 2)
 
 
 def test_g_corrections_use_u_matrices():
     spec = fam.FamilySpec(fam.RACAH)
     table = coefficients(spec)
     gnn = ExactMatrix.identity(3)
-    gp1, gp2 = ttrr.g_primes(gnn, spec, 2, table=table)
+    gp1, gp2 = ttrr.g_primes(gnn, table, _st(spec, 2), 2)
     gn1, gn2 = ttrr.g_corrections(gnn, gp1, gp2, spec, 2)
     # top-left of U_{2,1} is H^(1)_{2,1}
     b1 = spec.params["beta1"]
     assert gn1.data[0][0] - gp1.data[0][0] == h_closed_1(2, b1)
     # n = 1 has no G_{n,n-2} path
-    gp1_only, _ = ttrr.g_primes(ExactMatrix.identity(2), spec, 1, table=table)
+    gp1_only, _ = ttrr.g_primes(ExactMatrix.identity(2), table, _st(spec, 1), 1)
     gn1_only, gn2_only = ttrr.g_corrections(ExactMatrix.identity(2), gp1_only, None, spec, 1)
     assert gn2_only is None
 
@@ -157,7 +163,7 @@ def test_wilson_chain_has_no_u_corrections():
     spec = fam.FamilySpec(fam.WILSON)
     table = coefficients(spec)
     gnn = ExactMatrix.identity(3)
-    gp1, gp2 = ttrr.g_primes(gnn, spec, 2, table=table)
+    gp1, gp2 = ttrr.g_primes(gnn, table, _st(spec, 2), 2)
     gn1, gn2 = ttrr.g_corrections(gnn, gp1, gp2, spec, 2)
     assert gn1 == gp1 and gn2 == gp2
 
