@@ -13,7 +13,11 @@ Layers timed:
   L2  tables and chains: ``coefficients`` for each family,
       ``derived_coefficients`` of each distinct bivariate table in the
       directions x, y and xy, and ``GChain(spec, 4, leading)`` for the
-      seven recurrence families with monic and family leading matrices.
+      seven recurrence families with monic and family leading matrices;
+  L3  residual sweeps: ``verify_table`` for racah, wilson, cdh and ch at
+      total degree <= 2 (<= 0 with ``--quick``) and for ch-tri at degree 0
+      on a 2-point grid, with the family caches cleared before every
+      repeat and the printed table built outside the timed call.
 
 Every input is fixed (drawn from a seeded ``random.Random``), so two runs
 on the same machine time the same work.  Each entry reports the operation
@@ -153,6 +157,27 @@ def _l2_entries():
     return out
 
 
+FAMILY_CACHES = (fam._eval_cached, fam.racah_uni, fam.wilson_uni, fam.cdh_uni, fam.ch_uni)
+
+
+def _l3_entries(degree):
+    """One sweep per family; ops is the number of residual checks."""
+    out = {}
+    sweeps = [(name, degree, None) for name in (fam.RACAH, fam.WILSON, fam.CDH, fam.CH)]
+    for name, bound, grid_size in sweeps + [(fam.CH_TRI, 0, 2)]:
+        spec = fam.FamilySpec(name)
+        table = pdeverify.coefficients(spec)
+
+        def job(spec=spec, bound=bound, grid_size=grid_size, table=table):
+            for cache in FAMILY_CACHES:
+                cache.cache_clear()
+            return pdeverify.verify_table(spec, bound, grid_size=grid_size, table=table)
+
+        checks = sum(r["points"] for r in job())
+        out[f"L3.verify_table.{name}"] = (job, checks)
+    return out
+
+
 def measure(entries, repeats):
     results = {}
     for name, (job, ops) in entries.items():
@@ -197,11 +222,12 @@ def main(argv=None):
     parser.add_argument("--baseline", type=Path, default=None,
                         help="an earlier run's JSON to embed and compare against")
     args = parser.parse_args(argv)
-    repeats, size, points = (3, 200, 4) if args.quick else (25, 2000, 40)
+    repeats, size, points, degree = (3, 200, 4, 0) if args.quick else (25, 2000, 40, 2)
 
     entries = dict(_l0_entries(size))
     entries.update(_l1_entries(points))
     entries.update(_l2_entries())
+    entries.update(_l3_entries(degree))
     result = {
         "schema": SCHEMA,
         "environment": environment(repeats),

@@ -31,7 +31,6 @@ from .pdeverify import (
     recover_coefficients,
     residual,
     second_order_residual,
-    trivariate_residual,
     verify_table,
 )
 from .ttrr import (
@@ -98,6 +97,5 @@ __all__ = [
     "sn_tn",
     "sn_tn_derived",
     "structure_scalars",
-    "trivariate_residual",
     "verify_table",
 ]

@@ -204,6 +204,9 @@ def _run(args):
         kind = kinds.get(spec.family)
         if kind is None:
             raise ValueError(f"no printed {what} for {spec.family}")
+        # the Wilson and continuous Hahn forms read the printed table, which
+        # depends only on the parameters: build it once per command
+        extra = (pv.coefficients(spec),) if kind in ("wilson-f", "ch-f") else ()
         report["kind"] = kind
         report["results"] = _pass_records(
             spec,
@@ -211,7 +214,7 @@ def _run(args):
             lambda label: product(
                 *pv.residual_grid(spec, label, size=args.grid_size, offset=offset)
             ),
-            lambda label, pt: form_residual(kind, spec, label, pt),
+            lambda label, pt: form_residual(kind, spec, label, pt, *extra),
         )
 
     elif args.command == "recover-coeffs":

@@ -231,7 +231,7 @@ class PointStencils:
                 for q, w in pairs:
                     acc[q] = acc[q] + w if q in acc else w
             layer = merged
-        return layer[()]
+        return layer.get((), {})
 
     def apply(self, terms, f):
         """sum of c (E_lindex f)(point) over (c, lindex) in terms, sampling f
@@ -762,31 +762,45 @@ def eigenvalue_shift(base: CoeffTable, direction) -> Fraction:
 # residual evaluation
 # ---------------------------------------------------------------------------
 
-def table_residual_on(table: CoeffTable, f, label, point):
-    """Residual of the table's equation on an arbitrary stencil function."""
-    point = tuple(point)
+def table_stencil(table: CoeffTable, point):
+    """{q: w} with sum w f(q) = sum f_i (E_i f)(point): the label-independent
+    part of the residual, one weight per neighbour."""
     latpt = table.lattice_point(point)
-    terms = [(table.eigenvalue(label), (0,) * table.nvars)]
+    terms = []
     for fi, lind in zip(table.coeffs, table.lindices):
         ci = fi.eval(latpt)
         # a zero coefficient skips its stencil, singular or not
         if ci:
             terms.append((ci, lind))
-    return PointStencils(table.lattices, point).apply(terms, f)
+    return PointStencils(table.lattices, point).fold(terms)
 
 
-def residual(table: CoeffTable, spec: FamilySpec, label, point):
+def table_residual_on(table: CoeffTable, f, label, point, stencils=None):
+    """Residual of the table's equation on an arbitrary stencil function.
+
+    ``stencils`` maps points to their :func:`table_stencil`; a sweep passes
+    one dict to every check, so each point is folded once for all labels.
+    """
+    point = tuple(point)
+    if stencils is None:
+        stencils = {}
+    weights = stencils.get(point)
+    if weights is None:
+        weights = stencils[point] = table_stencil(table, point)
+    # lambda joins the weight of the point itself, so f is sampled once per
+    # neighbour
+    merged = {point: table.eigenvalue(label)}
+    for q, w in weights.items():
+        merged[q] = merged[q] + w if q in merged else w
+    return demote(sum(w * f(q) for q, w in merged.items()))
+
+
+def residual(table: CoeffTable, spec: FamilySpec, label, point, stencils=None):
     """Sum f_i (E_i P)(point) + lambda P(point); exactly 0 on family members."""
     label = check_label(spec, label)
     point = check_point(spec, point)
     f = family_function(spec, label)
-    return table_residual_on(table, f, label, point)
-
-
-def trivariate_residual(spec: FamilySpec, label, point):
-    if spec.family != CH_TRI:
-        raise ValueError("trivariate residual only applies to the ch-tri family")
-    return residual(coefficients(spec), spec, label, point)
+    return table_residual_on(table, f, label, point, stencils)
 
 
 def derivative_function(spec: FamilySpec, label, direction):
@@ -1073,8 +1087,12 @@ def ch_f_stencil(table: CoeffTable, label, x, y):
     }
 
 
-def difference_form_residual(kind, spec: FamilySpec, label, point):
-    """The nine-term stencil sum at the point; exactly 0 on family members."""
+def difference_form_residual(kind, spec: FamilySpec, label, point, table=None):
+    """The nine-term stencil sum at the point; exactly 0 on family members.
+
+    The Wilson and continuous Hahn forms are built from the family's printed
+    table; a sweep passes ``coefficients(spec)`` built once.
+    """
     label = check_label(spec, label)
     point = check_point(spec, point)
     if kind == "racah-gi":
@@ -1085,12 +1103,12 @@ def difference_form_residual(kind, spec: FamilySpec, label, point):
     elif kind == "wilson-f":
         if spec.family not in (WILSON, WILSON_BAR):
             raise ValueError("wilson-f applies to the wilson families")
-        stencil = wilson_f_stencil(coefficients(spec), label, *point)
+        stencil = wilson_f_stencil(table or coefficients(spec), label, *point)
         step = II
     elif kind == "ch-f":
         if spec.family not in (CH, CH_BAR):
             raise ValueError("ch-f applies to the continuous Hahn families")
-        stencil = ch_f_stencil(coefficients(spec), label, *point)
+        stencil = ch_f_stencil(table or coefficients(spec), label, *point)
         step = II
     else:
         raise ValueError(f"unknown difference form {kind!r}")
@@ -1235,12 +1253,15 @@ def verify_table(spec: FamilySpec, max_total_degree, grid_size=None, table=None)
     """
     if table is None:
         table = coefficients(spec)
+    # each label's grid is a prefix of the next one's, and the table stencil
+    # at a point does not depend on the label: fold each point once
+    stencils = {}
     reports = []
     for label, checked, witness in sweep(
         spec,
         max_total_degree,
         lambda label: product(*residual_grid(spec, label, size=grid_size)),
-        lambda label, point: residual(table, spec, label, point),
+        lambda label, point: residual(table, spec, label, point, stencils),
     ):
         record = {"label": list(label), "points": checked, "pass": witness is None}
         if witness is not None:

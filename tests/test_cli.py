@@ -179,6 +179,44 @@ def test_reports_match_pinned_digests():
     assert not mismatches
 
 
+def _digest(report):
+    return hashlib.sha256(json.dumps(report, indent=2, sort_keys=True).encode()).hexdigest()
+
+
+def test_failing_sweep_report_is_pinned(monkeypatch):
+    # a +1/1000 typo in the Wilson f3 first shows at labels (2,1) and (3,0);
+    # the witnesses and every report byte are pinned
+    printed = pdeverify._TABLE_BUILDERS[families.WILSON]
+
+    def typo(params):
+        coeffs, eigenvalue = printed(params)
+        coeffs[2] = coeffs[2] + Fraction(1, 1000)
+        return coeffs, eigenvalue
+
+    monkeypatch.setitem(pdeverify._TABLE_BUILDERS, families.WILSON, typo)
+    code, report = run(["verify-pde", "--family", "wilson", "--max-total-degree", "3"])
+    assert code == EXIT_MISMATCH
+    failing = [(r["label"], r["point"]) for r in report["results"] if not r["pass"]]
+    assert failing == [([2, 1], ["8/7", "15/7"]), ([3, 0], ["8/7", "15/7"])]
+    assert _digest(report) == "2a1cf5ca001c66bf3923048c23a80b938aa2ab55426a67e40d4a28b8eaba0c9b"
+
+
+def test_singular_grid_point_exits_2(monkeypatch):
+    # the last x coordinate of every grid is moved to s = -beta1/2, where the
+    # D^2 denominator 2s + beta1 vanishes, after other points were folded
+    grid = pdeverify.residual_grid
+
+    def singular_grid(spec, label, size=None, offset=Fraction(1, 7)):
+        xs, ys = grid(spec, label, size=size, offset=offset)
+        return [xs[:-1] + [-spec.params["beta1"] / 2], ys]
+
+    monkeypatch.setattr(pdeverify, "residual_grid", singular_grid)
+    code, report = run(["verify-pde", "--family", "racah", "--max-total-degree", "1"])
+    assert code == EXIT_DEGENERATE
+    assert report["error"] == "stencil denominator vanishes at -1/3 on LatticeSpec(quadratic, beta=2/3, x)"
+    assert _digest(report) == "a6ea3c57c91bcd1360cbd8d206d81308e6f7d164938fd37eca180c08f8798a26"
+
+
 def test_determinism_byte_identical(tmp_path):
     args = ["verify-ladder", "--family", "racah", "--max-total-degree", "1", "--seed", "5"]
     out1 = tmp_path / "a.json"

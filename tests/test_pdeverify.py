@@ -126,11 +126,10 @@ def test_zero_label_residual_trivial():
 
 def test_trivariate_residual_spotwise():
     spec = fam.FamilySpec(fam.CH_TRI)
+    table = pv.coefficients(spec)
     for label in [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1), (2, 0, 0)]:
         for pt in PTS3:
-            assert pv.trivariate_residual(spec, label, pt) == 0
-    with pytest.raises(ValueError):
-        pv.trivariate_residual(fam.FamilySpec(fam.CH), (1, 1), PTS2[0])
+            assert pv.residual(table, spec, label, pt) == 0
 
 
 def test_mixed_operator_commutativity_spot_check():
@@ -147,6 +146,32 @@ def test_mixed_operator_commutativity_spot_check():
         val_xy = sum(w * f(q) for q, w in w_xy.items())
         val_yx = sum(w * g(q) for q, w in w_yx.items())
         assert val_xy == val_yx
+
+
+@pytest.mark.parametrize("name, degree, grid_size, folds", [
+    (fam.RACAH, 1, None, 6 ** 2),
+    (fam.WILSON, 2, None, 7 ** 2),
+    (fam.CH_TRI, 1, 2, 2 ** 3),
+])
+def test_sweep_folds_each_grid_point_once(monkeypatch, name, degree, grid_size, folds):
+    # each label's grid is a prefix of the next, so a sweep of degree <= d
+    # folds the (d+5)^p points of its largest grid once; a second sweep
+    # starts afresh
+    calls = []
+    fold = pv.PointStencils.fold
+
+    def counted(self, terms):
+        calls.append(self.point)
+        return fold(self, terms)
+
+    monkeypatch.setattr(pv.PointStencils, "fold", counted)
+    spec = fam.FamilySpec(name)
+    for sweeps in (1, 2):
+        reports = pv.verify_table(spec, degree, grid_size=grid_size)
+        assert all(r["pass"] for r in reports)
+        assert len(calls) == sweeps * folds
+        assert len(set(calls)) == folds
+    assert sum(r["points"] for r in reports) > folds
 
 
 def test_residual_raises_on_singular_point():
@@ -256,6 +281,9 @@ def test_zero_coefficients_skip_singular_stencils():
         if fi.eval(latpt)
     )
     assert pv.table_residual_on(table, _rational_function, (1, 1), point) == expect
+    # every coefficient zero: no stencil at all, only lambda P remains
+    blank = pv.CoeffTable([zero] * 8, lambda label: 5, lattices)
+    assert pv.table_residual_on(blank, _rational_function, (1, 1), point) == 5 * _rational_function(point)
     table.coeffs[6] = x - x0 + 1
     with pytest.raises(SingularPointError):
         pv.table_residual_on(table, _rational_function, (1, 1), point)
