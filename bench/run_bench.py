@@ -13,7 +13,10 @@ Layers timed:
   L2  tables and chains: ``coefficients`` for each family,
       ``derived_coefficients`` of each distinct bivariate table in the
       directions x, y and xy, and ``GChain(spec, 4, leading)`` for the
-      seven recurrence families with monic and family leading matrices;
+      seven recurrence families with monic and family leading matrices,
+      and the interpolation oracle ``family_poly_vector(spec, 3)`` (n = 1
+      with ``--quick``) for the same seven families, with the family caches
+      cleared before every repeat;
   L3  residual sweeps: ``verify_table`` for racah, wilson, cdh and ch at
       total degree <= 2 (<= 0 with ``--quick``) and for ch-tri at degree 0
       on a 2-point grid, with the family caches cleared before every
@@ -135,9 +138,10 @@ def _l1_entries(points):
     return out
 
 
-def _l2_entries():
-    """Default parameters throughout; none of these builds touches the
-    family caches, so repeats time the same work."""
+def _l2_entries(oracle_degree):
+    """Default parameters throughout.  The table and chain builds never touch
+    the family caches, and the oracle clears them, so repeats time the same
+    work."""
     out = {}
     for name in fam.ALL_FAMILIES:
         spec = fam.FamilySpec(name)
@@ -154,10 +158,21 @@ def _l2_entries():
             out[f"L2.gchain.{name}.{leading}"] = (
                 lambda spec=spec, leading=leading: ttrr.GChain(spec, 4, leading), 1
             )
+
+        def oracle(spec=spec):
+            _clear_family_caches()
+            return ttrr.family_poly_vector(spec, oracle_degree)
+
+        out[f"L2.oracle.{name}"] = (oracle, 1)
     return out
 
 
 FAMILY_CACHES = (fam._eval_cached, fam.racah_uni, fam.wilson_uni, fam.cdh_uni, fam.ch_uni)
+
+
+def _clear_family_caches():
+    for cache in FAMILY_CACHES:
+        cache.cache_clear()
 
 
 def _l3_entries(degree):
@@ -169,8 +184,7 @@ def _l3_entries(degree):
         table = pdeverify.coefficients(spec)
 
         def job(spec=spec, bound=bound, grid_size=grid_size, table=table):
-            for cache in FAMILY_CACHES:
-                cache.cache_clear()
+            _clear_family_caches()
             return pdeverify.verify_table(spec, bound, grid_size=grid_size, table=table)
 
         checks = sum(r["points"] for r in job())
@@ -222,11 +236,13 @@ def main(argv=None):
     parser.add_argument("--baseline", type=Path, default=None,
                         help="an earlier run's JSON to embed and compare against")
     args = parser.parse_args(argv)
-    repeats, size, points, degree = (3, 200, 4, 0) if args.quick else (25, 2000, 40, 2)
+    repeats, size, points, degree, oracle_degree = (
+        (3, 200, 4, 0, 1) if args.quick else (25, 2000, 40, 2, 3)
+    )
 
     entries = dict(_l0_entries(size))
     entries.update(_l1_entries(points))
-    entries.update(_l2_entries())
+    entries.update(_l2_entries(oracle_degree))
     entries.update(_l3_entries(degree))
     result = {
         "schema": SCHEMA,

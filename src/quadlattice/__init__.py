@@ -20,7 +20,7 @@ from .families import (
     derivative_ladder_check,
     eval_family,
 )
-from .fbasis import BivarPoly, MPoly, OperatorMatrices, f_basis_eval, operator_matrices, structure_scalars
+from .fbasis import MPoly, OperatorMatrices, operator_matrices, structure_scalars
 from .latticeops import LatticeSpec, SingularPointError, apply_D, apply_S, lattice_value
 from .matrix import ExactMatrix, exact_inverse
 from .pdeverify import (
@@ -50,7 +50,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ALL_FAMILIES",
-    "BivarPoly",
     "CDH",
     "CH",
     "CH_BAR",
@@ -81,7 +80,6 @@ __all__ = [
     "difference_form_residual",
     "eval_family",
     "exact_inverse",
-    "f_basis_eval",
     "generate",
     "g_corrections",
     "g_primes",

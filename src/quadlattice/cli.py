@@ -44,6 +44,24 @@ DIFFERENCE_FORM_BY_FAMILY = {
 }
 
 
+def _int_at_least(minimum):
+    """argparse type: an integer no smaller than ``minimum``; anything else
+    is a usage error (exit 2)."""
+
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, not {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+DEGREE = _int_at_least(0)
+GRID_SIZE = _int_at_least(1)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="quadlattice",
@@ -76,31 +94,31 @@ def build_parser():
     p = sub.add_parser("verify-pde", help="fourth-order residual sweep")
     common(p)
     seeded(p)
-    p.add_argument("--max-total-degree", type=int, default=3)
-    p.add_argument("--grid-size", type=int, default=None)
+    p.add_argument("--max-total-degree", type=DEGREE, default=3)
+    p.add_argument("--grid-size", type=GRID_SIZE, default=None)
 
     p = sub.add_parser("verify-trivariate", help="six-order residual sweep")
     common(p, family=False)
     seeded(p)
-    p.add_argument("--max-total-degree", type=int, default=2)
-    p.add_argument("--grid-size", type=int, default=3)
+    p.add_argument("--max-total-degree", type=DEGREE, default=2)
+    p.add_argument("--grid-size", type=GRID_SIZE, default=3)
 
     p = sub.add_parser("verify-ladder", help="difference-derivative identities")
     common(p)
     seeded(p)
-    p.add_argument("--max-total-degree", type=int, default=2)
+    p.add_argument("--max-total-degree", type=DEGREE, default=2)
 
     p = sub.add_parser("verify-second-order", help="second-order equations")
     common(p)
     seeded(p)
-    p.add_argument("--max-total-degree", type=int, default=3)
-    p.add_argument("--grid-size", type=int, default=None)
+    p.add_argument("--max-total-degree", type=DEGREE, default=3)
+    p.add_argument("--grid-size", type=GRID_SIZE, default=None)
 
     p = sub.add_parser("verify-difference-form", help="nine-term stencil forms")
     common(p)
     seeded(p)
-    p.add_argument("--max-total-degree", type=int, default=3)
-    p.add_argument("--grid-size", type=int, default=None)
+    p.add_argument("--max-total-degree", type=DEGREE, default=3)
+    p.add_argument("--grid-size", type=GRID_SIZE, default=None)
 
     p = sub.add_parser(
         "recover-coeffs", help="re-derive the Racah table from the stencil form"
@@ -110,17 +128,17 @@ def build_parser():
 
     p = sub.add_parser("ttrr", help="dump recurrence matrices for one degree")
     common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=DEGREE, required=True)
     p.add_argument("--monic", action="store_true")
 
     p = sub.add_parser("generate", help="generate polynomial vectors")
     common(p)
-    p.add_argument("--upto", type=int, default=3)
+    p.add_argument("--upto", type=DEGREE, default=3)
     p.add_argument("--monic", action="store_true")
 
     p = sub.add_parser("connect", help="connection matrices between families")
     common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=DEGREE, required=True)
 
     return parser
 

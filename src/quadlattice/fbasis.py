@@ -1,7 +1,9 @@
-"""Monic bases on quadratic lattices, polynomial arithmetic, and the
+"""Sparse exact polynomials, the monic bases of the lattices, and the
 coefficient-space action of the divided-difference operators.
 
-The basis F_n attached to a quadratic lattice x(s) = s(s+beta) satisfies
+:class:`MPoly` is the one polynomial type: monomial coefficients in the
+lattice variables.  The basis F_n attached to a quadratic lattice
+x(s) = s(s+beta) satisfies
 
     F_{n+1}(x) = (x - f_n(beta)) F_n(x),        F_0 = 1,
 
@@ -13,8 +15,10 @@ and obeys  D F_n = n F_{n-1},  S F_n = F_n + g_n F_{n-1},
 x F_n = F_{n+1} + f_n F_n.  The analogous monic basis for the Wilson
 operator pair uses the nodes -f_k(0) (the S and x-multiplication relations
 then flip the sign of their second term), and the linear lattice simply uses
-powers of x.  All three are node-product bases, which keeps every change of
-basis an exact synthetic-division pass.
+powers of x.  The lattice owns its nodes (:meth:`LatticeSpec.node`), so a
+basis is named by its lattice, and :func:`to_basis` reads an MPoly's
+coefficients off the tensor basis of given lattices by exact synthetic
+division.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactfield import GaussianRational, demote
-from .latticeops import LatticeSpec
+from .latticeops import LatticeSpec, linear, structure_scalars
 from .matrix import ExactMatrix
 
 
@@ -196,118 +200,27 @@ class MPoly:
 # node-product bases
 # ---------------------------------------------------------------------------
 
-def structure_scalars(n, beta):
-    """The scalars f_n(beta) and g_n of the basis relations."""
-    beta = Fraction(beta)
-    f_n = (Fraction((2 * n + 1) ** 2) - 4 * beta * beta) / 16
-    g_n = Fraction(n * (2 * n - 1), 4)
-    return f_n, g_n
+# the linear lattice's basis: plain powers of x
+MONOMIAL = linear()
 
 
-class PolyBasis:
-    """A monic node-product basis B_n(u) = prod_{k<n} (u - node_k)."""
-
-    __slots__ = ("kind", "beta")
-
-    MONOMIAL = "monomial"
-    FTENSOR = "ftensor"
-    WILSONF = "wilsonf"
-
-    def __init__(self, kind, beta=None):
-        self.kind = kind
-        self.beta = None if beta is None else Fraction(beta)
-
-    def node(self, k):
-        if self.kind == self.MONOMIAL:
-            return Fraction(0)
-        if self.kind == self.FTENSOR:
-            return structure_scalars(k, self.beta)[0]
-        return -structure_scalars(k, 0)[0]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyBasis)
-            and self.kind == other.kind
-            and self.beta == other.beta
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.beta))
-
-    def __repr__(self):
-        if self.kind == self.FTENSOR:
-            return f"PolyBasis(ftensor, beta={self.beta})"
-        return f"PolyBasis({self.kind})"
-
-
-MONOMIAL = PolyBasis(PolyBasis.MONOMIAL)
-
-
-def ftensor(beta):
-    return PolyBasis(PolyBasis.FTENSOR, beta)
-
-
-def wilson_fbasis():
-    return PolyBasis(PolyBasis.WILSONF)
-
-
-def basis_for_lattice(spec: LatticeSpec) -> PolyBasis:
-    if spec.kind == LatticeSpec.QUADRATIC:
-        return ftensor(spec.beta)
-    if spec.kind == LatticeSpec.WILSON:
-        return wilson_fbasis()
-    return MONOMIAL
-
-
-def basis_poly(basis: PolyBasis, n, index=0, nvars=1) -> MPoly:
-    """B_n as an explicit monomial polynomial in variable ``index``."""
+def basis_poly(lattice: LatticeSpec, n, index=0, nvars=1) -> MPoly:
+    """F_n of the lattice as an explicit monomial polynomial in variable
+    ``index``."""
     out = MPoly.const(nvars, Fraction(1))
     x = MPoly.var(index, nvars)
     for k in range(n):
-        out = out * (x - basis.node(k))
+        out = out * (x - lattice.node(k))
     return out
 
 
-def basis_value(basis: PolyBasis, n, u):
-    out = Fraction(1)
-    for k in range(n):
-        out = out * (u - basis.node(k))
-    return demote(out)
-
-
-def f_basis_eval(n, beta, s):
-    """Value of F_n on the quadratic lattice at grid coordinate s."""
-    x = s * (s + Fraction(beta))
-    return basis_value(ftensor(beta), n, x)
-
-
-# univariate coefficient-list transforms (index = degree)
-
-def nodes_to_monomial(coeffs, basis: PolyBasis):
-    out = [0 * c for c in coeffs] if coeffs else []
-    if not coeffs:
-        return []
-    n = len(coeffs) - 1
-    # running product prod_{k<m} (u - node_k), coefficients low->high
-    prod = [Fraction(1)]
-    for m in range(n + 1):
-        for d, pc in enumerate(prod):
-            term = coeffs[m] * pc
-            out[d] = out[d] + term
-        node = basis.node(m)
-        nxt = [Fraction(0)] * (len(prod) + 1)
-        for d, pc in enumerate(prod):
-            nxt[d + 1] = nxt[d + 1] + pc
-            nxt[d] = nxt[d] - node * pc
-        prod = nxt
-    return out
-
-
-def monomial_to_nodes(coeffs, basis: PolyBasis):
+def monomial_to_nodes(coeffs, lattice: LatticeSpec):
+    """Univariate monomial coefficients (index = degree) to coefficients on
+    the lattice's basis, by repeated synthetic division."""
     work = list(coeffs)
     out = []
     for k in range(len(coeffs)):
-        node = basis.node(k)
+        node = lattice.node(k)
         # synthetic division of work by (u - node): remainder, then quotient
         rem = work[-1]
         quot = [work[-1]]
@@ -317,101 +230,28 @@ def monomial_to_nodes(coeffs, basis: PolyBasis):
         quot.reverse()
         out.append(quot[0])
         work = quot[1:]
-        if not work:
-            break
     return out
 
 
-# ---------------------------------------------------------------------------
-# BivarPoly: dual-representation bivariate polynomials
-# ---------------------------------------------------------------------------
-
-class BivarPoly:
-    """Bivariate polynomial in the lattice variables, with a basis tag per
-    variable (monomial or tensor F-basis).  Coefficients are stored in the
-    tagged basis; conversion is an exact bijection."""
-
-    __slots__ = ("bases", "coeffs")
-
-    def __init__(self, bases, coeffs):
-        self.bases = tuple(bases)
-        self.coeffs = {tuple(e): c for e, c in coeffs.items() if c}
-
-    @classmethod
-    def from_mpoly(cls, p: MPoly, bases=(MONOMIAL, MONOMIAL)):
-        out = cls(bases, {})
-        if bases == (MONOMIAL, MONOMIAL):
-            out.coeffs = dict(p.coeffs)
-            return out
-        return cls((MONOMIAL, MONOMIAL), p.coeffs).convert(bases)
-
-    def to_mpoly(self) -> MPoly:
-        return MPoly(2, self.convert((MONOMIAL, MONOMIAL)).coeffs)
-
-    def convert(self, target_bases) -> "BivarPoly":
-        target_bases = tuple(target_bases)
-        coeffs = self.coeffs
-        bases = self.bases
-        for var in (0, 1):
-            if bases[var] == target_bases[var]:
-                continue
-            coeffs = _transform_var(coeffs, var, bases[var], target_bases[var])
-        return BivarPoly(target_bases, coeffs)
-
-    def eval(self, uv):
-        u, v = uv
-        total = Fraction(0)
-        cache_u = {}
-        cache_v = {}
-        for (i, j), c in self.coeffs.items():
-            if i not in cache_u:
-                cache_u[i] = basis_value(self.bases[0], i, u)
-            if j not in cache_v:
-                cache_v[j] = basis_value(self.bases[1], j, v)
-            total = total + c * cache_u[i] * cache_v[j]
-        return demote(total)
-
-    def total_degree(self):
-        if not self.coeffs:
-            return -1
-        return max(i + j for i, j in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        if self.bases == other.bases:
-            return self.coeffs == other.coeffs
-        return self.to_mpoly() == other.to_mpoly()
-
-    def to_json(self):
-        from .exactfield import field_str
-
-        return [
-            {"dx": i, "dy": j, "coeff": field_str(c)}
-            for (i, j), c in sorted(self.coeffs.items())
-        ]
-
-
-def _transform_var(coeffs, var, source: PolyBasis, target: PolyBasis):
-    # group into univariate coefficient lists along `var`
-    groups = {}
-    for exps, c in coeffs.items():
-        key = exps[1 - var]
-        groups.setdefault(key, {})[exps[var]] = c
-    out = {}
-    for key, column in groups.items():
-        deg = max(column)
-        lst = [column.get(d, Fraction(0)) for d in range(deg + 1)]
-        if source.kind != PolyBasis.MONOMIAL:
-            lst = nodes_to_monomial(lst, source)
-        if target.kind != PolyBasis.MONOMIAL:
-            lst = monomial_to_nodes(lst, target)
-        for d, c in enumerate(lst):
-            if not c:
-                continue
-            exps = (d, key) if var == 0 else (key, d)
-            out[exps] = out.get(exps, 0) + c
-    return {e: c for e, c in out.items() if c}
+def to_basis(p: MPoly, lattices):
+    """Coefficients {exponents: c}, in a new dict, of p on the tensor basis
+    F_i(x) F_j(y) ... of the lattices, one per variable.  An axis on a linear
+    lattice is already monomial and is left as it is."""
+    coeffs = dict(p.coeffs)
+    for var, lattice in enumerate(lattices):
+        if lattice.kind == LatticeSpec.LINEAR:
+            continue
+        columns = {}
+        for exps, c in coeffs.items():
+            rest = exps[:var] + (0,) + exps[var + 1:]
+            columns.setdefault(rest, {})[exps[var]] = c
+        coeffs = {}
+        for rest, column in columns.items():
+            lst = [column.get(d, Fraction(0)) for d in range(max(column) + 1)]
+            for d, c in enumerate(monomial_to_nodes(lst, lattice)):
+                if c:
+                    coeffs[rest[:var] + (d,) + rest[var + 1:]] = c
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +313,14 @@ class OperatorMatrices:
         }
 
 
+def l_matrix(n, j):
+    """Selection matrices: L_{n,1} = [I | 0], L_{n,2} = [0 | I]."""
+    out = ExactMatrix.zero(n + 1, n + 2)
+    for k in range(n + 1):
+        out[k, k + (j - 1)] = Fraction(1)
+    return out
+
+
 def operator_matrices(n, beta1, beta2) -> OperatorMatrices:
     """The eight matrices E/J/L/M of the column-vector identities, exactly
     as printed: E, J of size (n+1) x n, L of size (n+1) x (n+2), M diagonal
@@ -486,18 +334,13 @@ def operator_matrices(n, beta1, beta2) -> OperatorMatrices:
         j1[k, k] = structure_scalars(n - k, beta1)[1]
         e2[k + 1, k] = Fraction(k + 1)
         j2[k + 1, k] = structure_scalars(k + 1, beta2)[1]
-    l1 = ExactMatrix.zero(n + 1, n + 2)
-    l2 = ExactMatrix.zero(n + 1, n + 2)
-    for k in range(n + 1):
-        l1[k, k] = Fraction(1)
-        l2[k, k + 1] = Fraction(1)
     m1 = ExactMatrix.diagonal(
         [structure_scalars(n - k, beta1)[0] for k in range(n + 1)]
     )
     m2 = ExactMatrix.diagonal(
         [structure_scalars(k, beta2)[0] for k in range(n + 1)]
     )
-    return OperatorMatrices(n, e1, e2, j1, j2, l1, l2, m1, m2)
+    return OperatorMatrices(n, e1, e2, j1, j2, l_matrix(n, 1), l_matrix(n, 2), m1, m2)
 
 
 # printed closed forms for the top expansion coefficients of F_n
@@ -521,14 +364,14 @@ def h_closed_2(n, beta):
     )
 
 
-def u_matrices(n, basis_x: PolyBasis, basis_y: PolyBasis):
+def u_matrices(n, lattice_x: LatticeSpec, lattice_y: LatticeSpec):
     """U_{n,n-1} and U_{n,n-2} of the expansion F_n = x^n + U x^{n-1} + ...
 
     Built directly from the product expansions of the tensor basis entries,
-    so they stay correct for every basis variant in play.
+    so they stay correct on every lattice in play.
     """
-    xpolys = [basis_poly(basis_x, k) for k in range(n + 1)]
-    ypolys = [basis_poly(basis_y, k) for k in range(n + 1)]
+    xpolys = [basis_poly(lattice_x, k) for k in range(n + 1)]
+    ypolys = [basis_poly(lattice_y, k) for k in range(n + 1)]
     u1 = ExactMatrix.zero(n + 1, max(n, 0))
     u2 = ExactMatrix.zero(n + 1, max(n - 1, 0))
     for k in range(n + 1):

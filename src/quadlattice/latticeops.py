@@ -12,6 +12,11 @@ Three operator calculi appear, one per lattice kind:
 All applications are pointwise on arbitrary callables ("stencil functions");
 verification elsewhere turns pointwise exact zeros into polynomial identities
 by interpolation counts.
+
+Each lattice also fixes a monic basis F_n(u) = prod_{k<n} (u - node_k) in its
+lattice variable u (see :mod:`quadlattice.fbasis`); :meth:`LatticeSpec.node`
+gives the nodes: f_k(beta) on the quadratic lattice, -f_k(0) on the Wilson
+lattice and 0 on the linear one, whose basis is the monomials.
 """
 
 from __future__ import annotations
@@ -23,6 +28,14 @@ from .exactfield import GaussianRational, demote, gauss
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 HALF_I = GaussianRational(0, HALF)
+
+
+def structure_scalars(n, beta):
+    """The scalars f_n(beta) and g_n of the monic-basis relations."""
+    beta = Fraction(beta)
+    f_n = (Fraction((2 * n + 1) ** 2) - 4 * beta * beta) / 16
+    g_n = Fraction(n * (2 * n - 1), 4)
+    return f_n, g_n
 
 
 class SingularPointError(ValueError):
@@ -73,6 +86,14 @@ class LatticeSpec:
         if self.kind == self.WILSON:
             return (Fraction(0), Fraction(-1)), -QUARTER
         return (Fraction(-1, 4), Fraction(0)), Fraction(0)
+
+    def node(self, k):
+        """The k-th node of the lattice's monic basis."""
+        if self.kind == self.QUADRATIC:
+            return structure_scalars(k, self.beta)[0]
+        if self.kind == self.WILSON:
+            return -structure_scalars(k, 0)[0]
+        return Fraction(0)
 
 
 def quadratic(beta, name="x"):

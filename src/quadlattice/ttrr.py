@@ -35,11 +35,11 @@ from .families import (
 )
 from .fbasis import (
     MONOMIAL,
-    BivarPoly,
     MPoly,
-    basis_for_lattice,
     basis_poly,
     interpolate_bivariate,
+    l_matrix,
+    to_basis,
     u_matrices,
 )
 from .latticeops import grid_points, lattice_value
@@ -83,8 +83,7 @@ def working_bases(spec: FamilySpec):
     those three use plain monomials and need no U-matrix corrections.
     """
     if spec.family in (RACAH, RACAH_BAR):
-        lattices = spec.lattices()
-        return tuple(basis_for_lattice(l) for l in lattices)
+        return spec.lattices()
     return (MONOMIAL, MONOMIAL)
 
 
@@ -102,8 +101,7 @@ def _phi_blocks(table, degree, bases):
     sub2 = ExactMatrix.zero(degree + 1, max(degree - 1, 0))
     for k in range(degree + 1):
         image = table_action(table, _tensor_entry(bases, degree, k))
-        coeffs = BivarPoly.from_mpoly(image, bases).coeffs
-        for (i, j), c in coeffs.items():
+        for (i, j), c in to_basis(image, bases).items():
             d = i + j
             if d == degree:
                 diag[k, j] = c
@@ -777,14 +775,6 @@ class GChain:
         if j == k - 2:
             return self.gn2[k]
         raise ValueError("only G_{k,k}, G_{k,k-1}, G_{k,k-2} are tracked")
-
-
-def l_matrix(n, j):
-    """Selection matrices: L_{n,1} = [I | 0], L_{n,2} = [0 | I]."""
-    out = ExactMatrix.zero(n + 1, n + 2)
-    for k in range(n + 1):
-        out[k, k + (j - 1)] = Fraction(1)
-    return out
 
 
 def abc_matrices(chain: GChain, n, j):

@@ -1,11 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from quadlattice import families, pdeverify
 from quadlattice.cli import EXIT_DEGENERATE, EXIT_MISMATCH, EXIT_OK, main, run
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # (argv, exit code, sha256 of json.dumps(report, indent=2, sort_keys=True)):
 # at least one argv per command, so a refactor must keep every report
@@ -47,6 +53,12 @@ PINNED_REPORTS = [
      "643d25aa169f58db94b6ad32973972685570b2acc8fd85e2d0c16098a84b3477"),
     (["connect", "--family", "ch", "--n", "2"], 0,
      "ff05024adb5c2b7ee69eca6fec865c0ca6f59b30b8797ff83710b9ade7ef8286"),
+    # racah and racah-bar expand in the quadratic lattices' F-basis, so these
+    # two reports pass through the change of basis
+    (["ttrr", "--family", "racah", "--n", "2"], 0,
+     "a14bd367790f1dbfd6ece1003ddb205e17cf21d7ba3d5b11430e54d68e59ad0f"),
+    (["generate", "--family", "racah-bar", "--upto", "2", "--monic"], 0,
+     "8cad9c06c9c83155f548b3ef7d4b9eabbc67dc2d88503fc84d461db95d26ac11"),
     (["eval", "--family", "racah", "--label", "2,0", "--point", "8/7,16/7", "--param", "beta0=2/3"], 2,
      "c1744678a2694ddf3d06a741feacde1f68d7467dcb2cb637868a099edf355c93"),
     (["verify-second-order", "--family", "ch", "--max-total-degree", "0"], 2,
@@ -116,11 +128,36 @@ def test_usage_errors_exit_2():
                         "--point", "8/7,16/7", "--param", "beta0=oops"])
     assert code == EXIT_DEGENERATE
     # --seed and --grid-size exist only where a sweep uses them
-    for argv in (["eval", "--family", "cdh", "--label", "0,0", "--point", "1/2,1/3", "--seed", "1"],
-                 ["verify-ladder", "--family", "racah", "--grid-size", "3"]):
+    bad = [["eval", "--family", "cdh", "--label", "0,0", "--point", "1/2,1/3", "--seed", "1"],
+           ["verify-ladder", "--family", "racah", "--grid-size", "3"]]
+    # degrees are non-negative and grid sizes positive
+    bad += [["ttrr", "--family", "racah", "--n", "-2"],
+            ["connect", "--family", "ch", "--n", "-3"],
+            ["generate", "--family", "racah", "--upto", "-1"]]
+    bad += [[command, "--family", "cdh", "--max-total-degree", "-1"]
+            for command in ("verify-pde", "verify-ladder", "verify-second-order",
+                            "verify-difference-form")]
+    bad.append(["verify-trivariate", "--max-total-degree", "-1"])
+    for size in ("0", "-3"):
+        bad += [[command, "--family", "cdh", "--max-total-degree", "0", "--grid-size", size]
+                for command in ("verify-pde", "verify-second-order", "verify-difference-form")]
+        bad.append(["verify-trivariate", "--max-total-degree", "0", "--grid-size", size])
+    for argv in bad:
         with pytest.raises(SystemExit) as exc:
             run(argv)
-        assert exc.value.code == EXIT_DEGENERATE
+        assert exc.value.code == EXIT_DEGENERATE, argv
+
+
+def test_negative_degree_exits_2_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadlattice.cli", "ttrr", "--family", "racah", "--n", "-2"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", "")),
+    )
+    assert proc.returncode == EXIT_DEGENERATE
+    assert "Traceback" not in proc.stderr
+    assert "--n: must be at least 0" in proc.stderr
 
 
 def test_degenerate_parameters_exit_2():

@@ -4,24 +4,35 @@ from fractions import Fraction
 from quadlattice import latticeops as lo
 from quadlattice.exactfield import pochhammer
 from quadlattice.fbasis import (
-    BivarPoly,
     MONOMIAL,
     MPoly,
     basis_poly,
-    f_basis_eval,
-    ftensor,
     h_closed_1,
     h_closed_2,
     interpolate_bivariate,
     interpolate_univariate,
     operator_matrices,
     structure_scalars,
+    to_basis,
     u_matrices,
-    wilson_fbasis,
 )
 
 B1 = Fraction(2, 3)
 B2 = Fraction(7, 3)
+
+
+def f_basis_eval(n, beta, s):
+    """F_n of the quadratic lattice x(s) = s(s+beta) at grid coordinate s."""
+    lattice = lo.quadratic(beta)
+    return basis_poly(lattice, n).eval((lo.lattice_value(lattice, s),))
+
+
+def tensor_poly(coeffs, lattices):
+    """The MPoly sum of c F_i(x) F_j(y) over {(i, j): c}."""
+    out = MPoly.zero(2)
+    for (i, j), c in coeffs.items():
+        out = out + basis_poly(lattices[0], i, 0, 2) * basis_poly(lattices[1], j, 1, 2) * c
+    return out
 
 
 def test_f_basis_low_orders():
@@ -58,16 +69,15 @@ def test_basis_relations_under_operators():
 def test_wilson_basis_relations():
     # the Wilson-operator monic basis flips the sign of the g_n and f_n terms
     spec = lo.wilson_square()
-    wb = wilson_fbasis()
     for n in range(1, 5):
-        fn = lambda x: basis_poly(wb, n).eval((x * x,))
+        fn = lambda x: basis_poly(spec, n).eval((x * x,))
         g_n = structure_scalars(n, 0)[1]
         f_n = structure_scalars(n, 0)[0]
         for x in lo.grid_points(spec, 4):
             u = x * x
-            fval = basis_poly(wb, n).eval((u,))
-            prev = basis_poly(wb, n - 1).eval((u,))
-            nxt = basis_poly(wb, n + 1).eval((u,))
+            fval = basis_poly(spec, n).eval((u,))
+            prev = basis_poly(spec, n - 1).eval((u,))
+            nxt = basis_poly(spec, n + 1).eval((u,))
             assert lo.apply_D(spec, fn, x) == n * prev
             assert lo.apply_S(spec, fn, x) == fval - g_n * prev
             assert u * fval == nxt - f_n * fval
@@ -90,9 +100,9 @@ def test_operator_matrix_shapes_and_printed_entries():
     assert m1.M2.data[1][1] == structure_scalars(1, B2)[0]
 
 
-def _ftensor_components(p: BivarPoly):
+def _ftensor_components(coeffs):
     comps = {}
-    for (i, j), c in p.coeffs.items():
+    for (i, j), c in coeffs.items():
         comps.setdefault(i + j, {})[j] = c
     return comps
 
@@ -103,23 +113,23 @@ def _components_to_poly(comps, bases):
         for k, c in vec.items():
             if c:
                 coeffs[(deg - k, k)] = coeffs.get((deg - k, k), 0) + c
-    return BivarPoly(bases, coeffs)
+    return tensor_poly(coeffs, bases)
 
 
 def test_coefficient_space_action_matches_pointwise():
     # E/J/L/M action on tensor-F coefficients == pointwise operators,
     # for total degree <= 5 on a 6x6 grid (36 points)
     rng = random.Random(23)
-    bases = (ftensor(B1), ftensor(B2))
     lx, ly = lo.quadratic(B1), lo.quadratic(B2)
+    bases = (lx, ly)
     coeffs = {}
     for _ in range(12):
         i, j = rng.randint(0, 5), rng.randint(0, 5)
         if i + j <= 5:
             coeffs[(i, j)] = Fraction(rng.randint(-7, 7), rng.randint(1, 4))
     coeffs[(3, 2)] = Fraction(1)
-    p = BivarPoly(bases, coeffs)
-    comps = _ftensor_components(p)
+    p = tensor_poly(coeffs, bases)
+    comps = _ftensor_components(coeffs)
 
     def act(kind):
         out = {}
@@ -167,7 +177,7 @@ def test_coefficient_space_action_matches_pointwise():
 
 def test_h_closed_forms_match_recursive_expansion():
     for beta in (B1, B2, Fraction(0), Fraction(-3, 5)):
-        basis = ftensor(beta)
+        basis = lo.quadratic(beta)
         for n in range(1, 7):
             poly = basis_poly(basis, n)
             assert poly.coeff((n - 1,)) == h_closed_1(n, beta)
@@ -177,14 +187,14 @@ def test_h_closed_forms_match_recursive_expansion():
 
 def test_h_1_0_value():
     assert h_closed_1(1, B1) == (4 * B1 * B1 - 1) / 16
-    poly = basis_poly(ftensor(B1), 1)
+    poly = basis_poly(lo.quadratic(B1), 1)
     assert poly.coeff((0,)) == h_closed_1(1, B1)  # F_1 = x + (4 b^2 - 1)/16
 
 
 def test_u_matrix_band_structure():
     # U_{n,n-1} bands: H^(1) on the diagonal, H^(2) on the subdiagonal
     n = 4
-    u1, u2 = u_matrices(n, ftensor(B1), ftensor(B2))
+    u1, u2 = u_matrices(n, lo.quadratic(B1), lo.quadratic(B2))
     for k in range(n + 1):
         for c in range(n):
             expect = Fraction(0)
@@ -194,7 +204,7 @@ def test_u_matrix_band_structure():
                 expect = h_closed_1(k, B2)
             assert u1.data[k][c] == expect
     # top-left of U_{2,1} is H^(1)_{2,1}
-    u1_small = u_matrices(2, ftensor(B1), ftensor(B2))[0]
+    u1_small = u_matrices(2, lo.quadratic(B1), lo.quadratic(B2))[0]
     assert u1_small.data[0][0] == h_closed_1(2, B1)
     # second subdiagonal structure of U_{n,n-2}
     for k in range(n + 1):
@@ -211,25 +221,44 @@ def test_u_matrix_band_structure():
 
 def test_convert_round_trip():
     rng = random.Random(31)
-    bases = (ftensor(B1), ftensor(B2))
+    bases = (lo.quadratic(B1), lo.quadratic(B2))
     for _ in range(5):
         coeffs = {}
         for _ in range(10):
             i, j = rng.randint(0, 4), rng.randint(0, 4)
             if i + j <= 4:
                 coeffs[(i, j)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-        p = BivarPoly((MONOMIAL, MONOMIAL), coeffs)
-        q = p.convert(bases).convert((MONOMIAL, MONOMIAL))
-        assert q == p
+        p = MPoly(2, coeffs)
+        fcoeffs = to_basis(p, bases)
+        assert tensor_poly(fcoeffs, bases) == p
         # evaluation agrees across representations
         u, v = Fraction(11, 7), Fraction(-4, 5)
-        assert p.eval((u, v)) == p.convert(bases).eval((u, v))
+        assert p.eval((u, v)) == sum(
+            c * basis_poly(bases[0], i).eval((u,)) * basis_poly(bases[1], j).eval((v,))
+            for (i, j), c in fcoeffs.items()
+        )
 
 
 def test_constant_unchanged_in_either_basis():
-    p = BivarPoly((MONOMIAL, MONOMIAL), {(0, 0): Fraction(9, 2)})
-    q = p.convert((ftensor(B1), ftensor(B2)))
-    assert q.coeffs == {(0, 0): Fraction(9, 2)}
+    p = MPoly.const(2, Fraction(9, 2))
+    assert to_basis(p, (lo.quadratic(B1), lo.quadratic(B2))) == {(0, 0): Fraction(9, 2)}
+
+
+def test_to_basis_converts_only_non_linear_axes():
+    p = MPoly(2, {(2, 1): Fraction(3), (1, 0): Fraction(-1, 2), (0, 2): Fraction(5)})
+    same = to_basis(p, (MONOMIAL, MONOMIAL))
+    assert same == p.coeffs and same is not p.coeffs
+    wilson = lo.wilson_square()
+    # only x changes: x^2 = F_2 + (f_0 + f_1) F_1 + f_0^2 on the Wilson nodes
+    f0, f1 = wilson.node(0), wilson.node(1)
+    assert to_basis(p, (wilson, MONOMIAL)) == {
+        (2, 1): Fraction(3),
+        (1, 1): 3 * (f0 + f1),
+        (0, 1): 3 * f0 * f0,
+        (1, 0): Fraction(-1, 2),
+        (0, 0): -f0 / 2,
+        (0, 2): Fraction(5),
+    }
 
 
 def test_falling_product_expansion_in_f_basis():
@@ -269,8 +298,8 @@ def test_interpolation_exactness():
     assert q == p
 
 
-def test_bivarpoly_json():
-    p = BivarPoly((MONOMIAL, MONOMIAL), {(1, 0): Fraction(1, 2), (0, 0): Fraction(3)})
+def test_mpoly_json():
+    p = MPoly(2, {(1, 0): Fraction(1, 2), (0, 0): Fraction(3)})
     assert p.to_json() == [
         {"dx": 0, "dy": 0, "coeff": "3"},
         {"dx": 1, "dy": 0, "coeff": "1/2"},

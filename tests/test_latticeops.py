@@ -34,6 +34,16 @@ def test_lattice_values():
     assert lo.lattice_value(LIN, Fraction(3, 2)) == Fraction(3, 2)
 
 
+def test_basis_nodes():
+    # f_k(beta) = ((2k+1)^2 - 4 beta^2) / 16 on the quadratic lattice,
+    # -f_k(0) on the Wilson lattice, 0 (plain monomials) on the linear one
+    for k in range(4):
+        assert QUAD.node(k) == (Fraction((2 * k + 1) ** 2) - 4 * QUAD.beta ** 2) / 16
+        assert QUAD.node(k) == lo.structure_scalars(k, QUAD.beta)[0]
+        assert WIL.node(k) == -Fraction((2 * k + 1) ** 2, 16)
+        assert LIN.node(k) == 0
+
+
 def test_constants_are_annihilated_and_averaged():
     for spec in (QUAD, WIL, LIN):
         assert lo.apply_D(spec, lambda s: Fraction(5, 3), Fraction(8, 7)) == 0
