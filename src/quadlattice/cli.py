@@ -27,22 +27,6 @@ EXIT_OK = 0
 EXIT_DEGENERATE = 2
 EXIT_MISMATCH = 3
 
-SECOND_ORDER_BY_FAMILY = {
-    fam.RACAH: "racah-x",
-    fam.WILSON: "wilson-x",
-    fam.WILSON_BAR: "wilson-bar-y",
-    fam.CDH: "cdh-x",
-}
-
-DIFFERENCE_FORM_BY_FAMILY = {
-    fam.RACAH: "racah-gi",
-    fam.RACAH_BAR: "racah-gi",
-    fam.WILSON: "wilson-f",
-    fam.WILSON_BAR: "wilson-f",
-    fam.CH: "ch-f",
-    fam.CH_BAR: "ch-f",
-}
-
 
 def _int_at_least(minimum):
     """argparse type: an integer no smaller than ``minimum``; anything else
@@ -214,17 +198,18 @@ def _run(args):
 
     elif args.command in ("verify-second-order", "verify-difference-form"):
         if args.command == "verify-second-order":
-            kinds, what = SECOND_ORDER_BY_FAMILY, "second-order equation"
-            form_residual = pv.second_order_residual
+            what, form_residual, extra = "second-order equation", pv.second_order_residual, ()
+            kind_of = {family: k for k, (family, _, _) in pv.SECOND_ORDER_FORMS.items()}
+            kind = kind_of.get(spec.family)
         else:
-            kinds, what = DIFFERENCE_FORM_BY_FAMILY, "difference form"
-            form_residual = pv.difference_form_residual
-        kind = kinds.get(spec.family)
+            what, form_residual = "difference form", pv.difference_form_residual
+            kind = pv.DIFFERENCE_FORMS.get(fam.base_family(spec.family))
+            # the Wilson and continuous Hahn forms read the printed table,
+            # which depends only on the parameters: build it once per command
+            # (racah-gi ignores it)
+            extra = (pv.coefficients(spec),) if kind else ()
         if kind is None:
             raise ValueError(f"no printed {what} for {spec.family}")
-        # the Wilson and continuous Hahn forms read the printed table, which
-        # depends only on the parameters: build it once per command
-        extra = (pv.coefficients(spec),) if kind in ("wilson-f", "ch-f") else ()
         report["kind"] = kind
         report["results"] = _pass_records(
             spec,
@@ -292,14 +277,7 @@ def _run(args):
         ]
 
     elif args.command == "connect":
-        pair = {
-            fam.RACAH: fam.RACAH_BAR,
-            fam.RACAH_BAR: fam.RACAH,
-            fam.WILSON: fam.WILSON_BAR,
-            fam.WILSON_BAR: fam.WILSON,
-            fam.CH: fam.CH_BAR,
-            fam.CH_BAR: fam.CH,
-        }.get(spec.family)
+        pair = fam.PAIR.get(spec.family)
         if pair is None:
             raise ValueError(f"no second family to connect for {spec.family}")
         n = args.n

@@ -50,7 +50,8 @@ class DegenerateParameterError(ValueError):
     """A hypergeometric denominator Pochhammer vanishes before truncation."""
 
 
-def _check_lower(pairs, n):
+def check_lower(pairs, n):
+    """Reject the (name, a) pairs whose denominator Pochhammer (a)_n vanishes."""
     for name, a in pairs:
         if n and not pochhammer(a, n):
             j = next(j for j in range(n) if not (a + j))
@@ -99,7 +100,7 @@ def racah_uni(n, alpha, beta, gamma, delta, s):
     Degree 2n in s and degree n in the lattice s(s+gamma+delta+1).
     """
     a1, bd1, g1 = alpha + 1, beta + delta + 1, gamma + 1
-    _check_lower([("alpha+1", a1), ("beta+delta+1", bd1), ("gamma+1", g1)], n)
+    check_lower([("alpha+1", a1), ("beta+delta+1", bd1), ("gamma+1", g1)], n)
     uppers = (-n, n + alpha + beta + 1, -s, s + gamma + delta + 1)
     return demote(_terminating_sum(n, uppers, (a1, bd1, g1)))
 
@@ -108,7 +109,7 @@ def racah_uni(n, alpha, beta, gamma, delta, s):
 def wilson_uni(n, a, b, c, d, x):
     """Wilson polynomial w_n(x^2; a, b, c, d); an even function of x."""
     ab, ac, ad = a + b, a + c, a + d
-    _check_lower([("a+b", ab), ("a+c", ac), ("a+d", ad)], n)
+    check_lower([("a+b", ab), ("a+c", ac), ("a+d", ad)], n)
     uppers = (-n, n + a + b + c + d - 1, a + I * x, a - I * x)
     return demote(_terminating_sum(n, uppers, (ab, ac, ad)))
 
@@ -117,7 +118,7 @@ def wilson_uni(n, a, b, c, d, x):
 def cdh_uni(n, a, b, c, x):
     """Continuous dual Hahn polynomial d_n(a, b, c | x), even in x."""
     ab, ac = a + b, a + c
-    _check_lower([("a+b", ab), ("a+c", ac)], n)
+    check_lower([("a+b", ab), ("a+c", ac)], n)
     uppers = (-n, a + I * x, a - I * x)
     return demote(_terminating_sum(n, uppers, (ab, ac)))
 
@@ -126,7 +127,7 @@ def cdh_uni(n, a, b, c, x):
 def ch_uni(n, a, b, c, d, x):
     """Continuous Hahn polynomial h_n(a, b, c, d | x) with the i^n prefactor."""
     ab, ad = a + b, a + d
-    _check_lower([("a+b", ab), ("a+d", ad)], n)
+    check_lower([("a+b", ab), ("a+d", ad)], n)
     uppers = (-n, n + a + b + c + d - 1, a + I * x)
     return demote(I ** n * _terminating_sum(n, uppers, (ab, ad)))
 
@@ -216,14 +217,22 @@ CH = "ch"
 CH_BAR = "ch-bar"
 CH_TRI = "ch-tri"
 
+# Each second family shares its base family's parameters, its equation and
+# its S_n/T_n closed forms; the connection problem links the two.
+BASE = {RACAH_BAR: RACAH, WILSON_BAR: WILSON, CH_BAR: CH}
+PAIR = {**BASE, **{base: bar for bar, base in BASE.items()}}
+
+
+def base_family(family):
+    """The family whose parameters, equation and S_n/T_n forms this one uses."""
+    return BASE.get(family, family)
+
+
 PARAM_NAMES = {
     RACAH: ("beta0", "beta1", "beta2", "beta3", "N"),
-    RACAH_BAR: ("beta0", "beta1", "beta2", "beta3", "N"),
     WILSON: ("a", "b", "c", "d", "e2"),
-    WILSON_BAR: ("a", "b", "c", "d", "e2"),
     CDH: ("a", "b", "c", "e2"),
     CH: ("a1", "e2", "a3", "b1", "b3"),
-    CH_BAR: ("a1", "e2", "a3", "b1", "b3"),
     CH_TRI: ("a1", "e2", "e3", "a4", "b1", "b4"),
 }
 
@@ -266,11 +275,11 @@ DEFAULT_PARAMS = {
         "b4": Fraction(5, 11),
     },
 }
-DEFAULT_PARAMS[RACAH_BAR] = DEFAULT_PARAMS[RACAH]
-DEFAULT_PARAMS[WILSON_BAR] = DEFAULT_PARAMS[WILSON]
-DEFAULT_PARAMS[CH_BAR] = DEFAULT_PARAMS[CH]
 
-ALL_FAMILIES = tuple(PARAM_NAMES)
+ALL_FAMILIES = (RACAH, RACAH_BAR, WILSON, WILSON_BAR, CDH, CH, CH_BAR, CH_TRI)
+# a second family reads its base family's rows
+PARAM_NAMES = {f: PARAM_NAMES[base_family(f)] for f in ALL_FAMILIES}
+DEFAULT_PARAMS = {f: DEFAULT_PARAMS[base_family(f)] for f in ALL_FAMILIES}
 
 
 class FamilySpec:
@@ -321,14 +330,15 @@ class FamilySpec:
         return FamilySpec(self.family, params)
 
     def lattices(self):
-        if self.family in (RACAH, RACAH_BAR):
+        base = base_family(self.family)
+        if base == RACAH:
             return (
                 quadratic(self.params["beta1"], "x"),
                 quadratic(self.params["beta2"], "y"),
             )
-        if self.family in (WILSON, WILSON_BAR, CDH):
+        if base in (WILSON, CDH):
             return (wilson_square("x"), wilson_square("y"))
-        if self.family == CH_TRI:
+        if base == CH_TRI:
             return (linear("x"), linear("y"), linear("z"))
         return (linear("x"), linear("y"))
 
@@ -448,8 +458,7 @@ def _eval_cached(spec_key, label, point):
     # looked up per call, so that patched module attributes are honoured
     uni = {"racah": racah_uni, "wilson": wilson_uni, "cdh": cdh_uni, "ch": ch_uni}
     value = _multiply(uni, _factors(family, p, label, point))
-    real_family = family in (RACAH, RACAH_BAR, WILSON, WILSON_BAR, CDH)
-    if real_family and all(imag_part(v) == 0 for v in point):
+    if base_family(family) in (RACAH, WILSON, CDH) and all(imag_part(v) == 0 for v in point):
         if imag_part(value) != 0:
             raise ArithmeticError(
                 f"{family} value at {point} came out non-real: {value}"
@@ -489,15 +498,8 @@ def family_function(spec, label):
 # derivative ladders
 # ---------------------------------------------------------------------------
 
-LADDER_DIRECTION = {
-    RACAH: 0,
-    RACAH_BAR: 1,
-    WILSON: 0,
-    WILSON_BAR: 1,
-    CDH: 0,
-    CH: 0,
-    CH_BAR: 1,
-}
+# a second family's printed ladder differentiates in its second variable
+LADDER_DIRECTION = {f: int(f in BASE) for f in ALL_FAMILIES if f != CH_TRI}
 
 
 def ladder_parts(spec: FamilySpec, label):

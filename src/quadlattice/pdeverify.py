@@ -11,8 +11,9 @@ the mixed operators
 where the entry 2 stands for D^2 in that variable and the entry 1 for SD;
 the sixth-order trivariate table lists twenty-six such polynomials over the
 cube {0,1,2}^3.  A table's residual on a family member must vanish at every
-nonsingular grid point, and a grid of (d+3)^2 points of distinct lattice
-values promotes the pointwise zeros to a polynomial identity.
+nonsingular grid point; on a member of total degree k, a tensor grid of
+k + 1 distinct lattice values per axis promotes the pointwise zeros to a
+polynomial identity (see :func:`verify_table`).
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from .exactfield import GaussianRational, demote, field_str, gauss
 from .families import (
     CDH,
     CH,
-    CH_BAR,
     CH_TRI,
     RACAH,
-    RACAH_BAR,
     WILSON,
     WILSON_BAR,
     FamilySpec,
+    base_family,
     check_label,
     check_point,
     family_function,
@@ -44,7 +44,7 @@ from .latticeops import (
     lattice_value,
     shifted_points,
 )
-from .matrix import ExactMatrix, exact_inverse
+from .matrix import ExactMatrix, solve_stacked
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -672,14 +672,12 @@ def ch_tri_table(params):
     return coeffs, lam
 
 
+# keyed by base family: a second family solves its base family's equation
 _TABLE_BUILDERS = {
     RACAH: racah_table,
-    RACAH_BAR: racah_table,
     WILSON: wilson_table,
-    WILSON_BAR: wilson_table,
     CDH: cdh_table,
     CH: ch_table,
-    CH_BAR: ch_table,
     CH_TRI: ch_tri_table,
 }
 
@@ -687,7 +685,7 @@ _TABLE_BUILDERS = {
 def coefficients(spec: FamilySpec) -> CoeffTable:
     """The printed coefficient table of the equation the family solves: the
     builder's f_i and eigenvalue on the family's lattices."""
-    coeffs, eigenvalue = _TABLE_BUILDERS[spec.family](spec.params)
+    coeffs, eigenvalue = _TABLE_BUILDERS[base_family(spec.family)](spec.params)
     return CoeffTable(coeffs, eigenvalue, spec.lattices())
 
 
@@ -825,78 +823,67 @@ def derivative_function(spec: FamilySpec, label, direction):
 # second-order equations
 # ---------------------------------------------------------------------------
 
+# Each printed second-order equation acts in one variable, lambda P +
+# phi D^2 P + tau S D P = 0; a form gives (phi, tau, lambda) from the
+# parameters, the label's entry n in that variable and the lattice point.
+
+def _racah_x(p, n, x, y):
+    b0, b1, b2 = p["beta0"], p["beta1"], p["beta2"]
+    phi = -x * x + x * y + (b0 * b2 - b1 * (b2 + b0) / 2) * x + b1 * (b1 - b0) / 2 * y
+    return phi, (b0 - b2) * x + (b1 - b0) * y, n * (b2 - b0 + n - 1)
+
+
+def _wilson_x(p, n, x, y):
+    a, b, e2 = p["a"], p["b"], p["e2"]
+    phi = (
+        x * x - x * y + (-2 * a * e2 - b * a - 2 * b * e2 - e2 * e2) * x
+        + a * b * y + a * b * e2 * e2
+    )
+    tau = (a + 2 * e2 + b) * x - (a + b) * y - (2 * b * a * e2 + b * e2 * e2 + a * e2 * e2)
+    return phi, tau, -n * (n - 1 + a + b + 2 * e2)
+
+
+def _wilson_bar_y(p, n, x, y):
+    c, d, e2 = p["c"], p["d"], p["e2"]
+    phi = (
+        -x * y + y * y + c * d * x + (-2 * c * e2 - d * c - 2 * d * e2 - e2 * e2) * y
+        + c * d * e2 * e2
+    )
+    tau = (-c - d) * x + (c + 2 * e2 + d) * y - (d * e2 * e2 + 2 * d * c * e2 + c * e2 * e2)
+    return phi, tau, -n * (n - 1 + c + d + 2 * e2)
+
+
+def _cdh_x(p, n, x, y):
+    a, e2 = p["a"], p["e2"]
+    phi = (-a - 2 * e2) * x + a * y + a * e2 * e2
+    return phi, x - y - (2 * a * e2 + e2 * e2), Fraction(-n)
+
+
+# kind -> (family, variable, (params, n, x, y) -> (phi, tau, lambda))
+SECOND_ORDER_FORMS = {
+    "racah-x": (RACAH, 0, _racah_x),
+    "wilson-x": (WILSON, 0, _wilson_x),
+    "wilson-bar-y": (WILSON_BAR, 1, _wilson_bar_y),
+    "cdh-x": (CDH, 0, _cdh_x),
+}
+
+
 def second_order_residual(kind, spec: FamilySpec, label, point):
     """LHS of the printed second-order divided-difference equation."""
     label = check_label(spec, label)
     point = check_point(spec, point)
-    p = spec.params
-    x, y = _xy()
-    if kind == "racah-x":
-        if spec.family != RACAH:
-            raise ValueError("racah-x applies to the racah family")
-        b0, b1, b2 = p["beta0"], p["beta1"], p["beta2"]
-        phi = (
-            -(x ** 2)
-            + x * y
-            + (b0 * b2 - b1 * (b2 + b0) / 2) * x
-            + b1 * (b1 - b0) / 2 * y
-        )
-        tau = (b0 - b2) * x + (b1 - b0) * y
-        lam = label[0] * (b2 - b0 + label[0] - 1)
-        var = 0
-    elif kind == "wilson-x":
-        if spec.family != WILSON:
-            raise ValueError("wilson-x applies to the wilson family")
-        a, b, e2 = p["a"], p["b"], p["e2"]
-        phi = (
-            x ** 2
-            - x * y
-            + (-2 * a * e2 - b * a - 2 * b * e2 - e2 * e2) * x
-            + a * b * y
-            + MPoly.const(2, a * b * e2 * e2)
-        )
-        tau = (
-            (a + 2 * e2 + b) * x
-            - (a + b) * y
-            - MPoly.const(2, 2 * b * a * e2 + b * e2 * e2 + a * e2 * e2)
-        )
-        lam = -label[0] * (label[0] - 1 + a + b + 2 * e2)
-        var = 0
-    elif kind == "wilson-bar-y":
-        if spec.family != WILSON_BAR:
-            raise ValueError("wilson-bar-y applies to the wilson-bar family")
-        c, d, e2 = p["c"], p["d"], p["e2"]
-        phi = (
-            -x * y
-            + y ** 2
-            + c * d * x
-            + (-2 * c * e2 - d * c - 2 * d * e2 - e2 * e2) * y
-            + MPoly.const(2, c * d * e2 * e2)
-        )
-        tau = (
-            (-c - d) * x
-            + (c + 2 * e2 + d) * y
-            - MPoly.const(2, d * e2 * e2 + 2 * d * c * e2 + c * e2 * e2)
-        )
-        lam = -label[1] * (label[1] - 1 + c + d + 2 * e2)
-        var = 1
-    elif kind == "cdh-x":
-        if spec.family != CDH:
-            raise ValueError("cdh-x applies to the cdh family")
-        a, e2 = p["a"], p["e2"]
-        phi = (-a - 2 * e2) * x + a * y + MPoly.const(2, a * e2 * e2)
-        tau = x - y - MPoly.const(2, 2 * a * e2 + e2 * e2)
-        lam = Fraction(-label[0])
-        var = 0
-    else:
+    if kind not in SECOND_ORDER_FORMS:
         raise ValueError(f"unknown second-order kind {kind!r}")
-
+    family, var, form = SECOND_ORDER_FORMS[kind]
+    if spec.family != family:
+        raise ValueError(f"{kind} applies to the {family} family")
     lattices = spec.lattices()
     latpt = tuple(lattice_value(l, v) for l, v in zip(lattices, point))
+    phi, tau, lam = form(spec.params, label[var], *latpt)
     terms = (
         (lam, (0, 0)),
-        (phi.eval(latpt), tuple(2 if i == var else 0 for i in range(2))),
-        (tau.eval(latpt), tuple(1 if i == var else 0 for i in range(2))),
+        (phi, tuple(2 if i == var else 0 for i in range(2))),
+        (tau, tuple(1 if i == var else 0 for i in range(2))),
     )
     return PointStencils(lattices, point).apply(terms, family_function(spec, label))
 
@@ -1087,6 +1074,10 @@ def ch_f_stencil(table: CoeffTable, label, x, y):
     }
 
 
+# base family -> kind of its printed nine-term form; a second family shares it
+DIFFERENCE_FORMS = {RACAH: "racah-gi", WILSON: "wilson-f", CH: "ch-f"}
+
+
 def difference_form_residual(kind, spec: FamilySpec, label, point, table=None):
     """The nine-term stencil sum at the point; exactly 0 on family members.
 
@@ -1095,23 +1086,17 @@ def difference_form_residual(kind, spec: FamilySpec, label, point, table=None):
     """
     label = check_label(spec, label)
     point = check_point(spec, point)
+    if kind not in DIFFERENCE_FORMS.values():
+        raise ValueError(f"unknown difference form {kind!r}")
+    if DIFFERENCE_FORMS.get(base_family(spec.family)) != kind:
+        raise ValueError(f"{kind} does not apply to the {spec.family} family")
     if kind == "racah-gi":
-        if spec.family not in (RACAH, RACAH_BAR):
-            raise ValueError("racah-gi applies to the racah families")
         stencil = racah_gi_stencil(spec.params, label, *point)
         step = Fraction(1)
-    elif kind == "wilson-f":
-        if spec.family not in (WILSON, WILSON_BAR):
-            raise ValueError("wilson-f applies to the wilson families")
-        stencil = wilson_f_stencil(table or coefficients(spec), label, *point)
-        step = II
-    elif kind == "ch-f":
-        if spec.family not in (CH, CH_BAR):
-            raise ValueError("ch-f applies to the continuous Hahn families")
-        stencil = ch_f_stencil(table or coefficients(spec), label, *point)
-        step = II
     else:
-        raise ValueError(f"unknown difference form {kind!r}")
+        builder = wilson_f_stencil if kind == "wilson-f" else ch_f_stencil
+        stencil = builder(table or coefficients(spec), label, *point)
+        step = II
 
     f = family_function(spec, label)
     total = Fraction(0)
@@ -1171,8 +1156,7 @@ def recover_coefficients(params, label=(1, 1)):
             cvec = [gi.get(off, Fraction(0)) for off in OFFSETS_3X3]
             m = operator_to_shift_matrix(lattices, (s, t))
             # solve g^T M = c  <=>  M^T g = c
-            g = exact_inverse(m.transpose()).apply_rows(cvec)
-            samples[(i, j)] = g
+            samples[(i, j)] = solve_stacked(m.transpose(), cvec)
 
     polys = []
     for idx in range(9):
@@ -1208,10 +1192,10 @@ def compare_tables(table_a: CoeffTable, table_b: CoeffTable):
 # ---------------------------------------------------------------------------
 
 def residual_grid(spec: FamilySpec, label, size=None, offset=Fraction(1, 7)):
-    """Tensor grid of nonsingular points sized (d+3) per axis, where d is
-    the residual's total degree bound (family degree + 2)."""
-    d = sum(check_label(spec, label)) + 2
-    size = size if size is not None else d + 3
+    """Axes of a tensor grid of nonsingular points, ``size`` lattice values
+    per axis; by default |label| + 5, four more than the table residual's
+    degree bound (see :func:`verify_table`) asks for."""
+    size = size if size is not None else sum(check_label(spec, label)) + 5
     lattices = spec.lattices()
     axes = [
         grid_points(lat, size, origin=1 + k, offset=offset)
@@ -1250,7 +1234,18 @@ def verify_table(spec: FamilySpec, max_total_degree, grid_size=None, table=None)
 
     Returns a list of {label, points, pass} reports; residuals are exact
     zeros or the sweep reports failure with a witness.
+
+    The residual sum f_i E_i P + lambda P of a member P of total degree k
+    has total degree <= k in the lattice variables, since deg f_i <= |l_i|
+    (``CoeffTable`` checks it) and E_l lowers the degree by |l|.  It is
+    therefore zero once it vanishes on a tensor grid of k + 1 distinct
+    lattice values per axis, and a smaller ``grid_size`` proves nothing.
     """
+    if grid_size is not None and grid_size <= max_total_degree:
+        raise ValueError(
+            f"grid size {grid_size} is no proof at total degree {max_total_degree}:"
+            f" a residual of total degree k needs k + 1 lattice values per axis"
+        )
     if table is None:
         table = coefficients(spec)
     # each label's grid is a prefix of the next one's, and the table stencil

@@ -31,6 +31,8 @@ from .families import (
     WILSON_BAR,
     DegenerateParameterError,
     FamilySpec,
+    base_family,
+    check_lower,
     eval_family,
 )
 from .fbasis import (
@@ -82,7 +84,7 @@ def working_bases(spec: FamilySpec):
     monomial-basis expansions (the derivation route is the arbiter here), so
     those three use plain monomials and need no U-matrix corrections.
     """
-    if spec.family in (RACAH, RACAH_BAR):
+    if base_family(spec.family) == RACAH:
         return spec.lattices()
     return (MONOMIAL, MONOMIAL)
 
@@ -140,7 +142,7 @@ def sn_tn(family, params, n):
     """The printed closed-form S_n ((n+1) x n) and T_n ((n+1) x (n-1))."""
     if n < 1:
         raise ValueError("S_n needs n >= 1")
-    skk, sk1k, tkk, tk1k, tk2k = _ST_ENTRIES[_st_key(family)]
+    skk, sk1k, tkk, tk1k, tk2k = _ST_ENTRIES[base_family(family)]
     s = ExactMatrix.zero(n + 1, n)
     for k in range(1, n + 1):
         s[k - 1, k - 1] = skk(params, n, k)
@@ -151,16 +153,6 @@ def sn_tn(family, params, n):
         t[k, k - 1] = tk1k(params, n, k)
         t[k + 1, k - 1] = tk2k(params, n, k)
     return s, t
-
-
-def _st_key(family):
-    if family in (RACAH, RACAH_BAR):
-        return RACAH
-    if family in (WILSON, WILSON_BAR):
-        return WILSON
-    if family in (CH, CH_BAR):
-        return CH
-    return CDH
 
 
 def _racah_skk(p, n, k):
@@ -855,6 +847,7 @@ def leading_matrix(family, params, n) -> ExactMatrix:
     out = ExactMatrix.zero(n + 1, n + 1)
     if family == RACAH:
         b0, b1, b2, b3 = p["beta0"], p["beta1"], p["beta2"], p["beta3"]
+        check_lower([("beta1-beta0", b1 - b0)], n)
         for i in range(n + 1):
             for j in range(n + 1):
                 val = (

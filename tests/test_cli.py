@@ -63,6 +63,26 @@ PINNED_REPORTS = [
      "c1744678a2694ddf3d06a741feacde1f68d7467dcb2cb637868a099edf355c93"),
     (["verify-second-order", "--family", "ch", "--max-total-degree", "0"], 2,
      "4b1b765768323b648e8dcead01c462156dfc20ca4e3f224f59f4f56e94a97605"),
+    # the printed-form kinds and the base/second family pairing, on every
+    # route that looks them up
+    (["verify-second-order", "--family", "racah", "--max-total-degree", "1"], 0,
+     "c391e697a45c468618c18f7199f12b50c6562e07923a730a2d8c21c2091456db"),
+    (["verify-second-order", "--family", "wilson-bar", "--max-total-degree", "1"], 0,
+     "e4dc4e0de8150736cf7820575e36829ffc101ab3b7642d4bab7bf2ce40e02377"),
+    (["verify-second-order", "--family", "cdh", "--max-total-degree", "1"], 0,
+     "9bb07f5b3d793296a8371cdecb71a51f7aedd7339d1539dd2792a90ce42846db"),
+    (["verify-difference-form", "--family", "racah-bar", "--max-total-degree", "1",
+      "--grid-size", "3"], 0,
+     "7af5368d696b3a4e0af4930809666b8ebb491a004542e03a5aefffc61b75ee85"),
+    (["verify-difference-form", "--family", "wilson-bar", "--max-total-degree", "1",
+      "--grid-size", "3"], 0,
+     "4d34e43dd3f2c02bdf45ec6ecab36fe6342211718f6b9b47b404d97be87825c3"),
+    (["connect", "--family", "racah", "--n", "2"], 0,
+     "d7bfdcaf52cdcc5259154d468cbebdbd20df6d37d791f040b957108dd9246bbf"),
+    (["connect", "--family", "wilson", "--n", "2"], 0,
+     "4cdecd9ec3ac9780a717d6ef13b9dc2c46494095f2bad4b875464a9b51587e1e"),
+    (["ttrr", "--family", "ch-bar", "--n", "2"], 0,
+     "729c03f47fdb37e4da82cb9ba77d0ccb65e7825ce178527071817b9295767e5e"),
 ]
 
 
@@ -168,6 +188,30 @@ def test_degenerate_parameters_exit_2():
     )
     assert code == EXIT_DEGENERATE
     assert "denominator parameter" in report["error"]
+
+
+@pytest.mark.parametrize("command", ["ttrr", "generate", "connect"])
+def test_degenerate_leading_matrix_exits_2(command):
+    # beta1 = beta0 makes the leading matrix divide by (beta1 - beta0)_k
+    degree = ["--upto", "2"] if command == "generate" else ["--n", "2"]
+    code, report = run([command, "--family", "racah", *degree, "--param", "beta1=1/5"])
+    assert code == EXIT_DEGENERATE
+    assert report["error"] == "denominator parameter beta1-beta0 = 0 hits zero at shift 0"
+
+
+def test_grid_size_at_or_below_degree_exits_2():
+    # a residual of total degree k needs k + 1 lattice values per axis
+    for argv in (["verify-pde", "--family", "racah", "--max-total-degree", "2", "--grid-size", "2"],
+                 ["verify-pde", "--family", "racah", "--max-total-degree", "2", "--grid-size", "1"],
+                 ["verify-trivariate", "--max-total-degree", "3"]):
+        code, report = run(argv)
+        assert code == EXIT_DEGENERATE, argv
+        assert "results" not in report
+        assert "k + 1 lattice values per axis" in report["error"]
+    code, report = run(["verify-pde", "--family", "racah", "--max-total-degree", "2",
+                        "--grid-size", "3"])
+    assert code == EXIT_OK
+    assert [r["points"] for r in report["results"]] == [9] * 6
 
 
 def test_trivariate_has_no_recurrence_machinery():

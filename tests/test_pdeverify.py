@@ -457,8 +457,19 @@ def test_second_order_zero_degree_is_trivial():
 
 
 def test_second_order_wrong_family_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="racah-x applies to the racah family"):
         pv.second_order_residual("racah-x", fam.FamilySpec(fam.WILSON), (1, 0), PTS2[0])
+    with pytest.raises(ValueError, match="unknown second-order kind"):
+        pv.second_order_residual("ch-x", fam.FamilySpec(fam.CH), (1, 0), PTS2[0])
+
+
+def test_difference_form_wrong_family_rejected():
+    # a second family shares its base family's difference form, no other
+    for kind, name in (("wilson-f", fam.RACAH_BAR), ("ch-f", fam.WILSON_BAR), ("racah-gi", fam.CDH)):
+        with pytest.raises(ValueError, match=f"{kind} does not apply to the {name} family"):
+            pv.difference_form_residual(kind, fam.FamilySpec(name), (1, 1), PTS2[0])
+    with pytest.raises(ValueError, match="unknown difference form"):
+        pv.difference_form_residual("cdh-f", fam.FamilySpec(fam.CDH), (1, 1), PTS2[0])
 
 
 # -- difference (stencil) forms ------------------------------------------------------

@@ -63,7 +63,7 @@ def test_printed_st_match_derivation_route():
     # the cross-validation that arbitrates the long printed closed forms,
     # run at two unrelated generic parameter sets
     for name in ttrr.TTRR_FAMILIES:
-        for params in (None, ALT_PARAMS[ttrr._st_key(name)]):
+        for params in (None, ALT_PARAMS[fam.base_family(name)]):
             spec = fam.FamilySpec(name, params=params)
             for n in range(1, 5):
                 sd, td = ttrr.sn_tn_derived(spec, n)
@@ -263,7 +263,7 @@ def test_monic_family_relation_p_equals_gnn_phat():
 
 def test_leading_matrices_match_interpolation_oracle():
     for name in ttrr.TTRR_FAMILIES:
-        for params in (None, ALT_PARAMS[ttrr._st_key(name)]):
+        for params in (None, ALT_PARAMS[fam.base_family(name)]):
             spec = fam.FamilySpec(name, params=params)
             for n in range(4):
                 closed = ttrr.leading_matrix(name, spec.params, n)
