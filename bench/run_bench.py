@@ -21,6 +21,14 @@ Layers timed:
       total degree <= 2 (<= 0 with ``--quick``) and for ch-tri at degree 0
       on a 2-point grid, with the family caches cleared before every
       repeat and the printed table built outside the timed call.
+  L4  exact linear algebra on the inputs the proofs hand it: every
+      ``exact_inverse`` (the G-matrix inverses), ``ExactMatrix.rank`` (the
+      rank conditions on A_n and C_n) and ``solve_stacked`` (the stacked
+      recurrence steps, with polynomial right-hand sides) that
+      ``generate(spec, 4, leading)`` (upto 2 with ``--quick``) makes for the
+      seven recurrence families with monic and family leading matrices,
+      and the 36 systems M^T g = c that ``recover_coefficients`` solves,
+      each input recorded once before the timing.
 
 Every input is fixed (drawn from a seeded ``random.Random``), so two runs
 on the same machine time the same work.  Each entry reports the operation
@@ -51,6 +59,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from quadlattice import families as fam  # noqa: E402
 from quadlattice import pdeverify, ttrr  # noqa: E402
 from quadlattice.exactfield import GaussianRational  # noqa: E402
+from quadlattice.matrix import ExactMatrix, exact_inverse, solve_stacked  # noqa: E402
 
 SCHEMA = "quadlattice-bench/1"
 
@@ -192,6 +201,52 @@ def _l3_entries(degree):
     return out
 
 
+def _recorded(owner, name, run):
+    """Run ``run()`` with ``owner.name`` wrapped to record its arguments;
+    returns the recorded argument tuples."""
+    original = getattr(owner, name)
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    setattr(owner, name, recording)
+    try:
+        run()
+    finally:
+        setattr(owner, name, original)
+    return calls
+
+
+def _l4_entries(upto):
+    """ops is the number of eliminations in one repeat."""
+
+    def generate_all():
+        for name in ttrr.TTRR_FAMILIES:
+            for leading in ("monic", "family"):
+                ttrr.generate(fam.FamilySpec(name), upto, leading)
+
+    inverses = _recorded(ttrr, "exact_inverse", generate_all)
+    ranks = _recorded(ExactMatrix, "rank", generate_all)
+    steps = _recorded(ttrr, "solve_stacked", generate_all)
+    recovery = _recorded(
+        pdeverify,
+        "solve_stacked",
+        lambda: pdeverify.recover_coefficients(fam.FamilySpec(fam.RACAH).params),
+    )
+
+    def loop(fn, calls):
+        return lambda: [fn(*args) for args in calls], len(calls)
+
+    return {
+        "L4.exact_inverse.generate": loop(exact_inverse, inverses),
+        "L4.rank.generate": loop(ExactMatrix.rank, ranks),
+        "L4.solve_stacked.generate": loop(solve_stacked, steps),
+        "L4.solve_stacked.recovery": loop(solve_stacked, recovery),
+    }
+
+
 def measure(entries, repeats):
     results = {}
     for name, (job, ops) in entries.items():
@@ -236,14 +291,15 @@ def main(argv=None):
     parser.add_argument("--baseline", type=Path, default=None,
                         help="an earlier run's JSON to embed and compare against")
     args = parser.parse_args(argv)
-    repeats, size, points, degree, oracle_degree = (
-        (3, 200, 4, 0, 1) if args.quick else (25, 2000, 40, 2, 3)
+    repeats, size, points, degree, oracle_degree, upto = (
+        (3, 200, 4, 0, 1, 2) if args.quick else (25, 2000, 40, 2, 3, 4)
     )
 
     entries = dict(_l0_entries(size))
     entries.update(_l1_entries(points))
     entries.update(_l2_entries(oracle_degree))
     entries.update(_l3_entries(degree))
+    entries.update(_l4_entries(upto))
     result = {
         "schema": SCHEMA,
         "environment": environment(repeats),

@@ -198,6 +198,9 @@ def _run(args):
 
     elif args.command in ("verify-second-order", "verify-difference-form"):
         if args.command == "verify-second-order":
+            # a PASS is a proof; the nine-term difference forms have rational
+            # coefficients and no degree bound, so they stay a spot check
+            pv.check_proof_grid(args.max_total_degree, args.grid_size)
             what, form_residual, extra = "second-order equation", pv.second_order_residual, ()
             kind_of = {family: k for k, (family, _, _) in pv.SECOND_ORDER_FORMS.items()}
             kind = kind_of.get(spec.family)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactfield import GaussianRational, demote
-from .latticeops import LatticeSpec, linear, structure_scalars
+from .latticeops import LatticeSpec, grid_points, lattice_value, linear, structure_scalars
 from .matrix import ExactMatrix
 
 
@@ -437,3 +437,19 @@ def interpolate_bivariate(xnodes, ynodes, value_at) -> MPoly:
             if c:
                 out[(ideg, jdeg)] = c
     return MPoly(2, out)
+
+
+def interpolate_on_grid(lattices, count, sample):
+    """The oracle grid: ``count`` lattice points per axis (origins 1 and 2)
+    of the two ``lattices``; ``sample(point)`` returns a list of values at
+    a grid point, and the k-th returned MPoly interpolates the k-th values
+    in the lattice variables."""
+    svals = grid_points(lattices[0], count, origin=1)
+    tvals = grid_points(lattices[1], count, origin=2)
+    xnodes = [lattice_value(lattices[0], s) for s in svals]
+    ynodes = [lattice_value(lattices[1], t) for t in tvals]
+    samples = [[sample((s, t)) for t in tvals] for s in svals]
+    return [
+        interpolate_bivariate(xnodes, ynodes, lambda i, j, _k=k: samples[i][j][_k])
+        for k in range(len(samples[0][0]))
+    ]

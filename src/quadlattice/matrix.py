@@ -1,11 +1,13 @@
 """Dense matrices over an exact field (rationals or Gaussian rationals).
 
-Elimination is plain Gaussian elimination with exact field division; with
-Fraction / GaussianRational entries every step is exact, so inverses and
-ranks carry no rounding.  Right-hand sides in :func:`solve_stacked` may be
-any values supporting addition and multiplication by field scalars (in
-particular, polynomials), which is how the recurrence solver feeds vectors
-of polynomials through an exact linear solve.
+One Gauss-Jordan elimination (:func:`_reduce`) with exact field division
+lies behind :meth:`ExactMatrix.rank`, :func:`exact_inverse` (it reduces
+[A | I]) and :func:`solve_stacked` (it reduces [A | rhs]); with Fraction /
+GaussianRational entries every step is exact, so ranks, inverses and
+solutions carry no rounding.  Right-hand sides may be any values supporting
+addition and multiplication by field scalars (in particular, polynomials),
+which is how the recurrence solver feeds vectors of polynomials through an
+exact linear solve.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
     def __add__(self, other):
-        self._shape_check(other, same=True)
+        self._shape_check(other)
         return ExactMatrix(
             [
                 [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
@@ -81,7 +83,7 @@ class ExactMatrix:
         )
 
     def __sub__(self, other):
-        self._shape_check(other, same=True)
+        self._shape_check(other)
         return ExactMatrix(
             [
                 [self.data[i][j] - other.data[i][j] for j in range(self.cols)]
@@ -151,25 +153,7 @@ class ExactMatrix:
         return out
 
     def rank(self):
-        m = [row[:] for row in self.data]
-        r = 0
-        for col in range(self.cols):
-            pivot = None
-            for i in range(r, self.rows):
-                if m[i][col]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            for i in range(r + 1, self.rows):
-                if m[i][col]:
-                    factor = m[i][col] / m[r][col]
-                    m[i] = [m[i][j] - factor * m[r][j] for j in range(self.cols)]
-            r += 1
-            if r == self.rows:
-                break
-        return r
+        return len(_reduce([row[:] for row in self.data], self.cols))
 
     def to_json(self):
         return {
@@ -178,37 +162,58 @@ class ExactMatrix:
             "data": [[field_str(x) for x in row] for row in self.data],
         }
 
-    def _shape_check(self, other, same=False):
-        if same and (self.rows != other.rows or self.cols != other.cols):
+    def _shape_check(self, other):
+        if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
 
+def _reduce(rows, width):
+    """Gauss-Jordan elimination of augmented ``rows`` in place.
+
+    Pivots are searched in the first ``width`` columns only, which hold
+    field scalars; the entries after them need only ``+`` and multiplication
+    by a scalar, so polynomial right-hand sides ride along.  On return the
+    k-th row holds the pivot of the k-th returned column, scaled to one, and
+    every other row is zero in that column.  Returns the pivot columns.
+    """
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        # the pivot row is zero left of col, and a zero entry changes
+        # nothing: only the nonzero entries of its tail take part
+        inv = 1 / rows[r][col]
+        tail = [inv * x if x else x for x in rows[r][col:]]
+        rows[r] = rows[r][:col] + tail
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = -row[col]
+                rows[i] = row[:col] + [
+                    x + f * y if y else x for x, y in zip(row[col:], tail)
+                ]
+        pivots.append(col)
+    return pivots
+
+
+def _first_missing(pivots, width):
+    """The first of ``width`` columns that has no pivot, or None."""
+    return next((c for c in range(width) if c not in pivots), None)
+
+
 def exact_inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
+    """Exact inverse by Gauss-Jordan elimination of [m | I]; raises on
+    singular input."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    a = [row[:] for row in m.data]
-    b = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if a[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError(f"singular matrix: no pivot in column {col}")
-        a[col], a[pivot] = a[pivot], a[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        piv = a[col][col]
-        a[col] = [x / piv for x in a[col]]
-        b[col] = [x / piv for x in b[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [a[i][j] - f * a[col][j] for j in range(n)]
-                b[i] = [b[i][j] - f * b[col][j] for j in range(n)]
-    return ExactMatrix(b)
+    rows = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.data)]
+    col = _first_missing(_reduce(rows, n), n)
+    if col is not None:
+        raise ValueError(f"singular matrix: no pivot in column {col}")
+    return ExactMatrix([row[n:] for row in rows])
 
 
 def solve_stacked(a: ExactMatrix, rhs):
@@ -219,43 +224,11 @@ def solve_stacked(a: ExactMatrix, rhs):
     solvable is part of the contract being verified.
     """
     n = a.cols
-    rows = [row[:] for row in a.data]
-    vec = list(rhs)
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = None
-        for i in range(r, a.rows):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError(f"rank-deficient system: no pivot for column {col}")
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        vec[r], vec[pivot] = vec[pivot], vec[r]
-        piv = rows[r][col]
-        rows[r] = [x / piv for x in rows[r]]
-        vec[r] = (1 / piv) * vec[r]
-        for i in range(a.rows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [rows[i][j] - f * rows[r][j] for j in range(n)]
-                vec[i] = vec[i] + (-f) * vec[r]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    # eliminate the remaining rows completely and demand consistency
-    for i in range(n, a.rows):
-        if any(rows[i][j] for j in range(n)):
-            raise AssertionError("elimination left a nonzero redundant row")
-        if not _is_zero(vec[i]):
-            raise ValueError("inconsistent stacked system: nonzero residual row")
-    return vec[:n]
+    rows = [row + [value] for row, value in zip(a.data, rhs, strict=True)]
+    col = _first_missing(_reduce(rows, n), n)
+    if col is not None:
+        raise ValueError(f"rank-deficient system: no pivot for column {col}")
+    if any(row[n] for row in rows[n:]):
+        raise ValueError("inconsistent stacked system: nonzero residual row")
+    return [row[n] for row in rows[:n]]
 
-
-def _is_zero(value):
-    probe = getattr(value, "is_zero", None)
-    if callable(probe):
-        return probe()
-    return not value

@@ -13,7 +13,7 @@ the sixth-order trivariate table lists twenty-six such polynomials over the
 cube {0,1,2}^3.  A table's residual on a family member must vanish at every
 nonsingular grid point; on a member of total degree k, a tensor grid of
 k + 1 distinct lattice values per axis promotes the pointwise zeros to a
-polynomial identity (see :func:`verify_table`).
+polynomial identity (see :func:`check_proof_grid`).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .families import (
     check_point,
     family_function,
 )
-from .fbasis import MPoly, interpolate_bivariate, poly_D, poly_S, poly_shift_pair
+from .fbasis import MPoly, interpolate_on_grid, poly_D, poly_S, poly_shift_pair
 from .latticeops import (
     SingularPointError,
     apply_D,
@@ -1141,30 +1141,17 @@ def recover_coefficients(params, label=(1, 1)):
     """
     spec = FamilySpec(RACAH, params=params)
     lattices = spec.lattices()
+
+    def sample(point):
+        gi = racah_gi_stencil(spec.params, label, *point)
+        cvec = [gi.get(off, Fraction(0)) for off in OFFSETS_3X3]
+        m = operator_to_shift_matrix(lattices, point)
+        # solve g^T M = c  <=>  M^T g = c
+        return solve_stacked(m.transpose(), cvec)
+
     # the coefficients have total degree <= 4 (CoeffTable checks it), so 6
     # nodes per axis interpolate them with one node to spare
-    nodes_count = 6
-    svals = grid_points(lattices[0], nodes_count, origin=1)
-    tvals = grid_points(lattices[1], nodes_count, origin=2)
-    xnodes = [lattice_value(lattices[0], s) for s in svals]
-    ynodes = [lattice_value(lattices[1], t) for t in tvals]
-
-    samples = {}
-    for i, s in enumerate(svals):
-        for j, t in enumerate(tvals):
-            gi = racah_gi_stencil(spec.params, label, s, t)
-            cvec = [gi.get(off, Fraction(0)) for off in OFFSETS_3X3]
-            m = operator_to_shift_matrix(lattices, (s, t))
-            # solve g^T M = c  <=>  M^T g = c
-            samples[(i, j)] = solve_stacked(m.transpose(), cvec)
-
-    polys = []
-    for idx in range(9):
-        poly = interpolate_bivariate(
-            xnodes, ynodes, lambda i, j, _k=idx: samples[(i, j)][_k]
-        )
-        polys.append(poly)
-
+    polys = interpolate_on_grid(lattices, 6, sample)
     lam_poly = polys[8]
     if lam_poly.total_degree() > 0:
         raise AssertionError("recovered eigenvalue term is not constant")
@@ -1194,7 +1181,7 @@ def compare_tables(table_a: CoeffTable, table_b: CoeffTable):
 def residual_grid(spec: FamilySpec, label, size=None, offset=Fraction(1, 7)):
     """Axes of a tensor grid of nonsingular points, ``size`` lattice values
     per axis; by default |label| + 5, four more than the table residual's
-    degree bound (see :func:`verify_table`) asks for."""
+    degree bound (see :func:`check_proof_grid`) asks for."""
     size = size if size is not None else sum(check_label(spec, label)) + 5
     lattices = spec.lattices()
     axes = [
@@ -1229,23 +1216,33 @@ def sweep(spec: FamilySpec, max_total_degree, points, check):
         yield label, checked, witness
 
 
-def verify_table(spec: FamilySpec, max_total_degree, grid_size=None, table=None):
-    """Residual sweep over all labels with total degree <= the bound.
+def check_proof_grid(max_total_degree, grid_size):
+    """Refuse an explicit grid size that proves nothing at the degree bound.
 
-    Returns a list of {label, points, pass} reports; residuals are exact
-    zeros or the sweep reports failure with a witness.
-
-    The residual sum f_i E_i P + lambda P of a member P of total degree k
-    has total degree <= k in the lattice variables, since deg f_i <= |l_i|
-    (``CoeffTable`` checks it) and E_l lowers the degree by |l|.  It is
-    therefore zero once it vanishes on a tensor grid of k + 1 distinct
-    lattice values per axis, and a smaller ``grid_size`` proves nothing.
+    In a coefficient table and in a printed second-order equation, each
+    coefficient has degree at most the order of the operator it multiplies:
+    deg f_i <= |l_i| (``CoeffTable`` checks it), deg phi <= 2 beside D^2 and
+    deg tau <= 1 beside SD.  E_l lowers the degree by |l|, so the residual
+    on a member P of total degree k has total degree <= k in the lattice
+    variables.  It is therefore zero once it vanishes on a tensor grid of
+    k + 1 distinct lattice values per axis, and a smaller grid proves nothing.
     """
     if grid_size is not None and grid_size <= max_total_degree:
         raise ValueError(
             f"grid size {grid_size} is no proof at total degree {max_total_degree}:"
             f" a residual of total degree k needs k + 1 lattice values per axis"
         )
+
+
+def verify_table(spec: FamilySpec, max_total_degree, grid_size=None, table=None):
+    """Residual sweep over all labels with total degree <= the bound.
+
+    Returns a list of {label, points, pass} reports; residuals are exact
+    zeros or the sweep reports failure with a witness.  The residual
+    f_i E_i P + lambda P of a member P obeys the degree bound of
+    :func:`check_proof_grid`.
+    """
+    check_proof_grid(max_total_degree, grid_size)
     if table is None:
         table = coefficients(spec)
     # each label's grid is a prefix of the next one's, and the table stencil

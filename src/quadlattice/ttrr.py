@@ -39,12 +39,11 @@ from .fbasis import (
     MONOMIAL,
     MPoly,
     basis_poly,
-    interpolate_bivariate,
+    interpolate_on_grid,
     l_matrix,
     to_basis,
     u_matrices,
 )
-from .latticeops import grid_points, lattice_value
 from .matrix import ExactMatrix, exact_inverse, solve_stacked
 from .pdeverify import coefficients, table_action
 
@@ -930,21 +929,13 @@ def family_poly_vector(spec: FamilySpec, n) -> PolyVector:
     """The family's degree-n vector interpolated into exact polynomials in
     the lattice variables (the oracle side of every TTRR comparison), on
     one node per axis more than degree n needs."""
-    lattices = spec.lattices()
-    svals = grid_points(lattices[0], n + 2, origin=1)
-    tvals = grid_points(lattices[1], n + 2, origin=2)
-    xnodes = [lattice_value(lattices[0], s) for s in svals]
-    ynodes = [lattice_value(lattices[1], t) for t in tvals]
-    entries = []
-    for k in range(n + 1):
-        values = {}
-        for i, s in enumerate(svals):
-            for j, t in enumerate(tvals):
-                values[(i, j)] = eval_family(spec, (n - k, k), (s, t))
-        poly = interpolate_bivariate(xnodes, ynodes, lambda i, j: values[(i, j)])
-        if poly.total_degree() > n:
-            raise AssertionError("interpolated family entry exceeds total degree")
-        entries.append(poly)
+    entries = interpolate_on_grid(
+        spec.lattices(),
+        n + 2,
+        lambda point: [eval_family(spec, (n - k, k), point) for k in range(n + 1)],
+    )
+    if any(poly.total_degree() > n for poly in entries):
+        raise AssertionError("interpolated family entry exceeds total degree")
     return PolyVector(n, entries)
 
 

@@ -203,7 +203,9 @@ def test_grid_size_at_or_below_degree_exits_2():
     # a residual of total degree k needs k + 1 lattice values per axis
     for argv in (["verify-pde", "--family", "racah", "--max-total-degree", "2", "--grid-size", "2"],
                  ["verify-pde", "--family", "racah", "--max-total-degree", "2", "--grid-size", "1"],
-                 ["verify-trivariate", "--max-total-degree", "3"]):
+                 ["verify-trivariate", "--max-total-degree", "3"],
+                 ["verify-second-order", "--family", "cdh", "--max-total-degree", "3",
+                  "--grid-size", "1"]):
         code, report = run(argv)
         assert code == EXIT_DEGENERATE, argv
         assert "results" not in report

@@ -450,6 +450,17 @@ def test_second_order_residuals():
                 assert pv.second_order_residual(kind, spec, label, pt) == 0
 
 
+def test_second_order_forms_obey_the_degree_bound():
+    # deg phi <= 2 beside D^2, deg tau <= 1 beside SD and a constant lambda:
+    # the residual on a member of total degree k has degree <= k
+    x, y = MPoly.var(0, 2), MPoly.var(1, 2)
+    for kind, (family, _, form) in pv.SECOND_ORDER_FORMS.items():
+        phi, tau, lam = form(fam.FamilySpec(family).params, 3, x, y)
+        assert phi.total_degree() <= 2, kind
+        assert tau.total_degree() <= 1, kind
+        assert not isinstance(lam, MPoly), kind
+
+
 def test_second_order_zero_degree_is_trivial():
     spec = fam.FamilySpec(fam.RACAH)
     for m in (0, 1, 2):

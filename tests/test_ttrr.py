@@ -46,6 +46,78 @@ def test_gaussian_matrix_inverse():
     assert m * inv == ExactMatrix.identity(2)
 
 
+# seed-pinned random matrices over Q and Q(i), built so that their rank is
+# known without the elimination under test
+
+def _draw(rng, field):
+    def scalar():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    if field == "Q":
+        return scalar
+    return lambda: GaussianRational(scalar(), scalar())
+
+
+def _invertible(draw, n):
+    """L D U with unit triangular L, U and a nonzero diagonal D."""
+    lower = ExactMatrix([[draw() if i > j else Fraction(int(i == j)) for j in range(n)]
+                         for i in range(n)])
+    upper = ExactMatrix([[draw() if i < j else Fraction(int(i == j)) for j in range(n)]
+                         for i in range(n)])
+    return lower * ExactMatrix.diagonal([draw() or Fraction(1) for _ in range(n)]) * upper
+
+
+def _full_rank(draw, rows, cols):
+    """A rows x cols matrix of rank min(rows, cols): leading columns of an
+    invertible matrix, or leading rows of one."""
+    if rows >= cols:
+        return ExactMatrix([row[:cols] for row in _invertible(draw, rows).data])
+    return ExactMatrix(_invertible(draw, cols).data[:rows])
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(i)"])
+def test_random_inverse_is_exact(field):
+    draw = _draw(random.Random(17), field)
+    for n in (1, 3, 5):
+        m = _invertible(draw, n)
+        assert exact_inverse(m) * m == ExactMatrix.identity(n)
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(i)"])
+@pytest.mark.parametrize("n, r, m", [(4, 2, 6), (6, 3, 4)])
+def test_random_product_rank(field, n, r, m):
+    draw = _draw(random.Random(23), field)
+    b, c = _full_rank(draw, n, r), _full_rank(draw, r, m)
+    assert b.rank() == r and c.rank() == r
+    assert (b * c).rank() == r
+    assert (b * c).transpose().rank() == r
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(i)"])
+def test_random_stacked_solve_with_polynomial_rhs(field):
+    draw = _draw(random.Random(29), field)
+    a = _full_rank(draw, 6, 4)
+    x = [MPoly(2, {(i, j): draw() for i in range(2) for j in range(2)}) for _ in range(4)]
+    rhs = a.apply_rows(x)
+    assert solve_stacked(a, rhs) == x
+    rhs[-1] = rhs[-1] + MPoly.var(0, 2)
+    with pytest.raises(ValueError, match="inconsistent stacked system"):
+        solve_stacked(a, rhs)
+
+
+def test_rank_deficient_system_names_first_column_without_pivot():
+    draw = _draw(random.Random(31), "Q")
+    a = _full_rank(draw, 5, 3)
+    cols = [[row[j] for row in a.data] for j in range(3)]
+    # column 2 is the sum of columns 0 and 1
+    deficient = ExactMatrix(
+        list(zip(cols[0], cols[1], [p + q for p, q in zip(cols[0], cols[1])], cols[2]))
+    )
+    assert deficient.rank() == 3
+    with pytest.raises(ValueError, match="no pivot for column 2"):
+        solve_stacked(deficient, [Fraction(0)] * 5)
+
+
 # -- S_n / T_n ---------------------------------------------------------------------
 
 ALT_PARAMS = {
