@@ -29,6 +29,15 @@ Layers timed:
       seven recurrence families with monic and family leading matrices,
       and the 36 systems M^T g = c that ``recover_coefficients`` solves,
       each input recorded once before the timing.
+  L5  the pointwise layer, per lattice kind (quadratic: racah, Wilson
+      square: wilson, linear: ch, 3-variable linear: ch-tri):
+      ``PointStencils.fold`` of the family's printed table at each point of
+      a 3-per-axis grid (2 with ``--quick``), coefficients evaluated outside
+      the timed call; per one-variable lattice kind, ``apply_D`` at 40 grid
+      coordinates (4 with ``--quick``) and 10 calls of ``grid_points(lattice,
+      8)``; and ``second_order_residual`` of each printed form kind at label
+      (1, 1) on a 3 x 3 grid (2 x 2 with ``--quick``), with the family caches
+      cleared before every repeat.
 
 Every input is fixed (drawn from a seeded ``random.Random``), so two runs
 on the same machine time the same work.  Each entry reports the operation
@@ -51,13 +60,14 @@ import statistics
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from quadlattice import families as fam  # noqa: E402
-from quadlattice import pdeverify, ttrr  # noqa: E402
+from quadlattice import latticeops, pdeverify, ttrr  # noqa: E402
 from quadlattice.exactfield import GaussianRational  # noqa: E402
 from quadlattice.matrix import ExactMatrix, exact_inverse, solve_stacked  # noqa: E402
 
@@ -247,6 +257,60 @@ def _l4_entries(upto):
     }
 
 
+# lattice kind -> the family whose lattices and printed table L5 uses
+L5_KINDS = {
+    "quadratic": fam.RACAH,
+    "wilson-square": fam.WILSON,
+    "linear": fam.CH,
+    "linear3": fam.CH_TRI,
+}
+
+
+def _l5_entries(size, coordinates):
+    """ops is the number of folds, D applications, grids or residuals."""
+    out = {}
+    for kind, name in L5_KINDS.items():
+        spec = fam.FamilySpec(name)
+        table = pdeverify.coefficients(spec)
+        grid = list(product(*pdeverify.residual_grid(spec, (0,) * spec.nvars, size=size)))
+        folds = []
+        for point in grid:
+            latpt = table.lattice_point(point)
+            terms = [(fi.eval(latpt), lind) for fi, lind in zip(table.coeffs, table.lindices)]
+            folds.append((point, [(c, lind) for c, lind in terms if c]))
+        out[f"L5.fold.{kind}"] = (
+            lambda folds=folds, lattices=table.lattices: [
+                pdeverify.PointStencils(lattices, point).fold(terms) for point, terms in folds
+            ],
+            len(folds),
+        )
+        if spec.nvars == 3:
+            continue
+        lattice = spec.lattices()[0]
+        coords = latticeops.grid_points(lattice, coordinates)
+        square = lambda v, lattice=lattice: latticeops.lattice_value(lattice, v) ** 2
+        out[f"L5.apply_D.{kind}"] = (
+            lambda lattice=lattice, coords=coords, f=square: [
+                latticeops.apply_D(lattice, f, s) for s in coords
+            ],
+            len(coords),
+        )
+        out[f"L5.grid_points.{kind}"] = (
+            lambda lattice=lattice: [latticeops.grid_points(lattice, 8) for _ in range(10)],
+            10,
+        )
+    for kind, (name, _, _) in pdeverify.SECOND_ORDER_FORMS.items():
+        spec = fam.FamilySpec(name)
+        grid = list(product(*pdeverify.residual_grid(spec, (1, 1), size=size)))
+
+        def job(kind=kind, spec=spec, grid=grid):
+            _clear_family_caches()
+            return [pdeverify.second_order_residual(kind, spec, (1, 1), pt) for pt in grid]
+
+        out[f"L5.second_order.{kind}"] = (job, len(grid))
+    return out
+
+
 def measure(entries, repeats):
     results = {}
     for name, (job, ops) in entries.items():
@@ -291,8 +355,8 @@ def main(argv=None):
     parser.add_argument("--baseline", type=Path, default=None,
                         help="an earlier run's JSON to embed and compare against")
     args = parser.parse_args(argv)
-    repeats, size, points, degree, oracle_degree, upto = (
-        (3, 200, 4, 0, 1, 2) if args.quick else (25, 2000, 40, 2, 3, 4)
+    repeats, size, points, degree, oracle_degree, upto, grid = (
+        (3, 200, 4, 0, 1, 2, 2) if args.quick else (25, 2000, 40, 2, 3, 4, 3)
     )
 
     entries = dict(_l0_entries(size))
@@ -300,6 +364,7 @@ def main(argv=None):
     entries.update(_l2_entries(oracle_degree))
     entries.update(_l3_entries(degree))
     entries.update(_l4_entries(upto))
+    entries.update(_l5_entries(grid, points))
     result = {
         "schema": SCHEMA,
         "environment": environment(repeats),

@@ -85,7 +85,7 @@ def build_parser():
     common(p, family=False)
     seeded(p)
     p.add_argument("--max-total-degree", type=DEGREE, default=2)
-    p.add_argument("--grid-size", type=GRID_SIZE, default=3)
+    p.add_argument("--grid-size", type=GRID_SIZE, default=None)
 
     p = sub.add_parser("verify-ladder", help="difference-derivative identities")
     common(p)
@@ -161,7 +161,7 @@ def _report_base(args, spec):
 
 def _pass_records(spec, bound, points, check):
     return [
-        {"label": list(label), "pass": witness is None}
+        pv.label_record(label, witness)
         for label, _, witness in pv.sweep(spec, bound, points, check)
     ]
 
@@ -181,18 +181,25 @@ def _run(args):
         report["value"] = field_str(value)
 
     elif args.command in ("verify-pde", "verify-trivariate"):
-        report["results"] = pv.verify_table(
-            spec, args.max_total_degree, grid_size=args.grid_size
-        )
+        grid_size = args.grid_size
+        if grid_size is None and args.command == "verify-trivariate":
+            # the sixth-order sweep takes the smallest proof grid
+            grid_size = args.max_total_degree + 1
+        report["results"] = pv.verify_table(spec, args.max_total_degree, grid_size=grid_size)
 
     elif args.command == "verify-ladder":
         if spec.family not in fam.LADDER_DIRECTION:
             raise ValueError(f"no printed ladder for family {spec.family}")
-        diagonal = list(zip(*pv.residual_grid(spec, (1, 1), size=3, offset=offset)))
+        # D P - c P~ has total degree <= |label| - 1 in the lattice values: a
+        # ladder's point map only shifts them (racah: x by -(2 beta1 + 1)/4 and
+        # y by -(beta2 + 1); racah-bar: y by -(2 beta2 + 1)/4), so |label| + 1
+        # values per axis prove it
         report["results"] = _pass_records(
             spec,
             args.max_total_degree,
-            lambda label: diagonal,
+            lambda label: product(
+                *pv.residual_grid(spec, label, size=sum(label) + 1, offset=offset)
+            ),
             lambda label, pt: fam.derivative_ladder_check(spec, label, pt),
         )
 

@@ -41,7 +41,7 @@ from functools import lru_cache, reduce
 from operator import mul
 
 from .exactfield import GaussianRational, I, demote, gauss, imag_part, pochhammer, rat
-from .latticeops import apply_D, linear, quadratic, wilson_square
+from .latticeops import linear, partial_D, quadratic, wilson_square
 
 HALF = Fraction(1, 2)
 
@@ -561,14 +561,7 @@ def derivative_ladder_check(spec: FamilySpec, label, point):
     point = check_point(spec, point)
     direction, factor, shifted, new_label, transform = ladder_parts(spec, label)
     lattice = spec.lattices()[direction]
-    f = family_function(spec, label)
-
-    def slice_f(v):
-        args = list(point)
-        args[direction] = v
-        return f(tuple(args))
-
-    lhs = apply_D(lattice, slice_f, point[direction])
+    lhs = partial_D(lattice, family_function(spec, label), point, direction)
     if label[direction] == 0:
         rhs = 0 * lhs
     else:

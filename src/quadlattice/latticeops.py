@@ -1,13 +1,16 @@
 """Lattices and the three divided-difference / averaging operator pairs.
 
-Three operator calculi appear, one per lattice kind:
+Three operator calculi appear, one per lattice kind.  Each shifts a point
+by half a step up and down, and D f = (f(up) - f(down)) / (x(up) - x(down)),
+S f = (f(up) + f(down)) / 2:
 
 * Quadratic(beta):  lattice x(s) = s(s+beta), real half-shifts s -> s +- 1/2,
-  D f = (f(s+1/2) - f(s-1/2)) / (x(s+1/2) - x(s-1/2)),  S f = mean.
-* WilsonSquare:     lattice x^2, imaginary shifts x -> x +- i/2,
-  D f = (f(x+i/2) - f(x-i/2)) / (2ix).
-* Linear:           lattice x itself, imaginary shifts,
-  D f = (f(x+i/2) - f(x-i/2)) / i.
+  D denominator 2s + beta.
+* WilsonSquare:     lattice x^2, imaginary shifts x -> x +- i/2, denominator 2ix.
+* Linear:           lattice x itself, imaginary shifts, denominator i.
+
+:func:`half_step` is D's one definition: its denominator, its singular points
+and, through :func:`grid_points`, the singular set every grid avoids.
 
 All applications are pointwise on arbitrary callables ("stencil functions");
 verification elsewhere turns pointwise exact zeros into polynomial identities
@@ -22,6 +25,7 @@ lattice and 0 on the linear one, whose basis is the monomials.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactfield import GaussianRational, demote, gauss
 
@@ -117,30 +121,38 @@ def lattice_value(spec, s):
     return s
 
 
-def d_denominator(spec, point):
-    """x(point+1/2) - x(point-1/2) for the quadratic case, 2i*point or i else."""
-    if spec.kind == LatticeSpec.QUADRATIC:
-        return 2 * point + spec.beta
-    if spec.kind == LatticeSpec.WILSON:
-        return GaussianRational(0, 2) * gauss(point)
-    return GaussianRational(0, 1)
-
-
 def shifted_points(spec, point):
     if spec.kind == LatticeSpec.QUADRATIC:
         return point + HALF, point - HALF
     return gauss(point) + HALF_I, gauss(point) - HALF_I
 
 
+def half_step(spec, point):
+    """(up, down, 1 / (x(up) - x(down))): the half-shifted points and the
+    reciprocal denominator of D at the point.  The one test of a D
+    denominator for zero; SingularPointError where it vanishes."""
+    if spec.kind == LatticeSpec.QUADRATIC:
+        den = 2 * point + spec.beta
+    elif spec.kind == LatticeSpec.WILSON:
+        den = GaussianRational(0, 2) * gauss(point)
+    else:
+        den = GaussianRational(0, 1)
+    if not den:
+        raise SingularPointError(f"stencil denominator vanishes at {point} on {spec!r}")
+    up, down = shifted_points(spec, point)
+    return up, down, 1 / den
+
+
 def apply_D(spec, f, point):
     """Divided difference of f at the point; exact, or SingularPointError."""
-    den = d_denominator(spec, point)
-    if not den:
-        raise SingularPointError(
-            f"divided-difference denominator vanishes on {spec!r} at point {point}"
-        )
-    up, down = shifted_points(spec, point)
-    return demote((f(up) - f(down)) / den)
+    up, down, inv = half_step(spec, point)
+    return demote((f(up) - f(down)) * inv)
+
+
+def partial_D(spec, f, point, var):
+    """D in coordinate ``var`` (lattice ``spec``) of a function of the point."""
+    head, tail = point[:var], point[var + 1:]
+    return apply_D(spec, lambda v: f(head + (v,) + tail), point[var])
 
 
 def apply_S(spec, f, point):
@@ -152,8 +164,9 @@ def apply_S(spec, f, point):
 def grid_points(spec, count, origin=1, offset=Fraction(1, 7)):
     """Distinct nonsingular grid coordinates s = k + offset, k = origin, ...
 
-    Candidates are dropped whenever any divided-difference denominator that a
-    nested second-order operator (S D or D^2) can touch would vanish there.  The
+    Candidates are dropped where a D denominator vanishes at s, s +- 1/2 or
+    s +- 1: a nested second-order operator (S D or D^2) divides at s and
+    s +- 1/2, and one acting on a divided difference also at s +- 1.  The
     resulting lattice values are pairwise distinct, which is what the
     interpolation arguments need.
     """
@@ -175,14 +188,13 @@ def grid_points(spec, count, origin=1, offset=Fraction(1, 7)):
     return points
 
 
+# every label of a sweep asks again for the candidates of the label before
+@lru_cache(maxsize=4096)
 def _nonsingular(spec, s):
-    if spec.kind == LatticeSpec.QUADRATIC:
-        # nested shifts move the evaluation point by up to two half steps
-        for j in range(-2, 3):
-            if 2 * s + spec.beta + j == 0:
-                return False
-        return True
-    if spec.kind == LatticeSpec.WILSON:
-        # only a real zero of 2ix is possible; imaginary shifts never cancel
-        return s != 0
+    try:
+        up, down, _ = half_step(spec, s)
+        half_step(spec, half_step(spec, up)[0])
+        half_step(spec, half_step(spec, down)[1])
+    except SingularPointError:
+        return False
     return True

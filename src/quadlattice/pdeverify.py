@@ -38,10 +38,10 @@ from .families import (
 from .fbasis import MPoly, interpolate_on_grid, poly_D, poly_S, poly_shift_pair
 from .latticeops import (
     SingularPointError,
-    apply_D,
-    d_denominator,
     grid_points,
+    half_step,
     lattice_value,
+    partial_D,
     shifted_points,
 )
 from .matrix import ExactMatrix, solve_stacked
@@ -137,30 +137,13 @@ class CoeffTable:
 # pointwise mixed-operator application
 # ---------------------------------------------------------------------------
 
-def _fix_var(g, point, var):
-    def h(v):
-        args = list(point)
-        args[var] = v
-        return g(tuple(args))
-
-    return h
-
-
-def _checked_denominator(lattice, s):
-    den = d_denominator(lattice, s)
-    if not den:
-        raise SingularPointError(f"stencil denominator vanishes at {s} on {lattice!r}")
-    return den
-
-
 def _axis(lattice, s):
     """The neighbours s + 1, s, s - 1 (as the half shifts compose) and the
     reciprocal inner-D denominators at s + 1/2 and s - 1/2."""
     up, down = shifted_points(lattice, s)
-    inv_up = 1 / _checked_denominator(lattice, up)
-    inv_down = 1 / _checked_denominator(lattice, down)
-    up_up, mid = shifted_points(lattice, up)
-    return (up_up, mid, shifted_points(lattice, down)[1]), inv_up, inv_down
+    up_up, mid, inv_up = half_step(lattice, up)
+    down_down, inv_down = half_step(lattice, down)[1:]
+    return (up_up, mid, down_down), inv_up, inv_down
 
 
 def _weights_1d(lattice, s, axis, l):
@@ -169,12 +152,17 @@ def _weights_1d(lattice, s, axis, l):
     checked after the inner ones, the order nested application meets them."""
     (up_up, mid, down_down), inv_up, inv_down = axis
     if l == 2:
-        outer = 1 / _checked_denominator(lattice, s)
+        outer = half_step(lattice, s)[2]
         w_up, w_down = outer * inv_up, -outer * inv_down
     else:
         w_up, w_down = HALF * inv_up, HALF * inv_down
     pairs = ((up_up, w_up), (mid, w_down - w_up), (down_down, -w_down))
     return {q: w for q, w in pairs if w}
+
+
+def sample(weights, f):
+    """sum w f(q) over the weights {q: w}."""
+    return demote(sum(w * f(q) for q, w in weights.items()))
 
 
 class PointStencils:
@@ -236,7 +224,7 @@ class PointStencils:
     def apply(self, terms, f):
         """sum of c (E_lindex f)(point) over (c, lindex) in terms, sampling f
         once per neighbour."""
-        return demote(sum(w * f(q) for q, w in self.fold(terms).items()))
+        return sample(self.fold(terms), f)
 
 
 def stencil_weights(lattices, lindex, point):
@@ -252,7 +240,7 @@ def stencil_weights(lattices, lindex, point):
 def apply_mixed(lattices, lindex, f, point):
     """(E_{lindex} f)(point): per variable, entry 1 applies S D and entry 2
     applies D^2; entry 0 leaves the variable alone."""
-    return demote(sum(w * f(q) for q, w in stencil_weights(lattices, lindex, point).items()))
+    return sample(stencil_weights(lattices, lindex, point), f)
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +778,7 @@ def table_residual_on(table: CoeffTable, f, label, point, stencils=None):
     merged = {point: table.eigenvalue(label)}
     for q, w in weights.items():
         merged[q] = merged[q] + w if q in merged else w
-    return demote(sum(w * f(q) for q, w in merged.items()))
+    return sample(merged, f)
 
 
 def residual(table: CoeffTable, spec: FamilySpec, label, point, stencils=None):
@@ -803,20 +791,15 @@ def residual(table: CoeffTable, spec: FamilySpec, label, point, stencils=None):
 
 def derivative_function(spec: FamilySpec, label, direction):
     """The difference derivative of the family member, as a stencil function."""
-    var = {"x": 0, "y": 1}.get(direction)
+    # "xy" takes D in y first, then in x
+    variables = {"x": (0,), "y": (1,), "xy": (1, 0)}.get(direction)
+    if variables is None:
+        raise ValueError(f"unknown direction {direction!r}")
     f = family_function(spec, label)
     lattices = spec.lattices()
-    if var is not None:
-        lat = lattices[var]
-        return lambda pt: apply_D(lat, _fix_var(f, pt, var), pt[var])
-
-    if direction != "xy":
-        raise ValueError(f"unknown direction {direction!r}")
-
-    def dy(pt):
-        return apply_D(lattices[1], _fix_var(f, pt, 1), pt[1])
-
-    return lambda pt: apply_D(lattices[0], _fix_var(dy, pt, 0), pt[0])
+    for var in variables:
+        f = lambda pt, g=f, var=var: partial_D(lattices[var], g, pt, var)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -1092,21 +1075,13 @@ def difference_form_residual(kind, spec: FamilySpec, label, point, table=None):
         raise ValueError(f"{kind} does not apply to the {spec.family} family")
     if kind == "racah-gi":
         stencil = racah_gi_stencil(spec.params, label, *point)
-        step = Fraction(1)
+        (s, t), step = point, ONE
     else:
         builder = wilson_f_stencil if kind == "wilson-f" else ch_f_stencil
         stencil = builder(table or coefficients(spec), label, *point)
-        step = II
-
-    f = family_function(spec, label)
-    total = Fraction(0)
-    for (o1, o2), coeff in stencil.items():
-        if step == 1:
-            q = (point[0] + o1, point[1] + o2)
-        else:
-            q = (gauss(point[0]) + step * o1, gauss(point[1]) + step * o2)
-        total = total + coeff * f(q)
-    return demote(total)
+        (s, t), step = map(gauss, point), II
+    weights = {(s + step * o1, t + step * o2): c for (o1, o2), c in stencil.items()}
+    return sample(weights, family_function(spec, label))
 
 
 # ---------------------------------------------------------------------------
@@ -1216,6 +1191,16 @@ def sweep(spec: FamilySpec, max_total_degree, points, check):
         yield label, checked, witness
 
 
+def label_record(label, witness):
+    """The report record of one swept label: whether it passed and, if not,
+    the witness point and value."""
+    record = {"label": list(label), "pass": witness is None}
+    if witness is not None:
+        record["point"] = [field_str(v) for v in witness[0]]
+        record["value"] = field_str(witness[1])
+    return record
+
+
 def check_proof_grid(max_total_degree, grid_size):
     """Refuse an explicit grid size that proves nothing at the degree bound.
 
@@ -1248,16 +1233,12 @@ def verify_table(spec: FamilySpec, max_total_degree, grid_size=None, table=None)
     # each label's grid is a prefix of the next one's, and the table stencil
     # at a point does not depend on the label: fold each point once
     stencils = {}
-    reports = []
-    for label, checked, witness in sweep(
-        spec,
-        max_total_degree,
-        lambda label: product(*residual_grid(spec, label, size=grid_size)),
-        lambda label, point: residual(table, spec, label, point, stencils),
-    ):
-        record = {"label": list(label), "points": checked, "pass": witness is None}
-        if witness is not None:
-            record["point"] = [field_str(v) for v in witness[0]]
-            record["value"] = field_str(witness[1])
-        reports.append(record)
-    return reports
+    return [
+        {**label_record(label, witness), "points": checked}
+        for label, checked, witness in sweep(
+            spec,
+            max_total_degree,
+            lambda label: product(*residual_grid(spec, label, size=grid_size)),
+            lambda label, point: residual(table, spec, label, point, stencils),
+        )
+    ]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from quadlattice import families, pdeverify
+from quadlattice import families, pdeverify, ttrr
 from quadlattice.cli import EXIT_DEGENERATE, EXIT_MISMATCH, EXIT_OK, main, run
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -203,7 +203,7 @@ def test_grid_size_at_or_below_degree_exits_2():
     # a residual of total degree k needs k + 1 lattice values per axis
     for argv in (["verify-pde", "--family", "racah", "--max-total-degree", "2", "--grid-size", "2"],
                  ["verify-pde", "--family", "racah", "--max-total-degree", "2", "--grid-size", "1"],
-                 ["verify-trivariate", "--max-total-degree", "3"],
+                 ["verify-trivariate", "--max-total-degree", "3", "--grid-size", "3"],
                  ["verify-second-order", "--family", "cdh", "--max-total-degree", "3",
                   "--grid-size", "1"]):
         code, report = run(argv)
@@ -214,6 +214,26 @@ def test_grid_size_at_or_below_degree_exits_2():
                         "--grid-size", "3"])
     assert code == EXIT_OK
     assert [r["points"] for r in report["results"]] == [9] * 6
+
+
+def test_trivariate_default_grid_follows_the_degree():
+    # an unset grid is max-total-degree + 1 lattice values per axis
+    assert run(["verify-trivariate", "--max-total-degree", "1"]) == run(
+        ["verify-trivariate", "--max-total-degree", "1", "--grid-size", "2"]
+    )
+
+
+def test_trivariate_degree_3_sweeps_a_4_point_grid(monkeypatch):
+    sizes = []
+
+    def captured(spec, max_total_degree, grid_size=None, table=None):
+        sizes.append(grid_size)
+        return []
+
+    monkeypatch.setattr(pdeverify, "verify_table", captured)
+    code, report = run(["verify-trivariate", "--max-total-degree", "3"])
+    assert code == EXIT_OK
+    assert sizes == [4]
 
 
 def test_trivariate_has_no_recurrence_machinery():
@@ -237,8 +257,82 @@ def test_verification_failure_exits_3(monkeypatch, command):
     code, report = run([command, "--family", family, "--max-total-degree", "0"])
     assert code == EXIT_MISMATCH
     assert not report["results"][0]["pass"]
-    if command == "verify-pde":
-        assert report["results"][0]["value"] == "1"
+    assert report["results"][0]["value"] == "1"
+    assert len(report["results"][0]["point"]) == 2
+
+
+def test_ladder_factor_typo_fails_with_witnesses(monkeypatch):
+    # a +1/1000 typo in the Wilson ladder factor shows at every label with
+    # n > 0; each failing label carries its witness
+    parts = families.ladder_parts
+
+    def typo(spec, label):
+        direction, factor, shifted, new_label, transform = parts(spec, label)
+        return direction, factor + Fraction(1, 1000), shifted, new_label, transform
+
+    monkeypatch.setattr(families, "ladder_parts", typo)
+    code, report = run(["verify-ladder", "--family", "wilson", "--max-total-degree", "2"])
+    assert code == EXIT_MISMATCH
+    failing = [r for r in report["results"] if not r["pass"]]
+    assert [r["label"] for r in failing] == [[1, 0], [1, 1], [2, 0]]
+    assert all(len(r["point"]) == 2 and r["value"] != "0" for r in failing)
+    # a passing label is swept over its whole proof grid
+    assert "point" not in report["results"][0]
+
+
+def test_ladder_sweeps_its_proof_grid(monkeypatch):
+    # |label| + 1 lattice values per axis for every label
+    calls = {}
+    check = families.derivative_ladder_check
+
+    def counted(spec, label, point):
+        calls[label] = calls.get(label, 0) + 1
+        return check(spec, label, point)
+
+    monkeypatch.setattr(families, "derivative_ladder_check", counted)
+    code, report = run(["verify-ladder", "--family", "racah-bar", "--max-total-degree", "2"])
+    assert code == EXIT_OK
+    assert calls == {tuple(r["label"]): (sum(r["label"]) + 1) ** 2 for r in report["results"]}
+    assert len(calls) == 6
+
+
+def test_usage_errors_name_the_cause():
+    for argv, message in (
+        (["eval", "--family", "racah", "--label", "1,1", "--point", "8/7,16/7",
+          "--param", "beta0"], "bad --param 'beta0'; expected NAME=VALUE"),
+        (["verify-ladder", "--family", "ch-tri"], "no printed ladder for family ch-tri"),
+        (["recover-coeffs", "--family", "wilson"],
+         "coefficient recovery is defined for the racah family"),
+        (["connect", "--family", "cdh", "--n", "1"], "no second family to connect for cdh"),
+    ):
+        code, report = run(argv)
+        assert code == EXIT_DEGENERATE, argv
+        assert report["error"] == message
+
+
+def test_recovered_table_diff_exits_3(monkeypatch):
+    # a +1/1000 typo in the printed Racah f3 is named by the recovery diff
+    printed = pdeverify._TABLE_BUILDERS[families.RACAH]
+
+    def typo(params):
+        coeffs, eigenvalue = printed(params)
+        coeffs[2] = coeffs[2] + Fraction(1, 1000)
+        return coeffs, eigenvalue
+
+    monkeypatch.setitem(pdeverify._TABLE_BUILDERS, families.RACAH, typo)
+    code, report = run(["recover-coeffs", "--family", "racah"])
+    assert code == EXIT_MISMATCH
+    assert report["match"] is False
+    assert [d["coefficient"] for d in report["diffs"]] == ["f3"]
+
+
+def test_connection_round_trip_failure_exits_3(monkeypatch):
+    # a "connection" that returns its first argument: C Cbar = G Gbar != I
+    monkeypatch.setattr(ttrr, "connection", lambda g, gbar: g)
+    code, report = run(["connect", "--family", "ch", "--n", "2"])
+    assert code == EXIT_MISMATCH
+    params = families.FamilySpec(families.CH).params
+    assert report["connection"] == ttrr.leading_matrix(families.CH, params, 2).to_json()
 
 
 @pytest.mark.parametrize("error", [AssertionError, ArithmeticError])

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,35 @@ def test_singular_point_raises():
         lo.apply_D(QUAD, lambda s: s, bad)
     with pytest.raises(lo.SingularPointError):
         lo.apply_D(WIL, lambda x: x * x, Fraction(0))
+
+
+def test_half_step_denominators():
+    # x(s + 1/2) - x(s - 1/2) is 2s + beta, 2is and i on the three lattices
+    for s in (Fraction(8, 7), Fraction(-3, 5)):
+        assert lo.half_step(QUAD, s) == (s + Fraction(1, 2), s - Fraction(1, 2), 1 / (2 * s + QUAD.beta))
+        assert lo.half_step(WIL, s)[2] == 1 / GaussianRational(0, 2 * s)
+        assert lo.half_step(LIN, s)[2] == 1 / GaussianRational(0, 1)
+
+
+def test_singular_point_message_is_the_engine_message():
+    # apply_D, the stencil weights and the grid filter share one test and
+    # one message
+    bad = -QUAD.beta / 2
+    message = re.escape(f"stencil denominator vanishes at {bad} on {QUAD!r}")
+    with pytest.raises(lo.SingularPointError, match=message):
+        lo.apply_D(QUAD, lambda s: s, bad)
+    with pytest.raises(lo.SingularPointError, match=re.escape(f"vanishes at 0 on {WIL!r}")):
+        lo.partial_D(WIL, lambda pt: pt[0] * pt[1], (Fraction(2), Fraction(0)), 1)
+
+
+def test_grid_points_skip_every_singular_half_step():
+    # no D denominator may vanish at s, s +- 1/2 or s +- 1: on x = s(s - 3)
+    # that rules out s = 1/2, 1, 3/2, 2, 5/2; on x^2 only s = 0
+    assert lo.grid_points(lo.quadratic(-3), 3, offset=Fraction(0)) == [3, 4, 5]
+    half = Fraction(1, 2)
+    assert lo.grid_points(lo.quadratic(-3), 3, offset=half) == [7 * half, 9 * half, 11 * half]
+    assert lo.grid_points(WIL, 3, offset=Fraction(-1)) == [1, 2, 3]
+    assert lo.grid_points(LIN, 3, offset=Fraction(0)) == [1, 2, 3]
 
 
 def test_degree_laws_by_interpolation():
