@@ -38,6 +38,14 @@ Layers timed:
       8)``; and ``second_order_residual`` of each printed form kind at label
       (1, 1) on a 3 x 3 grid (2 x 2 with ``--quick``), with the family caches
       cleared before every repeat.
+  L6  the printed forms end to end: in-process ``cli.run`` of
+      ``verify-second-order`` for each of its four families and of
+      ``verify-difference-form`` for each nine-term kind at total degree
+      <= 1 (<= 0 with ``--quick``), with the family caches cleared before
+      every repeat; and one residual at label (1, 1) and one point per
+      equation kind (the Racah coefficient table, each second-order kind,
+      each nine-term kind), stencil folded afresh, tables built outside the
+      timed call.
 
 Every input is fixed (drawn from a seeded ``random.Random``), so two runs
 on the same machine time the same work.  Each entry reports the operation
@@ -67,7 +75,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from quadlattice import families as fam  # noqa: E402
-from quadlattice import latticeops, pdeverify, ttrr  # noqa: E402
+from quadlattice import cli, latticeops, pdeverify, ttrr  # noqa: E402
 from quadlattice.exactfield import GaussianRational  # noqa: E402
 from quadlattice.matrix import ExactMatrix, exact_inverse, solve_stacked  # noqa: E402
 
@@ -299,7 +307,7 @@ def _l5_entries(size, coordinates):
             lambda lattice=lattice: [latticeops.grid_points(lattice, 8) for _ in range(10)],
             10,
         )
-    for kind, (name, _, _) in pdeverify.SECOND_ORDER_FORMS.items():
+    for kind, (name, *_) in pdeverify.SECOND_ORDER_FORMS.items():
         spec = fam.FamilySpec(name)
         grid = list(product(*pdeverify.residual_grid(spec, (1, 1), size=size)))
 
@@ -308,6 +316,53 @@ def _l5_entries(size, coordinates):
             return [pdeverify.second_order_residual(kind, spec, (1, 1), pt) for pt in grid]
 
         out[f"L5.second_order.{kind}"] = (job, len(grid))
+    return out
+
+
+def _l6_entries(degree):
+    """ops is the number of residual checks of one command, or 1."""
+    out = {}
+    commands = [("verify-second-order", row[0]) for row in pdeverify.SECOND_ORDER_FORMS.values()]
+    commands += [("verify-difference-form", name) for name in pdeverify.DIFFERENCE_FORMS]
+    for command, name in commands:
+        spec = fam.FamilySpec(name)
+        argv = [command, "--family", name, "--max-total-degree", str(degree)]
+
+        def job(argv=argv):
+            _clear_family_caches()
+            code, report = cli.run(argv)
+            if code != 0:
+                raise AssertionError(f"{' '.join(argv)} exited {code}: {report}")
+            return report
+
+        labels = [tuple(r["label"]) for r in job()["results"]]
+        checks = sum(
+            len(list(product(*pdeverify.residual_grid(spec, label)))) for label in labels
+        )
+        out[f"L6.cli.{command}.{name}"] = (job, checks)
+    point = (Fraction(8, 7), Fraction(15, 7))
+    racah = fam.FamilySpec(fam.RACAH)
+    racah_table = pdeverify.coefficients(racah)
+    residuals = {"table.racah": lambda: pdeverify.residual(racah_table, racah, (1, 1), point)}
+    for kind, (name, *_) in pdeverify.SECOND_ORDER_FORMS.items():
+        spec = fam.FamilySpec(name)
+        residuals[kind] = lambda kind=kind, spec=spec: pdeverify.second_order_residual(
+            kind, spec, (1, 1), point
+        )
+    for name, kind in pdeverify.DIFFERENCE_FORMS.items():
+        spec = fam.FamilySpec(name)
+        table = pdeverify.coefficients(spec)
+        residuals[kind] = lambda kind=kind, spec=spec, table=table: (
+            pdeverify.difference_form_residual(kind, spec, (1, 1), point, table)
+        )
+    for kind, residual in residuals.items():
+
+        def job(residual=residual):
+            _clear_family_caches()
+            if residual() != 0:
+                raise AssertionError("a printed equation has a nonzero residual")
+
+        out[f"L6.residual.{kind}"] = (job, 1)
     return out
 
 
@@ -355,8 +410,8 @@ def main(argv=None):
     parser.add_argument("--baseline", type=Path, default=None,
                         help="an earlier run's JSON to embed and compare against")
     args = parser.parse_args(argv)
-    repeats, size, points, degree, oracle_degree, upto, grid = (
-        (3, 200, 4, 0, 1, 2, 2) if args.quick else (25, 2000, 40, 2, 3, 4, 3)
+    repeats, size, points, degree, oracle_degree, upto, grid, form_degree = (
+        (3, 200, 4, 0, 1, 2, 2, 0) if args.quick else (25, 2000, 40, 2, 3, 4, 3, 1)
     )
 
     entries = dict(_l0_entries(size))
@@ -365,6 +420,7 @@ def main(argv=None):
     entries.update(_l3_entries(degree))
     entries.update(_l4_entries(upto))
     entries.update(_l5_entries(grid, points))
+    entries.update(_l6_entries(form_degree))
     result = {
         "schema": SCHEMA,
         "environment": environment(repeats),

@@ -67,8 +67,10 @@ def build_parser():
             help="exact parameter override, repeatable (e.g. --param beta0=1/5)",
         )
 
-    def seeded(p):
-        p.add_argument("--seed", type=int, default=0, help="grid jitter seed")
+    def seeded(p, text="grid jitter seed"):
+        p.add_argument("--seed", type=int, default=0, help=text)
+
+    unused_seed = "recorded in the report; this command's grid does not use it"
 
     p = sub.add_parser("eval", help="evaluate a family member at a point")
     common(p)
@@ -77,13 +79,13 @@ def build_parser():
 
     p = sub.add_parser("verify-pde", help="fourth-order residual sweep")
     common(p)
-    seeded(p)
+    seeded(p, unused_seed)
     p.add_argument("--max-total-degree", type=DEGREE, default=3)
     p.add_argument("--grid-size", type=GRID_SIZE, default=None)
 
     p = sub.add_parser("verify-trivariate", help="six-order residual sweep")
     common(p, family=False)
-    seeded(p)
+    seeded(p, unused_seed)
     p.add_argument("--max-total-degree", type=DEGREE, default=2)
     p.add_argument("--grid-size", type=GRID_SIZE, default=None)
 
@@ -108,7 +110,7 @@ def build_parser():
         "recover-coeffs", help="re-derive the Racah table from the stencil form"
     )
     common(p)
-    seeded(p)
+    seeded(p, unused_seed)
 
     p = sub.add_parser("ttrr", help="dump recurrence matrices for one degree")
     common(p)
@@ -209,7 +211,7 @@ def _run(args):
             # coefficients and no degree bound, so they stay a spot check
             pv.check_proof_grid(args.max_total_degree, args.grid_size)
             what, form_residual, extra = "second-order equation", pv.second_order_residual, ()
-            kind_of = {family: k for k, (family, _, _) in pv.SECOND_ORDER_FORMS.items()}
+            kind_of = {family: k for k, (family, *_) in pv.SECOND_ORDER_FORMS.items()}
             kind = kind_of.get(spec.family)
         else:
             what, form_residual = "difference form", pv.difference_form_residual
@@ -221,13 +223,15 @@ def _run(args):
         if kind is None:
             raise ValueError(f"no printed {what} for {spec.family}")
         report["kind"] = kind
+        # a stencil does not depend on the label: build each point's once
+        stencils = {}
         report["results"] = _pass_records(
             spec,
             args.max_total_degree,
             lambda label: product(
                 *pv.residual_grid(spec, label, size=args.grid_size, offset=offset)
             ),
-            lambda label, pt: form_residual(kind, spec, label, pt, *extra),
+            lambda label, pt: form_residual(kind, spec, label, pt, *extra, stencils=stencils),
         )
 
     elif args.command == "recover-coeffs":

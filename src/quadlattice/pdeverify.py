@@ -18,7 +18,9 @@ polynomial identity (see :func:`check_proof_grid`).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from .exactfield import GaussianRational, demote, field_str, gauss
@@ -123,6 +125,18 @@ class CoeffTable:
     def lattice_point(self, point):
         return tuple(lattice_value(l, v) for l, v in zip(self.lattices, point))
 
+    def stencil(self, point):
+        """{q: w} with sum w f(q) = sum f_i (E_i f)(point): the label-independent
+        part of the residual, one weight per neighbour."""
+        latpt = self.lattice_point(point)
+        terms = []
+        for fi, lind in zip(self.coeffs, self.lindices):
+            ci = fi.eval(latpt)
+            # a zero coefficient skips its stencil, singular or not
+            if ci:
+                terms.append((ci, lind))
+        return PointStencils(self.lattices, point).fold(terms)
+
     def to_json(self):
         return {
             "order": self.order,
@@ -220,11 +234,6 @@ class PointStencils:
                     acc[q] = acc[q] + w if q in acc else w
             layer = merged
         return layer.get((), {})
-
-    def apply(self, terms, f):
-        """sum of c (E_lindex f)(point) over (c, lindex) in terms, sampling f
-        once per neighbour."""
-        return sample(self.fold(terms), f)
 
 
 def stencil_weights(lattices, lindex, point):
@@ -748,34 +757,25 @@ def eigenvalue_shift(base: CoeffTable, direction) -> Fraction:
 # residual evaluation
 # ---------------------------------------------------------------------------
 
-def table_stencil(table: CoeffTable, point):
-    """{q: w} with sum w f(q) = sum f_i (E_i f)(point): the label-independent
-    part of the residual, one weight per neighbour."""
-    latpt = table.lattice_point(point)
-    terms = []
-    for fi, lind in zip(table.coeffs, table.lindices):
-        ci = fi.eval(latpt)
-        # a zero coefficient skips its stencil, singular or not
-        if ci:
-            terms.append((ci, lind))
-    return PointStencils(table.lattices, point).fold(terms)
+Equation = namedtuple("Equation", "stencil eigenvalue")
 
 
-def table_residual_on(table: CoeffTable, f, label, point, stencils=None):
-    """Residual of the table's equation on an arbitrary stencil function.
-
-    ``stencils`` maps points to their :func:`table_stencil`; a sweep passes
-    one dict to every check, so each point is folded once for all labels.
+def table_residual_on(equation, f, label, point, stencils=None):
+    """lambda(label) f(point) + sum w f(q) over the equation's stencil {q: w}
+    at the point.  Every printed equation has this shape: a coefficient table
+    or an :data:`Equation` gives ``stencil(point)``, which does not depend on
+    the label, and ``eigenvalue(label)``.  A sweep passes one ``stencils``
+    dict to every check of one equation, so each point is folded once.
     """
     point = tuple(point)
     if stencils is None:
         stencils = {}
     weights = stencils.get(point)
     if weights is None:
-        weights = stencils[point] = table_stencil(table, point)
+        weights = stencils[point] = equation.stencil(point)
     # lambda joins the weight of the point itself, so f is sampled once per
     # neighbour
-    merged = {point: table.eigenvalue(label)}
+    merged = {point: equation.eigenvalue(label)}
     for q, w in weights.items():
         merged[q] = merged[q] + w if q in merged else w
     return sample(merged, f)
@@ -807,79 +807,80 @@ def derivative_function(spec: FamilySpec, label, direction):
 # ---------------------------------------------------------------------------
 
 # Each printed second-order equation acts in one variable, lambda P +
-# phi D^2 P + tau S D P = 0; a form gives (phi, tau, lambda) from the
-# parameters, the label's entry n in that variable and the lattice point.
+# phi D^2 P + tau S D P = 0; a form gives (phi, tau) at the lattice point, and
+# lambda from the label's entry n in that variable.
 
-def _racah_x(p, n, x, y):
+def _racah_x(p, x, y):
     b0, b1, b2 = p["beta0"], p["beta1"], p["beta2"]
     phi = -x * x + x * y + (b0 * b2 - b1 * (b2 + b0) / 2) * x + b1 * (b1 - b0) / 2 * y
-    return phi, (b0 - b2) * x + (b1 - b0) * y, n * (b2 - b0 + n - 1)
+    return phi, (b0 - b2) * x + (b1 - b0) * y
 
 
-def _wilson_x(p, n, x, y):
+def _wilson_x(p, x, y):
     a, b, e2 = p["a"], p["b"], p["e2"]
     phi = (
         x * x - x * y + (-2 * a * e2 - b * a - 2 * b * e2 - e2 * e2) * x
         + a * b * y + a * b * e2 * e2
     )
     tau = (a + 2 * e2 + b) * x - (a + b) * y - (2 * b * a * e2 + b * e2 * e2 + a * e2 * e2)
-    return phi, tau, -n * (n - 1 + a + b + 2 * e2)
+    return phi, tau
 
 
-def _wilson_bar_y(p, n, x, y):
+def _wilson_bar_y(p, x, y):
     c, d, e2 = p["c"], p["d"], p["e2"]
     phi = (
         -x * y + y * y + c * d * x + (-2 * c * e2 - d * c - 2 * d * e2 - e2 * e2) * y
         + c * d * e2 * e2
     )
     tau = (-c - d) * x + (c + 2 * e2 + d) * y - (d * e2 * e2 + 2 * d * c * e2 + c * e2 * e2)
-    return phi, tau, -n * (n - 1 + c + d + 2 * e2)
+    return phi, tau
 
 
-def _cdh_x(p, n, x, y):
+def _cdh_x(p, x, y):
     a, e2 = p["a"], p["e2"]
     phi = (-a - 2 * e2) * x + a * y + a * e2 * e2
-    return phi, x - y - (2 * a * e2 + e2 * e2), Fraction(-n)
+    return phi, x - y - (2 * a * e2 + e2 * e2)
 
 
-# kind -> (family, variable, (params, n, x, y) -> (phi, tau, lambda))
+# kind -> (family, variable, (params, x, y) -> (phi, tau), (params, n) -> lambda)
 SECOND_ORDER_FORMS = {
-    "racah-x": (RACAH, 0, _racah_x),
-    "wilson-x": (WILSON, 0, _wilson_x),
-    "wilson-bar-y": (WILSON_BAR, 1, _wilson_bar_y),
-    "cdh-x": (CDH, 0, _cdh_x),
+    "racah-x": (RACAH, 0, _racah_x, lambda p, n: n * (p["beta2"] - p["beta0"] + n - 1)),
+    "wilson-x": (WILSON, 0, _wilson_x, lambda p, n: -n * (n - 1 + p["a"] + p["b"] + 2 * p["e2"])),
+    "wilson-bar-y": (
+        WILSON_BAR, 1, _wilson_bar_y, lambda p, n: -n * (n - 1 + p["c"] + p["d"] + 2 * p["e2"])
+    ),
+    "cdh-x": (CDH, 0, _cdh_x, lambda p, n: Fraction(-n)),
 }
 
 
-def second_order_residual(kind, spec: FamilySpec, label, point):
-    """LHS of the printed second-order divided-difference equation."""
+def second_order_residual(kind, spec: FamilySpec, label, point, stencils=None):
+    """LHS of the printed second-order equation; ``stencils`` as in :func:`residual`."""
     label = check_label(spec, label)
     point = check_point(spec, point)
     if kind not in SECOND_ORDER_FORMS:
         raise ValueError(f"unknown second-order kind {kind!r}")
-    family, var, form = SECOND_ORDER_FORMS[kind]
+    family, var, form, eigenvalue = SECOND_ORDER_FORMS[kind]
     if spec.family != family:
         raise ValueError(f"{kind} applies to the {family} family")
     lattices = spec.lattices()
-    latpt = tuple(lattice_value(l, v) for l, v in zip(lattices, point))
-    phi, tau, lam = form(spec.params, label[var], *latpt)
-    terms = (
-        (lam, (0, 0)),
-        (phi, tuple(2 if i == var else 0 for i in range(2))),
-        (tau, tuple(1 if i == var else 0 for i in range(2))),
-    )
-    return PointStencils(lattices, point).apply(terms, family_function(spec, label))
+    d2, sd = (tuple(l if i == var else 0 for i in range(2)) for l in (2, 1))
+
+    def stencil(pt):
+        phi, tau = form(spec.params, *(lattice_value(l, v) for l, v in zip(lattices, pt)))
+        return PointStencils(lattices, pt).fold(((phi, d2), (tau, sd)))
+
+    equation = Equation(stencil, lambda lbl: eigenvalue(spec.params, lbl[var]))
+    return table_residual_on(equation, family_function(spec, label), label, point, stencils)
 
 
 # ---------------------------------------------------------------------------
 # difference (stencil) forms
 # ---------------------------------------------------------------------------
 
-def racah_gi_stencil(params, label, s, t):
-    """Offset -> rational coefficient of the nine-term difference equation
-    for the bivariate Racah family (identity parts folded into (0,0))."""
+def racah_gi_stencil(params, s, t):
+    """Offset -> rational coefficient of the bivariate Racah nine-term form,
+    less its eigenvalue (identity parts folded into (0,0))."""
     b0, b1, b2, b3, N = (params[k] for k in ("beta0", "beta1", "beta2", "beta3", "N"))
-    n, m = label
     den_s0 = (b1 + 2 * s) * (b1 + 2 * s + 1)
     den_s1 = (b1 + 2 * s - 1) * (b1 + 2 * s + 1)
     den_s2 = (b1 + 2 * s - 1) * (b1 + 2 * s)
@@ -947,21 +948,17 @@ def racah_gi_stencil(params, label, s, t):
         * (s - t) * (b2 + N + t) * (b2 - b3 - N + t) * (b1 + s + t)
     ) / (den_s1 * den_t2)
     put((0, -1), t8, True)
-
-    c[(0, 0)] = c.get((0, 0), 0) + (m + n) * (b3 - b0 + m + n - 1)
     return c
 
 
-def wilson_f_stencil(table: CoeffTable, label, x, y):
-    """Offset -> coefficient of the printed Wilson difference equation, built
-    from the Wilson table's f_i and eigenvalue."""
+def wilson_f_stencil(table: CoeffTable, x, y):
+    """Offset -> coefficient of the printed Wilson difference equation,
+    without its eigenvalue, built from the Wilson table's f_i."""
     if not x or not y:
         raise SingularPointError("Wilson difference form needs x, y nonzero")
     f1, f2, f3, f4, f5, f6, f7, f8 = (
         gauss(fi.eval(table.lattice_point((x, y)))) for fi in table.coeffs
     )
-    n, m = label
-    lam = table.eigenvalue(label)
     x = gauss(x)
     y = gauss(y)
     i = II
@@ -1010,7 +1007,7 @@ def wilson_f_stencil(table: CoeffTable, label, x, y):
         )
         / (2 * (-2 * y + i) * y * (2 * x + i) * (-2 * x + i))
     )
-    F9 = gauss(lam) + (
+    F9 = (
         4 * f1
         + f8 * (4 * x * x + 1)
         + f7 * (4 * y * y + 1)
@@ -1033,13 +1030,12 @@ def wilson_f_stencil(table: CoeffTable, label, x, y):
     }
 
 
-def ch_f_stencil(table: CoeffTable, label, x, y):
+def ch_f_stencil(table: CoeffTable, x, y):
     """Offset -> coefficient of the printed continuous Hahn difference form,
-    built from the continuous Hahn table's f_i and eigenvalue."""
+    without its eigenvalue, built from the continuous Hahn table's f_i."""
     f1, f2, f3, f4, f5, f6, f7, f8 = (
         gauss(fi.eval(table.lattice_point((x, y)))) for fi in table.coeffs
     )
-    lam = table.eigenvalue(label)
     i = II
     half_i = i * HALF
     quarter = Fraction(1, 4)
@@ -1053,7 +1049,7 @@ def ch_f_stencil(table: CoeffTable, label, x, y):
         (0, 1): -2 * f1 - i * f3 - f6 - half_i * f8,
         (-1, 0): -2 * f1 + i * f2 - f5 + half_i * f7,
         (0, -1): i * f3 - 2 * f1 - f6 + half_i * f8,
-        (0, 0): 4 * f1 + 2 * f6 + 2 * f5 + gauss(lam),
+        (0, 0): 4 * f1 + 2 * f6 + 2 * f5,
     }
 
 
@@ -1061,11 +1057,11 @@ def ch_f_stencil(table: CoeffTable, label, x, y):
 DIFFERENCE_FORMS = {RACAH: "racah-gi", WILSON: "wilson-f", CH: "ch-f"}
 
 
-def difference_form_residual(kind, spec: FamilySpec, label, point, table=None):
+def difference_form_residual(kind, spec: FamilySpec, label, point, table=None, stencils=None):
     """The nine-term stencil sum at the point; exactly 0 on family members.
 
-    The Wilson and continuous Hahn forms are built from the family's printed
-    table; a sweep passes ``coefficients(spec)`` built once.
+    The Wilson and continuous Hahn forms read the printed table's f_i and
+    eigenvalue; a sweep passes ``coefficients(spec)`` and ``stencils`` once.
     """
     label = check_label(spec, label)
     point = check_point(spec, point)
@@ -1074,14 +1070,21 @@ def difference_form_residual(kind, spec: FamilySpec, label, point, table=None):
     if DIFFERENCE_FORMS.get(base_family(spec.family)) != kind:
         raise ValueError(f"{kind} does not apply to the {spec.family} family")
     if kind == "racah-gi":
-        stencil = racah_gi_stencil(spec.params, label, *point)
-        (s, t), step = point, ONE
+        p = spec.params
+        build, step = partial(racah_gi_stencil, p), ONE
+        # printed with the Racah form: (m + n)(beta3 - beta0 + m + n - 1)
+        eigenvalue = lambda lbl: sum(lbl) * (p["beta3"] - p["beta0"] + sum(lbl) - 1)
     else:
+        table = table or coefficients(spec)
         builder = wilson_f_stencil if kind == "wilson-f" else ch_f_stencil
-        stencil = builder(table or coefficients(spec), label, *point)
-        (s, t), step = map(gauss, point), II
-    weights = {(s + step * o1, t + step * o2): c for (o1, o2), c in stencil.items()}
-    return sample(weights, family_function(spec, label))
+        build, step, eigenvalue = partial(builder, table), II, table.eigenvalue
+
+    def stencil(pt):
+        s, t = pt if step is ONE else map(gauss, pt)
+        return {(s + step * o1, t + step * o2): c for (o1, o2), c in build(*pt).items()}
+
+    equation = Equation(stencil, eigenvalue)
+    return table_residual_on(equation, family_function(spec, label), label, point, stencils)
 
 
 # ---------------------------------------------------------------------------
@@ -1117,8 +1120,11 @@ def recover_coefficients(params, label=(1, 1)):
     spec = FamilySpec(RACAH, params=params)
     lattices = spec.lattices()
 
+    lam = lambda lbl: sum(lbl) * (params["beta3"] - params["beta0"] + sum(lbl) - 1)
+
     def sample(point):
-        gi = racah_gi_stencil(spec.params, label, *point)
+        gi = racah_gi_stencil(spec.params, *point)
+        gi[(0, 0)] += lam(label)
         cvec = [gi.get(off, Fraction(0)) for off in OFFSETS_3X3]
         m = operator_to_shift_matrix(lattices, point)
         # solve g^T M = c  <=>  M^T g = c
@@ -1131,10 +1137,6 @@ def recover_coefficients(params, label=(1, 1)):
     if lam_poly.total_degree() > 0:
         raise AssertionError("recovered eigenvalue term is not constant")
     eig = lam_poly.coeff((0, 0))
-
-    lam = lambda lbl: (lbl[0] + lbl[1]) * (
-        params["beta3"] - params["beta0"] + lbl[0] + lbl[1] - 1
-    )
     table = CoeffTable(polys[:8], lam, lattices)
     return table, eig
 

@@ -83,15 +83,18 @@ def test_criterion_4_derived_tables():
 
 
 def test_criterion_5_derivative_ladders():
+    # D P - c P~ has total degree <= |label| - 1 in the lattice values, so
+    # the (|label| + 1)^2 grid of verify-ladder proves each identity
     smallest = {0: (1, 0), 1: (0, 1)}
+    checks = 0
     for name, direction in fam.LADDER_DIRECTION.items():
         spec = fam.FamilySpec(name)
-        axes = pv.residual_grid(spec, (1, 1), size=3)
-        points = [(axes[0][i], axes[1][i]) for i in range(3)]
         for label in (smallest[direction], (1, 1), (2, 2)):
-            for pt in points:
+            for pt in product(*pv.residual_grid(spec, label, size=sum(label) + 1)):
                 value = fam.derivative_ladder_check(spec, label, pt)
                 assert value == 0, (name, label, pt, value)
+                checks += 1
+    assert checks == len(fam.LADDER_DIRECTION) * (2 ** 2 + 3 ** 2 + 5 ** 2)
 
 
 def test_criterion_6_recovery_oracle():

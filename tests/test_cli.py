@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -376,6 +377,121 @@ def test_failing_sweep_report_is_pinned(monkeypatch):
     failing = [(r["label"], r["point"]) for r in report["results"] if not r["pass"]]
     assert failing == [([2, 1], ["8/7", "15/7"]), ([3, 0], ["8/7", "15/7"])]
     assert _digest(report) == "2a1cf5ca001c66bf3923048c23a80b938aa2ab55426a67e40d4a28b8eaba0c9b"
+
+
+def test_second_order_typo_report_is_pinned(monkeypatch):
+    # a +1/1000 typo in the wilson-x tau shows at every label with n > 0
+    family, var, form, eigenvalue = pdeverify.SECOND_ORDER_FORMS["wilson-x"]
+
+    def typo(params, x, y):
+        phi, tau = form(params, x, y)
+        return phi, tau + Fraction(1, 1000)
+
+    monkeypatch.setitem(pdeverify.SECOND_ORDER_FORMS, "wilson-x", (family, var, typo, eigenvalue))
+    code, report = run(["verify-second-order", "--family", "wilson", "--max-total-degree", "2"])
+    assert code == EXIT_MISMATCH
+    failing = [r["label"] for r in report["results"] if not r["pass"]]
+    assert failing == [[1, 0], [1, 1], [2, 0]]
+    assert _digest(report) == "d006a3ce802370a3e4d167b222b1309df6ff5517001416f53a78ca9ec5dfc46a"
+
+
+def test_difference_form_typo_report_is_pinned(monkeypatch):
+    # a +1/1000 typo in the (1, 1) entry of the Racah nine-term form breaks
+    # every label, the constant member too
+    printed = pdeverify.racah_gi_stencil
+
+    def typo(params, s, t):
+        stencil = printed(params, s, t)
+        stencil[(1, 1)] += Fraction(1, 1000)
+        return stencil
+
+    monkeypatch.setattr(pdeverify, "racah_gi_stencil", typo)
+    code, report = run(["verify-difference-form", "--family", "racah", "--max-total-degree", "2"])
+    assert code == EXIT_MISMATCH
+    assert len(report["results"]) == 6
+    assert not any(r["pass"] for r in report["results"])
+    assert _digest(report) == "1aae15462ac723265636c8e48a1a2182354654cc7b69da60a0d9642f270d6a62"
+
+
+NINE_TERM_BUILDERS = {
+    families.RACAH: "racah_gi_stencil",
+    families.WILSON: "wilson_f_stencil",
+    families.CH: "ch_f_stencil",
+}
+
+
+@pytest.mark.parametrize("command, family, degree", [
+    ("verify-second-order", families.RACAH, 1),
+    ("verify-second-order", families.WILSON, 3),
+    ("verify-second-order", families.WILSON_BAR, 1),
+    ("verify-second-order", families.CDH, 1),
+    ("verify-difference-form", families.RACAH, 1),
+    ("verify-difference-form", families.WILSON, 3),
+    ("verify-difference-form", families.CH, 1),
+])
+def test_form_commands_build_each_grid_point_stencil_once(monkeypatch, command, family, degree):
+    # a form's stencil does not depend on the label, and each label's grid is
+    # a prefix of the next: a command builds the (degree + 5)^2 points of its
+    # largest grid once each (wilson at degree 3: 64)
+    calls = []
+    if command == "verify-second-order":
+        fold = pdeverify.PointStencils.fold
+
+        def counted(self, terms):
+            calls.append(self.point)
+            return fold(self, terms)
+
+        monkeypatch.setattr(pdeverify.PointStencils, "fold", counted)
+    else:
+        name = NINE_TERM_BUILDERS[family]
+        builder = getattr(pdeverify, name)
+
+        def counted(first, x, y):
+            calls.append((x, y))
+            return builder(first, x, y)
+
+        monkeypatch.setattr(pdeverify, name, counted)
+    code, report = run([command, "--family", family, "--max-total-degree", str(degree)])
+    assert code == EXIT_OK
+    assert len(calls) == len(set(calls)) == (degree + 5) ** 2
+
+
+# One parameter draw per family, seed-pinned: each DEFAULT_PARAMS value plus
+# k/p with one prime p >= 13 per position, as the benchmark draws them.  The
+# printed forms are polynomial identities in the parameters, so passing at a
+# random draw is probabilistic evidence that they hold for all parameters.
+DRAW_SEED = 9280
+DRAW_PRIMES = (13, 17, 19, 23, 29, 31)
+
+
+def _drawn_params(family):
+    rng = random.Random(DRAW_SEED)
+    defaults = families.DEFAULT_PARAMS[family]
+    return {
+        name: defaults[name] + Fraction(rng.randint(1, p - 1), p)
+        for name, p in zip(families.PARAM_NAMES[family], DRAW_PRIMES)
+    }
+
+
+@pytest.mark.parametrize("command, family", [
+    ("verify-second-order", families.RACAH),
+    ("verify-second-order", families.WILSON),
+    ("verify-second-order", families.WILSON_BAR),
+    ("verify-second-order", families.CDH),
+    ("verify-difference-form", families.RACAH),
+    ("verify-difference-form", families.WILSON),
+    ("verify-difference-form", families.CH),
+])
+def test_printed_forms_hold_at_drawn_parameters(command, family):
+    params = _drawn_params(family)
+    argv = [command, "--family", family, "--max-total-degree", "2"]
+    for name, value in params.items():
+        argv += ["--param", f"{name}={value}"]
+    code, report = run(argv)
+    assert code == EXIT_OK, report
+    assert report["params"] == families.FamilySpec(family, params=params).to_json()["params"]
+    assert params != families.DEFAULT_PARAMS[family]
+    assert len(report["results"]) == 6
 
 
 def test_singular_grid_point_exits_2(monkeypatch):

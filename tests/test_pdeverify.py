@@ -454,11 +454,12 @@ def test_second_order_forms_obey_the_degree_bound():
     # deg phi <= 2 beside D^2, deg tau <= 1 beside SD and a constant lambda:
     # the residual on a member of total degree k has degree <= k
     x, y = MPoly.var(0, 2), MPoly.var(1, 2)
-    for kind, (family, _, form) in pv.SECOND_ORDER_FORMS.items():
-        phi, tau, lam = form(fam.FamilySpec(family).params, 3, x, y)
+    for kind, (family, _, form, eigenvalue) in pv.SECOND_ORDER_FORMS.items():
+        params = fam.FamilySpec(family).params
+        phi, tau = form(params, x, y)
         assert phi.total_degree() <= 2, kind
         assert tau.total_degree() <= 1, kind
-        assert not isinstance(lam, MPoly), kind
+        assert not isinstance(eigenvalue(params, 3), MPoly), kind
 
 
 def test_second_order_zero_degree_is_trivial():
@@ -495,17 +496,16 @@ def test_difference_forms_vanish():
 
 
 def test_printed_stencils_match_operator_expansion():
-    # the printed nine-term coefficients agree with the stencil weights
-    # produced by expanding the divided-difference operators directly
+    # the printed nine-term coefficients, which leave out the eigenvalue,
+    # agree with the stencil weights produced by expanding the
+    # divided-difference operators directly
     for name, builder in ((fam.WILSON, pv.wilson_f_stencil), (fam.CH, pv.ch_f_stencil)):
         spec = fam.FamilySpec(name)
         table = pv.coefficients(spec)
-        label = (1, 1)
         for pt in PTS2:
-            printed = builder(table, label, *pt)
+            printed = builder(table, *pt)
             derived = {}
             latpt = table.lattice_point(pt)
-            lam = table.eigenvalue(label)
             for fi, lind in zip(table.coeffs, table.lindices):
                 ci = fi.eval(latpt)
                 if not ci:
@@ -516,7 +516,7 @@ def test_printed_stencils_match_operator_expansion():
                         for qv, pv_ in zip(q, (Fraction(p) for p in pt))
                     )
                     derived[off] = derived.get(off, 0) + ci * w
-            derived[(0, 0)] = derived.get((0, 0), 0) + lam
+            assert len(printed) == 9
             for off, val in printed.items():
                 assert derived.get(off, Fraction(0)) == val, (name, off)
 
