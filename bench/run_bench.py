@@ -7,9 +7,13 @@ Usage (from the repository root):
 Layers timed:
 
   L0  scalar field operations: Fraction and GaussianRational add, mul, div
-      and hash, plus GaussianRational x Fraction in both operand orders;
+      and hash, plus GaussianRational x Fraction in both operand orders.
+      ``L0.gauss.hash`` hashes the same values on every repeat, so it times
+      a read of the hash each value stores on first use;
+      ``L0.gauss.hash_first`` times the first hash of values built in the
+      same repeat (a conjugate, then its hash);
   L1  the four univariate primaries (racah_uni, wilson_uni, cdh_uni,
-      ch_uni) at n = 1..4, with their caches cleared before every repeat;
+      ch_uni) at n = 0..4, with their caches cleared before every repeat;
   L2  tables and chains: ``coefficients`` for each family,
       ``derived_coefficients`` of each distinct bivariate table in the
       directions x, y and xy, and ``GChain(spec, 4, leading)`` for the
@@ -46,6 +50,12 @@ Layers timed:
       equation kind (the Racah coefficient table, each second-order kind,
       each nine-term kind), stencil folded afresh, tables built outside the
       timed call.
+  L7  family evaluation, per family: ``family_function(spec, label)`` at
+      every neighbour of ``CoeffTable.stencil`` at each point of a
+      3-per-axis grid (2 with ``--quick``), for every label of total degree
+      <= 1, with the family caches cleared before every repeat and the
+      stencils built outside the timed call.  A neighbour shared by two
+      stencils is sampled twice, as a sweep samples it.
 
 Every input is fixed (drawn from a seeded ``random.Random``), so two runs
 on the same machine time the same work.  Each entry reports the operation
@@ -54,7 +64,11 @@ result is a JSON object with an environment record (Python version, CPU
 count, repeat count) and the entries; it is printed and, with ``--out``,
 written to a file.  With ``--baseline`` the result embeds an earlier run
 under ``baseline`` and adds the change/baseline median ratio of each entry,
-so one file holds a before/after comparison.
+so one file holds a before/after comparison.  The two runs are made at
+different times on a possibly shared machine, so the result also reports
+``drift``, the median ratio of the ``L0.fraction.*`` entries (they time the
+standard library's Fraction only, which no change here can move), and each
+entry's ratio divided by it.
 """
 
 from __future__ import annotations
@@ -118,6 +132,7 @@ def _l0_entries(size):
         "L0.gauss.mul": (loop(lambda a, b: a * b, gpairs), size),
         "L0.gauss.div": (loop(lambda a, b: a / b, gpairs), size),
         "L0.gauss.hash": (lambda: [hash(a) for a in ga], size),
+        "L0.gauss.hash_first": (lambda: [hash(a.conjugate()) for a in ga], size),
         "L0.gauss_x_fraction.mul": (loop(lambda g, q: g * q, mixed), size),
         "L0.fraction_x_gauss.mul": (loop(lambda g, q: q * g, mixed), size),
     }
@@ -156,7 +171,7 @@ def _l1_entries(points):
     out = {}
     for name, arglist in _l1_args(points).items():
         fn = getattr(fam, name)
-        for n in range(1, 5):
+        for n in range(5):
             def job(fn=fn, n=n, arglist=arglist):
                 fn.cache_clear()
                 return [fn(n, *args) for args in arglist]
@@ -366,6 +381,27 @@ def _l6_entries(degree):
     return out
 
 
+def _l7_entries(size):
+    """ops is the number of member evaluations in one repeat."""
+    out = {}
+    for name in fam.ALL_FAMILIES:
+        spec = fam.FamilySpec(name)
+        table = pdeverify.coefficients(spec)
+        grid = product(*pdeverify.residual_grid(spec, (0,) * spec.nvars, size=size))
+        neighbours = [q for point in grid for q in table.stencil(point)]
+        labels = [lbl for lbl in product((0, 1), repeat=spec.nvars) if sum(lbl) <= 1]
+
+        def job(spec=spec, neighbours=neighbours, labels=labels):
+            _clear_family_caches()
+            for label in labels:
+                f = fam.family_function(spec, label)
+                for q in neighbours:
+                    f(q)
+
+        out[f"L7.family_eval.{name}"] = (job, len(labels) * len(neighbours))
+    return out
+
+
 def measure(entries, repeats):
     results = {}
     for name, (job, ops) in entries.items():
@@ -399,7 +435,10 @@ def with_baseline(result, baseline):
         old = baseline["entries"].get(name)
         if old and old["median_s"] > 0:
             ratios[name] = round(entry["median_s"] / old["median_s"], 4)
-    return dict(result, baseline=baseline, median_ratio=ratios)
+    drift = statistics.median(r for name, r in ratios.items() if name.startswith("L0.fraction."))
+    adjusted = {name: round(r / drift, 4) for name, r in ratios.items()}
+    return dict(result, baseline=baseline, median_ratio=ratios, drift=drift,
+                drift_adjusted_ratio=adjusted)
 
 
 def main(argv=None):
@@ -421,6 +460,7 @@ def main(argv=None):
     entries.update(_l4_entries(upto))
     entries.update(_l5_entries(grid, points))
     entries.update(_l6_entries(form_degree))
+    entries.update(_l7_entries(grid))
     result = {
         "schema": SCHEMA,
         "environment": environment(repeats),

@@ -45,14 +45,16 @@ class GaussianRational:
     ``+ - *`` (or a real divisor) acts on the parts directly instead of being
     lifted to Q(i).  The public constructor normalises its inputs through
     ``Fraction``; every arithmetic result is built by :func:`_gauss` from
-    parts that Fraction arithmetic has already reduced.
+    parts that Fraction arithmetic has already reduced.  The hash is
+    computed on first use and kept in the ``_hash`` slot.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("re", "im", "_hash")
 
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -74,9 +76,11 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        h = self._hash
+        if h is None:
+            h = hash(self.re) if self.im == 0 else hash((self.re, self.im))
+            _set_hash(self, h)
+        return h
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -172,6 +176,7 @@ _ONE = Fraction(1)
 _new = object.__new__
 _set_re = GaussianRational.re.__set__
 _set_im = GaussianRational.im.__set__
+_set_hash = GaussianRational._hash.__set__
 
 
 def _gauss(re, im):
@@ -180,6 +185,7 @@ def _gauss(re, im):
     g = _new(GaussianRational)
     _set_re(g, re)
     _set_im(g, im)
+    _set_hash(g, None)
     return g
 
 
@@ -200,6 +206,13 @@ def gauss(value) -> GaussianRational:
     if out is NotImplemented:
         raise TypeError(f"cannot coerce {value!r} into Q(i)")
     return out
+
+
+def times_i(value) -> GaussianRational:
+    """i * value as a swap of parts, i (a + bi) = -b + ai: no products."""
+    if isinstance(value, GaussianRational):
+        return _gauss(-value.im, value.re)
+    return _gauss(_ZERO, rat(value))
 
 
 def imag_part(value) -> Fraction:

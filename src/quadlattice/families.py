@@ -26,12 +26,12 @@ k-th term is prod (u_j)_k * prod (l_j + k)_{n-k} / k!, with prefix products
 of the upper parameters and suffix products of the lower tails (O(n)
 multiplications), and only k! divides.  Before summing, each primary
 forms every lower Pochhammer (l)_n with ``pochhammer`` and rejects the
-parameters if one vanishes.  Every univariate factor has a
-second, independent implementation used as a brute-force oracle by the
-tests: a prefactor times the plain series summed by running term ratios,
-dividing by every lower parameter at every term.  The two routes share no
-arithmetic beyond the parameters, so a slip in one does not cancel in the
-comparison.
+parameters if one vanishes; a degree-0 factor is 1 and never reaches
+a primary.  Every univariate factor has a second, independent
+implementation used as a brute-force oracle by the tests: a prefactor
+times the plain series summed by running term ratios, dividing by every
+lower parameter at every term.  The two routes share no arithmetic beyond
+the parameters, so a slip in one does not cancel in the comparison.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
-from .exactfield import GaussianRational, I, demote, gauss, imag_part, pochhammer, rat
+from .exactfield import GaussianRational, I, demote, gauss, imag_part, pochhammer, rat, times_i
 from .latticeops import linear, partial_D, quadratic, wilson_square
 
 HALF = Fraction(1, 2)
@@ -93,6 +93,12 @@ def _terminating_sum(n, uppers, lowers):
     return total
 
 
+def _pair(e, v):
+    """The conjugate pair (e + iv, e - iv), built from one multiplication by i."""
+    iv = times_i(v)
+    return e + iv, e - iv
+
+
 @lru_cache(maxsize=None)
 def racah_uni(n, alpha, beta, gamma, delta, s):
     """Univariate Racah polynomial r_n(alpha,beta,gamma,delta;s).
@@ -110,7 +116,7 @@ def wilson_uni(n, a, b, c, d, x):
     """Wilson polynomial w_n(x^2; a, b, c, d); an even function of x."""
     ab, ac, ad = a + b, a + c, a + d
     check_lower([("a+b", ab), ("a+c", ac), ("a+d", ad)], n)
-    uppers = (-n, n + a + b + c + d - 1, a + I * x, a - I * x)
+    uppers = (-n, n + a + b + c + d - 1, *_pair(a, x))
     return demote(_terminating_sum(n, uppers, (ab, ac, ad)))
 
 
@@ -119,7 +125,7 @@ def cdh_uni(n, a, b, c, x):
     """Continuous dual Hahn polynomial d_n(a, b, c | x), even in x."""
     ab, ac = a + b, a + c
     check_lower([("a+b", ab), ("a+c", ac)], n)
-    uppers = (-n, a + I * x, a - I * x)
+    uppers = (-n, *_pair(a, x))
     return demote(_terminating_sum(n, uppers, (ab, ac)))
 
 
@@ -128,7 +134,7 @@ def ch_uni(n, a, b, c, d, x):
     """Continuous Hahn polynomial h_n(a, b, c, d | x) with the i^n prefactor."""
     ab, ad = a + b, a + d
     check_lower([("a+b", ab), ("a+d", ad)], n)
-    uppers = (-n, n + a + b + c + d - 1, a + I * x)
+    uppers = (-n, n + a + b + c + d - 1, a + times_i(x))
     return demote(I ** n * _terminating_sum(n, uppers, (ab, ad)))
 
 
@@ -407,39 +413,39 @@ def _factors(family, p, label, point):
     if family == WILSON:
         (n, m), (x, y) = label, point
         return (
-            ("wilson", n, (p["a"], p["b"], p["e2"] + I * y, p["e2"] - I * y, x)),
+            ("wilson", n, (p["a"], p["b"], *_pair(p["e2"], y), x)),
             ("wilson", m, (n + p["a"] + p["e2"], n + p["b"] + p["e2"], p["c"], p["d"], y)),
         )
     if family == WILSON_BAR:
         (n, m), (x, y) = label, point
         return (
             ("wilson", n, (m + p["c"] + p["e2"], m + p["d"] + p["e2"], p["a"], p["b"], x)),
-            ("wilson", m, (p["c"], p["d"], p["e2"] + I * x, p["e2"] - I * x, y)),
+            ("wilson", m, (p["c"], p["d"], *_pair(p["e2"], x), y)),
         )
     if family == CDH:
         (n, m), (x, y) = label, point
         return (
-            ("cdh", n, (p["a"], p["e2"] + I * y, p["e2"] - I * y, x)),
+            ("cdh", n, (p["a"], *_pair(p["e2"], y), x)),
             ("cdh", m, (n + p["a"] + p["e2"], p["b"], p["c"], y)),
         )
     if family == CH:
         (n, m), (x, y) = label, point
         return (
-            ("ch", n, (p["a1"], p["b1"], p["e2"] - I * y, p["e2"] + I * y, x)),
+            ("ch", n, (p["a1"], p["b1"], *_pair(p["e2"], y)[::-1], x)),
             ("ch", m, (n + p["a1"] + p["e2"], n + p["b1"] + p["e2"], p["b3"], p["a3"], y)),
         )
     if family == CH_BAR:
         (n, m), (x, y) = label, point
         return (
             ("ch", n, (m + p["e2"] + p["b3"], m + p["e2"] + p["a3"], p["a1"], p["b1"], x)),
-            ("ch", m, (p["b3"], p["a3"], p["e2"] - I * x, p["e2"] + I * x, y)),
+            ("ch", m, (p["b3"], p["a3"], *_pair(p["e2"], x)[::-1], y)),
         )
     if family == CH_TRI:
         (n, m, r), (x, y, z) = label, point
         return (
-            ("ch", n, (p["a1"], p["b1"], p["e2"] - I * y, p["e2"] + I * y, x)),
+            ("ch", n, (p["a1"], p["b1"], *_pair(p["e2"], y)[::-1], x)),
             ("ch", m, (n + p["a1"] + p["e2"], n + p["b1"] + p["e2"],
-                       p["e3"] - I * z, p["e3"] + I * z, y)),
+                       *_pair(p["e3"], z)[::-1], y)),
             ("ch", r, (n + m + p["a1"] + p["e2"] + p["e3"], n + m + p["b1"] + p["e2"] + p["e3"],
                        p["b4"], p["a4"], z)),
         )
@@ -447,8 +453,10 @@ def _factors(family, p, label, point):
 
 
 def _multiply(uni, factors):
-    """Product of the factor calls through the {kind: function} backend."""
-    return demote(reduce(mul, (uni[kind](n, *args) for kind, n, args in factors)))
+    """Product of the factor calls through the {kind: function} backend;
+    the empty product is 1."""
+    values = [uni[kind](n, *args) for kind, n, args in factors]
+    return demote(reduce(mul, values)) if values else Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -457,7 +465,8 @@ def _eval_cached(spec_key, label, point):
     p = dict(zip(PARAM_NAMES[family], spec_key[1:]))
     # looked up per call, so that patched module attributes are honoured
     uni = {"racah": racah_uni, "wilson": wilson_uni, "cdh": cdh_uni, "ch": ch_uni}
-    value = _multiply(uni, _factors(family, p, label, point))
+    # a degree-0 factor is 1: (a)_0 = 1, one term, and nothing to check
+    value = _multiply(uni, [f for f in _factors(family, p, label, point) if f[1]])
     if base_family(family) in (RACAH, WILSON, CDH) and all(imag_part(v) == 0 for v in point):
         if imag_part(value) != 0:
             raise ArithmeticError(

@@ -116,10 +116,11 @@ def test_criterion_7_second_order_and_difference_forms():
     )
     for kind, name in second_order:
         spec = fam.FamilySpec(name)
+        stencils = {}  # each grid point's stencil folded once per kind
         for label in labels:
             axes = pv.residual_grid(spec, label)
             for pt in product(*axes):
-                value = pv.second_order_residual(kind, spec, label, pt)
+                value = pv.second_order_residual(kind, spec, label, pt, stencils)
                 assert value == 0, (kind, label, pt, value)
     difference_forms = (
         ("racah-gi", fam.RACAH),
@@ -128,10 +129,11 @@ def test_criterion_7_second_order_and_difference_forms():
     )
     for kind, name in difference_forms:
         spec = fam.FamilySpec(name)
+        table, stencils = pv.coefficients(spec), {}
         for label in labels:
             axes = pv.residual_grid(spec, label)
             for pt in product(*axes):
-                value = pv.difference_form_residual(kind, spec, label, pt)
+                value = pv.difference_form_residual(kind, spec, label, pt, table, stencils)
                 assert value == 0, (kind, label, pt, value)
 
 

@@ -12,6 +12,7 @@ from quadlattice.exactfield import (
     pochhammer,
     rat,
     rat_str,
+    times_i,
 )
 
 
@@ -208,3 +209,50 @@ def test_arithmetic_results_stay_immutable_and_hash_like_rationals():
         real = g * 0 + q  # a real value reached through the fast paths
         assert real.im == 0 and hash(real) == hash(q) and real == q
         assert hash(g + q - g) == hash(q)
+
+
+# -- the hash is computed once, with the value of the (re, im) parts ---------
+
+def _expected_hash(value):
+    if value.im == 0:
+        return hash(value.re)
+    return hash((value.re, value.im))
+
+
+def test_gaussian_hash_is_the_parts_hash_computed_once():
+    rng = random.Random(67)
+    draws = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(24)]
+    built = [GaussianRational(a, b) for a, b in zip(draws, draws[1:])]
+    built += [GaussianRational(a) for a in draws[:6]] + [GaussianRational(3, 0), GaussianRational(-2, 5)]
+    derived = []
+    for g, h in zip(built, built[1:]):
+        derived += [g + h, g - h, g * h, -g, g.conjugate(), g ** 3, g + 2, Fraction(1, 3) * g,
+                    g * g.conjugate(), g - g]
+        if h:
+            derived += [g / h, 5 / h]
+    assert any(v.im == 0 for v in derived) and any(v.im != 0 for v in derived)
+    for value in built + derived:
+        expected = _expected_hash(value)
+        assert hash(value) == expected, value
+        assert hash(value) == expected, value  # the stored hash, read back
+        with pytest.raises(AttributeError):
+            value._hash = 0
+        assert hash(value) == expected
+    for a, b in zip(draws, draws[1:]):
+        assert hash(GaussianRational(a, b)) == (hash((a, b)) if b else hash(a))
+        assert hash(GaussianRational(a, 0)) == hash(a)
+
+
+def test_times_i_is_multiplication_by_i():
+    rng = random.Random(71)
+    values = [rng.randint(-9, 9) for _ in range(8)]
+    values += [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)]
+    values += [GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                                Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(8)]
+    for value in values + [0, Fraction(0), GaussianRational(0, 0)]:
+        result = times_i(value)
+        _assert_canonical(result)
+        assert result == I * value, value
+        assert hash(result) == hash(I * value)
+    with pytest.raises(TypeError):
+        times_i(1.5)

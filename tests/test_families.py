@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -206,6 +207,44 @@ def test_every_family_agrees_with_brute_force_oracle():
             oracle = fam.eval_family_oracle(spec, label, point)
             assert primary == oracle, (name, label, point)
             checked += 1
+
+
+def test_every_family_agrees_with_oracle_at_stencil_neighbours():
+    """The stencils sample members at s +- i (Wilson and linear lattices) or
+    s +- 1 (Racah); the couplings then carry Gaussian arguments."""
+    for name in fam.ALL_FAMILIES:
+        spec = fam.FamilySpec(name)
+        step = 1 if fam.base_family(name) == fam.RACAH else GaussianRational(0, 1)
+        base = (Fraction(8, 7), Fraction(16, 7), Fraction(15, 7))[:spec.nvars]
+        labels = [lbl for lbl in product(range(3), repeat=spec.nvars) if sum(lbl) <= 2]
+        for offsets in product((-1, 0, 1), repeat=spec.nvars):
+            point = tuple(s + o * step for s, o in zip(base, offsets))
+            for label in labels:
+                primary = fam.eval_family(spec, label, point)
+                assert primary == fam.eval_family_oracle(spec, label, point), (name, label, point)
+
+
+def test_zero_label_is_one_without_a_primary_call(monkeypatch):
+    calls = []
+    for kind in ("racah", "wilson", "cdh", "ch"):
+        original = getattr(fam, f"{kind}_uni")
+
+        def counted(*args, kind=kind, original=original):
+            calls.append((kind, args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(fam, f"{kind}_uni", counted)
+    fam._eval_cached.cache_clear()
+    for name in fam.ALL_FAMILIES:
+        spec = fam.FamilySpec(name)
+        point = (Fraction(8, 7), Fraction(16, 7), Fraction(15, 7))[:spec.nvars]
+        value = fam.eval_family(spec, (0,) * spec.nvars, point)
+        assert value == 1 and type(value) is Fraction, name
+        assert calls == [], name
+        # a degree-1 factor still reaches its primary, and only that one
+        fam.eval_family(spec, (1,) + (0,) * (spec.nvars - 1), point)
+        assert [n for _, n in calls] == [1], (name, calls)
+        calls.clear()
 
 
 def test_bivariate_total_degree_by_interpolation():
