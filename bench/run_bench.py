@@ -43,10 +43,13 @@ Layers timed:
       (1, 1) on a 3 x 3 grid (2 x 2 with ``--quick``), with the family caches
       cleared before every repeat.
   L6  the printed forms end to end: in-process ``cli.run`` of
-      ``verify-second-order`` for each of its four families and of
-      ``verify-difference-form`` for each nine-term kind at total degree
-      <= 1 (<= 0 with ``--quick``), with the family caches cleared before
-      every repeat; and one residual at label (1, 1) and one point per
+      ``verify-second-order`` for each of its four families, of
+      ``verify-difference-form`` for each nine-term kind and of
+      ``verify-ladder`` for each of the seven ladder families at total
+      degree <= 1 (<= 0 with ``--quick``), with the family caches cleared
+      before every repeat (ops: the command's residual or ladder checks);
+      one whole ``recover_coefficients`` call for the default Racah
+      parameters; and one residual at label (1, 1) and one point per
       equation kind (the Racah coefficient table, each second-order kind,
       each nine-term kind), stencil folded afresh, tables built outside the
       timed call.
@@ -339,8 +342,8 @@ def _l6_entries(degree):
     out = {}
     commands = [("verify-second-order", row[0]) for row in pdeverify.SECOND_ORDER_FORMS.values()]
     commands += [("verify-difference-form", name) for name in pdeverify.DIFFERENCE_FORMS]
+    commands += [("verify-ladder", name) for name in fam.LADDER_DIRECTION]
     for command, name in commands:
-        spec = fam.FamilySpec(name)
         argv = [command, "--family", name, "--max-total-degree", str(degree)]
 
         def job(argv=argv):
@@ -351,12 +354,16 @@ def _l6_entries(degree):
             return report
 
         labels = [tuple(r["label"]) for r in job()["results"]]
-        checks = sum(
-            len(list(product(*pdeverify.residual_grid(spec, label)))) for label in labels
-        )
+        # a ladder label sweeps |label| + 1 lattice values per axis, a form
+        # label the default of residual_grid, |label| + 5
+        extra = 1 if command == "verify-ladder" else 5
+        checks = sum((sum(label) + extra) ** 2 for label in labels)
         out[f"L6.cli.{command}.{name}"] = (job, checks)
     point = (Fraction(8, 7), Fraction(15, 7))
     racah = fam.FamilySpec(fam.RACAH)
+    out["L6.recover_coefficients.racah"] = (
+        lambda: pdeverify.recover_coefficients(racah.params), 1
+    )
     racah_table = pdeverify.coefficients(racah)
     residuals = {"table.racah": lambda: pdeverify.residual(racah_table, racah, (1, 1), point)}
     for kind, (name, *_) in pdeverify.SECOND_ORDER_FORMS.items():

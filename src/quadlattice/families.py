@@ -293,24 +293,17 @@ class FamilySpec:
 
     __slots__ = ("family", "params")
 
-    def __init__(self, family, params=None, **overrides):
+    def __init__(self, family, params=None):
         if family not in PARAM_NAMES:
             raise ValueError(f"unknown family {family!r}")
         base = dict(DEFAULT_PARAMS[family])
         if params:
             base.update({k: rat(v) for k, v in params.items()})
-        base.update({k: rat(v) for k, v in overrides.items()})
         unknown = set(base) - set(PARAM_NAMES[family])
         if unknown:
             raise ValueError(f"parameters {sorted(unknown)} do not belong to {family}")
-        missing = set(PARAM_NAMES[family]) - set(base)
-        if missing:
-            raise ValueError(f"missing parameters {sorted(missing)} for {family}")
         self.family = family
         self.params = base
-
-    def __getitem__(self, name):
-        return self.params[name]
 
     def key(self):
         return (self.family,) + tuple(self.params[k] for k in PARAM_NAMES[self.family])
@@ -386,9 +379,7 @@ def eval_family(spec: FamilySpec, label, point):
     Wilson and continuous dual Hahn values are real for real inputs; this is
     asserted, not assumed.  Continuous Hahn values live in Q(i).
     """
-    label = check_label(spec, label)
-    point = check_point(spec, point)
-    return _eval_cached(spec.key(), label, point)
+    return family_function(spec, label)(check_point(spec, point))
 
 
 def _factors(family, p, label, point):
@@ -460,13 +451,13 @@ def _multiply(uni, factors):
 
 
 @lru_cache(maxsize=None)
-def _eval_cached(spec_key, label, point):
-    family = spec_key[0]
-    p = dict(zip(PARAM_NAMES[family], spec_key[1:]))
+def _eval_cached(spec, label, point):
+    # keyed by the spec itself: equal specs hash and compare by their key()
+    family = spec.family
     # looked up per call, so that patched module attributes are honoured
     uni = {"racah": racah_uni, "wilson": wilson_uni, "cdh": cdh_uni, "ch": ch_uni}
     # a degree-0 factor is 1: (a)_0 = 1, one term, and nothing to check
-    value = _multiply(uni, [f for f in _factors(family, p, label, point) if f[1]])
+    value = _multiply(uni, [f for f in _factors(family, spec.params, label, point) if f[1]])
     if base_family(family) in (RACAH, WILSON, CDH) and all(imag_part(v) == 0 for v in point):
         if imag_part(value) != 0:
             raise ArithmeticError(
@@ -492,15 +483,9 @@ def eval_family_oracle(spec: FamilySpec, label, point):
 
 
 def family_function(spec, label):
-    """The family member as a stencil function of its grid coordinates."""
+    """The family member as a stencil function of its grid point (a tuple)."""
     label = check_label(spec, label)
-
-    def f(*point):
-        if len(point) == 1 and isinstance(point[0], tuple):
-            point = point[0]
-        return _eval_cached(spec.key(), label, tuple(point))
-
-    return f
+    return lambda point: _eval_cached(spec, label, tuple(point))
 
 
 # ---------------------------------------------------------------------------
@@ -510,58 +495,38 @@ def family_function(spec, label):
 # a second family's printed ladder differentiates in its second variable
 LADDER_DIRECTION = {f: int(f in BASE) for f in ALL_FAMILIES if f != CH_TRI}
 
+# family -> (factor(params, k), parameter shifts, point shift) of the printed
+# D P_label(point) = factor * P~_label'(point + point shift): k is the label's
+# entry in the ladder's direction, label' lowers it, P~ has shifted parameters
+LADDERS = {
+    RACAH: (lambda p, n: n * (n - p["beta0"] + p["beta2"] - 1),
+            {"beta1": 1, "beta2": 2, "beta3": 2, "N": -1}, (-HALF, -1)),
+    RACAH_BAR: (lambda p, m: m * (m + p["beta3"] - p["beta1"] - 1),
+                {"beta2": 1, "beta3": 2, "N": -1}, (0, -HALF)),
+    WILSON: (lambda p, n: -n * (n + p["a"] + p["b"] + 2 * p["e2"] - 1),
+             {"a": HALF, "b": HALF, "e2": HALF}, (0, 0)),
+    WILSON_BAR: (lambda p, m: -m * (m + p["c"] + p["d"] + 2 * p["e2"] - 1),
+                 {"c": HALF, "d": HALF, "e2": HALF}, (0, 0)),
+    CDH: (lambda p, n: Fraction(-n), {"a": HALF, "e2": HALF}, (0, 0)),
+    CH: (lambda p, n: n * (n + p["a1"] + p["b1"] + 2 * p["e2"] - 1),
+         {"a1": HALF, "e2": HALF, "b1": HALF}, (0, 0)),
+    CH_BAR: (lambda p, m: m * (m + p["a3"] + p["b3"] + 2 * p["e2"] - 1),
+             {"e2": HALF, "a3": HALF, "b3": HALF}, (0, 0)),
+}
+
 
 def ladder_parts(spec: FamilySpec, label):
-    """(direction, factor, shifted spec, shifted label, point transform) of
-    the family's printed difference-derivative identity."""
+    """(direction, factor, shifted spec, lowered label, point map) of the
+    family's printed difference-derivative identity."""
     label = check_label(spec, label)
-    p = spec.params
-    family = spec.family
-    if family == RACAH:
-        n, m = label
-        factor = n * (n - p["beta0"] + p["beta2"] - 1)
-        shifted = spec.shifted(beta1=1, beta2=2, beta3=2, N=-1)
-        new_label = (max(n - 1, 0), m)
-        transform = lambda pt: (pt[0] - HALF, pt[1] - 1)
-    elif family == RACAH_BAR:
-        n, m = label
-        factor = m * (m + p["beta3"] - p["beta1"] - 1)
-        shifted = spec.shifted(beta2=1, beta3=2, N=-1)
-        new_label = (n, max(m - 1, 0))
-        transform = lambda pt: (pt[0], pt[1] - HALF)
-    elif family == WILSON:
-        n, m = label
-        factor = -n * (n + p["a"] + p["b"] + 2 * p["e2"] - 1)
-        shifted = spec.shifted(a=HALF, b=HALF, e2=HALF)
-        new_label = (max(n - 1, 0), m)
-        transform = lambda pt: pt
-    elif family == WILSON_BAR:
-        n, m = label
-        factor = -m * (m + p["c"] + p["d"] + 2 * p["e2"] - 1)
-        shifted = spec.shifted(c=HALF, d=HALF, e2=HALF)
-        new_label = (n, max(m - 1, 0))
-        transform = lambda pt: pt
-    elif family == CDH:
-        n, m = label
-        factor = Fraction(-n)
-        shifted = spec.shifted(a=HALF, e2=HALF)
-        new_label = (max(n - 1, 0), m)
-        transform = lambda pt: pt
-    elif family == CH:
-        n, m = label
-        factor = n * (n + p["a1"] + p["b1"] + 2 * p["e2"] - 1)
-        shifted = spec.shifted(a1=HALF, e2=HALF, b1=HALF)
-        new_label = (max(n - 1, 0), m)
-        transform = lambda pt: pt
-    elif family == CH_BAR:
-        n, m = label
-        factor = m * (m + p["a3"] + p["b3"] + 2 * p["e2"] - 1)
-        shifted = spec.shifted(e2=HALF, a3=HALF, b3=HALF)
-        new_label = (n, max(m - 1, 0))
-        transform = lambda pt: pt
-    else:
-        raise ValueError(f"no printed ladder for family {family}")
-    return LADDER_DIRECTION[family], factor, shifted, new_label, transform
+    if spec.family not in LADDERS:
+        raise ValueError(f"no printed ladder for family {spec.family}")
+    factor, shifts, shift = LADDERS[spec.family]
+    direction = LADDER_DIRECTION[spec.family]
+    k = label[direction]
+    lowered = label[:direction] + (max(k - 1, 0),) + label[direction + 1:]
+    point_map = lambda pt: tuple(v + d for v, d in zip(pt, shift))
+    return direction, factor(spec.params, k), spec.shifted(**shifts), lowered, point_map
 
 
 def derivative_ladder_check(spec: FamilySpec, label, point):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactfield import GaussianRational, demote
-from .latticeops import LatticeSpec, grid_points, lattice_value, linear, structure_scalars
+from .latticeops import LatticeSpec, grid_axes, lattice_value, linear, structure_scalars
 from .matrix import ExactMatrix
 
 
@@ -185,12 +185,12 @@ class MPoly:
             out = out + MPoly(self.nvars, {tuple(rest): c}) * shifted_powers[e]
         return out
 
-    def to_json(self, names=("dx", "dy", "dz")):
+    def to_json(self):
         from .exactfield import field_str
 
         terms = []
         for exps in sorted(self.coeffs):
-            entry = {names[i]: exps[i] for i in range(self.nvars)}
+            entry = dict(zip(("dx", "dy", "dz"), exps))
             entry["coeff"] = field_str(self.coeffs[exps])
             terms.append(entry)
         return terms
@@ -440,12 +440,11 @@ def interpolate_bivariate(xnodes, ynodes, value_at) -> MPoly:
 
 
 def interpolate_on_grid(lattices, count, sample):
-    """The oracle grid: ``count`` lattice points per axis (origins 1 and 2)
+    """The oracle grid: ``count`` lattice points per axis (``grid_axes``)
     of the two ``lattices``; ``sample(point)`` returns a list of values at
     a grid point, and the k-th returned MPoly interpolates the k-th values
     in the lattice variables."""
-    svals = grid_points(lattices[0], count, origin=1)
-    tvals = grid_points(lattices[1], count, origin=2)
+    svals, tvals = grid_axes(lattices, count)
     xnodes = [lattice_value(lattices[0], s) for s in svals]
     ynodes = [lattice_value(lattices[1], t) for t in tvals]
     samples = [[sample((s, t)) for t in tvals] for s in svals]

@@ -188,6 +188,15 @@ def grid_points(spec, count, origin=1, offset=Fraction(1, 7)):
     return points
 
 
+def grid_axes(lattices, count, offset=Fraction(1, 7)):
+    """Axes of a tensor grid, ``count`` values per lattice: axis j (from 0)
+    takes ``grid_points`` from origin j + 1.  The oracle and proof grids share it."""
+    return [
+        grid_points(lat, count, origin=1 + k, offset=offset)
+        for k, lat in enumerate(lattices)
+    ]
+
+
 # every label of a sweep asks again for the candidates of the label before
 @lru_cache(maxsize=4096)
 def _nonsingular(spec, s):

@@ -40,7 +40,7 @@ from .families import (
 from .fbasis import MPoly, interpolate_on_grid, poly_D, poly_S, poly_shift_pair
 from .latticeops import (
     SingularPointError,
-    grid_points,
+    grid_axes,
     half_step,
     lattice_value,
     partial_D,
@@ -951,6 +951,13 @@ def racah_gi_stencil(params, s, t):
     return c
 
 
+def racah_gi_eigenvalue(params, label):
+    """|l| (beta3 - beta0 + |l| - 1), printed with the Racah nine-term form;
+    apart from the Theorem table's, so the recovery oracle never reads it."""
+    k = sum(label)
+    return k * (params["beta3"] - params["beta0"] + k - 1)
+
+
 def wilson_f_stencil(table: CoeffTable, x, y):
     """Offset -> coefficient of the printed Wilson difference equation,
     without its eigenvalue, built from the Wilson table's f_i."""
@@ -1072,8 +1079,7 @@ def difference_form_residual(kind, spec: FamilySpec, label, point, table=None, s
     if kind == "racah-gi":
         p = spec.params
         build, step = partial(racah_gi_stencil, p), ONE
-        # printed with the Racah form: (m + n)(beta3 - beta0 + m + n - 1)
-        eigenvalue = lambda lbl: sum(lbl) * (p["beta3"] - p["beta0"] + sum(lbl) - 1)
+        eigenvalue = partial(racah_gi_eigenvalue, p)
     else:
         table = table or coefficients(spec)
         builder = wilson_f_stencil if kind == "wilson-f" else ch_f_stencil
@@ -1109,7 +1115,7 @@ def operator_to_shift_matrix(lattices, point):
     return ExactMatrix(rows)
 
 
-def recover_coefficients(params, label=(1, 1)):
+def recover_coefficients(params):
     """Re-derive the Racah coefficient table from the nine-term difference
     equation by expressing the shifted values through the mixed-operator
     expressions and interpolating the resulting polynomial coefficients.
@@ -1119,12 +1125,12 @@ def recover_coefficients(params, label=(1, 1)):
     """
     spec = FamilySpec(RACAH, params=params)
     lattices = spec.lattices()
-
-    lam = lambda lbl: sum(lbl) * (params["beta3"] - params["beta0"] + sum(lbl) - 1)
+    lam = partial(racah_gi_eigenvalue, spec.params)
 
     def sample(point):
         gi = racah_gi_stencil(spec.params, *point)
-        gi[(0, 0)] += lam(label)
+        # the form at label (1, 1): the identity row recovers its eigenvalue
+        gi[(0, 0)] += lam((1, 1))
         cvec = [gi.get(off, Fraction(0)) for off in OFFSETS_3X3]
         m = operator_to_shift_matrix(lattices, point)
         # solve g^T M = c  <=>  M^T g = c
@@ -1160,12 +1166,7 @@ def residual_grid(spec: FamilySpec, label, size=None, offset=Fraction(1, 7)):
     per axis; by default |label| + 5, four more than the table residual's
     degree bound (see :func:`check_proof_grid`) asks for."""
     size = size if size is not None else sum(check_label(spec, label)) + 5
-    lattices = spec.lattices()
-    axes = [
-        grid_points(lat, size, origin=1 + k, offset=offset)
-        for k, lat in enumerate(lattices)
-    ]
-    return axes
+    return grid_axes(spec.lattices(), size, offset)
 
 
 def sweep(spec: FamilySpec, max_total_degree, points, check):

@@ -99,7 +99,7 @@ def test_criterion_5_derivative_ladders():
 
 def test_criterion_6_recovery_oracle():
     spec = fam.FamilySpec(fam.RACAH)
-    recovered, eig = pv.recover_coefficients(spec.params, label=(1, 1))
+    recovered, eig = pv.recover_coefficients(spec.params)
     printed = pv.coefficients(spec)
     diffs = pv.compare_tables(recovered, printed)
     assert diffs == [], [name for name, _ in diffs]

@@ -281,6 +281,40 @@ def test_ladder_factor_typo_fails_with_witnesses(monkeypatch):
     assert "point" not in report["results"][0]
 
 
+def _shift_racah_point(row):
+    factor, shifts, _ = row
+    return factor, shifts, (-Fraction(1, 2), 0)
+
+
+def _drop_wilson_e2_shift(row):
+    factor, shifts, shift = row
+    return factor, {k: v for k, v in shifts.items() if k != "e2"}, shift
+
+
+def _ch_bar_factor_typo(row):
+    factor, shifts, shift = row
+    return (lambda p, k: factor(p, k) + Fraction(1, 1000)), shifts, shift
+
+
+# a wrong entry in one printed ladder row, and the labels it fails at
+LADDER_ROW_TYPOS = {
+    "racah-point-shift": (families.RACAH, _shift_racah_point, [[1, 1], [2, 0]]),
+    "wilson-e2-shift": (families.WILSON, _drop_wilson_e2_shift, [[1, 1], [2, 0]]),
+    "ch-bar-factor": (families.CH_BAR, _ch_bar_factor_typo, [[0, 1], [0, 2], [1, 1]]),
+}
+
+
+@pytest.mark.parametrize("typo", sorted(LADDER_ROW_TYPOS))
+def test_ladder_row_typo_fails_at_its_labels(monkeypatch, typo):
+    family, mutate, labels = LADDER_ROW_TYPOS[typo]
+    rows = dict(families.LADDERS)
+    rows[family] = mutate(rows[family])
+    monkeypatch.setattr(families, "LADDERS", rows)
+    code, report = run(["verify-ladder", "--family", family, "--max-total-degree", "2"])
+    assert code == EXIT_MISMATCH
+    assert [r["label"] for r in report["results"] if not r["pass"]] == labels
+
+
 def test_ladder_sweeps_its_proof_grid(monkeypatch):
     # |label| + 1 lattice values per axis for every label
     calls = {}

@@ -290,6 +290,28 @@ def test_label_and_point_arity_errors():
         fam.FamilySpec(fam.RACAH, params={"zeta": Fraction(1)})
 
 
+def test_default_params_cover_every_parameter_name():
+    # a spec starts from its family's defaults, so it is always complete
+    for name in fam.ALL_FAMILIES:
+        assert set(fam.DEFAULT_PARAMS[name]) == set(fam.PARAM_NAMES[name]), name
+        assert fam.FamilySpec(name).key()[1:] == tuple(
+            fam.DEFAULT_PARAMS[name][k] for k in fam.PARAM_NAMES[name]
+        )
+
+
+def test_equal_specs_share_one_cached_member():
+    fam._eval_cached.cache_clear()
+    a = fam.FamilySpec(fam.WILSON)
+    b = fam.FamilySpec(fam.WILSON, params={"e2": Fraction(2, 5)})
+    assert a is not b and a == b
+    point = (Fraction(8, 7), Fraction(16, 7))
+    first = fam.eval_family(a, (1, 1), point)
+    assert fam.eval_family(b, (1, 1), point) == first
+    assert fam.family_function(b, (1, 1))(point) == first
+    info = fam._eval_cached.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
 # -- derivative ladders -------------------------------------------------------
 
 def test_all_printed_ladders_vanish():
@@ -298,6 +320,13 @@ def test_all_printed_ladders_vanish():
         for label in [(1, 0), (0, 1), (1, 1), (2, 1)]:
             for pt in PTS2:
                 assert fam.derivative_ladder_check(spec, label, pt) == 0
+
+
+def test_every_printed_ladder_has_a_direction():
+    assert set(fam.LADDERS) == set(fam.LADDER_DIRECTION)
+    assert fam.CH_TRI not in fam.LADDERS
+    with pytest.raises(ValueError, match="no printed ladder for family ch-tri"):
+        fam.ladder_parts(fam.FamilySpec(fam.CH_TRI), (1, 0, 0))
 
 
 def test_zero_order_ladder_is_trivially_zero():
@@ -366,7 +395,7 @@ def test_racah_to_wilson_substitution_is_exact():
     for label in [(1, 0), (0, 1), (1, 1), (2, 1)]:
         for x, y in PTS2[:2]:
             st = point_map(x, y)
-            racah_val = fam._eval_cached(rspec.key(), label, st)
+            racah_val = fam.family_function(rspec, label)(st)
             assert demote(racah_val) == fam.eval_family(wspec, label, (x, y))
 
 

@@ -540,7 +540,7 @@ def test_difference_form_singular_point_error():
 
 def test_recovered_table_matches_printed_table():
     spec = fam.FamilySpec(fam.RACAH)
-    recovered, eig = pv.recover_coefficients(spec.params, label=(1, 1))
+    recovered, eig = pv.recover_coefficients(spec.params)
     printed = pv.coefficients(spec)
     assert pv.compare_tables(recovered, printed) == []
     assert eig == 2 * (spec.params["beta3"] - spec.params["beta0"] + 1)
