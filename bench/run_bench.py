@@ -24,7 +24,8 @@ Layers timed:
   L3  residual sweeps: ``verify_table`` for racah, wilson, cdh and ch at
       total degree <= 2 (<= 0 with ``--quick``) and for ch-tri at degree 0
       on a 2-point grid, with the family caches cleared before every
-      repeat and the printed table built outside the timed call.
+      repeat; each call builds its printed table, which folds each grid
+      point once.
   L4  exact linear algebra on the inputs the proofs hand it: every
       ``exact_inverse`` (the G-matrix inverses), ``ExactMatrix.rank`` (the
       rank conditions on A_n and C_n) and ``solve_stacked`` (the stacked
@@ -51,8 +52,9 @@ Layers timed:
       one whole ``recover_coefficients`` call for the default Racah
       parameters; and one residual at label (1, 1) and one point per
       equation kind (the Racah coefficient table, each second-order kind,
-      each nine-term kind), stencil folded afresh, tables built outside the
-      timed call.
+      each nine-term kind), each equation built, and its stencil folded,
+      inside the repeat: an equation keeps the stencils it folds, so one
+      reused across repeats would time only the first.
   L7  family evaluation, per family: ``family_function(spec, label)`` at
       every neighbour of ``CoeffTable.stencil`` at each point of a
       3-per-axis grid (2 with ``--quick``), for every label of total degree
@@ -71,7 +73,10 @@ so one file holds a before/after comparison.  The two runs are made at
 different times on a possibly shared machine, so the result also reports
 ``drift``, the median ratio of the ``L0.fraction.*`` entries (they time the
 standard library's Fraction only, which no change here can move), and each
-entry's ratio divided by it.
+entry's ratio divided by it.  The untouched L0 entries still spread around
+that drift, so an entry is marked ``resolved`` only when its drift-adjusted
+ratio lies outside the min-max spread of the ``L0.*`` drift-adjusted
+ratios; a ratio inside it cannot be told from noise.
 """
 
 from __future__ import annotations
@@ -226,11 +231,10 @@ def _l3_entries(degree):
     sweeps = [(name, degree, None) for name in (fam.RACAH, fam.WILSON, fam.CDH, fam.CH)]
     for name, bound, grid_size in sweeps + [(fam.CH_TRI, 0, 2)]:
         spec = fam.FamilySpec(name)
-        table = pdeverify.coefficients(spec)
 
-        def job(spec=spec, bound=bound, grid_size=grid_size, table=table):
+        def job(spec=spec, bound=bound, grid_size=grid_size):
             _clear_family_caches()
-            return pdeverify.verify_table(spec, bound, grid_size=grid_size, table=table)
+            return pdeverify.verify_table(spec, bound, grid_size=grid_size)
 
         checks = sum(r["points"] for r in job())
         out[f"L3.verify_table.{name}"] = (job, checks)
@@ -364,8 +368,11 @@ def _l6_entries(degree):
     out["L6.recover_coefficients.racah"] = (
         lambda: pdeverify.recover_coefficients(racah.params), 1
     )
-    racah_table = pdeverify.coefficients(racah)
-    residuals = {"table.racah": lambda: pdeverify.residual(racah_table, racah, (1, 1), point)}
+    residuals = {
+        "table.racah": lambda: pdeverify.residual(
+            pdeverify.coefficients(racah), racah, (1, 1), point
+        )
+    }
     for kind, (name, *_) in pdeverify.SECOND_ORDER_FORMS.items():
         spec = fam.FamilySpec(name)
         residuals[kind] = lambda kind=kind, spec=spec: pdeverify.second_order_residual(
@@ -373,9 +380,8 @@ def _l6_entries(degree):
         )
     for name, kind in pdeverify.DIFFERENCE_FORMS.items():
         spec = fam.FamilySpec(name)
-        table = pdeverify.coefficients(spec)
-        residuals[kind] = lambda kind=kind, spec=spec, table=table: (
-            pdeverify.difference_form_residual(kind, spec, (1, 1), point, table)
+        residuals[kind] = lambda kind=kind, spec=spec: pdeverify.difference_form_residual(
+            kind, spec, (1, 1), point
         )
     for kind, residual in residuals.items():
 
@@ -444,8 +450,10 @@ def with_baseline(result, baseline):
             ratios[name] = round(entry["median_s"] / old["median_s"], 4)
     drift = statistics.median(r for name, r in ratios.items() if name.startswith("L0.fraction."))
     adjusted = {name: round(r / drift, 4) for name, r in ratios.items()}
+    noise = [r for name, r in adjusted.items() if name.startswith("L0.")]
+    resolved = {name: not min(noise) <= r <= max(noise) for name, r in adjusted.items()}
     return dict(result, baseline=baseline, median_ratio=ratios, drift=drift,
-                drift_adjusted_ratio=adjusted)
+                drift_adjusted_ratio=adjusted, resolved=resolved)
 
 
 def main(argv=None):

@@ -210,28 +210,24 @@ def _run(args):
             # a PASS is a proof; the nine-term difference forms have rational
             # coefficients and no degree bound, so they stay a spot check
             pv.check_proof_grid(args.max_total_degree, args.grid_size)
-            what, form_residual, extra = "second-order equation", pv.second_order_residual, ()
+            what, build = "second-order equation", pv.second_order_equation
             kind_of = {family: k for k, (family, *_) in pv.SECOND_ORDER_FORMS.items()}
             kind = kind_of.get(spec.family)
         else:
-            what, form_residual = "difference form", pv.difference_form_residual
+            what, build = "difference form", pv.difference_form_equation
             kind = pv.DIFFERENCE_FORMS.get(fam.base_family(spec.family))
-            # the Wilson and continuous Hahn forms read the printed table,
-            # which depends only on the parameters: build it once per command
-            # (racah-gi ignores it)
-            extra = (pv.coefficients(spec),) if kind else ()
         if kind is None:
             raise ValueError(f"no printed {what} for {spec.family}")
+        # one equation per command: it folds each grid point once
+        equation = build(kind, spec)
         report["kind"] = kind
-        # a stencil does not depend on the label: build each point's once
-        stencils = {}
         report["results"] = _pass_records(
             spec,
             args.max_total_degree,
             lambda label: product(
                 *pv.residual_grid(spec, label, size=args.grid_size, offset=offset)
             ),
-            lambda label, pt: form_residual(kind, spec, label, pt, *extra, stencils=stencils),
+            lambda label, pt: pv.residual(equation, spec, label, pt),
         )
 
     elif args.command == "recover-coeffs":

@@ -18,7 +18,6 @@ polynomial identity (see :func:`check_proof_grid`).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -78,16 +77,44 @@ def validate_mixed_index(lindex, nvars):
     return lindex
 
 
-class CoeffTable:
+class Equation:
+    """A printed equation lambda(label) P + (L P)(point) = 0 with a
+    label-free operator L: ``fold(point)`` gives L's weights {q: w} at the
+    point, and ``stencil(point)`` folds each point once per equation."""
+
+    __slots__ = ("fold", "eigenvalue", "_stencils")
+
+    def __init__(self, fold, eigenvalue):
+        self.fold = fold
+        self.eigenvalue = eigenvalue
+        self._stencils = {}
+
+    def stencil(self, point):
+        weights = self._stencils.get(point)
+        if weights is None:
+            weights = self._stencils[point] = self.fold(point)
+        return weights
+
+
+def _fold_table(coeffs, lattices, point):
+    """sum f_i E_i at the point; a zero f_i skips its stencil, singular or
+    not.  A partial over it is a table's fold: no cycle through the table."""
+    latpt = tuple(lattice_value(l, v) for l, v in zip(lattices, point))
+    ops = OPERATORS[len(lattices)]
+    terms = [(ci, lind) for fi, lind in zip(coeffs, ops) if (ci := fi.eval(latpt))]
+    return PointStencils(lattices, point).fold(terms)
+
+
+class CoeffTable(Equation):
     """The printed coefficients f_1..f_k and the eigenvalue closure of one
     divided-difference equation, on its family's lattices.  The operator
-    list, and with it the order, follows from the number of variables."""
+    list, and with it the order, follows from the number of variables.
+    The coefficients are a tuple, so a folded stencil cannot go stale."""
 
-    __slots__ = ("coeffs", "eigenvalue", "lattices")
+    __slots__ = ("coeffs", "lattices")
 
     def __init__(self, coeffs, eigenvalue, lattices):
-        self.coeffs = list(coeffs)
-        self.eigenvalue = eigenvalue
+        self.coeffs = tuple(coeffs)
         self.lattices = tuple(lattices)
         if len(self.coeffs) != len(self.lindices):
             raise ValueError(
@@ -95,6 +122,7 @@ class CoeffTable:
                 f" not {len(self.coeffs)}"
             )
         self._check_structure()
+        super().__init__(partial(_fold_table, self.coeffs, self.lattices), eigenvalue)
 
     @property
     def lindices(self):
@@ -124,18 +152,6 @@ class CoeffTable:
 
     def lattice_point(self, point):
         return tuple(lattice_value(l, v) for l, v in zip(self.lattices, point))
-
-    def stencil(self, point):
-        """{q: w} with sum w f(q) = sum f_i (E_i f)(point): the label-independent
-        part of the residual, one weight per neighbour."""
-        latpt = self.lattice_point(point)
-        terms = []
-        for fi, lind in zip(self.coeffs, self.lindices):
-            ci = fi.eval(latpt)
-            # a zero coefficient skips its stencil, singular or not
-            if ci:
-                terms.append((ci, lind))
-        return PointStencils(self.lattices, point).fold(terms)
 
     def to_json(self):
         return {
@@ -757,36 +773,24 @@ def eigenvalue_shift(base: CoeffTable, direction) -> Fraction:
 # residual evaluation
 # ---------------------------------------------------------------------------
 
-Equation = namedtuple("Equation", "stencil eigenvalue")
-
-
-def table_residual_on(equation, f, label, point, stencils=None):
+def table_residual_on(equation: Equation, f, label, point):
     """lambda(label) f(point) + sum w f(q) over the equation's stencil {q: w}
-    at the point.  Every printed equation has this shape: a coefficient table
-    or an :data:`Equation` gives ``stencil(point)``, which does not depend on
-    the label, and ``eigenvalue(label)``.  A sweep passes one ``stencils``
-    dict to every check of one equation, so each point is folded once.
-    """
+    at the point: the shape of every printed equation."""
     point = tuple(point)
-    if stencils is None:
-        stencils = {}
-    weights = stencils.get(point)
-    if weights is None:
-        weights = stencils[point] = equation.stencil(point)
     # lambda joins the weight of the point itself, so f is sampled once per
-    # neighbour
+    # neighbour; the merge is a new dict, the folded stencil stays as it is
     merged = {point: equation.eigenvalue(label)}
-    for q, w in weights.items():
+    for q, w in equation.stencil(point).items():
         merged[q] = merged[q] + w if q in merged else w
     return sample(merged, f)
 
 
-def residual(table: CoeffTable, spec: FamilySpec, label, point, stencils=None):
-    """Sum f_i (E_i P)(point) + lambda P(point); exactly 0 on family members."""
+def residual(equation: Equation, spec: FamilySpec, label, point):
+    """lambda P(point) + (L P)(point) for the family member P; exactly 0 on
+    family members.  For a coefficient table L is sum f_i E_i."""
     label = check_label(spec, label)
     point = check_point(spec, point)
-    f = family_function(spec, label)
-    return table_residual_on(table, f, label, point, stencils)
+    return table_residual_on(equation, family_function(spec, label), label, point)
 
 
 def derivative_function(spec: FamilySpec, label, direction):
@@ -853,10 +857,8 @@ SECOND_ORDER_FORMS = {
 }
 
 
-def second_order_residual(kind, spec: FamilySpec, label, point, stencils=None):
-    """LHS of the printed second-order equation; ``stencils`` as in :func:`residual`."""
-    label = check_label(spec, label)
-    point = check_point(spec, point)
+def second_order_equation(kind, spec: FamilySpec) -> Equation:
+    """The printed second-order equation ``kind`` on the family's lattices."""
     if kind not in SECOND_ORDER_FORMS:
         raise ValueError(f"unknown second-order kind {kind!r}")
     family, var, form, eigenvalue = SECOND_ORDER_FORMS[kind]
@@ -865,12 +867,16 @@ def second_order_residual(kind, spec: FamilySpec, label, point, stencils=None):
     lattices = spec.lattices()
     d2, sd = (tuple(l if i == var else 0 for i in range(2)) for l in (2, 1))
 
-    def stencil(pt):
+    def fold(pt):
         phi, tau = form(spec.params, *(lattice_value(l, v) for l, v in zip(lattices, pt)))
         return PointStencils(lattices, pt).fold(((phi, d2), (tau, sd)))
 
-    equation = Equation(stencil, lambda lbl: eigenvalue(spec.params, lbl[var]))
-    return table_residual_on(equation, family_function(spec, label), label, point, stencils)
+    return Equation(fold, lambda lbl: eigenvalue(spec.params, lbl[var]))
+
+
+def second_order_residual(kind, spec: FamilySpec, label, point):
+    """LHS of the printed second-order equation."""
+    return residual(second_order_equation(kind, spec), spec, label, point)
 
 
 # ---------------------------------------------------------------------------
@@ -1064,14 +1070,9 @@ def ch_f_stencil(table: CoeffTable, x, y):
 DIFFERENCE_FORMS = {RACAH: "racah-gi", WILSON: "wilson-f", CH: "ch-f"}
 
 
-def difference_form_residual(kind, spec: FamilySpec, label, point, table=None, stencils=None):
-    """The nine-term stencil sum at the point; exactly 0 on family members.
-
-    The Wilson and continuous Hahn forms read the printed table's f_i and
-    eigenvalue; a sweep passes ``coefficients(spec)`` and ``stencils`` once.
-    """
-    label = check_label(spec, label)
-    point = check_point(spec, point)
+def difference_form_equation(kind, spec: FamilySpec) -> Equation:
+    """The printed nine-term form ``kind``; the Wilson and continuous Hahn
+    forms read the printed table's f_i and eigenvalue."""
     if kind not in DIFFERENCE_FORMS.values():
         raise ValueError(f"unknown difference form {kind!r}")
     if DIFFERENCE_FORMS.get(base_family(spec.family)) != kind:
@@ -1081,16 +1082,20 @@ def difference_form_residual(kind, spec: FamilySpec, label, point, table=None, s
         build, step = partial(racah_gi_stencil, p), ONE
         eigenvalue = partial(racah_gi_eigenvalue, p)
     else:
-        table = table or coefficients(spec)
+        table = coefficients(spec)
         builder = wilson_f_stencil if kind == "wilson-f" else ch_f_stencil
         build, step, eigenvalue = partial(builder, table), II, table.eigenvalue
 
-    def stencil(pt):
+    def fold(pt):
         s, t = pt if step is ONE else map(gauss, pt)
         return {(s + step * o1, t + step * o2): c for (o1, o2), c in build(*pt).items()}
 
-    equation = Equation(stencil, eigenvalue)
-    return table_residual_on(equation, family_function(spec, label), label, point, stencils)
+    return Equation(fold, eigenvalue)
+
+
+def difference_form_residual(kind, spec: FamilySpec, label, point):
+    """The nine-term stencil sum at the point; exactly 0 on family members."""
+    return residual(difference_form_equation(kind, spec), spec, label, point)
 
 
 # ---------------------------------------------------------------------------
@@ -1222,7 +1227,7 @@ def check_proof_grid(max_total_degree, grid_size):
         )
 
 
-def verify_table(spec: FamilySpec, max_total_degree, grid_size=None, table=None):
+def verify_table(spec: FamilySpec, max_total_degree, grid_size=None):
     """Residual sweep over all labels with total degree <= the bound.
 
     Returns a list of {label, points, pass} reports; residuals are exact
@@ -1231,17 +1236,15 @@ def verify_table(spec: FamilySpec, max_total_degree, grid_size=None, table=None)
     :func:`check_proof_grid`.
     """
     check_proof_grid(max_total_degree, grid_size)
-    if table is None:
-        table = coefficients(spec)
-    # each label's grid is a prefix of the next one's, and the table stencil
-    # at a point does not depend on the label: fold each point once
-    stencils = {}
+    # one table for the sweep: each label's grid is a prefix of the next
+    # one's, and the table folds each point once
+    table = coefficients(spec)
     return [
         {**label_record(label, witness), "points": checked}
         for label, checked, witness in sweep(
             spec,
             max_total_degree,
             lambda label: product(*residual_grid(spec, label, size=grid_size)),
-            lambda label, point: residual(table, spec, label, point, stencils),
+            lambda label, point: residual(table, spec, label, point),
         )
     ]

@@ -20,9 +20,8 @@ from quadlattice.matrix import ExactMatrix
 
 
 def test_criterion_1_racah_residuals():
-    table = pv.coefficients(fam.FamilySpec(fam.RACAH))
     for name in (fam.RACAH, fam.RACAH_BAR):
-        reports = pv.verify_table(fam.FamilySpec(name), 4, table=table)
+        reports = pv.verify_table(fam.FamilySpec(name), 4)
         assert len(reports) == 15
         bad = [r for r in reports if not r["pass"]]
         assert not bad, (name, bad)
@@ -30,9 +29,7 @@ def test_criterion_1_racah_residuals():
 
 def test_criterion_2_wilson_cdh_ch_residuals():
     for name in (fam.WILSON, fam.WILSON_BAR, fam.CDH, fam.CH, fam.CH_BAR):
-        base = {fam.WILSON_BAR: fam.WILSON, fam.CH_BAR: fam.CH}.get(name, name)
-        table = pv.coefficients(fam.FamilySpec(base))
-        reports = pv.verify_table(fam.FamilySpec(name), 4, table=table)
+        reports = pv.verify_table(fam.FamilySpec(name), 4)
         bad = [r for r in reports if not r["pass"]]
         assert not bad, (name, bad)
     # realness is asserted, not assumed: real-point values come back in Q
@@ -116,11 +113,11 @@ def test_criterion_7_second_order_and_difference_forms():
     )
     for kind, name in second_order:
         spec = fam.FamilySpec(name)
-        stencils = {}  # each grid point's stencil folded once per kind
+        equation = pv.second_order_equation(kind, spec)  # folds each grid point once
         for label in labels:
             axes = pv.residual_grid(spec, label)
             for pt in product(*axes):
-                value = pv.second_order_residual(kind, spec, label, pt, stencils)
+                value = pv.residual(equation, spec, label, pt)
                 assert value == 0, (kind, label, pt, value)
     difference_forms = (
         ("racah-gi", fam.RACAH),
@@ -129,11 +126,11 @@ def test_criterion_7_second_order_and_difference_forms():
     )
     for kind, name in difference_forms:
         spec = fam.FamilySpec(name)
-        table, stencils = pv.coefficients(spec), {}
+        equation = pv.difference_form_equation(kind, spec)
         for label in labels:
             axes = pv.residual_grid(spec, label)
             for pt in product(*axes):
-                value = pv.difference_form_residual(kind, spec, label, pt, table, stencils)
+                value = pv.residual(equation, spec, label, pt)
                 assert value == 0, (kind, label, pt, value)
 
 

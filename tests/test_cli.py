@@ -227,7 +227,7 @@ def test_trivariate_default_grid_follows_the_degree():
 def test_trivariate_degree_3_sweeps_a_4_point_grid(monkeypatch):
     sizes = []
 
-    def captured(spec, max_total_degree, grid_size=None, table=None):
+    def captured(spec, max_total_degree, grid_size=None):
         sizes.append(grid_size)
         return []
 
@@ -246,8 +246,8 @@ def test_trivariate_has_no_recurrence_machinery():
 SWEEP_FAILURES = {
     "verify-pde": (pdeverify, "residual", "cdh"),
     "verify-ladder": (families, "derivative_ladder_check", "racah"),
-    "verify-second-order": (pdeverify, "second_order_residual", "cdh"),
-    "verify-difference-form": (pdeverify, "difference_form_residual", "ch"),
+    "verify-second-order": (pdeverify, "residual", "cdh"),
+    "verify-difference-form": (pdeverify, "residual", "ch"),
 }
 
 
@@ -492,8 +492,9 @@ def test_form_commands_build_each_grid_point_stencil_once(monkeypatch, command, 
 
 # One parameter draw per family, seed-pinned: each DEFAULT_PARAMS value plus
 # k/p with one prime p >= 13 per position, as the benchmark draws them.  The
-# printed forms are polynomial identities in the parameters, so passing at a
-# random draw is probabilistic evidence that they hold for all parameters.
+# printed tables, forms and ladders are polynomial identities in the
+# parameters, so passing at a random draw is probabilistic evidence that they
+# hold for all parameters.
 DRAW_SEED = 9280
 DRAW_PRIMES = (13, 17, 19, 23, 29, 31)
 
@@ -515,17 +516,24 @@ def _drawn_params(family):
     ("verify-difference-form", families.RACAH),
     ("verify-difference-form", families.WILSON),
     ("verify-difference-form", families.CH),
+    *[("verify-pde", name) for name in families.ALL_FAMILIES if name != families.CH_TRI],
+    *[("verify-ladder", name) for name in families.LADDER_DIRECTION],
+    ("verify-trivariate", families.CH_TRI),
 ])
 def test_printed_forms_hold_at_drawn_parameters(command, family):
     params = _drawn_params(family)
-    argv = [command, "--family", family, "--max-total-degree", "2"]
+    argv = [command, "--max-total-degree", "2"]
+    if command != "verify-trivariate":
+        argv += ["--family", family]
     for name, value in params.items():
         argv += ["--param", f"{name}={value}"]
     code, report = run(argv)
     assert code == EXIT_OK, report
-    assert report["params"] == families.FamilySpec(family, params=params).to_json()["params"]
+    spec = families.FamilySpec(family, params=params)
+    assert report["params"] == spec.to_json()["params"]
     assert params != families.DEFAULT_PARAMS[family]
-    assert len(report["results"]) == 6
+    # the labels of total degree <= 2: 6 in two variables, 10 in three
+    assert len(report["results"]) == (6 if spec.nvars == 2 else 10)
 
 
 def test_singular_grid_point_exits_2(monkeypatch):

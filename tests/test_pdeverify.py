@@ -174,6 +174,35 @@ def test_sweep_folds_each_grid_point_once(monkeypatch, name, degree, grid_size, 
     assert sum(r["points"] for r in reports) > folds
 
 
+@pytest.mark.parametrize("kind", ["wilson-x", "wilson-f"])
+def test_an_equation_folds_each_grid_point_once(monkeypatch, kind):
+    # a caller that holds no dict of its own still folds the (3 + 5)^2
+    # points of the largest grid of degree <= 3 once each
+    calls = []
+    if kind == "wilson-x":
+        fold, build = pv.PointStencils.fold, pv.second_order_equation
+
+        def counted(self, terms):
+            calls.append(self.point)
+            return fold(self, terms)
+
+        monkeypatch.setattr(pv.PointStencils, "fold", counted)
+    else:
+        stencil, build = pv.wilson_f_stencil, pv.difference_form_equation
+
+        def counted(table, x, y):
+            calls.append((x, y))
+            return stencil(table, x, y)
+
+        monkeypatch.setattr(pv, "wilson_f_stencil", counted)
+    spec = fam.FamilySpec(fam.WILSON)
+    equation = build(kind, spec)
+    for label in [(n, m) for n in range(4) for m in range(4 - n)]:
+        for pt in product(*pv.residual_grid(spec, label)):
+            assert pv.residual(equation, spec, label, pt) == 0
+    assert len(calls) == len(set(calls)) == 64
+
+
 def test_residual_raises_on_singular_point():
     spec = fam.FamilySpec(fam.RACAH)
     table = pv.coefficients(spec)
@@ -284,9 +313,34 @@ def test_zero_coefficients_skip_singular_stencils():
     # every coefficient zero: no stencil at all, only lambda P remains
     blank = pv.CoeffTable([zero] * 8, lambda label: 5, lattices)
     assert pv.table_residual_on(blank, _rational_function, (1, 1), point) == 5 * _rational_function(point)
-    table.coeffs[6] = x - x0 + 1
+    singular = pv.CoeffTable(coeffs[:6] + [x - x0 + 1, y + 3], lambda label: 5, lattices)
     with pytest.raises(SingularPointError):
-        pv.table_residual_on(table, _rational_function, (1, 1), point)
+        pv.table_residual_on(singular, _rational_function, (1, 1), point)
+
+
+def test_table_coefficients_cannot_be_reassigned():
+    # a table folds each point once, so its coefficients must not change
+    table = pv.coefficients(fam.FamilySpec(fam.RACAH))
+    with pytest.raises(TypeError):
+        table.coeffs[6] = MPoly.zero(2)
+
+
+def test_residual_leaves_the_folded_stencil_unchanged():
+    # lambda joins a new dict, never the stencil the equation keeps
+    spec = fam.FamilySpec(fam.WILSON)
+    label = (2, 1)
+    f = fam.family_function(spec, label)
+    for equation in (
+        pv.coefficients(spec),
+        pv.second_order_equation("wilson-x", spec),
+        pv.difference_form_equation("wilson-f", spec),
+    ):
+        for pt in PTS2:
+            kept = equation.stencil(pt)
+            before = dict(kept)
+            assert pv.table_residual_on(equation, f, label, pt) == 0
+            assert equation.stencil(pt) is kept
+            assert kept == before
 
 
 # -- the symbolic table action -------------------------------------------------------
