@@ -18,9 +18,14 @@ Layers timed:
       ``derived_coefficients`` of each distinct bivariate table in the
       directions x, y and xy, and ``GChain(spec, 4, leading)`` for the
       seven recurrence families with monic and family leading matrices,
-      and the interpolation oracle ``family_poly_vector(spec, 3)`` (n = 1
-      with ``--quick``) for the same seven families, with the family caches
-      cleared before every repeat;
+      with the S_n / T_n memo cleared before every repeat (a chain would
+      otherwise time only memo hits after the first); the interpolation
+      oracle ``family_poly_vector(spec, 3)`` (n = 1 with ``--quick``) for
+      the same seven families, with the family caches cleared before every
+      repeat; and ``interpolate_on_grid`` of that oracle at degree 4
+      (1 with ``--quick``) on samples recorded outside the timed call, so
+      that the oracle's interpolation reads apart from its sampling (ops:
+      the interpolated polynomials);
   L3  residual sweeps: ``verify_table`` for racah, wilson, cdh and ch at
       total degree <= 2 (<= 0 with ``--quick``) and for ch-tri at degree 0
       on a 2-point grid, with the family caches cleared before every
@@ -33,7 +38,10 @@ Layers timed:
       ``generate(spec, 4, leading)`` (upto 2 with ``--quick``) makes for the
       seven recurrence families with monic and family leading matrices,
       and the 36 systems M^T g = c that ``recover_coefficients`` solves,
-      each input recorded once before the timing.
+      each input recorded once before the timing.  A chain inverts each
+      G_{k,k} once, so ``L4.exact_inverse.generate`` records 5 inverses per
+      ``generate`` at upto 4 (3 at upto 2) where every (n, j) used to
+      invert its own (26, and 10 at upto 2).
   L5  the pointwise layer, per lattice kind (quadratic: racah, Wilson
       square: wilson, linear: ch, 3-variable linear: ch-tri):
       ``PointStencils.fold`` of the family's printed table at each point of
@@ -64,19 +72,21 @@ Layers timed:
 
 Every input is fixed (drawn from a seeded ``random.Random``), so two runs
 on the same machine time the same work.  Each entry reports the operation
-count of one repeat and the min and median seconds over the repeats.  The
-result is a JSON object with an environment record (Python version, CPU
-count, repeat count) and the entries; it is printed and, with ``--out``,
+count of one repeat and the min, median and max seconds over the repeats.
+The result is a JSON object with an environment record (Python version,
+CPU count, repeat count) and the entries; it is printed and, with ``--out``,
 written to a file.  With ``--baseline`` the result embeds an earlier run
 under ``baseline`` and adds the change/baseline median ratio of each entry,
 so one file holds a before/after comparison.  The two runs are made at
 different times on a possibly shared machine, so the result also reports
 ``drift``, the median ratio of the ``L0.fraction.*`` entries (they time the
 standard library's Fraction only, which no change here can move), and each
-entry's ratio divided by it.  The untouched L0 entries still spread around
-that drift, so an entry is marked ``resolved`` only when its drift-adjusted
-ratio lies outside the min-max spread of the ``L0.*`` drift-adjusted
-ratios; a ratio inside it cannot be told from noise.
+entry's ratio divided by it.  An entry is marked ``resolved`` only when its
+min-max range in this run, divided by the drift, does not overlap its
+min-max range in the baseline, and does not overlap it undivided either:
+a median ratio whose repeats overlap the other run's repeats cannot be told
+from noise, and the drift, read off a few entries of milliseconds, is too
+noisy to make a mark on its own.
 """
 
 from __future__ import annotations
@@ -97,7 +107,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from quadlattice import families as fam  # noqa: E402
-from quadlattice import cli, latticeops, pdeverify, ttrr  # noqa: E402
+from quadlattice import cli, fbasis, latticeops, pdeverify, ttrr  # noqa: E402
 from quadlattice.exactfield import GaussianRational  # noqa: E402
 from quadlattice.matrix import ExactMatrix, exact_inverse, solve_stacked  # noqa: E402
 
@@ -188,10 +198,28 @@ def _l1_entries(points):
     return out
 
 
-def _l2_entries(oracle_degree):
-    """Default parameters throughout.  The table and chain builds never touch
-    the family caches, and the oracle clears them, so repeats time the same
-    work."""
+def _clear_sn_tn_memo():
+    # a tree from before the S_n / T_n memo has nothing to clear
+    getattr(ttrr, "_SN_TN_MEMO", {}).clear()
+
+
+def _recorded_samples(spec, degree):
+    """The oracle's samples of the family's degree-``degree`` vector on its
+    ``degree + 2``-per-axis grid, {point: values}."""
+    samples = {}
+
+    def sample(point):
+        samples[point] = [fam.eval_family(spec, (degree - k, k), point) for k in range(degree + 1)]
+        return samples[point]
+
+    fbasis.interpolate_on_grid(spec.lattices(), degree + 2, sample)
+    return samples
+
+
+def _l2_entries(oracle_degree, interpolate_degree):
+    """Default parameters throughout.  The table builds never touch the
+    family caches, a chain starts from an empty S_n / T_n memo, and the
+    oracle clears the family caches, so repeats time the same work."""
     out = {}
     for name in fam.ALL_FAMILIES:
         spec = fam.FamilySpec(name)
@@ -205,15 +233,25 @@ def _l2_entries(oracle_degree):
     for name in ttrr.TTRR_FAMILIES:
         spec = fam.FamilySpec(name)
         for leading in ("monic", "family"):
-            out[f"L2.gchain.{name}.{leading}"] = (
-                lambda spec=spec, leading=leading: ttrr.GChain(spec, 4, leading), 1
-            )
+
+            def chain(spec=spec, leading=leading):
+                _clear_sn_tn_memo()
+                return ttrr.GChain(spec, 4, leading)
+
+            out[f"L2.gchain.{name}.{leading}"] = (chain, 1)
 
         def oracle(spec=spec):
             _clear_family_caches()
             return ttrr.family_poly_vector(spec, oracle_degree)
 
         out[f"L2.oracle.{name}"] = (oracle, 1)
+        samples = _recorded_samples(spec, interpolate_degree)
+        out[f"L2.interpolate.{name}"] = (
+            lambda lattices=spec.lattices(), samples=samples: fbasis.interpolate_on_grid(
+                lattices, interpolate_degree + 2, samples.__getitem__
+            ),
+            interpolate_degree + 1,
+        )
     return out
 
 
@@ -428,6 +466,7 @@ def measure(entries, repeats):
             "ops": ops,
             "min_s": min(times),
             "median_s": statistics.median(times),
+            "max_s": max(times),
         }
     return results
 
@@ -442,6 +481,16 @@ def environment(repeats):
     }
 
 
+def _parted(new, old, drift):
+    """True when an entry's min-max range in this run lies wholly above or
+    below its range in the baseline, the same way round whether or not this
+    run's times are divided by the drift: the drift is itself an estimate
+    from a few short entries, so it may clear a mark but never make one."""
+    faster = max(new["max_s"], new["max_s"] / drift) < old["min_s"]
+    slower = min(new["min_s"], new["min_s"] / drift) > old["max_s"]
+    return faster or slower
+
+
 def with_baseline(result, baseline):
     ratios = {}
     for name, entry in result["entries"].items():
@@ -450,8 +499,10 @@ def with_baseline(result, baseline):
             ratios[name] = round(entry["median_s"] / old["median_s"], 4)
     drift = statistics.median(r for name, r in ratios.items() if name.startswith("L0.fraction."))
     adjusted = {name: round(r / drift, 4) for name, r in ratios.items()}
-    noise = [r for name, r in adjusted.items() if name.startswith("L0.")]
-    resolved = {name: not min(noise) <= r <= max(noise) for name, r in adjusted.items()}
+    resolved = {
+        name: _parted(result["entries"][name], baseline["entries"][name], drift)
+        for name in ratios
+    }
     return dict(result, baseline=baseline, median_ratio=ratios, drift=drift,
                 drift_adjusted_ratio=adjusted, resolved=resolved)
 
@@ -464,13 +515,13 @@ def main(argv=None):
     parser.add_argument("--baseline", type=Path, default=None,
                         help="an earlier run's JSON to embed and compare against")
     args = parser.parse_args(argv)
-    repeats, size, points, degree, oracle_degree, upto, grid, form_degree = (
-        (3, 200, 4, 0, 1, 2, 2, 0) if args.quick else (25, 2000, 40, 2, 3, 4, 3, 1)
+    repeats, size, points, degree, oracle_degree, interpolate_degree, upto, grid, form_degree = (
+        (3, 200, 4, 0, 1, 1, 2, 2, 0) if args.quick else (25, 2000, 40, 2, 3, 4, 4, 3, 1)
     )
 
     entries = dict(_l0_entries(size))
     entries.update(_l1_entries(points))
-    entries.update(_l2_entries(oracle_degree))
+    entries.update(_l2_entries(oracle_degree, interpolate_degree))
     entries.update(_l3_entries(degree))
     entries.update(_l4_entries(upto))
     entries.update(_l5_entries(grid, points))

@@ -204,14 +204,20 @@ class MPoly:
 MONOMIAL = linear()
 
 
+def basis_polys(lattice: LatticeSpec, n, index=0, nvars=1):
+    """F_0..F_n of the lattice as explicit monomial polynomials in variable
+    ``index``, each the one before times (x - node)."""
+    out = [MPoly.const(nvars, Fraction(1))]
+    x = MPoly.var(index, nvars)
+    for k in range(n):
+        out.append(out[-1] * (x - lattice.node(k)))
+    return out
+
+
 def basis_poly(lattice: LatticeSpec, n, index=0, nvars=1) -> MPoly:
     """F_n of the lattice as an explicit monomial polynomial in variable
     ``index``."""
-    out = MPoly.const(nvars, Fraction(1))
-    x = MPoly.var(index, nvars)
-    for k in range(n):
-        out = out * (x - lattice.node(k))
-    return out
+    return basis_polys(lattice, n, index, nvars)[-1]
 
 
 def monomial_to_nodes(coeffs, lattice: LatticeSpec):
@@ -370,8 +376,8 @@ def u_matrices(n, lattice_x: LatticeSpec, lattice_y: LatticeSpec):
     Built directly from the product expansions of the tensor basis entries,
     so they stay correct on every lattice in play.
     """
-    xpolys = [basis_poly(lattice_x, k) for k in range(n + 1)]
-    ypolys = [basis_poly(lattice_y, k) for k in range(n + 1)]
+    xpolys = basis_polys(lattice_x, n)
+    ypolys = basis_polys(lattice_y, n)
     u1 = ExactMatrix.zero(n + 1, max(n, 0))
     u2 = ExactMatrix.zero(n + 1, max(n - 1, 0))
     for k in range(n + 1):
@@ -389,50 +395,78 @@ def u_matrices(n, lattice_x: LatticeSpec, lattice_y: LatticeSpec):
 # exact interpolation
 # ---------------------------------------------------------------------------
 
-def interpolate_univariate(nodes, values):
-    """Monomial coefficients (low -> high) of the unique interpolant."""
-    n = len(nodes)
-    if len(values) != n:
-        raise ValueError("nodes/values length mismatch")
-    # Newton divided differences
-    table = list(values)
-    newton = []
-    for k in range(n):
-        newton.append(table[0])
-        nxt = []
-        for i in range(len(table) - 1):
-            den = nodes[i + k + 1] - nodes[i]
+def newton_plan(nodes):
+    """The node-only half of Newton interpolation on ``nodes``: per level
+    k = 1..m-1 the reciprocal divided-difference denominators
+    1 / (x_{i+k} - x_i), and per k = 0..m-1 the monomial coefficients
+    (low -> high) of the Newton basis product (x - x_0)...(x - x_{k-1})
+    below its leading 1.  Applying it to values
+    (:func:`interpolate_with_plan`) then takes only subtractions,
+    multiplications and additions."""
+    m = len(nodes)
+    reciprocals = []
+    for k in range(1, m):
+        level = []
+        for i in range(m - k):
+            den = nodes[i + k] - nodes[i]
             if not den:
                 raise ValueError("repeated interpolation node")
-            nxt.append((table[i + 1] - table[i]) / den)
-        table = nxt
-    # expand the Newton form
-    coeffs = [Fraction(0)] * n
+            level.append(1 / den)
+        reciprocals.append(level)
+    products = []
     prod = [Fraction(1)]
-    for k in range(n):
-        for d, pc in enumerate(prod):
-            coeffs[d] = coeffs[d] + newton[k] * pc
+    for node in nodes:
+        products.append(prod[:-1])
         nxt = [Fraction(0)] * (len(prod) + 1)
         for d, pc in enumerate(prod):
             nxt[d + 1] = nxt[d + 1] + pc
-            nxt[d] = nxt[d] - nodes[k] * pc
+            nxt[d] = nxt[d] - node * pc
         prod = nxt
+    return reciprocals, products
+
+
+def interpolate_with_plan(plan, values):
+    """Monomial coefficients (low -> high) of the interpolant of ``values``
+    on the nodes of ``plan`` (:func:`newton_plan`)."""
+    reciprocals, products = plan
+    m = len(products)
+    if len(values) != m:
+        raise ValueError("nodes/values length mismatch")
+    # Newton divided differences
+    table = list(values)
+    newton = table[:1]
+    for level in reciprocals:
+        table = [(b - a) * r for a, b, r in zip(table, table[1:], level)]
+        newton.append(table[0])
+    # expand the Newton form: coefficient d collects newton[k] times the
+    # degree-d coefficient of product k, for k >= d
+    coeffs = []
+    for d in range(m):
+        c = newton[d]
+        for k in range(d + 1, m):
+            if newton[k]:
+                c = c + newton[k] * products[k][d]
+        coeffs.append(c)
     return coeffs
+
+
+def interpolate_univariate(nodes, values):
+    """Monomial coefficients (low -> high) of the unique interpolant."""
+    return interpolate_with_plan(newton_plan(nodes), values)
 
 
 def interpolate_bivariate(xnodes, ynodes, value_at) -> MPoly:
     """Exact tensor interpolation on lattice values; value_at(i, j) supplies
-    the sample at (xnodes[i], ynodes[j])."""
-    rows = []
-    for i in range(len(xnodes)):
-        coeffs_j = interpolate_univariate(
-            ynodes, [value_at(i, j) for j in range(len(ynodes))]
-        )
-        rows.append(coeffs_j)
+    the sample at (xnodes[i], ynodes[j]).  One Newton plan per axis serves
+    every row and every column."""
+    xplan, yplan = newton_plan(xnodes), newton_plan(ynodes)
+    rows = [
+        interpolate_with_plan(yplan, [value_at(i, j) for j in range(len(ynodes))])
+        for i in range(len(xnodes))
+    ]
     out = {}
     for jdeg in range(len(ynodes)):
-        column = [rows[i][jdeg] if jdeg < len(rows[i]) else Fraction(0) for i in range(len(xnodes))]
-        coeffs_i = interpolate_univariate(xnodes, column)
+        coeffs_i = interpolate_with_plan(xplan, [row[jdeg] for row in rows])
         for ideg, c in enumerate(coeffs_i):
             if c:
                 out[(ideg, jdeg)] = c

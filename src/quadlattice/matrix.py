@@ -104,17 +104,19 @@ class ExactMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
+        # only products of two nonzero entries contribute
+        columns = [[(k, b) for k, b in enumerate(col) if b] for col in zip(*other.data)]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
+        for row in self.data:
+            out_row = []
+            for col in columns:
                 acc = Fraction(0)
-                for k in range(self.cols):
-                    a = self.data[i][k]
+                for k, b in col:
+                    a = row[k]
                     if a:
-                        acc = acc + a * other.data[k][j]
-                row.append(acc)
-            out.append(row)
+                        acc = acc + a * b
+                out_row.append(acc)
+            out.append(out_row)
         return ExactMatrix(out)
 
     def transpose(self):

@@ -115,22 +115,40 @@ def _phi_blocks(table, degree, bases):
     return diag, sub1, sub2
 
 
+# (family, working bases, table coefficients, table lattices, lambda_n, n)
+# -> (S_n, T_n): the key is everything the derivation reads (an MPoly hashes
+# and compares by content), so a table that differs anywhere, say by one
+# misprinted coefficient, is derived afresh.  The oldest entry goes first.
+_SN_TN_MEMO = {}
+SN_TN_MEMO_SIZE = 64
+
+
 def sn_tn_derived(spec: FamilySpec, n, table=None):
     """S_n and T_n recovered by substituting the working-basis expansion
-    into the equation and equating the F_{n-1} and F_{n-2} coefficients."""
+    into the equation and equating the F_{n-1} and F_{n-2} coefficients.
+
+    Each distinct (table, n) is derived once while it stays in the bounded
+    memo; every call returns its own copies."""
     if spec.family not in TTRR_FAMILIES:
         raise ValueError(f"no recurrence machinery for family {spec.family!r}")
     if table is None:
         table = coefficients(spec)
     lam_n = table.eigenvalue((n, 0))
-    diag, sub1, sub2 = _phi_blocks(table, n, working_bases(spec))
-    # the diagonal block must cancel the eigenvalue exactly
-    expect = ExactMatrix.identity(n + 1).scale(-lam_n)
-    if diag != expect:
-        raise AssertionError(
-            f"degree-{n} block of the equation is not -lambda_n I for {spec.family}"
-        )
-    return sub1, sub2
+    bases = working_bases(spec)
+    key = (spec.family, bases, table.coeffs, table.lattices, lam_n, n)
+    st = _SN_TN_MEMO.get(key)
+    if st is None:
+        diag, sub1, sub2 = _phi_blocks(table, n, bases)
+        # the diagonal block must cancel the eigenvalue exactly
+        expect = ExactMatrix.identity(n + 1).scale(-lam_n)
+        if diag != expect:
+            raise AssertionError(
+                f"degree-{n} block of the equation is not -lambda_n I for {spec.family}"
+            )
+        if len(_SN_TN_MEMO) >= SN_TN_MEMO_SIZE:
+            del _SN_TN_MEMO[next(iter(_SN_TN_MEMO))]
+        st = _SN_TN_MEMO[key] = (sub1, sub2)
+    return tuple(ExactMatrix(m.data) for m in st)
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +761,7 @@ class GChain:
         self.table = coefficients(spec)
         self.top = top
         self.gnn = []
+        self._inverses = {}
         self.gn1 = [None] * (top + 1)
         self.gn2 = [None] * (top + 1)
         # (S_k, T_k) for k = 1..top
@@ -767,19 +786,24 @@ class GChain:
             return self.gn2[k]
         raise ValueError("only G_{k,k}, G_{k,k-1}, G_{k,k-2} are tracked")
 
+    def inverse(self, k):
+        """G_{k,k}^{-1}, inverted on first use."""
+        inv = self._inverses.get(k)
+        if inv is None:
+            inv = self._inverses[k] = exact_inverse(self.gnn[k])
+        return inv
+
 
 def abc_matrices(chain: GChain, n, j):
     """A_{n,j}, B_{n,j}, C_{n,j} of the three-term recurrence."""
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
-    a = chain.g(n, n) * l_matrix(n, j) * exact_inverse(chain.g(n + 1, n + 1))
-    g00_inv = exact_inverse(chain.g(0, 0))
+    a = chain.g(n, n) * l_matrix(n, j) * chain.inverse(n + 1)
+    g00_inv = chain.inverse(0)
     if n == 0:
         b = (a * chain.g(1, 0)).scale(-1) * g00_inv
         return a, b, None
-    b = (chain.g(n, n - 1) * l_matrix(n - 1, j) - a * chain.g(n + 1, n)) * exact_inverse(
-        chain.g(n, n)
-    )
+    b = (chain.g(n, n - 1) * l_matrix(n - 1, j) - a * chain.g(n + 1, n)) * chain.inverse(n)
     if n == 1:
         c = ((a * chain.g(2, 0)).scale(-1) - b * chain.g(1, 0)) * g00_inv
     else:
@@ -787,7 +811,7 @@ def abc_matrices(chain: GChain, n, j):
             chain.g(n, n - 2) * l_matrix(n - 2, j)
             - a * chain.g(n + 1, n - 1)
             - b * chain.g(n, n - 1)
-        ) * exact_inverse(chain.g(n - 1, n - 1))
+        ) * chain.inverse(n - 1)
     return a, b, c
 
 

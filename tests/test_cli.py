@@ -391,6 +391,26 @@ def test_reports_match_pinned_digests():
     assert not mismatches
 
 
+
+def test_recurrence_reports_are_pinned():
+    # one digest over every recurrence report of the seven families: ttrr at
+    # n = 0..3 and generate up to 4, each with both leadings, and connect at
+    # n = 3 (cdh has no second family and exits 2); a change to how the
+    # pipeline shares or reuses its exact arithmetic must leave every byte
+    digest = hashlib.sha256()
+    for family in ttrr.TTRR_FAMILIES:
+        argvs = [
+            ["ttrr", "--family", family, "--n", str(n)] + monic
+            for n in range(4)
+            for monic in ([], ["--monic"])
+        ]
+        argvs += [["generate", "--family", family, "--upto", "4"] + monic for monic in ([], ["--monic"])]
+        argvs.append(["connect", "--family", family, "--n", "3"])
+        for argv in argvs:
+            code, report = run(argv)
+            digest.update(json.dumps([argv, code, report], indent=2, sort_keys=True).encode())
+    assert digest.hexdigest() == "01db04c03709b767c168e6fd82006f9b28a575dbe8f305489c1f5822cad22351"
+
 def _digest(report):
     return hashlib.sha256(json.dumps(report, indent=2, sort_keys=True).encode()).hexdigest()
 

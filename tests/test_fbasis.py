@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from quadlattice import fbasis
 from quadlattice import latticeops as lo
-from quadlattice.exactfield import pochhammer
+from quadlattice.exactfield import GaussianRational, pochhammer
 from quadlattice.fbasis import (
     MONOMIAL,
     MPoly,
@@ -297,6 +300,98 @@ def test_interpolation_exactness():
     q = interpolate_bivariate(xn, yn, lambda i, j: p.eval((xn[i], yn[j])))
     assert q == p
 
+
+
+def plan_free_newton(nodes, values):
+    """Textbook Newton interpolation, dividing at every step: the reference
+    the node plan must reproduce value for value and type for type."""
+    table = list(values)
+    newton = []
+    for k in range(len(nodes)):
+        newton.append(table[0])
+        table = [
+            (table[i + 1] - table[i]) / (nodes[i + k + 1] - nodes[i])
+            for i in range(len(table) - 1)
+        ]
+    coeffs = [Fraction(0)] * len(nodes)
+    prod = [Fraction(1)]
+    for k in range(len(nodes)):
+        for d, pc in enumerate(prod):
+            coeffs[d] = coeffs[d] + newton[k] * pc
+        nxt = [Fraction(0)] * (len(prod) + 1)
+        for d, pc in enumerate(prod):
+            nxt[d + 1] = nxt[d + 1] + pc
+            nxt[d] = nxt[d] - nodes[k] * pc
+        prod = nxt
+    return coeffs
+
+
+def _seeded_rationals(rng, count):
+    return [Fraction(rng.randint(-40, 40), rng.randint(1, 13)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("field", ["fraction", "gaussian"])
+def test_plan_interpolation_matches_plan_free_newton(field):
+    rng = random.Random(16)
+    for size in range(1, 8):
+        nodes = sorted(set(_seeded_rationals(rng, 3 * size)))[:size]
+        rng.shuffle(nodes)
+        if field == "fraction":
+            values = _seeded_rationals(rng, size)
+        else:
+            values = [
+                GaussianRational(a, b)
+                for a, b in zip(_seeded_rationals(rng, size), _seeded_rationals(rng, size))
+            ]
+        got = interpolate_univariate(nodes, values)
+        want = plan_free_newton(nodes, values)
+        assert got == want
+        assert [type(c) for c in got] == [type(c) for c in want]
+        plan = fbasis.newton_plan(nodes)
+        assert fbasis.interpolate_with_plan(plan, values) == want
+
+
+def test_bivariate_interpolation_matches_plan_free_rows_and_columns():
+    rng = random.Random(17)
+    xn = [Fraction(k * k, 3) for k in range(4)]
+    yn = [Fraction(2 * k + 1, 5) for k in range(5)]
+    samples = [
+        [GaussianRational(*_seeded_rationals(rng, 2)) for _ in yn] for _ in xn
+    ]
+    rows = [plan_free_newton(yn, row) for row in samples]
+    want = {}
+    for jdeg in range(len(yn)):
+        column = plan_free_newton(xn, [row[jdeg] for row in rows])
+        want.update({(ideg, jdeg): c for ideg, c in enumerate(column) if c})
+    got = interpolate_bivariate(xn, yn, lambda i, j: samples[i][j])
+    assert got == MPoly(2, want)
+
+
+@pytest.mark.parametrize(
+    "nodes", [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1), Fraction(0)]]
+)
+def test_repeated_node_raises(nodes):
+    values = [Fraction(k) for k in range(len(nodes))]
+    with pytest.raises(ValueError, match="repeated interpolation node"):
+        interpolate_univariate(nodes, values)
+    with pytest.raises(ValueError, match="repeated interpolation node"):
+        interpolate_bivariate(nodes, [Fraction(0)], lambda i, j: Fraction(i))
+
+
+@pytest.mark.parametrize("size", [1, 3, 6])
+def test_bivariate_builds_one_plan_per_axis(monkeypatch, size):
+    plans = []
+    original = fbasis.newton_plan
+
+    def counting(nodes):
+        plans.append(list(nodes))
+        return original(nodes)
+
+    monkeypatch.setattr(fbasis, "newton_plan", counting)
+    xn = [Fraction(k) for k in range(size)]
+    yn = [Fraction(k, 2) for k in range(size + 1)]
+    interpolate_bivariate(xn, yn, lambda i, j: xn[i] - yn[j])
+    assert plans == [xn, yn]
 
 def test_mpoly_json():
     p = MPoly(2, {(1, 0): Fraction(1, 2), (0, 0): Fraction(3)})

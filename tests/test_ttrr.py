@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quadlattice import families as fam
-from quadlattice import ttrr
+from quadlattice import pdeverify, ttrr
 from quadlattice.exactfield import GaussianRational
 from quadlattice.fbasis import MPoly, h_closed_1
 from quadlattice.matrix import ExactMatrix, exact_inverse, solve_stacked
@@ -329,6 +329,95 @@ def test_monic_family_relation_p_equals_gnn_phat():
         combined = gnn.apply_rows(monic[n].entries)
         for k in range(n + 1):
             assert (combined[k] - oracle[k]).is_zero()
+
+
+# -- work done once: the S_n / T_n memo and the G_{k,k} inverses ----------------------
+
+def _counted(monkeypatch, module, name):
+    """Patch ``module.name`` to record its calls; returns the record."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_both_generate_routes_derive_each_sn_tn_once(monkeypatch):
+    # seven families x both leadings at upto 4: 28 distinct (family, n),
+    # each derived once although each chain asks for its own S_k / T_k
+    monkeypatch.setattr(ttrr, "_SN_TN_MEMO", {})
+    derivations = _counted(monkeypatch, ttrr, "_phi_blocks")
+    for name in ttrr.TTRR_FAMILIES:
+        for leading in ("family", "monic"):
+            ttrr.generate(fam.FamilySpec(name), 4, leading)
+    assert len(derivations) == 28
+
+
+def _wilson_typo(monkeypatch, change):
+    printed = pdeverify._TABLE_BUILDERS[fam.WILSON]
+
+    def typo(params):
+        coeffs, eigenvalue = printed(params)
+        coeffs[change[0]] = coeffs[change[0]] + change[1]
+        return coeffs, eigenvalue
+
+    monkeypatch.setitem(pdeverify._TABLE_BUILDERS, fam.WILSON, typo)
+
+
+def test_sn_tn_memo_cannot_mask_a_table_typo(monkeypatch):
+    spec = fam.FamilySpec(fam.WILSON)
+    clean = ttrr.sn_tn_derived(spec, 2)
+    # a constant slip in f4 changes S_2 and T_2
+    _wilson_typo(monkeypatch, (3, Fraction(1, 1000)))
+    assert ttrr.sn_tn_derived(spec, 2) != clean
+    assert ttrr.GChain(spec, 2).st[2] != clean
+    monkeypatch.undo()
+    # an x-linear slip in f7 breaks the -lambda_n I diagonal block, with
+    # the clean S_2 / T_2 in the memo
+    ttrr.sn_tn_derived(spec, 2)
+    _wilson_typo(monkeypatch, (6, MPoly.var(0, 2) * Fraction(1, 1000)))
+    with pytest.raises(AssertionError, match="degree-2 block"):
+        ttrr.sn_tn_derived(spec, 2)
+    monkeypatch.undo()
+    assert ttrr.sn_tn_derived(spec, 2) == clean
+
+
+def test_mutating_a_returned_sn_leaves_the_next_result_unchanged():
+    spec = fam.FamilySpec(fam.CH)
+    sn, tn = ttrr.sn_tn_derived(spec, 3)
+    want = (ExactMatrix(sn.data), ExactMatrix(tn.data))
+    sn[0, 0] = Fraction(99)
+    tn[1, 0] = Fraction(-7)
+    ttrr.GChain(spec, 3).st[3][0][1, 1] = Fraction(5)
+    assert ttrr.sn_tn_derived(spec, 3) == want
+
+
+def test_sn_tn_memo_stays_within_its_bound(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(ttrr, "_SN_TN_MEMO", memo)
+    base = fam.FamilySpec(fam.CDH).params
+    first = None
+    for k in range(ttrr.SN_TN_MEMO_SIZE + 6):
+        spec = fam.FamilySpec(fam.CDH, params=dict(base, a=Fraction(3 + k, 7)))
+        ttrr.sn_tn_derived(spec, 1)
+        first = first or next(iter(memo))
+        assert len(memo) <= ttrr.SN_TN_MEMO_SIZE
+    assert len(memo) == ttrr.SN_TN_MEMO_SIZE
+    assert first not in memo  # the oldest entries went first
+
+
+@pytest.mark.parametrize("leading", ["monic", "family"])
+def test_generate_inverts_each_leading_matrix_once(monkeypatch, leading):
+    # G_{0,0} .. G_{4,4}, each inverted once for all eight (n, j)
+    inverses = _counted(monkeypatch, ttrr, "exact_inverse")
+    for name in ttrr.TTRR_FAMILIES:
+        inverses.clear()
+        ttrr.generate(fam.FamilySpec(name), 4, leading)
+        assert len(inverses) == 5, name
 
 
 # -- leading matrices ----------------------------------------------------------------
