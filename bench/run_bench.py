@@ -14,6 +14,9 @@ Layers timed:
       same repeat (a conjugate, then its hash);
   L1  the four univariate primaries (racah_uni, wilson_uni, cdh_uni,
       ch_uni) at n = 0..4, with their caches cleared before every repeat;
+      and ``pochhammer`` at n = 0..4 on Fraction (``L1.pochhammer.fraction``)
+      and Gaussian (``L1.pochhammer.gauss``) arguments, each a default-sized
+      value plus k/p for the primes p of perfbench's parameter draws;
   L2  tables and chains: ``coefficients`` for each family,
       ``derived_coefficients`` of each distinct bivariate table in the
       directions x, y and xy, and ``GChain(spec, 4, leading)`` for the
@@ -108,7 +111,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from quadlattice import families as fam  # noqa: E402
 from quadlattice import cli, fbasis, latticeops, pdeverify, ttrr  # noqa: E402
-from quadlattice.exactfield import GaussianRational  # noqa: E402
+from quadlattice.exactfield import GaussianRational, pochhammer  # noqa: E402
 from quadlattice.matrix import ExactMatrix, exact_inverse, solve_stacked  # noqa: E402
 
 SCHEMA = "quadlattice-bench/1"
@@ -185,6 +188,19 @@ def _l1_args(points):
     }
 
 
+def _pochhammer_args(points):
+    """Pochhammer arguments at the heights the oracles' prefactors see: a
+    default parameter plus k/p for perfbench's primes p, real and Gaussian."""
+    rng = random.Random(1)
+    primes = (13, 17, 19, 23, 29, 31)
+    reals = [Fraction(k % 9 + 1, 4) + Fraction(rng.randint(1, p - 1), p)
+             for k, p in zip(range(2 * points), primes * points)]
+    return {
+        "fraction": reals[:points],
+        "gauss": [GaussianRational(a, b) for a, b in zip(reals[:points], reals[points:])],
+    }
+
+
 def _l1_entries(points):
     out = {}
     for name, arglist in _l1_args(points).items():
@@ -195,6 +211,11 @@ def _l1_entries(points):
                 return [fn(n, *args) for args in arglist]
 
             out[f"L1.{name}.n{n}"] = (job, len(arglist))
+    for kind, arglist in _pochhammer_args(points).items():
+        for n in range(5):
+            out[f"L1.pochhammer.{kind}.n{n}"] = (
+                lambda n=n, arglist=arglist: [pochhammer(a, n) for a in arglist], len(arglist)
+            )
     return out
 
 

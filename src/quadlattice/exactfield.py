@@ -4,11 +4,19 @@ Every quantity in this package is either a ``fractions.Fraction`` (arbitrary
 precision rational, always reduced, positive denominator) or a
 :class:`GaussianRational` (a + b*i with exact rational parts).  No floats,
 ever.
+
+Two kernels use integer numerators internally and build their Fractions
+only at the end: :func:`pochhammer` here and ``families._terminating_sum``,
+the sum behind the univariate family factors.  Each writes its parameters
+over one common denominator, multiplies the integer (or Gaussian-integer)
+numerators, and normalises the result once; their values and types are
+those of the same products taken in Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 Rational = Fraction
@@ -236,14 +244,33 @@ def field_str(value) -> str:
 
 
 def pochhammer(a, n: int):
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1.
+
+    An int or Fraction argument gives a Fraction and a Gaussian argument a
+    GaussianRational, even when the product is real.  With a = A / D (or
+    (A + Bi) / D over the common denominator of both parts) the product is
+    one integer product prod_k (A + kD) over D^n, normalised once.
+    """
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
     if isinstance(a, int):
         a = Fraction(a)
     if not n:
         return a - a + 1
-    out = a
+    if n == 1:
+        return a
+    if isinstance(a, GaussianRational):
+        re, im = a.re, a.im
+        den = lcm(re.denominator, im.denominator)
+        start, b = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+        pr, pi = start, b
+        for k in range(1, n):
+            c = start + k * den
+            pr, pi = pr * c - pi * b, pr * b + pi * c
+        scale = den ** n
+        return _gauss(Fraction(pr, scale), Fraction(pi, scale))
+    start, den = a.numerator, a.denominator
+    out = start
     for k in range(1, n):
-        out = out * (a + k)
-    return out
+        out *= start + k * den
+    return Fraction(out, den ** n)

@@ -24,26 +24,39 @@ The primary univariate factors share one cancellation-free kernel,
 ``_terminating_sum``: the lower Pochhammers are multiplied through, so the
 k-th term is prod (u_j)_k * prod (l_j + k)_{n-k} / k!, with prefix products
 of the upper parameters and suffix products of the lower tails (O(n)
-multiplications), and only k! divides.  Before summing, each primary
-forms every lower Pochhammer (l)_n with ``pochhammer`` and rejects the
-parameters if one vanishes; a degree-0 factor is 1 and never reaches
-a primary.  Every univariate factor has a second, independent
-implementation used as a brute-force oracle by the tests: a prefactor
-times the plain series summed by running term ratios, dividing by every
-lower parameter at every term.  The two routes share no arithmetic beyond
-the parameters, so a slip in one does not cancel in the comparison.
+multiplications).  The kernel works in integers: every parameter is
+written over one common denominator D, a Gaussian one as an integer pair
+(A, B), so the products are integer (or Gaussian-integer) products; term k
+is scaled to the common denominator D^E * n!, and one Fraction per part is
+built from the integer sum at the end.  Real parameters take a plain-int
+path.  Before summing, each primary forms every lower Pochhammer (l)_n
+with ``pochhammer`` and rejects the parameters if one vanishes; a degree-0
+factor is 1 and never reaches a primary.  Every univariate factor has a
+second, independent implementation used as a brute-force oracle by the
+tests: a prefactor (from ``pochhammer``) times the plain series summed by
+running term ratios in Fraction arithmetic, dividing by every lower
+parameter at every term.  The primaries never call ``pochhammer`` for a
+value, so the two routes share no arithmetic beyond the parameters, and a
+slip in one does not cancel in the comparison.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import factorial, lcm
 from operator import mul
 
-from .exactfield import GaussianRational, I, demote, gauss, imag_part, pochhammer, rat, times_i
+from .exactfield import GaussianRational, demote, gauss, imag_part, pochhammer, rat, times_i
 from .latticeops import linear, partial_D, quadratic, wilson_square
 
 HALF = Fraction(1, 2)
+
+# The bound of each family cache (the four primaries and ``_eval_cached``):
+# a long run keeps at most this many values per cache, evicting the least
+# recently used.  A benchmark job or a CLI command fills a few thousand
+# entries across all five, so none of them evicts.
+FAMILY_CACHE_SIZE = 1 << 14
 
 
 class DegenerateParameterError(ValueError):
@@ -64,33 +77,94 @@ def check_lower(pairs, n):
 # univariate factors: cancellation-free primaries
 # ---------------------------------------------------------------------------
 
+def _integer_parts(values):
+    """(D, [(A, B)]): each value as (A + Bi) / D over one common denominator
+    D, with integer A and B (B = 0 for an int or Fraction value)."""
+    parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0) for v in values]
+    den = lcm(*(p.denominator for pair in parts for p in pair))
+    return den, [
+        (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+        for re, im in parts
+    ]
+
+
 def _terminating_sum(n, uppers, lowers):
     """Sum_{k=0}^{n} prod_j (u_j)_k * prod_j (l_j + k)_{n-k} / k!.
 
     This is prod_j (l_j)_n times the terminating series with upper
     parameters ``uppers`` (the first one -n) and lower parameters
     ``lowers``, with every lower Pochhammer cancelled: only k! divides.
-    The upper products grow as prefix products and the lower tails are
-    suffix products, so the sum costs O(n) multiplications.  The sum stops
-    at the first vanishing upper product, after which every term is zero.
+    Every parameter is written over one common denominator D, so that
+    v + k = (V + kD) / D with an integer (or Gaussian-integer) V.  The
+    upper products grow as integer prefix products and the lower tails are
+    integer suffix products, so term k is an integer over D^(e_k) * k!,
+    e_k = k * len(uppers) + (n - k) * len(lowers).  Scaled by
+    D^(E - e_k) * n!/k!, E the largest e_k, every term shares the
+    denominator D^E * n!, and one Fraction per part is built at the end.
+    The sum stops at the first vanishing upper product, after which every
+    term is zero.  The value is a Fraction when its imaginary part is zero,
+    else a GaussianRational.
     """
-    tails = [Fraction(1)] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        tail = tails[k + 1]
-        for low in lowers:
-            tail = tail * (low + k)
-        tails[k] = tail
-    total = tails[0]
-    num = Fraction(1)
-    kfact = 1
-    for k in range(1, n + 1):
-        for up in uppers:
-            num = num * (up + (k - 1))
-        if not num:
+    if not n:
+        return Fraction(1)
+    den, parts = _integer_parts((*uppers, *lowers))
+    ups, lows = parts[:len(uppers)], parts[len(uppers):]
+    nu, nl = len(ups), len(lows)
+    top = max(nu, nl) * n
+    gaussian = any(im for _, im in parts)
+    if not gaussian:
+        ups, lows = [a for a, _ in ups], [a for a, _ in lows]
+    products = _gaussian_products if gaussian else _real_products
+    heads = products(ups, den, range(n))
+    tails = products(lows, den, range(n - 1, -1, -1))
+    # the tails below a vanishing one vanish too, and so do their terms
+    first = n + 1 - len(tails)
+    real = imag = 0
+    for k in range(first, len(heads)):
+        scale = den ** (top - nu * k - nl * (n - k)) * (factorial(n) // factorial(k))
+        head, tail = heads[k], tails[n - k]
+        if gaussian:
+            (hr, hi), (tr, ti) = head, tail
+            real += (hr * tr - hi * ti) * scale
+            imag += (hr * ti + hi * tr) * scale
+        else:
+            real += head * tail * scale
+    scale = den ** top * factorial(n)
+    if imag:
+        return GaussianRational(Fraction(real, scale), Fraction(imag, scale))
+    return Fraction(real, scale)
+
+
+def _real_products(params, den, shifts):
+    """The running products prod_{s so far} prod_j (V_j + sD) over the
+    ``shifts``, from the empty product 1; the list ends at the first zero,
+    after which every product is zero."""
+    out = [1]
+    product = 1
+    for s in shifts:
+        sd = s * den
+        for v in params:
+            product *= v + sd
+        out.append(product)
+        if not product:
             break
-        kfact *= k
-        total = total + num * tails[k] / kfact
-    return total
+    return out
+
+
+def _gaussian_products(params, den, shifts):
+    """``_real_products`` of Gaussian integers V_j = A_j + B_j i, given as
+    (A_j, B_j) pairs: a list of (re, im) pairs."""
+    out = [(1, 0)]
+    pr, pi = 1, 0
+    for s in shifts:
+        sd = s * den
+        for a, b in params:
+            a += sd
+            pr, pi = pr * a - pi * b, pr * b + pi * a
+        out.append((pr, pi))
+        if not (pr or pi):
+            break
+    return out
 
 
 def _pair(e, v):
@@ -99,7 +173,7 @@ def _pair(e, v):
     return e + iv, e - iv
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def racah_uni(n, alpha, beta, gamma, delta, s):
     """Univariate Racah polynomial r_n(alpha,beta,gamma,delta;s).
 
@@ -108,34 +182,37 @@ def racah_uni(n, alpha, beta, gamma, delta, s):
     a1, bd1, g1 = alpha + 1, beta + delta + 1, gamma + 1
     check_lower([("alpha+1", a1), ("beta+delta+1", bd1), ("gamma+1", g1)], n)
     uppers = (-n, n + alpha + beta + 1, -s, s + gamma + delta + 1)
-    return demote(_terminating_sum(n, uppers, (a1, bd1, g1)))
+    return _terminating_sum(n, uppers, (a1, bd1, g1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def wilson_uni(n, a, b, c, d, x):
     """Wilson polynomial w_n(x^2; a, b, c, d); an even function of x."""
     ab, ac, ad = a + b, a + c, a + d
     check_lower([("a+b", ab), ("a+c", ac), ("a+d", ad)], n)
     uppers = (-n, n + a + b + c + d - 1, *_pair(a, x))
-    return demote(_terminating_sum(n, uppers, (ab, ac, ad)))
+    return _terminating_sum(n, uppers, (ab, ac, ad))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def cdh_uni(n, a, b, c, x):
     """Continuous dual Hahn polynomial d_n(a, b, c | x), even in x."""
     ab, ac = a + b, a + c
     check_lower([("a+b", ab), ("a+c", ac)], n)
     uppers = (-n, *_pair(a, x))
-    return demote(_terminating_sum(n, uppers, (ab, ac)))
+    return _terminating_sum(n, uppers, (ab, ac))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def ch_uni(n, a, b, c, d, x):
     """Continuous Hahn polynomial h_n(a, b, c, d | x) with the i^n prefactor."""
     ab, ad = a + b, a + d
     check_lower([("a+b", ab), ("a+d", ad)], n)
     uppers = (-n, n + a + b + c + d - 1, a + times_i(x))
-    return demote(I ** n * _terminating_sum(n, uppers, (ab, ad)))
+    value = _terminating_sum(n, uppers, (ab, ad))
+    for _ in range(n % 4):
+        value = times_i(value)
+    return demote(value)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +527,7 @@ def _multiply(uni, factors):
     return demote(reduce(mul, values)) if values else Fraction(1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _eval_cached(spec, label, point):
     # keyed by the spec itself: equal specs hash and compare by their key()
     family = spec.family
@@ -546,29 +623,6 @@ def derivative_ladder_check(spec: FamilySpec, label, point):
 # ---------------------------------------------------------------------------
 # parameter maps
 # ---------------------------------------------------------------------------
-
-def tratnik_to_internal(a1, a2, a3, gamma, eta):
-    """Map the five Tratnik parameters to (beta0..beta3, N)."""
-    a1, a2, a3, gamma, eta = map(rat, (a1, a2, a3, gamma, eta))
-    return {
-        "beta0": a1 - eta - 1,
-        "beta1": a1,
-        "beta2": a1 + a2,
-        "beta3": a1 + a2 + a3,
-        "N": -gamma - 1,
-    }
-
-
-def internal_to_tratnik(beta0, beta1, beta2, beta3, N):
-    beta0, beta1, beta2, beta3, N = map(rat, (beta0, beta1, beta2, beta3, N))
-    return {
-        "a1": beta1,
-        "a2": beta2 - beta1,
-        "a3": beta3 - beta2,
-        "gamma": -N - 1,
-        "eta": beta1 - beta0 - 1,
-    }
-
 
 def racah_to_wilson_map(a, b, c, d, e2):
     """The corrected change of variables carrying Racah data to Wilson data:

@@ -256,3 +256,54 @@ def test_times_i_is_multiplication_by_i():
         assert hash(result) == hash(I * value)
     with pytest.raises(TypeError):
         times_i(1.5)
+
+
+def naive_pochhammer(a, n):
+    """a (a+1) ... (a+n-1) in the argument's own arithmetic, from 1."""
+    out = Fraction(1) if not isinstance(a, GaussianRational) else GaussianRational(1)
+    for k in range(n):
+        out = out * (a + k)
+    return out
+
+
+def test_pochhammer_matches_naive_product():
+    """The integer product over D^n against the plain product, on int,
+    Fraction and Gaussian arguments (real ones too) at benchmark heights:
+    equal values, and a Gaussian argument always gives a Gaussian."""
+    rng = random.Random(71)
+    dens = (1, 7, 13, 17 * 19, 23 * 29 * 31, 707)
+
+    def part():
+        den = rng.choice(dens)
+        return Fraction(rng.randint(-9 * den, 9 * den), den)
+
+    draws = {
+        int: lambda: rng.randint(-9, 9),
+        Fraction: part,
+        GaussianRational: lambda: GaussianRational(part(), part()),
+        "real gaussian": lambda: GaussianRational(part(), 0),
+    }
+    for kind, draw in draws.items():
+        expected_type = Fraction if kind in (int, Fraction) else GaussianRational
+        for n in range(9):
+            for _ in range(15):
+                a = draw()
+                value = pochhammer(a, n)
+                assert value == naive_pochhammer(a, n), (a, n)
+                assert type(value) is expected_type, (a, n)
+                if expected_type is GaussianRational:
+                    assert type(value.re) is Fraction and type(value.im) is Fraction
+
+
+def test_pochhammer_empty_product_and_negative_order():
+    # (a)_0 is a - a + 1, with an int argument read as a Fraction
+    for a in (4, Fraction(-7, 3), GaussianRational(Fraction(1, 2), -3), GaussianRational(5, 0)):
+        one = pochhammer(a, 0)
+        assert one == 1
+        assert type(one) is (GaussianRational if isinstance(a, GaussianRational) else Fraction)
+        with pytest.raises(ValueError, match="pochhammer needs n >= 0"):
+            pochhammer(a, -1)
+    # a vanishing factor gives an exact zero of the argument's kind
+    assert pochhammer(-3, 5) == 0 and type(pochhammer(-3, 5)) is Fraction
+    zero = pochhammer(GaussianRational(-2, 0), 4)
+    assert zero == 0 and type(zero) is GaussianRational

@@ -170,6 +170,204 @@ def test_degenerate_lower_parameter_messages(call, message):
         call()
 
 
+# -- the integer kernel against the Fraction kernel it replaced --------------
+
+def fraction_terminating_sum(n, uppers, lowers):
+    """The kernel summed in Fraction arithmetic, kept as the reference: prefix
+    products of the upper parameters, suffix products of the lower tails,
+    and a division by k! at every term."""
+    tails = [Fraction(1)] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        tail = tails[k + 1]
+        for low in lowers:
+            tail = tail * (low + k)
+        tails[k] = tail
+    total = tails[0]
+    num = Fraction(1)
+    kfact = 1
+    for k in range(1, n + 1):
+        for up in uppers:
+            num = num * (up + (k - 1))
+        if not num:
+            break
+        kfact *= k
+        total = total + num * tails[k] / kfact
+    return total
+
+
+# perfbench draws each parameter as a default plus k/p for these primes, and
+# its CLI grids are offset by 1/7 + r/101, a denominator of 707
+BENCH_PRIMES = (13, 17, 19, 23, 29, 31)
+
+
+def draw_kernel_value(rng, kind):
+    if kind == "real":
+        return rnd_fraction(rng)
+    if kind == "int":
+        return rng.randint(-6, 6)
+    if kind == "zero-imag":
+        return GaussianRational(rnd_fraction(rng), 0)
+    if kind == "gaussian":
+        return rnd_gauss(rng)
+    if kind == "height":
+        if rng.random() < 0.5:
+            den = 1
+            for p in rng.sample(BENCH_PRIMES, rng.randint(1, 4)):
+                den *= p
+            return Fraction(rng.randint(-9 * den, 9 * den), den)
+        return rng.randint(-3, 9) + Fraction(1, 7) + Fraction(rng.randint(1, 22), 101)
+    raise ValueError(kind)  # pragma: no cover
+
+
+def draw_kernel_args(rng, n, kinds):
+    """(uppers, lowers) with the primaries' -n first, one to four upper and
+    one to three lower parameters drawn from ``kinds``; "pair" puts a
+    conjugate pair e +- iv among the uppers, the lowers or both, as the
+    couplings pass them."""
+    def value():
+        kind = rng.choice(kinds)
+        if kind == "pair":
+            kind = "height" if rng.random() < 0.5 else "real"
+        return draw_kernel_value(rng, kind)
+
+    uppers = [-n] + [value() for _ in range(rng.randint(0, 3))]
+    lowers = [value() for _ in range(rng.randint(1, 3))]
+    if "pair" in kinds:
+        e, v = value(), value()
+        if rng.random() < 0.7:
+            uppers += fam._pair(e, v)
+        if rng.random() < 0.7:
+            lowers = [lowers[0] + e, *fam._pair(e, v)]
+    return uppers, lowers
+
+
+KERNEL_DRAWS = {
+    "real": ("real",),
+    "int": ("int", "real"),
+    "zero-imag": ("zero-imag", "real", "int"),
+    "gaussian": ("gaussian", "real", "int"),
+    "pair": ("pair",),
+    "height": ("height",),
+    "height-pair": ("height", "pair"),
+}
+
+
+def assert_same_value_and_type(new, old, context):
+    old = demote(old)
+    assert new == old, context
+    assert type(new) is type(old), context
+    if isinstance(new, GaussianRational):
+        assert type(new.re) is Fraction and type(new.im) is Fraction, context
+
+
+@pytest.mark.parametrize("draw", sorted(KERNEL_DRAWS))
+def test_integer_kernel_matches_fraction_kernel(draw):
+    rng = random.Random(f"kernel-{draw}")
+    for n in range(9):
+        for _ in range(12):
+            uppers, lowers = draw_kernel_args(rng, n, KERNEL_DRAWS[draw])
+            assert_same_value_and_type(
+                fam._terminating_sum(n, uppers, lowers),
+                fraction_terminating_sum(n, uppers, lowers),
+                (n, uppers, lowers),
+            )
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), GaussianRational(0, 0)],
+                         ids=["int", "fraction", "gaussian"])
+def test_integer_kernel_stops_at_first_vanishing_upper_product(zero):
+    """An upper parameter -j vanishes at shift j: the prefix products end at
+    the first vanishing one, and the value is still the reference's."""
+    rng = random.Random(f"stop-{type(zero).__name__}")
+    for n in range(1, 9):
+        for j in range(n):
+            uppers, lowers = draw_kernel_args(rng, n, ("height", "pair"))
+            uppers.insert(rng.randint(1, len(uppers)), zero - j)
+            assert_same_value_and_type(
+                fam._terminating_sum(n, uppers, lowers),
+                fraction_terminating_sum(n, uppers, lowers),
+                (n, uppers, lowers),
+            )
+            den, parts = fam._integer_parts(uppers)
+            if any(im for _, im in parts):
+                heads = fam._gaussian_products(parts, den, range(n))
+                assert heads[-1] == (0, 0)
+            else:
+                heads = fam._real_products([a for a, _ in parts], den, range(n))
+                assert heads[-1] == 0
+            # a drawn upper may be a nonpositive integer as well
+            stop = min(-demote(u) for u in uppers
+                       if imag_part(u) == 0 and demote(u).denominator == 1 and demote(u) <= 0)
+            assert stop <= j and len(heads) == stop + 2 and all(heads[:-1]), (n, j, uppers)
+
+
+def test_integer_kernel_at_a_vanishing_lower_tail():
+    # a lower parameter -j makes every tail from shift j down vanish; the
+    # primaries reject it first, but the kernel still sums it exactly
+    rng = random.Random(61)
+    for n in range(1, 9):
+        for j in range(n):
+            uppers, lowers = draw_kernel_args(rng, n, ("real", "pair"))
+            lowers.append(Fraction(-j))
+            assert_same_value_and_type(
+                fam._terminating_sum(n, uppers, lowers),
+                fraction_terminating_sum(n, uppers, lowers),
+                (n, uppers, lowers),
+            )
+
+
+def test_primaries_match_series_oracles_at_benchmark_heights():
+    """Primaries at perfbench-like parameters: the four factors through the
+    family couplings at drawn parameters and 707-offset grid points."""
+    rng = random.Random(67)
+    checked = 0
+    for name in fam.ALL_FAMILIES:
+        spec = fam.FamilySpec(name)
+        params = {k: v + Fraction(rng.randint(1, p - 1), p)
+                  for (k, v), p in zip(spec.params.items(), BENCH_PRIMES)}
+        spec = fam.FamilySpec(name, params)
+        for _ in range(4):
+            label = tuple(rng.randint(0, 4) for _ in range(spec.nvars))
+            point = tuple(draw_kernel_value(rng, "height") for _ in range(spec.nvars))
+            for kind, n, args in fam._factors(name, spec.params, label, point):
+                if not n:
+                    continue
+                primary = getattr(fam, f"{kind}_uni")
+                value = primary(n, *args)
+                assert value == getattr(fam, f"{kind}_uni_oracle")(n, *args), (name, n, args)
+                assert type(value) is (GaussianRational if imag_part(value) else Fraction)
+                checked += 1
+    assert checked >= 40
+
+
+def test_family_caches_stay_within_their_bound():
+    """Past FAMILY_CACHE_SIZE entries the caches evict: they never hold more,
+    and an evicted value computes again to the same value."""
+    bound = fam.FAMILY_CACHE_SIZE
+    spec = fam.FamilySpec(fam.RACAH)
+    t = Fraction(16, 7)
+    points = [(Fraction(k, 7), t) for k in range(bound + 50)]
+    caches = (fam._eval_cached, fam.racah_uni)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        first = []
+        for i, point in enumerate(points):
+            first.append(fam.eval_family(spec, (1, 0), point))
+            if i % 97 == 0 or i >= bound - 2:
+                assert all(cache.cache_info().currsize <= bound for cache in caches), i
+        assert all(cache.cache_info().currsize == bound for cache in caches)
+        misses = fam._eval_cached.cache_info().misses
+        for point, value in zip(points[:50], first):  # evicted: recomputed
+            assert fam.eval_family(spec, (1, 0), point) == value
+            assert fam.eval_family_oracle(spec, (1, 0), point) == value
+        assert fam._eval_cached.cache_info().misses == misses + 50
+        assert all(cache.cache_info().currsize == bound for cache in caches)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
 # -- bivariate / trivariate evaluation ---------------------------------------
 
 def test_all_families_are_one_at_zero_label():
@@ -376,17 +574,6 @@ def test_univariate_ladder_and_second_order_equation():
 
 
 # -- parameter maps ------------------------------------------------------------
-
-def test_tratnik_round_trip():
-    rng = random.Random(53)
-    for _ in range(10):
-        args = {k: rnd_fraction(rng) for k in ("a1", "a2", "a3", "gamma", "eta")}
-        internal = fam.tratnik_to_internal(**args)
-        back = fam.internal_to_tratnik(**internal)
-        assert back == args
-        betas = {k: rnd_fraction(rng) for k in ("beta0", "beta1", "beta2", "beta3", "N")}
-        assert fam.tratnik_to_internal(**fam.internal_to_tratnik(**betas)) == betas
-
 
 def test_racah_to_wilson_substitution_is_exact():
     wspec = fam.FamilySpec(fam.WILSON)
