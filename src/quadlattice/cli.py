@@ -135,7 +135,7 @@ def _spec_from(args):
         if "=" not in item:
             raise ValueError(f"bad --param {item!r}; expected NAME=VALUE")
         name, value = item.split("=", 1)
-        overrides[name.strip()] = rat(value)
+        overrides[name.strip()] = _read("--param", item, value, rat, "an exact rational")
     family = getattr(args, "family", fam.CH_TRI)
     return fam.FamilySpec(family, params=overrides)
 
@@ -144,11 +144,19 @@ def _grid_offset(seed):
     return Fraction(1, 7) + Fraction(seed % 23, 101)
 
 
-def _parse_tuple(text, n=None):
+def _read(option, text, entry, convert, what):
+    """convert(entry), or a usage error that names the option and its text."""
+    try:
+        return convert(entry)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad {option} {text!r}: {entry.strip()!r} is not {what}") from None
+
+
+def _parse_tuple(option, text, convert, what, n=None):
     parts = [p for p in text.replace(" ", "").split(",") if p]
     if n is not None and len(parts) != n:
         raise ValueError(f"expected {n} comma-separated entries in {text!r}")
-    return parts
+    return tuple(_read(option, text, p, convert, what) for p in parts)
 
 
 def _report_base(args, spec):
@@ -175,8 +183,8 @@ def _run(args):
     status = EXIT_OK
 
     if args.command == "eval":
-        label = tuple(int(v) for v in _parse_tuple(args.label))
-        point = tuple(rat(v) for v in _parse_tuple(args.point, spec.nvars))
+        label = _parse_tuple("--label", args.label, int, "an integer")
+        point = _parse_tuple("--point", args.point, rat, "an exact rational", spec.nvars)
         value = fam.eval_family(spec, label, point)
         report["label"] = list(label)
         report["point"] = [field_str(v) for v in point]

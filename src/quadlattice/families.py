@@ -25,19 +25,18 @@ The primary univariate factors share one cancellation-free kernel,
 k-th term is prod (u_j)_k * prod (l_j + k)_{n-k} / k!, with prefix products
 of the upper parameters and suffix products of the lower tails (O(n)
 multiplications).  The kernel works in integers: every parameter is
-written over one common denominator D, a Gaussian one as an integer pair
-(A, B), so the products are integer (or Gaussian-integer) products; term k
-is scaled to the common denominator D^E * n!, and one Fraction per part is
-built from the integer sum at the end.  Real parameters take a plain-int
-path.  Before summing, each primary forms every lower Pochhammer (l)_n
-with ``pochhammer`` and rejects the parameters if one vanishes; a degree-0
-factor is 1 and never reaches a primary.  Every univariate factor has a
-second, independent implementation used as a brute-force oracle by the
-tests: a prefactor (from ``pochhammer``) times the plain series summed by
-running term ratios in Fraction arithmetic, dividing by every lower
-parameter at every term.  The primaries never call ``pochhammer`` for a
-value, so the two routes share no arithmetic beyond the parameters, and a
-slip in one does not cancel in the comparison.
+written over one common denominator D as an integer pair (A, B), B = 0 for
+a real one, so the products are Gaussian-integer products; term k is
+scaled to the common denominator D^E * n!, and one Fraction per part is
+built from the integer sum at the end.  Before summing, each primary forms
+every lower Pochhammer (l)_n with ``pochhammer`` and rejects the
+parameters if one vanishes; a degree-0 factor is 1 and never reaches a
+primary.  Every univariate factor has a second, independent implementation
+used as a brute-force oracle by the tests: a prefactor (from
+``pochhammer``) times the plain series summed by running term ratios in
+Fraction arithmetic, dividing by every lower parameter at every term.  The
+primaries never call ``pochhammer`` for a value, so the two routes share
+no arithmetic beyond the parameters, and a slip in one does not cancel.
 """
 
 from __future__ import annotations
@@ -107,53 +106,29 @@ def _terminating_sum(n, uppers, lowers):
     """
     if not n:
         return Fraction(1)
-    den, parts = _integer_parts((*uppers, *lowers))
-    ups, lows = parts[:len(uppers)], parts[len(uppers):]
-    nu, nl = len(ups), len(lows)
+    nu, nl = len(uppers), len(lowers)
     top = max(nu, nl) * n
-    gaussian = any(im for _, im in parts)
-    if not gaussian:
-        ups, lows = [a for a, _ in ups], [a for a, _ in lows]
-    products = _gaussian_products if gaussian else _real_products
-    heads = products(ups, den, range(n))
-    tails = products(lows, den, range(n - 1, -1, -1))
+    den, parts = _integer_parts((*uppers, *lowers))
+    heads = _gaussian_products(parts[:nu], den, range(n))
+    tails = _gaussian_products(parts[nu:], den, range(n - 1, -1, -1))
     # the tails below a vanishing one vanish too, and so do their terms
     first = n + 1 - len(tails)
     real = imag = 0
     for k in range(first, len(heads)):
         scale = den ** (top - nu * k - nl * (n - k)) * (factorial(n) // factorial(k))
-        head, tail = heads[k], tails[n - k]
-        if gaussian:
-            (hr, hi), (tr, ti) = head, tail
-            real += (hr * tr - hi * ti) * scale
-            imag += (hr * ti + hi * tr) * scale
-        else:
-            real += head * tail * scale
+        (hr, hi), (tr, ti) = heads[k], tails[n - k]
+        real += (hr * tr - hi * ti) * scale
+        imag += (hr * ti + hi * tr) * scale
     scale = den ** top * factorial(n)
     if imag:
         return GaussianRational(Fraction(real, scale), Fraction(imag, scale))
     return Fraction(real, scale)
 
 
-def _real_products(params, den, shifts):
-    """The running products prod_{s so far} prod_j (V_j + sD) over the
-    ``shifts``, from the empty product 1; the list ends at the first zero,
-    after which every product is zero."""
-    out = [1]
-    product = 1
-    for s in shifts:
-        sd = s * den
-        for v in params:
-            product *= v + sd
-        out.append(product)
-        if not product:
-            break
-    return out
-
-
 def _gaussian_products(params, den, shifts):
-    """``_real_products`` of Gaussian integers V_j = A_j + B_j i, given as
-    (A_j, B_j) pairs: a list of (re, im) pairs."""
+    """The running products prod_{s so far} prod_j (V_j + sD) over the
+    ``shifts``, V_j = A_j + B_j i given as (A_j, B_j): (re, im) pairs from
+    the empty product (1, 0), ending at the first zero, as all after it are."""
     out = [(1, 0)]
     pr, pi = 1, 0
     for s in shifts:

@@ -137,15 +137,17 @@ class CoeffTable(Equation):
         return len(self.lattices)
 
     def _check_structure(self):
-        # degree bounded by l1+...+lp, and no dependence on a variable whose
-        # operator entry is zero
-        for fi, lind in zip(self.coeffs, self.lindices):
+        # deg f_i <= |l_i|; f_i may depend on a variable l_i leaves alone only if
+        # no operator with a nonzero f_j acts on it, as on a form's other variable
+        pairs = list(zip(self.coeffs, self.lindices))
+        acted = {var for fi, lind in pairs if fi for var, l in enumerate(lind) if l}
+        for fi, lind in pairs:
             if fi.total_degree() > sum(lind):
                 raise AssertionError(
                     f"coefficient for E{lind} exceeds degree {sum(lind)}: {fi.coeffs}"
                 )
             for var, l in enumerate(lind):
-                if l == 0 and fi.depends_on(var):
+                if l == 0 and var in acted and fi.depends_on(var):
                     raise AssertionError(
                         f"coefficient for E{lind} depends on inactive variable {var}"
                     )
@@ -810,10 +812,6 @@ def derivative_function(spec: FamilySpec, label, direction):
 # second-order equations
 # ---------------------------------------------------------------------------
 
-# Each printed second-order equation acts in one variable, lambda P +
-# phi D^2 P + tau S D P = 0; a form gives (phi, tau) at the lattice point, and
-# lambda from the label's entry n in that variable.
-
 def _racah_x(p, x, y):
     b0, b1, b2 = p["beta0"], p["beta1"], p["beta2"]
     phi = -x * x + x * y + (b0 * b2 - b1 * (b2 + b0) / 2) * x + b1 * (b1 - b0) / 2 * y
@@ -847,6 +845,8 @@ def _cdh_x(p, x, y):
 
 
 # kind -> (family, variable, (params, x, y) -> (phi, tau), (params, n) -> lambda)
+# of the printed lambda P + phi D^2 P + tau S D P = 0 in one variable: phi and
+# tau in the lattice variables x, y, and n the label's entry in that variable
 SECOND_ORDER_FORMS = {
     "racah-x": (RACAH, 0, _racah_x, lambda p, n: n * (p["beta2"] - p["beta0"] + n - 1)),
     "wilson-x": (WILSON, 0, _wilson_x, lambda p, n: -n * (n - 1 + p["a"] + p["b"] + 2 * p["e2"])),
@@ -857,21 +857,18 @@ SECOND_ORDER_FORMS = {
 }
 
 
-def second_order_equation(kind, spec: FamilySpec) -> Equation:
-    """The printed second-order equation ``kind`` on the family's lattices."""
+def second_order_equation(kind, spec: FamilySpec) -> CoeffTable:
+    """The printed second-order equation ``kind``: a table with phi beside
+    D^2 and tau beside SD of the form's variable, every other f_i zero."""
     if kind not in SECOND_ORDER_FORMS:
         raise ValueError(f"unknown second-order kind {kind!r}")
     family, var, form, eigenvalue = SECOND_ORDER_FORMS[kind]
     if spec.family != family:
         raise ValueError(f"{kind} applies to the {family} family")
-    lattices = spec.lattices()
     d2, sd = (tuple(l if i == var else 0 for i in range(2)) for l in (2, 1))
-
-    def fold(pt):
-        phi, tau = form(spec.params, *(lattice_value(l, v) for l, v in zip(lattices, pt)))
-        return PointStencils(lattices, pt).fold(((phi, d2), (tau, sd)))
-
-    return Equation(fold, lambda lbl: eigenvalue(spec.params, lbl[var]))
+    slots = dict(zip((d2, sd), form(spec.params, *_xy())))
+    coeffs = [slots.get(lind, MPoly.zero(2)) for lind in BIVARIATE_OPS]
+    return CoeffTable(coeffs, lambda lbl: eigenvalue(spec.params, lbl[var]), spec.lattices())
 
 
 def second_order_residual(kind, spec: FamilySpec, label, point):
@@ -1212,10 +1209,10 @@ def label_record(label, witness):
 def check_proof_grid(max_total_degree, grid_size):
     """Refuse an explicit grid size that proves nothing at the degree bound.
 
-    In a coefficient table and in a printed second-order equation, each
+    In a coefficient table, a printed second-order equation among them, each
     coefficient has degree at most the order of the operator it multiplies:
-    deg f_i <= |l_i| (``CoeffTable`` checks it), deg phi <= 2 beside D^2 and
-    deg tau <= 1 beside SD.  E_l lowers the degree by |l|, so the residual
+    deg f_i <= |l_i| (``CoeffTable`` checks it), so deg phi <= 2 beside D^2
+    and deg tau <= 1 beside SD.  E_l lowers the degree by |l|, so the residual
     on a member P of total degree k has total degree <= k in the lattice
     variables.  It is therefore zero once it vanishes on a tensor grid of
     k + 1 distinct lattice values per axis, and a smaller grid proves nothing.

@@ -335,6 +335,14 @@ def test_usage_errors_name_the_cause():
     for argv, message in (
         (["eval", "--family", "racah", "--label", "1,1", "--point", "8/7,16/7",
           "--param", "beta0"], "bad --param 'beta0'; expected NAME=VALUE"),
+        (["eval", "--family", "racah", "--label", "1,1", "--point", "1/2,1/0"],
+         "bad --point '1/2,1/0': '1/0' is not an exact rational"),
+        (["eval", "--family", "racah", "--label", "1,1", "--point", "8/7,16/7",
+          "--param", "beta0=1/0"], "bad --param 'beta0=1/0': '1/0' is not an exact rational"),
+        (["eval", "--family", "racah", "--label", "1,x", "--point", "8/7,16/7"],
+         "bad --label '1,x': 'x' is not an integer"),
+        (["eval", "--family", "racah", "--label", "1,1", "--point", "8/7,16/7",
+          "--param", "beta0=abc"], "bad --param 'beta0=abc': 'abc' is not an exact rational"),
         (["verify-ladder", "--family", "ch-tri"], "no printed ladder for family ch-tri"),
         (["recover-coeffs", "--family", "wilson"],
          "coefficient recovery is defined for the racah family"),

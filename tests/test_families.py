@@ -289,16 +289,12 @@ def test_integer_kernel_stops_at_first_vanishing_upper_product(zero):
                 (n, uppers, lowers),
             )
             den, parts = fam._integer_parts(uppers)
-            if any(im for _, im in parts):
-                heads = fam._gaussian_products(parts, den, range(n))
-                assert heads[-1] == (0, 0)
-            else:
-                heads = fam._real_products([a for a, _ in parts], den, range(n))
-                assert heads[-1] == 0
+            heads = fam._gaussian_products(parts, den, range(n))
+            assert heads[-1] == (0, 0)
             # a drawn upper may be a nonpositive integer as well
             stop = min(-demote(u) for u in uppers
                        if imag_part(u) == 0 and demote(u).denominator == 1 and demote(u) <= 0)
-            assert stop <= j and len(heads) == stop + 2 and all(heads[:-1]), (n, j, uppers)
+            assert stop <= j and len(heads) == stop + 2 and (0, 0) not in heads[:-1], (n, j, uppers)
 
 
 def test_integer_kernel_at_a_vanishing_lower_tail():

@@ -9,6 +9,8 @@ import pytest
 from quadlattice import families as fam
 from quadlattice import latticeops as lo
 from quadlattice import pdeverify as pv
+from quadlattice import ttrr
+from quadlattice.cli import EXIT_MISMATCH, run
 from quadlattice.exactfield import GaussianRational
 from quadlattice.fbasis import MPoly, poly_D, poly_S
 from quadlattice.latticeops import SingularPointError
@@ -318,6 +320,19 @@ def test_zero_coefficients_skip_singular_stencils():
         pv.table_residual_on(singular, _rational_function, (1, 1), point)
 
 
+def test_inactive_variable_rule_follows_the_acting_operators():
+    # f5 beside E(2,0) may depend on y only while no operator acts on y: with
+    # f8 (E(0,1)) nonzero it may not; with f8 zero too, y is a parameter, as
+    # the other variable of a second-order form is
+    lattices = fam.FamilySpec(fam.RACAH).lattices()
+    x, y = MPoly.var(0, 2), MPoly.var(1, 2)
+    zero = MPoly.zero(2)
+    coeffs = [zero] * 4 + [x * y, zero, x, y + 1]
+    with pytest.raises(AssertionError, match="depends on inactive variable 1"):
+        pv.CoeffTable(coeffs, lambda label: 5, lattices)
+    pv.CoeffTable(coeffs[:7] + [zero], lambda label: 5, lattices)
+
+
 def test_table_coefficients_cannot_be_reassigned():
     # a table folds each point once, so its coefficients must not change
     table = pv.coefficients(fam.FamilySpec(fam.RACAH))
@@ -396,6 +411,79 @@ def test_table_action_matches_pointwise_residual(name):
         expect = image.eval(latpt) + lam * p.eval(latpt)
         assert expect != 0
         assert pv.table_residual_on(table, f_p, label, point) == expect, point
+
+
+# -- the symbolic route on family members ----------------------------------------------
+
+def _symbolic_failures(spec, table, max_degree=4):
+    """The labels (n - k, k), n <= max_degree, whose interpolated member P
+    leaves table_action(table, P) + lambda(label) P nonzero."""
+    failing = []
+    for n in range(max_degree + 1):
+        for k, p in enumerate(ttrr.family_poly_vector(spec, n)):
+            label = (n - k, k)
+            if not (pv.table_action(table, p) + p * table.eigenvalue(label)).is_zero():
+                failing.append(label)
+    return failing
+
+
+@pytest.mark.parametrize("name", [n for n in fam.ALL_FAMILIES if n != fam.CH_TRI])
+def test_printed_tables_annihilate_members_symbolically(name):
+    # degree 4 reaches f1 (E(2,2)), which every member of degree <= 3 escapes
+    spec = fam.FamilySpec(name)
+    assert _symbolic_failures(spec, pv.coefficients(spec)) == []
+
+
+@pytest.mark.parametrize("kind", sorted(pv.SECOND_ORDER_FORMS))
+def test_second_order_forms_annihilate_members_symbolically(kind):
+    spec = fam.FamilySpec(pv.SECOND_ORDER_FORMS[kind][0])
+    assert _symbolic_failures(spec, pv.second_order_equation(kind, spec)) == []
+
+
+@pytest.mark.parametrize("index, max_degree, failing", [
+    (0, 4, [(4, 0), (3, 1), (2, 2)]),
+    # the labels the pinned pointwise sweep of the same typo reports
+    (2, 3, [(3, 0), (2, 1)]),
+])
+def test_symbolic_route_catches_table_typos(monkeypatch, index, max_degree, failing):
+    # a +1/1000 typo in Wilson f1 first shows at degree 4, one in f3 at degree 3
+    printed = pv.wilson_table
+
+    def typo(params):
+        coeffs, eigenvalue = printed(params)
+        coeffs[index] = coeffs[index] + Fraction(1, 1000)
+        return coeffs, eigenvalue
+
+    monkeypatch.setitem(pv._TABLE_BUILDERS, fam.WILSON, typo)
+    spec = fam.FamilySpec(fam.WILSON)
+    assert _symbolic_failures(spec, pv.coefficients(spec), max_degree) == failing
+
+
+def _patched_wilson_x(monkeypatch, tau_change):
+    family, var, form, eigenvalue = pv.SECOND_ORDER_FORMS["wilson-x"]
+
+    def changed(params, x, y):
+        phi, tau = form(params, x, y)
+        return phi, tau + tau_change(x)
+
+    monkeypatch.setitem(pv.SECOND_ORDER_FORMS, "wilson-x", (family, var, changed, eigenvalue))
+
+
+def test_symbolic_route_catches_a_form_typo(monkeypatch):
+    _patched_wilson_x(monkeypatch, lambda x: Fraction(1, 1000))
+    spec = fam.FamilySpec(fam.WILSON)
+    table = pv.second_order_equation("wilson-x", spec)
+    assert _symbolic_failures(spec, table, 2) == [(1, 0), (2, 0), (1, 1)]
+
+
+def test_form_beyond_its_degree_bound_is_rejected_when_built(monkeypatch):
+    # deg tau <= 1 makes a verify-second-order PASS a proof
+    _patched_wilson_x(monkeypatch, lambda x: x * x)
+    with pytest.raises(AssertionError, match="exceeds degree 1"):
+        pv.second_order_equation("wilson-x", fam.FamilySpec(fam.WILSON))
+    code, report = run(["verify-second-order", "--family", "wilson"])
+    assert code == EXIT_MISMATCH
+    assert "exceeds degree 1" in report["error"]
 
 
 # -- derived tables --------------------------------------------------------------
