@@ -20,6 +20,12 @@ couplings implemented here are:
                               * h_m(b3, a3, e2-ix, e2+ix; y)
   ch-tri     three continuous Hahn factors chained through n, m, r.
 
+``_couplings`` is the one definition of these couplings.  The primary path
+builds them once per spec and label, every label-only part included, so a
+point evaluation does only the point's arithmetic.  A ``FamilySpec`` is
+immutable: it hashes once and keeps the couplings of each member it has
+evaluated.
+
 The primary univariate factors share one cancellation-free kernel,
 ``_terminating_sum``: the lower Pochhammers are multiplied through, so the
 k-th term is prod (u_j)_k * prod (l_j + k)_{n-k} / k!, with prefix products
@@ -45,6 +51,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, lcm
 from operator import mul
+from types import MappingProxyType
 
 from .exactfield import GaussianRational, demote, gauss, imag_part, pochhammer, rat, times_i
 from .latticeops import linear, partial_D, quadratic, wilson_square
@@ -341,9 +348,12 @@ DEFAULT_PARAMS = {f: DEFAULT_PARAMS[base_family(f)] for f in ALL_FAMILIES}
 
 
 class FamilySpec:
-    """A family name plus a complete exact parameter set."""
+    """A family name plus a complete exact parameter set.  A spec is
+    immutable: its parameters are a read-only mapping and its hash is taken
+    once.  It carries its members' couplings (``_members``: label -> the
+    factors of nonzero degree), built once per label by ``_eval_cached``."""
 
-    __slots__ = ("family", "params")
+    __slots__ = ("family", "params", "_key", "_hash", "_members")
 
     def __init__(self, family, params=None):
         if family not in PARAM_NAMES:
@@ -354,17 +364,23 @@ class FamilySpec:
         unknown = set(base) - set(PARAM_NAMES[family])
         if unknown:
             raise ValueError(f"parameters {sorted(unknown)} do not belong to {family}")
-        self.family = family
-        self.params = base
+        key = (family,) + tuple(base[k] for k in PARAM_NAMES[family])
+        state = {"family": family, "params": MappingProxyType(base), "_key": key,
+                 "_hash": hash(key), "_members": {}}
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FamilySpec is immutable: cannot set {name}")
 
     def key(self):
-        return (self.family,) + tuple(self.params[k] for k in PARAM_NAMES[self.family])
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, FamilySpec) and self.key() == other.key()
+        return self is other or (isinstance(other, FamilySpec) and self._key == other._key)
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self):
         body = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -434,65 +450,78 @@ def eval_family(spec: FamilySpec, label, point):
     return family_function(spec, label)(check_point(spec, point))
 
 
-def _factors(family, p, label, point):
-    """The family's univariate factor calls (kind, n, args): the couplings
-    of the module docstring, shared by the primary and the oracle paths."""
+def _couplings(family, p, label):
+    """The family's univariate factors at the label as (kind, n, args), where
+    ``args(*point)`` gives the factor's arguments at a point: the couplings
+    of the module docstring, with every label-only part computed here once.
+    The primary and the oracle paths share them."""
+    values = [p[k] for k in PARAM_NAMES[family]]
     if family == RACAH:
-        (n, m), (s, t) = label, point
+        (n, m), (b0, b1, b2, b3, N) = label, values
+        u0, v0 = b1 - b0 - 1, b2 - b1 - 1
+        u1, v1, g1, d1 = 2 * n + b2 - b0 - 1, b3 - b2 - 1, n - N - 1, n + b2 + N
         return (
-            ("racah", n, (p["beta1"] - p["beta0"] - 1, p["beta2"] - p["beta1"] - 1,
-                          -t - 1, p["beta1"] + t, s)),
-            ("racah", m, (2 * n + p["beta2"] - p["beta0"] - 1, p["beta3"] - p["beta2"] - 1,
-                          n - p["N"] - 1, n + p["beta2"] + p["N"], t - n)),
+            ("racah", n, lambda s, t: (u0, v0, -1 - t, b1 + t, s)),
+            ("racah", m, lambda s, t: (u1, v1, g1, d1, t - n)),
         )
     if family == RACAH_BAR:
-        (n, m), (s, t) = label, point
+        (n, m), (b0, b1, b2, b3, N) = label, values
+        u0, v0, g0, d0, nm = 2 * m - b1 + b3 - 1, b1 - b0 - 1, m - N - 1, m - N - b1, N - m
+        u1, v1, n1, bn = b3 - b2 - 1, b2 - b1 - 1, N + 1, -b2 - N
         return (
-            ("racah", n, (2 * m - p["beta1"] + p["beta3"] - 1, p["beta1"] - p["beta0"] - 1,
-                          m - p["N"] - 1, m - p["N"] - p["beta1"], p["N"] - m - s)),
-            ("racah", m, (p["beta3"] - p["beta2"] - 1, p["beta2"] - p["beta1"] - 1,
-                          s - p["N"] - 1, -p["beta2"] - p["N"] - s, p["N"] - t)),
+            ("racah", n, lambda s, t: (u0, v0, g0, d0, nm - s)),
+            ("racah", m, lambda s, t: (u1, v1, s - n1, bn - s, N - t)),
         )
     if family == WILSON:
-        (n, m), (x, y) = label, point
+        (n, m), (a, b, c, d, e2) = label, values
+        an, bn = n + a + e2, n + b + e2
         return (
-            ("wilson", n, (p["a"], p["b"], *_pair(p["e2"], y), x)),
-            ("wilson", m, (n + p["a"] + p["e2"], n + p["b"] + p["e2"], p["c"], p["d"], y)),
+            ("wilson", n, lambda x, y: (a, b, *_pair(e2, y), x)),
+            ("wilson", m, lambda x, y: (an, bn, c, d, y)),
         )
     if family == WILSON_BAR:
-        (n, m), (x, y) = label, point
+        (n, m), (a, b, c, d, e2) = label, values
+        cm, dm = m + c + e2, m + d + e2
         return (
-            ("wilson", n, (m + p["c"] + p["e2"], m + p["d"] + p["e2"], p["a"], p["b"], x)),
-            ("wilson", m, (p["c"], p["d"], *_pair(p["e2"], x), y)),
+            ("wilson", n, lambda x, y: (cm, dm, a, b, x)),
+            ("wilson", m, lambda x, y: (c, d, *_pair(e2, x), y)),
         )
     if family == CDH:
-        (n, m), (x, y) = label, point
+        (n, m), (a, b, c, e2) = label, values
+        an = n + a + e2
         return (
-            ("cdh", n, (p["a"], *_pair(p["e2"], y), x)),
-            ("cdh", m, (n + p["a"] + p["e2"], p["b"], p["c"], y)),
+            ("cdh", n, lambda x, y: (a, *_pair(e2, y), x)),
+            ("cdh", m, lambda x, y: (an, b, c, y)),
         )
     if family == CH:
-        (n, m), (x, y) = label, point
+        (n, m), (a1, e2, a3, b1, b3) = label, values
+        an, bn = n + a1 + e2, n + b1 + e2
         return (
-            ("ch", n, (p["a1"], p["b1"], *_pair(p["e2"], y)[::-1], x)),
-            ("ch", m, (n + p["a1"] + p["e2"], n + p["b1"] + p["e2"], p["b3"], p["a3"], y)),
+            ("ch", n, lambda x, y: (a1, b1, *_pair(e2, y)[::-1], x)),
+            ("ch", m, lambda x, y: (an, bn, b3, a3, y)),
         )
     if family == CH_BAR:
-        (n, m), (x, y) = label, point
+        (n, m), (a1, e2, a3, b1, b3) = label, values
+        bm, am = m + e2 + b3, m + e2 + a3
         return (
-            ("ch", n, (m + p["e2"] + p["b3"], m + p["e2"] + p["a3"], p["a1"], p["b1"], x)),
-            ("ch", m, (p["b3"], p["a3"], *_pair(p["e2"], x)[::-1], y)),
+            ("ch", n, lambda x, y: (bm, am, a1, b1, x)),
+            ("ch", m, lambda x, y: (b3, a3, *_pair(e2, x)[::-1], y)),
         )
     if family == CH_TRI:
-        (n, m, r), (x, y, z) = label, point
+        (n, m, r), (a1, e2, e3, a4, b1, b4) = label, values
+        an, bn = n + a1 + e2, n + b1 + e2
+        anm, bnm = n + m + a1 + e2 + e3, n + m + b1 + e2 + e3
         return (
-            ("ch", n, (p["a1"], p["b1"], *_pair(p["e2"], y)[::-1], x)),
-            ("ch", m, (n + p["a1"] + p["e2"], n + p["b1"] + p["e2"],
-                       *_pair(p["e3"], z)[::-1], y)),
-            ("ch", r, (n + m + p["a1"] + p["e2"] + p["e3"], n + m + p["b1"] + p["e2"] + p["e3"],
-                       p["b4"], p["a4"], z)),
+            ("ch", n, lambda x, y, z: (a1, b1, *_pair(e2, y)[::-1], x)),
+            ("ch", m, lambda x, y, z: (an, bn, *_pair(e3, z)[::-1], y)),
+            ("ch", r, lambda x, y, z: (anm, bnm, b4, a4, z)),
         )
     raise ValueError(family)  # pragma: no cover
+
+
+def _factors(family, p, label, point):
+    """The factor calls (kind, n, args) at the point, degree 0 included."""
+    return tuple((kind, n, args(*point)) for kind, n, args in _couplings(family, p, label))
 
 
 def _multiply(uni, factors):
@@ -505,15 +534,19 @@ def _multiply(uni, factors):
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _eval_cached(spec, label, point):
     # keyed by the spec itself: equal specs hash and compare by their key()
-    family = spec.family
+    couplings = spec._members.get(label)
+    if couplings is None:
+        # a degree-0 factor is 1: (a)_0 = 1, one term, and nothing to check
+        couplings = spec._members[label] = [
+            c for c in _couplings(spec.family, spec.params, label) if c[1]
+        ]
     # looked up per call, so that patched module attributes are honoured
     uni = {"racah": racah_uni, "wilson": wilson_uni, "cdh": cdh_uni, "ch": ch_uni}
-    # a degree-0 factor is 1: (a)_0 = 1, one term, and nothing to check
-    value = _multiply(uni, [f for f in _factors(family, spec.params, label, point) if f[1]])
-    if base_family(family) in (RACAH, WILSON, CDH) and all(imag_part(v) == 0 for v in point):
+    value = _multiply(uni, [(kind, n, args(*point)) for kind, n, args in couplings])
+    if base_family(spec.family) in (RACAH, WILSON, CDH) and all(imag_part(v) == 0 for v in point):
         if imag_part(value) != 0:
             raise ArithmeticError(
-                f"{family} value at {point} came out non-real: {value}"
+                f"{spec.family} value at {point} came out non-real: {value}"
             )
     return value
 

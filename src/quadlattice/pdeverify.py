@@ -68,6 +68,7 @@ TRIVARIATE_OPS = (
 )
 
 OPERATORS = {2: BIVARIATE_OPS, 3: TRIVARIATE_OPS}
+ORDER_NAMES = ("zeroth", "first", "second", "third", "fourth", "fifth", "sixth")
 
 
 def validate_mixed_index(lindex, nvars):
@@ -108,7 +109,8 @@ def _fold_table(coeffs, lattices, point):
 class CoeffTable(Equation):
     """The printed coefficients f_1..f_k and the eigenvalue closure of one
     divided-difference equation, on its family's lattices.  The operator
-    list, and with it the order, follows from the number of variables.
+    list follows from the number of variables, the order from the top
+    operator whose coefficient is nonzero.
     The coefficients are a tuple, so a folded stencil cannot go stale."""
 
     __slots__ = ("coeffs", "lattices")
@@ -130,7 +132,8 @@ class CoeffTable(Equation):
 
     @property
     def order(self):
-        return "sixth" if self.nvars == 3 else "fourth"
+        top = max((sum(lind) for fi, lind in zip(self.coeffs, self.lindices) if fi), default=0)
+        return ORDER_NAMES[top]
 
     @property
     def nvars(self):

@@ -336,6 +336,106 @@ def test_primaries_match_series_oracles_at_benchmark_heights():
     assert checked >= 40
 
 
+# -- the couplings against the spelled-out factor calls they replaced --------
+
+def reference_factors(family, p, label, point):
+    """Each family's factor calls (kind, n, args) with every part of every
+    coupling built at the point, kept as the reference for ``_couplings``,
+    which builds the label-only parts once per label."""
+    if family == fam.RACAH:
+        (n, m), (s, t) = label, point
+        return (
+            ("racah", n, (p["beta1"] - p["beta0"] - 1, p["beta2"] - p["beta1"] - 1,
+                          -t - 1, p["beta1"] + t, s)),
+            ("racah", m, (2 * n + p["beta2"] - p["beta0"] - 1, p["beta3"] - p["beta2"] - 1,
+                          n - p["N"] - 1, n + p["beta2"] + p["N"], t - n)),
+        )
+    if family == fam.RACAH_BAR:
+        (n, m), (s, t) = label, point
+        return (
+            ("racah", n, (2 * m - p["beta1"] + p["beta3"] - 1, p["beta1"] - p["beta0"] - 1,
+                          m - p["N"] - 1, m - p["N"] - p["beta1"], p["N"] - m - s)),
+            ("racah", m, (p["beta3"] - p["beta2"] - 1, p["beta2"] - p["beta1"] - 1,
+                          s - p["N"] - 1, -p["beta2"] - p["N"] - s, p["N"] - t)),
+        )
+    if family == fam.WILSON:
+        (n, m), (x, y) = label, point
+        return (
+            ("wilson", n, (p["a"], p["b"], *fam._pair(p["e2"], y), x)),
+            ("wilson", m, (n + p["a"] + p["e2"], n + p["b"] + p["e2"], p["c"], p["d"], y)),
+        )
+    if family == fam.WILSON_BAR:
+        (n, m), (x, y) = label, point
+        return (
+            ("wilson", n, (m + p["c"] + p["e2"], m + p["d"] + p["e2"], p["a"], p["b"], x)),
+            ("wilson", m, (p["c"], p["d"], *fam._pair(p["e2"], x), y)),
+        )
+    if family == fam.CDH:
+        (n, m), (x, y) = label, point
+        return (
+            ("cdh", n, (p["a"], *fam._pair(p["e2"], y), x)),
+            ("cdh", m, (n + p["a"] + p["e2"], p["b"], p["c"], y)),
+        )
+    if family == fam.CH:
+        (n, m), (x, y) = label, point
+        return (
+            ("ch", n, (p["a1"], p["b1"], *fam._pair(p["e2"], y)[::-1], x)),
+            ("ch", m, (n + p["a1"] + p["e2"], n + p["b1"] + p["e2"], p["b3"], p["a3"], y)),
+        )
+    if family == fam.CH_BAR:
+        (n, m), (x, y) = label, point
+        return (
+            ("ch", n, (m + p["e2"] + p["b3"], m + p["e2"] + p["a3"], p["a1"], p["b1"], x)),
+            ("ch", m, (p["b3"], p["a3"], *fam._pair(p["e2"], x)[::-1], y)),
+        )
+    (n, m, r), (x, y, z) = label, point
+    return (
+        ("ch", n, (p["a1"], p["b1"], *fam._pair(p["e2"], y)[::-1], x)),
+        ("ch", m, (n + p["a1"] + p["e2"], n + p["b1"] + p["e2"],
+                   *fam._pair(p["e3"], z)[::-1], y)),
+        ("ch", r, (n + m + p["a1"] + p["e2"] + p["e3"], n + m + p["b1"] + p["e2"] + p["e3"],
+                   p["b4"], p["a4"], z)),
+    )
+
+
+def assert_same_exact(new, old, context):
+    """Equal, and of the same type down to the parts of a Gaussian."""
+    assert new == old and type(new) is type(old), context
+    if isinstance(new, GaussianRational):
+        assert (type(new.re), type(new.im)) == (type(old.re), type(old.im)), context
+
+
+@pytest.mark.parametrize("heights", ["default", "bench"])
+def test_couplings_match_the_spelled_out_factors(heights):
+    """``_factors`` over ``_couplings`` returns the reference's calls, values
+    and types included, for seeded labels with entries 0..4 at real points
+    and at their Gaussian stencil neighbours s +- i; the oracle shares the
+    couplings, so only this test can catch a slip in one."""
+    rng = random.Random(f"couplings-{heights}")
+    checked = 0
+    for name in fam.ALL_FAMILIES:
+        spec = fam.FamilySpec(name)
+        if heights == "bench":
+            spec = fam.FamilySpec(name, {k: v + Fraction(rng.randint(1, p - 1), p)
+                                         for (k, v), p in zip(spec.params.items(), BENCH_PRIMES)})
+        for _ in range(12):
+            label = tuple(rng.randint(0, 4) for _ in range(spec.nvars))
+            real = tuple(draw_kernel_value(rng, "height") for _ in range(spec.nvars))
+            offsets = tuple(rng.choice((-1, 0, 1)) for _ in range(spec.nvars))
+            neighbour = tuple(s + o * GaussianRational(0, 1) for s, o in zip(real, offsets))
+            for point in (real, neighbour):
+                new = fam._factors(name, spec.params, label, point)
+                old = reference_factors(name, spec.params, label, point)
+                context = (name, label, point)
+                assert [(kind, n) for kind, n, _ in new] == [(kind, n) for kind, n, _ in old]
+                for (_, n, args), (_, _, ref) in zip(new, old):
+                    assert type(n) is int and len(args) == len(ref), context
+                    for value, expected in zip(args, ref):
+                        assert_same_exact(value, expected, context)
+                checked += 1
+    assert checked == 2 * 12 * len(fam.ALL_FAMILIES)
+
+
 def test_family_caches_stay_within_their_bound():
     """Past FAMILY_CACHE_SIZE entries the caches evict: they never hold more,
     and an evicted value computes again to the same value."""
@@ -504,6 +604,56 @@ def test_equal_specs_share_one_cached_member():
     assert fam.family_function(b, (1, 1))(point) == first
     info = fam._eval_cached.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+def test_a_sweep_builds_each_member_once_per_label(monkeypatch):
+    from quadlattice.pdeverify import verify_table
+
+    calls = []
+    original = fam._couplings
+
+    def counted(family, p, label):
+        calls.append(label)
+        return original(family, p, label)
+
+    monkeypatch.setattr(fam, "_couplings", counted)
+    fam._eval_cached.cache_clear()
+    reports = verify_table(fam.FamilySpec(fam.WILSON), 2)
+    assert all(r["pass"] for r in reports)
+    assert sorted(calls) == sorted(tuple(r["label"]) for r in reports) and len(calls) == 6
+
+
+def test_a_degree_zero_factor_builds_no_arguments(monkeypatch):
+    """Wilson at (0, 1): the first factor has degree 0, so its pair e2 +- iy
+    is never built; only wilson_uni's own pair a' +- iy is."""
+    calls = []
+    original = fam._pair
+
+    def counted(e, v):
+        calls.append((e, v))
+        return original(e, v)
+
+    monkeypatch.setattr(fam, "_pair", counted)
+    fam._eval_cached.cache_clear()
+    fam.wilson_uni.cache_clear()
+    spec = fam.FamilySpec(fam.WILSON)
+    p, point = spec.params, (Fraction(8, 7), Fraction(16, 7))
+    value = fam.eval_family(spec, (0, 1), point)
+    assert calls == [(p["a"] + p["e2"], point[1])]
+    # the oracle keeps the degree-0 factor, and with it the pair e2 +- iy
+    assert fam.eval_family_oracle(spec, (0, 1), point) == value
+    assert calls[1:] == [(p["e2"], point[1])]
+
+
+def test_a_spec_is_immutable_and_hashes_as_its_key():
+    spec = fam.FamilySpec(fam.WILSON)
+    with pytest.raises(TypeError):
+        spec.params["a"] = Fraction(1)
+    with pytest.raises(AttributeError):
+        spec.family = fam.CDH
+    assert hash(spec) == hash(spec.key())
+    assert spec.shifted(a=1) == fam.FamilySpec(fam.WILSON, {"a": Fraction(3, 2)})
+    assert spec.params["a"] == Fraction(1, 2)
 
 
 # -- derivative ladders -------------------------------------------------------

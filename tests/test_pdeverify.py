@@ -604,6 +604,15 @@ def test_second_order_forms_obey_the_degree_bound():
         assert not isinstance(eigenvalue(params, 3), MPoly), kind
 
 
+def test_order_follows_the_top_nonzero_operator():
+    for kind, (family, *_) in pv.SECOND_ORDER_FORMS.items():
+        table = pv.second_order_equation(kind, fam.FamilySpec(family))
+        assert (table.order, table.to_json()["order"]) == ("second", "second"), kind
+    for family in fam.ALL_FAMILIES:
+        table = pv.coefficients(fam.FamilySpec(family))
+        assert table.order == ("sixth" if table.nvars == 3 else "fourth"), family
+
+
 def test_second_order_zero_degree_is_trivial():
     spec = fam.FamilySpec(fam.RACAH)
     for m in (0, 1, 2):
