@@ -28,7 +28,9 @@ Layers timed:
       repeat; and ``interpolate_on_grid`` of that oracle at degree 4
       (1 with ``--quick``) on samples recorded outside the timed call, so
       that the oracle's interpolation reads apart from its sampling (ops:
-      the interpolated polynomials);
+      the interpolated polynomials); ``L2.interpolate.recover`` does the
+      same for the grid of ``recover_coefficients`` at the default Racah
+      parameters (nine polynomials on 6 x 6 points, at either size);
   L3  residual sweeps: ``verify_table`` for racah, wilson, cdh and ch at
       total degree <= 2 (<= 0 with ``--quick``) and for ch-tri at degree 0
       on a 2-point grid, with the family caches cleared before every
@@ -242,6 +244,19 @@ def _recorded_samples(spec, degree):
     return samples
 
 
+def _recorded_recover_grid():
+    """The grid call of ``recover_coefficients`` at the default Racah
+    parameters as (lattices, count, {point: values}), every sample taken
+    here, outside any timing."""
+    ((lattices, count, sample),) = _recorded(
+        pdeverify,
+        "interpolate_on_grid",
+        lambda: pdeverify.recover_coefficients(fam.FamilySpec(fam.RACAH).params),
+    )
+    grid = product(*latticeops.grid_axes(lattices, count))
+    return lattices, count, {point: sample(point) for point in grid}
+
+
 def _l2_entries(oracle_degree, interpolate_degree):
     """Default parameters throughout.  The table builds never touch the
     family caches, a chain starts from an empty S_n / T_n memo, and the
@@ -278,6 +293,11 @@ def _l2_entries(oracle_degree, interpolate_degree):
             ),
             interpolate_degree + 1,
         )
+    lattices, count, samples = _recorded_recover_grid()
+    out["L2.interpolate.recover"] = (
+        lambda: fbasis.interpolate_on_grid(lattices, count, samples.__getitem__),
+        len(next(iter(samples.values()))),
+    )
     return out
 
 

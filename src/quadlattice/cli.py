@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from . import families as fam
@@ -336,13 +337,21 @@ def _run_reporting_errors(args):
         }
 
 
+@cache
+def _parser():
+    """The parser, built on first use.  Parsing leaves it unchanged (an
+    ``append`` option starts each parse from a copy of its default), so
+    one serves every run in the process."""
+    return build_parser()
+
+
 def run(argv=None):
     """Parse arguments, run the command, and return (exit_code, report)."""
-    return _run_reporting_errors(build_parser().parse_args(argv))
+    return _run_reporting_errors(_parser().parse_args(argv))
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     status, report = _run_reporting_errors(args)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

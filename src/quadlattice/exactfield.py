@@ -5,12 +5,15 @@ precision rational, always reduced, positive denominator) or a
 :class:`GaussianRational` (a + b*i with exact rational parts).  No floats,
 ever.
 
-Two kernels use integer numerators internally and build their Fractions
-only at the end: :func:`pochhammer` here and ``families._terminating_sum``,
-the sum behind the univariate family factors.  Each writes its parameters
-over one common denominator, multiplies the integer (or Gaussian-integer)
-numerators, and normalises the result once; their values and types are
-those of the same products taken in Fraction arithmetic.
+Three kernels use integer numerators internally and build their Fractions
+only at the end: :func:`pochhammer` here, ``families._terminating_sum``,
+the sum behind the univariate family factors, and the exact interpolation
+of ``fbasis`` (an integer inverse Vandermonde matrix per axis, applied to
+the samples).  Each writes its inputs over one common denominator (the
+latter two through :func:`integer_parts`), combines the integer (or
+Gaussian-integer) numerators, and normalises each result once; their
+values and types are those of the same computations taken in Fraction
+arithmetic.
 """
 
 from __future__ import annotations
@@ -241,6 +244,17 @@ def field_str(value) -> str:
     if isinstance(value, GaussianRational):
         return f"{rat_str(value.re)}+{rat_str(value.im)}i"
     return rat_str(value)
+
+
+def integer_parts(values):
+    """(D, [(A, B)]): each value as (A + Bi) / D over one common denominator
+    D, with integer A and B (B = 0 for an int or Fraction value)."""
+    parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0) for v in values]
+    den = lcm(*(p.denominator for pair in parts for p in pair))
+    return den, [
+        (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+        for re, im in parts
+    ]
 
 
 def pochhammer(a, n: int):

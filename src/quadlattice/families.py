@@ -49,11 +49,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 from types import MappingProxyType
 
-from .exactfield import GaussianRational, demote, gauss, imag_part, pochhammer, rat, times_i
+from .exactfield import (
+    GaussianRational,
+    demote,
+    gauss,
+    imag_part,
+    integer_parts,
+    pochhammer,
+    rat,
+    times_i,
+)
 from .latticeops import linear, partial_D, quadratic, wilson_square
 
 HALF = Fraction(1, 2)
@@ -83,17 +92,6 @@ def check_lower(pairs, n):
 # univariate factors: cancellation-free primaries
 # ---------------------------------------------------------------------------
 
-def _integer_parts(values):
-    """(D, [(A, B)]): each value as (A + Bi) / D over one common denominator
-    D, with integer A and B (B = 0 for an int or Fraction value)."""
-    parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0) for v in values]
-    den = lcm(*(p.denominator for pair in parts for p in pair))
-    return den, [
-        (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
-        for re, im in parts
-    ]
-
-
 def _terminating_sum(n, uppers, lowers):
     """Sum_{k=0}^{n} prod_j (u_j)_k * prod_j (l_j + k)_{n-k} / k!.
 
@@ -115,7 +113,7 @@ def _terminating_sum(n, uppers, lowers):
         return Fraction(1)
     nu, nl = len(uppers), len(lowers)
     top = max(nu, nl) * n
-    den, parts = _integer_parts((*uppers, *lowers))
+    den, parts = integer_parts((*uppers, *lowers))
     heads = _gaussian_products(parts[:nu], den, range(n))
     tails = _gaussian_products(parts[nu:], den, range(n - 1, -1, -1))
     # the tails below a vanishing one vanish too, and so do their terms

@@ -24,8 +24,11 @@ division.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import lcm, prod
+from operator import mul
 
-from .exactfield import GaussianRational, demote
+from .exactfield import GaussianRational, demote, integer_parts
 from .latticeops import LatticeSpec, grid_axes, lattice_value, linear, structure_scalars
 from .matrix import ExactMatrix
 
@@ -395,94 +398,118 @@ def u_matrices(n, lattice_x: LatticeSpec, lattice_y: LatticeSpec):
 # exact interpolation
 # ---------------------------------------------------------------------------
 
-def newton_plan(nodes):
-    """The node-only half of Newton interpolation on ``nodes``: per level
-    k = 1..m-1 the reciprocal divided-difference denominators
-    1 / (x_{i+k} - x_i), and per k = 0..m-1 the monomial coefficients
-    (low -> high) of the Newton basis product (x - x_0)...(x - x_{k-1})
-    below its leading 1.  Applying it to values
-    (:func:`interpolate_with_plan`) then takes only subtractions,
-    multiplications and additions."""
-    m = len(nodes)
-    reciprocals = []
-    for k in range(1, m):
-        level = []
-        for i in range(m - k):
-            den = nodes[i + k] - nodes[i]
-            if not den:
-                raise ValueError("repeated interpolation node")
-            level.append(1 / den)
-        reciprocals.append(level)
-    products = []
-    prod = [Fraction(1)]
-    for node in nodes:
-        products.append(prod[:-1])
-        nxt = [Fraction(0)] * (len(prod) + 1)
-        for d, pc in enumerate(prod):
-            nxt[d + 1] = nxt[d + 1] + pc
-            nxt[d] = nxt[d] - node * pc
-        prod = nxt
-    return reciprocals, products
+_ZERO = Fraction(0)
+_GAUSS_ZERO = GaussianRational(0, 0)
 
 
-def interpolate_with_plan(plan, values):
-    """Monomial coefficients (low -> high) of the interpolant of ``values``
-    on the nodes of ``plan`` (:func:`newton_plan`)."""
-    reciprocals, products = plan
-    m = len(products)
-    if len(values) != m:
+def interpolation_plan(nodes):
+    """The inverse Vandermonde matrix of the rational ``nodes`` as integer
+    weights over one denominator, ``(weights, den)``: the interpolant of
+    values y_i at the nodes has monomial coefficient d (low -> high)
+    sum_i weights[d][i] y_i / den.
+
+    With the nodes written as a_i / D over one common denominator, the
+    Lagrange basis polynomial of node i has coefficient d equal to
+    q_i[d] D^d / w_i, where q_i = prod_{j != i} (X - a_j) and
+    w_i = q_i(a_i) = prod_{j != i} (a_i - a_j) are integers.  The q_i are
+    quotients of prod_j (X - a_j) by one synthetic division each, so the
+    plan takes O(m^2) integer operations; den is the lcm of the |w_i|."""
+    scale = lcm(*(x.denominator for x in nodes))
+    ints = [x.numerator * (scale // x.denominator) for x in nodes]
+    master = [1]  # prod_j (X - a_j), low -> high
+    for a in ints:
+        master = [-a * master[0], *(lo - a * hi for lo, hi in zip(master, master[1:])), 1]
+    quotients, spreads = [], []
+    for a in ints:
+        q = [1]
+        for c in reversed(master[1:-1]):
+            q.append(c + a * q[-1])
+        q.reverse()
+        w = 0
+        for c in reversed(q):
+            w = w * a + c
+        if not w:
+            raise ValueError("repeated interpolation node")
+        quotients.append(q)
+        spreads.append(w)
+    den = lcm(*spreads)
+    cofactors = [den // w for w in spreads]
+    weights = []
+    power = 1
+    for d in range(len(ints)):
+        weights.append([q[d] * power * c for q, c in zip(quotients, cofactors)])
+        power *= scale
+    return weights, den
+
+
+def _apply_plans(plans, numerators):
+    """Integer numerators of the coefficients, from those of the samples
+    (flat, row-major over the axes): each plan in turn, last axis first, is
+    applied along the tensor's last axis, and the axis of its results then
+    leads, so the coefficients end up in the samples' axis order."""
+    flat = numerators
+    for weights, _ in reversed(plans):
+        m = len(weights)
+        blocks = [flat[k:k + m] for k in range(0, len(flat), m)]
+        flat = [sum(map(mul, row, block)) for row in weights for block in blocks]
+    return flat
+
+
+def _interpolate(plans, values):
+    """Monomial coefficients of the tensor interpolant of ``values`` (flat,
+    row-major over the nodes of ``plans``, one plan per axis), in the same
+    order.  The samples are written as integers over one common
+    denominator, real and imaginary parts apart, each part goes through
+    the plans as integer matrix products, and each nonzero coefficient
+    becomes one Fraction (one per part) at the end, with the types of
+    :func:`interpolate_univariate`."""
+    if len(values) != prod(len(weights) for weights, _ in plans):
         raise ValueError("nodes/values length mismatch")
-    # Newton divided differences
-    table = list(values)
-    newton = table[:1]
-    for level in reciprocals:
-        table = [(b - a) * r for a, b, r in zip(table, table[1:], level)]
-        newton.append(table[0])
-    # expand the Newton form: coefficient d collects newton[k] times the
-    # degree-d coefficient of product k, for k >= d
-    coeffs = []
-    for d in range(m):
-        c = newton[d]
-        for k in range(d + 1, m):
-            if newton[k]:
-                c = c + newton[k] * products[k][d]
-        coeffs.append(c)
-    return coeffs
+    den, parts = integer_parts(values)
+    den *= prod(d for _, d in plans)
+    real = _apply_plans(plans, [a for a, _ in parts])
+    if not any(isinstance(v, GaussianRational) for v in values):
+        return [Fraction(a, den) if a else _ZERO for a in real]
+    imag = _apply_plans(plans, [b for _, b in parts])
+    return [
+        GaussianRational(Fraction(a, den), Fraction(b, den)) if a or b else _GAUSS_ZERO
+        for a, b in zip(real, imag)
+    ]
+
+
+def _mpoly(plans, values) -> MPoly:
+    exps = product(*(range(len(weights)) for weights, _ in plans))
+    return MPoly(len(plans), dict(zip(exps, _interpolate(plans, values))))
 
 
 def interpolate_univariate(nodes, values):
-    """Monomial coefficients (low -> high) of the unique interpolant."""
-    return interpolate_with_plan(newton_plan(nodes), values)
+    """Monomial coefficients (low -> high) of the unique interpolant.
+
+    If every value is a Fraction, every coefficient is a Fraction; if any
+    value is a GaussianRational, every coefficient is one, even a real
+    one.  This is what Newton interpolation with a division at each step
+    gives."""
+    return _interpolate([interpolation_plan(nodes)], values)
 
 
 def interpolate_bivariate(xnodes, ynodes, value_at) -> MPoly:
     """Exact tensor interpolation on lattice values; value_at(i, j) supplies
-    the sample at (xnodes[i], ynodes[j]).  One Newton plan per axis serves
-    every row and every column."""
-    xplan, yplan = newton_plan(xnodes), newton_plan(ynodes)
-    rows = [
-        interpolate_with_plan(yplan, [value_at(i, j) for j in range(len(ynodes))])
-        for i in range(len(xnodes))
-    ]
-    out = {}
-    for jdeg in range(len(ynodes)):
-        coeffs_i = interpolate_with_plan(xplan, [row[jdeg] for row in rows])
-        for ideg, c in enumerate(coeffs_i):
-            if c:
-                out[(ideg, jdeg)] = c
-    return MPoly(2, out)
+    the sample at (xnodes[i], ynodes[j]).  One plan per axis; coefficient
+    types as in :func:`interpolate_univariate`."""
+    plans = [interpolation_plan(xnodes), interpolation_plan(ynodes)]
+    return _mpoly(plans, [value_at(i, j) for i in range(len(xnodes)) for j in range(len(ynodes))])
 
 
 def interpolate_on_grid(lattices, count, sample):
     """The oracle grid: ``count`` lattice points per axis (``grid_axes``)
-    of the two ``lattices``; ``sample(point)`` returns a list of values at
-    a grid point, and the k-th returned MPoly interpolates the k-th values
-    in the lattice variables."""
-    svals, tvals = grid_axes(lattices, count)
-    xnodes = [lattice_value(lattices[0], s) for s in svals]
-    ynodes = [lattice_value(lattices[1], t) for t in tvals]
-    samples = [[sample((s, t)) for t in tvals] for s in svals]
-    return [
-        interpolate_bivariate(xnodes, ynodes, lambda i, j, _k=k: samples[i][j][_k])
-        for k in range(len(samples[0][0]))
+    of the ``lattices``; ``sample(point)`` returns a list of values at a
+    grid point, and the k-th returned MPoly interpolates the k-th values
+    in the lattice variables.  One plan per axis serves every member;
+    coefficient types as in :func:`interpolate_univariate`, per member."""
+    axes = grid_axes(lattices, count)
+    plans = [
+        interpolation_plan([lattice_value(lattice, s) for s in axis])
+        for lattice, axis in zip(lattices, axes)
     ]
+    samples = [sample(point) for point in product(*axes)]
+    return [_mpoly(plans, [values[k] for values in samples]) for k in range(len(samples[0]))]

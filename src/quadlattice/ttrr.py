@@ -33,7 +33,7 @@ from .families import (
     FamilySpec,
     base_family,
     check_lower,
-    eval_family,
+    family_function,
 )
 from .fbasis import (
     MONOMIAL,
@@ -953,10 +953,9 @@ def family_poly_vector(spec: FamilySpec, n) -> PolyVector:
     """The family's degree-n vector interpolated into exact polynomials in
     the lattice variables (the oracle side of every TTRR comparison), on
     one node per axis more than degree n needs."""
+    members = [family_function(spec, (n - k, k)) for k in range(n + 1)]
     entries = interpolate_on_grid(
-        spec.lattices(),
-        n + 2,
-        lambda point: [eval_family(spec, (n - k, k), point) for k in range(n + 1)],
+        spec.lattices(), n + 2, lambda point: [member(point) for member in members]
     )
     if any(poly.total_degree() > n for poly in entries):
         raise AssertionError("interpolated family entry exceeds total degree")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from quadlattice import families, pdeverify, ttrr
+from quadlattice import cli, families, pdeverify, ttrr
 from quadlattice.cli import EXIT_DEGENERATE, EXIT_MISMATCH, EXIT_OK, main, run
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -578,6 +578,68 @@ def test_singular_grid_point_exits_2(monkeypatch):
     assert code == EXIT_DEGENERATE
     assert report["error"] == "stencil denominator vanishes at -1/3 on LatticeSpec(quadratic, beta=2/3, x)"
     assert _digest(report) == "a6ea3c57c91bcd1360cbd8d206d81308e6f7d164938fd37eca180c08f8798a26"
+
+
+# One parser serves every run in a process: these runs, in this order, must
+# report what each would report in a fresh process.
+ONE_PROCESS_ARGVS = [
+    ["eval", "--family", "racah", "--label", "1,1", "--point", "3/2,5/2",
+     "--param", "beta0=1/5", "--param", "N=7"],
+    ["eval", "--family", "racah", "--label", "1,1", "--point", "3/2,5/2"],
+    ["ttrr", "--family", "wilson", "--n", "1", "--monic"],
+    ["ttrr", "--family", "wilson", "--n", "1"],
+    ["verify-ladder", "--family", "cdh", "--max-total-degree", "1", "--seed", "3"],
+    ["verify-ladder", "--family", "cdh", "--max-total-degree", "1"],
+]
+
+
+def test_runs_in_one_process_match_fresh_processes():
+    in_process = []
+    for argv in ONE_PROCESS_ARGVS:
+        code, report = run(argv)
+        in_process.append((code, json.dumps(report, indent=2, sort_keys=True) + "\n"))
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for argv, want in zip(ONE_PROCESS_ARGVS, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadlattice.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stdout) == want, argv
+
+
+def test_repeated_params_do_not_leak_into_the_next_run():
+    argv = ["eval", "--family", "cdh", "--label", "1,1", "--point", "1/2,1/3"]
+    _, plain = run(argv)
+    _, overridden = run(argv + ["--param", "a=1/3", "--param", "b=2/5", "--param", "a=1/4"])
+    _, again = run(argv)
+    assert overridden["params"]["a"] == "1/4" and overridden["params"]["b"] == "2/5"
+    assert again == plain
+    assert cli._parser().parse_args(argv).param == []
+
+
+def test_one_parser_per_process(monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        good = ["eval", "--family", "cdh", "--label", "0,0", "--point", "1/2,1/3"]
+        for _ in range(2):
+            assert run(good)[0] == EXIT_OK
+            # a usage error leaves the parser as it was, and still exits 2
+            with pytest.raises(SystemExit) as exc:
+                run(["ttrr", "--family", "racah", "--n", "-2"])
+            assert exc.value.code == EXIT_DEGENERATE
+            with pytest.raises(SystemExit) as exc:
+                run(["eval", "--family", "cdh"])
+            assert exc.value.code == EXIT_DEGENERATE
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from quadlattice import families as fam
 from quadlattice import latticeops as lo
-from quadlattice.exactfield import GaussianRational, demote, gauss, imag_part
+from quadlattice.exactfield import GaussianRational, demote, gauss, imag_part, integer_parts
 from quadlattice.fbasis import interpolate_univariate
 
 RACAH_ARGS = (Fraction(1, 5), Fraction(2, 3), Fraction(7, 3), Fraction(9, 2))
@@ -288,7 +288,7 @@ def test_integer_kernel_stops_at_first_vanishing_upper_product(zero):
                 fraction_terminating_sum(n, uppers, lowers),
                 (n, uppers, lowers),
             )
-            den, parts = fam._integer_parts(uppers)
+            den, parts = integer_parts(uppers)
             heads = fam._gaussian_products(parts, den, range(n))
             assert heads[-1] == (0, 0)
             # a drawn upper may be a nonpositive integer as well

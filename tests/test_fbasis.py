@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from quadlattice import families as fam
 from quadlattice import fbasis
 from quadlattice import latticeops as lo
+from quadlattice import ttrr
 from quadlattice.exactfield import GaussianRational, pochhammer
 from quadlattice.fbasis import (
     MONOMIAL,
@@ -326,45 +329,82 @@ def plan_free_newton(nodes, values):
     return coeffs
 
 
+def plan_free_bivariate(xnodes, ynodes, samples):
+    """{exponents: c} of the nonzero coefficients of the tensor interpolant
+    of ``samples[i][j]``: plan-free Newton along each row, then along each
+    column of the row coefficients."""
+    rows = [plan_free_newton(ynodes, row) for row in samples]
+    out = {}
+    for jdeg in range(len(ynodes)):
+        column = plan_free_newton(xnodes, [row[jdeg] for row in rows])
+        out.update({(ideg, jdeg): c for ideg, c in enumerate(column) if c})
+    return out
+
+
 def _seeded_rationals(rng, count):
     return [Fraction(rng.randint(-40, 40), rng.randint(1, 13)) for _ in range(count)]
 
 
-@pytest.mark.parametrize("field", ["fraction", "gaussian"])
+# the kinds of samples that _seeded_values draws
+FIELDS = ("fraction", "gaussian", "mixed", "unrelated")
+# primes above every seeded denominator, so that no two samples share one
+UNRELATED_PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069)
+
+
+def _seeded_values(rng, field, size):
+    """``size`` samples of one kind: Fractions, Gaussians, a mix of both
+    (the first a Gaussian with imaginary part 0), or Fractions over
+    unrelated large primes."""
+    if field == "fraction":
+        return _seeded_rationals(rng, size)
+    if field == "unrelated":
+        return [Fraction(rng.randint(-10**6, 10**6), p) for p in UNRELATED_PRIMES[:size]]
+    values = [
+        GaussianRational(a, b)
+        for a, b in zip(_seeded_rationals(rng, size), _seeded_rationals(rng, size))
+    ]
+    if field == "mixed":
+        values = [v if k % 2 else v.re for k, v in enumerate(values)]
+        values[0] = GaussianRational(values[0])
+    return values
+
+
+def _apply_plan_in_field(plan, values):
+    """Coefficient d is sum_i weights[d][i] * values[i] / den, in the
+    values' own field arithmetic."""
+    weights, den = plan
+    return [sum((w * y for w, y in zip(row, values)), Fraction(0)) / den for row in weights]
+
+
+@pytest.mark.parametrize("field", FIELDS)
 def test_plan_interpolation_matches_plan_free_newton(field):
     rng = random.Random(16)
     for size in range(1, 8):
         nodes = sorted(set(_seeded_rationals(rng, 3 * size)))[:size]
+        if field == "unrelated":
+            nodes = [x + Fraction(1, p) for x, p in zip(nodes, reversed(UNRELATED_PRIMES))]
         rng.shuffle(nodes)
-        if field == "fraction":
-            values = _seeded_rationals(rng, size)
-        else:
-            values = [
-                GaussianRational(a, b)
-                for a, b in zip(_seeded_rationals(rng, size), _seeded_rationals(rng, size))
-            ]
+        values = _seeded_values(rng, field, size)
         got = interpolate_univariate(nodes, values)
         want = plan_free_newton(nodes, values)
         assert got == want
         assert [type(c) for c in got] == [type(c) for c in want]
-        plan = fbasis.newton_plan(nodes)
-        assert fbasis.interpolate_with_plan(plan, values) == want
+        plan = fbasis.interpolation_plan(nodes)
+        assert _apply_plan_in_field(plan, values) == want
 
 
 def test_bivariate_interpolation_matches_plan_free_rows_and_columns():
     rng = random.Random(17)
-    xn = [Fraction(k * k, 3) for k in range(4)]
-    yn = [Fraction(2 * k + 1, 5) for k in range(5)]
-    samples = [
-        [GaussianRational(*_seeded_rationals(rng, 2)) for _ in yn] for _ in xn
-    ]
-    rows = [plan_free_newton(yn, row) for row in samples]
-    want = {}
-    for jdeg in range(len(yn)):
-        column = plan_free_newton(xn, [row[jdeg] for row in rows])
-        want.update({(ideg, jdeg): c for ideg, c in enumerate(column) if c})
-    got = interpolate_bivariate(xn, yn, lambda i, j: samples[i][j])
-    assert got == MPoly(2, want)
+    for field, (xsize, ysize) in product(FIELDS, [(1, 1), (1, 4), (4, 5), (7, 6)]):
+        xn = [Fraction(k * k, 3) for k in range(xsize)]
+        yn = [Fraction(2 * k + 1, 5) for k in range(ysize)]
+        samples = [_seeded_values(rng, field, ysize) for _ in xn]
+        want = plan_free_bivariate(xn, yn, samples)
+        got = interpolate_bivariate(xn, yn, lambda i, j: samples[i][j])
+        assert got == MPoly(2, want), (field, xsize, ysize)
+        assert {e: type(c) for e, c in got.coeffs.items()} == {
+            e: type(c) for e, c in want.items()
+        }, (field, xsize, ysize)
 
 
 @pytest.mark.parametrize(
@@ -378,20 +418,103 @@ def test_repeated_node_raises(nodes):
         interpolate_bivariate(nodes, [Fraction(0)], lambda i, j: Fraction(i))
 
 
-@pytest.mark.parametrize("size", [1, 3, 6])
-def test_bivariate_builds_one_plan_per_axis(monkeypatch, size):
+@pytest.mark.parametrize("count", [1, 3])
+def test_values_length_mismatch_raises(count):
+    nodes = [Fraction(k, 2) for k in range(2)]
+    with pytest.raises(ValueError, match="nodes/values length mismatch"):
+        interpolate_univariate(nodes, [Fraction(k) for k in range(count)])
+
+
+def _counting_plans(monkeypatch):
     plans = []
-    original = fbasis.newton_plan
+    original = fbasis.interpolation_plan
 
     def counting(nodes):
         plans.append(list(nodes))
         return original(nodes)
 
-    monkeypatch.setattr(fbasis, "newton_plan", counting)
+    monkeypatch.setattr(fbasis, "interpolation_plan", counting)
+    return plans
+
+
+@pytest.mark.parametrize("size", [1, 3, 6])
+def test_bivariate_builds_one_plan_per_axis(monkeypatch, size):
+    plans = _counting_plans(monkeypatch)
     xn = [Fraction(k) for k in range(size)]
     yn = [Fraction(k, 2) for k in range(size + 1)]
     interpolate_bivariate(xn, yn, lambda i, j: xn[i] - yn[j])
     assert plans == [xn, yn]
+
+
+@pytest.mark.parametrize("members", [1, 4])
+def test_grid_builds_one_plan_per_axis_for_every_member(monkeypatch, members):
+    plans = _counting_plans(monkeypatch)
+    lattices = (lo.quadratic(B1), lo.quadratic(B2))
+    polys = fbasis.interpolate_on_grid(
+        lattices, 3, lambda point: [point[0] ** k - point[1] for k in range(members)]
+    )
+    axes = lo.grid_axes(lattices, 3)
+    assert plans == [
+        [lo.lattice_value(lattice, s) for s in axis] for lattice, axis in zip(lattices, axes)
+    ]
+    assert len(polys) == members
+
+# The benchmark's parameter draws: per parameter owner, in sorted order,
+# each DEFAULT_PARAMS value plus k/p with one prime p per position.
+BENCHMARK_PRIMES = (13, 17, 19, 23, 29, 31)
+
+
+def _benchmark_params(seed, family):
+    rng = random.Random(seed)
+    draws = {}
+    for owner in sorted({fam.base_family(f) for f in fam.ALL_FAMILIES}):
+        draws[owner] = {
+            name: fam.DEFAULT_PARAMS[owner][name] + Fraction(rng.randint(1, p - 1), p)
+            for name, p in zip(fam.PARAM_NAMES[owner], BENCHMARK_PRIMES)
+        }
+    return draws[fam.base_family(family)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_oracle_matches_plan_free_newton_at_benchmark_draws(seed):
+    for family in ttrr.TTRR_FAMILIES:
+        spec = fam.FamilySpec(family, _benchmark_params(seed, family))
+        lattices = spec.lattices()
+        for n in range(5):
+            svals, tvals = lo.grid_axes(lattices, n + 2)
+            xn = [lo.lattice_value(lattices[0], s) for s in svals]
+            yn = [lo.lattice_value(lattices[1], t) for t in tvals]
+            oracle = ttrr.family_poly_vector(spec, n)
+            for k in range(n + 1):
+                samples = [
+                    [fam.eval_family(spec, (n - k, k), (s, t)) for t in tvals] for s in svals
+                ]
+                want = plan_free_bivariate(xn, yn, samples)
+                got = oracle[k].coeffs
+                assert got == want, (family, n, k)
+                assert {e: type(c) for e, c in got.items()} == {
+                    e: type(c) for e, c in want.items()
+                }, (family, n, k)
+
+
+@pytest.mark.parametrize("family", [fam.RACAH, fam.WILSON_BAR, fam.CH])
+def test_oracle_rejects_a_sample_perturbed_at_one_grid_point(monkeypatch, family):
+    spec = fam.FamilySpec(family)
+    n = 2
+    svals, tvals = lo.grid_axes(spec.lattices(), n + 2)
+    bad = (svals[1], tvals[2])
+    original = ttrr.family_function
+
+    def perturbed(spec, label):
+        member = original(spec, label)
+        if tuple(label) != (1, 1):
+            return member
+        return lambda point: member(point) + (Fraction(1, 1000) if point == bad else 0)
+
+    monkeypatch.setattr(ttrr, "family_function", perturbed)
+    with pytest.raises(AssertionError, match="interpolated family entry exceeds total degree"):
+        ttrr.family_poly_vector(spec, n)
+
 
 def test_mpoly_json():
     p = MPoly(2, {(1, 0): Fraction(1, 2), (0, 0): Fraction(3)})
