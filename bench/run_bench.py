@@ -51,11 +51,13 @@ Layers timed:
       square: wilson, linear: ch, 3-variable linear: ch-tri):
       ``PointStencils.fold`` of the family's printed table at each point of
       a 3-per-axis grid (2 with ``--quick``), coefficients evaluated outside
-      the timed call; per one-variable lattice kind, ``apply_D`` at 40 grid
+      the timed call, the one-variable axis entries built inside it and
+      shared by the points, as a table shares them; per one-variable lattice kind, ``apply_D`` at 40 grid
       coordinates (4 with ``--quick``) and 10 calls of ``grid_points(lattice,
-      8)``; and ``second_order_residual`` of each printed form kind at label
-      (1, 1) on a 3 x 3 grid (2 x 2 with ``--quick``), with the family caches
-      cleared before every repeat.
+      8)``; and the residual of each printed second-order form kind at label
+      (1, 1) on a 3 x 3 grid (2 x 2 with ``--quick``), one equation built
+      per repeat and ``residual(equation, ...)`` per point, as the CLI
+      checks a form, with the family caches cleared before every repeat.
   L6  the printed forms end to end: in-process ``cli.run`` of
       ``verify-second-order`` for each of its four families, of
       ``verify-difference-form`` for each nine-term kind and of
@@ -63,13 +65,14 @@ Layers timed:
       degree <= 1 (<= 0 with ``--quick``), with the family caches cleared
       before every repeat (ops: the command's residual or ladder checks);
       one whole ``recover_coefficients`` call for the default Racah
-      parameters; and one residual at label (1, 1) and one point per
-      equation kind (the Racah coefficient table, each second-order kind,
-      each nine-term kind), each equation built, and its stencil folded,
-      inside the repeat: an equation keeps the stencils it folds, so one
-      reused across repeats would time only the first.
+      parameters; and one ``residual(equation, ...)`` at label (1, 1) and
+      one point per equation kind (the Racah coefficient table, each
+      second-order kind, each nine-term kind), each equation built, and its
+      stencil folded, inside the repeat: an equation keeps the stencils it
+      folds, so one reused across repeats would time only the first.
   L7  family evaluation, per family: ``family_function(spec, label)`` at
-      every neighbour of ``CoeffTable.stencil`` at each point of a
+      every neighbour (the keys of the integer stencil's weights) of
+      ``CoeffTable.stencil`` at each point of a
       3-per-axis grid (2 with ``--quick``), for every label of total degree
       <= 1, with the family caches cleared before every repeat and the
       stencils built outside the timed call.  A neighbour shared by two
@@ -110,6 +113,7 @@ import statistics
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -391,12 +395,17 @@ def _l5_entries(size, coordinates):
             latpt = table.lattice_point(point)
             terms = [(fi.eval(latpt), lind) for fi, lind in zip(table.coeffs, table.lindices)]
             folds.append((point, [(c, lind) for c, lind in terms if c]))
-        out[f"L5.fold.{kind}"] = (
-            lambda folds=folds, lattices=table.lattices: [
-                pdeverify.PointStencils(lattices, point).fold(terms) for point, terms in folds
-            ],
-            len(folds),
-        )
+
+        def fold(folds=folds, lattices=table.lattices):
+            # one dict of axis entries per repeat, shared by the points as a
+            # table shares it
+            entries = {}
+            return [
+                pdeverify.PointStencils(lattices, point, entries).fold(terms)
+                for point, terms in folds
+            ]
+
+        out[f"L5.fold.{kind}"] = (fold, len(folds))
         if spec.nvars == 3:
             continue
         lattice = spec.lattices()[0]
@@ -419,7 +428,8 @@ def _l5_entries(size, coordinates):
         def job(kind=kind, name=name, grid=grid):
             _clear_family_caches()
             spec = fam.FamilySpec(name)
-            return [pdeverify.second_order_residual(kind, spec, (1, 1), pt) for pt in grid]
+            equation = pdeverify.second_order_equation(kind, spec)
+            return [pdeverify.residual(equation, spec, (1, 1), pt) for pt in grid]
 
         out[f"L5.second_order.{kind}"] = (job, len(grid))
     return out
@@ -452,23 +462,20 @@ def _l6_entries(degree):
         lambda: pdeverify.recover_coefficients(fam.FamilySpec(fam.RACAH).params), 1
     )
 
-    def table_residual(racah):
-        return pdeverify.residual(pdeverify.coefficients(racah), racah, (1, 1), point)
+    def equation_residual(build, name):
+        spec = fam.FamilySpec(name)
+        return pdeverify.residual(build(spec), spec, (1, 1), point)
 
-    residuals = {"table.racah": lambda: table_residual(fam.FamilySpec(fam.RACAH))}
+    residuals = {"table.racah": (pdeverify.coefficients, fam.RACAH)}
     for kind, (name, *_) in pdeverify.SECOND_ORDER_FORMS.items():
-        residuals[kind] = lambda kind=kind, name=name: pdeverify.second_order_residual(
-            kind, fam.FamilySpec(name), (1, 1), point
-        )
+        residuals[kind] = (partial(pdeverify.second_order_equation, kind), name)
     for name, kind in pdeverify.DIFFERENCE_FORMS.items():
-        residuals[kind] = lambda kind=kind, name=name: pdeverify.difference_form_residual(
-            kind, fam.FamilySpec(name), (1, 1), point
-        )
-    for kind, residual in residuals.items():
+        residuals[kind] = (partial(pdeverify.difference_form_equation, kind), name)
+    for kind, (build, name) in residuals.items():
 
-        def job(residual=residual):
+        def job(build=build, name=name):
             _clear_family_caches()
-            if residual() != 0:
+            if equation_residual(build, name) != 0:
                 raise AssertionError("a printed equation has a nonzero residual")
 
         out[f"L6.residual.{kind}"] = (job, 1)
@@ -482,7 +489,7 @@ def _l7_entries(size):
         spec = fam.FamilySpec(name)
         table = pdeverify.coefficients(spec)
         grid = product(*pdeverify.residual_grid(spec, (0,) * spec.nvars, size=size))
-        neighbours = [q for point in grid for q in table.stencil(point)]
+        neighbours = [q for point in grid for q in table.stencil(point)[1]]
         labels = [lbl for lbl in product((0, 1), repeat=spec.nvars) if sum(lbl) <= 1]
 
         def job(name=name, neighbours=neighbours, labels=labels):

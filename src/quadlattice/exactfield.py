@@ -5,15 +5,17 @@ precision rational, always reduced, positive denominator) or a
 :class:`GaussianRational` (a + b*i with exact rational parts).  No floats,
 ever.
 
-Three kernels use integer numerators internally and build their Fractions
+Four kernels use integer numerators internally and build their Fractions
 only at the end: :func:`pochhammer` here, ``families._terminating_sum``,
-the sum behind the univariate family factors, and the exact interpolation
-of ``fbasis`` (an integer inverse Vandermonde matrix per axis, applied to
-the samples).  Each writes its inputs over one common denominator (the
-latter two through :func:`integer_parts`), combines the integer (or
-Gaussian-integer) numerators, and normalises each result once; their
-values and types are those of the same computations taken in Fraction
-arithmetic.
+the sum behind the univariate family factors, the exact interpolation of
+``fbasis`` (an integer inverse Vandermonde matrix per axis, applied to the
+samples), and the pointwise engine of ``pdeverify`` (each point's stencil
+contracted in Gaussian integers, and the residual one integer dot product
+with the sampled values).  Each writes its inputs over one common
+denominator (the latter three through :func:`integer_parts`), combines the
+integer (or Gaussian-integer) numerators, and normalises each result once
+(:func:`from_parts` in the latter two); their values and types are those
+of the same computations taken in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -255,6 +257,14 @@ def integer_parts(values):
         (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
         for re, im in parts
     ]
+
+
+def from_parts(den, re, im):
+    """(re + im i) / den from integers, the inverse of :func:`integer_parts`:
+    a Fraction when im is 0, as :func:`demote` gives, else a GaussianRational."""
+    if not im:
+        return Fraction(re, den)
+    return _gauss(Fraction(re, den), Fraction(im, den))
 
 
 def pochhammer(a, n: int):

@@ -21,8 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import lcm
 
-from .exactfield import GaussianRational, demote, field_str, gauss
+from .exactfield import GaussianRational, field_str, from_parts, gauss, integer_parts
 from .families import (
     CDH,
     CH,
@@ -47,6 +48,7 @@ from .latticeops import (
 )
 from .matrix import ExactMatrix, solve_stacked
 
+ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 II = GaussianRational(0, 1)
@@ -80,30 +82,37 @@ def validate_mixed_index(lindex, nvars):
 
 class Equation:
     """A printed equation lambda(label) P + (L P)(point) = 0 with a
-    label-free operator L: ``fold(point)`` gives L's weights {q: w} at the
-    point, and ``stencil(point)`` folds each point once per equation."""
+    label-free operator L.
 
-    __slots__ = ("fold", "eigenvalue", "_stencils")
+    ``stencil(point)`` is L at the point as one integer stencil
+    ``(den, {q: (A, B)})``: the neighbour q weighs (A + Bi) / den.  A zero
+    weight is not kept, so no residual samples its neighbour.  Each point
+    is folded once per equation.  ``fold(point)`` builds the stencil: here
+    it writes the weights {q: w} that ``weights(point)`` builds by hand (the
+    nine-term forms) over one denominator, with ``exactfield.integer_parts``;
+    a :class:`CoeffTable` contracts its operators in integers instead.  No
+    residual reads field weights: the Fraction view (:func:`fraction_view`)
+    is built only by :func:`stencil_weights` and the recovery's
+    :func:`operator_to_shift_matrix`.
+    """
 
-    def __init__(self, fold, eigenvalue):
-        self.fold = fold
+    __slots__ = ("weights", "eigenvalue", "_stencils")
+
+    def __init__(self, weights, eigenvalue):
+        self.weights = weights
         self.eigenvalue = eigenvalue
         self._stencils = {}
 
     def stencil(self, point):
-        weights = self._stencils.get(point)
-        if weights is None:
-            weights = self._stencils[point] = self.fold(point)
-        return weights
+        stencil = self._stencils.get(point)
+        if stencil is None:
+            stencil = self._stencils[point] = self.fold(point)
+        return stencil
 
-
-def _fold_table(coeffs, lattices, point):
-    """sum f_i E_i at the point; a zero f_i skips its stencil, singular or
-    not.  A partial over it is a table's fold: no cycle through the table."""
-    latpt = tuple(lattice_value(l, v) for l, v in zip(lattices, point))
-    ops = OPERATORS[len(lattices)]
-    terms = [(ci, lind) for fi, lind in zip(coeffs, ops) if (ci := fi.eval(latpt))]
-    return PointStencils(lattices, point).fold(terms)
+    def fold(self, point):
+        weights = self.weights(point)
+        den, parts = integer_parts(weights.values())
+        return den, {q: w for q, w in zip(weights, parts) if w[0] or w[1]}
 
 
 class CoeffTable(Equation):
@@ -111,9 +120,16 @@ class CoeffTable(Equation):
     divided-difference equation, on its family's lattices.  The operator
     list follows from the number of variables, the order from the top
     operator whose coefficient is nonzero.
-    The coefficients are a tuple, so a folded stencil cannot go stale."""
+    The coefficients are a tuple, so a folded stencil cannot go stale.
 
-    __slots__ = ("coeffs", "lattices")
+    The one-variable S D and D^2 weights depend only on (variable,
+    coordinate, entry), not on the point: the table builds each such axis
+    entry once, when an operator with a nonzero coefficient first asks for
+    it, and keeps it beside its stencils for every point that shares the
+    coordinate.
+    """
+
+    __slots__ = ("coeffs", "lattices", "_entries")
 
     def __init__(self, coeffs, eigenvalue, lattices):
         self.coeffs = tuple(coeffs)
@@ -124,7 +140,18 @@ class CoeffTable(Equation):
                 f" not {len(self.coeffs)}"
             )
         self._check_structure()
-        super().__init__(partial(_fold_table, self.coeffs, self.lattices), eigenvalue)
+        # the operators contract in integers: no weights are built by hand
+        super().__init__(None, eigenvalue)
+        self._entries = {}
+
+    def fold(self, point):
+        """sum f_i E_i at the point as an integer stencil; a zero f_i skips
+        its operator, singular or not."""
+        latpt = self.lattice_point(point)
+        terms = [
+            (ci, lind) for fi, lind in zip(self.coeffs, self.lindices) if (ci := fi.eval(latpt))
+        ]
+        return PointStencils(self.lattices, point, self._entries).fold(terms)
 
     @property
     def lindices(self):
@@ -172,105 +199,148 @@ class CoeffTable(Equation):
 # pointwise mixed-operator application
 # ---------------------------------------------------------------------------
 
-def _axis(lattice, s):
-    """The neighbours s + 1, s, s - 1 (as the half shifts compose) and the
-    reciprocal inner-D denominators at s + 1/2 and s - 1/2."""
+def _axis_entry(lattice, s, l):
+    """S D (l = 1) or D^2 (l = 2) in one variable at the coordinate s:
+    ``(den, {o: (A, B)}, {o: coordinate})``, the weights of the neighbours at
+    the offsets o = 1, 0, -1 as integers over their own common denominator,
+    zero weights dropped.  The inner D denominators at s + 1/2 and s - 1/2
+    are checked first, then D^2's outer one at s: the order nested
+    application meets them."""
     up, down = shifted_points(lattice, s)
-    up_up, mid, inv_up = half_step(lattice, up)
+    up_up, _, inv_up = half_step(lattice, up)
     down_down, inv_down = half_step(lattice, down)[1:]
-    return (up_up, mid, down_down), inv_up, inv_down
-
-
-def _weights_1d(lattice, s, axis, l):
-    """Weights of S D (l = 1) or D^2 (l = 2) at the coordinate s, keyed by
-    absolute coordinate, zero weights dropped.  The outer D^2 denominator is
-    checked after the inner ones, the order nested application meets them."""
-    (up_up, mid, down_down), inv_up, inv_down = axis
     if l == 2:
         outer = half_step(lattice, s)[2]
         w_up, w_down = outer * inv_up, -outer * inv_down
     else:
         w_up, w_down = HALF * inv_up, HALF * inv_down
-    pairs = ((up_up, w_up), (mid, w_down - w_up), (down_down, -w_down))
-    return {q: w for q, w in pairs if w}
+    den, parts = integer_parts((w_up, w_down - w_up, -w_down))
+    weights = {o: w for o, w in zip((1, 0, -1), parts) if w[0] or w[1]}
+    return den, weights, {1: up_up, 0: s, -1: down_down}
 
 
-def sample(weights, f):
-    """sum w f(q) over the weights {q: w}."""
-    return demote(sum(w * f(q) for q, w in weights.items()))
+def fraction_view(stencil):
+    """The field weights {q: w} of an integer stencil ``(den, {q: (A, B)})``:
+    a Fraction where B is 0, else a GaussianRational."""
+    den, weights = stencil
+    return {q: from_parts(den, a, b) for q, (a, b) in weights.items()}
+
+
+def _dot(den, weights, f):
+    """sum w f(q) over the integer weights {q: (A, B)} over ``den``: the
+    sampled values over one denominator, one integer dot product, and one
+    field value at the end, a Fraction when real (as ``demote`` gives).
+    A zero weight samples nothing."""
+    live = [(q, w) for q, w in weights.items() if w[0] or w[1]]
+    vden, values = integer_parts([f(q) for q, _ in live])
+    re = im = 0
+    for (_, (a, b)), (c, d) in zip(live, values):
+        re += a * c - b * d
+        im += a * d + b * c
+    if not (re or im):
+        return ZERO
+    return from_parts(den * vden, re, im)
 
 
 class PointStencils:
     """The pointwise operator engine at one point.
 
     Every operator denominator depends on its own coordinate only, so E_l is
-    the tensor product of one-variable weights, built once per (variable,
-    entry) and shared by every operator asked for at this point.  A linear
-    combination of operators is contracted one variable at a time.
+    the tensor product of one-variable weights (:func:`_axis_entry`), built
+    once per (variable, coordinate, entry) in ``entries`` (a table passes
+    its own, so they outlive the point) and shared by every operator asked
+    for.  A linear combination of operators is contracted one variable at a
+    time, in Gaussian integers: the coefficients over one common
+    denominator, each variable's entries over theirs.  The result is one
+    integer stencil ``(den, {q: (A, B)})``, q weighing (A + Bi) / den, with
+    zero weights dropped, so no residual samples their neighbours; callers
+    that need field weights take its :func:`fraction_view`.
     """
 
-    __slots__ = ("lattices", "point", "_axes", "_one_d")
+    __slots__ = ("lattices", "point", "_entries")
 
-    def __init__(self, lattices, point):
+    def __init__(self, lattices, point, entries=None):
         self.lattices = tuple(lattices)
         self.point = tuple(point)
-        self._axes = {}
-        self._one_d = {}
+        self._entries = {} if entries is None else entries
 
     def _factor(self, var, l):
-        w1 = self._one_d.get((var, l))
-        if w1 is None:
-            lattice, s = self.lattices[var], self.point[var]
-            axis = self._axes.get(var)
-            if axis is None:
-                axis = self._axes[var] = _axis(lattice, s)
-            w1 = self._one_d[(var, l)] = _weights_1d(lattice, s, axis, l)
-        return w1
+        key = (var, self.point[var], l)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = _axis_entry(self.lattices[var], self.point[var], l)
+        return entry
 
     def fold(self, terms):
-        """{q: w} with sum w f(q) = sum of c (E_lindex f)(point) over the
-        (c, lindex) in terms: one weight per neighbour q."""
+        """The integer stencil ``(den, {q: (A, B)})`` with sum w f(q) = sum of
+        c (E_lindex f)(point) over the (c, lindex) in terms: one weight per
+        neighbour q, zero weights dropped."""
+        nvars = len(self.point)
         # denominators are met as nested application meets them: operator by
         # operator, last variable first
+        entries = [{} for _ in range(nvars)]
         for _, lindex in terms:
-            for var in range(len(lindex) - 1, -1, -1):
-                if lindex[var]:
-                    self._factor(var, lindex[var])
+            for var in range(nvars - 1, -1, -1):
+                l = lindex[var]
+                if l and l not in entries[var]:
+                    entries[var][l] = self._factor(var, l)
+        # each variable's neighbour coordinates, by offset
+        coords = [next(iter(e.values()))[2] if e else {0: s} for e, s in zip(entries, self.point)]
+        den, parts = integer_parts([c for c, _ in terms])
         # contract the last variable first, so that terms agreeing on the
-        # earlier entries share one weight table over the later coordinates
+        # earlier entries share one weight table over the later offsets
         layer = {}
-        for c, lindex in terms:
+        for (a, b), (_, lindex) in zip(parts, terms):
             tail = layer.setdefault(lindex, {})
-            tail[()] = tail[()] + c if () in tail else c
-        for var in range(len(self.point) - 1, -1, -1):
+            ta, tb = tail.get((), (0, 0))
+            tail[()] = (ta + a, tb + b)
+        for var in range(nvars - 1, -1, -1):
+            # this variable's entries over one denominator; entry 0 weighs 1
+            scale = lcm(*(d for d, _, _ in entries[var].values()))
+            factors = {
+                l: {o: (a * (scale // d), b * (scale // d)) for o, (a, b) in w.items()}
+                for l, (d, w, _) in entries[var].items()
+            }
+            factors[0] = {0: (scale, 0)}
+            den *= scale
             merged = {}
             for lindex, tail in layer.items():
                 acc = merged.setdefault(lindex[:var], {})
-                if lindex[var]:
-                    factor = self._factor(var, lindex[var]).items()
-                    pairs = [((c,) + q, wc * w) for c, wc in factor for q, w in tail.items()]
-                else:
-                    pairs = [((self.point[var],) + q, w) for q, w in tail.items()]
-                for q, w in pairs:
-                    acc[q] = acc[q] + w if q in acc else w
+                for o, (wa, wb) in factors[lindex[var]].items():
+                    for q, (ta, tb) in tail.items():
+                        q = (o,) + q
+                        a, b = wa * ta - wb * tb, wa * tb + wb * ta
+                        if q in acc:
+                            xa, xb = acc[q]
+                            acc[q] = (xa + a, xb + b)
+                        else:
+                            acc[q] = (a, b)
             layer = merged
-        return layer.get((), {})
+        return den, {
+            tuple(c[o] for c, o in zip(coords, q)): w
+            for q, w in layer.get((), {}).items()
+            if w[0] or w[1]
+        }
 
 
 def stencil_weights(lattices, lindex, point):
-    """The exact weights w with (E_{lindex} f)(point) = sum w[q] f(q).
+    """The exact weights w with (E_{lindex} f)(point) = sum w[q] f(q), zero
+    weights dropped: the Fraction view of the engine's integer stencil, kept
+    for the tests and for the benchmark's spans.
 
     Points q are absolute evaluation points (integer real shifts on
     quadratic lattices, integer imaginary shifts otherwise).
     """
     lindex = validate_mixed_index(lindex, len(lattices))
-    return PointStencils(lattices, point).fold([(ONE, lindex)])
+    return fraction_view(PointStencils(lattices, point).fold([(ONE, lindex)]))
 
 
 def apply_mixed(lattices, lindex, f, point):
     """(E_{lindex} f)(point): per variable, entry 1 applies S D and entry 2
-    applies D^2; entry 0 leaves the variable alone."""
-    return sample(stencil_weights(lattices, lindex, point), f)
+    applies D^2; entry 0 leaves the variable alone.  A view on the engine
+    kept for the tests and for the benchmark's spans."""
+    lindex = validate_mixed_index(lindex, len(lattices))
+    return _dot(*PointStencils(lattices, point).fold([(ONE, lindex)]), f)
 
 
 # ---------------------------------------------------------------------------
@@ -779,15 +849,27 @@ def eigenvalue_shift(base: CoeffTable, direction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def table_residual_on(equation: Equation, f, label, point):
-    """lambda(label) f(point) + sum w f(q) over the equation's stencil {q: w}
-    at the point: the shape of every printed equation."""
+    """lambda(label) f(point) + sum w f(q) over the equation's integer
+    stencil ``(den, {q: (A, B)})`` at the point: the shape of every printed
+    equation.
+
+    With lambda = a / b in integers, every weight is multiplied by b and
+    a den joins the point's own weight, so f is sampled once per neighbour
+    of nonzero weight; the sum is one integer dot product with the samples
+    over their common denominator; a zero weight (the point's own, when
+    lambda cancels it) samples nothing.  The residual is zero exactly when
+    both integer parts are; only a nonzero residual becomes a field value,
+    a Fraction when real, else a GaussianRational, and no Fraction view of
+    the stencil is built.  The joined weights are a new dict: the stencil
+    the equation keeps stays as it is.
+    """
     point = tuple(point)
-    # lambda joins the weight of the point itself, so f is sampled once per
-    # neighbour; the merge is a new dict, the folded stencil stays as it is
-    merged = {point: equation.eigenvalue(label)}
-    for q, w in equation.stencil(point).items():
-        merged[q] = merged[q] + w if q in merged else w
-    return sample(merged, f)
+    den, weights = equation.stencil(point)
+    lam_den, ((la, lb),) = integer_parts((equation.eigenvalue(label),))
+    joined = {q: (a * lam_den, b * lam_den) for q, (a, b) in weights.items()}
+    a, b = joined.get(point, (0, 0))
+    joined[point] = (a + la * den, b + lb * den)
+    return _dot(den * lam_den, joined, f)
 
 
 def residual(equation: Equation, spec: FamilySpec, label, point):
@@ -1086,11 +1168,11 @@ def difference_form_equation(kind, spec: FamilySpec) -> Equation:
         builder = wilson_f_stencil if kind == "wilson-f" else ch_f_stencil
         build, step, eigenvalue = partial(builder, table), II, table.eigenvalue
 
-    def fold(pt):
+    def weights(pt):
         s, t = pt if step is ONE else map(gauss, pt)
         return {(s + step * o1, t + step * o2): c for (o1, o2), c in build(*pt).items()}
 
-    return Equation(fold, eigenvalue)
+    return Equation(weights, eigenvalue)
 
 
 def difference_form_residual(kind, spec: FamilySpec, label, point):
@@ -1111,7 +1193,7 @@ def operator_to_shift_matrix(lattices, point):
     stencils = PointStencils(lattices, point)
     rows = []
     for lind in OP_ORDER_WITH_IDENTITY:
-        weights = stencils.fold([(ONE, lind)])
+        weights = fraction_view(stencils.fold([(ONE, lind)]))
         row = []
         for off in OFFSETS_3X3:
             q = (point[0] + off[0], point[1] + off[1])

@@ -11,7 +11,7 @@ from quadlattice import latticeops as lo
 from quadlattice import pdeverify as pv
 from quadlattice import ttrr
 from quadlattice.cli import EXIT_MISMATCH, run
-from quadlattice.exactfield import GaussianRational
+from quadlattice.exactfield import GaussianRational, demote
 from quadlattice.fbasis import MPoly, poly_D, poly_S
 from quadlattice.latticeops import SingularPointError
 
@@ -278,7 +278,8 @@ def test_folded_residual_matches_operator_by_operator_sum(name):
 
 def test_fold_adds_repeated_operators():
     stencils = pv.PointStencils(ENGINE_LATTICES["mixed"][:2], PTS2[0])
-    assert stencils.fold([(2, (1, 2)), (3, (1, 2))]) == stencils.fold([(5, (1, 2))])
+    twice = pv.fraction_view(stencils.fold([(2, (1, 2)), (3, (1, 2))]))
+    assert twice == pv.fraction_view(stencils.fold([(5, (1, 2))]))
 
 
 def test_engine_nested_denominator_singularity():
@@ -352,10 +353,241 @@ def test_residual_leaves_the_folded_stencil_unchanged():
     ):
         for pt in PTS2:
             kept = equation.stencil(pt)
-            before = dict(kept)
+            den, weights = kept
+            before = dict(weights)
             assert pv.table_residual_on(equation, f, label, pt) == 0
             assert equation.stencil(pt) is kept
-            assert kept == before
+            assert kept == (den, before)
+
+
+# -- the integer engine against the Fraction contraction -------------------------------
+# The engine used to contract in field arithmetic; that contraction is kept
+# here, spelled out, as the reference for the integer one.
+
+def _reference_weights_1d(lattice, s, l):
+    up, down = lo.shifted_points(lattice, s)
+    up_up, mid, inv_up = lo.half_step(lattice, up)
+    down_down, inv_down = lo.half_step(lattice, down)[1:]
+    if l == 2:
+        outer = lo.half_step(lattice, s)[2]
+        w_up, w_down = outer * inv_up, -outer * inv_down
+    else:
+        w_up, w_down = Fraction(1, 2) * inv_up, Fraction(1, 2) * inv_down
+    pairs = ((up_up, w_up), (mid, w_down - w_up), (down_down, -w_down))
+    return {q: w for q, w in pairs if w}
+
+
+def reference_fold(lattices, point, terms):
+    """{q: w} of sum c E_lindex at the point, contracted in field arithmetic
+    one variable at a time, last variable first."""
+    layer = {}
+    for c, lindex in terms:
+        tail = layer.setdefault(lindex, {})
+        tail[()] = tail[()] + c if () in tail else c
+    for var in range(len(point) - 1, -1, -1):
+        merged = {}
+        for lindex, tail in layer.items():
+            acc = merged.setdefault(lindex[:var], {})
+            if lindex[var]:
+                factor = _reference_weights_1d(lattices[var], point[var], lindex[var]).items()
+                pairs = [((c,) + q, wc * w) for c, wc in factor for q, w in tail.items()]
+            else:
+                pairs = [((point[var],) + q, w) for q, w in tail.items()]
+            for q, w in pairs:
+                acc[q] = acc[q] + w if q in acc else w
+        layer = merged
+    return layer.get((), {})
+
+
+def reference_stencil(equation, point):
+    if isinstance(equation, pv.CoeffTable):
+        latpt = equation.lattice_point(point)
+        terms = [(c, lind) for fi, lind in zip(equation.coeffs, equation.lindices)
+                 if (c := fi.eval(latpt))]
+        return reference_fold(equation.lattices, point, terms)
+    return equation.weights(point)
+
+
+def reference_residual(equation, f, label, point):
+    merged = {point: equation.eigenvalue(label)}
+    for q, w in reference_stencil(equation, point).items():
+        merged[q] = merged[q] + w if q in merged else w
+    return demote(sum(w * f(q) for q, w in merged.items()))
+
+
+def _nonzero(weights):
+    return {q: w for q, w in weights.items() if w}
+
+
+# perfbench draws each parameter as a default plus k/p, one prime p >= 13 per
+# position, and offsets its CLI grids by 1/7 + r/101
+REFERENCE_PRIMES = (13, 17, 19, 23, 29, 31)
+
+
+def _bench_params(family, seed):
+    rng = random.Random(seed)
+    owner = fam.base_family(family)
+    defaults = fam.DEFAULT_PARAMS[owner]
+    return {
+        name: defaults[name] + Fraction(rng.randint(1, p - 1), p)
+        for name, p in zip(fam.PARAM_NAMES[owner], REFERENCE_PRIMES)
+    }
+
+
+def _typo(table, lindex):
+    """The table with 1/1000 added to the coefficient of E_lindex."""
+    coeffs = list(table.coeffs)
+    index = table.lindices.index(lindex)
+    coeffs[index] = coeffs[index] + MPoly.const(table.nvars, Fraction(1, 1000))
+    return pv.CoeffTable(coeffs, table.eigenvalue, table.lattices)
+
+
+def _reference_cases(spec):
+    """(name, equation, mutated) for the table, second-order form and
+    nine-term form of a family, each beside a mutated copy (a +1/1000 typo)
+    whose residual on some member of degree <= 1 in each variable is
+    nonzero: the typo sits beside a first-order operator."""
+    table = pv.coefficients(spec)
+    first, *_, last = (lind for lind in table.lindices if sum(lind) == 1)
+    cases = [("table", table, False), (f"table E{first}", _typo(table, first), True),
+             (f"table E{last}", _typo(table, last), True)]
+    for kind, (family, var, *_) in pv.SECOND_ORDER_FORMS.items():
+        if family == spec.family:
+            form = pv.second_order_equation(kind, spec)
+            sd = tuple(1 if i == var else 0 for i in range(2))
+            cases += [(kind, form, False), (f"{kind} tau", _typo(form, sd), True)]
+    kind = pv.DIFFERENCE_FORMS.get(spec.family)
+    if kind is not None:
+        form = pv.difference_form_equation(kind, spec)
+        shifted = pv.Equation(form.weights, lambda l, lam=form.eigenvalue: lam(l) + Fraction(1, 1000))
+        cases += [(kind, form, False), (f"{kind} lambda", shifted, True)]
+    return cases
+
+
+REFERENCE_FAMILIES = [fam.RACAH, fam.WILSON, fam.WILSON_BAR, fam.CDH, fam.CH, fam.CH_TRI]
+
+
+@pytest.mark.parametrize("draw", ["default", "bench"])
+@pytest.mark.parametrize("name", REFERENCE_FAMILIES)
+def test_integer_residual_matches_the_fraction_contraction(name, draw):
+    # zero and nonzero residuals, value and type, on members, on a rational
+    # function and on mutated equations, at default and perfbench-drawn
+    # parameters and grid offsets
+    params = None if draw == "default" else _bench_params(name, seed=len(name))
+    spec = fam.FamilySpec(name, params=params)
+    offset = Fraction(1, 7) + (Fraction(9, 101) if draw == "bench" else 0)
+    labels = [(0,) * spec.nvars, (1,) + (0,) * (spec.nvars - 1), (1,) * spec.nvars]
+    types = set()
+    for case, equation, mutated in _reference_cases(spec):
+        member_nonzero = False
+        for label in labels:
+            member = fam.family_function(spec, label)
+            for point in product(*pv.residual_grid(spec, label, size=2, offset=offset)):
+                for f in (member, _rational_function):
+                    got = pv.table_residual_on(equation, f, label, point)
+                    expect = reference_residual(equation, f, label, point)
+                    assert got == expect, (case, label, point)
+                    assert type(got) is type(expect), (case, label, point)
+                    types.add(type(got))
+                    member_nonzero = member_nonzero or (f is member and got != 0)
+                view = pv.fraction_view(equation.stencil(point))
+                assert view == _nonzero(reference_stencil(equation, point)), (case, point)
+        # members zero the printed equations and not every mutated one
+        assert member_nonzero == mutated, case
+    linear = spec.lattices()[0].kind == lo.LatticeSpec.LINEAR
+    assert types == ({Fraction, GaussianRational} if linear else {Fraction})
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINE_LATTICES))
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_stencil_weights_match_the_fraction_contraction(kind, nvars):
+    lattices = ENGINE_LATTICES[kind][:nvars]
+    for point in (PTS3[0][:nvars], PTS3[1][:nvars]):
+        for lindex in product(range(3), repeat=nvars):
+            reference = reference_fold(lattices, point, [(Fraction(1), lindex)])
+            assert pv.stencil_weights(lattices, lindex, point) == _nonzero(reference)
+        terms = [(Fraction(k + 1, 3) + (GaussianRational(0, k) if k % 2 else 0), lindex)
+                 for k, lindex in enumerate(product(range(3), repeat=nvars))]
+        folded = pv.PointStencils(lattices, point).fold(terms)
+        assert pv.fraction_view(folded) == _nonzero(reference_fold(lattices, point, terms))
+
+
+def test_a_form_ignores_its_other_variables_singular_points():
+    # racah-x acts on x only: where a D^2 denominator of y vanishes (at t
+    # itself, or at t +- 1/2 for the inner D) the form still checks, since no
+    # operator with a nonzero coefficient asks for y's entries
+    spec = fam.FamilySpec(fam.RACAH)
+    form = pv.second_order_equation("racah-x", spec)
+    beta2 = spec.params["beta2"]
+    for t in (-beta2 / 2, (-beta2 - 1) / 2, (-beta2 + 1) / 2):
+        point = (Fraction(8, 7), t)
+        with pytest.raises(SingularPointError):
+            pv.stencil_weights(spec.lattices(), (0, 2), point)
+        for label in [(1, 0), (2, 1)]:
+            assert pv.residual(form, spec, label, point) == 0
+
+
+def test_a_zero_coefficient_builds_no_axis_entry():
+    # at s = -beta1/2 only the outer D^2 denominator in x vanishes: S D in x
+    # (f7 nonzero) is built there, D^2 in x (f5 zero at the point) is not
+    spec = fam.FamilySpec(fam.RACAH)
+    lattices = spec.lattices()
+    s = -spec.params["beta1"] / 2
+    point = (s, Fraction(16, 7))
+    x, y = MPoly.var(0, 2), MPoly.var(1, 2)
+    x0 = lo.lattice_value(lattices[0], s)
+    zero = MPoly.zero(2)
+    coeffs = [zero] * 4 + [(x - x0) * (x - x0), y + 1, x + 2, y + 3]
+    table = pv.CoeffTable(coeffs, lambda label: 5, lattices)
+    latpt = table.lattice_point(point)
+    expect = 5 * _rational_function(point) + sum(
+        fi.eval(latpt) * _nested_mixed(lattices, lind, _rational_function, point)
+        for fi, lind in zip(coeffs[5:], ((0, 2), (1, 0), (0, 1)))
+    )
+    assert pv.table_residual_on(table, _rational_function, (1, 1), point) == expect
+    with pytest.raises(SingularPointError, match=f"vanishes at {s} on"):
+        pv.stencil_weights(lattices, (2, 0), point)
+
+
+def test_two_singular_denominators_raise_the_first_one_met():
+    # operator by operator, last variable first: the printed table's first
+    # operator E(2,2) meets y's outer D^2 denominator before x's inner one;
+    # a table whose first nonzero operator is E(2,0) meets x's first
+    spec = fam.FamilySpec(fam.RACAH)
+    lattices = spec.lattices()
+    s = (-spec.params["beta1"] - 1) / 2
+    t = -spec.params["beta2"] / 2
+    point = (s, t)
+    table = pv.coefficients(spec)
+    with pytest.raises(SingularPointError) as err:
+        pv.residual(table, spec, (1, 1), point)
+    assert str(err.value) == f"stencil denominator vanishes at {t} on {lattices[1]!r}"
+    one, zero = MPoly.const(2, 1), MPoly.zero(2)
+    x_first = pv.CoeffTable([zero] * 4 + [one, one, zero, zero], lambda label: 5, lattices)
+    with pytest.raises(SingularPointError) as err:
+        pv.table_residual_on(x_first, _rational_function, (1, 1), point)
+    assert str(err.value) == f"stencil denominator vanishes at {s + Fraction(1, 2)} on {lattices[0]!r}"
+
+
+@pytest.mark.parametrize("name, degree, grid_size, entries", [
+    (fam.RACAH, 1, None, 2 * 6 * 2),
+    (fam.WILSON, 2, None, 2 * 7 * 2),
+    (fam.CH_TRI, 1, 2, 3 * 2 * 2),
+])
+def test_a_sweep_builds_each_axis_entry_once(monkeypatch, name, degree, grid_size, entries):
+    # an S D or D^2 entry depends on (variable, coordinate, entry) only: a
+    # sweep builds each once, not once per grid point
+    calls = []
+    build = pv._axis_entry
+
+    def counted(lattice, s, l):
+        calls.append((lattice.name, s, l))
+        return build(lattice, s, l)
+
+    monkeypatch.setattr(pv, "_axis_entry", counted)
+    reports = pv.verify_table(fam.FamilySpec(name), degree, grid_size=grid_size)
+    assert all(r["pass"] for r in reports)
+    assert len(calls) == len(set(calls)) == entries
 
 
 # -- the symbolic table action -------------------------------------------------------
