@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -156,7 +157,7 @@ def _read(option, text, entry, convert, what):
 def _parse_tuple(option, text, convert, what, n=None):
     parts = [p for p in text.replace(" ", "").split(",") if p]
     if n is not None and len(parts) != n:
-        raise ValueError(f"expected {n} comma-separated entries in {text!r}")
+        raise ValueError(f"bad {option} {text!r}: expected {n} comma-separated entries")
     return tuple(_read(option, text, p, convert, what) for p in parts)
 
 
@@ -330,11 +331,11 @@ def _run_reporting_errors(args):
         # DegenerateParameterError and SingularPointError are ValueErrors; a
         # ZeroDivisionError is an ArithmeticError, yet it means degenerate input
         degenerate = isinstance(exc, (ValueError, ZeroDivisionError))
-        return EXIT_DEGENERATE if degenerate else EXIT_MISMATCH, {
-            "command": args.command,
-            "error": str(exc),
-            "tables_version": TABLES_VERSION,
-        }
+        return EXIT_DEGENERATE if degenerate else EXIT_MISMATCH, _error_report(args, str(exc))
+
+
+def _error_report(args, message):
+    return {"command": args.command, "error": message, "tables_version": TABLES_VERSION}
 
 
 @cache
@@ -350,15 +351,22 @@ def run(argv=None):
     return _run_reporting_errors(_parser().parse_args(argv))
 
 
+def _write(fh, report):
+    fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
-    status, report = _run_reporting_errors(args)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    # --out is opened before the command runs: an unwritable path is bad
+    # usage, reported on stdout, and the command is not run
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        _write(sys.stdout, _error_report(args, f"bad --out {args.out!r}: {exc.strerror}"))
+        return EXIT_DEGENERATE
+    with out as fh:
+        status, report = _run_reporting_errors(args)
+        _write(fh, report)
     return status
 
 

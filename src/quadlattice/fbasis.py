@@ -71,12 +71,10 @@ class MPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
+        # an MPoly equals only an MPoly, so that equal values hash equal
         if isinstance(other, MPoly):
             return self.nvars == other.nvars and self.coeffs == other.coeffs
-        if not self.coeffs:
-            return other == 0
-        key = (0,) * self.nvars
-        return set(self.coeffs) == {key} and self.coeffs[key] == other
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.coeffs.items())))

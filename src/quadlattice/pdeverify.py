@@ -14,6 +14,10 @@ cube {0,1,2}^3.  A table's residual on a family member must vanish at every
 nonsingular grid point; on a member of total degree k, a tensor grid of
 k + 1 distinct lattice values per axis promotes the pointwise zeros to a
 polynomial identity (see :func:`check_proof_grid`).
+
+The table annihilating a difference derivative of the solutions follows
+from the base table by one rule over the operator indices, taken once per
+differentiated variable (see :func:`derived_coefficients`).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .families import (
     check_point,
     family_function,
 )
-from .fbasis import MPoly, interpolate_on_grid, poly_D, poly_S, poly_shift_pair
+from .fbasis import MPoly, interpolate_on_grid, poly_shift_pair
 from .latticeops import (
     SingularPointError,
     grid_axes,
@@ -781,67 +785,72 @@ def coefficients(spec: FamilySpec) -> CoeffTable:
 # derived tables (difference derivatives of solutions)
 # ---------------------------------------------------------------------------
 
+# the variables a direction differentiates, in the order it takes them
+DIRECTIONS = {"x": (0,), "y": (1,), "xy": (1, 0)}
+
+
 def derived_coefficients(base: CoeffTable, direction) -> CoeffTable:
     """Coefficient table annihilating the requested difference derivative of
-    the base equation's solutions.
+    the base equation's solutions: one rule over the operator indices, taken
+    once per variable v of the direction in the order of ``DIRECTIONS``
+    ("xy" takes D in y first, then in x).  With e the v-entry of the index l,
+    l+ the index with that entry raised to e + 1 and l1 the index with it set
+    to 1, the coefficient of E_l becomes
 
-    direction "x" and "y" follow the printed combination rules; "xy" chains
-    y first, then x.
+        e = 0:  f_l + D f_{l+}             (f_l is free of v, by the structure check)
+        e = 1:  S f_l + eps D f_l + D f_{l+}
+        e = 2:  S f_l + eps S f_{l1} + u2 D f_{l1}
+
+    with S and D in v, x(s +- 1/2) = x(s) +- w + eps / 2 and w^2 = u2 on v's
+    lattice; the eigenvalue adds each variable's shift in turn.
     """
     if base.nvars != 2:
         raise ValueError("derived tables are defined for fourth-order tables")
-    if direction == "xy":
-        return derived_coefficients(derived_coefficients(base, "y"), "x")
-    if direction not in ("x", "y"):
+    if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
+    table = base
+    for var in DIRECTIONS[direction]:
+        lat = table.lattices[var]
+        (w0, w1), c0 = lat.shift_algebra()
+        u2 = w1 * MPoly.var(var, 2) + MPoly.const(2, w0)
+        eps = 2 * c0
+        f = dict(zip(table.lindices, table.coeffs))
+        # (S f_l, D f_l) for each index that acts on v: one shift pair each
+        sd = {l: poly_shift_pair(fl, var, lat) for l, fl in f.items() if l[var]}
+        coeffs = []
+        for l, fl in f.items():
+            e = l[var]
+            up, one = (l[:var] + (k,) + l[var + 1:] for k in (e + 1, 1))
+            if e == 0:
+                coeffs.append(fl + sd[up][1])
+            elif e == 1:
+                coeffs.append(sd[l][0] + eps * sd[l][1] + sd[up][1])
+            else:
+                coeffs.append(sd[l][0] + eps * sd[one][0] + u2 * sd[one][1])
+        shift = _sd_shift(table, var)
+        lam = lambda label, _b=table.eigenvalue, _s=shift: _b(label) + _s
+        table = CoeffTable(coeffs, lam, table.lattices)
+    return table
 
-    var = 0 if direction == "x" else 1
-    lat = base.lattices[var]
-    # x(s +- 1/2) = x(s) +- w + c0 with w^2 = u2; the printed rules' epsilon
-    # is 4 c0 and they use epsilon / 2
-    (w0, w1), c0 = lat.shift_algebra()
-    u2 = w1 * MPoly.var(var, 2) + MPoly.const(2, w0)
-    eps = 2 * c0
-    f1, f2, f3, f4, f5, f6, f7, f8 = base.coeffs
-    D = lambda p: poly_D(p, var, lat)
-    S = lambda p: poly_S(p, var, lat)
 
-    if direction == "x":
-        g8 = f8 + D(f4)
-        g7 = S(f7) + eps * D(f7) + D(f5)
-        g6 = f6 + D(f2)
-        g5 = S(f5) + D(f7) * u2 + eps * S(f7)
-        g4 = eps * D(f4) + D(f3) + S(f4)
-        g3 = eps * S(f4) + S(f3) + D(f4) * u2
-        g2 = eps * D(f2) + D(f1) + S(f2)
-        g1 = eps * S(f2) + S(f1) + D(f2) * u2
-    else:
-        g8 = S(f8) + eps * D(f8) + D(f6)
-        g7 = f7 + D(f4)
-        g6 = D(f8) * u2 + eps * S(f8) + S(f6)
-        g5 = f5 + D(f3)
-        g4 = eps * D(f4) + D(f2) + S(f4)
-        g3 = eps * D(f3) + D(f1) + S(f3)
-        g2 = eps * S(f4) + S(f2) + D(f4) * u2
-        g1 = eps * S(f3) + S(f1) + D(f3) * u2
-
-    shift_c = eigenvalue_shift(base, direction)
-    base_lam = base.eigenvalue
-    lam = lambda label, _b=base_lam, _s=shift_c: _b(label) + _s
-
-    return CoeffTable([g1, g2, g3, g4, g5, g6, g7, g8], lam, base.lattices)
+def _sd_shift(table: CoeffTable, var) -> Fraction:
+    """D_v of the coefficient of S D in the variable v alone, which must be a
+    constant."""
+    sd = tuple(int(i == var) for i in range(table.nvars))
+    fl = table.coeffs[table.lindices.index(sd)]
+    shift = poly_shift_pair(fl, var, table.lattices[var])[1]
+    if shift.total_degree() > 0:
+        raise AssertionError("eigenvalue shift is not constant")
+    return shift.coeff((0,) * table.nvars)
 
 
 def eigenvalue_shift(base: CoeffTable, direction) -> Fraction:
-    """D_x f7 (direction x) or D_y f8 (direction y), which must be a
-    constant."""
-    if direction not in ("x", "y"):
+    """The eigenvalue shift of a one-variable direction: D_x f7 (x) or D_y f8
+    (y), which must be a constant."""
+    variables = DIRECTIONS.get(direction, ())
+    if len(variables) != 1:
         raise ValueError(f"unknown direction {direction!r}")
-    var = 0 if direction == "x" else 1
-    shift = poly_D(base.coeffs[6 + var], var, base.lattices[var])
-    if shift.total_degree() > 0:
-        raise AssertionError("eigenvalue shift is not constant")
-    return shift.coeff((0, 0))
+    return _sd_shift(base, *variables)
 
 
 # ---------------------------------------------------------------------------
@@ -882,8 +891,7 @@ def residual(equation: Equation, spec: FamilySpec, label, point):
 
 def derivative_function(spec: FamilySpec, label, direction):
     """The difference derivative of the family member, as a stencil function."""
-    # "xy" takes D in y first, then in x
-    variables = {"x": (0,), "y": (1,), "xy": (1, 0)}.get(direction)
+    variables = DIRECTIONS.get(direction)
     if variables is None:
         raise ValueError(f"unknown direction {direction!r}")
     f = family_function(spec, label)

@@ -181,6 +181,30 @@ def test_negative_degree_exits_2_without_traceback():
     assert "--n: must be at least 0" in proc.stderr
 
 
+@pytest.mark.parametrize("target, cause", [
+    ("missing/r.json", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_unwritable_out_exits_2_without_traceback(tmp_path, target, cause):
+    # the path is opened before the command runs, and the error report goes
+    # to stdout
+    path = str(tmp_path / target)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadlattice.cli", "--out", path,
+         "eval", "--family", "cdh", "--label", "0,0", "--point", "1/2,1/3"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", "")),
+    )
+    assert proc.returncode == EXIT_DEGENERATE
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == {
+        "command": "eval",
+        "error": f"bad --out {path!r}: {cause}",
+        "tables_version": cli.TABLES_VERSION,
+    }
+
+
 def test_degenerate_parameters_exit_2():
     # beta1 = beta0 makes alpha + 1 = 0 in the first Racah factor
     code, report = run(
@@ -341,6 +365,8 @@ def test_usage_errors_name_the_cause():
           "--param", "beta0=1/0"], "bad --param 'beta0=1/0': '1/0' is not an exact rational"),
         (["eval", "--family", "racah", "--label", "1,x", "--point", "8/7,16/7"],
          "bad --label '1,x': 'x' is not an integer"),
+        (["eval", "--family", "racah", "--label", "1,1", "--point", "1/2"],
+         "bad --point '1/2': expected 2 comma-separated entries"),
         (["eval", "--family", "racah", "--label", "1,1", "--point", "8/7,16/7",
           "--param", "beta0=abc"], "bad --param 'beta0=abc': 'abc' is not an exact rational"),
         (["verify-ladder", "--family", "ch-tri"], "no printed ladder for family ch-tri"),

@@ -41,6 +41,19 @@ def tensor_poly(coeffs, lattices):
     return out
 
 
+def test_mpoly_equality_agrees_with_its_hash():
+    # equal polynomials hash equal, and a polynomial never equals a scalar,
+    # not even its own constant term, so a set keeps the two apart
+    three = MPoly.const(2, Fraction(3))
+    assert three == MPoly(2, {(0, 0): Fraction(3)})
+    assert hash(three) == hash(MPoly(2, {(0, 0): Fraction(3)}))
+    assert three != MPoly.const(3, Fraction(3))
+    for scalar in (3, Fraction(3), GaussianRational(3, 0)):
+        assert three != scalar and scalar != three
+    assert MPoly.zero(2) != 0 and 0 != MPoly.zero(2)
+    assert len({three, Fraction(3)}) == 2
+
+
 def test_f_basis_low_orders():
     assert f_basis_eval(0, B1, Fraction(5, 7)) == 1
     s = Fraction(5, 7)

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from quadlattice import families as fam
+from quadlattice import fbasis
 from quadlattice import latticeops as lo
 from quadlattice import pdeverify as pv
 from quadlattice import ttrr
@@ -806,6 +807,80 @@ def test_f_i3_two_derivation_routes_agree():
     via_x_then_y = pv.derived_coefficients(pv.derived_coefficients(base, "x"), "y")
     for i in range(8):
         assert (via_y_then_x.coeffs[i] - via_x_then_y.coeffs[i]).is_zero()
+
+
+def reference_derived(base, direction):
+    """The derived table by the printed x and y formulas, one block per
+    variable; "xy" is y, then x."""
+    if direction == "xy":
+        return reference_derived(reference_derived(base, "y"), "x")
+    var = 0 if direction == "x" else 1
+    lat = base.lattices[var]
+    (w0, w1), c0 = lat.shift_algebra()
+    u2 = w1 * MPoly.var(var, 2) + MPoly.const(2, w0)
+    eps = 2 * c0
+    f1, f2, f3, f4, f5, f6, f7, f8 = base.coeffs
+    D = lambda p: poly_D(p, var, lat)
+    S = lambda p: poly_S(p, var, lat)
+    if direction == "x":
+        g8 = f8 + D(f4)
+        g7 = S(f7) + eps * D(f7) + D(f5)
+        g6 = f6 + D(f2)
+        g5 = S(f5) + D(f7) * u2 + eps * S(f7)
+        g4 = eps * D(f4) + D(f3) + S(f4)
+        g3 = eps * S(f4) + S(f3) + D(f4) * u2
+        g2 = eps * D(f2) + D(f1) + S(f2)
+        g1 = eps * S(f2) + S(f1) + D(f2) * u2
+    else:
+        g8 = S(f8) + eps * D(f8) + D(f6)
+        g7 = f7 + D(f4)
+        g6 = D(f8) * u2 + eps * S(f8) + S(f6)
+        g5 = f5 + D(f3)
+        g4 = eps * D(f4) + D(f2) + S(f4)
+        g3 = eps * D(f3) + D(f1) + S(f3)
+        g2 = eps * S(f4) + S(f2) + D(f4) * u2
+        g1 = eps * S(f3) + S(f1) + D(f3) * u2
+    shift = poly_D(base.coeffs[6 + var], var, lat).coeff((0, 0))
+    lam = lambda label: base.eigenvalue(label) + shift
+    return pv.CoeffTable([g1, g2, g3, g4, g5, g6, g7, g8], lam, base.lattices)
+
+
+@pytest.mark.parametrize("draw", ["default", "bench"])
+@pytest.mark.parametrize("name", [fam.RACAH, fam.WILSON, fam.CDH, fam.CH])
+def test_derived_tables_match_the_printed_x_and_y_formulas(name, draw):
+    # value and type of every coefficient and of the eigenvalue, on the
+    # quadratic, Wilson square and linear lattices
+    params = None if draw == "default" else _bench_params(name, seed=len(name))
+    base = pv.coefficients(fam.FamilySpec(name, params=params))
+    for direction in ("x", "y", "xy"):
+        got = pv.derived_coefficients(base, direction)
+        expect = reference_derived(base, direction)
+        assert got.coeffs == expect.coeffs, direction
+        for gi, ei in zip(got.coeffs, expect.coeffs):
+            types = lambda fi: {e: type(c) for e, c in fi.coeffs.items()}
+            assert types(gi) == types(ei), direction
+        for label in [(0, 0), (2, 1), (3, 4)]:
+            lam, want = got.eigenvalue(label), expect.eigenvalue(label)
+            assert (lam, type(lam)) == (want, type(want)), (direction, label)
+
+
+def test_a_derivation_takes_one_shift_pair_per_coefficient(monkeypatch):
+    # at most one (S f, D f) per coefficient, and one for the eigenvalue
+    # shift, per variable of the direction
+    calls = []
+    original = fbasis.poly_shift_pair
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fbasis, "poly_shift_pair", counting)
+    monkeypatch.setattr(pv, "poly_shift_pair", counting)
+    base = pv.coefficients(fam.FamilySpec(fam.RACAH))
+    for direction, most in (("x", 9), ("y", 9), ("xy", 18)):
+        calls.clear()
+        pv.derived_coefficients(base, direction)
+        assert 0 < len(calls) <= most, direction
 
 
 # -- second-order equations --------------------------------------------------------
