@@ -22,10 +22,13 @@ Layers timed:
       directions x, y and xy, and ``GChain(spec, 4, leading)`` for the
       seven recurrence families with monic and family leading matrices,
       with the S_n / T_n memo cleared before every repeat (a chain would
-      otherwise time only memo hits after the first); the interpolation
-      oracle ``family_poly_vector(spec, 3)`` (n = 1 with ``--quick``) for
-      the same seven families, with the family caches cleared before every
-      repeat; and ``interpolate_on_grid`` of that oracle at degree 4
+      otherwise time only memo hits after the first); whole
+      ``generate(spec, 4, leading)`` calls (upto 2 with ``--quick``) for the
+      same fourteen pairs, from an empty memo too (ops: the recurrence
+      steps); the interpolation oracle ``family_poly_vector(spec, 3)``
+      (n = 1 with ``--quick``) for the same seven families, with the
+      family caches cleared before every repeat; and
+      ``interpolate_on_grid`` of that oracle at degree 4
       (1 with ``--quick``) on samples recorded outside the timed call, so
       that the oracle's interpolation reads apart from its sampling (ops:
       the interpolated polynomials); ``L2.interpolate.recover`` does the
@@ -261,10 +264,11 @@ def _recorded_recover_grid():
     return lattices, count, {point: sample(point) for point in grid}
 
 
-def _l2_entries(oracle_degree, interpolate_degree):
+def _l2_entries(oracle_degree, interpolate_degree, upto):
     """Default parameters throughout.  The table builds never touch the
-    family caches, a chain starts from an empty S_n / T_n memo, and the
-    oracle clears the family caches, so repeats time the same work."""
+    family caches, a chain and a ``generate`` call start from an empty
+    S_n / T_n memo, and the oracle clears the family caches, so repeats time
+    the same work."""
     out = {}
     for name in fam.ALL_FAMILIES:
         spec = fam.FamilySpec(name)
@@ -284,6 +288,12 @@ def _l2_entries(oracle_degree, interpolate_degree):
                 return ttrr.GChain(spec, 4, leading)
 
             out[f"L2.gchain.{name}.{leading}"] = (chain, 1)
+
+            def generate(spec=spec, leading=leading):
+                _clear_sn_tn_memo()
+                return ttrr.generate(spec, upto, leading)
+
+            out[f"L2.generate.{name}.{leading}"] = (generate, upto)
 
         def oracle(name=name):
             _clear_family_caches()
@@ -572,7 +582,7 @@ def main(argv=None):
 
     entries = dict(_l0_entries(size))
     entries.update(_l1_entries(points))
-    entries.update(_l2_entries(oracle_degree, interpolate_degree))
+    entries.update(_l2_entries(oracle_degree, interpolate_degree, upto))
     entries.update(_l3_entries(degree))
     entries.update(_l4_entries(upto))
     entries.update(_l5_entries(grid, points))

@@ -39,8 +39,6 @@ from .ttrr import (
     abc_matrices,
     connection,
     generate,
-    g_corrections,
-    g_primes,
     leading_matrix,
     sn_tn,
     sn_tn_derived,
@@ -81,8 +79,6 @@ __all__ = [
     "eval_family",
     "exact_inverse",
     "generate",
-    "g_corrections",
-    "g_primes",
     "lattice_value",
     "leading_matrix",
     "operator_matrices",

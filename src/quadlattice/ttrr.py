@@ -8,6 +8,11 @@ from the equation's S_n / T_n matrices:
     G'_{n,n-2} = (G_{n,n} T_n + G'_{n,n-1} S_{n-1}) Z_{n-2}^{-1}(lambda_n),
     Z_k(lambda_n) = (lambda_k - lambda_n) I.
 
+:class:`GChain` builds every block in one loop over the degree: the U
+matrices that turn working-basis blocks into monomial ones are built once
+per degree, U_{k-1,k-2} carried over from the step before.  A, B and C are
+one formula each, a term absent where its G block would lie below G_{k,0}.
+
 S_n and T_n come in two independent ways: the printed closed forms
 (:func:`sn_tn`), and a derivation that substitutes the tensor-basis expansion
 into the divided-difference equation and reads off the F_{n-1} / F_{n-2}
@@ -18,6 +23,7 @@ also what arbitrates typos in the long printed entries.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
 
 from .exactfield import GaussianRational, pochhammer
@@ -718,143 +724,117 @@ _ST_ENTRIES = {
 # G' and G matrices
 # ---------------------------------------------------------------------------
 
-def g_primes(gnn: ExactMatrix, table, st, n):
-    """G'_{n,n-1} and G'_{n,n-2} from the equation, given G'_{n,n} = gnn and
-    st = (S_n, T_n, S_{n-1}), where S_{n-1} is None for n < 2."""
-    lam = lambda k: table.eigenvalue((k,) + (0,) * (table.nvars - 1))
-    sn, tn, sn_prev = st
-    for ell in (n - 1, n - 2):
-        if ell >= 0 and lam(ell) == lam(n):
-            raise DegenerateParameterError(
-                f"eigenvalue collision lambda_{n} = lambda_{ell}"
-            )
-    g1 = (gnn * sn).scale(1 / (lam(n - 1) - lam(n)))
-    if n < 2:
-        return g1, None
-    g2 = (gnn * tn + g1 * sn_prev).scale(1 / (lam(n - 2) - lam(n)))
-    return g1, g2
-
-
-def g_corrections(gnn, gp1, gp2, spec: FamilySpec, n):
-    """Monomial-expansion G_{n,n-1} and G_{n,n-2} from the F-expansion ones."""
-    bases = working_bases(spec)
-    u1, u2 = u_matrices(n, *bases)
-    gn1 = gnn * u1 + gp1 if n >= 1 else None
-    gn2 = None
-    if n >= 2:
-        u1_prev = u_matrices(n - 1, *bases)[0]
-        gn2 = gnn * u2 + gp1 * u1_prev + gp2
-    return gn1, gn2
-
-
 class GChain:
-    """G_{k,k}, G_{k,k-1}, G_{k,k-2} for k = 0..top, for a chosen leading
-    sequence (identity for the monic family, or the family's own leading
-    matrices)."""
+    """G_{k,k}, G_{k,k-1}, G_{k,k-2} for k = 0..top and a leading sequence
+    (identity for the monic family, or the family's own leading matrices),
+    in one pass over k: the working-basis blocks G' from S_k / T_k, with
+    Z_l(lambda_k) = (lambda_l - lambda_k) I, then the monomial ones through
+    the U matrices of F_k = x^k + U_{k,k-1} x^{k-1} + U_{k,k-2} x^{k-2} + ...
+
+        G'_{k,k-1} = G_{k,k} S_k Z_{k-1}^{-1}(lambda_k),
+        G'_{k,k-2} = (G_{k,k} T_k + G'_{k,k-1} S_{k-1}) Z_{k-2}^{-1}(lambda_k),
+        G_{k,k-1} = G_{k,k} U_{k,k-1} + G'_{k,k-1},
+        G_{k,k-2} = G_{k,k} U_{k,k-2} + G'_{k,k-1} U_{k-1,k-2} + G'_{k,k-2}.
+    """
 
     def __init__(self, spec: FamilySpec, top, leading="monic"):
         if spec.family not in TTRR_FAMILIES:
             raise ValueError(f"no recurrence machinery for family {spec.family!r}")
         if leading not in ("monic", "family"):
             raise ValueError(f"leading must be 'monic' or 'family', not {leading!r}")
-        self.spec = spec
-        self.table = coefficients(spec)
-        self.top = top
-        self.gnn = []
+        self.table = table = coefficients(spec)
         self._inverses = {}
-        self.gn1 = [None] * (top + 1)
-        self.gn2 = [None] * (top + 1)
-        # (S_k, T_k) for k = 1..top
-        self.st = {k: sn_tn_derived(spec, k, table=self.table) for k in range(1, top + 1)}
+        self.st = {k: sn_tn_derived(spec, k, table=table) for k in range(1, top + 1)}
+        lam = [table.eigenvalue((k,) + (0,) * (table.nvars - 1)) for k in range(top + 1)]
+        bases = working_bases(spec)
+        self._blocks = blocks = {}  # (k, j) -> G_{k,j}
         for k in range(top + 1):
             if leading == "monic":
-                g = ExactMatrix.identity(k + 1)
+                gkk = blocks[k, k] = ExactMatrix.identity(k + 1)
             else:
-                g = leading_matrix(spec.family, spec.params, k)
-            self.gnn.append(g)
-            if k >= 1:
-                sn_prev = self.st[k - 1][0] if k >= 2 else None
-                gp1, gp2 = g_primes(g, self.table, self.st[k] + (sn_prev,), k)
-                self.gn1[k], self.gn2[k] = g_corrections(g, gp1, gp2, spec, k)
+                gkk = blocks[k, k] = leading_matrix(spec.family, spec.params, k)
+            for m in (k - 1, k - 2):
+                if m >= 0 and lam[m] == lam[k]:
+                    raise DegenerateParameterError(f"eigenvalue collision lambda_{k} = lambda_{m}")
+            if k == 0:
+                continue
+            sk, tk = self.st[k]
+            u1, u2 = u_matrices(k, *bases)
+            gp1 = (gkk * sk).scale(1 / (lam[k - 1] - lam[k]))
+            blocks[k, k - 1] = gkk * u1 + gp1
+            if k >= 2:
+                gp2 = (gkk * tk + gp1 * self.st[k - 1][0]).scale(1 / (lam[k - 2] - lam[k]))
+                blocks[k, k - 2] = gkk * u2 + gp1 * u_prev + gp2
+            u_prev = u1  # the next step's U_{k-1,k-2}
 
     def g(self, k, j):
-        if j == k:
-            return self.gnn[k]
-        if j == k - 1:
-            return self.gn1[k]
-        if j == k - 2:
-            return self.gn2[k]
-        raise ValueError("only G_{k,k}, G_{k,k-1}, G_{k,k-2} are tracked")
+        if (k, j) not in self._blocks:
+            raise ValueError(f"G_{{{k},{j}}} is not tracked: the chain holds j = k, k-1, k-2 >= 0")
+        return self._blocks[k, j]
 
     def inverse(self, k):
         """G_{k,k}^{-1}, inverted on first use."""
-        inv = self._inverses.get(k)
-        if inv is None:
-            inv = self._inverses[k] = exact_inverse(self.gnn[k])
-        return inv
+        if k not in self._inverses:
+            self._inverses[k] = exact_inverse(self._blocks[k, k])
+        return self._inverses[k]
+
+
+def _gl(chain, n, m, j):
+    """G_{n,m} L_{m,j}, zero when m < 0: no G block lies below G_{n,0}."""
+    if m < 0:
+        return ExactMatrix.zero(n + 1, m + 2)
+    return chain.g(n, m) * l_matrix(m, j)
 
 
 def abc_matrices(chain: GChain, n, j):
-    """A_{n,j}, B_{n,j}, C_{n,j} of the three-term recurrence."""
+    """A_{n,j}, B_{n,j}, C_{n,j} (None for n = 0), from the top blocks of x_j P_n:
+
+        A = G_{n,n} L_{n,j} G_{n+1,n+1}^{-1},
+        B = (G_{n,n-1} L_{n-1,j} - A G_{n+1,n}) G_{n,n}^{-1},
+        C = (G_{n,n-2} L_{n-2,j} - A G_{n+1,n-1} - B G_{n,n-1}) G_{n-1,n-1}^{-1}.
+    """
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
-    a = chain.g(n, n) * l_matrix(n, j) * chain.inverse(n + 1)
-    g00_inv = chain.inverse(0)
+    a = _gl(chain, n, n, j) * chain.inverse(n + 1)
+    b = (_gl(chain, n, n - 1, j) - a * chain.g(n + 1, n)) * chain.inverse(n)
     if n == 0:
-        b = (a * chain.g(1, 0)).scale(-1) * g00_inv
         return a, b, None
-    b = (chain.g(n, n - 1) * l_matrix(n - 1, j) - a * chain.g(n + 1, n)) * chain.inverse(n)
-    if n == 1:
-        c = ((a * chain.g(2, 0)).scale(-1) - b * chain.g(1, 0)) * g00_inv
-    else:
-        c = (
-            chain.g(n, n - 2) * l_matrix(n - 2, j)
-            - a * chain.g(n + 1, n - 1)
-            - b * chain.g(n, n - 1)
-        ) * chain.inverse(n - 1)
-    return a, b, c
+    c = _gl(chain, n, n - 2, j) - a * chain.g(n + 1, n - 1) - b * chain.g(n, n - 1)
+    return a, b, c * chain.inverse(n - 1)
 
 
-def _check_ranks(a1, a2, c1, c2, n):
-    if a1.rank() != n + 1 or a2.rank() != n + 1:
-        raise DegenerateParameterError(f"rank A_{n},j != {n + 1}")
-    if a1.vstack(a2).rank() != n + 2:
-        raise DegenerateParameterError(f"joint rank A_{n} != {n + 2}")
-    if c1 is not None:
-        if c1.rank() != n or c2.rank() != n:
-            raise DegenerateParameterError(f"rank C_{n},j != {n}")
-        if c1.hstack(c2).rank() != n + 1:
-            raise DegenerateParameterError(f"joint rank C_{n} != {n + 1}")
+def _check_ranks(a_j, c_j, n):
+    """Each A_{n,j} (r_n x r_{n+1}) and C_{n,j} (r_n x r_{n-1}) of full rank,
+    the A stacked of rank r_{n+1} and the C side by side of rank r_n."""
+    if any(a.rank() != a.rows for a in a_j):
+        raise DegenerateParameterError(f"rank A_{n},j != {a_j[0].rows}")
+    if reduce(ExactMatrix.vstack, a_j).rank() != a_j[0].cols:
+        raise DegenerateParameterError(f"joint rank A_{n} != {a_j[0].cols}")
+    if n >= 1 and any(c.rank() != c.cols for c in c_j):
+        raise DegenerateParameterError(f"rank C_{n},j != {c_j[0].cols}")
+    if n >= 1 and reduce(ExactMatrix.hstack, c_j).rank() != c_j[0].rows:
+        raise DegenerateParameterError(f"joint rank C_{n} != {c_j[0].rows}")
 
 
 def generate(spec: FamilySpec, upto, leading="monic"):
-    """Polynomial vectors P_0..P_upto generated from the recurrences.
-
-    Each step solves the stacked joint system
-    [A_{n,1}; A_{n,2}] P_{n+1} = [x P_n - B_{n,1} P_n - C_{n,1} P_{n-1}; ...]
-    exactly; any inconsistency is an error, not a least-squares compromise.
-    """
+    """Polynomial vectors P_0..P_upto generated from the recurrences: each
+    step solves A_{n,j} P_{n+1} = x_j P_n - B_{n,j} P_n - C_{n,j} P_{n-1}, the
+    variables' systems stacked, exactly; any inconsistency is an error, not a
+    least-squares compromise."""
     chain = GChain(spec, upto, leading=leading)
-    xvar = MPoly.var(0, 2)
-    yvar = MPoly.var(1, 2)
-    vectors = [PolyVector(0, [MPoly.const(2, Fraction(1))])]
-    prev = None
+    nvars = spec.nvars
+    vectors = [PolyVector(0, [MPoly.const(nvars, Fraction(1))])]
     for n in range(upto):
-        a1, b1, c1 = abc_matrices(chain, n, 1)
-        a2, b2, c2 = abc_matrices(chain, n, 2)
-        _check_ranks(a1, a2, c1, c2, n)
+        a_j, b_j, c_j = zip(*(abc_matrices(chain, n, j) for j in range(1, nvars + 1)))
+        _check_ranks(a_j, c_j, n)
         pn = vectors[n].entries
-        rhs1 = [xvar * p for p in pn]
-        rhs2 = [yvar * p for p in pn]
-        rhs1 = [r - s for r, s in zip(rhs1, b1.apply_rows(pn))]
-        rhs2 = [r - s for r, s in zip(rhs2, b2.apply_rows(pn))]
-        if n >= 1:
-            rhs1 = [r - s for r, s in zip(rhs1, c1.apply_rows(prev))]
-            rhs2 = [r - s for r, s in zip(rhs2, c2.apply_rows(prev))]
-        stacked = a1.vstack(a2)
-        solution = solve_stacked(stacked, rhs1 + rhs2)
-        prev = pn
-        vectors.append(PolyVector(n + 1, solution))
+        rhs = []
+        for var, (b, c) in enumerate(zip(b_j, c_j)):
+            part = [MPoly.var(var, nvars) * p - s for p, s in zip(pn, b.apply_rows(pn))]
+            if c is not None:
+                part = [r - s for r, s in zip(part, c.apply_rows(vectors[n - 1].entries))]
+            rhs += part
+        vectors.append(PolyVector(n + 1, solve_stacked(reduce(ExactMatrix.vstack, a_j), rhs)))
     return vectors
 
 

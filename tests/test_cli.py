@@ -367,6 +367,12 @@ def test_usage_errors_name_the_cause():
          "bad --label '1,x': 'x' is not an integer"),
         (["eval", "--family", "racah", "--label", "1,1", "--point", "1/2"],
          "bad --point '1/2': expected 2 comma-separated entries"),
+        (["eval", "--family", "cdh", "--label", "1,,1", "--point", "1/2,1/3"],
+         "bad --label '1,,1': '' is not an integer"),
+        (["eval", "--family", "cdh", "--label", "1,1,", "--point", "1/2,1/3"],
+         "bad --label '1,1,': '' is not an integer"),
+        (["eval", "--family", "cdh", "--label", "1,1", "--point", "1/2,,1/3"],
+         "bad --point '1/2,,1/3': expected 2 comma-separated entries"),
         (["eval", "--family", "racah", "--label", "1,1", "--point", "8/7,16/7",
           "--param", "beta0=abc"], "bad --param 'beta0=abc': 'abc' is not an exact rational"),
         (["verify-ladder", "--family", "ch-tri"], "no printed ladder for family ch-tri"),
@@ -396,12 +402,32 @@ def test_recovered_table_diff_exits_3(monkeypatch):
 
 
 def test_connection_round_trip_failure_exits_3(monkeypatch):
-    # a "connection" that returns its first argument: C Cbar = G Gbar != I
+    # a "connection" that returns its first argument: P_n != G Pbar_n
     monkeypatch.setattr(ttrr, "connection", lambda g, gbar: g)
     code, report = run(["connect", "--family", "ch", "--n", "2"])
     assert code == EXIT_MISMATCH
     params = families.FamilySpec(families.CH).params
     assert report["connection"] == ttrr.leading_matrix(families.CH, params, 2).to_json()
+
+
+def test_connect_proves_p_equals_c_pbar_at_its_n(monkeypatch):
+    # a +1/1000 slip in racah-bar's G_{2,2}: C Cbar = I still holds, but
+    # P_2 = C Pbar_2 fails on the interpolated members; n = 1 is not checked
+    printed = ttrr.leading_matrix
+
+    def slip(family, params, n):
+        g = printed(family, params, n)
+        if (family, n) == (families.RACAH_BAR, 2):
+            g[2, 0] = g[2, 0] + Fraction(1, 1000)
+        return g
+
+    monkeypatch.setattr(ttrr, "leading_matrix", slip)
+    code, report = run(["connect", "--family", "racah", "--n", "2"])
+    assert code == EXIT_MISMATCH
+    params = families.FamilySpec(families.RACAH).params
+    c = ttrr.connection(slip(families.RACAH, params, 2), slip(families.RACAH_BAR, params, 2))
+    assert report["connection"] == c.to_json()
+    assert run(["connect", "--family", "racah", "--n", "1"])[0] == EXIT_OK
 
 
 @pytest.mark.parametrize("error", [AssertionError, ArithmeticError])

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from quadlattice import families as fam
 from quadlattice import pdeverify, ttrr
 from quadlattice.exactfield import GaussianRational
-from quadlattice.fbasis import MPoly, h_closed_1
+from quadlattice.fbasis import MPoly, h_closed_1, u_matrices
 from quadlattice.matrix import ExactMatrix, exact_inverse, solve_stacked
 from quadlattice.pdeverify import coefficients
 
@@ -187,20 +188,14 @@ def test_racah_s11_at_n1_matches_printed_formula():
 
 # -- G' and G chains ------------------------------------------------------------------
 
-def _st(spec, n):
-    # (S_n, T_n, S_{n-1}) as GChain passes them to g_primes
-    sn, tn = ttrr.sn_tn_derived(spec, n)
-    return sn, tn, ttrr.sn_tn_derived(spec, n - 1)[0] if n >= 2 else None
-
-
 def test_g_primes_n1_and_z_scalar():
+    # the monic chain's G_{1,0} is U_{1,0} plus G'_{1,0} = S_1 / (lambda_0 - lambda_1)
     spec = fam.FamilySpec(fam.RACAH)
     table = coefficients(spec)
     lam = lambda k: table.eigenvalue((k, 0))
     s1 = ttrr.sn_tn_derived(spec, 1)[0]
-    g1, g2 = ttrr.g_primes(ExactMatrix.identity(2), table, _st(spec, 1), 1)
-    assert g2 is None
-    assert g1 == s1.scale(1 / (lam(0) - lam(1)))
+    u10 = u_matrices(1, *ttrr.working_bases(spec))[0]
+    assert ttrr.GChain(spec, 1).g(1, 0) - u10 == s1.scale(1 / (lam(0) - lam(1)))
     # Z_2(lambda_0) for the default Racah parameters is (53/5) I_3
     assert lam(2) - lam(0) == Fraction(53, 5)
 
@@ -218,26 +213,158 @@ def test_eigenvalue_collision_rejected():
 def test_g_corrections_use_u_matrices():
     spec = fam.FamilySpec(fam.RACAH)
     table = coefficients(spec)
-    gnn = ExactMatrix.identity(3)
-    gp1, gp2 = ttrr.g_primes(gnn, table, _st(spec, 2), 2)
-    gn1, gn2 = ttrr.g_corrections(gnn, gp1, gp2, spec, 2)
+    lam = lambda k: table.eigenvalue((k, 0))
+    chain = ttrr.GChain(spec, 2)
+    gp1 = ttrr.sn_tn_derived(spec, 2)[0].scale(1 / (lam(1) - lam(2)))  # G'_{2,1}
     # top-left of U_{2,1} is H^(1)_{2,1}
     b1 = spec.params["beta1"]
-    assert gn1.data[0][0] - gp1.data[0][0] == h_closed_1(2, b1)
-    # n = 1 has no G_{n,n-2} path
-    gp1_only, _ = ttrr.g_primes(ExactMatrix.identity(2), table, _st(spec, 1), 1)
-    gn1_only, gn2_only = ttrr.g_corrections(ExactMatrix.identity(2), gp1_only, None, spec, 1)
-    assert gn2_only is None
+    assert chain.g(2, 1).data[0][0] - gp1.data[0][0] == h_closed_1(2, b1)
+    # n = 1 has no G_{n,n-2}
+    with pytest.raises(ValueError, match="not tracked"):
+        chain.g(1, -1)
 
 
 def test_wilson_chain_has_no_u_corrections():
     # monomial working basis: U matrices vanish, so G == G'
     spec = fam.FamilySpec(fam.WILSON)
     table = coefficients(spec)
-    gnn = ExactMatrix.identity(3)
-    gp1, gp2 = ttrr.g_primes(gnn, table, _st(spec, 2), 2)
-    gn1, gn2 = ttrr.g_corrections(gnn, gp1, gp2, spec, 2)
-    assert gn1 == gp1 and gn2 == gp2
+    lam = lambda k: table.eigenvalue((k, 0))
+    s1 = ttrr.sn_tn_derived(spec, 1)[0]
+    s2, t2 = ttrr.sn_tn_derived(spec, 2)
+    gp1 = s2.scale(1 / (lam(1) - lam(2)))
+    gp2 = (t2 + gp1 * s1).scale(1 / (lam(0) - lam(2)))
+    chain = ttrr.GChain(spec, 2)
+    assert chain.g(2, 1) == gp1 and chain.g(2, 0) == gp2
+
+
+def test_a_chain_builds_u_once_per_degree(monkeypatch):
+    # U_{k,k-1} carries over as the next degree's U_{k-1,k-2}
+    calls = _counted(monkeypatch, ttrr, "u_matrices")
+    for top in range(6):
+        calls.clear()
+        ttrr.GChain(fam.FamilySpec(fam.RACAH), top, "family")
+        assert [args[0] for args in calls] == list(range(1, top + 1))
+
+
+def test_g_outside_the_chain_raises():
+    chain = ttrr.GChain(fam.FamilySpec(fam.CDH), 2)
+    for k, j in ((0, -1), (1, -1), (2, -1), (2, 3), (3, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"G_{{{k},{j}}} is not tracked")):
+            chain.g(k, j)
+
+
+# the chain and the recurrence as they were first written, G' and U
+# corrections in separate steps and A/B/C with their n = 0, 1 cases copied
+# out: the reference for the one-loop chain
+
+def reference_g_primes(gnn, table, st, n):
+    """G'_{n,n-1} and G'_{n,n-2} from the equation, given G'_{n,n} = gnn and
+    st = (S_n, T_n, S_{n-1}), where S_{n-1} is None for n < 2."""
+    lam = lambda k: table.eigenvalue((k,) + (0,) * (table.nvars - 1))
+    sn, tn, sn_prev = st
+    for ell in (n - 1, n - 2):
+        if ell >= 0 and lam(ell) == lam(n):
+            raise fam.DegenerateParameterError(f"eigenvalue collision lambda_{n} = lambda_{ell}")
+    g1 = (gnn * sn).scale(1 / (lam(n - 1) - lam(n)))
+    if n < 2:
+        return g1, None
+    g2 = (gnn * tn + g1 * sn_prev).scale(1 / (lam(n - 2) - lam(n)))
+    return g1, g2
+
+
+def reference_g_corrections(gnn, gp1, gp2, spec, n):
+    """Monomial-expansion G_{n,n-1} and G_{n,n-2} from the F-expansion ones."""
+    bases = ttrr.working_bases(spec)
+    u1, u2 = u_matrices(n, *bases)
+    gn1 = gnn * u1 + gp1 if n >= 1 else None
+    gn2 = None
+    if n >= 2:
+        u1_prev = u_matrices(n - 1, *bases)[0]
+        gn2 = gnn * u2 + gp1 * u1_prev + gp2
+    return gn1, gn2
+
+
+def reference_chain(spec, top, leading):
+    """{(k, j): G_{k,j}} built degree by degree from the two steps above."""
+    table = coefficients(spec)
+    blocks = {}
+    for k in range(top + 1):
+        if leading == "monic":
+            g = ExactMatrix.identity(k + 1)
+        else:
+            g = ttrr.leading_matrix(spec.family, spec.params, k)
+        blocks[k, k] = g
+        if k >= 1:
+            sn_prev = ttrr.sn_tn_derived(spec, k - 1, table)[0] if k >= 2 else None
+            st = ttrr.sn_tn_derived(spec, k, table) + (sn_prev,)
+            gp1, gp2 = reference_g_primes(g, table, st, k)
+            blocks[k, k - 1], gn2 = reference_g_corrections(g, gp1, gp2, spec, k)
+            if gn2 is not None:
+                blocks[k, k - 2] = gn2
+    return blocks
+
+
+def reference_abc(blocks, n, j):
+    """A_{n,j}, B_{n,j}, C_{n,j} with the n = 0 and n = 1 cases written out."""
+    g = lambda k, m: blocks[k, m]
+    inv = lambda k: exact_inverse(blocks[k, k])
+    a = g(n, n) * ttrr.l_matrix(n, j) * inv(n + 1)
+    if n == 0:
+        b = (a * g(1, 0)).scale(-1) * inv(0)
+        return a, b, None
+    b = (g(n, n - 1) * ttrr.l_matrix(n - 1, j) - a * g(n + 1, n)) * inv(n)
+    if n == 1:
+        c = ((a * g(2, 0)).scale(-1) - b * g(1, 0)) * inv(0)
+    else:
+        c = (
+            g(n, n - 2) * ttrr.l_matrix(n - 2, j)
+            - a * g(n + 1, n - 1)
+            - b * g(n, n - 1)
+        ) * inv(n - 1)
+    return a, b, c
+
+
+def _perfbench_draw(seed):
+    """{owner family: params} as perfbench draws them: each default plus
+    k/p, one prime p >= 13 per parameter position, owners in sorted order."""
+    rng = random.Random(seed)
+    draws = {}
+    for owner in sorted({fam.base_family(f) for f in fam.ALL_FAMILIES}):
+        defaults = fam.DEFAULT_PARAMS[owner]
+        draws[owner] = {
+            name: defaults[name] + Fraction(rng.randint(1, p - 1), p)
+            for name, p in zip(fam.PARAM_NAMES[owner], (13, 17, 19, 23, 29, 31))
+        }
+    return draws
+
+
+def _typed(m):
+    """A matrix's entries with their types, None left as it is."""
+    return m if m is None else [[(x, type(x)) for x in row] for row in m.data]
+
+
+@pytest.mark.parametrize("draw", ["default", 1, 5])
+@pytest.mark.parametrize("name", ttrr.TTRR_FAMILIES)
+def test_one_loop_chain_matches_the_reference(name, draw):
+    # every tracked G block and every A/B/C, in value and in entry type
+    params = None if draw == "default" else _perfbench_draw(draw)[fam.base_family(name)]
+    spec = fam.FamilySpec(name, params=params)
+    top = 5
+    for leading in ("monic", "family"):
+        chain = ttrr.GChain(spec, top, leading)
+        blocks = reference_chain(spec, top, leading)
+        for k in range(top + 1):
+            for j in range(k - 3, k + 1):
+                if (k, j) in blocks:
+                    assert _typed(chain.g(k, j)) == _typed(blocks[k, j]), (leading, k, j)
+                else:
+                    with pytest.raises(ValueError):
+                        chain.g(k, j)
+        for n in range(top):
+            for j in (1, 2):
+                got = ttrr.abc_matrices(chain, n, j)
+                want = reference_abc(blocks, n, j)
+                assert [_typed(m) for m in got] == [_typed(m) for m in want], (leading, n, j)
 
 
 # -- A/B/C matrices and generation ------------------------------------------------------
