@@ -25,7 +25,11 @@ Layers timed:
       otherwise time only memo hits after the first); whole
       ``generate(spec, 4, leading)`` calls (upto 2 with ``--quick``) for the
       same fourteen pairs, from an empty memo too (ops: the recurrence
-      steps); the interpolation oracle ``family_poly_vector(spec, 3)``
+      steps); one S_n / T_n derivation, ``_phi_blocks`` of the printed
+      table at degree 4 (2 with ``--quick``) on the family's working bases,
+      past the memo, for the same seven families and for ch-tri on its
+      monomial bases (ops: the tensor-basis entries the table acts on); the
+      interpolation oracle ``family_poly_vector(spec, 3)``
       (n = 1 with ``--quick``) for the same seven families, with the
       family caches cleared before every repeat; and
       ``interpolate_on_grid`` of that oracle at degree 4
@@ -264,7 +268,7 @@ def _recorded_recover_grid():
     return lattices, count, {point: sample(point) for point in grid}
 
 
-def _l2_entries(oracle_degree, interpolate_degree, upto):
+def _l2_entries(oracle_degree, interpolate_degree, upto, phi_degree):
     """Default parameters throughout.  The table builds never touch the
     family caches, a chain and a ``generate`` call start from an empty
     S_n / T_n memo, and the oracle clears the family caches, so repeats time
@@ -306,6 +310,13 @@ def _l2_entries(oracle_degree, interpolate_degree, upto):
                 lattices, interpolate_degree + 2, samples.__getitem__
             ),
             interpolate_degree + 1,
+        )
+    for name in ttrr.TTRR_FAMILIES + (fam.CH_TRI,):
+        spec = fam.FamilySpec(name)
+        table, bases = pdeverify.coefficients(spec), ttrr.working_bases(spec)
+        out[f"L2.phi_blocks.{name}"] = (
+            lambda table=table, bases=bases: ttrr._phi_blocks(table, phi_degree, bases),
+            len(fbasis.graded(phi_degree, spec.nvars)),
         )
     lattices, count, samples = _recorded_recover_grid()
     out["L2.interpolate.recover"] = (
@@ -579,10 +590,11 @@ def main(argv=None):
     repeats, size, points, degree, oracle_degree, interpolate_degree, upto, grid, form_degree = (
         (3, 200, 4, 0, 1, 1, 2, 2, 0) if args.quick else (25, 2000, 40, 2, 3, 4, 4, 3, 1)
     )
+    phi_degree = 2 if args.quick else 4
 
     entries = dict(_l0_entries(size))
     entries.update(_l1_entries(points))
-    entries.update(_l2_entries(oracle_degree, interpolate_degree, upto))
+    entries.update(_l2_entries(oracle_degree, interpolate_degree, upto, phi_degree))
     entries.update(_l3_entries(degree))
     entries.update(_l4_entries(upto))
     entries.update(_l5_entries(grid, points))

@@ -263,7 +263,7 @@ def _run(args):
             "n": n,
             "leading": leading,
             "entry_indexing": "1-based s_{k,k} lives at 0-based data[k-1][k-1]",
-            "lambda_n": field_str(chain.table.eigenvalue((n,) + (0,) * (spec.nvars - 1))),
+            "lambda_n": field_str(chain.lam[n]),
             "Gnn": chain.g(n, n).to_json(),
         }
         for j in range(1, spec.nvars + 1):

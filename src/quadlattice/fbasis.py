@@ -221,6 +221,22 @@ def basis_poly(lattice: LatticeSpec, n, index=0, nvars=1) -> MPoly:
     return basis_polys(lattice, n, index, nvars)[-1]
 
 
+def graded(n, nvars):
+    """The slots of degree n: the exponents e of total degree n in ``nvars``
+    variables, the first variable's falling (for two, slot k is (n - k, k)).
+    Slot k of a degree-n vector holds the label e and the member led by x^e."""
+    if nvars == 1:
+        return [(n,)] if n >= 0 else []
+    return [(a,) + rest for a in range(n, -1, -1) for rest in graded(n - a, nvars - 1)]
+
+
+def tensor_basis(lattices, n):
+    """The tensor-basis entries F_{e_1}(x_1) ... F_{e_p}(x_p) of the
+    lattices, one per variable, at the slots e of degree n."""
+    polys = [basis_polys(lattice, n, v, len(lattices)) for v, lattice in enumerate(lattices)]
+    return [prod((basis[d] for basis, d in zip(polys, e)), start=1) for e in graded(n, len(polys))]
+
+
 def monomial_to_nodes(coeffs, lattice: LatticeSpec):
     """Univariate monomial coefficients (index = degree) to coefficients on
     the lattice's basis, by repeated synthetic division."""
@@ -320,11 +336,13 @@ class OperatorMatrices:
         }
 
 
-def l_matrix(n, j):
-    """Selection matrices: L_{n,1} = [I | 0], L_{n,2} = [0 | I]."""
-    out = ExactMatrix.zero(n + 1, n + 2)
-    for k in range(n + 1):
-        out[k, k + (j - 1)] = Fraction(1)
+def l_matrix(n, j, nvars):
+    """L_{n,j}: x_j acting on the slots, x_j x^e = x^(e + unit_j) for the
+    slot e of degree n; for two variables [I | 0] and [0 | I]."""
+    rows, columns = graded(n, nvars), graded(n + 1, nvars)
+    out = ExactMatrix.zero(len(rows), len(columns))
+    for k, e in enumerate(rows):
+        out[k, columns.index(e[:j - 1] + (e[j - 1] + 1,) + e[j:])] = Fraction(1)
     return out
 
 
@@ -347,7 +365,7 @@ def operator_matrices(n, beta1, beta2) -> OperatorMatrices:
     m2 = ExactMatrix.diagonal(
         [structure_scalars(k, beta2)[0] for k in range(n + 1)]
     )
-    return OperatorMatrices(n, e1, e2, j1, j2, l_matrix(n, 1), l_matrix(n, 2), m1, m2)
+    return OperatorMatrices(n, e1, e2, j1, j2, l_matrix(n, 1, 2), l_matrix(n, 2, 2), m1, m2)
 
 
 # printed closed forms for the top expansion coefficients of F_n
@@ -371,25 +389,15 @@ def h_closed_2(n, beta):
     )
 
 
-def u_matrices(n, lattice_x: LatticeSpec, lattice_y: LatticeSpec):
-    """U_{n,n-1} and U_{n,n-2} of the expansion F_n = x^n + U x^{n-1} + ...
-
-    Built directly from the product expansions of the tensor basis entries,
-    so they stay correct on every lattice in play.
-    """
-    xpolys = basis_polys(lattice_x, n)
-    ypolys = basis_polys(lattice_y, n)
-    u1 = ExactMatrix.zero(n + 1, max(n, 0))
-    u2 = ExactMatrix.zero(n + 1, max(n - 1, 0))
-    for k in range(n + 1):
-        px = xpolys[n - k]
-        py = ypolys[k]
-        for c in range(n):
-            # coefficient of x^(n-1-c) y^c
-            u1[k, c] = px.coeff((n - 1 - c,)) * py.coeff((c,))
-        for c in range(max(n - 1, 0)):
-            u2[k, c] = px.coeff((n - 2 - c,)) * py.coeff((c,))
-    return u1, u2
+def u_matrices(n, *lattices):
+    """U_{n,n-1} and U_{n,n-2} of F_n = x^n + U_{n,n-1} x^{n-1} + U_{n,n-2} x^{n-2} + ...:
+    row k holds the coefficients of the tensor-basis entry at slot k of degree
+    n at the slots of degree n - 1 and n - 2, on every lattice in play."""
+    entries = tensor_basis(lattices, n)
+    return tuple(
+        ExactMatrix([[p.coeff(e) for e in graded(d, len(lattices))] for p in entries])
+        for d in (n - 1, n - 2)
+    )
 
 
 # ---------------------------------------------------------------------------

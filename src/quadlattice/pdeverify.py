@@ -41,7 +41,7 @@ from .families import (
     check_point,
     family_function,
 )
-from .fbasis import MPoly, interpolate_on_grid, poly_shift_pair
+from .fbasis import MPoly, graded, interpolate_on_grid, poly_shift_pair
 from .latticeops import (
     SingularPointError,
     grid_axes,
@@ -1272,12 +1272,7 @@ def sweep(spec: FamilySpec, max_total_degree, points, check):
     Yields (label, points checked, witness), where the witness is the first
     (point, nonzero value), or None when every point checked zero.
     """
-    labels = [
-        l
-        for l in product(range(max_total_degree + 1), repeat=spec.nvars)
-        if sum(l) <= max_total_degree
-    ]
-    for label in sorted(labels, key=lambda l: (sum(l), l)):
+    for label in (l for n in range(max_total_degree + 1) for l in reversed(graded(n, spec.nvars))):
         checked = 0
         witness = None
         for point in points(label):

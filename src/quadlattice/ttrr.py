@@ -1,4 +1,6 @@
-"""Three-term-recurrence machinery for the bivariate families.
+"""Three-term-recurrence machinery in any number of variables: each degree-n
+vector, block and label reads its slots from :func:`fbasis.graded`; only the
+printed closed forms (:func:`sn_tn`, :func:`leading_matrix`) are bivariate.
 
 The vector recurrence  x_j P_n = A_{n,j} P_{n+1} + B_{n,j} P_n + C_{n,j} P_{n-1}
 is driven by the expansion matrices G_{n,n-1}, G_{n,n-2}, themselves produced
@@ -44,9 +46,10 @@ from .families import (
 from .fbasis import (
     MONOMIAL,
     MPoly,
-    basis_poly,
+    graded,
     interpolate_on_grid,
     l_matrix,
+    tensor_basis,
     to_basis,
     u_matrices,
 )
@@ -59,15 +62,15 @@ TTRR_FAMILIES = (RACAH, RACAH_BAR, WILSON, WILSON_BAR, CDH, CH, CH_BAR)
 
 
 class PolyVector:
-    """Column vector of same-total-degree polynomials in graded
-    lexicographic order (entry k carries the x^(n-k) y^k leading slot)."""
+    """Column vector of same-total-degree polynomials, entry k at slot k of
+    :func:`fbasis.graded`."""
 
     __slots__ = ("degree", "entries")
 
     def __init__(self, degree, entries):
         self.degree = degree
         self.entries = list(entries)
-        if len(self.entries) != degree + 1:
+        if len(self.entries) != len(graded(degree, self.entries[0].nvars if self.entries else 1)):
             raise ValueError("polynomial vector has wrong length")
 
     def __iter__(self):
@@ -91,34 +94,23 @@ def working_bases(spec: FamilySpec):
     """
     if base_family(spec.family) == RACAH:
         return spec.lattices()
-    return (MONOMIAL, MONOMIAL)
-
-
-def _tensor_entry(bases, degree, k):
-    px = basis_poly(bases[0], degree - k, index=0, nvars=2)
-    py = basis_poly(bases[1], k, index=1, nvars=2)
-    return px * py
+    return (MONOMIAL,) * spec.nvars
 
 
 def _phi_blocks(table, degree, bases):
     """Rows of (sum f_i E_i) F_degree in the tensor basis, split into the
-    diagonal, first and second subdiagonal blocks."""
-    diag = ExactMatrix.zero(degree + 1, degree + 1)
-    sub1 = ExactMatrix.zero(degree + 1, max(degree, 0))
-    sub2 = ExactMatrix.zero(degree + 1, max(degree - 1, 0))
-    for k in range(degree + 1):
-        image = table_action(table, _tensor_entry(bases, degree, k))
-        for (i, j), c in to_basis(image, bases).items():
-            d = i + j
-            if d == degree:
-                diag[k, j] = c
-            elif d == degree - 1:
-                sub1[k, j] = c
-            elif d == degree - 2:
-                sub2[k, j] = c
-            elif d > degree:
+    diagonal, first and second subdiagonal blocks: the columns of each are
+    the slots of degree, degree - 1 and degree - 2."""
+    slots = [graded(d, len(bases)) for d in (degree, degree - 1, degree - 2)]
+    blocks = [ExactMatrix.zero(len(slots[0]), len(cols)) for cols in slots]
+    for k, entry in enumerate(tensor_basis(bases, degree)):
+        for exps, c in to_basis(table_action(table, entry), bases).items():
+            drop = degree - sum(exps)
+            if drop < 0:
                 raise AssertionError("operator action raised the total degree")
-    return diag, sub1, sub2
+            if drop <= 2:
+                blocks[drop][k, slots[drop].index(exps)] = c
+    return blocks
 
 
 # (family, working bases, table coefficients, table lattices, lambda_n, n)
@@ -139,14 +131,14 @@ def sn_tn_derived(spec: FamilySpec, n, table=None):
         raise ValueError(f"no recurrence machinery for family {spec.family!r}")
     if table is None:
         table = coefficients(spec)
-    lam_n = table.eigenvalue((n, 0))
+    lam_n = table.eigenvalue(graded(n, table.nvars)[0])
     bases = working_bases(spec)
     key = (spec.family, bases, table.coeffs, table.lattices, lam_n, n)
     st = _SN_TN_MEMO.get(key)
     if st is None:
         diag, sub1, sub2 = _phi_blocks(table, n, bases)
         # the diagonal block must cancel the eigenvalue exactly
-        expect = ExactMatrix.identity(n + 1).scale(-lam_n)
+        expect = ExactMatrix.identity(diag.rows).scale(-lam_n)
         if diag != expect:
             raise AssertionError(
                 f"degree-{n} block of the equation is not -lambda_n I for {spec.family}"
@@ -735,6 +727,8 @@ class GChain:
         G'_{k,k-2} = (G_{k,k} T_k + G'_{k,k-1} S_{k-1}) Z_{k-2}^{-1}(lambda_k),
         G_{k,k-1} = G_{k,k} U_{k,k-1} + G'_{k,k-1},
         G_{k,k-2} = G_{k,k} U_{k,k-2} + G'_{k,k-1} U_{k-1,k-2} + G'_{k,k-2}.
+
+    ``lam`` holds lambda_0..lambda_top, each read at the first slot of its degree.
     """
 
     def __init__(self, spec: FamilySpec, top, leading="monic"):
@@ -745,12 +739,12 @@ class GChain:
         self.table = table = coefficients(spec)
         self._inverses = {}
         self.st = {k: sn_tn_derived(spec, k, table=table) for k in range(1, top + 1)}
-        lam = [table.eigenvalue((k,) + (0,) * (table.nvars - 1)) for k in range(top + 1)]
+        self.lam = lam = [table.eigenvalue(graded(k, table.nvars)[0]) for k in range(top + 1)]
         bases = working_bases(spec)
         self._blocks = blocks = {}  # (k, j) -> G_{k,j}
         for k in range(top + 1):
             if leading == "monic":
-                gkk = blocks[k, k] = ExactMatrix.identity(k + 1)
+                gkk = blocks[k, k] = ExactMatrix.identity(len(graded(k, table.nvars)))
             else:
                 gkk = blocks[k, k] = leading_matrix(spec.family, spec.params, k)
             for m in (k - 1, k - 2):
@@ -775,15 +769,16 @@ class GChain:
     def inverse(self, k):
         """G_{k,k}^{-1}, inverted on first use."""
         if k not in self._inverses:
-            self._inverses[k] = exact_inverse(self._blocks[k, k])
+            self._inverses[k] = exact_inverse(self.g(k, k))
         return self._inverses[k]
 
 
 def _gl(chain, n, m, j):
     """G_{n,m} L_{m,j}, zero when m < 0: no G block lies below G_{n,0}."""
+    nvars = chain.table.nvars
     if m < 0:
-        return ExactMatrix.zero(n + 1, m + 2)
-    return chain.g(n, m) * l_matrix(m, j)
+        return ExactMatrix.zero(len(graded(n, nvars)), len(graded(m + 1, nvars)))
+    return chain.g(n, m) * l_matrix(m, j, nvars)
 
 
 def abc_matrices(chain: GChain, n, j):
@@ -793,8 +788,8 @@ def abc_matrices(chain: GChain, n, j):
         B = (G_{n,n-1} L_{n-1,j} - A G_{n+1,n}) G_{n,n}^{-1},
         C = (G_{n,n-2} L_{n-2,j} - A G_{n+1,n-1} - B G_{n,n-1}) G_{n-1,n-1}^{-1}.
     """
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
+    if not 1 <= j <= chain.table.nvars:
+        raise ValueError(f"j must be 1..{chain.table.nvars}")
     a = _gl(chain, n, n, j) * chain.inverse(n + 1)
     b = (_gl(chain, n, n - 1, j) - a * chain.g(n + 1, n)) * chain.inverse(n)
     if n == 0:
@@ -933,7 +928,7 @@ def family_poly_vector(spec: FamilySpec, n) -> PolyVector:
     """The family's degree-n vector interpolated into exact polynomials in
     the lattice variables (the oracle side of every TTRR comparison), on
     one node per axis more than degree n needs."""
-    members = [family_function(spec, (n - k, k)) for k in range(n + 1)]
+    members = [family_function(spec, label) for label in graded(n, spec.nvars)]
     entries = interpolate_on_grid(
         spec.lattices(), n + 2, lambda point: [member(point) for member in members]
     )
@@ -944,12 +939,8 @@ def family_poly_vector(spec: FamilySpec, n) -> PolyVector:
 
 def leading_matrix_oracle(spec: FamilySpec, n) -> ExactMatrix:
     """Leading block of the interpolated family vector."""
-    vec = family_poly_vector(spec, n)
-    out = ExactMatrix.zero(n + 1, n + 1)
-    for k, poly in enumerate(vec.entries):
-        for c in range(n + 1):
-            out[k, c] = poly.coeff((n - c, c))
-    return out
+    slots = graded(n, spec.nvars)
+    return ExactMatrix([[poly.coeff(e) for e in slots] for poly in family_poly_vector(spec, n)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import comb, prod
 
 import pytest
 
@@ -13,10 +14,12 @@ from quadlattice.fbasis import (
     MONOMIAL,
     MPoly,
     basis_poly,
+    graded,
     h_closed_1,
     h_closed_2,
     interpolate_bivariate,
     interpolate_univariate,
+    l_matrix,
     operator_matrices,
     structure_scalars,
     to_basis,
@@ -236,6 +239,54 @@ def test_u_matrix_band_structure():
             elif c == k - 2:
                 expect = h_closed_2(k, B2)
             assert u2.data[k][c] == expect
+
+
+# -- the slot rule -------------------------------------------------------------------
+
+def test_graded_slots_count_and_two_variable_rule():
+    for nvars in (1, 2, 3, 4):
+        for n in range(7):
+            slots = graded(n, nvars)
+            assert len(slots) == comb(n + nvars - 1, nvars - 1)
+            assert len(set(slots)) == len(slots)
+            assert all(len(e) == nvars and min(e) >= 0 and sum(e) == n for e in slots)
+        assert graded(-1, nvars) == []
+    for n in range(7):
+        assert graded(n, 2) == [(n - k, k) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_reversed_slots_are_the_label_order(nvars):
+    for n in range(7):
+        labels = sorted(l for l in product(range(n + 1), repeat=nvars) if sum(l) == n)
+        assert list(reversed(graded(n, nvars))) == labels
+
+
+def _monomials(n, nvars):
+    """The graded monomial vector X_n: x^e at each slot e of degree n."""
+    return [MPoly(nvars, {e: Fraction(1)}) for e in graded(n, nvars)]
+
+
+def test_l_matrix_is_x_j_on_the_slots_in_three_variables():
+    # L_{n,j} X_{n+1} = x_j X_n
+    for n in range(5):
+        for j in (1, 2, 3):
+            shifted = l_matrix(n, j, 3).apply_rows(_monomials(n + 1, 3))
+            assert shifted == [MPoly.var(j - 1, 3) * m for m in _monomials(n, 3)], (n, j)
+
+
+def test_u_matrices_are_the_tensor_coefficients_in_three_variables():
+    # F_e = x^e + (U_{n,n-1} X_{n-1})_k + (U_{n,n-2} X_{n-2})_k + terms of
+    # degree < n - 2, for the slot e = k of degree n
+    lattices = (lo.quadratic(B1), lo.wilson_square(), lo.quadratic(B2))
+    for n in range(5):
+        u1, u2 = u_matrices(n, *lattices)
+        lower1 = u1.apply_rows(_monomials(n - 1, 3))
+        lower2 = u2.apply_rows(_monomials(n - 2, 3))
+        for k, e in enumerate(graded(n, 3)):
+            entry = prod(basis_poly(lat, d, v, 3) for v, (lat, d) in enumerate(zip(lattices, e)))
+            rest = entry - MPoly(3, {e: Fraction(1)}) - lower1[k] - lower2[k]
+            assert all(sum(m) < n - 2 for m in rest.coeffs), (n, e)
 
 
 def test_convert_round_trip():

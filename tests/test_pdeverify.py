@@ -151,6 +151,19 @@ def test_mixed_operator_commutativity_spot_check():
         assert val_xy == val_yx
 
 
+@pytest.mark.parametrize("name", [fam.RACAH, fam.CH_TRI])
+def test_sweep_walks_labels_in_the_reference_order(name):
+    # the (degree, label) order as it was first built: every tuple in the
+    # box, filtered by total degree and sorted
+    spec = fam.FamilySpec(name)
+    reference = sorted(
+        (l for l in product(range(7), repeat=spec.nvars) if sum(l) <= 6),
+        key=lambda l: (sum(l), l),
+    )
+    swept = pv.sweep(spec, 6, lambda label: [None], lambda label, point: 0)
+    assert [label for label, _, _ in swept] == reference
+
+
 @pytest.mark.parametrize("name, degree, grid_size, folds", [
     (fam.RACAH, 1, None, 6 ** 2),
     (fam.WILSON, 2, None, 7 ** 2),

@@ -1,13 +1,24 @@
 import random
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from quadlattice import families as fam
 from quadlattice import pdeverify, ttrr
 from quadlattice.exactfield import GaussianRational
-from quadlattice.fbasis import MPoly, h_closed_1, u_matrices
+from quadlattice.fbasis import (
+    MONOMIAL,
+    MPoly,
+    basis_poly,
+    basis_polys,
+    graded,
+    h_closed_1,
+    interpolate_on_grid,
+    to_basis,
+    u_matrices,
+)
 from quadlattice.matrix import ExactMatrix, exact_inverse, solve_stacked
 from quadlattice.pdeverify import coefficients
 
@@ -253,6 +264,18 @@ def test_g_outside_the_chain_raises():
             chain.g(k, j)
 
 
+def test_blocks_past_the_top_of_the_chain_raise_the_untracked_error():
+    # the inverses read through g, so no untracked G_{k,k} escapes as a KeyError
+    chain = ttrr.GChain(fam.FamilySpec(fam.RACAH), 2)
+    with pytest.raises(ValueError, match=re.escape("G_{3,3} is not tracked")):
+        ttrr.abc_matrices(chain, 2, 1)
+    with pytest.raises(ValueError, match=re.escape("G_{5,5} is not tracked")):
+        chain.inverse(5)
+    for j in (0, 3):
+        with pytest.raises(ValueError, match=re.escape("j must be 1..2")):
+            ttrr.abc_matrices(chain, 1, j)
+
+
 # the chain and the recurrence as they were first written, G' and U
 # corrections in separate steps and A/B/C with their n = 0, 1 cases copied
 # out: the reference for the one-loop chain
@@ -308,20 +331,84 @@ def reference_abc(blocks, n, j):
     """A_{n,j}, B_{n,j}, C_{n,j} with the n = 0 and n = 1 cases written out."""
     g = lambda k, m: blocks[k, m]
     inv = lambda k: exact_inverse(blocks[k, k])
-    a = g(n, n) * ttrr.l_matrix(n, j) * inv(n + 1)
+    a = g(n, n) * reference_l_matrix(n, j) * inv(n + 1)
     if n == 0:
         b = (a * g(1, 0)).scale(-1) * inv(0)
         return a, b, None
-    b = (g(n, n - 1) * ttrr.l_matrix(n - 1, j) - a * g(n + 1, n)) * inv(n)
+    b = (g(n, n - 1) * reference_l_matrix(n - 1, j) - a * g(n + 1, n)) * inv(n)
     if n == 1:
         c = ((a * g(2, 0)).scale(-1) - b * g(1, 0)) * inv(0)
     else:
         c = (
-            g(n, n - 2) * ttrr.l_matrix(n - 2, j)
+            g(n, n - 2) * reference_l_matrix(n - 2, j)
             - a * g(n + 1, n - 1)
             - b * g(n, n - 1)
         ) * inv(n - 1)
     return a, b, c
+
+
+# the slot rule as it was first spelled out for two variables, slot k of
+# degree n being (n - k, k): the reference for fbasis.graded and its readers
+
+def reference_l_matrix(n, j):
+    """Selection matrices: L_{n,1} = [I | 0], L_{n,2} = [0 | I]."""
+    out = ExactMatrix.zero(n + 1, n + 2)
+    for k in range(n + 1):
+        out[k, k + (j - 1)] = Fraction(1)
+    return out
+
+
+def reference_u_matrices(n, lattice_x, lattice_y):
+    xpolys = basis_polys(lattice_x, n)
+    ypolys = basis_polys(lattice_y, n)
+    u1 = ExactMatrix.zero(n + 1, max(n, 0))
+    u2 = ExactMatrix.zero(n + 1, max(n - 1, 0))
+    for k in range(n + 1):
+        px = xpolys[n - k]
+        py = ypolys[k]
+        for c in range(n):
+            # coefficient of x^(n-1-c) y^c
+            u1[k, c] = px.coeff((n - 1 - c,)) * py.coeff((c,))
+        for c in range(max(n - 1, 0)):
+            u2[k, c] = px.coeff((n - 2 - c,)) * py.coeff((c,))
+    return u1, u2
+
+
+def reference_tensor_entry(bases, degree, k):
+    px = basis_poly(bases[0], degree - k, index=0, nvars=2)
+    py = basis_poly(bases[1], k, index=1, nvars=2)
+    return px * py
+
+
+def reference_phi_blocks(table, degree, bases):
+    diag = ExactMatrix.zero(degree + 1, degree + 1)
+    sub1 = ExactMatrix.zero(degree + 1, max(degree, 0))
+    sub2 = ExactMatrix.zero(degree + 1, max(degree - 1, 0))
+    for k in range(degree + 1):
+        image = pdeverify.table_action(table, reference_tensor_entry(bases, degree, k))
+        for (i, j), c in to_basis(image, bases).items():
+            d = i + j
+            if d == degree:
+                diag[k, j] = c
+            elif d == degree - 1:
+                sub1[k, j] = c
+            elif d == degree - 2:
+                sub2[k, j] = c
+            elif d > degree:
+                raise AssertionError("operator action raised the total degree")
+    return diag, sub1, sub2
+
+
+def reference_leading_matrix_oracle(spec, n):
+    members = [fam.family_function(spec, (n - k, k)) for k in range(n + 1)]
+    entries = interpolate_on_grid(
+        spec.lattices(), n + 2, lambda point: [member(point) for member in members]
+    )
+    out = ExactMatrix.zero(n + 1, n + 1)
+    for k, poly in enumerate(entries):
+        for c in range(n + 1):
+            out[k, c] = poly.coeff((n - c, c))
+    return out
 
 
 def _perfbench_draw(seed):
@@ -367,6 +454,59 @@ def test_one_loop_chain_matches_the_reference(name, draw):
                 assert [_typed(m) for m in got] == [_typed(m) for m in want], (leading, n, j)
 
 
+def test_l_matrix_matches_the_reference():
+    for n in range(6):
+        for j in (1, 2):
+            assert _typed(ttrr.l_matrix(n, j, 2)) == _typed(reference_l_matrix(n, j)), (n, j)
+
+
+@pytest.mark.parametrize("draw", ["default", 1, 5])
+@pytest.mark.parametrize("name", ttrr.TTRR_FAMILIES)
+def test_slot_readers_match_the_reference(name, draw):
+    # U, the S_n / T_n blocks and the oracle's leading block, in value and
+    # in entry type, for n <= 5
+    params = None if draw == "default" else _perfbench_draw(draw)[fam.base_family(name)]
+    spec = fam.FamilySpec(name, params=params)
+    table = coefficients(spec)
+    bases = ttrr.working_bases(spec)
+    for n in range(6):
+        got, want = u_matrices(n, *bases), reference_u_matrices(n, *bases)
+        assert [_typed(m) for m in got] == [_typed(m) for m in want], n
+        got, want = ttrr._phi_blocks(table, n, bases), reference_phi_blocks(table, n, bases)
+        assert [_typed(m) for m in got] == [_typed(m) for m in want], n
+        got, want = ttrr.leading_matrix_oracle(spec, n), reference_leading_matrix_oracle(spec, n)
+        assert _typed(got) == _typed(want), n
+
+
+# -- more than two variables: the machinery reads its sizes from the slots ------------
+
+def test_ch_tri_table_cancels_lambda_n_on_the_monomial_slots():
+    spec = fam.FamilySpec(fam.CH_TRI)
+    table = coefficients(spec)
+    bases = ttrr.working_bases(spec)
+    assert bases == (MONOMIAL,) * 3
+    for n in range(5):
+        diag = ttrr._phi_blocks(table, n, bases)[0]
+        lam = table.eigenvalue(graded(n, 3)[0])
+        assert diag == ExactMatrix.identity(comb(n + 2, 2)).scale(-lam), n
+
+
+def test_ch_tri_monic_generation_is_the_family_over_its_leading_block(monkeypatch):
+    # the claim stays bivariate (TTRR_FAMILIES), so the trivariate family is
+    # admitted in this test only: monic P_n = G_n^{-1} P_n(family), G_n read
+    # off the interpolated family vector
+    monkeypatch.setattr(ttrr, "TTRR_FAMILIES", ttrr.TTRR_FAMILIES + (fam.CH_TRI,))
+    monkeypatch.setattr(ttrr, "_SN_TN_MEMO", {})
+    spec = fam.FamilySpec(fam.CH_TRI)
+    monic = ttrr.generate(spec, 3, "monic")
+    for n, vec in enumerate(monic):
+        assert len(vec.entries) == comb(n + 2, 2)
+        g_inverse = exact_inverse(ttrr.leading_matrix_oracle(spec, n))
+        family = g_inverse.apply_rows(ttrr.family_poly_vector(spec, n).entries)
+        for k, (got, want) in enumerate(zip(vec.entries, family)):
+            assert (got - want).is_zero(), (n, k)
+
+
 # -- A/B/C matrices and generation ------------------------------------------------------
 
 def test_monic_abc_shapes_and_l_selection():
@@ -377,7 +517,7 @@ def test_monic_abc_shapes_and_l_selection():
             a, b, c = ttrr.abc_matrices(chain, n, j)
             assert (a.rows, a.cols) == (n + 1, n + 2)
             assert (b.rows, b.cols) == (n + 1, n + 1)
-            assert a == ttrr.l_matrix(n, j)  # monic case: A_{n,j} = L_{n,j}
+            assert a == ttrr.l_matrix(n, j, 2)  # monic case: A_{n,j} = L_{n,j}
             if n >= 1:
                 assert (c.rows, c.cols) == (n + 1, n)
     # B_{0,j} = -A_{0,j} G_{1,0} G_{0,0}^{-1}
