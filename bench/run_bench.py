@@ -28,7 +28,10 @@ Layers timed:
       steps); one S_n / T_n derivation, ``_phi_blocks`` of the printed
       table at degree 4 (2 with ``--quick``) on the family's working bases,
       past the memo, for the same seven families and for ch-tri on its
-      monomial bases (ops: the tensor-basis entries the table acts on); the
+      monomial bases (ops: the tensor-basis entries the table acts on), and
+      for racah and racah-bar on the monomial bases as well
+      (``L2.phi_blocks.<family>.monomial``), the derivation their chains
+      make; the
       interpolation oracle ``family_poly_vector(spec, 3)``
       (n = 1 with ``--quick``) for the same seven families, with the
       family caches cleared before every repeat; and
@@ -314,10 +317,13 @@ def _l2_entries(oracle_degree, interpolate_degree, upto, phi_degree):
     for name in ttrr.TTRR_FAMILIES + (fam.CH_TRI,):
         spec = fam.FamilySpec(name)
         table, bases = pdeverify.coefficients(spec), ttrr.working_bases(spec)
-        out[f"L2.phi_blocks.{name}"] = (
-            lambda table=table, bases=bases: ttrr._phi_blocks(table, phi_degree, bases),
-            len(fbasis.graded(phi_degree, spec.nvars)),
-        )
+        monomials = (fbasis.MONOMIAL,) * spec.nvars
+        ops = len(fbasis.graded(phi_degree, spec.nvars))
+        out[f"L2.phi_blocks.{name}"] = (partial(ttrr._phi_blocks, table, phi_degree, bases), ops)
+        if bases != monomials:
+            out[f"L2.phi_blocks.{name}.monomial"] = (
+                partial(ttrr._phi_blocks, table, phi_degree, monomials), ops
+            )
     lattices, count, samples = _recorded_recover_grid()
     out["L2.interpolate.recover"] = (
         lambda: fbasis.interpolate_on_grid(lattices, count, samples.__getitem__),

@@ -76,8 +76,13 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate a family member at a point")
     common(p)
-    p.add_argument("--label", required=True)
-    p.add_argument("--point", required=True)
+    p.add_argument("--label", required=True, help="comma-separated integers, e.g. 2,1")
+    p.add_argument(
+        "--point",
+        required=True,
+        help="comma-separated exact rationals, e.g. 3/2,5/2; "
+        "write --point=-1/3,1 when the first is negative",
+    )
 
     p = sub.add_parser("verify-pde", help="fourth-order residual sweep")
     common(p)
@@ -200,8 +205,6 @@ def _run(args):
         report["results"] = pv.verify_table(spec, args.max_total_degree, grid_size=grid_size)
 
     elif args.command == "verify-ladder":
-        if spec.family not in fam.LADDER_DIRECTION:
-            raise ValueError(f"no printed ladder for family {spec.family}")
         # D P - c P~ has total degree <= |label| - 1 in the lattice values: a
         # ladder's point map only shifts them (racah: x by -(2 beta1 + 1)/4 and
         # y by -(beta2 + 1); racah-bar: y by -(2 beta2 + 1)/4), so |label| + 1
@@ -272,7 +275,8 @@ def _run(args):
                     out[f"{name}{j}"] = m.to_json()
         if n >= 1:
             out["Gn,n-1"] = chain.g(n, n - 1).to_json()
-            sn, tn = chain.st[n]
+            # printed on the paper's basis, not the chain's monomials
+            sn, tn = ttrr.sn_tn_derived(spec, n)
             out["Sn"] = sn.to_json()
             out["Tn"] = tn.to_json()
         if n >= 2:

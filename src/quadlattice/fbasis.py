@@ -389,17 +389,6 @@ def h_closed_2(n, beta):
     )
 
 
-def u_matrices(n, *lattices):
-    """U_{n,n-1} and U_{n,n-2} of F_n = x^n + U_{n,n-1} x^{n-1} + U_{n,n-2} x^{n-2} + ...:
-    row k holds the coefficients of the tensor-basis entry at slot k of degree
-    n at the slots of degree n - 1 and n - 2, on every lattice in play."""
-    entries = tensor_basis(lattices, n)
-    return tuple(
-        ExactMatrix([[p.coeff(e) for e in graded(d, len(lattices))] for p in entries])
-        for d in (n - 1, n - 2)
-    )
-
-
 # ---------------------------------------------------------------------------
 # exact interpolation
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ exact linear solve.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .exactfield import field_str
 
@@ -20,10 +21,11 @@ from .exactfield import field_str
 class ExactMatrix:
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data):
+    def __init__(self, data, cols=None):
+        # ``cols`` carries the width of a matrix that has no rows to read it from
         data = [list(row) for row in data]
         self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
+        self.cols = cols if cols is not None else len(data[0]) if data else 0
         for row in data:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix data")
@@ -31,11 +33,11 @@ class ExactMatrix:
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
+        return cls([[Fraction(0)] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n):
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def diagonal(cls, entries):
@@ -57,15 +59,7 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.data[i][j] == other.data[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
-        )
+        return self.rows == other.rows and self.cols == other.cols and self.data == other.data
 
     def __repr__(self):
         body = "; ".join(
@@ -74,38 +68,26 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
     def __add__(self, other):
-        self._shape_check(other)
-        return ExactMatrix(
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        return self._entrywise(add, other)
 
     def __sub__(self, other):
-        self._shape_check(other)
-        return ExactMatrix(
-            [
-                [self.data[i][j] - other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        return self._entrywise(sub, other)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c):
-        return ExactMatrix(
-            [[c * self.data[i][j] for j in range(self.cols)] for i in range(self.rows)]
-        )
+        return ExactMatrix([[c * x for x in row] for row in self.data], self.cols)
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        # only products of two nonzero entries contribute
+        # only products of two nonzero entries contribute; with no rows,
+        # ``other`` still has its columns, each of them empty
         columns = [[(k, b) for k, b in enumerate(col) if b] for col in zip(*other.data)]
+        columns = columns or [[]] * other.cols
         out = []
         for row in self.data:
             out_row = []
@@ -117,24 +99,20 @@ class ExactMatrix:
                         acc = acc + a * b
                 out_row.append(acc)
             out.append(out_row)
-        return ExactMatrix(out)
+        return ExactMatrix(out, other.cols)
 
     def transpose(self):
-        return ExactMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return ExactMatrix(zip(*self.data), self.rows)
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("hstack needs equal row counts")
-        return ExactMatrix(
-            [self.data[i] + other.data[i] for i in range(self.rows)]
-        )
+        return ExactMatrix([a + b for a, b in zip(self.data, other.data)], self.cols + other.cols)
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("vstack needs equal column counts")
-        return ExactMatrix(self.data + other.data)
+        return ExactMatrix(self.data + other.data, self.cols)
 
     def apply_rows(self, vector):
         """Matrix action on a list of ring elements (e.g. polynomials)."""
@@ -164,9 +142,10 @@ class ExactMatrix:
             "data": [[field_str(x) for x in row] for row in self.data],
         }
 
-    def _shape_check(self, other):
+    def _entrywise(self, op, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+        return ExactMatrix([list(map(op, a, b)) for a, b in zip(self.data, other.data)], self.cols)
 
 
 def _reduce(rows, width):
@@ -215,7 +194,7 @@ def exact_inverse(m: ExactMatrix) -> ExactMatrix:
     col = _first_missing(_reduce(rows, n), n)
     if col is not None:
         raise ValueError(f"singular matrix: no pivot in column {col}")
-    return ExactMatrix([row[n:] for row in rows])
+    return ExactMatrix([row[n:] for row in rows], n)
 
 
 def solve_stacked(a: ExactMatrix, rhs):

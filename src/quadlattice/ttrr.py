@@ -3,23 +3,21 @@ vector, block and label reads its slots from :func:`fbasis.graded`; only the
 printed closed forms (:func:`sn_tn`, :func:`leading_matrix`) are bivariate.
 
 The vector recurrence  x_j P_n = A_{n,j} P_{n+1} + B_{n,j} P_n + C_{n,j} P_{n-1}
-is driven by the expansion matrices G_{n,n-1}, G_{n,n-2}, themselves produced
-from the equation's S_n / T_n matrices:
+is driven by the expansion matrices G_{n,n-1}, G_{n,n-2} of P_n on the
+monomials, read straight from the equation's S_n / T_n on the monomials:
 
-    G'_{n,n-1} = G_{n,n} S_n Z_{n-1}^{-1}(lambda_n),
-    G'_{n,n-2} = (G_{n,n} T_n + G'_{n,n-1} S_{n-1}) Z_{n-2}^{-1}(lambda_n),
+    G_{n,n-1} = G_{n,n} S_n Z_{n-1}^{-1}(lambda_n),
+    G_{n,n-2} = (G_{n,n} T_n + G_{n,n-1} S_{n-1}) Z_{n-2}^{-1}(lambda_n),
     Z_k(lambda_n) = (lambda_k - lambda_n) I.
 
-:class:`GChain` builds every block in one loop over the degree: the U
-matrices that turn working-basis blocks into monomial ones are built once
-per degree, U_{k-1,k-2} carried over from the step before.  A, B and C are
-one formula each, a term absent where its G block would lie below G_{k,0}.
+:class:`GChain` builds every block in one loop over the degree.  A, B and C
+are one formula each, a term absent where its G block would lie below G_{k,0}.
 
 S_n and T_n come in two independent ways: the printed closed forms
-(:func:`sn_tn`), and a derivation that substitutes the tensor-basis expansion
-into the divided-difference equation and reads off the F_{n-1} / F_{n-2}
-blocks (:func:`sn_tn_derived`).  The tests compare the two; the derivation is
-also what arbitrates typos in the long printed entries.
+(:func:`sn_tn`), and a derivation that substitutes a tensor-basis expansion
+into the divided-difference equation and reads off the blocks of degree
+n - 1 and n - 2 (:func:`sn_tn_derived`).  The tests compare the two; the
+derivation is also what arbitrates typos in the long printed entries.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from .fbasis import (
     l_matrix,
     tensor_basis,
     to_basis,
-    u_matrices,
 )
 from .matrix import ExactMatrix, exact_inverse, solve_stacked
 from .pdeverify import coefficients, table_action
@@ -85,13 +82,10 @@ class PolyVector:
 # ---------------------------------------------------------------------------
 
 def working_bases(spec: FamilySpec):
-    """Per-variable expansion basis of the family's S_n / T_n pipeline.
-
-    The quadratic-lattice families expand in the tensor F-basis; the printed
-    Wilson, continuous dual Hahn and continuous Hahn matrices turn out to be
-    monomial-basis expansions (the derivation route is the arbiter here), so
-    those three use plain monomials and need no U-matrix corrections.
-    """
+    """Per-variable basis the paper prints the family's S_n / T_n in: the
+    tensor F-basis for the quadratic-lattice families, the monomials for
+    Wilson, continuous dual Hahn and continuous Hahn (the derivation route
+    is the arbiter here).  :class:`GChain` passes the monomials for all."""
     if base_family(spec.family) == RACAH:
         return spec.lattices()
     return (MONOMIAL,) * spec.nvars
@@ -121,18 +115,21 @@ _SN_TN_MEMO = {}
 SN_TN_MEMO_SIZE = 64
 
 
-def sn_tn_derived(spec: FamilySpec, n, table=None):
-    """S_n and T_n recovered by substituting the working-basis expansion
-    into the equation and equating the F_{n-1} and F_{n-2} coefficients.
+def sn_tn_derived(spec: FamilySpec, n, table=None, bases=None):
+    """S_n and T_n recovered by substituting the expansion on ``bases`` (by
+    default the one the paper prints them in, :func:`working_bases`; the
+    chain passes the monomials) into the equation and equating the
+    coefficients of degree n - 1 and n - 2.
 
-    Each distinct (table, n) is derived once while it stays in the bounded
-    memo; every call returns its own copies."""
+    Each distinct (table, bases, n) is derived once while it stays in the
+    bounded memo; every call returns its own copies."""
     if spec.family not in TTRR_FAMILIES:
         raise ValueError(f"no recurrence machinery for family {spec.family!r}")
     if table is None:
         table = coefficients(spec)
+    if bases is None:
+        bases = working_bases(spec)
     lam_n = table.eigenvalue(graded(n, table.nvars)[0])
-    bases = working_bases(spec)
     key = (spec.family, bases, table.coeffs, table.lattices, lam_n, n)
     st = _SN_TN_MEMO.get(key)
     if st is None:
@@ -713,20 +710,17 @@ _ST_ENTRIES = {
 
 
 # ---------------------------------------------------------------------------
-# G' and G matrices
+# G matrices
 # ---------------------------------------------------------------------------
 
 class GChain:
     """G_{k,k}, G_{k,k-1}, G_{k,k-2} for k = 0..top and a leading sequence
     (identity for the monic family, or the family's own leading matrices),
-    in one pass over k: the working-basis blocks G' from S_k / T_k, with
-    Z_l(lambda_k) = (lambda_l - lambda_k) I, then the monomial ones through
-    the U matrices of F_k = x^k + U_{k,k-1} x^{k-1} + U_{k,k-2} x^{k-2} + ...
+    in one pass over k, each block read from S_k / T_k derived on the
+    monomials (``st``), with Z_l(lambda_k) = (lambda_l - lambda_k) I:
 
-        G'_{k,k-1} = G_{k,k} S_k Z_{k-1}^{-1}(lambda_k),
-        G'_{k,k-2} = (G_{k,k} T_k + G'_{k,k-1} S_{k-1}) Z_{k-2}^{-1}(lambda_k),
-        G_{k,k-1} = G_{k,k} U_{k,k-1} + G'_{k,k-1},
-        G_{k,k-2} = G_{k,k} U_{k,k-2} + G'_{k,k-1} U_{k-1,k-2} + G'_{k,k-2}.
+        G_{k,k-1} = G_{k,k} S_k Z_{k-1}^{-1}(lambda_k),
+        G_{k,k-2} = (G_{k,k} T_k + G_{k,k-1} S_{k-1}) Z_{k-2}^{-1}(lambda_k).
 
     ``lam`` holds lambda_0..lambda_top, each read at the first slot of its degree.
     """
@@ -738,9 +732,9 @@ class GChain:
             raise ValueError(f"leading must be 'monic' or 'family', not {leading!r}")
         self.table = table = coefficients(spec)
         self._inverses = {}
-        self.st = {k: sn_tn_derived(spec, k, table=table) for k in range(1, top + 1)}
+        bases = (MONOMIAL,) * table.nvars
+        self.st = {k: sn_tn_derived(spec, k, table=table, bases=bases) for k in range(1, top + 1)}
         self.lam = lam = [table.eigenvalue(graded(k, table.nvars)[0]) for k in range(top + 1)]
-        bases = working_bases(spec)
         self._blocks = blocks = {}  # (k, j) -> G_{k,j}
         for k in range(top + 1):
             if leading == "monic":
@@ -753,13 +747,10 @@ class GChain:
             if k == 0:
                 continue
             sk, tk = self.st[k]
-            u1, u2 = u_matrices(k, *bases)
-            gp1 = (gkk * sk).scale(1 / (lam[k - 1] - lam[k]))
-            blocks[k, k - 1] = gkk * u1 + gp1
+            g1 = blocks[k, k - 1] = (gkk * sk).scale(1 / (lam[k - 1] - lam[k]))
             if k >= 2:
-                gp2 = (gkk * tk + gp1 * self.st[k - 1][0]).scale(1 / (lam[k - 2] - lam[k]))
-                blocks[k, k - 2] = gkk * u2 + gp1 * u_prev + gp2
-            u_prev = u1  # the next step's U_{k-1,k-2}
+                g2 = gkk * tk + g1 * self.st[k - 1][0]
+                blocks[k, k - 2] = g2.scale(1 / (lam[k - 2] - lam[k]))
 
     def g(self, k, j):
         if (k, j) not in self._blocks:

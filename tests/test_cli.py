@@ -54,8 +54,8 @@ PINNED_REPORTS = [
      "643d25aa169f58db94b6ad32973972685570b2acc8fd85e2d0c16098a84b3477"),
     (["connect", "--family", "ch", "--n", "2"], 0,
      "ff05024adb5c2b7ee69eca6fec865c0ca6f59b30b8797ff83710b9ade7ef8286"),
-    # racah and racah-bar expand in the quadratic lattices' F-basis, so these
-    # two reports pass through the change of basis
+    # racah and racah-bar print S_n / T_n on the quadratic lattices' F-basis,
+    # which the ttrr report derives apart from the chain's monomials
     (["ttrr", "--family", "racah", "--n", "2"], 0,
      "a14bd367790f1dbfd6ece1003ddb205e17cf21d7ba3d5b11430e54d68e59ad0f"),
     (["generate", "--family", "racah-bar", "--upto", "2", "--monic"], 0,
@@ -93,6 +93,19 @@ def test_eval_command():
     assert report["value"] == "1"
     assert report["params"]["beta0"] == "1/5"
     assert report["tables_version"]
+
+
+def test_negative_first_coordinate_is_given_with_an_equals_sign(capsys):
+    # "--point -1/3,1" reads as an option to argparse; "--point=-1/3,1" does not
+    argv = ["eval", "--family", "racah", "--label", "1,1", "--point=-1/3,1"]
+    assert main(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    spec = families.FamilySpec(families.RACAH)
+    assert report["point"] == ["-1/3", "1"]
+    assert report["value"] == str(families.eval_family(spec, (1, 1), (Fraction(-1, 3), Fraction(1))))
+    with pytest.raises(SystemExit):
+        main(["eval", "--help"])
+    assert "--point=-1/3,1" in capsys.readouterr().out
 
 
 def test_param_overrides_are_echoed():

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb
 
 import pytest
 
@@ -22,9 +22,10 @@ from quadlattice.fbasis import (
     l_matrix,
     operator_matrices,
     structure_scalars,
+    tensor_basis,
     to_basis,
-    u_matrices,
 )
+from quadlattice.matrix import ExactMatrix
 
 B1 = Fraction(2, 3)
 B2 = Fraction(7, 3)
@@ -213,8 +214,21 @@ def test_h_1_0_value():
     assert poly.coeff((0,)) == h_closed_1(1, B1)  # F_1 = x + (4 b^2 - 1)/16
 
 
+def u_matrices(n, *lattices):
+    """U_{n,n-1} and U_{n,n-2} of F_n = X_n + U_{n,n-1} X_{n-1} + U_{n,n-2} X_{n-2} + ...:
+    row k holds the coefficients of the tensor-basis entry at slot k of degree
+    n at the slots of degree n - 1 and n - 2."""
+    entries = tensor_basis(lattices, n)
+    return tuple(
+        ExactMatrix([[p.coeff(e) for e in graded(d, len(lattices))] for p in entries])
+        for d in (n - 1, n - 2)
+    )
+
+
 def test_u_matrix_band_structure():
-    # U_{n,n-1} bands: H^(1) on the diagonal, H^(2) on the subdiagonal
+    # the printed bands of the tensor-basis coefficients: U_{n,n-1} has
+    # H^(1) on the diagonal and the subdiagonal, U_{n,n-2} H^(2), H^(1) H^(1)
+    # and H^(2) on three diagonals
     n = 4
     u1, u2 = u_matrices(n, lo.quadratic(B1), lo.quadratic(B2))
     for k in range(n + 1):
@@ -273,20 +287,6 @@ def test_l_matrix_is_x_j_on_the_slots_in_three_variables():
         for j in (1, 2, 3):
             shifted = l_matrix(n, j, 3).apply_rows(_monomials(n + 1, 3))
             assert shifted == [MPoly.var(j - 1, 3) * m for m in _monomials(n, 3)], (n, j)
-
-
-def test_u_matrices_are_the_tensor_coefficients_in_three_variables():
-    # F_e = x^e + (U_{n,n-1} X_{n-1})_k + (U_{n,n-2} X_{n-2})_k + terms of
-    # degree < n - 2, for the slot e = k of degree n
-    lattices = (lo.quadratic(B1), lo.wilson_square(), lo.quadratic(B2))
-    for n in range(5):
-        u1, u2 = u_matrices(n, *lattices)
-        lower1 = u1.apply_rows(_monomials(n - 1, 3))
-        lower2 = u2.apply_rows(_monomials(n - 2, 3))
-        for k, e in enumerate(graded(n, 3)):
-            entry = prod(basis_poly(lat, d, v, 3) for v, (lat, d) in enumerate(zip(lattices, e)))
-            rest = entry - MPoly(3, {e: Fraction(1)}) - lower1[k] - lower2[k]
-            assert all(sum(m) < n - 2 for m in rest.coeffs), (n, e)
 
 
 def test_convert_round_trip():

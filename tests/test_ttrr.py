@@ -17,7 +17,6 @@ from quadlattice.fbasis import (
     h_closed_1,
     interpolate_on_grid,
     to_basis,
-    u_matrices,
 )
 from quadlattice.matrix import ExactMatrix, exact_inverse, solve_stacked
 from quadlattice.pdeverify import coefficients
@@ -56,6 +55,20 @@ def test_gaussian_matrix_inverse():
     m = ExactMatrix([[i, 1], [0, i]])
     inv = exact_inverse(m)
     assert m * inv == ExactMatrix.identity(2)
+
+
+def test_zero_dimensions_keep_their_shape():
+    zero = ExactMatrix.zero
+    shape = lambda m: (m.rows, m.cols)
+    assert shape(zero(0, 3)) == (0, 3) and zero(0, 3) != zero(0, 5)
+    assert shape(zero(0, 3) + zero(0, 3)) == shape(zero(0, 3).scale(2)) == (0, 3)
+    assert zero(2, 0) * zero(0, 3) == zero(2, 3)
+    assert zero(2, 0) * ttrr.l_matrix(-1, 1, 2) == zero(2, 1)
+    assert shape(ttrr.l_matrix(-1, 1, 2)) == (0, 1)
+    assert shape(zero(3, 0).transpose()) == (0, 3)
+    assert shape(zero(0, 2).hstack(zero(0, 3))) == (0, 5)
+    assert shape(zero(0, 2).vstack(zero(0, 2))) == (0, 2)
+    assert shape(exact_inverse(ExactMatrix.identity(0))) == (0, 0)
 
 
 # seed-pinned random matrices over Q and Q(i), built so that their rank is
@@ -200,12 +213,13 @@ def test_racah_s11_at_n1_matches_printed_formula():
 # -- G' and G chains ------------------------------------------------------------------
 
 def test_g_primes_n1_and_z_scalar():
-    # the monic chain's G_{1,0} is U_{1,0} plus G'_{1,0} = S_1 / (lambda_0 - lambda_1)
+    # the monic chain's G_{1,0} is U_{1,0} plus G'_{1,0} = S_1 / (lambda_0 - lambda_1),
+    # S_1 on the F-basis the paper prints it in
     spec = fam.FamilySpec(fam.RACAH)
     table = coefficients(spec)
     lam = lambda k: table.eigenvalue((k, 0))
     s1 = ttrr.sn_tn_derived(spec, 1)[0]
-    u10 = u_matrices(1, *ttrr.working_bases(spec))[0]
+    u10 = reference_u_matrices(1, *ttrr.working_bases(spec))[0]
     assert ttrr.GChain(spec, 1).g(1, 0) - u10 == s1.scale(1 / (lam(0) - lam(1)))
     # Z_2(lambda_0) for the default Racah parameters is (53/5) I_3
     assert lam(2) - lam(0) == Fraction(53, 5)
@@ -248,13 +262,16 @@ def test_wilson_chain_has_no_u_corrections():
     assert chain.g(2, 1) == gp1 and chain.g(2, 0) == gp2
 
 
-def test_a_chain_builds_u_once_per_degree(monkeypatch):
-    # U_{k,k-1} carries over as the next degree's U_{k-1,k-2}
-    calls = _counted(monkeypatch, ttrr, "u_matrices")
-    for top in range(6):
-        calls.clear()
-        ttrr.GChain(fam.FamilySpec(fam.RACAH), top, "family")
-        assert [args[0] for args in calls] == list(range(1, top + 1))
+def test_every_chain_derives_s_k_t_k_on_the_monomials(monkeypatch):
+    # the G blocks are read straight from S_k / T_k on the monomials, the
+    # F-basis families included, so no chain changes basis
+    monkeypatch.setattr(ttrr, "_SN_TN_MEMO", {})
+    derivations = _counted(monkeypatch, ttrr, "_phi_blocks")
+    for name in ttrr.TTRR_FAMILIES:
+        derivations.clear()
+        ttrr.GChain(fam.FamilySpec(name), 3, "family")
+        monomials = [(k, (MONOMIAL, MONOMIAL)) for k in (1, 2, 3)]
+        assert [(n, bases) for _, n, bases in derivations] == monomials, name
 
 
 def test_g_outside_the_chain_raises():
@@ -276,9 +293,9 @@ def test_blocks_past_the_top_of_the_chain_raise_the_untracked_error():
             ttrr.abc_matrices(chain, 1, j)
 
 
-# the chain and the recurrence as they were first written, G' and U
-# corrections in separate steps and A/B/C with their n = 0, 1 cases copied
-# out: the reference for the one-loop chain
+# the chain and the recurrence as they were first written, G' blocks from
+# S_n / T_n on the F-basis and U corrections in separate steps and A/B/C with
+# their n = 0, 1 cases copied out: the reference for the one-loop chain
 
 def reference_g_primes(gnn, table, st, n):
     """G'_{n,n-1} and G'_{n,n-2} from the equation, given G'_{n,n} = gnn and
@@ -298,11 +315,11 @@ def reference_g_primes(gnn, table, st, n):
 def reference_g_corrections(gnn, gp1, gp2, spec, n):
     """Monomial-expansion G_{n,n-1} and G_{n,n-2} from the F-expansion ones."""
     bases = ttrr.working_bases(spec)
-    u1, u2 = u_matrices(n, *bases)
+    u1, u2 = reference_u_matrices(n, *bases)
     gn1 = gnn * u1 + gp1 if n >= 1 else None
     gn2 = None
     if n >= 2:
-        u1_prev = u_matrices(n - 1, *bases)[0]
+        u1_prev = reference_u_matrices(n - 1, *bases)[0]
         gn2 = gnn * u2 + gp1 * u1_prev + gp2
     return gn1, gn2
 
@@ -463,15 +480,13 @@ def test_l_matrix_matches_the_reference():
 @pytest.mark.parametrize("draw", ["default", 1, 5])
 @pytest.mark.parametrize("name", ttrr.TTRR_FAMILIES)
 def test_slot_readers_match_the_reference(name, draw):
-    # U, the S_n / T_n blocks and the oracle's leading block, in value and
-    # in entry type, for n <= 5
+    # the S_n / T_n blocks and the oracle's leading block, in value and in
+    # entry type, for n <= 5
     params = None if draw == "default" else _perfbench_draw(draw)[fam.base_family(name)]
     spec = fam.FamilySpec(name, params=params)
     table = coefficients(spec)
     bases = ttrr.working_bases(spec)
     for n in range(6):
-        got, want = u_matrices(n, *bases), reference_u_matrices(n, *bases)
-        assert [_typed(m) for m in got] == [_typed(m) for m in want], n
         got, want = ttrr._phi_blocks(table, n, bases), reference_phi_blocks(table, n, bases)
         assert [_typed(m) for m in got] == [_typed(m) for m in want], n
         got, want = ttrr.leading_matrix_oracle(spec, n), reference_leading_matrix_oracle(spec, n)
