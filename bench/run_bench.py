@@ -52,8 +52,10 @@ Layers timed:
       recurrence steps, with polynomial right-hand sides) that
       ``generate(spec, 4, leading)`` (upto 2 with ``--quick``) makes for the
       seven recurrence families with monic and family leading matrices,
-      and the 36 systems M^T g = c that ``recover_coefficients`` solves,
-      each input recorded once before the timing.  A chain inverts each
+      and the 12 axis inverses (M_v^T)^-1 that ``recover_coefficients``
+      builds, one per variable and coordinate of its 6 x 6 grid
+      (``L4.exact_inverse.recovery``), each input recorded once before the
+      timing.  A chain inverts each
       G_{k,k} once, so ``L4.exact_inverse.generate`` records 5 inverses per
       ``generate`` at upto 4 (3 at upto 2) where every (n, j) used to
       invert its own (26, and 10 at upto 2).
@@ -357,7 +359,8 @@ def _l3_entries(degree):
 
 def _recorded(owner, name, run):
     """Run ``run()`` with ``owner.name`` wrapped to record its arguments;
-    returns the recorded argument tuples."""
+    returns the recorded argument tuples.  Raises when ``run`` never calls
+    it, so that no entry times an empty loop."""
     original = getattr(owner, name)
     calls = []
 
@@ -370,6 +373,8 @@ def _recorded(owner, name, run):
         run()
     finally:
         setattr(owner, name, original)
+    if not calls:
+        raise AssertionError(f"{name} was not called: its entry would time nothing")
     return calls
 
 
@@ -384,9 +389,9 @@ def _l4_entries(upto):
     inverses = _recorded(ttrr, "exact_inverse", generate_all)
     ranks = _recorded(ExactMatrix, "rank", generate_all)
     steps = _recorded(ttrr, "solve_stacked", generate_all)
-    recovery = _recorded(
+    axis_inverses = _recorded(
         pdeverify,
-        "solve_stacked",
+        "exact_inverse",
         lambda: pdeverify.recover_coefficients(fam.FamilySpec(fam.RACAH).params),
     )
 
@@ -397,7 +402,7 @@ def _l4_entries(upto):
         "L4.exact_inverse.generate": loop(exact_inverse, inverses),
         "L4.rank.generate": loop(ExactMatrix.rank, ranks),
         "L4.solve_stacked.generate": loop(solve_stacked, steps),
-        "L4.solve_stacked.recovery": loop(solve_stacked, recovery),
+        "L4.exact_inverse.recovery": loop(exact_inverse, axis_inverses),
     }
 
 

@@ -5,17 +5,21 @@ precision rational, always reduced, positive denominator) or a
 :class:`GaussianRational` (a + b*i with exact rational parts).  No floats,
 ever.
 
-Four kernels use integer numerators internally and build their Fractions
+Five kernels use integer numerators internally and build their Fractions
 only at the end: :func:`pochhammer` here, ``families._terminating_sum``,
 the sum behind the univariate family factors, the exact interpolation of
 ``fbasis`` (an integer inverse Vandermonde matrix per axis, applied to the
-samples), and the pointwise engine of ``pdeverify`` (each point's stencil
+samples), the pointwise engine of ``pdeverify`` (each point's stencil
 contracted in Gaussian integers, and the residual one integer dot product
-with the sampled values).  Each writes its inputs over one common
-denominator (the latter three through :func:`integer_parts`), combines the
-integer (or Gaussian-integer) numerators, and normalises each result once
-(:func:`from_parts` in the latter two); their values and types are those
-of the same computations taken in Fraction arithmetic.
+with the sampled values), and the nine-term forms of ``pdeverify`` (each
+weight a Gaussian-integer numerator over the form's one stated
+denominator).  Each writes its inputs over one common denominator (the
+latter four through :func:`integer_parts`), combines the integer (or
+Gaussian-integer) numerators, and normalises each result once (with
+:func:`from_parts` where it may be complex); their values and types are
+those of the same computations taken in Fraction arithmetic, but for a real
+nine-term weight, a Fraction where Gaussian-rational arithmetic gave a
+GaussianRational with zero imaginary part.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ from .latticeops import (
     partial_D,
     shifted_points,
 )
-from .matrix import ExactMatrix, solve_stacked
+from .matrix import ExactMatrix, exact_inverse
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -92,12 +92,13 @@ class Equation:
     ``(den, {q: (A, B)})``: the neighbour q weighs (A + Bi) / den.  A zero
     weight is not kept, so no residual samples its neighbour.  Each point
     is folded once per equation.  ``fold(point)`` builds the stencil: here
-    it writes the weights {q: w} that ``weights(point)`` builds by hand (the
-    nine-term forms) over one denominator, with ``exactfield.integer_parts``;
-    a :class:`CoeffTable` contracts its operators in integers instead.  No
-    residual reads field weights: the Fraction view (:func:`fraction_view`)
-    is built only by :func:`stencil_weights` and the recovery's
-    :func:`operator_to_shift_matrix`.
+    it writes the weights {q: w} that ``weights(point)`` gives (the
+    nine-term forms, each weight an integer numerator over the form's one
+    stated denominator) over one denominator, with
+    ``exactfield.integer_parts``; a :class:`CoeffTable` contracts its
+    operators in integers instead.  No residual reads field weights: the
+    Fraction view (:func:`fraction_view`) is built only by
+    :func:`stencil_weights`.
     """
 
     __slots__ = ("weights", "eigenvalue", "_stencils")
@@ -975,76 +976,52 @@ def second_order_residual(kind, spec: FamilySpec, label, point):
 
 def racah_gi_stencil(params, s, t):
     """Offset -> rational coefficient of the bivariate Racah nine-term form,
-    less its eigenvalue (identity parts folded into (0,0))."""
+    less its eigenvalue (identity parts folded into (0,0)).
+
+    Each printed term t_k is a product of linear factors over one of the
+    s-denominators (b1 + 2s)(b1 + 2s + 1), (b1 + 2s - 1)(b1 + 2s + 1),
+    (b1 + 2s - 1)(b1 + 2s) times one of the like t-denominators in b2 + 2t.
+    Multiplied through by the factor each one misses, every term is a
+    numerator over the one denominator
+
+        (b1 + 2s - 1)(b1 + 2s)(b1 + 2s + 1)(b2 + 2t - 1)(b2 + 2t)(b2 + 2t + 1),
+
+    checked once for zero.  With s, t and the parameters written as integers
+    over one common denominator d, every numerator is an integer of degree
+    8 over d^8 and the denominator one of degree 6 over d^6, so each weight
+    is one Fraction of integers over (denominator) * d^2.
+    """
     b0, b1, b2, b3, N = (params[k] for k in ("beta0", "beta1", "beta2", "beta3", "N"))
-    den_s0 = (b1 + 2 * s) * (b1 + 2 * s + 1)
-    den_s1 = (b1 + 2 * s - 1) * (b1 + 2 * s + 1)
-    den_s2 = (b1 + 2 * s - 1) * (b1 + 2 * s)
-    den_t0 = (b2 + 2 * t) * (b2 + 2 * t + 1)
-    den_t1 = (b2 + 2 * t - 1) * (b2 + 2 * t + 1)
-    den_t2 = (b2 + 2 * t - 1) * (b2 + 2 * t)
-    for d in (den_s0, den_s1, den_s2, den_t0, den_t1, den_t2):
-        if not d:
-            raise SingularPointError(f"nine-term denominator vanishes at ({s}, {t})")
-
-    c = {}
-
-    def put(offset, value, reversed_sign):
-        # reversed_sign: the printed group is (I - R(shifted)) instead of
-        # (R(shifted) - I)
-        sign = -1 if reversed_sign else 1
-        c[offset] = c.get(offset, 0) + sign * value
-        c[(0, 0)] = c.get((0, 0), 0) - sign * value
-
-    t1 = (
-        (N - t) * (b1 + s) * (-b0 + b1 + s) * (b3 + N + t)
-        * (b2 + s + t) * (b2 + s + t + 1)
-    ) / (den_s0 * den_t0)
-    put((1, 1), t1, False)
-
-    t2 = (
-        (b1 + s) * (-b0 + b1 + s) * (t - s) * (b2 + s + t)
-        * ((b2 + 1) * (b3 - 1) + 2 * N * (b3 + N) + 2 * t * (b2 + t))
-    ) / (den_s0 * den_t1)
-    put((1, 0), t2, False)
-
-    t3 = (
-        (N - t) * (b3 + N + t) * (b2 + s + t) * (-b1 + b2 - s + t)
-        * ((b0 + 1) * (b1 - 1) + 2 * s * (b1 + s))
-    ) / (den_s1 * den_t0)
-    put((0, 1), t3, False)
-
-    t4 = -(
-        s * (N - t) * (b0 + s) * (b3 + N + t)
-        * (b1 - b2 + s - t - 1) * (b1 - b2 + s - t)
-    ) / (den_s2 * den_t0)
-    put((-1, 1), t4, True)
-
-    t5 = (
-        (b1 + s) * (b1 - b0 + s) * (s - t) * (s - t + 1)
-        * (b2 + N + t) * (b2 - b3 - N + t)
-    ) / (den_s0 * den_t2)
-    put((1, -1), t5, True)
-
-    t6 = (
-        s * (b0 + s) * (b2 + N + t) * (b2 - b3 - N + t)
-        * (b1 + s + t - 1) * (b1 + s + t)
-    ) / (den_s2 * den_t2)
-    put((-1, -1), t6, True)
-
-    t7 = (
-        s * (b0 + s)
-        * ((b2 + 1) * (b3 - 1) + 2 * N * N + 2 * b3 * N + 2 * t * t + 2 * b2 * t)
-        * (b1 + s + t) * (b1 - b2 + s - t)
-    ) / (den_s2 * den_t1)
-    put((-1, 0), t7, True)
-
-    t8 = -(
-        ((b0 + 1) * (b1 - 1) + 2 * s * s + 2 * b1 * s)
-        * (s - t) * (b2 + N + t) * (b2 - b3 - N + t) * (b1 + s + t)
-    ) / (den_s1 * den_t2)
-    put((0, -1), t8, True)
-    return c
+    d, parts = integer_parts((s, t, b0, b1, b2, b3, N))
+    S, T, B0, B1, B2, B3, NN = (a for a, _ in parts)
+    sm, s0, sp = B1 + 2 * S - d, B1 + 2 * S, B1 + 2 * S + d
+    tm, t0, tp = B2 + 2 * T - d, B2 + 2 * T, B2 + 2 * T + d
+    den = sm * s0 * sp * tm * t0 * tp * d * d
+    if not den:
+        raise SingularPointError(f"nine-term denominator vanishes at ({s}, {t})")
+    # the quadratic factors (b2 + 1)(b3 - 1) + 2N(b3 + N) + 2t(b2 + t) and
+    # (b0 + 1)(b1 - 1) + 2s(b1 + s)
+    qt = (B2 + d) * (B3 - d) + 2 * NN * (B3 + NN) + 2 * T * (B2 + T)
+    qs = (B0 + d) * (B1 - d) + 2 * S * (B1 + S)
+    # the groups (R(shifted) - I) enter as printed, the groups
+    # (I - R(shifted)) with their sign reversed; each term leaves its
+    # negative at (0, 0)
+    c = {
+        (1, 1): (NN - T) * (B1 + S) * (B1 - B0 + S) * (B3 + NN + T)
+        * (B2 + S + T) * (B2 + S + T + d) * sm * tm,
+        (1, 0): (B1 + S) * (B1 - B0 + S) * (T - S) * (B2 + S + T) * qt * sm * t0,
+        (0, 1): (NN - T) * (B3 + NN + T) * (B2 + S + T) * (B2 - B1 - S + T) * qs * s0 * tm,
+        (-1, 1): S * (NN - T) * (B0 + S) * (B3 + NN + T)
+        * (B1 - B2 + S - T - d) * (B1 - B2 + S - T) * sp * tm,
+        (1, -1): -(B1 + S) * (B1 - B0 + S) * (S - T) * (S - T + d)
+        * (B2 + NN + T) * (B2 - B3 - NN + T) * sm * tp,
+        (-1, -1): -S * (B0 + S) * (B2 + NN + T) * (B2 - B3 - NN + T)
+        * (B1 + S + T - d) * (B1 + S + T) * sp * tp,
+        (-1, 0): -S * (B0 + S) * qt * (B1 + S + T) * (B1 - B2 + S - T) * sp * t0,
+        (0, -1): qs * (S - T) * (B2 + NN + T) * (B2 - B3 - NN + T) * (B1 + S + T) * s0 * tp,
+    }
+    c[(0, 0)] = -sum(c.values())
+    return {offset: Fraction(n, den) for offset, n in c.items()}
 
 
 def racah_gi_eigenvalue(params, label):
@@ -1054,106 +1031,98 @@ def racah_gi_eigenvalue(params, label):
     return k * (params["beta3"] - params["beta0"] + k - 1)
 
 
+def _gdot(*terms):
+    """sum k f over the (k, f) pairs of Gaussian integers (A, B)."""
+    re = im = 0
+    for (ka, kb), (fa, fb) in terms:
+        re += ka * fa - kb * fb
+        im += ka * fb + kb * fa
+    return re, im
+
+
+def _gmul(*factors):
+    """The product of Gaussian integers (A, B)."""
+    re, im = 1, 0
+    for a, b in factors:
+        re, im = re * a - im * b, re * b + im * a
+    return re, im
+
+
+def _form_values(table: CoeffTable, x, y):
+    """(d, [(X, 0), (Y, 0), f1, .., f8]): the point and the table's f_i at
+    it as Gaussian integers (A, B) over one common denominator d."""
+    values = [fi.eval(table.lattice_point((x, y))) for fi in table.coeffs]
+    return integer_parts((x, y, *values))
+
+
 def wilson_f_stencil(table: CoeffTable, x, y):
     """Offset -> coefficient of the printed Wilson difference equation,
-    without its eigenvalue, built from the Wilson table's f_i."""
-    if not x or not y:
+    without its eigenvalue, built from the Wilson table's f_i.
+
+    Each printed F_k, multiplied through by the factors 2x -+ i, 2y -+ i
+    its denominator misses, is a numerator over the one denominator
+    4xy(4x^2 + 1)(4y^2 + 1), checked once for zero.  With x, y and the f_i
+    as Gaussian integers over one common denominator d, each numerator is
+    of degree 6 in them once its lower-degree parts carry powers of d, as
+    the denominator is: the weight is their quotient, one field value each.
+    """
+    d, ((X, _), (Y, _), f1, f2, f3, f4, f5, f6, f7, f8) = _form_values(table, x, y)
+    d2 = d * d
+    qx, qy = 4 * X * X + d2, 4 * Y * Y + d2
+    den = 4 * X * Y * qx * qy
+    if not den:
         raise SingularPointError("Wilson difference form needs x, y nonzero")
-    f1, f2, f3, f4, f5, f6, f7, f8 = (
-        gauss(fi.eval(table.lattice_point((x, y)))) for fi in table.coeffs
-    )
-    x = gauss(x)
-    y = gauss(y)
-    i = II
-
-    F1 = (f1 - x * y * f4 + i * (x * f2 + y * f3)) / (
-        4 * x * (2 * x + i) * y * (2 * y + i)
-    )
-    F2 = -(f1 + x * y * f4 + i * (x * f2 - y * f3)) / (
-        4 * x * (2 * x + i) * y * (-2 * y + i)
-    )
-    F3 = (-f1 - x * y * f4 + i * (x * f2 - y * f3)) / (
-        4 * x * (-2 * x + i) * y * (2 * y + i)
-    )
-    F4 = -(-f1 + i * f2 * x + i * f3 * y + f4 * y * x) / (
-        4 * (-2 * y + i) * y * (-2 * x + i) * x
-    )
-    F5 = (
-        -i
-        * (
-            i * f3 - 2 * f2 * x + 2 * i * f1 - 4 * f7 * x * y * y
-            - f7 * x - f4 * x + 4 * i * f5 * y * y + i * f5
+    c = {}
+    for o1, o2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        # F = (f1 - o1 o2 xy f4 + i (o1 x f2 + o2 y f3)) / (4xy (2x + o1 i)(2y + o2 i))
+        group = _gdot(
+            ((d2, 0), f1), ((-o1 * o2 * X * Y, 0), f4),
+            ((0, o1 * d * X), f2), ((0, o2 * d * Y), f3),
         )
-        / (2 * (2 * x + i) * x * (2 * y + i) * (-2 * y + i))
+        c[(o1, o2)] = _gmul((2 * X * d, -o1 * d2), (2 * Y, -o2 * d), group)
+    # F = i (i a -+ x b) / (2x (2x +- i)(4y^2 + 1)) at (+-1, 0), with
+    # a = 2 f1 + f3 + f5 (4y^2 + 1) and b = 2 f2 + f4 + f7 (4y^2 + 1); at
+    # (0, +-1) the same with x, f2, f5, f7 and y, f3, f6, f8 swapped
+    ax = _gdot(((2 * d2, 0), f1), ((d2, 0), f3), ((qy, 0), f5))
+    bx = _gdot(((2 * d2, 0), f2), ((d2, 0), f4), ((qy, 0), f7))
+    ay = _gdot(((2 * d2, 0), f1), ((d2, 0), f2), ((qx, 0), f6))
+    by = _gdot(((2 * d2, 0), f3), ((d2, 0), f4), ((qx, 0), f8))
+    for o in (1, -1):
+        px = _gdot(((0, d), ax), ((-o * X, 0), bx))
+        py = _gdot(((0, d), ay), ((-o * Y, 0), by))
+        c[(o, 0)] = _gmul((0, 2 * Y), (2 * X, -o * d), px)
+        c[(0, o)] = _gmul((0, 2 * X), (2 * Y, -o * d), py)
+    # F = (4 f1 + f4 + 2 f2 + 2 f3 + (f8 + 2 f6)(4x^2 + 1) + (f7 + 2 f5)(4y^2 + 1))
+    #     / ((4x^2 + 1)(4y^2 + 1))
+    centre = _gdot(
+        ((4 * d2, 0), f1), ((d2, 0), f4), ((2 * d2, 0), f2), ((2 * d2, 0), f3),
+        ((qx, 0), f8), ((2 * qx, 0), f6), ((qy, 0), f7), ((2 * qy, 0), f5),
     )
-    F6 = (
-        -i
-        * (
-            4 * i * f6 * x * x + i * f6 + i * f2 - 4 * f8 * y * x * x
-            - f8 * y - f4 * y - 2 * f3 * y + 2 * i * f1
-        )
-        / (2 * (2 * y + i) * y * (2 * x + i) * (-2 * x + i))
-    )
-    F7 = (
-        i
-        * (
-            2 * i * f1 + f4 * x + i * f3 + 4 * i * f5 * y * y + i * f5
-            + 2 * f2 * x + 4 * f7 * x * y * y + f7 * x
-        )
-        / (2 * (-2 * x + i) * x * (2 * y + i) * (-2 * y + i))
-    )
-    F8 = (
-        i
-        * (
-            2 * i * f1 + 4 * i * f6 * x * x + i * f6 + f4 * y
-            + i * f2 + 2 * f3 * y + 4 * f8 * y * x * x + f8 * y
-        )
-        / (2 * (-2 * y + i) * y * (2 * x + i) * (-2 * x + i))
-    )
-    F9 = (
-        4 * f1
-        + f8 * (4 * x * x + 1)
-        + f7 * (4 * y * y + 1)
-        + f6 * (8 * x * x + 2)
-        + f4
-        + 2 * (f2 + f3)
-        + f5 * (8 * y * y + 2)
-    ) / ((2 * y + i) * (-2 * y + i) * (2 * x + i) * (-2 * x + i))
-
-    return {
-        (1, 1): F1,
-        (1, -1): F2,
-        (-1, 1): F3,
-        (-1, -1): F4,
-        (1, 0): F5,
-        (0, 1): F6,
-        (-1, 0): F7,
-        (0, -1): F8,
-        (0, 0): F9,
-    }
+    c[(0, 0)] = _gmul((4 * d * X * Y, 0), centre)
+    return {offset: from_parts(den, re, im) for offset, (re, im) in c.items()}
 
 
 def ch_f_stencil(table: CoeffTable, x, y):
     """Offset -> coefficient of the printed continuous Hahn difference form,
-    without its eigenvalue, built from the continuous Hahn table's f_i."""
-    f1, f2, f3, f4, f5, f6, f7, f8 = (
-        gauss(fi.eval(table.lattice_point((x, y)))) for fi in table.coeffs
-    )
-    i = II
-    half_i = i * HALF
-    quarter = Fraction(1, 4)
+    without its eigenvalue, built from the continuous Hahn table's f_i.
 
-    return {
-        (1, 1): f1 + half_i * (f2 + f3) - quarter * f4,
-        (1, -1): f1 + half_i * (f2 - f3) + quarter * f4,
-        (-1, 1): f1 - half_i * (f2 - f3) + quarter * f4,
-        (-1, -1): f1 - half_i * (f2 + f3) - quarter * f4,
-        (1, 0): -2 * f1 - f5 - i * f2 - half_i * f7,
-        (0, 1): -2 * f1 - i * f3 - f6 - half_i * f8,
-        (-1, 0): -2 * f1 + i * f2 - f5 + half_i * f7,
-        (0, -1): i * f3 - 2 * f1 - f6 + half_i * f8,
-        (0, 0): 4 * f1 + 2 * f6 + 2 * f5,
-    }
+    Multiplied by 4, every printed weight is a Gaussian-integer combination
+    of the f_i, written over their common denominator d: the weight is that
+    numerator over 4d, one field value each.
+    """
+    d, (_, _, f1, f2, f3, f4, f5, f6, f7, f8) = _form_values(table, x, y)
+    c = {}
+    for o1, o2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        # f1 + (o1 f2 + o2 f3) i / 2 - o1 o2 f4 / 4
+        c[(o1, o2)] = _gdot(
+            ((4, 0), f1), ((0, 2 * o1), f2), ((0, 2 * o2), f3), ((-o1 * o2, 0), f4)
+        )
+    for o in (1, -1):
+        # -2 f1 - f5 - o (f2 + f7 / 2) i at (o, 0), and in f6, f3, f8 at (0, o)
+        c[(o, 0)] = _gdot(((-8, 0), f1), ((-4, 0), f5), ((0, -4 * o), f2), ((0, -2 * o), f7))
+        c[(0, o)] = _gdot(((-8, 0), f1), ((-4, 0), f6), ((0, -4 * o), f3), ((0, -2 * o), f8))
+    c[(0, 0)] = _gdot(((16, 0), f1), ((8, 0), f6), ((8, 0), f5))
+    return {offset: from_parts(4 * d, re, im) for offset, (re, im) in c.items()}
 
 
 # base family -> kind of its printed nine-term form; a second family shares it
@@ -1177,8 +1146,10 @@ def difference_form_equation(kind, spec: FamilySpec) -> Equation:
         build, step, eigenvalue = partial(builder, table), II, table.eigenvalue
 
     def weights(pt):
-        s, t = pt if step is ONE else map(gauss, pt)
-        return {(s + step * o1, t + step * o2): c for (o1, o2), c in build(*pt).items()}
+        # each coordinate's three neighbours, shared by the nine offsets
+        coords = pt if step is ONE else map(gauss, pt)
+        xs, ys = ({o: v + step * o for o in (-1, 0, 1)} for v in coords)
+        return {(xs[o1], ys[o2]): c for (o1, o2), c in build(*pt).items()}
 
     return Equation(weights, eigenvalue)
 
@@ -1193,21 +1164,18 @@ def difference_form_residual(kind, spec: FamilySpec, label, point):
 # ---------------------------------------------------------------------------
 
 OP_ORDER_WITH_IDENTITY = BIVARIATE_OPS + ((0, 0),)
-OFFSETS_3X3 = tuple((o1, o2) for o1 in (-1, 0, 1) for o2 in (-1, 0, 1))
 
 
-def operator_to_shift_matrix(lattices, point):
-    """9 x 9 matrix M with (E_op f)(point) = sum_q M[op, q] f(point + q)."""
-    stencils = PointStencils(lattices, point)
-    rows = []
-    for lind in OP_ORDER_WITH_IDENTITY:
-        weights = fraction_view(stencils.fold([(ONE, lind)]))
-        row = []
-        for off in OFFSETS_3X3:
-            q = (point[0] + off[0], point[1] + off[1])
-            row.append(weights.get(q, Fraction(0)))
-        rows.append(row)
-    return ExactMatrix(rows)
+def _axis_inverse(lattice, s):
+    """(M^T)^-1 for the 3 x 3 matrix M of one variable at the coordinate s:
+    row l holds the identity (l = 0), S D (l = 1) and D^2 (l = 2) at the
+    offsets -1, 0, 1, the weights :func:`_axis_entry` gives.  Raises
+    ValueError when M is singular."""
+    rows = [[ZERO, ONE, ZERO]]
+    for l in (1, 2):
+        den, weights, _ = _axis_entry(lattice, s, l)
+        rows.append([from_parts(den, *weights.get(o, (0, 0))) for o in (-1, 0, 1)])
+    return exact_inverse(ExactMatrix(rows).transpose())
 
 
 def recover_coefficients(params):
@@ -1215,21 +1183,40 @@ def recover_coefficients(params):
     equation by expressing the shifted values through the mixed-operator
     expressions and interpolating the resulting polynomial coefficients.
 
+    At each node the coefficients g of the nine operators E_(l1, l2), the
+    identity among them, solve M^T g = c, with c the form's nine weights
+    and M[(l1, l2), (o1, o2)] the weight of E_(l1, l2) at the offset
+    (o1, o2).  Every operator denominator depends on its own coordinate
+    only, so that weight is M_x[l1, o1] M_y[l2, o2], the product of the
+    one-variable weights (as :class:`PointStencils` builds every E_l):
+    M = M_x (x) M_y exactly, and with G[l1, l2] = g and C[o1, o2] = c the
+    system reads C = M_x^T G M_y, so G = (M_x^T)^-1 C ((M_y^T)^-1)^T.  The
+    solution is that of the 9 x 9 system, unique when M is invertible,
+    which is when both M_v are.  Each axis inverse (M_v^T)^-1 is built
+    once per (variable, coordinate) and shared by the nodes on it.
+
     Returns (table, eigenvalue_constant).  The recovered table is the
     typo-arbitration oracle for the printed Theorem coefficients.
     """
     spec = FamilySpec(RACAH, params=params)
     lattices = spec.lattices()
     lam = partial(racah_gi_eigenvalue, spec.params)
+    inverses = {}
+
+    def axis_inverse(var, s):
+        inverse = inverses.get((var, s))
+        if inverse is None:
+            inverse = inverses[(var, s)] = _axis_inverse(lattices[var], s)
+        return inverse
 
     def sample(point):
         gi = racah_gi_stencil(spec.params, *point)
         # the form at label (1, 1): the identity row recovers its eigenvalue
         gi[(0, 0)] += lam((1, 1))
-        cvec = [gi.get(off, Fraction(0)) for off in OFFSETS_3X3]
-        m = operator_to_shift_matrix(lattices, point)
-        # solve g^T M = c  <=>  M^T g = c
-        return solve_stacked(m.transpose(), cvec)
+        c = ExactMatrix([[gi[(o1, o2)] for o2 in (-1, 0, 1)] for o1 in (-1, 0, 1)])
+        ax, ay = (axis_inverse(var, s) for var, s in enumerate(point))
+        g = ax * c * ay.transpose()
+        return [g[lind] for lind in OP_ORDER_WITH_IDENTITY]
 
     # the coefficients have total degree <= 4 (CoeffTable checks it), so 6
     # nodes per axis interpolate them with one node to spare

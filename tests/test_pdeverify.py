@@ -15,6 +15,8 @@ from quadlattice.cli import EXIT_MISMATCH, run
 from quadlattice.exactfield import GaussianRational, demote
 from quadlattice.fbasis import MPoly, poly_D, poly_S
 from quadlattice.latticeops import SingularPointError
+from quadlattice.matrix import ExactMatrix, solve_stacked
+from test_cli import _drawn_params
 
 PTS2 = [(Fraction(8, 7), Fraction(16, 7)), (Fraction(15, 7), Fraction(23, 7))]
 PTS3 = [(Fraction(8, 7), Fraction(16, 7), Fraction(9, 7)),
@@ -999,12 +1001,45 @@ def test_gi_form_applies_to_second_family_too():
 
 
 def test_difference_form_singular_point_error():
+    # each form checks its one stated denominator, in either variable
     spec = fam.FamilySpec(fam.RACAH)
     bad_s = -spec.params["beta1"] / 2
+    bad_t = -spec.params["beta2"] / 2
     with pytest.raises(SingularPointError):
         pv.difference_form_residual("racah-gi", spec, (1, 1), (bad_s, Fraction(16, 7)))
     with pytest.raises(SingularPointError):
-        pv.difference_form_residual("wilson-f", fam.FamilySpec(fam.WILSON), (1, 1), (Fraction(0), Fraction(1)))
+        pv.difference_form_residual("racah-gi", spec, (1, 1), (Fraction(8, 7), bad_t))
+    wilson = fam.FamilySpec(fam.WILSON)
+    with pytest.raises(SingularPointError):
+        pv.difference_form_residual("wilson-f", wilson, (1, 1), (Fraction(0), Fraction(1)))
+    with pytest.raises(SingularPointError):
+        pv.difference_form_residual("wilson-f", wilson, (1, 1), (Fraction(1), Fraction(0)))
+
+
+NINE_TERM_CASES = [
+    ("racah-gi", fam.RACAH),
+    ("racah-gi", fam.RACAH_BAR),
+    ("wilson-f", fam.WILSON),
+    ("wilson-f", fam.WILSON_BAR),
+    ("ch-f", fam.CH),
+    ("ch-f", fam.CH_BAR),
+]
+
+
+@pytest.mark.parametrize("drawn", [False, True], ids=["default", "drawn"])
+@pytest.mark.parametrize("kind, name", NINE_TERM_CASES)
+def test_nine_term_forms_are_their_tables(kind, name, drawn):
+    # each nine-term form, its weights written as numerators over one stated
+    # denominator, folds to the printed table's stencil sum f_i E_i at every
+    # point of the label-(1, 1) grid, and shares the table's eigenvalue
+    spec = fam.FamilySpec(name, params=_drawn_params(name) if drawn else None)
+    form, table = pv.difference_form_equation(kind, spec), pv.coefficients(spec)
+    points = list(product(*pv.residual_grid(spec, (1, 1))))
+    assert len(points) == 49
+    for pt in points:
+        assert pv.fraction_view(form.stencil(pt)) == pv.fraction_view(table.stencil(pt)), pt
+    for label in [(n - k, k) for n in range(4) for k in range(n + 1)]:
+        assert form.eigenvalue(label) == table.eigenvalue(label), label
 
 
 # -- coefficient recovery -------------------------------------------------------------
@@ -1023,6 +1058,51 @@ def test_recovered_table_matches_printed_table():
     # closing the loop: the recovered table annihilates R_{2,2}
     for pt in PTS2:
         assert pv.residual(recovered, spec, (2, 2), pt) == 0
+
+
+OFFSETS_3X3 = tuple((o1, o2) for o1 in (-1, 0, 1) for o2 in (-1, 0, 1))
+
+
+def _nine_by_nine_solution(params, point):
+    """The recovery's node solve as one 9 x 9 system: M^T g = c with
+    M[op, q] the weight of E_op at the offset q, from stencil_weights."""
+    lattices = fam.FamilySpec(fam.RACAH, params=params).lattices()
+    rows = []
+    for lind in pv.OP_ORDER_WITH_IDENTITY:
+        weights = pv.stencil_weights(lattices, lind, point)
+        rows.append([weights.get((point[0] + o1, point[1] + o2), 0) for o1, o2 in OFFSETS_3X3])
+    gi = pv.racah_gi_stencil(params, *point)
+    gi[(0, 0)] += pv.racah_gi_eigenvalue(params, (1, 1))
+    return solve_stacked(ExactMatrix(rows).transpose(), [gi[off] for off in OFFSETS_3X3])
+
+
+@pytest.mark.parametrize("drawn", [False, True], ids=["default", "drawn"])
+def test_recovery_nodes_solve_the_nine_by_nine_system(monkeypatch, drawn):
+    # the two axis inverses of each node give the solution of the 9 x 9
+    # system M^T g = c at all 36 nodes of the recovery grid
+    params = fam.FamilySpec(fam.RACAH, params=_drawn_params(fam.RACAH) if drawn else None).params
+    grids = []
+    interpolate = pv.interpolate_on_grid
+
+    def recording(lattices, count, sample):
+        grids.append((lattices, count, sample))
+        return interpolate(lattices, count, sample)
+
+    monkeypatch.setattr(pv, "interpolate_on_grid", recording)
+    pv.recover_coefficients(params)
+    ((lattices, count, sample),) = grids
+    nodes = list(product(*lo.grid_axes(lattices, count)))
+    assert len(nodes) == 36
+    for node in nodes:
+        assert sample(node) == _nine_by_nine_solution(params, node), node
+
+
+def test_a_singular_axis_matrix_raises(monkeypatch):
+    # D^2 given the S D weights: two rows of each axis matrix agree
+    entry = pv._axis_entry
+    monkeypatch.setattr(pv, "_axis_entry", lambda lattice, s, l: entry(lattice, s, 1))
+    with pytest.raises(ValueError, match="singular matrix"):
+        pv.recover_coefficients(fam.FamilySpec(fam.RACAH).params)
 
 
 # sha256 of json.dumps(table.to_json(), sort_keys=True) for every printed
