@@ -92,7 +92,8 @@ Layers timed:
 
 Every entry that evaluates family members (L2 oracle, L3, L5 second-order,
 L6 and L7) builds its ``FamilySpec`` inside the repeat: a spec keeps its
-members' couplings once built, so one reused across repeats would time the
+members' factors once built, with the upper and lower vectors of every
+coordinate they have met, so one reused across repeats would time the
 building only in the first, where a command pays it on every run.
 
 Every input is fixed (drawn from a seeded ``random.Random``), so two runs
@@ -338,6 +339,9 @@ FAMILY_CACHES = (fam._eval_cached, fam.racah_uni, fam.wilson_uni, fam.cdh_uni, f
 
 
 def _clear_family_caches():
+    """Empty the five LRU caches.  The only other family state, the member
+    factors and their vectors, lives on the spec, which every entry builds
+    afresh in each repeat."""
     for cache in FAMILY_CACHES:
         cache.cache_clear()
 

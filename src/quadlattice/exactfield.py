@@ -7,18 +7,23 @@ ever.
 
 Five kernels use integer numerators internally and build their Fractions
 only at the end: :func:`pochhammer` here, ``families._terminating_sum``,
-the sum behind the univariate family factors, the exact interpolation of
-``fbasis`` (an integer inverse Vandermonde matrix per axis, applied to the
-samples), the pointwise engine of ``pdeverify`` (each point's stencil
-contracted in Gaussian integers, and the residual one integer dot product
-with the sampled values), and the nine-term forms of ``pdeverify`` (each
-weight a Gaussian-integer numerator over the form's one stated
-denominator).  Each writes its inputs over one common denominator (the
-latter four through :func:`integer_parts`), combines the integer (or
-Gaussian-integer) numerators, and normalises each result once (with
-:func:`from_parts` where it may be complex); their values and types are
-those of the same computations taken in Fraction arithmetic, but for a real
-nine-term weight, a Fraction where Gaussian-rational arithmetic gave a
+the sum behind the univariate family factors (the dot product of an upper
+vector, which reads only the factor's own coordinate, and a lower vector,
+which reads at most its coupled one, so that a family member keeps each
+vector per coordinate and evaluates a point as one dot product per
+factor), the exact interpolation of ``fbasis`` (an integer inverse
+Vandermonde matrix per axis, applied to the samples), the pointwise engine
+of ``pdeverify`` (each point's stencil contracted in Gaussian integers, and
+the residual one integer dot product with the sampled values), and the
+nine-term forms of ``pdeverify`` (each weight a Gaussian-integer numerator
+over the form's one stated denominator).  Each writes its inputs over one
+common denominator (the family sum one per side; the latter four through
+:func:`integer_parts`), combines the integer (or Gaussian-integer)
+numerators (the family sum and the nine-term forms with :func:`gdot` and
+:func:`gmul`), and normalises each result once (with :func:`from_parts` where
+it may be complex); their values and types are those of the same
+computations taken in Fraction arithmetic, but for a real nine-term
+weight, a Fraction where Gaussian-rational arithmetic gave a
 GaussianRational with zero imaginary part.
 """
 
@@ -269,6 +274,24 @@ def from_parts(den, re, im):
     if not im:
         return Fraction(re, den)
     return _gauss(Fraction(re, den), Fraction(im, den))
+
+
+def gdot(terms):
+    """(re, im) of sum k f over the (k, f) pairs of Gaussian integers (A, B)."""
+    re = im = 0
+    for (ka, kb), (fa, fb) in terms:
+        re += ka * fa - kb * fb
+        im += ka * fb + kb * fa
+    return re, im
+
+
+def gmul(factors):
+    """(re, im) of the product of Gaussian integers (A, B); the empty
+    product is (1, 0)."""
+    re, im = 1, 0
+    for a, b in factors:
+        re, im = re * a - im * b, re * b + im * a
+    return re, im
 
 
 def pochhammer(a, n: int):

@@ -20,28 +20,43 @@ couplings implemented here are:
                               * h_m(b3, a3, e2-ix, e2+ix; y)
   ch-tri     three continuous Hahn factors chained through n, m, r.
 
-``_couplings`` is the one definition of these couplings.  The primary path
-builds them once per spec and label, every label-only part included, so a
-point evaluation does only the point's arithmetic.  A ``FamilySpec`` is
-immutable: it hashes once and keeps the couplings of each member it has
-evaluated.
+``_couplings`` is the one definition of these couplings.  It also names
+each factor's own coordinate (the kind's argument) and its coupled one (the
+other coordinate the factor's parameters read, if any).  A ``FamilySpec``
+is immutable: it hashes once and keeps the factors of each member it has
+evaluated, every label-only part built once.
 
-The primary univariate factors share one cancellation-free kernel,
+The univariate factors share one cancellation-free kernel,
 ``_terminating_sum``: the lower Pochhammers are multiplied through, so the
-k-th term is prod (u_j)_k * prod (l_j + k)_{n-k} / k!, with prefix products
-of the upper parameters and suffix products of the lower tails (O(n)
-multiplications).  The kernel works in integers: every parameter is
-written over one common denominator D as an integer pair (A, B), B = 0 for
-a real one, so the products are Gaussian-integer products; term k is
-scaled to the common denominator D^E * n!, and one Fraction per part is
-built from the integer sum at the end.  Before summing, each primary forms
-every lower Pochhammer (l)_n with ``pochhammer`` and rejects the
-parameters if one vanishes; a degree-0 factor is 1 and never reaches a
-primary.  Every univariate factor has a second, independent implementation
-used as a brute-force oracle by the tests: a prefactor (from
-``pochhammer``) times the plain series summed by running term ratios in
-Fraction arithmetic, dividing by every lower parameter at every term.  The
-primaries never call ``pochhammer`` for a value, so the two routes share
+k-th term is H_k * T_k / k! with H_k = prod (u_j)_k, the prefix products of
+the upper parameters, and T_k = prod (l_j + k)_{n-k}, the suffix products
+of the lower tails (O(n) multiplications).  The kernel works in integers:
+the uppers are written over one common denominator and the lowers over
+another, each as an integer pair (A, B), B = 0 for a real one, so the
+products are Gaussian-integer products; each side is scaled so that term k
+is H'_k * T'_k over the product of the two sides' denominators, and one
+Fraction per part is built from the integer dot product at the end.  Each
+kind's uppers and named lowers are written once (``_KINDS``).
+
+The split is what makes a member cheap.  In every coupling a factor's
+upper parameters read only its own coordinate: where the coupled
+coordinate enters an upper, it cancels (c + d = 2 e2 for the conjugate
+pair e2 +- iy, gamma + delta = b1 - 1 for the Racah pair -t-1, b1+t).  Its
+lower parameters read at most the coupled coordinate, never the own one.
+So a member keeps, per factor, the upper vector of each own coordinate and
+the lower vector of each coupled coordinate it has met, and a point is one
+integer dot product per factor; a grid of |X| * |Y| points runs the kernel
+|X| + |Y| times per factor.  The values are exactly those of the kernel at
+the point's arguments, and a test checks the cancellation, not assumes it.
+A lower vector is built only after ``check_lower`` has formed every lower
+Pochhammer (l)_n with ``pochhammer`` and found none vanishing; a degree-0
+factor is 1 and builds nothing.  The univariate primaries ``racah_uni``,
+``wilson_uni``, ``cdh_uni`` and ``ch_uni`` run the same kernel at their
+arguments.  Every univariate factor has a second, independent
+implementation used as a brute-force oracle by the tests: a prefactor
+(from ``pochhammer``) times the plain series summed by running term ratios
+in Fraction arithmetic, dividing by every lower parameter at every term.
+The kernel never calls ``pochhammer`` for a value, so the two routes share
 no arithmetic beyond the parameters, and a slip in one does not cancel.
 """
 
@@ -49,14 +64,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial
+from math import factorial, prod
 from operator import mul
 from types import MappingProxyType
 
 from .exactfield import (
     GaussianRational,
     demote,
+    from_parts,
     gauss,
+    gdot,
+    gmul,
     imag_part,
     integer_parts,
     pochhammer,
@@ -69,8 +87,12 @@ HALF = Fraction(1, 2)
 
 # The bound of each family cache (the four primaries and ``_eval_cached``):
 # a long run keeps at most this many values per cache, evicting the least
-# recently used.  A benchmark job or a CLI command fills a few thousand
-# entries across all five, so none of them evicts.
+# recently used.  A member's factor keeps at most this many vectors per
+# side, evicting the oldest, but the factors live on their spec, so this
+# bounds the vectors per spec, label and factor side, not in all: a spec,
+# and every vector it holds, lives while its caller or one of its values in
+# ``_eval_cached`` refers to it.  A benchmark job or a CLI command fills a
+# few thousand entries across all of them, so none of them evicts.
 FAMILY_CACHE_SIZE = 1 << 14
 
 
@@ -98,36 +120,53 @@ def _terminating_sum(n, uppers, lowers):
     This is prod_j (l_j)_n times the terminating series with upper
     parameters ``uppers`` (the first one -n) and lower parameters
     ``lowers``, with every lower Pochhammer cancelled: only k! divides.
-    Every parameter is written over one common denominator D, so that
-    v + k = (V + kD) / D with an integer (or Gaussian-integer) V.  The
-    upper products grow as integer prefix products and the lower tails are
-    integer suffix products, so term k is an integer over D^(e_k) * k!,
-    e_k = k * len(uppers) + (n - k) * len(lowers).  Scaled by
-    D^(E - e_k) * n!/k!, E the largest e_k, every term shares the
-    denominator D^E * n!, and one Fraction per part is built at the end.
-    The sum stops at the first vanishing upper product, after which every
-    term is zero.  The value is a Fraction when its imaginary part is zero,
+    The sum is the dot product of the upper vector (:func:`_head_vector`)
+    and the lower vector (:func:`_tail_vector`), each a list of integer
+    pairs over its own denominator, and one field value is built from the
+    integer sum at the end: a Fraction when its imaginary part is zero,
     else a GaussianRational.
     """
     if not n:
         return Fraction(1)
-    nu, nl = len(uppers), len(lowers)
-    top = max(nu, nl) * n
-    den, parts = integer_parts((*uppers, *lowers))
-    heads = _gaussian_products(parts[:nu], den, range(n))
-    tails = _gaussian_products(parts[nu:], den, range(n - 1, -1, -1))
-    # the tails below a vanishing one vanish too, and so do their terms
-    first = n + 1 - len(tails)
-    real = imag = 0
-    for k in range(first, len(heads)):
-        scale = den ** (top - nu * k - nl * (n - k)) * (factorial(n) // factorial(k))
-        (hr, hi), (tr, ti) = heads[k], tails[n - k]
-        real += (hr * tr - hi * ti) * scale
-        imag += (hr * ti + hi * tr) * scale
-    scale = den ** top * factorial(n)
-    if imag:
-        return GaussianRational(Fraction(real, scale), Fraction(imag, scale))
-    return Fraction(real, scale)
+    hden, heads = _head_vector(n, uppers)
+    tden, tails = _tail_vector(n, lowers)
+    return from_parts(hden * tden, *gdot(zip(heads, tails)))
+
+
+def _head_vector(n, uppers):
+    """(den, [H'_k]): the upper prefix products prod_j (u_j)_k as integer
+    pairs over one denominator.  With every u_j = U_j / D over a common D,
+    prod_j (u_j)_k is an integer over D^(k nu), nu = len(uppers); scaled by
+    D^((n - k) nu) * n!/k!, every H'_k shares the denominator D^(n nu) * n!.
+    The list ends at the first vanishing product, as every term after it
+    vanishes."""
+    nu = len(uppers)
+    den, parts = integer_parts(uppers)
+    heads = _gaussian_products(parts, den, range(n))
+    step, top = den ** nu, factorial(n)
+    out = []
+    for k, (hr, hi) in enumerate(heads):
+        scale = step ** (n - k) * (top // factorial(k))
+        out.append((hr * scale, hi * scale))
+    return step ** n * top, out
+
+
+def _tail_vector(n, lowers):
+    """(den, [T'_k]): the lower tails prod_j (l_j + k)_{n-k}, k = 0..n, as
+    integer pairs over one denominator.  With every l_j = L_j / D, the tail
+    is an integer over D^((n - k) nl), nl = len(lowers); scaled by D^(k nl),
+    every T'_k shares the denominator D^(n nl).  A tail below a vanishing
+    one vanishes too."""
+    nl = len(lowers)
+    den, parts = integer_parts(lowers)
+    tails = _gaussian_products(parts, den, range(n - 1, -1, -1))
+    step = den ** nl
+    out = [(0, 0)] * (n + 1 - len(tails))
+    for k in range(len(out), n + 1):
+        tr, ti = tails[n - k]
+        scale = step ** k
+        out.append((tr * scale, ti * scale))
+    return step ** n, out
 
 
 def _gaussian_products(params, den, shifts):
@@ -153,43 +192,64 @@ def _pair(e, v):
     return e + iv, e - iv
 
 
+# kind -> (uppers(n, *args), named lowers(*args)) of the kernel sum, each
+# written once: the primaries and the member vectors both read them.  The
+# lowers never read the kind's argument (the last one).
+_KINDS = {
+    "racah": (
+        lambda n, alpha, beta, gamma, delta, s: (
+            -n, n + alpha + beta + 1, -s, s + gamma + delta + 1),
+        lambda alpha, beta, gamma, delta, s: (
+            ("alpha+1", alpha + 1), ("beta+delta+1", beta + delta + 1), ("gamma+1", gamma + 1)),
+    ),
+    "wilson": (
+        lambda n, a, b, c, d, x: (-n, n + a + b + c + d - 1, *_pair(a, x)),
+        lambda a, b, c, d, x: (("a+b", a + b), ("a+c", a + c), ("a+d", a + d)),
+    ),
+    "cdh": (
+        lambda n, a, b, c, x: (-n, *_pair(a, x)),
+        lambda a, b, c, x: (("a+b", a + b), ("a+c", a + c)),
+    ),
+    "ch": (
+        lambda n, a, b, c, d, x: (-n, n + a + b + c + d - 1, a + times_i(x)),
+        lambda a, b, c, d, x: (("a+b", a + b), ("a+d", a + d)),
+    ),
+}
+
+
+def _primary(kind, n, args):
+    """The kernel sum of the kind at its arguments, its lowers checked."""
+    uppers, lowers = _KINDS[kind]
+    named = lowers(*args)
+    check_lower(named, n)
+    return _terminating_sum(n, uppers(n, *args), [a for _, a in named])
+
+
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def racah_uni(n, alpha, beta, gamma, delta, s):
     """Univariate Racah polynomial r_n(alpha,beta,gamma,delta;s).
 
     Degree 2n in s and degree n in the lattice s(s+gamma+delta+1).
     """
-    a1, bd1, g1 = alpha + 1, beta + delta + 1, gamma + 1
-    check_lower([("alpha+1", a1), ("beta+delta+1", bd1), ("gamma+1", g1)], n)
-    uppers = (-n, n + alpha + beta + 1, -s, s + gamma + delta + 1)
-    return _terminating_sum(n, uppers, (a1, bd1, g1))
+    return _primary("racah", n, (alpha, beta, gamma, delta, s))
 
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def wilson_uni(n, a, b, c, d, x):
     """Wilson polynomial w_n(x^2; a, b, c, d); an even function of x."""
-    ab, ac, ad = a + b, a + c, a + d
-    check_lower([("a+b", ab), ("a+c", ac), ("a+d", ad)], n)
-    uppers = (-n, n + a + b + c + d - 1, *_pair(a, x))
-    return _terminating_sum(n, uppers, (ab, ac, ad))
+    return _primary("wilson", n, (a, b, c, d, x))
 
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def cdh_uni(n, a, b, c, x):
     """Continuous dual Hahn polynomial d_n(a, b, c | x), even in x."""
-    ab, ac = a + b, a + c
-    check_lower([("a+b", ab), ("a+c", ac)], n)
-    uppers = (-n, *_pair(a, x))
-    return _terminating_sum(n, uppers, (ab, ac))
+    return _primary("cdh", n, (a, b, c, x))
 
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def ch_uni(n, a, b, c, d, x):
     """Continuous Hahn polynomial h_n(a, b, c, d | x) with the i^n prefactor."""
-    ab, ad = a + b, a + d
-    check_lower([("a+b", ab), ("a+d", ad)], n)
-    uppers = (-n, n + a + b + c + d - 1, a + times_i(x))
-    value = _terminating_sum(n, uppers, (ab, ad))
+    value = _primary("ch", n, (a, b, c, d, x))
     for _ in range(n % 4):
         value = times_i(value)
     return demote(value)
@@ -348,8 +408,9 @@ DEFAULT_PARAMS = {f: DEFAULT_PARAMS[base_family(f)] for f in ALL_FAMILIES}
 class FamilySpec:
     """A family name plus a complete exact parameter set.  A spec is
     immutable: its parameters are a read-only mapping and its hash is taken
-    once.  It carries its members' couplings (``_members``: label -> the
-    factors of nonzero degree), built once per label by ``_eval_cached``."""
+    once.  It carries its members (``_members``: label -> the ``_Factor`` of
+    each nonzero degree, with the vectors it keeps), each built once per
+    label by ``_eval_cached``."""
 
     __slots__ = ("family", "params", "_key", "_hash", "_members")
 
@@ -449,77 +510,82 @@ def eval_family(spec: FamilySpec, label, point):
 
 
 def _couplings(family, p, label):
-    """The family's univariate factors at the label as (kind, n, args), where
-    ``args(*point)`` gives the factor's arguments at a point: the couplings
-    of the module docstring, with every label-only part computed here once.
-    The primary and the oracle paths share them."""
+    """The family's univariate factors at the label as (kind, n, own,
+    coupled, args): ``args(v, w)`` gives the factor's arguments with the
+    point's coordinate ``own`` at v and its coordinate ``coupled`` at w
+    (None: no coordinate but ``own`` enters, and w is not read).  These are
+    the couplings of the module docstring, with every label-only part
+    computed here once.  The primary and the oracle paths share them."""
     values = [p[k] for k in PARAM_NAMES[family]]
     if family == RACAH:
         (n, m), (b0, b1, b2, b3, N) = label, values
         u0, v0 = b1 - b0 - 1, b2 - b1 - 1
         u1, v1, g1, d1 = 2 * n + b2 - b0 - 1, b3 - b2 - 1, n - N - 1, n + b2 + N
         return (
-            ("racah", n, lambda s, t: (u0, v0, -1 - t, b1 + t, s)),
-            ("racah", m, lambda s, t: (u1, v1, g1, d1, t - n)),
+            ("racah", n, 0, 1, lambda s, t: (u0, v0, -1 - t, b1 + t, s)),
+            ("racah", m, 1, None, lambda t, _: (u1, v1, g1, d1, t - n)),
         )
     if family == RACAH_BAR:
         (n, m), (b0, b1, b2, b3, N) = label, values
         u0, v0, g0, d0, nm = 2 * m - b1 + b3 - 1, b1 - b0 - 1, m - N - 1, m - N - b1, N - m
         u1, v1, n1, bn = b3 - b2 - 1, b2 - b1 - 1, N + 1, -b2 - N
         return (
-            ("racah", n, lambda s, t: (u0, v0, g0, d0, nm - s)),
-            ("racah", m, lambda s, t: (u1, v1, s - n1, bn - s, N - t)),
+            ("racah", n, 0, None, lambda s, _: (u0, v0, g0, d0, nm - s)),
+            ("racah", m, 1, 0, lambda t, s: (u1, v1, s - n1, bn - s, N - t)),
         )
     if family == WILSON:
         (n, m), (a, b, c, d, e2) = label, values
         an, bn = n + a + e2, n + b + e2
         return (
-            ("wilson", n, lambda x, y: (a, b, *_pair(e2, y), x)),
-            ("wilson", m, lambda x, y: (an, bn, c, d, y)),
+            ("wilson", n, 0, 1, lambda x, y: (a, b, *_pair(e2, y), x)),
+            ("wilson", m, 1, None, lambda y, _: (an, bn, c, d, y)),
         )
     if family == WILSON_BAR:
         (n, m), (a, b, c, d, e2) = label, values
         cm, dm = m + c + e2, m + d + e2
         return (
-            ("wilson", n, lambda x, y: (cm, dm, a, b, x)),
-            ("wilson", m, lambda x, y: (c, d, *_pair(e2, x), y)),
+            ("wilson", n, 0, None, lambda x, _: (cm, dm, a, b, x)),
+            ("wilson", m, 1, 0, lambda y, x: (c, d, *_pair(e2, x), y)),
         )
     if family == CDH:
         (n, m), (a, b, c, e2) = label, values
         an = n + a + e2
         return (
-            ("cdh", n, lambda x, y: (a, *_pair(e2, y), x)),
-            ("cdh", m, lambda x, y: (an, b, c, y)),
+            ("cdh", n, 0, 1, lambda x, y: (a, *_pair(e2, y), x)),
+            ("cdh", m, 1, None, lambda y, _: (an, b, c, y)),
         )
     if family == CH:
         (n, m), (a1, e2, a3, b1, b3) = label, values
         an, bn = n + a1 + e2, n + b1 + e2
         return (
-            ("ch", n, lambda x, y: (a1, b1, *_pair(e2, y)[::-1], x)),
-            ("ch", m, lambda x, y: (an, bn, b3, a3, y)),
+            ("ch", n, 0, 1, lambda x, y: (a1, b1, *_pair(e2, y)[::-1], x)),
+            ("ch", m, 1, None, lambda y, _: (an, bn, b3, a3, y)),
         )
     if family == CH_BAR:
         (n, m), (a1, e2, a3, b1, b3) = label, values
         bm, am = m + e2 + b3, m + e2 + a3
         return (
-            ("ch", n, lambda x, y: (bm, am, a1, b1, x)),
-            ("ch", m, lambda x, y: (b3, a3, *_pair(e2, x)[::-1], y)),
+            ("ch", n, 0, None, lambda x, _: (bm, am, a1, b1, x)),
+            ("ch", m, 1, 0, lambda y, x: (b3, a3, *_pair(e2, x)[::-1], y)),
         )
     if family == CH_TRI:
         (n, m, r), (a1, e2, e3, a4, b1, b4) = label, values
         an, bn = n + a1 + e2, n + b1 + e2
         anm, bnm = n + m + a1 + e2 + e3, n + m + b1 + e2 + e3
         return (
-            ("ch", n, lambda x, y, z: (a1, b1, *_pair(e2, y)[::-1], x)),
-            ("ch", m, lambda x, y, z: (an, bn, *_pair(e3, z)[::-1], y)),
-            ("ch", r, lambda x, y, z: (anm, bnm, b4, a4, z)),
+            ("ch", n, 0, 1, lambda x, y: (a1, b1, *_pair(e2, y)[::-1], x)),
+            ("ch", m, 1, 2, lambda y, z: (an, bn, *_pair(e3, z)[::-1], y)),
+            ("ch", r, 2, None, lambda z, _: (anm, bnm, b4, a4, z)),
         )
     raise ValueError(family)  # pragma: no cover
 
 
 def _factors(family, p, label, point):
     """The factor calls (kind, n, args) at the point, degree 0 included."""
-    return tuple((kind, n, args(*point)) for kind, n, args in _couplings(family, p, label))
+    return tuple(
+        (kind, n, args(point[own], None if coupled is None else point[coupled]))
+        for kind, n, own, coupled, args in _couplings(family, p, label)
+    )
 
 
 def _multiply(uni, factors):
@@ -529,23 +595,80 @@ def _multiply(uni, factors):
     return demote(reduce(mul, values)) if values else Fraction(1)
 
 
+# the value passed for the coordinate a side of a factor does not read
+_ANY = Fraction(0)
+
+
+class _Factor:
+    """One univariate factor of nonzero degree n of a member, evaluated from
+    stored vectors.  Its upper parameters read only the coordinate ``own``
+    (the coupled coordinate cancels from them) and its lower parameters only
+    the coordinate ``coupled``, so term k of the kernel sum is
+    H'_k(own) * T'_k(coupled) over one denominator.  The factor keeps the
+    upper vector of each own coordinate and the lower vector of each coupled
+    coordinate it has met, at most ``FAMILY_CACHE_SIZE`` per side, dropping
+    the oldest first; a value is then one dot product.  ``check_lower`` runs
+    when a lower vector is built, and a degenerate one is not kept."""
+
+    __slots__ = ("kind", "n", "own", "coupled", "args", "turns", "heads", "tails")
+
+    def __init__(self, kind, n, own, coupled, args):
+        self.kind, self.n, self.own, self.coupled, self.args = kind, n, own, coupled, args
+        # the continuous Hahn factor carries i^n
+        self.turns = n % 4 if kind == "ch" else 0
+        self.heads, self.tails = {}, {}
+
+    def head(self, v):
+        """(den, vector) of the upper products at own coordinate v."""
+        vector = self.heads.get(v)
+        if vector is None:
+            uppers = _KINDS[self.kind][0](self.n, *self.args(v, _ANY))
+            vector = _keep(self.heads, v, _head_vector(self.n, uppers))
+        return vector
+
+    def tail(self, w):
+        """(den, vector) of the lower tails at coupled coordinate w."""
+        vector = self.tails.get(w)
+        if vector is None:
+            lowers = _KINDS[self.kind][1](*self.args(_ANY, w))
+            check_lower(lowers, self.n)
+            vector = _keep(self.tails, w, _tail_vector(self.n, [a for _, a in lowers]))
+        return vector
+
+    def at(self, point):
+        """(den, (re, im)): the factor at the point as (re + im i) / den."""
+        hden, heads = self.head(point[self.own])
+        tden, tails = self.tail(None if self.coupled is None else point[self.coupled])
+        re, im = gdot(zip(heads, tails))
+        for _ in range(self.turns):
+            re, im = -im, re
+        return hden * tden, (re, im)
+
+
+def _keep(store, key, value):
+    """Store the value, first dropping the oldest entry of a full store."""
+    if len(store) >= FAMILY_CACHE_SIZE:
+        del store[next(iter(store))]
+    store[key] = value
+    return value
+
+
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def _eval_cached(spec, label, point):
     # keyed by the spec itself: equal specs hash and compare by their key()
-    couplings = spec._members.get(label)
-    if couplings is None:
+    factors = spec._members.get(label)
+    if factors is None:
         # a degree-0 factor is 1: (a)_0 = 1, one term, and nothing to check
-        couplings = spec._members[label] = [
-            c for c in _couplings(spec.family, spec.params, label) if c[1]
+        factors = spec._members[label] = [
+            _Factor(*c) for c in _couplings(spec.family, spec.params, label) if c[1]
         ]
-    # looked up per call, so that patched module attributes are honoured
-    uni = {"racah": racah_uni, "wilson": wilson_uni, "cdh": cdh_uni, "ch": ch_uni}
-    value = _multiply(uni, [(kind, n, args(*point)) for kind, n, args in couplings])
-    if base_family(spec.family) in (RACAH, WILSON, CDH) and all(imag_part(v) == 0 for v in point):
-        if imag_part(value) != 0:
-            raise ArithmeticError(
-                f"{spec.family} value at {point} came out non-real: {value}"
-            )
+    values = [factor.at(point) for factor in factors]
+    re, im = gmul(pair for _, pair in values)
+    value = from_parts(prod(den for den, _ in values), re, im)
+    if im and base_family(spec.family) in (RACAH, WILSON, CDH) and all(
+        imag_part(v) == 0 for v in point
+    ):
+        raise ArithmeticError(f"{spec.family} value at {point} came out non-real: {value}")
     return value
 
 

@@ -27,7 +27,7 @@ from functools import partial
 from itertools import product
 from math import lcm
 
-from .exactfield import GaussianRational, field_str, from_parts, gauss, integer_parts
+from .exactfield import GaussianRational, field_str, from_parts, gauss, gdot, gmul, integer_parts
 from .families import (
     CDH,
     CH,
@@ -1031,23 +1031,6 @@ def racah_gi_eigenvalue(params, label):
     return k * (params["beta3"] - params["beta0"] + k - 1)
 
 
-def _gdot(*terms):
-    """sum k f over the (k, f) pairs of Gaussian integers (A, B)."""
-    re = im = 0
-    for (ka, kb), (fa, fb) in terms:
-        re += ka * fa - kb * fb
-        im += ka * fb + kb * fa
-    return re, im
-
-
-def _gmul(*factors):
-    """The product of Gaussian integers (A, B)."""
-    re, im = 1, 0
-    for a, b in factors:
-        re, im = re * a - im * b, re * b + im * a
-    return re, im
-
-
 def _form_values(table: CoeffTable, x, y):
     """(d, [(X, 0), (Y, 0), f1, .., f8]): the point and the table's f_i at
     it as Gaussian integers (A, B) over one common denominator d."""
@@ -1075,30 +1058,30 @@ def wilson_f_stencil(table: CoeffTable, x, y):
     c = {}
     for o1, o2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         # F = (f1 - o1 o2 xy f4 + i (o1 x f2 + o2 y f3)) / (4xy (2x + o1 i)(2y + o2 i))
-        group = _gdot(
+        group = gdot([
             ((d2, 0), f1), ((-o1 * o2 * X * Y, 0), f4),
             ((0, o1 * d * X), f2), ((0, o2 * d * Y), f3),
-        )
-        c[(o1, o2)] = _gmul((2 * X * d, -o1 * d2), (2 * Y, -o2 * d), group)
+        ])
+        c[(o1, o2)] = gmul([(2 * X * d, -o1 * d2), (2 * Y, -o2 * d), group])
     # F = i (i a -+ x b) / (2x (2x +- i)(4y^2 + 1)) at (+-1, 0), with
     # a = 2 f1 + f3 + f5 (4y^2 + 1) and b = 2 f2 + f4 + f7 (4y^2 + 1); at
     # (0, +-1) the same with x, f2, f5, f7 and y, f3, f6, f8 swapped
-    ax = _gdot(((2 * d2, 0), f1), ((d2, 0), f3), ((qy, 0), f5))
-    bx = _gdot(((2 * d2, 0), f2), ((d2, 0), f4), ((qy, 0), f7))
-    ay = _gdot(((2 * d2, 0), f1), ((d2, 0), f2), ((qx, 0), f6))
-    by = _gdot(((2 * d2, 0), f3), ((d2, 0), f4), ((qx, 0), f8))
+    ax = gdot([((2 * d2, 0), f1), ((d2, 0), f3), ((qy, 0), f5)])
+    bx = gdot([((2 * d2, 0), f2), ((d2, 0), f4), ((qy, 0), f7)])
+    ay = gdot([((2 * d2, 0), f1), ((d2, 0), f2), ((qx, 0), f6)])
+    by = gdot([((2 * d2, 0), f3), ((d2, 0), f4), ((qx, 0), f8)])
     for o in (1, -1):
-        px = _gdot(((0, d), ax), ((-o * X, 0), bx))
-        py = _gdot(((0, d), ay), ((-o * Y, 0), by))
-        c[(o, 0)] = _gmul((0, 2 * Y), (2 * X, -o * d), px)
-        c[(0, o)] = _gmul((0, 2 * X), (2 * Y, -o * d), py)
+        px = gdot([((0, d), ax), ((-o * X, 0), bx)])
+        py = gdot([((0, d), ay), ((-o * Y, 0), by)])
+        c[(o, 0)] = gmul([(0, 2 * Y), (2 * X, -o * d), px])
+        c[(0, o)] = gmul([(0, 2 * X), (2 * Y, -o * d), py])
     # F = (4 f1 + f4 + 2 f2 + 2 f3 + (f8 + 2 f6)(4x^2 + 1) + (f7 + 2 f5)(4y^2 + 1))
     #     / ((4x^2 + 1)(4y^2 + 1))
-    centre = _gdot(
+    centre = gdot([
         ((4 * d2, 0), f1), ((d2, 0), f4), ((2 * d2, 0), f2), ((2 * d2, 0), f3),
         ((qx, 0), f8), ((2 * qx, 0), f6), ((qy, 0), f7), ((2 * qy, 0), f5),
-    )
-    c[(0, 0)] = _gmul((4 * d * X * Y, 0), centre)
+    ])
+    c[(0, 0)] = gmul([(4 * d * X * Y, 0), centre])
     return {offset: from_parts(den, re, im) for offset, (re, im) in c.items()}
 
 
@@ -1114,14 +1097,14 @@ def ch_f_stencil(table: CoeffTable, x, y):
     c = {}
     for o1, o2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         # f1 + (o1 f2 + o2 f3) i / 2 - o1 o2 f4 / 4
-        c[(o1, o2)] = _gdot(
+        c[(o1, o2)] = gdot([
             ((4, 0), f1), ((0, 2 * o1), f2), ((0, 2 * o2), f3), ((-o1 * o2, 0), f4)
-        )
+        ])
     for o in (1, -1):
         # -2 f1 - f5 - o (f2 + f7 / 2) i at (o, 0), and in f6, f3, f8 at (0, o)
-        c[(o, 0)] = _gdot(((-8, 0), f1), ((-4, 0), f5), ((0, -4 * o), f2), ((0, -2 * o), f7))
-        c[(0, o)] = _gdot(((-8, 0), f1), ((-4, 0), f6), ((0, -4 * o), f3), ((0, -2 * o), f8))
-    c[(0, 0)] = _gdot(((16, 0), f1), ((8, 0), f6), ((8, 0), f5))
+        c[(o, 0)] = gdot([((-8, 0), f1), ((-4, 0), f5), ((0, -4 * o), f2), ((0, -2 * o), f7)])
+        c[(0, o)] = gdot([((-8, 0), f1), ((-4, 0), f6), ((0, -4 * o), f3), ((0, -2 * o), f8)])
+    c[(0, 0)] = gdot([((16, 0), f1), ((8, 0), f6), ((8, 0), f5)])
     return {offset: from_parts(4 * d, re, im) for offset, (re, im) in c.items()}
 
 

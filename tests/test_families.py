@@ -437,28 +437,43 @@ def test_couplings_match_the_spelled_out_factors(heights):
 
 
 def test_family_caches_stay_within_their_bound():
-    """Past FAMILY_CACHE_SIZE entries the caches evict: they never hold more,
-    and an evicted value computes again to the same value."""
+    """Past FAMILY_CACHE_SIZE entries the caches evict: ``_eval_cached`` and
+    a primary hold exactly that many values, one member exactly that many
+    vectors per side, and an evicted value or vector computes again to the
+    same value."""
     bound = fam.FAMILY_CACHE_SIZE
     spec = fam.FamilySpec(fam.RACAH)
-    t = Fraction(16, 7)
-    points = [(Fraction(k, 7), t) for k in range(bound + 50)]
+    # Racah (1, 0) is one factor: its uppers read s and its lowers t
+    points = [(Fraction(k, 7), Fraction(k + 1, 11)) for k in range(bound + 50)]
     caches = (fam._eval_cached, fam.racah_uni)
     for cache in caches:
         cache.cache_clear()
+
+    def sizes():
+        return ([cache.cache_info().currsize for cache in caches]
+                + [len(factor.heads), len(factor.tails)])
+
     try:
-        first = []
+        first, vectors = [], []
         for i, point in enumerate(points):
             first.append(fam.eval_family(spec, (1, 0), point))
+            _, n, args = fam._factors(spec.family, spec.params, (1, 0), point)[0]
+            assert fam.racah_uni(n, *args) == first[-1]
+            (factor,) = spec._members[(1, 0)]
+            if i < 50:
+                vectors.append((factor.head(point[0]), factor.tail(point[1])))
             if i % 97 == 0 or i >= bound - 2:
-                assert all(cache.cache_info().currsize <= bound for cache in caches), i
-        assert all(cache.cache_info().currsize == bound for cache in caches)
+                assert max(sizes()) <= bound, i
+        assert sizes() == [bound] * 4
+        # the oldest go first
+        assert not any(s in factor.heads or t in factor.tails for s, t in points[:50])
         misses = fam._eval_cached.cache_info().misses
-        for point, value in zip(points[:50], first):  # evicted: recomputed
+        for point, value, (head, tail) in zip(points[:50], first, vectors):  # evicted: recomputed
             assert fam.eval_family(spec, (1, 0), point) == value
             assert fam.eval_family_oracle(spec, (1, 0), point) == value
+            assert factor.heads[point[0]] == head and factor.tails[point[1]] == tail
         assert fam._eval_cached.cache_info().misses == misses + 50
-        assert all(cache.cache_info().currsize == bound for cache in caches)
+        assert sizes() == [bound] * 4
     finally:
         for cache in caches:
             cache.cache_clear()
@@ -518,7 +533,107 @@ def test_every_family_agrees_with_oracle_at_stencil_neighbours():
                 assert primary == fam.eval_family_oracle(spec, label, point), (name, label, point)
 
 
+PRIMARY_ROUTE = {kind: getattr(fam, f"{kind}_uni") for kind in ("racah", "wilson", "cdh", "ch")}
+
+
+def neighbourhood(base):
+    """The point and its +-1 and +-i neighbours in each coordinate."""
+    out = [base]
+    for j, step in product(range(len(base)), (1, -1, GaussianRational(0, 1), GaussianRational(0, -1))):
+        out.append(base[:j] + (base[j] + step,) + base[j + 1:])
+    return out
+
+
+def test_member_vectors_match_the_primary_route_and_the_oracle():
+    """Every label of total degree <= 4 of every family, at drawn real points
+    and their +-1 and +-i neighbours: the member path equals the per-point
+    route through the primaries and the series oracle, types included.  The
+    neighbours share coordinates, so the stored vectors are reused."""
+    rng = random.Random(71)
+    for name in fam.ALL_FAMILIES:
+        spec = fam.FamilySpec(name)
+        bases = 1 if name == fam.CH_TRI else 2
+        points = [q for _ in range(bases)
+                  for q in neighbourhood(tuple(rnd_fraction(rng, 1, 40, 7) + Fraction(1, 13)
+                                               for _ in range(spec.nvars)))]
+        labels = [lbl for lbl in product(range(5), repeat=spec.nvars) if sum(lbl) <= 4]
+        for label in labels:
+            for point in points:
+                value = fam.eval_family(spec, label, point)
+                context = (name, label, point)
+                factors = fam._factors(name, spec.params, label, point)
+                assert_same_exact(value, fam._multiply(PRIMARY_ROUTE, factors), context)
+                assert_same_exact(value, fam.eval_family_oracle(spec, label, point), context)
+            for factor in spec._members[label]:
+                assert len(factor.heads) == len({q[factor.own] for q in points}) < len(points)
+                coupled = {None if factor.coupled is None else q[factor.coupled] for q in points}
+                assert len(factor.tails) == len(coupled) < len(points)
+
+
+@pytest.mark.parametrize("name", fam.ALL_FAMILIES)
+def test_upper_parameters_do_not_read_the_coupled_coordinate(name):
+    """Checked, not assumed: every upper parameter is affine in the point,
+    so uppers equal at two distinct coupled values do not depend on it; the
+    lowers, likewise, at two distinct own values."""
+    spec = fam.FamilySpec(name)
+    v1, v2 = Fraction(8, 7), Fraction(3, 11) + GaussianRational(0, 2)
+    w1, w2 = Fraction(16, 7), Fraction(-5, 13) + GaussianRational(0, 1)
+    label = tuple(range(2, 2 + spec.nvars))
+    couplings = fam._couplings(name, spec.params, label)
+    assert {own for _, _, own, _, _ in couplings} == set(range(spec.nvars))
+    for kind, n, own, coupled, args in couplings:
+        uppers, lowers = fam._KINDS[kind]
+        assert coupled != own
+        ws = (None, None) if coupled is None else (w1, w2)
+        for v in (v1, v2):
+            assert uppers(n, *args(v, ws[0])) == uppers(n, *args(v, ws[1])), (name, n)
+        for w in ws:
+            assert lowers(*args(v1, w)) == lowers(*args(v2, w)), (name, n)
+        assert uppers(n, *args(v1, ws[0])) != uppers(n, *args(v2, ws[0])), (name, n)
+
+
+DEGENERATE_MEMBERS = [
+    # gamma + 1 = -t
+    (fam.RACAH, (2, 0), (Fraction(8, 7), Fraction(1)),
+     "denominator parameter gamma+1 = -1 hits zero at shift 1"),
+    # gamma + 1 = s - N
+    (fam.RACAH_BAR, (0, 2), (Fraction(17, 2), Fraction(8, 7)),
+     "denominator parameter gamma+1 = 0 hits zero at shift 0"),
+    # a + c = a + e2 + iy
+    (fam.WILSON, (1, 1), (Fraction(8, 7), GaussianRational(0, Fraction(9, 10))),
+     "denominator parameter a+c = 0 hits zero at shift 0"),
+    # a + b = a + e2 + iy
+    (fam.CDH, (2, 0), (Fraction(8, 7), GaussianRational(0, Fraction(19, 10))),
+     "denominator parameter a+b = -1 hits zero at shift 1"),
+    # a + d = a1 + e2 + iy
+    (fam.CH, (3, 0), (Fraction(8, 7), GaussianRational(0, Fraction(55, 21))),
+     "denominator parameter a+d = -2 hits zero at shift 2"),
+]
+
+
+@pytest.mark.parametrize("name, label, point, message", DEGENERATE_MEMBERS,
+                         ids=[d[0] for d in DEGENERATE_MEMBERS])
+def test_a_degenerate_coupled_coordinate_raises_on_every_call(name, label, point, message):
+    """A coupled coordinate that makes a lower Pochhammer vanish raises the
+    primary route's message, on every call: its vector is never kept."""
+    spec = fam.FamilySpec(name)
+    with pytest.raises(fam.DegenerateParameterError, match=f"^{re.escape(message)}$"):
+        fam._multiply(PRIMARY_ROUTE, fam._factors(name, spec.params, label, point))
+    for _ in range(2):
+        with pytest.raises(fam.DegenerateParameterError, match=f"^{re.escape(message)}$"):
+            fam.eval_family(spec, label, point)
+        assert all(point[f.coupled] not in f.tails for f in spec._members[label]
+                   if f.coupled is not None)
+    # a coupled coordinate one step away is fine, and is kept
+    moved = (point[0] + 1,) + point[1:] if name == fam.RACAH_BAR else point[:1] + (point[1] + 1,)
+    assert fam.eval_family(spec, label, moved) == fam.eval_family_oracle(spec, label, moved)
+    assert all(moved[f.coupled] in f.tails for f in spec._members[label] if f.coupled is not None)
+
+
 def test_zero_label_is_one_without_a_primary_call(monkeypatch):
+    """A zero label builds no factor, and a degree-1 label builds one factor
+    holding only the vectors of its point's own and coupled coordinates;
+    neither calls a primary."""
     calls = []
     for kind in ("racah", "wilson", "cdh", "ch"):
         original = getattr(fam, f"{kind}_uni")
@@ -532,13 +647,17 @@ def test_zero_label_is_one_without_a_primary_call(monkeypatch):
     for name in fam.ALL_FAMILIES:
         spec = fam.FamilySpec(name)
         point = (Fraction(8, 7), Fraction(16, 7), Fraction(15, 7))[:spec.nvars]
-        value = fam.eval_family(spec, (0,) * spec.nvars, point)
+        zero = (0,) * spec.nvars
+        value = fam.eval_family(spec, zero, point)
         assert value == 1 and type(value) is Fraction, name
-        assert calls == [], name
-        # a degree-1 factor still reaches its primary, and only that one
-        fam.eval_family(spec, (1,) + (0,) * (spec.nvars - 1), point)
-        assert [n for _, n in calls] == [1], (name, calls)
-        calls.clear()
+        assert spec._members[zero] == [], name
+        one = (1,) + zero[1:]
+        fam.eval_family(spec, one, point)
+        (factor,) = spec._members[one]
+        assert (factor.n, factor.own) == (1, 0), name
+        coupled = None if factor.coupled is None else point[factor.coupled]
+        assert list(factor.heads) == [point[0]] and list(factor.tails) == [coupled], name
+        assert calls == [], (name, calls)
 
 
 def test_bivariate_total_degree_by_interpolation():
@@ -606,26 +725,37 @@ def test_equal_specs_share_one_cached_member():
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
-def test_a_sweep_builds_each_member_once_per_label(monkeypatch):
+class CountingMembers(dict):
+    """A spec's member store that records every member it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.built = []
+
+    def __setitem__(self, label, factors):
+        self.built.append(label)
+        super().__setitem__(label, factors)
+
+
+def test_a_sweep_builds_each_member_once_per_label():
     from quadlattice.pdeverify import verify_table
 
-    calls = []
-    original = fam._couplings
-
-    def counted(family, p, label):
-        calls.append(label)
-        return original(family, p, label)
-
-    monkeypatch.setattr(fam, "_couplings", counted)
+    spec = fam.FamilySpec(fam.WILSON)
+    members = CountingMembers()
+    object.__setattr__(spec, "_members", members)
     fam._eval_cached.cache_clear()
-    reports = verify_table(fam.FamilySpec(fam.WILSON), 2)
+    reports = verify_table(spec, 2)
     assert all(r["pass"] for r in reports)
-    assert sorted(calls) == sorted(tuple(r["label"]) for r in reports) and len(calls) == 6
+    labels = sorted(tuple(r["label"]) for r in reports)
+    assert sorted(members.built) == labels and len(labels) == 6
+    # every factor of nonzero degree, and only those
+    assert all(len(members[lbl]) == sum(v > 0 for v in lbl) for lbl in labels)
 
 
 def test_a_degree_zero_factor_builds_no_arguments(monkeypatch):
-    """Wilson at (0, 1): the first factor has degree 0, so its pair e2 +- iy
-    is never built; only wilson_uni's own pair a' +- iy is."""
+    """Wilson at (0, 1): the first factor has degree 0, so the member holds
+    only the second and its pair e2 +- iy is never built; only the second
+    factor's own upper pair a' +- iy is."""
     calls = []
     original = fam._pair
 
@@ -635,10 +765,10 @@ def test_a_degree_zero_factor_builds_no_arguments(monkeypatch):
 
     monkeypatch.setattr(fam, "_pair", counted)
     fam._eval_cached.cache_clear()
-    fam.wilson_uni.cache_clear()
     spec = fam.FamilySpec(fam.WILSON)
     p, point = spec.params, (Fraction(8, 7), Fraction(16, 7))
     value = fam.eval_family(spec, (0, 1), point)
+    assert [(f.n, f.own) for f in spec._members[(0, 1)]] == [(1, 1)]
     assert calls == [(p["a"] + p["e2"], point[1])]
     # the oracle keeps the degree-0 factor, and with it the pair e2 +- iy
     assert fam.eval_family_oracle(spec, (0, 1), point) == value
