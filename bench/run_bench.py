@@ -64,7 +64,13 @@ Layers timed:
       ``PointStencils.fold`` of the family's printed table at each point of
       a 3-per-axis grid (2 with ``--quick``), coefficients evaluated outside
       the timed call, the one-variable axis entries built inside it and
-      shared by the points, as a table shares them; per one-variable lattice kind, ``apply_D`` at 40 grid
+      shared by the points; ``CoeffTable.fold`` of a fresh copy of the
+      ``coefficients(spec)`` table per repeat at each point of the same grid
+      (``L5.table_fold.<kind>``), the table's monomial terms, rows and
+      suffix contractions (or, before them, its coefficients evaluated at
+      each point) all built inside the timed call, as a sweep builds them,
+      and the table builder's arithmetic outside it; per one-variable
+      lattice kind, ``apply_D`` at 40 grid
       coordinates (4 with ``--quick``) and 10 calls of ``grid_points(lattice,
       8)``; and the residual of each printed second-order form kind at label
       (1, 1) on a 3 x 3 grid (2 x 2 with ``--quick``), one equation built
@@ -442,6 +448,15 @@ def _l5_entries(size, coordinates):
             ]
 
         out[f"L5.fold.{kind}"] = (fold, len(folds))
+
+        def table_fold(table=table, grid=grid):
+            # a fresh copy of the printed table per repeat, so that its terms,
+            # rows and suffixes are built inside the call, as a sweep builds
+            # them; the builder's arithmetic is L2.coefficients's
+            fresh = pdeverify.CoeffTable(table.coeffs, table.eigenvalue, table.lattices)
+            return [fresh.fold(point) for point in grid]
+
+        out[f"L5.table_fold.{kind}"] = (table_fold, len(grid))
         if spec.nvars == 3:
             continue
         lattice = spec.lattices()[0]

@@ -13,8 +13,9 @@ which reads at most its coupled one, so that a family member keeps each
 vector per coordinate and evaluates a point as one dot product per
 factor), the exact interpolation of ``fbasis`` (an integer inverse
 Vandermonde matrix per axis, applied to the samples), the pointwise engine
-of ``pdeverify`` (each point's stencil contracted in Gaussian integers, and
-the residual one integer dot product with the sampled values), and the
+of ``pdeverify`` (each point's stencil contracted in Gaussian integers from
+per-coordinate rows, and the residual one integer dot product with the
+sampled values), and the
 nine-term forms of ``pdeverify`` (each weight a Gaussian-integer numerator
 over the form's one stated denominator).  Each writes its inputs over one
 common denominator (the family sum one per side; the latter four through

@@ -410,9 +410,10 @@ class FamilySpec:
     immutable: its parameters are a read-only mapping and its hash is taken
     once.  It carries its members (``_members``: label -> the ``_Factor`` of
     each nonzero degree, with the vectors it keeps), each built once per
-    label by ``_eval_cached``."""
+    label by ``_eval_cached``, and the specs :meth:`shifted` built from it
+    (``_shifted``: shifts -> spec)."""
 
-    __slots__ = ("family", "params", "_key", "_hash", "_members")
+    __slots__ = ("family", "params", "_key", "_hash", "_members", "_shifted")
 
     def __init__(self, family, params=None):
         if family not in PARAM_NAMES:
@@ -425,7 +426,7 @@ class FamilySpec:
             raise ValueError(f"parameters {sorted(unknown)} do not belong to {family}")
         key = (family,) + tuple(base[k] for k in PARAM_NAMES[family])
         state = {"family": family, "params": MappingProxyType(base), "_key": key,
-                 "_hash": hash(key), "_members": {}}
+                 "_hash": hash(key), "_members": {}, "_shifted": {}}
         for name, value in state.items():
             object.__setattr__(self, name, value)
 
@@ -450,10 +451,18 @@ class FamilySpec:
         return 3 if self.family == CH_TRI else 2
 
     def shifted(self, **deltas):
-        params = dict(self.params)
-        for k, dv in deltas.items():
-            params[k] = params[k] + rat(dv)
-        return FamilySpec(self.family, params)
+        """The spec with each named parameter moved by its delta, built once
+        per set of deltas: a ladder shifts by the same deltas at every
+        point, so one shifted spec, with the member vectors it keeps, serves
+        all of its checks."""
+        key = tuple(sorted((k, rat(dv)) for k, dv in deltas.items()))
+        spec = self._shifted.get(key)
+        if spec is None:
+            params = dict(self.params)
+            for k, dv in key:
+                params[k] = params[k] + dv
+            spec = self._shifted[key] = FamilySpec(self.family, params)
+        return spec
 
     def lattices(self):
         base = base_family(self.family)

@@ -127,14 +127,27 @@ class CoeffTable(Equation):
     operator whose coefficient is nonzero.
     The coefficients are a tuple, so a folded stencil cannot go stale.
 
-    The one-variable S D and D^2 weights depend only on (variable,
-    coordinate, entry), not on the point: the table builds each such axis
-    entry once, when an operator with a nonzero coefficient first asks for
-    it, and keeps it beside its stencils for every point that shares the
-    coordinate.
+    Each f_i is a polynomial and each E_l a tensor product of one-variable
+    operators, so the table's operator is a sum of terms
+    c * prod_v x_v^(a_v) E^(v)_(l_v), each keyed per variable by its pair
+    (a_v, l_v).  The table splits its coefficients into these terms on its
+    first fold, over one denominator.  Only a variable's row depends on the
+    coordinate: for each pair the terms use in it, x_v(s)^a times the axis
+    entry's weights (:func:`_axis_row`), built once per (variable,
+    coordinate) from the axis entries, themselves built once per (variable,
+    coordinate, entry).  The engine contracts the last variable first
+    (:meth:`PointStencils.contract`), and the partial result after variables
+    v..p-1 depends on (s_v, .., s_(p-1)) only: the table keeps it under that
+    suffix, so a bivariate grid contracts y once per y-coordinate and x once
+    per point, and no coefficient is evaluated at a point.
+
+    A row that would need a singular axis entry is not built: a point on
+    that coordinate folds from its f_i at the point, as the engine folds
+    any terms, so a zero f_i skips its operator and a nonzero one raises
+    for the first denominator nested application meets.
     """
 
-    __slots__ = ("coeffs", "lattices", "_entries")
+    __slots__ = ("coeffs", "lattices", "_entries", "_terms", "_rows", "_suffixes")
 
     def __init__(self, coeffs, eigenvalue, lattices):
         self.coeffs = tuple(coeffs)
@@ -148,15 +161,35 @@ class CoeffTable(Equation):
         # the operators contract in integers: no weights are built by hand
         super().__init__(None, eigenvalue)
         self._entries = {}
+        self._terms = None
+        self._rows = {}
+        self._suffixes = {}
 
     def fold(self, point):
-        """sum f_i E_i at the point as an integer stencil; a zero f_i skips
-        its operator, singular or not."""
-        latpt = self.lattice_point(point)
-        terms = [
-            (ci, lind) for fi, lind in zip(self.coeffs, self.lindices) if (ci := fi.eval(latpt))
-        ]
-        return PointStencils(self.lattices, point, self._entries).fold(terms)
+        """sum f_i E_i at the point as an integer stencil, contracted from the
+        rows of its coordinates; a zero f_i skips its operator, singular or
+        not."""
+        if self._terms is None:
+            self._terms = _table_terms(self.coeffs, self.lindices)
+        den, terms, keys = self._terms
+        engine = PointStencils(self.lattices, point, self._entries)
+        rows = [self._row(engine, var, used) for var, used in enumerate(keys)]
+        if None in rows:
+            latpt = self.lattice_point(point)
+            pairs = zip(self.coeffs, self.lindices)
+            return engine.fold([(ci, lind) for fi, lind in pairs if (ci := fi.eval(latpt))])
+        return engine.contract(den, terms, rows, self._suffixes)
+
+    def _row(self, engine, var, keys):
+        """The row of the variable at the engine's coordinate, or None where
+        it would need a singular axis entry."""
+        at = (var, engine.point[var])
+        if at not in self._rows:
+            try:
+                self._rows[at] = engine.row(var, keys)
+            except SingularPointError:
+                self._rows[at] = None
+        return self._rows[at]
 
     @property
     def lindices(self):
@@ -247,6 +280,58 @@ def _dot(den, weights, f):
     return from_parts(den * vden, re, im)
 
 
+def _table_terms(coeffs, lindices):
+    """(den, {key: (A, B)}, keys): the monomial terms c x^e of every f_i,
+    keyed per variable by (e_v, l_v) with l the index of f_i's operator,
+    equal keys merged, each c as (A + Bi) / den over one denominator; and
+    for each variable the set of (power, entry) pairs the terms use in it."""
+    merged = {}
+    for fi, lind in zip(coeffs, lindices):
+        for exps, c in fi.coeffs.items():
+            key = tuple(zip(exps, lind))
+            merged[key] = merged[key] + c if key in merged else c
+    den, parts = integer_parts(merged.values())
+    terms = {key: w for key, w in zip(merged, parts) if w[0] or w[1]}
+    return den, terms, [{key[var] for key in terms} for var in range(len(lindices[0]))]
+
+
+def _axis_row(lattice, s, keys, entry):
+    """One variable's factors at the coordinate s:
+    ``(den, {(a, l): {o: (A, B)}}, {o: coordinate})``, for each key (a, l)
+    the lattice value x(s)^a times the weights of the axis entry l at the
+    offsets o (``entry(l)`` gives it, as :func:`_axis_entry` builds it), as
+    Gaussian integers over one row denominator, zero weights dropped.  Entry
+    0 weighs only the offset 0."""
+    entries, top = {}, 0
+    for a, l in keys:
+        if l and l not in entries:
+            entries[l] = entry(l)
+        top = max(top, a)
+    scale = lcm(*(d for d, _, _ in entries.values()))
+    if top:
+        # x^a over the row's xden^top
+        xden, ((xa, xb),) = integer_parts((lattice_value(lattice, s),))
+        powers = [gmul([(xa, xb)] * a + [(xden, 0)] * (top - a)) for a in range(top + 1)]
+    else:
+        xden, powers = 1, ((1, 0),)
+    row = {}
+    for a, l in keys:
+        pa, pb = powers[a]
+        if not (pa or pb):
+            row[(a, l)] = {}
+        elif l:
+            # x^a times each weight of the entry, over the row's denominator
+            d, weights, _ = entries[l]
+            ka, kb = (scale // d) * pa, (scale // d) * pb
+            row[(a, l)] = {
+                o: (ka * wa - kb * wb, ka * wb + kb * wa) for o, (wa, wb) in weights.items()
+            }
+        else:
+            row[(a, l)] = {0: (scale * pa, scale * pb)}
+    coords = next(iter(entries.values()))[2] if entries else {0: s}
+    return scale * xden ** top, row, coords
+
+
 class PointStencils:
     """The pointwise operator engine at one point.
 
@@ -254,12 +339,18 @@ class PointStencils:
     the tensor product of one-variable weights (:func:`_axis_entry`), built
     once per (variable, coordinate, entry) in ``entries`` (a table passes
     its own, so they outlive the point) and shared by every operator asked
-    for.  A linear combination of operators is contracted one variable at a
-    time, in Gaussian integers: the coefficients over one common
-    denominator, each variable's entries over theirs.  The result is one
-    integer stencil ``(den, {q: (A, B)})``, q weighing (A + Bi) / den, with
-    zero weights dropped, so no residual samples their neighbours; callers
-    that need field weights take its :func:`fraction_view`.
+    for.  A linear combination of terms c * prod_v x_v^(a_v) E^(v)_(l_v),
+    each keyed per variable by (a_v, l_v), is contracted one variable at a
+    time, last variable first, in Gaussian integers: the coefficients over
+    one common denominator, each variable's row (:func:`_axis_row`: its
+    powers times its entries) over its own.  ``fold`` takes operators at
+    power 0, the coefficients evaluated at the point; a
+    :class:`CoeffTable` passes its monomial terms and its rows to
+    ``contract``, with a store for the partial contractions of the later
+    variables.  The result is one integer stencil ``(den, {q: (A, B)})``,
+    q weighing (A + Bi) / den, with zero weights dropped, so no residual
+    samples their neighbours; callers that need field weights take its
+    :func:`fraction_view`.
     """
 
     __slots__ = ("lattices", "point", "_entries")
@@ -276,6 +367,11 @@ class PointStencils:
             entry = self._entries[key] = _axis_entry(self.lattices[var], self.point[var], l)
         return entry
 
+    def row(self, var, keys):
+        """The variable's row at the point's coordinate for the (power,
+        entry) pairs ``keys``."""
+        return _axis_row(self.lattices[var], self.point[var], keys, partial(self._factor, var))
+
     def fold(self, terms):
         """The integer stencil ``(den, {q: (A, B)})`` with sum w f(q) = sum of
         c (E_lindex f)(point) over the (c, lindex) in terms: one weight per
@@ -289,29 +385,43 @@ class PointStencils:
                 l = lindex[var]
                 if l and l not in entries[var]:
                     entries[var][l] = self._factor(var, l)
-        # each variable's neighbour coordinates, by offset
-        coords = [next(iter(e.values()))[2] if e else {0: s} for e, s in zip(entries, self.point)]
         den, parts = integer_parts([c for c, _ in terms])
-        # contract the last variable first, so that terms agreeing on the
-        # earlier entries share one weight table over the later offsets
-        layer = {}
+        # each operator at power 0 in every variable
+        layer, zeros = {}, (0,) * nvars
         for (a, b), (_, lindex) in zip(parts, terms):
-            tail = layer.setdefault(lindex, {})
-            ta, tb = tail.get((), (0, 0))
-            tail[()] = (ta + a, tb + b)
-        for var in range(nvars - 1, -1, -1):
-            # this variable's entries over one denominator; entry 0 weighs 1
-            scale = lcm(*(d for d, _, _ in entries[var].values()))
-            factors = {
-                l: {o: (a * (scale // d), b * (scale // d)) for o, (a, b) in w.items()}
-                for l, (d, w, _) in entries[var].items()
-            }
-            factors[0] = {0: (scale, 0)}
+            key = tuple(zip(zeros, lindex))
+            ta, tb = layer.get(key, (0, 0))
+            layer[key] = (ta + a, tb + b)
+        rows = [
+            _axis_row(lattice, s, {key[var] for key in layer}, entries[var].__getitem__)
+            for var, (lattice, s) in enumerate(zip(self.lattices, self.point))
+        ]
+        return self.contract(den, layer, rows)
+
+    def contract(self, den, terms, rows, suffixes=None):
+        """The integer stencil of the terms ``{key: (A, B)}`` over ``den``,
+        key ((a_0, l_0), ..), with ``rows[v]`` variable v's row at the
+        point.  The last variable is contracted first, so that terms
+        agreeing on the earlier keys share one weight table over the later
+        offsets.  With a dict ``suffixes``, the partial result after the
+        variables v..p-1 (v >= 1), which depends on the point's coordinates
+        (s_v, .., s_(p-1)) only, is kept under them, and the longest one
+        kept is resumed from."""
+        nvars = len(self.point)
+        start = nvars
+        if suffixes:
+            start = next((v for v in range(1, nvars) if self.point[v:] in suffixes), nvars)
+        if start < nvars:
+            den, layer = suffixes[self.point[start:]]
+        else:
+            layer = {key: {(): w} for key, w in terms.items()}
+        for var in range(start - 1, -1, -1):
+            scale, factors, _ = rows[var]
             den *= scale
             merged = {}
-            for lindex, tail in layer.items():
-                acc = merged.setdefault(lindex[:var], {})
-                for o, (wa, wb) in factors[lindex[var]].items():
+            for key, tail in layer.items():
+                acc = merged.setdefault(key[:var], {})
+                for o, (wa, wb) in factors[key[var]].items():
                     for q, (ta, tb) in tail.items():
                         q = (o,) + q
                         a, b = wa * ta - wb * tb, wa * tb + wb * ta
@@ -321,8 +431,10 @@ class PointStencils:
                         else:
                             acc[q] = (a, b)
             layer = merged
+            if suffixes is not None and var:
+                suffixes[self.point[var:]] = den, layer
         return den, {
-            tuple(c[o] for c, o in zip(coords, q)): w
+            tuple(row[2][o] for row, o in zip(rows, q)): w
             for q, w in layer.get((), {}).items()
             if w[0] or w[1]
         }

@@ -368,6 +368,28 @@ def test_ladder_sweeps_its_proof_grid(monkeypatch):
     assert len(calls) == 6
 
 
+def test_a_ladder_builds_its_shifted_spec_once(monkeypatch):
+    # the parameter shifts depend only on the family: the command's spec and
+    # one shifted spec serve all 36 checks of wilson at degree <= 2
+    built, checks = [], []
+    init, check = families.FamilySpec.__init__, families.derivative_ladder_check
+
+    def counted_init(self, family, params=None):
+        built.append(family)
+        init(self, family, params)
+
+    def counted_check(spec, label, point):
+        checks.append(label)
+        return check(spec, label, point)
+
+    monkeypatch.setattr(families.FamilySpec, "__init__", counted_init)
+    monkeypatch.setattr(families, "derivative_ladder_check", counted_check)
+    code, report = run(["verify-ladder", "--family", "wilson", "--max-total-degree", "2"])
+    assert code == EXIT_OK
+    assert len(checks) == 36
+    assert built == [families.WILSON] * 2
+
+
 def test_usage_errors_name_the_cause():
     for argv, message in (
         (["eval", "--family", "racah", "--label", "1,1", "--point", "8/7,16/7",
@@ -562,13 +584,13 @@ def test_form_commands_build_each_grid_point_stencil_once(monkeypatch, command, 
     # largest grid once each (wilson at degree 3: 64)
     calls = []
     if command == "verify-second-order":
-        fold = pdeverify.PointStencils.fold
+        fold = pdeverify.CoeffTable.fold
 
-        def counted(self, terms):
-            calls.append(self.point)
-            return fold(self, terms)
+        def counted(self, point):
+            calls.append(point)
+            return fold(self, point)
 
-        monkeypatch.setattr(pdeverify.PointStencils, "fold", counted)
+        monkeypatch.setattr(pdeverify.CoeffTable, "fold", counted)
     else:
         name = NINE_TERM_BUILDERS[family]
         builder = getattr(pdeverify, name)

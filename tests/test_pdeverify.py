@@ -176,13 +176,13 @@ def test_sweep_folds_each_grid_point_once(monkeypatch, name, degree, grid_size, 
     # folds the (d+5)^p points of its largest grid once; a second sweep
     # starts afresh
     calls = []
-    fold = pv.PointStencils.fold
+    fold = pv.CoeffTable.fold
 
-    def counted(self, terms):
-        calls.append(self.point)
-        return fold(self, terms)
+    def counted(self, point):
+        calls.append(point)
+        return fold(self, point)
 
-    monkeypatch.setattr(pv.PointStencils, "fold", counted)
+    monkeypatch.setattr(pv.CoeffTable, "fold", counted)
     spec = fam.FamilySpec(name)
     for sweeps in (1, 2):
         reports = pv.verify_table(spec, degree, grid_size=grid_size)
@@ -198,13 +198,13 @@ def test_an_equation_folds_each_grid_point_once(monkeypatch, kind):
     # points of the largest grid of degree <= 3 once each
     calls = []
     if kind == "wilson-x":
-        fold, build = pv.PointStencils.fold, pv.second_order_equation
+        fold, build = pv.CoeffTable.fold, pv.second_order_equation
 
-        def counted(self, terms):
-            calls.append(self.point)
-            return fold(self, terms)
+        def counted(self, point):
+            calls.append(point)
+            return fold(self, point)
 
-        monkeypatch.setattr(pv.PointStencils, "fold", counted)
+        monkeypatch.setattr(pv.CoeffTable, "fold", counted)
     else:
         stencil, build = pv.wilson_f_stencil, pv.difference_form_equation
 
@@ -604,6 +604,145 @@ def test_a_sweep_builds_each_axis_entry_once(monkeypatch, name, degree, grid_siz
     reports = pv.verify_table(fam.FamilySpec(name), degree, grid_size=grid_size)
     assert all(r["pass"] for r in reports)
     assert len(calls) == len(set(calls)) == entries
+
+
+# -- a table's fold from per-coordinate rows ------------------------------------------
+
+def _pointwise_fold(table, point):
+    """The table's stencil at the point from its f_i there: each f_i
+    evaluated, a zero one skipped, and the rest folded at power 0."""
+    latpt = table.lattice_point(point)
+    terms = [(c, lind) for fi, lind in zip(table.coeffs, table.lindices) if (c := fi.eval(latpt))]
+    return pv.fraction_view(pv.PointStencils(table.lattices, point).fold(terms))
+
+
+def _fold_case(case):
+    """(table, grid axes): a printed table and its derived tables on the
+    degree-3 grid, a second-order form on its family's, or ch-tri on 3^3."""
+    name, _, which = case.partition(":")
+    if name in pv.SECOND_ORDER_FORMS:
+        spec = fam.FamilySpec(pv.SECOND_ORDER_FORMS[name][0])
+        return pv.second_order_equation(name, spec), pv.residual_grid(spec, (3, 0))
+    spec = fam.FamilySpec(name)
+    if name == fam.CH_TRI:
+        return pv.coefficients(spec), pv.residual_grid(spec, (0, 0, 0), size=3)
+    table = pv.coefficients(spec)
+    if which:
+        table = pv.derived_coefficients(table, which)
+    return table, pv.residual_grid(spec, (3, 0))
+
+
+FOLD_CASES = [
+    f"{name}{which}"
+    for name in (fam.RACAH, fam.WILSON, fam.CDH, fam.CH)
+    for which in ("", ":x", ":y", ":xy")
+] + sorted(pv.SECOND_ORDER_FORMS) + [fam.CH_TRI]
+
+
+@pytest.mark.parametrize("case", FOLD_CASES)
+def test_table_fold_matches_the_pointwise_fold(case):
+    # the stencil contracted from the table's rows and kept suffixes equals,
+    # weight for weight, the one folded from the f_i evaluated at the point,
+    # and the field-arithmetic contraction, which shares no row with either
+    table, axes = _fold_case(case)
+    grid = list(product(*axes))
+    assert len(grid) == (64 if table.nvars == 2 else 27)
+    for point in grid:
+        folded = pv.fraction_view(table.stencil(point))
+        assert folded == _pointwise_fold(table, point), point
+        assert folded == _nonzero(reference_stencil(table, point)), point
+    assert None not in table._rows.values()
+
+
+@pytest.mark.parametrize("name", [fam.RACAH, fam.CH])
+def test_a_row_where_the_lattice_value_is_zero(name):
+    # x(0) = 0 on the quadratic and linear lattices: every power a > 0 of the
+    # row weighs nothing there, and the stencil is still the pointwise one
+    spec = fam.FamilySpec(name)
+    table = pv.coefficients(spec)
+    for point in ((Fraction(0), Fraction(16, 7)), (Fraction(8, 7), Fraction(0))):
+        assert lo.lattice_value(spec.lattices()[0], point[0]) * lo.lattice_value(
+            spec.lattices()[1], point[1]) == 0
+        folded = pv.fraction_view(table.stencil(point))
+        assert folded == _pointwise_fold(table, point) == _nonzero(reference_stencil(table, point))
+
+
+def _singular_row_table(f5):
+    """A Racah-lattice table with f5 beside E(2,0), where x's D^2 outer
+    denominator vanishes at s = -beta1/2, and f8 beside E(0,1)."""
+    lattices = fam.FamilySpec(fam.RACAH).lattices()
+    zero, y = MPoly.zero(2), MPoly.var(1, 2)
+    coeffs = [zero] * 4 + [f5, zero, zero, y + 3]
+    return pv.CoeffTable(coeffs, lambda label: 5, lattices)
+
+
+def test_a_singular_row_folds_its_points_from_their_coefficients():
+    # x's row at s would need the singular D^2 entry: a point on s folds from
+    # its f_i there, and f5 = x - x(s) vanishes, so E(2,0) is skipped; a point
+    # off s is contracted from its rows
+    spec = fam.FamilySpec(fam.RACAH)
+    s = -spec.params["beta1"] / 2
+    table = _singular_row_table(MPoly.var(0, 2) - lo.lattice_value(spec.lattices()[0], s))
+    for point in ((s, Fraction(16, 7)), (s, Fraction(23, 7)), (Fraction(8, 7), Fraction(16, 7))):
+        assert pv.fraction_view(table.stencil(point)) == _pointwise_fold(table, point)
+    assert table._rows[(0, s)] is None
+    assert table._rows[(0, Fraction(8, 7))] is not None
+    point = (s, Fraction(16, 7))
+    f8 = table.coeffs[7].eval(table.lattice_point(point))
+    assert pv.table_residual_on(table, _rational_function, (1, 1), point) == (
+        5 * _rational_function(point)
+        + f8 * _nested_mixed(table.lattices, (0, 1), _rational_function, point)
+    )
+
+
+def test_a_singular_row_with_a_nonzero_coefficient_raises_as_before():
+    # f5 = x + 1 is nonzero at s: the point raises the pointwise engine's
+    # message for x's D^2 denominator, on every point of the coordinate
+    spec = fam.FamilySpec(fam.RACAH)
+    s = -spec.params["beta1"] / 2
+    table = _singular_row_table(MPoly.var(0, 2) + 1)
+    for t in (Fraction(16, 7), Fraction(23, 7)):
+        with pytest.raises(SingularPointError) as err:
+            table.stencil((s, t))
+        assert str(err.value) == f"stencil denominator vanishes at {s} on {spec.lattices()[0]!r}"
+    assert table._rows[(0, s)] is None
+
+
+@pytest.mark.parametrize("name, degree, grid_size, rows, suffixes", [
+    (fam.RACAH, 1, None, [6, 6], [6]),
+    (fam.CH_TRI, 1, 2, [2, 2, 2], [2, 4]),
+])
+def test_a_sweep_builds_each_row_and_suffix_once(monkeypatch, name, degree, grid_size, rows,
+                                                  suffixes):
+    # a row depends on (variable, coordinate), the contraction of the later
+    # variables on their coordinates only: a sweep builds each once, and
+    # evaluates no coefficient at a point
+    built, tables, evaluated = [], [], []
+    row, coefficients, evaluate = pv._axis_row, pv.coefficients, fbasis.MPoly.eval
+
+    def counted_row(lattice, s, keys, entry):
+        built.append((lattice.name, s))
+        return row(lattice, s, keys, entry)
+
+    def kept(spec):
+        tables.append(coefficients(spec))
+        return tables[-1]
+
+    def counted_eval(self, point):
+        evaluated.append(point)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(pv, "_axis_row", counted_row)
+    monkeypatch.setattr(pv, "coefficients", kept)
+    monkeypatch.setattr(fbasis.MPoly, "eval", counted_eval)
+    spec = fam.FamilySpec(name)
+    reports = pv.verify_table(spec, degree, grid_size=grid_size)
+    assert all(r["pass"] for r in reports)
+    assert len(built) == len(set(built))
+    assert [sum(n == lattice.name for n, _ in built) for lattice in spec.lattices()] == rows
+    (table,) = tables
+    assert [sum(len(k) == n for k in table._suffixes) for n in range(1, spec.nvars)] == suffixes
+    assert evaluated == []
 
 
 # -- the symbolic table action -------------------------------------------------------
