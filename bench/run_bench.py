@@ -61,10 +61,11 @@ Layers timed:
       invert its own (26, and 10 at upto 2).
   L5  the pointwise layer, per lattice kind (quadratic: racah, Wilson
       square: wilson, linear: ch, 3-variable linear: ch-tri):
-      ``PointStencils.fold`` of the family's printed table at each point of
-      a 3-per-axis grid (2 with ``--quick``), coefficients evaluated outside
-      the timed call, the one-variable axis entries built inside it and
-      shared by the points; ``CoeffTable.fold`` of a fresh copy of the
+      ``fold_terms`` of the family's printed table at each point of a
+      3-per-axis grid (2 with ``--quick``), coefficients evaluated outside
+      the timed call, each call building its own one-variable axis entries
+      and rows, as the pointwise views and a singular row's points build
+      them; ``CoeffTable.fold`` of a fresh copy of the
       ``coefficients(spec)`` table per repeat at each point of the same grid
       (``L5.table_fold.<kind>``), the table's monomial terms, rows and
       suffix contractions (or, before them, its coefficients evaluated at
@@ -439,13 +440,7 @@ def _l5_entries(size, coordinates):
             folds.append((point, [(c, lind) for c, lind in terms if c]))
 
         def fold(folds=folds, lattices=table.lattices):
-            # one dict of axis entries per repeat, shared by the points as a
-            # table shares it
-            entries = {}
-            return [
-                pdeverify.PointStencils(lattices, point, entries).fold(terms)
-                for point, terms in folds
-            ]
+            return [pdeverify.fold_terms(lattices, point, terms) for point, terms in folds]
 
         out[f"L5.fold.{kind}"] = (fold, len(folds))
 

@@ -134,20 +134,21 @@ class CoeffTable(Equation):
     first fold, over one denominator.  Only a variable's row depends on the
     coordinate: for each pair the terms use in it, x_v(s)^a times the axis
     entry's weights (:func:`_axis_row`), built once per (variable,
-    coordinate) from the axis entries, themselves built once per (variable,
-    coordinate, entry).  The engine contracts the last variable first
-    (:meth:`PointStencils.contract`), and the partial result after variables
-    v..p-1 depends on (s_v, .., s_(p-1)) only: the table keeps it under that
-    suffix, so a bivariate grid contracts y once per y-coordinate and x once
-    per point, and no coefficient is evaluated at a point.
+    coordinate) with the axis entries it uses, so each of those is built
+    once per (variable, coordinate, entry) too.  The engine contracts the
+    last variable first (:func:`contract_terms`), and the partial result
+    after variables v..p-1 depends on (s_v, .., s_(p-1)) only: the table
+    keeps it under that suffix, so a bivariate grid contracts y once per
+    y-coordinate and x once per point, and no coefficient is evaluated at a
+    point.
 
     A row that would need a singular axis entry is not built: a point on
-    that coordinate folds from its f_i at the point, as the engine folds
-    any terms, so a zero f_i skips its operator and a nonzero one raises
-    for the first denominator nested application meets.
+    that coordinate folds from its f_i at the point (:func:`fold_terms`), so
+    a zero f_i skips its operator and a nonzero one raises for the first
+    denominator nested application meets.
     """
 
-    __slots__ = ("coeffs", "lattices", "_entries", "_terms", "_rows", "_suffixes")
+    __slots__ = ("coeffs", "lattices", "_terms", "_rows", "_suffixes")
 
     def __init__(self, coeffs, eigenvalue, lattices):
         self.coeffs = tuple(coeffs)
@@ -160,7 +161,6 @@ class CoeffTable(Equation):
         self._check_structure()
         # the operators contract in integers: no weights are built by hand
         super().__init__(None, eigenvalue)
-        self._entries = {}
         self._terms = None
         self._rows = {}
         self._suffixes = {}
@@ -170,26 +170,29 @@ class CoeffTable(Equation):
         rows of its coordinates; a zero f_i skips its operator, singular or
         not."""
         if self._terms is None:
-            self._terms = _table_terms(self.coeffs, self.lindices)
+            self._terms = _table_terms(
+                self.nvars, ((lind, fi.coeffs) for fi, lind in zip(self.coeffs, self.lindices))
+            )
         den, terms, keys = self._terms
-        engine = PointStencils(self.lattices, point, self._entries)
-        rows = [self._row(engine, var, used) for var, used in enumerate(keys)]
+        rows = [self._row(var, point[var], used) for var, used in enumerate(keys)]
         if None in rows:
             latpt = self.lattice_point(point)
             pairs = zip(self.coeffs, self.lindices)
-            return engine.fold([(ci, lind) for fi, lind in pairs if (ci := fi.eval(latpt))])
-        return engine.contract(den, terms, rows, self._suffixes)
+            return fold_terms(
+                self.lattices, point, [(ci, lind) for fi, lind in pairs if (ci := fi.eval(latpt))]
+            )
+        return contract_terms(point, den, terms, rows, self._suffixes)
 
-    def _row(self, engine, var, keys):
-        """The row of the variable at the engine's coordinate, or None where
-        it would need a singular axis entry."""
-        at = (var, engine.point[var])
-        if at not in self._rows:
+    def _row(self, var, s, keys):
+        """The variable's row at the coordinate s, built with its own axis
+        entries, or None where it would need a singular one."""
+        if (var, s) not in self._rows:
+            lattice = self.lattices[var]
             try:
-                self._rows[at] = engine.row(var, keys)
+                self._rows[(var, s)] = _axis_row(lattice, s, keys, partial(_axis_entry, lattice, s))
             except SingularPointError:
-                self._rows[at] = None
-        return self._rows[at]
+                self._rows[(var, s)] = None
+        return self._rows[(var, s)]
 
     @property
     def lindices(self):
@@ -280,19 +283,20 @@ def _dot(den, weights, f):
     return from_parts(den * vden, re, im)
 
 
-def _table_terms(coeffs, lindices):
-    """(den, {key: (A, B)}, keys): the monomial terms c x^e of every f_i,
-    keyed per variable by (e_v, l_v) with l the index of f_i's operator,
-    equal keys merged, each c as (A + Bi) / den over one denominator; and
-    for each variable the set of (power, entry) pairs the terms use in it."""
+def _table_terms(nvars, polys):
+    """(den, {key: (A, B)}, keys): the monomial terms c x^e of every
+    (lindex, {e: c}) in ``polys``, keyed per variable by (e_v, l_v), equal
+    keys merged, each c as (A + Bi) / den over one denominator, zero terms
+    dropped; and for each of the nvars variables the set of (power, entry)
+    pairs the terms use in it."""
     merged = {}
-    for fi, lind in zip(coeffs, lindices):
-        for exps, c in fi.coeffs.items():
+    for lind, monomials in polys:
+        for exps, c in monomials.items():
             key = tuple(zip(exps, lind))
             merged[key] = merged[key] + c if key in merged else c
     den, parts = integer_parts(merged.values())
     terms = {key: w for key, w in zip(merged, parts) if w[0] or w[1]}
-    return den, terms, [{key[var] for key in terms} for var in range(len(lindices[0]))]
+    return den, terms, [{key[var] for key in terms} for var in range(nvars)]
 
 
 def _axis_row(lattice, s, keys, entry):
@@ -332,112 +336,86 @@ def _axis_row(lattice, s, keys, entry):
     return scale * xden ** top, row, coords
 
 
-class PointStencils:
-    """The pointwise operator engine at one point.
+def fold_terms(lattices, point, pairs):
+    """The integer stencil ``(den, {q: (A, B)})`` with sum w f(q) = sum of
+    c (E_lindex f)(point) over the (c, lindex) in ``pairs``: one weight per
+    neighbour q, zero weights dropped, so no residual samples their
+    neighbours.  The pointwise views and the points of a table's singular
+    row fold here.
 
     Every operator denominator depends on its own coordinate only, so E_l is
     the tensor product of one-variable weights (:func:`_axis_entry`), built
-    once per (variable, coordinate, entry) in ``entries`` (a table passes
-    its own, so they outlive the point) and shared by every operator asked
-    for.  A linear combination of terms c * prod_v x_v^(a_v) E^(v)_(l_v),
-    each keyed per variable by (a_v, l_v), is contracted one variable at a
-    time, last variable first, in Gaussian integers: the coefficients over
-    one common denominator, each variable's row (:func:`_axis_row`: its
-    powers times its entries) over its own.  ``fold`` takes operators at
-    power 0, the coefficients evaluated at the point; a
-    :class:`CoeffTable` passes its monomial terms and its rows to
-    ``contract``, with a store for the partial contractions of the later
-    variables.  The result is one integer stencil ``(den, {q: (A, B)})``,
-    q weighing (A + Bi) / den, with zero weights dropped, so no residual
-    samples their neighbours; callers that need field weights take its
-    :func:`fraction_view`.
+    once per (variable, entry) and shared by every operator asked for.  The
+    pairs are the terms of :func:`_table_terms` at power 0 in every
+    variable, contracted by :func:`contract_terms` as a table's are.
     """
+    point = tuple(point)
+    nvars = len(point)
+    # denominators are met as nested application meets them: operator by
+    # operator, last variable first
+    entries = [{} for _ in point]
+    for _, lindex in pairs:
+        for var in range(nvars - 1, -1, -1):
+            l = lindex[var]
+            if l and l not in entries[var]:
+                entries[var][l] = _axis_entry(lattices[var], point[var], l)
+    zeros = (0,) * nvars
+    den, terms, keys = _table_terms(nvars, ((lind, {zeros: c}) for c, lind in pairs))
+    rows = [
+        _axis_row(lattice, s, used, entries[var].__getitem__)
+        for var, (lattice, s, used) in enumerate(zip(lattices, point, keys))
+    ]
+    return contract_terms(point, den, terms, rows)
 
-    __slots__ = ("lattices", "point", "_entries")
 
-    def __init__(self, lattices, point, entries=None):
-        self.lattices = tuple(lattices)
-        self.point = tuple(point)
-        self._entries = {} if entries is None else entries
+def contract_terms(point, den, terms, rows, suffixes=None):
+    """The integer stencil ``(den, {q: (A, B)})``, q weighing (A + Bi) / den,
+    at the point of the terms ``{key: (A, B)}`` over ``den``: the one
+    contraction of the pointwise engine.  A term c * prod_v x_v^(a_v)
+    E^(v)_(l_v) has the key ((a_0, l_0), ..), and ``rows[v]`` is variable
+    v's row (:func:`_axis_row`: its powers times its entries, over its own
+    denominator) at the point's coordinate; they are contracted one
+    variable at a time, in Gaussian integers.
 
-    def _factor(self, var, l):
-        key = (var, self.point[var], l)
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = self._entries[key] = _axis_entry(self.lattices[var], self.point[var], l)
-        return entry
-
-    def row(self, var, keys):
-        """The variable's row at the point's coordinate for the (power,
-        entry) pairs ``keys``."""
-        return _axis_row(self.lattices[var], self.point[var], keys, partial(self._factor, var))
-
-    def fold(self, terms):
-        """The integer stencil ``(den, {q: (A, B)})`` with sum w f(q) = sum of
-        c (E_lindex f)(point) over the (c, lindex) in terms: one weight per
-        neighbour q, zero weights dropped."""
-        nvars = len(self.point)
-        # denominators are met as nested application meets them: operator by
-        # operator, last variable first
-        entries = [{} for _ in range(nvars)]
-        for _, lindex in terms:
-            for var in range(nvars - 1, -1, -1):
-                l = lindex[var]
-                if l and l not in entries[var]:
-                    entries[var][l] = self._factor(var, l)
-        den, parts = integer_parts([c for c, _ in terms])
-        # each operator at power 0 in every variable
-        layer, zeros = {}, (0,) * nvars
-        for (a, b), (_, lindex) in zip(parts, terms):
-            key = tuple(zip(zeros, lindex))
-            ta, tb = layer.get(key, (0, 0))
-            layer[key] = (ta + a, tb + b)
-        rows = [
-            _axis_row(lattice, s, {key[var] for key in layer}, entries[var].__getitem__)
-            for var, (lattice, s) in enumerate(zip(self.lattices, self.point))
-        ]
-        return self.contract(den, layer, rows)
-
-    def contract(self, den, terms, rows, suffixes=None):
-        """The integer stencil of the terms ``{key: (A, B)}`` over ``den``,
-        key ((a_0, l_0), ..), with ``rows[v]`` variable v's row at the
-        point.  The last variable is contracted first, so that terms
-        agreeing on the earlier keys share one weight table over the later
-        offsets.  With a dict ``suffixes``, the partial result after the
-        variables v..p-1 (v >= 1), which depends on the point's coordinates
-        (s_v, .., s_(p-1)) only, is kept under them, and the longest one
-        kept is resumed from."""
-        nvars = len(self.point)
-        start = nvars
-        if suffixes:
-            start = next((v for v in range(1, nvars) if self.point[v:] in suffixes), nvars)
-        if start < nvars:
-            den, layer = suffixes[self.point[start:]]
-        else:
-            layer = {key: {(): w} for key, w in terms.items()}
-        for var in range(start - 1, -1, -1):
-            scale, factors, _ = rows[var]
-            den *= scale
-            merged = {}
-            for key, tail in layer.items():
-                acc = merged.setdefault(key[:var], {})
-                for o, (wa, wb) in factors[key[var]].items():
-                    for q, (ta, tb) in tail.items():
-                        q = (o,) + q
-                        a, b = wa * ta - wb * tb, wa * tb + wb * ta
-                        if q in acc:
-                            xa, xb = acc[q]
-                            acc[q] = (xa + a, xb + b)
-                        else:
-                            acc[q] = (a, b)
-            layer = merged
-            if suffixes is not None and var:
-                suffixes[self.point[var:]] = den, layer
-        return den, {
-            tuple(row[2][o] for row, o in zip(rows, q)): w
-            for q, w in layer.get((), {}).items()
-            if w[0] or w[1]
-        }
+    The last variable is contracted first, so that terms agreeing on the
+    earlier keys share one weight table over the later offsets.  With a
+    dict ``suffixes``, the partial result after the variables v..p-1
+    (v >= 1), which depends on the point's coordinates (s_v, .., s_(p-1))
+    only, is kept under them, and the longest one kept is resumed from.
+    Zero weights are dropped; callers that need field weights take the
+    stencil's :func:`fraction_view`.
+    """
+    nvars = len(point)
+    start = nvars
+    if suffixes:
+        start = next((v for v in range(1, nvars) if point[v:] in suffixes), nvars)
+    if start < nvars:
+        den, layer = suffixes[point[start:]]
+    else:
+        layer = {key: {(): w} for key, w in terms.items()}
+    for var in range(start - 1, -1, -1):
+        scale, factors, _ = rows[var]
+        den *= scale
+        merged = {}
+        for key, tail in layer.items():
+            acc = merged.setdefault(key[:var], {})
+            for o, (wa, wb) in factors[key[var]].items():
+                for q, (ta, tb) in tail.items():
+                    q = (o,) + q
+                    a, b = wa * ta - wb * tb, wa * tb + wb * ta
+                    if q in acc:
+                        xa, xb = acc[q]
+                        acc[q] = (xa + a, xb + b)
+                    else:
+                        acc[q] = (a, b)
+        layer = merged
+        if suffixes is not None and var:
+            suffixes[point[var:]] = den, layer
+    return den, {
+        tuple(row[2][o] for row, o in zip(rows, q)): w
+        for q, w in layer.get((), {}).items()
+        if w[0] or w[1]
+    }
 
 
 def stencil_weights(lattices, lindex, point):
@@ -449,7 +427,7 @@ def stencil_weights(lattices, lindex, point):
     quadratic lattices, integer imaginary shifts otherwise).
     """
     lindex = validate_mixed_index(lindex, len(lattices))
-    return fraction_view(PointStencils(lattices, point).fold([(ONE, lindex)]))
+    return fraction_view(fold_terms(lattices, point, [(ONE, lindex)]))
 
 
 def apply_mixed(lattices, lindex, f, point):
@@ -457,7 +435,7 @@ def apply_mixed(lattices, lindex, f, point):
     applies D^2; entry 0 leaves the variable alone.  A view on the engine
     kept for the tests and for the benchmark's spans."""
     lindex = validate_mixed_index(lindex, len(lattices))
-    return _dot(*PointStencils(lattices, point).fold([(ONE, lindex)]), f)
+    return _dot(*fold_terms(lattices, point, [(ONE, lindex)]), f)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +444,7 @@ def apply_mixed(lattices, lindex, f, point):
 
 def table_action(table: CoeffTable, p: MPoly) -> MPoly:
     """(sum f_i E_i) p as a polynomial in the lattice variables: the symbolic
-    counterpart of :meth:`PointStencils.fold`.
+    counterpart of :meth:`CoeffTable.fold`.
 
     One variable at a time, every image E_l p is kept under its index prefix
     l; each intermediate q is split once for D q and once more for
@@ -1283,7 +1261,7 @@ def recover_coefficients(params):
     and M[(l1, l2), (o1, o2)] the weight of E_(l1, l2) at the offset
     (o1, o2).  Every operator denominator depends on its own coordinate
     only, so that weight is M_x[l1, o1] M_y[l2, o2], the product of the
-    one-variable weights (as :class:`PointStencils` builds every E_l):
+    one-variable weights (as :func:`fold_terms` builds every E_l):
     M = M_x (x) M_y exactly, and with G[l1, l2] = g and C[o1, o2] = c the
     system reads C = M_x^T G M_y, so G = (M_x^T)^-1 C ((M_y^T)^-1)^T.  The
     solution is that of the 9 x 9 system, unique when M is invertible,

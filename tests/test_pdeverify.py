@@ -293,9 +293,9 @@ def test_folded_residual_matches_operator_by_operator_sum(name):
 
 
 def test_fold_adds_repeated_operators():
-    stencils = pv.PointStencils(ENGINE_LATTICES["mixed"][:2], PTS2[0])
-    twice = pv.fraction_view(stencils.fold([(2, (1, 2)), (3, (1, 2))]))
-    assert twice == pv.fraction_view(stencils.fold([(5, (1, 2))]))
+    lattices, point = ENGINE_LATTICES["mixed"][:2], PTS2[0]
+    twice = pv.fraction_view(pv.fold_terms(lattices, point, [(2, (1, 2)), (3, (1, 2))]))
+    assert twice == pv.fraction_view(pv.fold_terms(lattices, point, [(5, (1, 2))]))
 
 
 def test_engine_nested_denominator_singularity():
@@ -524,7 +524,7 @@ def test_stencil_weights_match_the_fraction_contraction(kind, nvars):
             assert pv.stencil_weights(lattices, lindex, point) == _nonzero(reference)
         terms = [(Fraction(k + 1, 3) + (GaussianRational(0, k) if k % 2 else 0), lindex)
                  for k, lindex in enumerate(product(range(3), repeat=nvars))]
-        folded = pv.PointStencils(lattices, point).fold(terms)
+        folded = pv.fold_terms(lattices, point, terms)
         assert pv.fraction_view(folded) == _nonzero(reference_fold(lattices, point, terms))
 
 
@@ -613,7 +613,7 @@ def _pointwise_fold(table, point):
     evaluated, a zero one skipped, and the rest folded at power 0."""
     latpt = table.lattice_point(point)
     terms = [(c, lind) for fi, lind in zip(table.coeffs, table.lindices) if (c := fi.eval(latpt))]
-    return pv.fraction_view(pv.PointStencils(table.lattices, point).fold(terms))
+    return pv.fraction_view(pv.fold_terms(table.lattices, point, terms))
 
 
 def _fold_case(case):
@@ -706,6 +706,26 @@ def test_a_singular_row_with_a_nonzero_coefficient_raises_as_before():
             table.stencil((s, t))
         assert str(err.value) == f"stencil denominator vanishes at {s} on {spec.lattices()[0]!r}"
     assert table._rows[(0, s)] is None
+
+
+def test_a_singular_row_whose_coefficients_all_vanish_folds_to_the_empty_stencil():
+    # f5 = x - x(s) is the only nonzero coefficient and vanishes at s: a point
+    # on the singular row folds no pair, so its stencil is empty and the
+    # residual is lambda P alone
+    spec = fam.FamilySpec(fam.RACAH)
+    lattices = spec.lattices()
+    s = -spec.params["beta1"] / 2
+    zero = MPoly.zero(2)
+    f5 = MPoly.var(0, 2) - lo.lattice_value(lattices[0], s)
+    table = pv.CoeffTable([zero] * 4 + [f5, zero, zero, zero], lambda label: 5, lattices)
+    for t in (Fraction(16, 7), Fraction(23, 7)):
+        point = (s, t)
+        assert table.stencil(point)[1] == {}
+        assert pv.table_residual_on(table, _rational_function, (1, 1), point) == (
+            5 * _rational_function(point)
+        )
+    assert table._rows[(0, s)] is None
+    assert pv.fold_terms(lattices, [s, Fraction(16, 7)], []) == (1, {})
 
 
 @pytest.mark.parametrize("name, degree, grid_size, rows, suffixes", [
