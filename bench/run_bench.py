@@ -109,17 +109,21 @@ count of one repeat and the min, median and max seconds over the repeats.
 The result is a JSON object with an environment record (Python version,
 CPU count, repeat count) and the entries; it is printed and, with ``--out``,
 written to a file.  With ``--baseline`` the result embeds an earlier run
-under ``baseline`` and adds the change/baseline median ratio of each entry,
-so one file holds a before/after comparison.  The two runs are made at
-different times on a possibly shared machine, so the result also reports
-``drift``, the median ratio of the ``L0.fraction.*`` entries (they time the
-standard library's Fraction only, which no change here can move), and each
-entry's ratio divided by it.  An entry is marked ``resolved`` only when its
-min-max range in this run, divided by the drift, does not overlap its
-min-max range in the baseline, and does not overlap it undivided either:
-a median ratio whose repeats overlap the other run's repeats cannot be told
-from noise, and the drift, read off a few entries of milliseconds, is too
-noisy to make a mark on its own.
+under ``baseline`` and adds, for each entry, the change/baseline ratio of
+the medians (``median_ratio``) and of the fastest repeats (``min_ratio``),
+so one file holds a before/after comparison.  The minimum is the repeat
+least disturbed by other load, so ``min_ratio`` is read beside the median
+ratio, which can swing with the order in which the two runs were made.
+The two runs are made at different times on a possibly shared machine, so
+the result also reports ``drift``, the median ratio of the
+``L0.fraction.*`` entries (they time the standard library's Fraction only,
+which no change here can move), and each entry's ratio divided by it.
+An entry is marked ``resolved`` only when its min-max range in this run,
+divided by the drift, does not overlap its min-max range in the baseline,
+and does not overlap it undivided either: a median ratio whose repeats
+overlap the other run's repeats cannot be told from noise, and the drift,
+read off a few entries of milliseconds, is too noisy to make a mark on its
+own.
 """
 
 from __future__ import annotations
@@ -589,19 +593,21 @@ def _parted(new, old, drift):
 
 
 def with_baseline(result, baseline):
-    ratios = {}
+    ratios, min_ratios = {}, {}
     for name, entry in result["entries"].items():
         old = baseline["entries"].get(name)
         if old and old["median_s"] > 0:
             ratios[name] = round(entry["median_s"] / old["median_s"], 4)
+        if old and old["min_s"] > 0:
+            min_ratios[name] = round(entry["min_s"] / old["min_s"], 4)
     drift = statistics.median(r for name, r in ratios.items() if name.startswith("L0.fraction."))
     adjusted = {name: round(r / drift, 4) for name, r in ratios.items()}
     resolved = {
         name: _parted(result["entries"][name], baseline["entries"][name], drift)
         for name in ratios
     }
-    return dict(result, baseline=baseline, median_ratio=ratios, drift=drift,
-                drift_adjusted_ratio=adjusted, resolved=resolved)
+    return dict(result, baseline=baseline, median_ratio=ratios, min_ratio=min_ratios,
+                drift=drift, drift_adjusted_ratio=adjusted, resolved=resolved)
 
 
 def main(argv=None):

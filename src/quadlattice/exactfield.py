@@ -15,17 +15,16 @@ factor), the exact interpolation of ``fbasis`` (an integer inverse
 Vandermonde matrix per axis, applied to the samples), the pointwise engine
 of ``pdeverify`` (each point's stencil contracted in Gaussian integers from
 per-coordinate rows, and the residual one integer dot product with the
-sampled values), and the
-nine-term forms of ``pdeverify`` (each weight a Gaussian-integer numerator
-over the form's one stated denominator).  Each writes its inputs over one
-common denominator (the family sum one per side; the latter four through
-:func:`integer_parts`), combines the integer (or Gaussian-integer)
-numerators (the family sum and the nine-term forms with :func:`gdot` and
-:func:`gmul`), and normalises each result once (with :func:`from_parts` where
-it may be complex); their values and types are those of the same
-computations taken in Fraction arithmetic, but for a real nine-term
-weight, a Fraction where Gaussian-rational arithmetic gave a
-GaussianRational with zero imaginary part.
+sampled values), and the nine-term forms of ``pdeverify`` (each weight a
+Gaussian-integer numerator over the form's one stated denominator).  Each
+writes its inputs over one common denominator (the family sum one per
+side; the latter four through :func:`integer_parts`) and combines the
+integer (or Gaussian-integer) numerators (the family sum and the nine-term
+forms with :func:`gdot` and :func:`gmul`).  The first four normalise each
+result once (with :func:`from_parts` where it may be complex), to the
+values and types of the same computations taken in Fraction arithmetic;
+the nine-term forms return their numerators and denominator as integers,
+for the pointwise engine to fold, and build no field value.
 """
 
 from __future__ import annotations

@@ -79,6 +79,7 @@ from .exactfield import (
     integer_parts,
     pochhammer,
     rat,
+    rat_str,
     times_i,
 )
 from .latticeops import linear, partial_D, quadratic, wilson_square
@@ -478,8 +479,6 @@ class FamilySpec:
         return (linear("x"), linear("y"))
 
     def to_json(self):
-        from .exactfield import rat_str
-
         return {
             "family": self.family,
             "params": {k: rat_str(v) for k, v in self.params.items()},

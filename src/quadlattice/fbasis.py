@@ -28,7 +28,7 @@ from itertools import product
 from math import lcm, prod
 from operator import mul
 
-from .exactfield import GaussianRational, demote, integer_parts
+from .exactfield import GaussianRational, demote, field_str, integer_parts
 from .latticeops import LatticeSpec, grid_axes, lattice_value, linear, structure_scalars
 from .matrix import ExactMatrix
 
@@ -187,8 +187,6 @@ class MPoly:
         return out
 
     def to_json(self):
-        from .exactfield import field_str
-
         terms = []
         for exps in sorted(self.coeffs):
             entry = dict(zip(("dx", "dy", "dz"), exps))

@@ -89,22 +89,22 @@ class Equation:
     label-free operator L.
 
     ``stencil(point)`` is L at the point as one integer stencil
-    ``(den, {q: (A, B)})``: the neighbour q weighs (A + Bi) / den.  A zero
-    weight is not kept, so no residual samples its neighbour.  Each point
-    is folded once per equation.  ``fold(point)`` builds the stencil: here
-    it writes the weights {q: w} that ``weights(point)`` gives (the
-    nine-term forms, each weight an integer numerator over the form's one
-    stated denominator) over one denominator, with
-    ``exactfield.integer_parts``; a :class:`CoeffTable` contracts its
-    operators in integers instead.  No residual reads field weights: the
-    Fraction view (:func:`fraction_view`) is built only by
-    :func:`stencil_weights`.
+    ``(den, {q: (A, B)})``: the neighbour q weighs (A + Bi) / den, with den
+    a nonzero integer.  A zero weight is not kept, so no residual samples
+    its neighbour.  Each point is folded once per equation, by
+    ``fold(point)``: a nine-term form's fold keeps its builder's numerators
+    over the form's stated denominator, which may be negative (Wilson's at
+    x < 0); a :class:`CoeffTable` contracts its operators into a positive
+    one.  Every consumer divides through ``Fraction`` or
+    ``exactfield.from_parts``, so either sign gives the same values.  No
+    residual reads field weights: the Fraction view (:func:`fraction_view`)
+    is built only by :func:`stencil_weights` and the recovery.
     """
 
-    __slots__ = ("weights", "eigenvalue", "_stencils")
+    __slots__ = ("fold", "eigenvalue", "_stencils")
 
-    def __init__(self, weights, eigenvalue):
-        self.weights = weights
+    def __init__(self, fold, eigenvalue):
+        self.fold = fold
         self.eigenvalue = eigenvalue
         self._stencils = {}
 
@@ -113,11 +113,6 @@ class Equation:
         if stencil is None:
             stencil = self._stencils[point] = self.fold(point)
         return stencil
-
-    def fold(self, point):
-        weights = self.weights(point)
-        den, parts = integer_parts(weights.values())
-        return den, {q: w for q, w in zip(weights, parts) if w[0] or w[1]}
 
 
 class CoeffTable(Equation):
@@ -159,8 +154,9 @@ class CoeffTable(Equation):
                 f" not {len(self.coeffs)}"
             )
         self._check_structure()
-        # the operators contract in integers: no weights are built by hand
-        super().__init__(None, eigenvalue)
+        # the class's fold method contracts the operators: no fold is stored
+        self.eigenvalue = eigenvalue
+        self._stencils = {}
         self._terms = None
         self._rows = {}
         self._suffixes = {}
@@ -1065,8 +1061,9 @@ def second_order_residual(kind, spec: FamilySpec, label, point):
 # ---------------------------------------------------------------------------
 
 def racah_gi_stencil(params, s, t):
-    """Offset -> rational coefficient of the bivariate Racah nine-term form,
-    less its eigenvalue (identity parts folded into (0,0)).
+    """The bivariate Racah nine-term form, less its eigenvalue (identity
+    parts folded into (0,0)), as the integer stencil
+    ``(den, {offset: (A, 0)})``: the offset's weight is A / den.
 
     Each printed term t_k is a product of linear factors over one of the
     s-denominators (b1 + 2s)(b1 + 2s + 1), (b1 + 2s - 1)(b1 + 2s + 1),
@@ -1078,8 +1075,8 @@ def racah_gi_stencil(params, s, t):
 
     checked once for zero.  With s, t and the parameters written as integers
     over one common denominator d, every numerator is an integer of degree
-    8 over d^8 and the denominator one of degree 6 over d^6, so each weight
-    is one Fraction of integers over (denominator) * d^2.
+    8 over d^8 and the denominator one of degree 6 over d^6: A is the
+    numerator's integer and den the denominator's times d^2.
     """
     b0, b1, b2, b3, N = (params[k] for k in ("beta0", "beta1", "beta2", "beta3", "N"))
     d, parts = integer_parts((s, t, b0, b1, b2, b3, N))
@@ -1111,7 +1108,7 @@ def racah_gi_stencil(params, s, t):
         (0, -1): qs * (S - T) * (B2 + NN + T) * (B2 - B3 - NN + T) * (B1 + S + T) * s0 * tp,
     }
     c[(0, 0)] = -sum(c.values())
-    return {offset: Fraction(n, den) for offset, n in c.items()}
+    return den, {offset: (n, 0) for offset, n in c.items()}
 
 
 def racah_gi_eigenvalue(params, label):
@@ -1129,15 +1126,17 @@ def _form_values(table: CoeffTable, x, y):
 
 
 def wilson_f_stencil(table: CoeffTable, x, y):
-    """Offset -> coefficient of the printed Wilson difference equation,
-    without its eigenvalue, built from the Wilson table's f_i.
+    """The printed Wilson difference equation, without its eigenvalue,
+    built from the Wilson table's f_i, as the integer stencil
+    ``(den, {offset: (A, B)})``: the offset's weight is (A + Bi) / den.
 
     Each printed F_k, multiplied through by the factors 2x -+ i, 2y -+ i
     its denominator misses, is a numerator over the one denominator
     4xy(4x^2 + 1)(4y^2 + 1), checked once for zero.  With x, y and the f_i
     as Gaussian integers over one common denominator d, each numerator is
     of degree 6 in them once its lower-degree parts carry powers of d, as
-    the denominator is: the weight is their quotient, one field value each.
+    the denominator is: den is 4XY(4X^2 + d^2)(4Y^2 + d^2), negative where
+    xy is, and (A, B) the numerator.
     """
     d, ((X, _), (Y, _), f1, f2, f3, f4, f5, f6, f7, f8) = _form_values(table, x, y)
     d2 = d * d
@@ -1172,16 +1171,17 @@ def wilson_f_stencil(table: CoeffTable, x, y):
         ((qx, 0), f8), ((2 * qx, 0), f6), ((qy, 0), f7), ((2 * qy, 0), f5),
     ])
     c[(0, 0)] = gmul([(4 * d * X * Y, 0), centre])
-    return {offset: from_parts(den, re, im) for offset, (re, im) in c.items()}
+    return den, c
 
 
 def ch_f_stencil(table: CoeffTable, x, y):
-    """Offset -> coefficient of the printed continuous Hahn difference form,
-    without its eigenvalue, built from the continuous Hahn table's f_i.
+    """The printed continuous Hahn difference form, without its eigenvalue,
+    built from the continuous Hahn table's f_i, as the integer stencil
+    ``(den, {offset: (A, B)})``: the offset's weight is (A + Bi) / den.
 
     Multiplied by 4, every printed weight is a Gaussian-integer combination
-    of the f_i, written over their common denominator d: the weight is that
-    numerator over 4d, one field value each.
+    of the f_i, written over their common denominator d: (A, B) is that
+    numerator and den is 4d.
     """
     d, (_, _, f1, f2, f3, f4, f5, f6, f7, f8) = _form_values(table, x, y)
     c = {}
@@ -1195,7 +1195,7 @@ def ch_f_stencil(table: CoeffTable, x, y):
         c[(o, 0)] = gdot([((-8, 0), f1), ((-4, 0), f5), ((0, -4 * o), f2), ((0, -2 * o), f7)])
         c[(0, o)] = gdot([((-8, 0), f1), ((-4, 0), f6), ((0, -4 * o), f3), ((0, -2 * o), f8)])
     c[(0, 0)] = gdot([((16, 0), f1), ((8, 0), f6), ((8, 0), f5)])
-    return {offset: from_parts(4 * d, re, im) for offset, (re, im) in c.items()}
+    return 4 * d, c
 
 
 # base family -> kind of its printed nine-term form; a second family shares it
@@ -1204,7 +1204,9 @@ DIFFERENCE_FORMS = {RACAH: "racah-gi", WILSON: "wilson-f", CH: "ch-f"}
 
 def difference_form_equation(kind, spec: FamilySpec) -> Equation:
     """The printed nine-term form ``kind``; the Wilson and continuous Hahn
-    forms read the printed table's f_i and eigenvalue."""
+    forms read the printed table's f_i and eigenvalue.  Its fold is the
+    builder's integer stencil over the form's stated denominator, each
+    offset mapped to its neighbour and zero weights dropped."""
     if kind not in DIFFERENCE_FORMS.values():
         raise ValueError(f"unknown difference form {kind!r}")
     if DIFFERENCE_FORMS.get(base_family(spec.family)) != kind:
@@ -1218,13 +1220,14 @@ def difference_form_equation(kind, spec: FamilySpec) -> Equation:
         builder = wilson_f_stencil if kind == "wilson-f" else ch_f_stencil
         build, step, eigenvalue = partial(builder, table), II, table.eigenvalue
 
-    def weights(pt):
+    def fold(pt):
+        den, weights = build(*pt)
         # each coordinate's three neighbours, shared by the nine offsets
         coords = pt if step is ONE else map(gauss, pt)
         xs, ys = ({o: v + step * o for o in (-1, 0, 1)} for v in coords)
-        return {(xs[o1], ys[o2]): c for (o1, o2), c in build(*pt).items()}
+        return den, {(xs[o1], ys[o2]): w for (o1, o2), w in weights.items() if w[0] or w[1]}
 
-    return Equation(weights, eigenvalue)
+    return Equation(fold, eigenvalue)
 
 
 def difference_form_residual(kind, spec: FamilySpec, label, point):
@@ -1258,10 +1261,11 @@ def recover_coefficients(params):
 
     At each node the coefficients g of the nine operators E_(l1, l2), the
     identity among them, solve M^T g = c, with c the form's nine weights
-    and M[(l1, l2), (o1, o2)] the weight of E_(l1, l2) at the offset
-    (o1, o2).  Every operator denominator depends on its own coordinate
-    only, so that weight is M_x[l1, o1] M_y[l2, o2], the product of the
-    one-variable weights (as :func:`fold_terms` builds every E_l):
+    (the Fraction view of its integer stencil) and M[(l1, l2), (o1, o2)]
+    the weight of E_(l1, l2) at the offset (o1, o2).  Every operator
+    denominator depends on its own coordinate only, so that weight is
+    M_x[l1, o1] M_y[l2, o2], the product of the one-variable weights (as
+    :func:`fold_terms` builds every E_l):
     M = M_x (x) M_y exactly, and with G[l1, l2] = g and C[o1, o2] = c the
     system reads C = M_x^T G M_y, so G = (M_x^T)^-1 C ((M_y^T)^-1)^T.  The
     solution is that of the 9 x 9 system, unique when M is invertible,
@@ -1283,7 +1287,7 @@ def recover_coefficients(params):
         return inverse
 
     def sample(point):
-        gi = racah_gi_stencil(spec.params, *point)
+        gi = fraction_view(racah_gi_stencil(spec.params, *point))
         # the form at label (1, 1): the identity row recovers its eigenvalue
         gi[(0, 0)] += lam((1, 1))
         c = ExactMatrix([[gi[(o1, o2)] for o2 in (-1, 0, 1)] for o1 in (-1, 0, 1)])

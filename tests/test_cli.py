@@ -550,9 +550,11 @@ def test_difference_form_typo_report_is_pinned(monkeypatch):
     printed = pdeverify.racah_gi_stencil
 
     def typo(params, s, t):
-        stencil = printed(params, s, t)
-        stencil[(1, 1)] += Fraction(1, 1000)
-        return stencil
+        den, stencil = printed(params, s, t)
+        stencil = {o: (1000 * a, 1000 * b) for o, (a, b) in stencil.items()}
+        a, b = stencil[(1, 1)]
+        stencil[(1, 1)] = (a + den, b)
+        return 1000 * den, stencil
 
     monkeypatch.setattr(pdeverify, "racah_gi_stencil", typo)
     code, report = run(["verify-difference-form", "--family", "racah", "--max-total-degree", "2"])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -421,7 +422,7 @@ def reference_stencil(equation, point):
         terms = [(c, lind) for fi, lind in zip(equation.coeffs, equation.lindices)
                  if (c := fi.eval(latpt))]
         return reference_fold(equation.lattices, point, terms)
-    return equation.weights(point)
+    return pv.fraction_view(equation.fold(point))
 
 
 def reference_residual(equation, f, label, point):
@@ -475,7 +476,7 @@ def _reference_cases(spec):
     kind = pv.DIFFERENCE_FORMS.get(spec.family)
     if kind is not None:
         form = pv.difference_form_equation(kind, spec)
-        shifted = pv.Equation(form.weights, lambda l, lam=form.eigenvalue: lam(l) + Fraction(1, 1000))
+        shifted = pv.Equation(form.fold, lambda l, lam=form.eigenvalue: lam(l) + Fraction(1, 1000))
         cases += [(kind, form, False), (f"{kind} lambda", shifted, True)]
     return cases
 
@@ -1135,7 +1136,7 @@ def test_printed_stencils_match_operator_expansion():
         spec = fam.FamilySpec(name)
         table = pv.coefficients(spec)
         for pt in PTS2:
-            printed = builder(table, *pt)
+            printed = pv.fraction_view(builder(table, *pt))
             derived = {}
             latpt = table.lattice_point(pt)
             for fi, lind in zip(table.coeffs, table.lindices):
@@ -1201,6 +1202,67 @@ def test_nine_term_forms_are_their_tables(kind, name, drawn):
         assert form.eigenvalue(label) == table.eigenvalue(label), label
 
 
+def _common_denominator(values):
+    parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0) for v in values]
+    return math.lcm(*(Fraction(p).denominator for pair in parts for p in pair))
+
+
+NINE_TERM_POINTS = [PTS2[0], PTS2[1], (Fraction(-8, 7), Fraction(9, 7))]
+
+
+@pytest.mark.parametrize("name", [fam.RACAH, fam.WILSON, fam.CH])
+def test_nine_term_builders_return_their_stated_denominator(name):
+    # each builder's den is the denominator its docstring states, written as
+    # integers over the common denominator d of the point and its inputs
+    spec = fam.FamilySpec(name)
+    p = spec.params
+    table = pv.coefficients(spec)
+    for s, t in NINE_TERM_POINTS:
+        if name == fam.RACAH:
+            den, weights = pv.racah_gi_stencil(p, s, t)
+            d = _common_denominator([s, t, *(p[k] for k in ("beta0", "beta1", "beta2", "beta3", "N"))])
+            b1, b2 = p["beta1"], p["beta2"]
+            stated = 1
+            for k in (-1, 0, 1):
+                stated *= (b1 + 2 * s + k) * (b2 + 2 * t + k)
+            expect = stated * d ** 8
+        else:
+            builder = pv.wilson_f_stencil if name == fam.WILSON else pv.ch_f_stencil
+            den, weights = builder(table, s, t)
+            latpt = table.lattice_point((s, t))
+            d = _common_denominator([s, t, *(fi.eval(latpt) for fi in table.coeffs)])
+            if name == fam.WILSON:
+                expect = 4 * s * t * (4 * s * s + 1) * (4 * t * t + 1) * d ** 6
+            else:
+                expect = 4 * d
+        assert type(den) is int and den == expect, (name, s, t)
+        assert len(weights) == 9
+        assert all(type(a) is int and type(b) is int for a, b in weights.values())
+
+
+def test_a_negative_stated_denominator_gives_the_table_stencil():
+    # at x < 0 Wilson's 4xy(4x^2 + 1)(4y^2 + 1) is negative; the form still
+    # folds to the table's weights
+    spec = fam.FamilySpec(fam.WILSON)
+    table = pv.coefficients(spec)
+    pt = (Fraction(-8, 7), Fraction(9, 7))
+    assert pv.wilson_f_stencil(table, *pt)[0] < 0
+    form = pv.difference_form_equation("wilson-f", spec)
+    assert pv.fraction_view(form.stencil(pt)) == pv.fraction_view(table.stencil(pt))
+
+
+def test_the_racah_form_drops_its_zero_weights():
+    # every weight at x-offset -1 carries the factor s, so at s = 0 (not
+    # singular at the defaults) the fold keeps none of those neighbours
+    spec = fam.FamilySpec(fam.RACAH)
+    pt = (Fraction(0), Fraction(16, 7))
+    den, weights = pv.racah_gi_stencil(spec.params, *pt)
+    assert [weights[(-1, o)] for o in (-1, 0, 1)] == [(0, 0)] * 3
+    stencil = pv.difference_form_equation("racah-gi", spec).stencil(pt)[1]
+    assert len(stencil) == 6
+    assert all(q[0] != -1 for q in stencil)
+
+
 # -- coefficient recovery -------------------------------------------------------------
 
 def test_recovered_table_matches_printed_table():
@@ -1230,7 +1292,7 @@ def _nine_by_nine_solution(params, point):
     for lind in pv.OP_ORDER_WITH_IDENTITY:
         weights = pv.stencil_weights(lattices, lind, point)
         rows.append([weights.get((point[0] + o1, point[1] + o2), 0) for o1, o2 in OFFSETS_3X3])
-    gi = pv.racah_gi_stencil(params, *point)
+    gi = pv.fraction_view(pv.racah_gi_stencil(params, *point))
     gi[(0, 0)] += pv.racah_gi_eigenvalue(params, (1, 1))
     return solve_stacked(ExactMatrix(rows).transpose(), [gi[off] for off in OFFSETS_3X3])
 
