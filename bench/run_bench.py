@@ -25,13 +25,17 @@ Layers timed:
       otherwise time only memo hits after the first); whole
       ``generate(spec, 4, leading)`` calls (upto 2 with ``--quick``) for the
       same fourteen pairs, from an empty memo too (ops: the recurrence
-      steps); one S_n / T_n derivation, ``_phi_blocks`` of the printed
-      table at degree 4 (2 with ``--quick``) on the family's working bases,
-      past the memo, for the same seven families and for ch-tri on its
-      monomial bases (ops: the tensor-basis entries the table acts on), and
-      for racah and racah-bar on the monomial bases as well
-      (``L2.phi_blocks.<family>.monomial``), the derivation their chains
-      make; the
+      steps); one S_n / T_n derivation, ``_phi_blocks`` of a fresh copy of
+      the printed table per repeat at degree 4 (2 with ``--quick``) on the
+      family's working bases, past the memo, for the same seven families
+      and for ch-tri on its monomial bases (ops: the tensor-basis entries
+      the table acts on), and for racah and racah-bar on the monomial bases
+      as well (``L2.phi_blocks.<family>.monomial``), the derivation their
+      chains make; ``operator_images`` of a fresh copy of each printed
+      table per repeat, at degree 4 for the seven bivariate tables and 6
+      for ch-tri at either size (``L2.operator_images.<family>``, ops: the
+      monomials imaged), so that a table's symbolic split and univariate
+      images are built inside the timed call; the
       interpolation oracle ``family_poly_vector(spec, 3)``
       (n = 1 with ``--quick``) for the same seven families, with the
       family caches cleared before every repeat; and
@@ -285,6 +289,18 @@ def _recorded_recover_grid():
     return lattices, count, {point: sample(point) for point in grid}
 
 
+# the degree of L2.operator_images per variable count, at either size
+IMAGES_DEGREE = {2: 4, 3: 6}
+
+
+def _fresh(table):
+    """A new table with the same coefficients: a table keeps its pointwise
+    terms, rows and suffixes and its symbolic split and univariate images
+    once built, so one reused across repeats would time them only in the
+    first."""
+    return pdeverify.CoeffTable(table.coeffs, table.eigenvalue, table.lattices)
+
+
 def _l2_entries(oracle_degree, interpolate_degree, upto, phi_degree):
     """Default parameters throughout.  The table builds never touch the
     family caches, a chain and a ``generate`` call start from an empty
@@ -333,11 +349,18 @@ def _l2_entries(oracle_degree, interpolate_degree, upto, phi_degree):
         table, bases = pdeverify.coefficients(spec), ttrr.working_bases(spec)
         monomials = (fbasis.MONOMIAL,) * spec.nvars
         ops = len(fbasis.graded(phi_degree, spec.nvars))
-        out[f"L2.phi_blocks.{name}"] = (partial(ttrr._phi_blocks, table, phi_degree, bases), ops)
+
+        def phi_blocks(table=table, bases=bases):
+            return ttrr._phi_blocks(_fresh(table), phi_degree, bases)
+
+        out[f"L2.phi_blocks.{name}"] = (phi_blocks, ops)
         if bases != monomials:
-            out[f"L2.phi_blocks.{name}.monomial"] = (
-                partial(ttrr._phi_blocks, table, phi_degree, monomials), ops
-            )
+            out[f"L2.phi_blocks.{name}.monomial"] = (partial(phi_blocks, bases=monomials), ops)
+        degree = IMAGES_DEGREE[spec.nvars]
+        out[f"L2.operator_images.{name}"] = (
+            lambda table=table, degree=degree: pdeverify.operator_images(_fresh(table), degree),
+            sum(len(fbasis.graded(d, spec.nvars)) for d in range(degree + 1)),
+        )
     lattices, count, samples = _recorded_recover_grid()
     out["L2.interpolate.recover"] = (
         lambda: fbasis.interpolate_on_grid(lattices, count, samples.__getitem__),
@@ -452,7 +475,7 @@ def _l5_entries(size, coordinates):
             # a fresh copy of the printed table per repeat, so that its terms,
             # rows and suffixes are built inside the call, as a sweep builds
             # them; the builder's arithmetic is L2.coefficients's
-            fresh = pdeverify.CoeffTable(table.coeffs, table.eigenvalue, table.lattices)
+            fresh = _fresh(table)
             return [fresh.fold(point) for point in grid]
 
         out[f"L5.table_fold.{kind}"] = (table_fold, len(grid))

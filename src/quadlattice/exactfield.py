@@ -5,7 +5,7 @@ precision rational, always reduced, positive denominator) or a
 :class:`GaussianRational` (a + b*i with exact rational parts).  No floats,
 ever.
 
-Five kernels use integer numerators internally and build their Fractions
+Six kernels use integer numerators internally and build their Fractions
 only at the end: :func:`pochhammer` here, ``families._terminating_sum``,
 the sum behind the univariate family factors (the dot product of an upper
 vector, which reads only the factor's own coordinate, and a lower vector,
@@ -15,16 +15,21 @@ factor), the exact interpolation of ``fbasis`` (an integer inverse
 Vandermonde matrix per axis, applied to the samples), the pointwise engine
 of ``pdeverify`` (each point's stencil contracted in Gaussian integers from
 per-coordinate rows, and the residual one integer dot product with the
-sampled values), and the nine-term forms of ``pdeverify`` (each weight a
-Gaussian-integer numerator over the form's one stated denominator).  Each
-writes its inputs over one common denominator (the family sum one per
-side; the latter four through :func:`integer_parts`) and combines the
-integer (or Gaussian-integer) numerators (the family sum and the nine-term
-forms with :func:`gdot` and :func:`gmul`).  The first four normalise each
-result once (with :func:`from_parts` where it may be complex), to the
-values and types of the same computations taken in Fraction arithmetic;
-the nine-term forms return their numerators and denominator as integers,
-for the pointwise engine to fold, and build no field value.
+sampled values), the symbolic images of ``pdeverify`` (each monomial's
+image under a table, the f_i terms times tensor products of univariate
+S D and D^2 images, summed in Gaussian integers), and the nine-term forms
+of ``pdeverify`` (each weight a Gaussian-integer numerator over the form's
+one stated denominator).  Each writes its inputs over one common
+denominator (the family sum one per side; the latter five through
+:func:`integer_parts`) and combines the integer (or Gaussian-integer)
+numerators (the family sum and the nine-term forms with :func:`gdot` and
+:func:`gmul`).  The first five normalise each result once (with
+:func:`from_parts` where it may be complex; the symbolic images give a
+GaussianRational wherever a Gaussian coefficient reaches it, as MPoly
+arithmetic does), to the values and types of the same computations taken
+in Fraction arithmetic; the nine-term forms return their numerators and
+denominator as integers, for the pointwise engine to fold, and build no
+field value.
 """
 
 from __future__ import annotations

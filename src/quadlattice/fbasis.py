@@ -334,13 +334,19 @@ class OperatorMatrices:
         }
 
 
+def l_columns(n, j, nvars):
+    """The column of L_{n,j} that each slot of degree n maps to: x_j x^e =
+    x^(e + unit_j), read among the slots of degree n + 1."""
+    columns = {e: c for c, e in enumerate(graded(n + 1, nvars))}
+    return [columns[e[:j - 1] + (e[j - 1] + 1,) + e[j:]] for e in graded(n, nvars)]
+
+
 def l_matrix(n, j, nvars):
     """L_{n,j}: x_j acting on the slots, x_j x^e = x^(e + unit_j) for the
     slot e of degree n; for two variables [I | 0] and [0 | I]."""
-    rows, columns = graded(n, nvars), graded(n + 1, nvars)
-    out = ExactMatrix.zero(len(rows), len(columns))
-    for k, e in enumerate(rows):
-        out[k, columns.index(e[:j - 1] + (e[j - 1] + 1,) + e[j:])] = Fraction(1)
+    out = ExactMatrix.zero(len(graded(n, nvars)), len(graded(n + 1, nvars)))
+    for k, c in enumerate(l_columns(n, j, nvars)):
+        out[k, c] = Fraction(1)
     return out
 
 

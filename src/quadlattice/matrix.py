@@ -197,12 +197,17 @@ def exact_inverse(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix([row[n:] for row in rows], n)
 
 
+class InconsistentSystemError(ValueError):
+    """A redundant row of a stacked system is not met by its solution."""
+
+
 def solve_stacked(a: ExactMatrix, rhs):
     """Solve A x = rhs exactly for a full-column-rank (possibly tall) A.
 
     ``rhs`` is a list of A.rows ring elements.  Every redundant row must be
-    consistent, otherwise ValueError is raised; the system being exactly
-    solvable is part of the contract being verified.
+    consistent, otherwise :class:`InconsistentSystemError` (a ValueError)
+    is raised; the system being exactly solvable is part of the contract
+    being verified.
     """
     n = a.cols
     rows = [row + [value] for row, value in zip(a.data, rhs, strict=True)]
@@ -210,6 +215,6 @@ def solve_stacked(a: ExactMatrix, rhs):
     if col is not None:
         raise ValueError(f"rank-deficient system: no pivot for column {col}")
     if any(row[n] for row in rows[n:]):
-        raise ValueError("inconsistent stacked system: nonzero residual row")
+        raise InconsistentSystemError("inconsistent stacked system: nonzero residual row")
     return [row[n] for row in rows[:n]]
 

@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import lcm
+from operator import add
 
 from .exactfield import GaussianRational, field_str, from_parts, gauss, gdot, gmul, integer_parts
 from .families import (
@@ -141,9 +142,18 @@ class CoeffTable(Equation):
     that coordinate folds from its f_i at the point (:func:`fold_terms`), so
     a zero f_i skips its operator and a nonzero one raises for the first
     denominator nested application meets.
+
+    The symbolic route (:meth:`images`) keeps a split of its own, built on
+    its first call from ``coeffs`` and never from the pointwise terms: each
+    f_i's monomial terms as Gaussian-integer numerators over one
+    denominator (:func:`_symbolic_split`), and per lattice the images of
+    x^a under the identity, S D and D^2 (:func:`_univariate_images`) for
+    a = 0 up to the highest exponent asked so far of a variable on it
+    (variables on equal lattices share them), so the state grows with the
+    degree asked and no further.
     """
 
-    __slots__ = ("coeffs", "lattices", "_terms", "_rows", "_suffixes")
+    __slots__ = ("coeffs", "lattices", "_terms", "_rows", "_suffixes", "_split", "_univariate")
 
     def __init__(self, coeffs, eigenvalue, lattices):
         self.coeffs = tuple(coeffs)
@@ -160,6 +170,8 @@ class CoeffTable(Equation):
         self._terms = None
         self._rows = {}
         self._suffixes = {}
+        self._split = None
+        self._univariate = {}
 
     def fold(self, point):
         """sum f_i E_i at the point as an integer stencil, contracted from the
@@ -189,6 +201,30 @@ class CoeffTable(Equation):
             except SingularPointError:
                 self._rows[(var, s)] = None
         return self._rows[(var, s)]
+
+    def images(self, exponents):
+        """{e: (sum f_i E_i) x^e}, a new MPoly for each exponent tuple e.
+
+        E_l is a tensor product of one-variable operators, so
+        E_l x^e = prod_v U_(l_v)(x_v^(e_v)) with U_0 x^a = x^a,
+        U_1 x^a = S D x^a and U_2 x^a = D^2 x^a, read from the kept
+        univariate images (extended to the highest e_v asked).  Each term
+        c x^p of each f_i times that product is summed in Gaussian integers
+        over den * prod_v d_(v, e_v), and each coefficient becomes one field
+        value at the end: a GaussianRational where a GaussianRational
+        coefficient of some f_i reaches it, even when it is real, else a
+        Fraction; a zero coefficient is dropped.  That is the type the
+        Horner route's MPoly sums give, save where such a sum cancels to
+        exactly zero part-way and goes on in Fractions alone."""
+        exponents = list(exponents)
+        if self._split is None:
+            self._split = _symbolic_split(self.coeffs, self.lindices)
+        axes = [self._univariate.setdefault(lattice, []) for lattice in self.lattices]
+        for var, images in enumerate(axes):
+            for a in range(len(images), max((e[var] + 1 for e in exponents), default=0)):
+                images.append(_univariate_images(self.lattices[var], a))
+        den, split = self._split
+        return {e: _monomial_image(self.nvars, den, split, axes, e) for e in exponents}
 
     @property
     def lindices(self):
@@ -438,26 +474,86 @@ def apply_mixed(lattices, lindex, f, point):
 # symbolic table action
 # ---------------------------------------------------------------------------
 
+def _symbolic_split(coeffs, lindices):
+    """(den, [(lindex, [(p, (A, B), typed)])]): the monomial terms c x^p of
+    each nonzero f_i beside its operator index, each c as (A + Bi) / den
+    over one denominator, ``typed`` true where c is a GaussianRational."""
+    den, parts = integer_parts([c for fi in coeffs for c in fi.coeffs.values()])
+    parts = iter(parts)
+    split = []
+    for fi, lindex in zip(coeffs, lindices):
+        if fi:
+            terms = [(p, next(parts), isinstance(c, GaussianRational)) for p, c in fi.coeffs.items()]
+            split.append((lindex, terms))
+    return den, split
+
+
+def _univariate_images(lattice, a):
+    """(d, (U_0, U_1, U_2)): x^a, S D x^a and D^2 x^a on the lattice, each
+    as its nonzero (power, numerator) pairs over the one denominator d."""
+    x_a = MPoly(1, {(a,): ONE})
+    polys = (x_a, *poly_shift_pair(poly_shift_pair(x_a, 0, lattice)[1], 0, lattice))
+    d, parts = integer_parts([c for q in polys for c in q.coeffs.values()])
+    parts = iter(parts)
+    return d, tuple([(power, next(parts)[0]) for (power,) in q.coeffs] for q in polys)
+
+
+def _monomial_image(nvars, den, split, axes, e):
+    """(sum f_i E_i) x^e from the split f_i terms over ``den`` and each
+    variable's univariate images ``axes[v][a]`` (see
+    :meth:`CoeffTable.images`)."""
+    factors = []
+    for images, a in zip(axes, e):
+        d, rows = images[a]
+        den *= d
+        factors.append(rows)
+    re, im, gaussian = {}, {}, set()
+    for lindex, terms in split:
+        # E_lindex x^e as {exponents: integer numerator}
+        tensor = [((), 1)]
+        for rows, l in zip(factors, lindex):
+            tensor = [(q + (b,), k * n) for q, k in tensor for b, n in rows[l]]
+        for p, (ca, cb), typed in terms:
+            for q, k in tensor:
+                key = tuple(map(add, p, q))
+                re[key] = re.get(key, 0) + ca * k
+                if cb:
+                    im[key] = im.get(key, 0) + cb * k
+                if typed:
+                    gaussian.add(key)
+    out = {}
+    for key, a in re.items():
+        b = im.get(key, 0)
+        if key in gaussian:
+            if a or b:
+                out[key] = GaussianRational(Fraction(a, den), Fraction(b, den))
+        elif a:
+            out[key] = Fraction(a, den)
+    return MPoly(nvars, out)
+
+
+def operator_images(table: CoeffTable, n) -> dict:
+    """{e: (sum f_i E_i) x^e} for every monomial x^e of total degree <= n,
+    each a new MPoly (:meth:`CoeffTable.images`).  They determine the
+    table's action on every polynomial of degree <= n
+    (:func:`image_sum`)."""
+    return table.images(e for d in range(n + 1) for e in graded(d, table.nvars))
+
+
+def image_sum(images, p: MPoly) -> MPoly:
+    """sum_e c_e images[e] over the terms c_e x^e of p: the image of p read
+    from the images of its monomials."""
+    out = MPoly.zero(p.nvars)
+    for e, c in p.coeffs.items():
+        out = out + images[e] * c
+    return out
+
+
 def table_action(table: CoeffTable, p: MPoly) -> MPoly:
     """(sum f_i E_i) p as a polynomial in the lattice variables: the symbolic
-    counterpart of :meth:`CoeffTable.fold`.
-
-    One variable at a time, every image E_l p is kept under its index prefix
-    l; each intermediate q is split once for D q and once more for
-    (S D q, D^2 q).
-    """
-    images = {(): p}
-    for var, lattice in enumerate(table.lattices):
-        layer = {}
-        for prefix, q in images.items():
-            dq = poly_shift_pair(q, var, lattice)[1]
-            sdq, ddq = poly_shift_pair(dq, var, lattice)
-            layer[prefix + (0,)], layer[prefix + (1,)], layer[prefix + (2,)] = q, sdq, ddq
-        images = layer
-    out = MPoly.zero(table.nvars)
-    for fi, lind in zip(table.coeffs, table.lindices):
-        out = out + fi * images[lind]
-    return out
+    counterpart of :meth:`CoeffTable.fold`, summed from the images of p's
+    monomials (:meth:`CoeffTable.images`)."""
+    return image_sum(table.images(p.coeffs), p)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,12 @@ are one formula each, a term absent where its G block would lie below G_{k,0}.
 S_n and T_n come in two independent ways: the printed closed forms
 (:func:`sn_tn`), and a derivation that substitutes a tensor-basis expansion
 into the divided-difference equation and reads off the blocks of degree
-n - 1 and n - 2 (:func:`sn_tn_derived`).  The tests compare the two; the
-derivation is also what arbitrates typos in the long printed entries.
+n - 1 and n - 2 (:func:`sn_tn_derived`).  The derivation reads the table's
+monomial images (:func:`pdeverify.operator_images`), built by the tensor
+rule in integers and no polynomial Horner per monomial.  The tests compare
+the two; the derivation is also what arbitrates typos in the long printed
+entries.  A, B and C read L_{n,j} as a column placement (:func:`_gl`), so
+no matrix product multiplies by it.
 """
 
 from __future__ import annotations
@@ -46,12 +50,12 @@ from .fbasis import (
     MPoly,
     graded,
     interpolate_on_grid,
-    l_matrix,
+    l_columns,
     tensor_basis,
     to_basis,
 )
-from .matrix import ExactMatrix, exact_inverse, solve_stacked
-from .pdeverify import coefficients, table_action
+from .matrix import ExactMatrix, InconsistentSystemError, exact_inverse, solve_stacked
+from .pdeverify import coefficients, image_sum, operator_images
 
 II = GaussianRational(0, 1)
 
@@ -94,16 +98,31 @@ def working_bases(spec: FamilySpec):
 def _phi_blocks(table, degree, bases):
     """Rows of (sum f_i E_i) F_degree in the tensor basis, split into the
     diagonal, first and second subdiagonal blocks: the columns of each are
-    the slots of degree, degree - 1 and degree - 2."""
-    slots = [graded(d, len(bases)) for d in (degree, degree - 1, degree - 2)]
+    the slots of degree, degree - 1 and degree - 2.
+
+    Every row is read from the table's monomial images
+    (:meth:`pdeverify.CoeffTable.images`).  On the monomials the entry x^e
+    is its own image, so only the degree-``degree`` images are built; an
+    F-basis entry sums the images of its monomials (:func:`image_sum`,
+    each monomial's image built once for all entries) and is taken back to
+    the basis with :func:`to_basis`."""
+    nvars = len(bases)
+    slots = [graded(d, nvars) for d in (degree, degree - 1, degree - 2)]
+    places = [{e: c for c, e in enumerate(cols)} for cols in slots]
     blocks = [ExactMatrix.zero(len(slots[0]), len(cols)) for cols in slots]
-    for k, entry in enumerate(tensor_basis(bases, degree)):
-        for exps, c in to_basis(table_action(table, entry), bases).items():
+    if bases == (MONOMIAL,) * nvars:
+        images = table.images(slots[0])
+        rows = [images[e].coeffs for e in slots[0]]
+    else:
+        images = operator_images(table, degree)
+        rows = [to_basis(image_sum(images, entry), bases) for entry in tensor_basis(bases, degree)]
+    for k, row in enumerate(rows):
+        for exps, c in row.items():
             drop = degree - sum(exps)
             if drop < 0:
                 raise AssertionError("operator action raised the total degree")
             if drop <= 2:
-                blocks[drop][k, slots[drop].index(exps)] = c
+                blocks[drop][k, places[drop][exps]] = c
     return blocks
 
 
@@ -765,11 +784,19 @@ class GChain:
 
 
 def _gl(chain, n, m, j):
-    """G_{n,m} L_{m,j}, zero when m < 0: no G block lies below G_{n,0}."""
+    """G_{n,m} L_{m,j}, zero when m < 0: no G block lies below G_{n,0}.
+    L_{m,j} moves slot e of degree m to slot e + unit_j of degree m + 1
+    (:func:`fbasis.l_columns`), so the product places G_{n,m}'s columns and
+    does no arithmetic; every other entry is Fraction(0)."""
     nvars = chain.table.nvars
-    if m < 0:
-        return ExactMatrix.zero(len(graded(n, nvars)), len(graded(m + 1, nvars)))
-    return chain.g(n, m) * l_matrix(m, j, nvars)
+    out = ExactMatrix.zero(len(graded(n, nvars)), len(graded(m + 1, nvars)))
+    if m >= 0:
+        columns = l_columns(m, j, nvars)
+        for row, g_row in zip(out.data, chain.g(n, m).data):
+            for c, x in zip(columns, g_row):
+                if x:
+                    row[c] = x
+    return out
 
 
 def abc_matrices(chain: GChain, n, j):
@@ -805,8 +832,10 @@ def _check_ranks(a_j, c_j, n):
 def generate(spec: FamilySpec, upto, leading="monic"):
     """Polynomial vectors P_0..P_upto generated from the recurrences: each
     step solves A_{n,j} P_{n+1} = x_j P_n - B_{n,j} P_n - C_{n,j} P_{n-1}, the
-    variables' systems stacked, exactly; any inconsistency is an error, not a
-    least-squares compromise."""
+    variables' systems stacked, exactly; any inconsistency is a failed
+    consistency check (an AssertionError, which the CLI reports with exit
+    3), not a least-squares compromise.  The rank checks come first, so a
+    degenerate A still raises DegenerateParameterError."""
     chain = GChain(spec, upto, leading=leading)
     nvars = spec.nvars
     vectors = [PolyVector(0, [MPoly.const(nvars, Fraction(1))])]
@@ -820,7 +849,11 @@ def generate(spec: FamilySpec, upto, leading="monic"):
             if c is not None:
                 part = [r - s for r, s in zip(part, c.apply_rows(vectors[n - 1].entries))]
             rhs += part
-        vectors.append(PolyVector(n + 1, solve_stacked(reduce(ExactMatrix.vstack, a_j), rhs)))
+        try:
+            entries = solve_stacked(reduce(ExactMatrix.vstack, a_j), rhs)
+        except InconsistentSystemError as exc:
+            raise AssertionError(f"recurrence step to degree {n + 1}: {exc}") from exc
+        vectors.append(PolyVector(n + 1, entries))
     return vectors
 
 

@@ -237,6 +237,25 @@ def test_degenerate_leading_matrix_exits_2(command):
     assert report["error"] == "denominator parameter beta1-beta0 = 0 hits zero at shift 0"
 
 
+def test_an_inconsistent_recurrence_exits_3(monkeypatch):
+    # B_{1,2} off by 1/1000 leaves the stacked degree-2 system inconsistent:
+    # a failed consistency check, not degenerate input
+    abc_matrices = ttrr.abc_matrices
+
+    def perturbed(chain, n, j):
+        a, b, c = abc_matrices(chain, n, j)
+        if (n, j) == (1, 2):
+            b[0, 0] = b[0, 0] + Fraction(1, 1000)
+        return a, b, c
+
+    monkeypatch.setattr(ttrr, "abc_matrices", perturbed)
+    code, report = run(["generate", "--family", "cdh", "--upto", "3"])
+    assert code == EXIT_MISMATCH
+    assert report["error"] == (
+        "recurrence step to degree 2: inconsistent stacked system: nonzero residual row"
+    )
+
+
 def test_grid_size_at_or_below_degree_exits_2():
     # a residual of total degree k needs k + 1 lattice values per axis
     for argv in (["verify-pde", "--family", "racah", "--max-total-degree", "2", "--grid-size", "2"],

@@ -821,6 +821,100 @@ def test_table_action_matches_pointwise_residual(name):
         assert pv.table_residual_on(table, f_p, label, point) == expect, point
 
 
+def _typed_images(images):
+    return {e: {q: (c, type(c)) for q, c in image.coeffs.items()} for e, image in images.items()}
+
+
+def _monomials(nvars, top):
+    return [e for e in product(range(top + 1), repeat=nvars) if sum(e) <= top]
+
+
+@pytest.mark.parametrize("draw", ["default", "bench"])
+@pytest.mark.parametrize("name", fam.ALL_FAMILIES)
+def test_operator_images_match_the_horner_route(name, draw):
+    # every monomial up to degree 4 (6 on the trivariate table), in value and
+    # in coefficient type, against each operator applied by poly_D / poly_S
+    params = None if draw == "default" else _bench_params(name, seed=len(name))
+    table = pv.coefficients(fam.FamilySpec(name, params=params))
+    top = 6 if table.nvars == 3 else 4
+    images = pv.operator_images(table, top)
+    assert sorted(images) == sorted(_monomials(table.nvars, top))
+    want = {e: _composed_table_action(table, MPoly(table.nvars, {e: Fraction(1)})) for e in images}
+    assert _typed_images(images) == _typed_images(want)
+
+
+def test_an_image_coefficient_whose_imaginary_parts_cancel_stays_gaussian():
+    # on the linear lattice D^2 x^3 = 6x and S D x^3 = 3x^2 - 1, so with
+    # f5 = 1 + i beside E(2,0) and f7 = 6i x beside E(1,0) the image of x^3
+    # has 6 + 6i - 6i = 6 at x: real, yet reached by Gaussian coefficients,
+    # so the Horner route's MPoly sums keep it a GaussianRational
+    coeffs = [MPoly.zero(2)] * 8
+    coeffs[4] = MPoly.const(2, GaussianRational(1, 1))
+    coeffs[6] = MPoly(2, {(1, 0): GaussianRational(0, 6)})
+    table = pv.CoeffTable(coeffs, lambda label: Fraction(0), (lo.linear(), lo.linear("y")))
+    image = pv.operator_images(table, 3)[(3, 0)]
+    assert image.coeffs[(1, 0)] == 6 and type(image.coeffs[(1, 0)]) is GaussianRational
+    want = _composed_table_action(table, MPoly(2, {(3, 0): Fraction(1)}))
+    assert _typed_images({(3, 0): image}) == _typed_images({(3, 0): want})
+
+
+def test_a_coefficient_typo_changes_the_images_and_the_derived_s_n():
+    spec = fam.FamilySpec(fam.WILSON)
+    table = pv.coefficients(spec)
+    typo = _typo(table, (1, 0))
+    monomials = (fbasis.MONOMIAL,) * 2
+    images, typo_images = pv.operator_images(table, 3), pv.operator_images(typo, 3)
+    # 1/1000 E(1,0) x^e = 1/1000 S D x^e, nonzero exactly when x appears
+    assert [e for e in images if images[e] != typo_images[e]] == [
+        e for e in images if e[0]
+    ]
+    for n in (1, 2, 3):
+        s_n, t_n = ttrr.sn_tn_derived(spec, n, table=table, bases=monomials)
+        typo_s_n, typo_t_n = ttrr.sn_tn_derived(spec, n, table=typo, bases=monomials)
+        assert typo_s_n != s_n, n
+
+
+def test_a_mutated_image_does_not_change_the_next_call():
+    spec = fam.FamilySpec(fam.CH)
+    table = pv.coefficients(spec)
+    want = _typed_images(pv.operator_images(pv.coefficients(spec), 3))
+    first = pv.operator_images(table, 3)
+    for image in first.values():
+        image.coeffs.clear()
+    first[(1, 1)].coeffs[(0, 0)] = Fraction(7)
+    assert _typed_images(pv.operator_images(table, 3)) == want
+    p = MPoly(2, {(2, 1): Fraction(3), (0, 1): Fraction(-1, 2)})
+    pv.table_action(table, p).coeffs.clear()
+    assert pv.table_action(table, p) == _composed_table_action(table, p)
+
+
+def test_the_symbolic_state_grows_only_with_the_degree_asked(monkeypatch):
+    # the symbolic route reads neither the pointwise terms nor the rows
+    def pointwise(*args):
+        raise AssertionError("the symbolic route read pointwise state")
+
+    monkeypatch.setattr(pv, "_table_terms", pointwise)
+    monkeypatch.setattr(pv, "_axis_row", pointwise)
+    table = pv.coefficients(fam.FamilySpec(fam.RACAH))
+    kept = lambda: [len(table._univariate.get(lattice, ())) for lattice in table.lattices]
+    assert table._split is None and kept() == [0, 0]
+    pv.operator_images(table, 2)
+    assert kept() == [3, 3]
+    split = table._split
+    pv.operator_images(table, 1)
+    pv.table_action(table, MPoly(2, {(0, 2): Fraction(1)}))
+    assert kept() == [3, 3] and table._split is split
+    table.images([(4, 1)])
+    assert kept() == [5, 3]
+    pv.operator_images(table, 5)
+    assert kept() == [6, 6]
+    assert table._terms is None and table._rows == {}
+    # the three variables of ch-tri share their one lattice's images
+    trivariate = pv.coefficients(fam.FamilySpec(fam.CH_TRI))
+    trivariate.images([(4, 0, 1)])
+    assert [len(images) for images in trivariate._univariate.values()] == [5]
+
+
 # -- the symbolic route on family members ----------------------------------------------
 
 def _symbolic_failures(spec, table, max_degree=4):

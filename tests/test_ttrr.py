@@ -16,6 +16,8 @@ from quadlattice.fbasis import (
     graded,
     h_closed_1,
     interpolate_on_grid,
+    l_matrix,
+    poly_shift_pair,
     to_basis,
 )
 from quadlattice.matrix import ExactMatrix, exact_inverse, solve_stacked
@@ -63,8 +65,8 @@ def test_zero_dimensions_keep_their_shape():
     assert shape(zero(0, 3)) == (0, 3) and zero(0, 3) != zero(0, 5)
     assert shape(zero(0, 3) + zero(0, 3)) == shape(zero(0, 3).scale(2)) == (0, 3)
     assert zero(2, 0) * zero(0, 3) == zero(2, 3)
-    assert zero(2, 0) * ttrr.l_matrix(-1, 1, 2) == zero(2, 1)
-    assert shape(ttrr.l_matrix(-1, 1, 2)) == (0, 1)
+    assert zero(2, 0) * l_matrix(-1, 1, 2) == zero(2, 1)
+    assert shape(l_matrix(-1, 1, 2)) == (0, 1)
     assert shape(zero(3, 0).transpose()) == (0, 3)
     assert shape(zero(0, 2).hstack(zero(0, 3))) == (0, 5)
     assert shape(zero(0, 2).vstack(zero(0, 2))) == (0, 2)
@@ -397,12 +399,29 @@ def reference_tensor_entry(bases, degree, k):
     return px * py
 
 
+def reference_table_action(table, p):
+    """sum f_i E_i p by the Horner route: every E_l p built one variable at
+    a time with poly_shift_pair, then summed in MPoly arithmetic."""
+    images = {(): p}
+    for var, lattice in enumerate(table.lattices):
+        layer = {}
+        for prefix, q in images.items():
+            dq = poly_shift_pair(q, var, lattice)[1]
+            sdq, ddq = poly_shift_pair(dq, var, lattice)
+            layer[prefix + (0,)], layer[prefix + (1,)], layer[prefix + (2,)] = q, sdq, ddq
+        images = layer
+    out = MPoly.zero(table.nvars)
+    for fi, lind in zip(table.coeffs, table.lindices):
+        out = out + fi * images[lind]
+    return out
+
+
 def reference_phi_blocks(table, degree, bases):
     diag = ExactMatrix.zero(degree + 1, degree + 1)
     sub1 = ExactMatrix.zero(degree + 1, max(degree, 0))
     sub2 = ExactMatrix.zero(degree + 1, max(degree - 1, 0))
     for k in range(degree + 1):
-        image = pdeverify.table_action(table, reference_tensor_entry(bases, degree, k))
+        image = reference_table_action(table, reference_tensor_entry(bases, degree, k))
         for (i, j), c in to_basis(image, bases).items():
             d = i + j
             if d == degree:
@@ -474,7 +493,26 @@ def test_one_loop_chain_matches_the_reference(name, draw):
 def test_l_matrix_matches_the_reference():
     for n in range(6):
         for j in (1, 2):
-            assert _typed(ttrr.l_matrix(n, j, 2)) == _typed(reference_l_matrix(n, j)), (n, j)
+            assert _typed(l_matrix(n, j, 2)) == _typed(reference_l_matrix(n, j)), (n, j)
+
+
+@pytest.mark.parametrize("name", [fam.RACAH, fam.CH])
+def test_gl_is_the_product_with_l(name):
+    # a column placement, equal to G_{n,m} L_{m,j} entry by entry and type by
+    # type; an entry no column of G reaches stays Fraction(0)
+    chain = ttrr.GChain(fam.FamilySpec(name), 4, "family")
+    for n in range(4):
+        for m in range(n - 2, n + 1):
+            for j in (1, 2):
+                got = ttrr._gl(chain, n, m, j)
+                want = chain.g(n, m) * l_matrix(m, j, 2) if m >= 0 else None
+                if want is None:
+                    assert (got.rows, got.cols) == (n + 1, m + 2)
+                    assert _typed(got) == _typed(ExactMatrix.zero(n + 1, m + 2))
+                    continue
+                assert _typed(got) == _typed(want), (n, m, j)
+                zeros = [x for row in got.data for x in row if not x]
+                assert zeros and all(type(x) is Fraction for x in zeros), (n, m, j)
 
 
 @pytest.mark.parametrize("draw", ["default", 1, 5])
@@ -532,7 +570,7 @@ def test_monic_abc_shapes_and_l_selection():
             a, b, c = ttrr.abc_matrices(chain, n, j)
             assert (a.rows, a.cols) == (n + 1, n + 2)
             assert (b.rows, b.cols) == (n + 1, n + 1)
-            assert a == ttrr.l_matrix(n, j, 2)  # monic case: A_{n,j} = L_{n,j}
+            assert a == l_matrix(n, j, 2)  # monic case: A_{n,j} = L_{n,j}
             if n >= 1:
                 assert (c.rows, c.cols) == (n + 1, n)
     # B_{0,j} = -A_{0,j} G_{1,0} G_{0,0}^{-1}
