@@ -20,18 +20,16 @@ Layers timed:
   L2  tables and chains: ``coefficients`` for each family,
       ``derived_coefficients`` of each distinct bivariate table in the
       directions x, y and xy, and ``GChain(spec, 4, leading)`` for the
-      seven recurrence families with monic and family leading matrices,
-      with the S_n / T_n memo cleared before every repeat (a chain would
-      otherwise time only memo hits after the first); whole
-      ``generate(spec, 4, leading)`` calls (upto 2 with ``--quick``) for the
-      same fourteen pairs, from an empty memo too (ops: the recurrence
-      steps); one S_n / T_n derivation, ``_phi_blocks`` of a fresh copy of
-      the printed table per repeat at degree 4 (2 with ``--quick``) on the
-      family's working bases, past the memo, for the same seven families
-      and for ch-tri on its monomial bases (ops: the tensor-basis entries
-      the table acts on), and for racah and racah-bar on the monomial bases
-      as well (``L2.phi_blocks.<family>.monomial``), the derivation their
-      chains make; ``operator_images`` of a fresh copy of each printed
+      seven recurrence families with monic and family leading matrices;
+      whole ``generate(spec, 4, leading)`` calls (upto 2 with ``--quick``)
+      for the same fourteen pairs (ops: the recurrence steps); one
+      S_n / T_n derivation, ``_phi_blocks`` of a fresh copy of the printed
+      table per repeat at degree 4 (2 with ``--quick``) on the family's
+      working bases, for the same seven families and for ch-tri on its
+      monomial bases (ops: the tensor-basis entries the table acts on), and
+      for racah and racah-bar on the monomial bases as well
+      (``L2.phi_blocks.<family>.monomial``), the derivation their chains
+      make; ``operator_images`` of a fresh copy of each printed
       table per repeat, at degree 4 for the seven bivariate tables and 6
       for ch-tri at either size (``L2.operator_images.<family>``, ops: the
       monomials imaged), so that a table's symbolic split and univariate
@@ -61,8 +59,7 @@ Layers timed:
       (``L4.exact_inverse.recovery``), each input recorded once before the
       timing.  A chain inverts each
       G_{k,k} once, so ``L4.exact_inverse.generate`` records 5 inverses per
-      ``generate`` at upto 4 (3 at upto 2) where every (n, j) used to
-      invert its own (26, and 10 at upto 2).
+      ``generate`` at upto 4 (3 at upto 2).
   L5  the pointwise layer, per lattice kind (quadratic: racah, Wilson
       square: wilson, linear: ch, 3-variable linear: ch-tri):
       ``fold_terms`` of the family's printed table at each point of a
@@ -258,11 +255,6 @@ def _l1_entries(points):
     return out
 
 
-def _clear_sn_tn_memo():
-    # a tree from before the S_n / T_n memo has nothing to clear
-    getattr(ttrr, "_SN_TN_MEMO", {}).clear()
-
-
 def _recorded_samples(spec, degree):
     """The oracle's samples of the family's degree-``degree`` vector on its
     ``degree + 2``-per-axis grid, {point: values}."""
@@ -303,8 +295,7 @@ def _fresh(table):
 
 def _l2_entries(oracle_degree, interpolate_degree, upto, phi_degree):
     """Default parameters throughout.  The table builds never touch the
-    family caches, a chain and a ``generate`` call start from an empty
-    S_n / T_n memo, and the oracle clears the family caches, so repeats time
+    family caches, and the oracle clears the family caches, so repeats time
     the same work."""
     out = {}
     for name in fam.ALL_FAMILIES:
@@ -319,18 +310,12 @@ def _l2_entries(oracle_degree, interpolate_degree, upto, phi_degree):
     for name in ttrr.TTRR_FAMILIES:
         spec = fam.FamilySpec(name)
         for leading in ("monic", "family"):
-
-            def chain(spec=spec, leading=leading):
-                _clear_sn_tn_memo()
-                return ttrr.GChain(spec, 4, leading)
-
-            out[f"L2.gchain.{name}.{leading}"] = (chain, 1)
-
-            def generate(spec=spec, leading=leading):
-                _clear_sn_tn_memo()
-                return ttrr.generate(spec, upto, leading)
-
-            out[f"L2.generate.{name}.{leading}"] = (generate, upto)
+            out[f"L2.gchain.{name}.{leading}"] = (
+                lambda spec=spec, leading=leading: ttrr.GChain(spec, 4, leading), 1
+            )
+            out[f"L2.generate.{name}.{leading}"] = (
+                lambda spec=spec, leading=leading: ttrr.generate(spec, upto, leading), upto
+            )
 
         def oracle(name=name):
             _clear_family_caches()

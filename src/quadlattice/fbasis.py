@@ -71,13 +71,12 @@ class MPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        # an MPoly equals only an MPoly, so that equal values hash equal
+        # an MPoly is mutable, so it is unhashable, and it equals only an MPoly
         if isinstance(other, MPoly):
             return self.nvars == other.nvars and self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.coeffs.items())))
+    __hash__ = None
 
     def _wrap(self, other):
         if isinstance(other, MPoly):

@@ -126,22 +126,11 @@ def _phi_blocks(table, degree, bases):
     return blocks
 
 
-# (family, working bases, table coefficients, table lattices, lambda_n, n)
-# -> (S_n, T_n): the key is everything the derivation reads (an MPoly hashes
-# and compares by content), so a table that differs anywhere, say by one
-# misprinted coefficient, is derived afresh.  The oldest entry goes first.
-_SN_TN_MEMO = {}
-SN_TN_MEMO_SIZE = 64
-
-
 def sn_tn_derived(spec: FamilySpec, n, table=None, bases=None):
     """S_n and T_n recovered by substituting the expansion on ``bases`` (by
     default the one the paper prints them in, :func:`working_bases`; the
     chain passes the monomials) into the equation and equating the
-    coefficients of degree n - 1 and n - 2.
-
-    Each distinct (table, bases, n) is derived once while it stays in the
-    bounded memo; every call returns its own copies."""
+    coefficients of degree n - 1 and n - 2."""
     if spec.family not in TTRR_FAMILIES:
         raise ValueError(f"no recurrence machinery for family {spec.family!r}")
     if table is None:
@@ -149,20 +138,13 @@ def sn_tn_derived(spec: FamilySpec, n, table=None, bases=None):
     if bases is None:
         bases = working_bases(spec)
     lam_n = table.eigenvalue(graded(n, table.nvars)[0])
-    key = (spec.family, bases, table.coeffs, table.lattices, lam_n, n)
-    st = _SN_TN_MEMO.get(key)
-    if st is None:
-        diag, sub1, sub2 = _phi_blocks(table, n, bases)
-        # the diagonal block must cancel the eigenvalue exactly
-        expect = ExactMatrix.identity(diag.rows).scale(-lam_n)
-        if diag != expect:
-            raise AssertionError(
-                f"degree-{n} block of the equation is not -lambda_n I for {spec.family}"
-            )
-        if len(_SN_TN_MEMO) >= SN_TN_MEMO_SIZE:
-            del _SN_TN_MEMO[next(iter(_SN_TN_MEMO))]
-        st = _SN_TN_MEMO[key] = (sub1, sub2)
-    return tuple(ExactMatrix(m.data) for m in st)
+    diag, sub1, sub2 = _phi_blocks(table, n, bases)
+    # the diagonal block must cancel the eigenvalue exactly
+    if diag != ExactMatrix.identity(diag.rows).scale(-lam_n):
+        raise AssertionError(
+            f"degree-{n} block of the equation is not -lambda_n I for {spec.family}"
+        )
+    return sub1, sub2
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,6 @@ def test_wilson_chain_has_no_u_corrections():
 def test_every_chain_derives_s_k_t_k_on_the_monomials(monkeypatch):
     # the G blocks are read straight from S_k / T_k on the monomials, the
     # F-basis families included, so no chain changes basis
-    monkeypatch.setattr(ttrr, "_SN_TN_MEMO", {})
     derivations = _counted(monkeypatch, ttrr, "_phi_blocks")
     for name in ttrr.TTRR_FAMILIES:
         derivations.clear()
@@ -549,7 +548,6 @@ def test_ch_tri_monic_generation_is_the_family_over_its_leading_block(monkeypatc
     # admitted in this test only: monic P_n = G_n^{-1} P_n(family), G_n read
     # off the interpolated family vector
     monkeypatch.setattr(ttrr, "TTRR_FAMILIES", ttrr.TTRR_FAMILIES + (fam.CH_TRI,))
-    monkeypatch.setattr(ttrr, "_SN_TN_MEMO", {})
     spec = fam.FamilySpec(fam.CH_TRI)
     monic = ttrr.generate(spec, 3, "monic")
     for n, vec in enumerate(monic):
@@ -651,7 +649,7 @@ def test_monic_family_relation_p_equals_gnn_phat():
             assert (combined[k] - oracle[k]).is_zero()
 
 
-# -- work done once: the S_n / T_n memo and the G_{k,k} inverses ----------------------
+# -- work counted: the S_n / T_n derivations and the G_{k,k} inverses -----------------
 
 def _counted(monkeypatch, module, name):
     """Patch ``module.name`` to record its calls; returns the record."""
@@ -666,15 +664,15 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
-def test_both_generate_routes_derive_each_sn_tn_once(monkeypatch):
-    # seven families x both leadings at upto 4: 28 distinct (family, n),
-    # each derived once although each chain asks for its own S_k / T_k
-    monkeypatch.setattr(ttrr, "_SN_TN_MEMO", {})
+def test_each_sn_tn_call_is_one_derivation(monkeypatch):
+    # seven families x both leadings at upto 4: each chain asks for its own
+    # S_k / T_k (k = 1..4), and each of the 56 calls derives them afresh
+    calls = _counted(monkeypatch, ttrr, "sn_tn_derived")
     derivations = _counted(monkeypatch, ttrr, "_phi_blocks")
     for name in ttrr.TTRR_FAMILIES:
         for leading in ("family", "monic"):
             ttrr.generate(fam.FamilySpec(name), 4, leading)
-    assert len(derivations) == 28
+    assert len(calls) == len(derivations) == 56
 
 
 def _wilson_typo(monkeypatch, change):
@@ -688,7 +686,7 @@ def _wilson_typo(monkeypatch, change):
     monkeypatch.setitem(pdeverify._TABLE_BUILDERS, fam.WILSON, typo)
 
 
-def test_sn_tn_memo_cannot_mask_a_table_typo(monkeypatch):
+def test_a_table_typo_changes_the_derived_sn_tn(monkeypatch):
     spec = fam.FamilySpec(fam.WILSON)
     clean = ttrr.sn_tn_derived(spec, 2)
     # a constant slip in f4 changes S_2 and T_2
@@ -696,8 +694,8 @@ def test_sn_tn_memo_cannot_mask_a_table_typo(monkeypatch):
     assert ttrr.sn_tn_derived(spec, 2) != clean
     assert ttrr.GChain(spec, 2).st[2] != clean
     monkeypatch.undo()
-    # an x-linear slip in f7 breaks the -lambda_n I diagonal block, with
-    # the clean S_2 / T_2 in the memo
+    # an x-linear slip in f7 breaks the -lambda_n I diagonal block, after
+    # the clean S_2 / T_2 were derived
     ttrr.sn_tn_derived(spec, 2)
     _wilson_typo(monkeypatch, (6, MPoly.var(0, 2) * Fraction(1, 1000)))
     with pytest.raises(AssertionError, match="degree-2 block"):
@@ -714,20 +712,6 @@ def test_mutating_a_returned_sn_leaves_the_next_result_unchanged():
     tn[1, 0] = Fraction(-7)
     ttrr.GChain(spec, 3).st[3][0][1, 1] = Fraction(5)
     assert ttrr.sn_tn_derived(spec, 3) == want
-
-
-def test_sn_tn_memo_stays_within_its_bound(monkeypatch):
-    memo = {}
-    monkeypatch.setattr(ttrr, "_SN_TN_MEMO", memo)
-    base = fam.FamilySpec(fam.CDH).params
-    first = None
-    for k in range(ttrr.SN_TN_MEMO_SIZE + 6):
-        spec = fam.FamilySpec(fam.CDH, params=dict(base, a=Fraction(3 + k, 7)))
-        ttrr.sn_tn_derived(spec, 1)
-        first = first or next(iter(memo))
-        assert len(memo) <= ttrr.SN_TN_MEMO_SIZE
-    assert len(memo) == ttrr.SN_TN_MEMO_SIZE
-    assert first not in memo  # the oldest entries went first
 
 
 @pytest.mark.parametrize("leading", ["monic", "family"])
