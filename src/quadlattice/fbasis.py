@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
-from operator import mul
+from operator import add, mul, sub
 
 from .exactfield import GaussianRational, demote, field_str, integer_parts
 from .latticeops import LatticeSpec, grid_axes, lattice_value, linear, structure_scalars
@@ -38,7 +38,9 @@ from .matrix import ExactMatrix
 # ---------------------------------------------------------------------------
 
 class MPoly:
-    """Sparse polynomial in a fixed number of variables over Q or Q(i)."""
+    """Sparse polynomial in a fixed number of variables over Q or Q(i),
+    ``coeffs`` mapping exponent tuples to nonzero coefficients.  The public
+    constructor filters outside input; arithmetic results go through :meth:`_of`."""
 
     __slots__ = ("nvars", "coeffs")
 
@@ -49,6 +51,13 @@ class MPoly:
             for exps, c in coeffs.items():
                 if c:
                     self.coeffs[tuple(exps)] = c
+
+    @classmethod
+    def _of(cls, nvars, coeffs):
+        """An MPoly over ``coeffs`` as given: tuple keys, no zero, no other holder."""
+        out = cls.__new__(cls)
+        out.nvars, out.coeffs = nvars, coeffs
+        return out
 
     @classmethod
     def const(cls, nvars, value):
@@ -63,6 +72,28 @@ class MPoly:
         exps = [0] * nvars
         exps[index] = 1
         return cls(nvars, {tuple(exps): Fraction(1)})
+
+    @classmethod
+    def combine(cls, coeffs, polys):
+        """sum_k coeffs[k] polys[k] (``polys`` a nonempty sequence) in one dict.
+        The terms c * coeffs[k] are added in order and a sum that reaches zero
+        is dropped, so each coefficient has the value and type (a Gaussian
+        operand makes it a GaussianRational, even when real) of the chain
+        ``polys[0] * coeffs[0] + polys[1] * coeffs[1] + ...`` of binary ops."""
+        nvars = polys[0].nvars
+        out = {}
+        for k, p in zip(coeffs, polys, strict=True):
+            if p.nvars != nvars:
+                raise ValueError("variable count mismatch")
+            if not k:
+                continue
+            for e, c in p.coeffs.items():
+                s = out[e] + c * k if e in out else c * k
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return cls._of(nvars, out)
 
     def is_zero(self):
         return not self.coeffs
@@ -87,29 +118,33 @@ class MPoly:
             return MPoly.const(self.nvars, other)
         return None
 
+    def _merge(self, other, op):
+        """self + other or self - other (``op`` add or sub), zero sums dropped."""
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            s = op(out[e], c) if e in out else c if op is add else -c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return MPoly._of(self.nvars, out)
+
     def __add__(self, other):
         other = self._wrap(other)
         if other is None:
             return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MPoly(self.nvars, out)
+        return self._merge(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.coeffs.items()})
+        return MPoly._of(self.nvars, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = self._wrap(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._merge(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -118,7 +153,7 @@ class MPoly:
         if isinstance(other, (int, Fraction, GaussianRational)):
             if not other:
                 return MPoly.zero(self.nvars)
-            return MPoly(self.nvars, {e: c * other for e, c in self.coeffs.items()})
+            return MPoly._of(self.nvars, {e: c * other for e, c in self.coeffs.items()})
         other = self._wrap(other)
         if other is None:
             return NotImplemented
@@ -131,9 +166,14 @@ class MPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return MPoly(self.nvars, out)
+        return MPoly._of(self.nvars, out)
 
     __rmul__ = __mul__
+
+    def mul_var(self, index):
+        """x_index times self, as a shift of exponents."""
+        shift = lambda e: e[:index] + (e[index] + 1,) + e[index + 1:]
+        return MPoly._of(self.nvars, {shift(e): c for e, c in self.coeffs.items()})
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -291,12 +331,10 @@ def poly_shift_pair(p: MPoly, var, spec: LatticeSpec):
     deg = p.var_degree(var)
     if deg < 0:
         return MPoly.zero(p.nvars), MPoly.zero(p.nvars)
-    slices = [MPoly.zero(p.nvars) for _ in range(deg + 1)]
+    slices = [{} for _ in range(deg + 1)]
     for exps, c in p.coeffs.items():
-        rest = list(exps)
-        d = rest[var]
-        rest[var] = 0
-        slices[d] = slices[d] + MPoly(p.nvars, {tuple(rest): c})
+        slices[exps[var]][exps[:var] + (0,) + exps[var + 1:]] = c
+    slices = [MPoly._of(p.nvars, s) for s in slices]
     a = MPoly.zero(p.nvars)
     b = MPoly.zero(p.nvars)
     for d in range(deg, -1, -1):

@@ -13,9 +13,12 @@ exact linear solve.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from operator import add, sub
 
 from .exactfield import field_str
+
+_ZERO = Fraction(0)
 
 
 class ExactMatrix:
@@ -80,24 +83,26 @@ class ExactMatrix:
         return ExactMatrix([[c * x for x in row] for row in self.data], self.cols)
 
     def __mul__(self, other):
+        """The product; an entry sums its pairs of nonzero entries from the
+        first one, so it is a GaussianRational exactly when a Gaussian operand
+        contributes (even when real), and Fraction(0) when no pair does."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        # only products of two nonzero entries contribute; with no rows,
-        # ``other`` still has its columns, each of them empty
+        # with no rows, ``other`` still has its columns, each of them empty
         columns = [[(k, b) for k, b in enumerate(col) if b] for col in zip(*other.data)]
         columns = columns or [[]] * other.cols
         out = []
         for row in self.data:
             out_row = []
             for col in columns:
-                acc = Fraction(0)
+                acc = None
                 for k, b in col:
                     a = row[k]
                     if a:
-                        acc = acc + a * b
-                out_row.append(acc)
+                        acc = a * b if acc is None else acc + a * b
+                out_row.append(_ZERO if acc is None else acc)
             out.append(out_row)
         return ExactMatrix(out, other.cols)
 
@@ -115,21 +120,18 @@ class ExactMatrix:
         return ExactMatrix(self.data + other.data, self.cols)
 
     def apply_rows(self, vector):
-        """Matrix action on a list of ring elements (e.g. polynomials)."""
+        """Matrix action on a list of ring elements: one ``combine`` per row
+        for polynomials (:meth:`fbasis.MPoly.combine`, found on the entries'
+        class), else a running sum of each row's nonzero terms."""
         if self.cols != len(vector):
             raise ValueError("length mismatch")
+        combine = getattr(type(vector[0]), "combine", None) if vector else None
+        if combine is not None:
+            return [combine(row, vector) for row in self.data]
         out = []
-        for i in range(self.rows):
-            acc = None
-            for k in range(self.cols):
-                c = self.data[i][k]
-                if not c:
-                    continue
-                term = c * vector[k]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = 0 * vector[0] if vector else Fraction(0)
-            out.append(acc)
+        for row in self.data:
+            terms = [c * v for c, v in zip(row, vector) if c]
+            out.append(reduce(add, terms) if terms else 0 * vector[0] if vector else Fraction(0))
         return out
 
     def rank(self):

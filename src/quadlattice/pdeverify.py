@@ -542,11 +542,11 @@ def operator_images(table: CoeffTable, n) -> dict:
 
 def image_sum(images, p: MPoly) -> MPoly:
     """sum_e c_e images[e] over the terms c_e x^e of p: the image of p read
-    from the images of its monomials."""
-    out = MPoly.zero(p.nvars)
-    for e, c in p.coeffs.items():
-        out = out + images[e] * c
-    return out
+    from the images of its monomials, as one :meth:`MPoly.combine` (the
+    zero polynomial for p = 0)."""
+    if not p:
+        return MPoly.zero(p.nvars)
+    return MPoly.combine(p.coeffs.values(), [images[e] for e in p.coeffs])
 
 
 def table_action(table: CoeffTable, p: MPoly) -> MPoly:

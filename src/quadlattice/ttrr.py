@@ -814,23 +814,23 @@ def _check_ranks(a_j, c_j, n):
 def generate(spec: FamilySpec, upto, leading="monic"):
     """Polynomial vectors P_0..P_upto generated from the recurrences: each
     step solves A_{n,j} P_{n+1} = x_j P_n - B_{n,j} P_n - C_{n,j} P_{n-1}, the
-    variables' systems stacked, exactly; any inconsistency is a failed
-    consistency check (an AssertionError, which the CLI reports with exit
-    3), not a least-squares compromise.  The rank checks come first, so a
-    degenerate A still raises DegenerateParameterError."""
+    variables' systems stacked, exactly, each right-hand-side entry one
+    :meth:`MPoly.combine` with x_j P_n a shift of exponents; any
+    inconsistency is a failed consistency check (an AssertionError, which
+    the CLI reports with exit 3), not a least-squares compromise.  The rank
+    checks come first, so a degenerate A still raises DegenerateParameterError."""
     chain = GChain(spec, upto, leading=leading)
     nvars = spec.nvars
     vectors = [PolyVector(0, [MPoly.const(nvars, Fraction(1))])]
     for n in range(upto):
         a_j, b_j, c_j = zip(*(abc_matrices(chain, n, j) for j in range(1, nvars + 1)))
         _check_ranks(a_j, c_j, n)
-        pn = vectors[n].entries
-        rhs = []
-        for var, (b, c) in enumerate(zip(b_j, c_j)):
-            part = [MPoly.var(var, nvars) * p - s for p, s in zip(pn, b.apply_rows(pn))]
-            if c is not None:
-                part = [r - s for r, s in zip(part, c.apply_rows(vectors[n - 1].entries))]
-            rhs += part
+        polys = vectors[n].entries + (vectors[n - 1].entries if n else [])
+        rhs = [
+            MPoly.combine((1, *row), (p.mul_var(var), *polys))
+            for var, (b, c) in enumerate(zip(b_j, c_j))
+            for p, row in zip(vectors[n].entries, (-b if c is None else (-b).hstack(-c)).data)
+        ]
         try:
             entries = solve_stacked(reduce(ExactMatrix.vstack, a_j), rhs)
         except InconsistentSystemError as exc:

@@ -138,6 +138,15 @@ def test_ttrr_dump_contains_eigenvalue():
     assert "Gn,n-1" in report["matrices"]
 
 
+def test_ttrr_report_builds_one_coefficient_table(monkeypatch):
+    # the report's S_n / T_n are derived from the chain's table
+    tables = []
+    coefficients = ttrr.coefficients
+    monkeypatch.setattr(ttrr, "coefficients", lambda spec: tables.append(spec) or coefficients(spec))
+    code, _ = run(["ttrr", "--family", "racah", "--n", "2"])
+    assert code == EXIT_OK and len(tables) == 1
+
+
 def test_generate_and_connect():
     code, report = run(["generate", "--family", "wilson", "--upto", "2", "--monic"])
     assert code == EXIT_OK

@@ -58,6 +58,85 @@ def test_mpoly_is_unhashable_and_never_equals_a_scalar():
     assert MPoly.zero(2) != 0 and 0 != MPoly.zero(2)
 
 
+X, Y = MPoly.var(0, 2), MPoly.var(1, 2)
+I = GaussianRational(0, 1)
+
+
+def _typed_coeffs(p):
+    """A polynomial's coefficients with their types."""
+    return {e: (c, type(c)) for e, c in p.coeffs.items()}
+
+
+def _binary_sum(coeffs, polys):
+    """The left-to-right chain p_0 c_0 + p_1 c_1 + ... of binary operations."""
+    out = None
+    for c, p in zip(coeffs, polys):
+        out = p * c if out is None else out + p * c
+    return out
+
+
+COMBINATIONS = {
+    "real": (
+        [Fraction(1, 2), Fraction(-3), 0, 2],
+        [X * X + Y, X - Fraction(1, 3), Y, X * Y + 1],
+    ),
+    "gaussian": (
+        [GaussianRational(1, 2), -I, GaussianRational(Fraction(1, 3), 0)],
+        [X * I + Y, Y * GaussianRational(2, -1) + 1, X * X],
+    ),
+    "mixed": (
+        [Fraction(2), I, Fraction(-1, 5), Fraction(0)],
+        [X * Y + Fraction(1, 7), X * Y * I - 1, Y * GaussianRational(0, 3) + X, X],
+    ),
+    # x cancels after two terms, in Gaussian arithmetic, and the real third
+    # term starts it again: it ends a Fraction, where a kept zero would
+    # have made it Gaussian
+    "cancels part-way": (
+        [GaussianRational(1, 0), GaussianRational(-1, 0), Fraction(2)],
+        [X + Y, X, X],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMBINATIONS))
+def test_combine_is_the_left_to_right_binary_sum(case):
+    coeffs, polys = COMBINATIONS[case]
+    got = MPoly.combine(coeffs, polys)
+    assert _typed_coeffs(got) == _typed_coeffs(_binary_sum(coeffs, polys))
+    assert got.nvars == 2 and all(got.coeffs.values())
+
+
+def test_an_all_zero_combination_is_the_zero_polynomial():
+    p = X * I + Y * Fraction(1, 3)
+    for coeffs, polys in (([1, -1], [p, p]), ([0, Fraction(0)], [X, Y]), ([I, I], [p, -p])):
+        got = MPoly.combine(coeffs, polys)
+        assert got == MPoly.zero(2) and got.coeffs == {}
+    with pytest.raises(ValueError, match="variable count"):
+        MPoly.combine([1, 1], [X, MPoly.var(0, 3)])
+
+
+def test_arithmetic_results_hold_no_zero_and_share_no_dict():
+    p = X * X + X * Y * I - 3
+    q = X * X * -1 + Y * Fraction(1, 2) + 3
+    zero = MPoly.zero(2)
+    operands = [p, q, zero]
+    before = [dict(o.coeffs) for o in operands]
+    results = [
+        p + q, q + p, p - q, p - p, p + zero, zero + p, p - zero, zero - p, -p, -zero,
+        p * 1, p * q, p * MPoly.const(2, 1), p * zero, 2 + p, 2 - p, p - 2,
+        MPoly.combine([1], [p]), MPoly.combine([1, 0], [p, q]), MPoly.combine([1, 1], [p, zero]),
+        p.mul_var(0), zero.mul_var(1),
+    ]
+    assert (p + q).coeffs == {(1, 1): I, (0, 1): Fraction(1, 2)} and (p - p).coeffs == {}
+    for r in results:
+        assert all(r.coeffs.values()) and all(type(e) is tuple for e in r.coeffs)
+    for r in results:
+        r.coeffs[(9, 9)] = Fraction(1)
+        r.coeffs.pop((0, 0), None)
+    assert [o.coeffs for o in operands] == before
+    assert p.mul_var(1) == p * Y
+
+
 def test_f_basis_low_orders():
     assert f_basis_eval(0, B1, Fraction(5, 7)) == 1
     s = Fraction(5, 7)

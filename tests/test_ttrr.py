@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 import pytest
@@ -57,6 +58,31 @@ def test_gaussian_matrix_inverse():
     m = ExactMatrix([[i, 1], [0, i]])
     inv = exact_inverse(m)
     assert m * inv == ExactMatrix.identity(2)
+
+
+def test_product_entries_are_gaussian_exactly_where_a_gaussian_operand_contributes():
+    i, zero = GaussianRational(0, 1), Fraction(0)
+    a = ExactMatrix([
+        [i, Fraction(1), zero],
+        [zero, Fraction(2), zero],
+        [zero, zero, zero],
+        [GaussianRational(1, 1), zero, zero],
+    ])
+    b = ExactMatrix([
+        [i, Fraction(2), GaussianRational(1, -1)],
+        [Fraction(1), Fraction(3), zero],
+        [i, Fraction(5), zero],
+    ])
+    # i*i + 1*1 cancels and (1+i)(1-i) is real, both still Gaussian; b's
+    # Gaussian entries meet only zeros of a's second and third rows, and an
+    # entry no pair reaches is Fraction(0)
+    want = [
+        [GaussianRational(0, 0), GaussianRational(3, 2), GaussianRational(1, 1)],
+        [Fraction(2), Fraction(6), zero],
+        [zero, zero, zero],
+        [GaussianRational(-1, 1), GaussianRational(2, 2), GaussianRational(2, 0)],
+    ]
+    assert _typed(a * b) == [[(x, type(x)) for x in row] for row in want]
 
 
 def test_zero_dimensions_keep_their_shape():
@@ -130,6 +156,36 @@ def test_random_stacked_solve_with_polynomial_rhs(field):
     rhs[-1] = rhs[-1] + MPoly.var(0, 2)
     with pytest.raises(ValueError, match="inconsistent stacked system"):
         solve_stacked(a, rhs)
+
+
+def reference_apply_rows(m, vector):
+    """The matrix action as a running binary sum per row."""
+    out = []
+    for row in m.data:
+        acc = None
+        for c, v in zip(row, vector):
+            if c:
+                acc = c * v if acc is None else acc + c * v
+        out.append(0 * vector[0] if acc is None else acc)
+    return out
+
+
+def _typed_polys(polys):
+    return [{e: (c, type(c)) for e, c in p.coeffs.items()} for p in polys]
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(i)"])
+def test_apply_rows_on_polynomials_is_the_binary_row_sum(field):
+    draw = _draw(random.Random(31), field)
+    m = ExactMatrix(
+        [[draw() if (i + j) % 3 else Fraction(0) for j in range(4)] for i in range(3)]
+        + [[Fraction(0)] * 4]
+    )
+    x = [MPoly(2, {(i, j): draw() for i in range(2) for j in range(2)}) for _ in range(4)]
+    x[1] = -x[0]
+    got = m.apply_rows(x)
+    assert _typed_polys(got) == _typed_polys(reference_apply_rows(m, x))
+    assert got[-1] == MPoly.zero(2)
 
 
 def test_rank_deficient_system_names_first_column_without_pivot():
@@ -635,6 +691,39 @@ def test_recurrence_is_an_exact_polynomial_identity():
             rhs = [r + s for r, s in zip(rhs, c.apply_rows(vectors[n - 1].entries))]
             for l, r in zip(lhs, rhs):
                 assert (l - r).is_zero()
+
+
+def reference_generate(spec, upto, leading):
+    """P_0..P_upto with each right-hand side built from binary MPoly
+    operations, x_j P_n - B P_n, then - C P_{n-1}: the reference for the one
+    combination per entry."""
+    chain = ttrr.GChain(spec, upto, leading=leading)
+    nvars = spec.nvars
+    vectors = [[MPoly.const(nvars, Fraction(1))]]
+    for n in range(upto):
+        a_j, rhs = [], []
+        pn = vectors[n]
+        for var in range(nvars):
+            a, b, c = ttrr.abc_matrices(chain, n, var + 1)
+            a_j.append(a)
+            part = [MPoly.var(var, nvars) * p - s for p, s in zip(pn, reference_apply_rows(b, pn))]
+            if c is not None:
+                part = [r - s for r, s in zip(part, reference_apply_rows(c, vectors[n - 1]))]
+            rhs += part
+        vectors.append(solve_stacked(reduce(ExactMatrix.vstack, a_j), rhs))
+    return vectors
+
+
+@pytest.mark.parametrize("draw", ["default", 3])
+@pytest.mark.parametrize("name", ttrr.TTRR_FAMILIES)
+def test_generation_matches_the_binary_reference_step(name, draw):
+    # value and coefficient type: the pinned reports read values only
+    params = None if draw == "default" else _perfbench_draw(draw)[fam.base_family(name)]
+    spec = fam.FamilySpec(name, params=params)
+    for leading in ("monic", "family"):
+        got = ttrr.generate(spec, 4, leading)
+        want = reference_generate(spec, 4, leading)
+        assert [_typed_polys(v.entries) for v in got] == [_typed_polys(v) for v in want], leading
 
 
 def test_monic_family_relation_p_equals_gnn_phat():
