@@ -3,19 +3,20 @@ only).
 
 Usage (from anywhere):
 
-    python3 bench/perfbench_pairs.py --parent REV_OR_PATH [--change PATH] \
-        [--workload W ...] [--seed N] [--seconds S] [--pairs K] [--trace 0|1]
+    python3 bench/perfbench_pairs.py --parent REV_OR_PATH \
+        [--workload W ...] [--seed N] [--seconds S] [--pairs K]
 
 Runs ``perfbench/run.py`` of two source trees, each in its own checkout:
-the change (by default the tree this script sits in) and the parent, which
-is either a directory or a git revision of the change's repository,
+the change (the tree this script sits in) and the parent, which is either
+a directory or a git revision of the change's repository,
 extracted with ``git archive REV | tar -x`` into a temporary directory
 that is removed at the end.  Both trees' ``src`` and ``perfbench`` are
 byte-compiled first, and one warm-up run per tree and workload is made and
 discarded: the first run in a fresh tree reads ``peak_rss_mb`` higher than
 the later ones.  Within each pair the tree that runs first alternates,
-parent first in the first pair.  Every run uses the same ``--seed``,
-``--seconds`` and ``--trace``.
+parent first in the first pair.  Every run uses the same ``--seed`` and
+``--seconds``, untraced (``--trace 0``).  The workloads and each metric's
+direction are read from the change's ``BENCHMARK.json``.
 
 For each workload and metric it prints both sides' median and quartiles
 over the pairs, the change/parent ratio of the medians, and the pairs the
@@ -41,7 +42,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("pde-sweep", "forms", "ttrr")
 
 
 class RunError(RuntimeError):
@@ -66,11 +66,11 @@ def prepare(tree):
             raise RunError(f"byte-compiling {tree / sub} failed")
 
 
-def run_once(tree, workload, seed, seconds, trace):
+def run_once(tree, workload, seed, seconds):
     """One ``perfbench/run.py`` run in ``tree``: its final JSON line."""
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", str(trace),
+        "--seconds", str(seconds), "--trace", "0",
     ]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -82,10 +82,12 @@ def run_once(tree, workload, seed, seconds, trace):
     return result
 
 
-def directions(tree):
-    """{metric: 'lower' | 'higher'} from the tree's BENCHMARK.json."""
+def benchmark(tree):
+    """The workload names and {metric: 'lower' | 'higher'} of the tree's
+    BENCHMARK.json."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    workloads = [w["name"] for w in spec["workloads"]]
+    return workloads, {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
 def quartiles(values):
@@ -134,20 +136,18 @@ def report(workload, rows, npairs):
 
 
 def main(argv=None):
+    known, better = benchmark(ROOT)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="a source tree, or a git revision")
-    parser.add_argument("--change", type=Path, default=ROOT, help="the change's source tree")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="repeatable; all three by default")
+    parser.add_argument("--workload", action="append", choices=known,
+                        help="repeatable; every workload of BENCHMARK.json by default")
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--seconds", type=float, default=6.0)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    change = args.change.resolve()
-    workloads = args.workload or list(WORKLOADS)
+    workloads = args.workload or known
 
     with tempfile.TemporaryDirectory(prefix="perfbench-parent-") as tmp:
         try:
@@ -155,14 +155,13 @@ def main(argv=None):
                 parent = Path(args.parent).resolve()
             else:
                 parent = Path(tmp)
-                extract(change, args.parent, parent)
-            trees = (parent, change)
+                extract(ROOT, args.parent, parent)
+            trees = (parent, ROOT)
             for tree in trees:
                 prepare(tree)
-            better = directions(change)
             summary = {}
             for workload in workloads:
-                run = lambda tree: run_once(tree, workload, args.seed, args.seconds, args.trace)
+                run = lambda tree: run_once(tree, workload, args.seed, args.seconds)
                 for tree in trees:
                     run(tree)  # warm-up, discarded
                 pairs = []
@@ -178,8 +177,8 @@ def main(argv=None):
             print(f"perfbench pairs aborted: {exc}", file=sys.stderr)
             return 1
     print(json.dumps({
-        "parent": args.parent, "change": str(change), "seed": args.seed,
-        "seconds": args.seconds, "trace": args.trace, "workloads": summary,
+        "parent": args.parent, "change": str(ROOT), "seed": args.seed,
+        "seconds": args.seconds, "workloads": summary,
     }))
     return 0
 

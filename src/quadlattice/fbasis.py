@@ -75,11 +75,10 @@ class MPoly:
 
     @classmethod
     def combine(cls, coeffs, polys):
-        """sum_k coeffs[k] polys[k] (``polys`` a nonempty sequence) in one dict.
-        The terms c * coeffs[k] are added in order and a sum that reaches zero
-        is dropped, so each coefficient has the value and type (a Gaussian
-        operand makes it a GaussianRational, even when real) of the chain
-        ``polys[0] * coeffs[0] + polys[1] * coeffs[1] + ...`` of binary ops."""
+        """sum_k coeffs[k] polys[k] (``polys`` nonempty) in one dict: the terms are
+        added in order and a sum that reaches zero is dropped, so each coefficient
+        has the value and type (a GaussianRational wherever a Gaussian operand
+        enters, even when real) of the left-to-right chain of binary * and +."""
         nvars = polys[0].nvars
         out = {}
         for k, p in zip(coeffs, polys, strict=True):
@@ -120,6 +119,9 @@ class MPoly:
 
     def _merge(self, other, op):
         """self + other or self - other (``op`` add or sub), zero sums dropped."""
+        other = self._wrap(other)
+        if other is None:
+            return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             s = op(out[e], c) if e in out else c if op is add else -c
@@ -130,9 +132,6 @@ class MPoly:
         return MPoly._of(self.nvars, out)
 
     def __add__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
         return self._merge(other, add)
 
     __radd__ = __add__
@@ -141,9 +140,6 @@ class MPoly:
         return MPoly._of(self.nvars, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
         return self._merge(other, sub)
 
     def __rsub__(self, other):

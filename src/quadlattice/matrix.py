@@ -13,7 +13,6 @@ exact linear solve.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from operator import add, sub
 
 from .exactfield import field_str
@@ -120,18 +119,24 @@ class ExactMatrix:
         return ExactMatrix(self.data + other.data, self.cols)
 
     def apply_rows(self, vector):
-        """Matrix action on a list of ring elements: one ``combine`` per row
-        for polynomials (:meth:`fbasis.MPoly.combine`, found on the entries'
-        class), else a running sum of each row's nonzero terms."""
+        """Matrix action on a list of ring elements: one ``combine`` per row for
+        polynomials (found on the entries' class), else a running sum per row."""
         if self.cols != len(vector):
             raise ValueError("length mismatch")
-        combine = getattr(type(vector[0]), "combine", None) if vector else None
-        if combine is not None:
-            return [combine(row, vector) for row in self.data]
+        if vector and hasattr(type(vector[0]), "combine"):
+            return [type(vector[0]).combine(row, vector) for row in self.data]
         out = []
-        for row in self.data:
-            terms = [c * v for c, v in zip(row, vector) if c]
-            out.append(reduce(add, terms) if terms else 0 * vector[0] if vector else Fraction(0))
+        for i in range(self.rows):
+            acc = None
+            for k in range(self.cols):
+                c = self.data[i][k]
+                if not c:
+                    continue
+                term = c * vector[k]
+                acc = term if acc is None else acc + term
+            if acc is None:
+                acc = 0 * vector[0] if vector else Fraction(0)
+            out.append(acc)
         return out
 
     def rank(self):

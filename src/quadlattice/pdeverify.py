@@ -541,9 +541,8 @@ def operator_images(table: CoeffTable, n) -> dict:
 
 
 def image_sum(images, p: MPoly) -> MPoly:
-    """sum_e c_e images[e] over the terms c_e x^e of p: the image of p read
-    from the images of its monomials, as one :meth:`MPoly.combine` (the
-    zero polynomial for p = 0)."""
+    """sum_e c_e images[e] over the terms c_e x^e of p, one :meth:`MPoly.combine`
+    (zero for p = 0): the image of p read from the images of its monomials."""
     if not p:
         return MPoly.zero(p.nvars)
     return MPoly.combine(p.coeffs.values(), [images[e] for e in p.coeffs])

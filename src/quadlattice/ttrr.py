@@ -812,13 +812,13 @@ def _check_ranks(a_j, c_j, n):
 
 
 def generate(spec: FamilySpec, upto, leading="monic"):
-    """Polynomial vectors P_0..P_upto generated from the recurrences: each
-    step solves A_{n,j} P_{n+1} = x_j P_n - B_{n,j} P_n - C_{n,j} P_{n-1}, the
+    """Polynomial vectors P_0..P_upto generated from the recurrences: each step
+    solves A_{n,j} P_{n+1} = x_j P_n - B_{n,j} P_n - C_{n,j} P_{n-1}, the
     variables' systems stacked, exactly, each right-hand-side entry one
-    :meth:`MPoly.combine` with x_j P_n a shift of exponents; any
-    inconsistency is a failed consistency check (an AssertionError, which
-    the CLI reports with exit 3), not a least-squares compromise.  The rank
-    checks come first, so a degenerate A still raises DegenerateParameterError."""
+    :meth:`MPoly.combine` (x_j P_n a shift of exponents); any inconsistency is
+    a failed consistency check (an AssertionError, which the CLI reports with
+    exit 3), not a least-squares compromise.  The rank checks come first, so a
+    degenerate A still raises DegenerateParameterError."""
     chain = GChain(spec, upto, leading=leading)
     nvars = spec.nvars
     vectors = [PolyVector(0, [MPoly.const(nvars, Fraction(1))])]
