@@ -23,15 +23,16 @@ Layers timed:
       seven recurrence families with monic and family leading matrices;
       whole ``generate(spec, 4, leading)`` calls (upto 2 with ``--quick``)
       for the same fourteen pairs (ops: the recurrence steps); one
-      S_n / T_n derivation, ``_phi_blocks`` of a fresh copy of the printed
-      table per repeat at degree 4 (2 with ``--quick``) on the family's
-      working bases, for the same seven families and for ch-tri on its
-      monomial bases (ops: the tensor-basis entries the table acts on), and
-      for racah and racah-bar on the monomial bases as well
-      (``L2.phi_blocks.<family>.monomial``), the derivation their chains
-      make; ``operator_images`` of a fresh copy of each printed
-      table per repeat, at degree 4 for the seven bivariate tables and 6
-      for ch-tri at either size (``L2.operator_images.<family>``, ops: the
+      S_n / T_n derivation on the monomials, the one a chain makes per
+      degree, ``_phi_blocks`` of a fresh copy of the printed table per repeat
+      at degree 4 (2 with ``--quick``), for the same seven families and for
+      ch-tri (ops: the monomials the table acts on); for racah and racah-bar,
+      the blocks on the paper's F-basis, ``sn_tn_derived`` at the same degree
+      on a fresh copy of the table per repeat (``L2.sn_tn_paper.<family>``,
+      ops: the monomials imaged at degrees n and n - 1, whose blocks its
+      change of basis reads); ``operator_images`` of a fresh copy of each
+      printed table per repeat, at degree 4 for the seven bivariate tables
+      and 6 for ch-tri at either size (``L2.operator_images.<family>``, ops: the
       monomials imaged), so that a table's symbolic split and univariate
       images are built inside the timed call; the
       interpolation oracle ``family_poly_vector(spec, 3)``
@@ -331,16 +332,16 @@ def _l2_entries(oracle_degree, interpolate_degree, upto, phi_degree):
         )
     for name in ttrr.TTRR_FAMILIES + (fam.CH_TRI,):
         spec = fam.FamilySpec(name)
-        table, bases = pdeverify.coefficients(spec), ttrr.working_bases(spec)
-        monomials = (fbasis.MONOMIAL,) * spec.nvars
-        ops = len(fbasis.graded(phi_degree, spec.nvars))
-
-        def phi_blocks(table=table, bases=bases):
-            return ttrr._phi_blocks(_fresh(table), phi_degree, bases)
-
-        out[f"L2.phi_blocks.{name}"] = (phi_blocks, ops)
-        if bases != monomials:
-            out[f"L2.phi_blocks.{name}.monomial"] = (partial(phi_blocks, bases=monomials), ops)
+        table = pdeverify.coefficients(spec)
+        out[f"L2.phi_blocks.{name}"] = (
+            lambda table=table: ttrr._phi_blocks(_fresh(table), phi_degree),
+            len(fbasis.graded(phi_degree, spec.nvars)),
+        )
+        if name in (fam.RACAH, fam.RACAH_BAR):
+            out[f"L2.sn_tn_paper.{name}"] = (
+                lambda spec=spec, table=table: ttrr.sn_tn_derived(spec, phi_degree, _fresh(table)),
+                len(fbasis.graded(phi_degree, 2)) + len(fbasis.graded(phi_degree - 1, 2)),
+            )
         degree = IMAGES_DEGREE[spec.nvars]
         out[f"L2.operator_images.{name}"] = (
             lambda table=table, degree=degree: pdeverify.operator_images(_fresh(table), degree),

@@ -276,7 +276,7 @@ def _run(args):
         if n >= 1:
             out["Gn,n-1"] = chain.g(n, n - 1).to_json()
             # printed on the paper's basis, not the chain's monomials
-            sn, tn = ttrr.sn_tn_derived(spec, n, table=chain.table)
+            sn, tn = ttrr._on_working_bases(spec, n, chain.st.__getitem__, chain.lam)
             out["Sn"] = sn.to_json()
             out["Tn"] = tn.to_json()
         if n >= 2:

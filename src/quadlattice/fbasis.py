@@ -16,9 +16,9 @@ x F_n = F_{n+1} + f_n F_n.  The analogous monic basis for the Wilson
 operator pair uses the nodes -f_k(0) (the S and x-multiplication relations
 then flip the sign of their second term), and the linear lattice simply uses
 powers of x.  The lattice owns its nodes (:meth:`LatticeSpec.node`), so a
-basis is named by its lattice, and :func:`to_basis` reads an MPoly's
-coefficients off the tensor basis of given lattices by exact synthetic
-division.
+basis is named by its lattice, and :func:`u_blocks` reads the top two
+monomial blocks of a tensor basis off the elementary symmetric functions of
+its nodes.
 """
 
 from __future__ import annotations
@@ -263,51 +263,36 @@ def graded(n, nvars):
     return [(a,) + rest for a in range(n, -1, -1) for rest in graded(n - a, nvars - 1)]
 
 
-def tensor_basis(lattices, n):
-    """The tensor-basis entries F_{e_1}(x_1) ... F_{e_p}(x_p) of the
-    lattices, one per variable, at the slots e of degree n."""
-    polys = [basis_polys(lattice, n, v, len(lattices)) for v, lattice in enumerate(lattices)]
-    return [prod((basis[d] for basis, d in zip(polys, e)), start=1) for e in graded(n, len(polys))]
-
-
-def monomial_to_nodes(coeffs, lattice: LatticeSpec):
-    """Univariate monomial coefficients (index = degree) to coefficients on
-    the lattice's basis, by repeated synthetic division."""
-    work = list(coeffs)
-    out = []
-    for k in range(len(coeffs)):
-        node = lattice.node(k)
-        # synthetic division of work by (u - node): remainder, then quotient
-        rem = work[-1]
-        quot = [work[-1]]
-        for c in reversed(work[:-1]):
-            rem = c + node * rem
-            quot.append(rem)
-        quot.reverse()
-        out.append(quot[0])
-        work = quot[1:]
-    return out
-
-
-def to_basis(p: MPoly, lattices):
-    """Coefficients {exponents: c}, in a new dict, of p on the tensor basis
-    F_i(x) F_j(y) ... of the lattices, one per variable.  An axis on a linear
-    lattice is already monomial and is left as it is."""
-    coeffs = dict(p.coeffs)
-    for var, lattice in enumerate(lattices):
-        if lattice.kind == LatticeSpec.LINEAR:
-            continue
-        columns = {}
-        for exps, c in coeffs.items():
-            rest = exps[:var] + (0,) + exps[var + 1:]
-            columns.setdefault(rest, {})[exps[var]] = c
-        coeffs = {}
-        for rest, column in columns.items():
-            lst = [column.get(d, Fraction(0)) for d in range(max(column) + 1)]
-            for d, c in enumerate(monomial_to_nodes(lst, lattice)):
-                if c:
-                    coeffs[rest[:var] + (d,) + rest[var + 1:]] = c
-    return coeffs
+def u_blocks(lattices, n):
+    """U_{n,n-1} and U_{n,n-2} of F^[n] = X_n + U_{n,n-1} X_{n-1} + U_{n,n-2}
+    X_{n-2} + ..., the tensor basis of the lattices (one per variable) on the
+    monomials.  F_a = prod_{k<a} (x - f_k) has x^(a-1) coefficient
+    h1(a) = -e1(f_0..f_{a-1}) and x^(a-2) coefficient h2(a) = e2(f_0..f_{a-1}),
+    so row e holds h1(e_v) at e - unit_v, and h2(e_v) at e - 2 unit_v and
+    h1(e_v) h1(e_w) at e - unit_v - unit_w; all 0 on a linear lattice."""
+    h1, h2 = [], []
+    for lattice in lattices:
+        e1, e2 = [Fraction(0)], [Fraction(0)]
+        for k in range(n):
+            f = lattice.node(k)
+            e2.append(e2[-1] + f * e1[-1])
+            e1.append(e1[-1] + f)
+        h1.append([-x for x in e1])
+        h2.append(e2)
+    nvars = len(lattices)
+    places = [{e: c for c, e in enumerate(graded(d, nvars))} for d in (n - 1, n - 2)]
+    u1, u2 = (ExactMatrix.zero(len(graded(n, nvars)), len(cols)) for cols in places)
+    drop = lambda e, v: e[:v] + (e[v] - 1,) + e[v + 1:]
+    for k, e in enumerate(graded(n, nvars)):
+        for v, a in enumerate(e):
+            if a >= 1:
+                u1[k, places[0][drop(e, v)]] = h1[v][a]
+            if a >= 2:
+                u2[k, places[1][drop(drop(e, v), v)]] = h2[v][a]
+            for w in range(v + 1, nvars):
+                if a and e[w]:
+                    u2[k, places[1][drop(drop(e, v), w)]] = h1[v][a] * h1[w][e[w]]
+    return u1, u2
 
 
 # ---------------------------------------------------------------------------

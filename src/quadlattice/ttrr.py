@@ -14,14 +14,17 @@ monomials, read straight from the equation's S_n / T_n on the monomials:
 are one formula each, a term absent where its G block would lie below G_{k,0}.
 
 S_n and T_n come in two independent ways: the printed closed forms
-(:func:`sn_tn`), and a derivation that substitutes a tensor-basis expansion
+(:func:`sn_tn`), and a derivation that substitutes the monomial expansion
 into the divided-difference equation and reads off the blocks of degree
-n - 1 and n - 2 (:func:`sn_tn_derived`).  The derivation reads the table's
-monomial images (:func:`pdeverify.operator_images`), built by the tensor
-rule in integers and no polynomial Horner per monomial.  The tests compare
-the two; the derivation is also what arbitrates typos in the long printed
-entries.  A, B and C read L_{n,j} as a column placement (:func:`_gl`), so
-no matrix product multiplies by it.
+n - 1 and n - 2 (:func:`_phi_blocks`).  The derivation reads the table's
+monomial images (:meth:`pdeverify.CoeffTable.images`), built by the tensor
+rule in integers and no polynomial Horner per monomial.  The paper prints
+the Racah families' blocks on the quadratic lattices' tensor F-basis: one
+stated change of basis (:func:`_on_working_bases`) takes the monomial
+blocks there (:func:`sn_tn_derived`).  The tests compare the two; the
+derivation is also what arbitrates typos in the long printed entries.
+A, B and C read L_{n,j} as a column placement (:func:`_gl`), so no matrix
+product multiplies by it.
 """
 
 from __future__ import annotations
@@ -51,11 +54,10 @@ from .fbasis import (
     graded,
     interpolate_on_grid,
     l_columns,
-    tensor_basis,
-    to_basis,
+    u_blocks,
 )
 from .matrix import ExactMatrix, InconsistentSystemError, exact_inverse, solve_stacked
-from .pdeverify import coefficients, image_sum, operator_images
+from .pdeverify import coefficients
 
 II = GaussianRational(0, 1)
 
@@ -88,63 +90,72 @@ class PolyVector:
 def working_bases(spec: FamilySpec):
     """Per-variable basis the paper prints the family's S_n / T_n in: the
     tensor F-basis for the quadratic-lattice families, the monomials for
-    Wilson, continuous dual Hahn and continuous Hahn (the derivation route
-    is the arbiter here).  :class:`GChain` passes the monomials for all."""
+    Wilson, continuous dual Hahn and continuous Hahn.  Every derivation is
+    made on the monomials; :func:`_on_working_bases` takes it to this basis."""
     if base_family(spec.family) == RACAH:
         return spec.lattices()
     return (MONOMIAL,) * spec.nvars
 
 
-def _phi_blocks(table, degree, bases):
-    """Rows of (sum f_i E_i) F_degree in the tensor basis, split into the
-    diagonal, first and second subdiagonal blocks: the columns of each are
-    the slots of degree, degree - 1 and degree - 2.
-
-    Every row is read from the table's monomial images
-    (:meth:`pdeverify.CoeffTable.images`).  On the monomials the entry x^e
-    is its own image, so only the degree-``degree`` images are built; an
-    F-basis entry sums the images of its monomials (:func:`image_sum`,
-    each monomial's image built once for all entries) and is taken back to
-    the basis with :func:`to_basis`."""
-    nvars = len(bases)
+def _phi_blocks(table, degree):
+    """S_degree and T_degree on the monomials: the rows of
+    (sum f_i E_i) X_degree, one image per slot of the degree
+    (:meth:`pdeverify.CoeffTable.images`), split by the total degree of their
+    terms.  No term may lie above the degree, and the block at the degree
+    must be -lambda_degree I; S and T are the blocks one and two below it."""
+    nvars = table.nvars
     slots = [graded(d, nvars) for d in (degree, degree - 1, degree - 2)]
     places = [{e: c for c, e in enumerate(cols)} for cols in slots]
-    blocks = [ExactMatrix.zero(len(slots[0]), len(cols)) for cols in slots]
-    if bases == (MONOMIAL,) * nvars:
-        images = table.images(slots[0])
-        rows = [images[e].coeffs for e in slots[0]]
-    else:
-        images = operator_images(table, degree)
-        rows = [to_basis(image_sum(images, entry), bases) for entry in tensor_basis(bases, degree)]
-    for k, row in enumerate(rows):
-        for exps, c in row.items():
+    diag, sub1, sub2 = blocks = [ExactMatrix.zero(len(slots[0]), len(cols)) for cols in slots]
+    images = table.images(slots[0])
+    for k, e in enumerate(slots[0]):
+        for exps, c in images[e].coeffs.items():
             drop = degree - sum(exps)
             if drop < 0:
                 raise AssertionError("operator action raised the total degree")
             if drop <= 2:
                 blocks[drop][k, places[drop][exps]] = c
-    return blocks
+    if diag != ExactMatrix.identity(diag.rows).scale(-table.eigenvalue(slots[0][0])):
+        raise AssertionError(f"degree-{degree} block of the equation is not -lambda_n I")
+    return sub1, sub2
 
 
-def sn_tn_derived(spec: FamilySpec, n, table=None, bases=None):
-    """S_n and T_n recovered by substituting the expansion on ``bases`` (by
-    default the one the paper prints them in, :func:`working_bases`; the
-    chain passes the monomials) into the equation and equating the
-    coefficients of degree n - 1 and n - 2."""
+def _on_working_bases(spec: FamilySpec, n, st, lam):
+    """S_n and T_n on :func:`working_bases` from ``st(k)`` = (S_k, T_k) and
+    ``lam[k]`` = lambda_k on the monomials.  With F^[n] = X_n + U1_n X_{n-1}
+    + U2_n X_{n-2} + ... (:func:`fbasis.u_blocks`: U1_n holds h1 on each
+    axis, U2_n h2 on each axis and h1 h1 on each pair of axes, where
+    F_a = x^a + h1(a) x^(a-1) + h2(a) x^(a-2) + ...), the X_{n-1} and X_{n-2}
+    blocks of the equation's action on F^[n] give
+
+        S^F_n = S_n + (lambda_n - lambda_{n-1}) U1_n,
+        T^F_n = T_n + U1_n S_{n-1} - S_n U1_{n-1}
+                + (lambda_{n-1} - lambda_n) U1_n U1_{n-1} + (lambda_n - lambda_{n-2}) U2_n.
+
+    On the monomials U = 0, so the blocks pass through as they are."""
+    bases = working_bases(spec)
+    sn, tn = st(n)
+    if bases == (MONOMIAL,) * spec.nvars:
+        return sn, tn
+    u1, u2 = u_blocks(bases, n)
+    sf = sn + u1.scale(lam[n] - lam[n - 1])
+    if n < 2:
+        return sf, tn
+    v1 = u_blocks(bases, n - 1)[0]
+    tf = tn + u1 * st(n - 1)[0] - sn * v1 + (u1 * v1).scale(lam[n - 1] - lam[n])
+    return sf, tf + u2.scale(lam[n] - lam[n - 2])
+
+
+def sn_tn_derived(spec: FamilySpec, n, table=None):
+    """S_n and T_n on the basis the paper prints them in (:func:`working_bases`):
+    derived on the monomials (:func:`_phi_blocks`, at n - 1 too on the
+    F-basis) and taken there by :func:`_on_working_bases`."""
     if spec.family not in TTRR_FAMILIES:
         raise ValueError(f"no recurrence machinery for family {spec.family!r}")
     if table is None:
         table = coefficients(spec)
-    if bases is None:
-        bases = working_bases(spec)
-    lam_n = table.eigenvalue(graded(n, table.nvars)[0])
-    diag, sub1, sub2 = _phi_blocks(table, n, bases)
-    # the diagonal block must cancel the eigenvalue exactly
-    if diag != ExactMatrix.identity(diag.rows).scale(-lam_n):
-        raise AssertionError(
-            f"degree-{n} block of the equation is not -lambda_n I for {spec.family}"
-        )
-    return sub1, sub2
+    lam = [table.eigenvalue(graded(k, table.nvars)[0]) for k in range(n + 1)]
+    return _on_working_bases(spec, n, lambda k: _phi_blocks(table, k), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +744,7 @@ class GChain:
             raise ValueError(f"leading must be 'monic' or 'family', not {leading!r}")
         self.table = table = coefficients(spec)
         self._inverses = {}
-        bases = (MONOMIAL,) * table.nvars
-        self.st = {k: sn_tn_derived(spec, k, table=table, bases=bases) for k in range(1, top + 1)}
+        self.st = {k: _phi_blocks(table, k) for k in range(1, top + 1)}
         self.lam = lam = [table.eigenvalue(graded(k, table.nvars)[0]) for k in range(top + 1)]
         self._blocks = blocks = {}  # (k, j) -> G_{k,j}
         for k in range(top + 1):

@@ -55,7 +55,7 @@ PINNED_REPORTS = [
     (["connect", "--family", "ch", "--n", "2"], 0,
      "ff05024adb5c2b7ee69eca6fec865c0ca6f59b30b8797ff83710b9ade7ef8286"),
     # racah and racah-bar print S_n / T_n on the quadratic lattices' F-basis,
-    # which the ttrr report derives apart from the chain's monomials
+    # to which the ttrr report takes the chain's monomial blocks
     (["ttrr", "--family", "racah", "--n", "2"], 0,
      "a14bd367790f1dbfd6ece1003ddb205e17cf21d7ba3d5b11430e54d68e59ad0f"),
     (["generate", "--family", "racah-bar", "--upto", "2", "--monic"], 0,
@@ -139,12 +139,24 @@ def test_ttrr_dump_contains_eigenvalue():
 
 
 def test_ttrr_report_builds_one_coefficient_table(monkeypatch):
-    # the report's S_n / T_n are derived from the chain's table
+    # the report's S_n / T_n are read from the chain's blocks
     tables = []
     coefficients = ttrr.coefficients
     monkeypatch.setattr(ttrr, "coefficients", lambda spec: tables.append(spec) or coefficients(spec))
     code, _ = run(["ttrr", "--family", "racah", "--n", "2"])
     assert code == EXIT_OK and len(tables) == 1
+
+
+@pytest.mark.parametrize("family", ["wilson", "racah"])
+def test_ttrr_report_derives_each_degree_once(monkeypatch, family):
+    # the chain to n + 1 derives S_k / T_k at k = 1..3 on the monomials, and
+    # the report's S_2 / T_2, on the F-basis for racah, are converted from
+    # the chain's blocks, not derived again
+    degrees = []
+    phi_blocks = ttrr._phi_blocks
+    monkeypatch.setattr(ttrr, "_phi_blocks", lambda *args: degrees.append(args[1]) or phi_blocks(*args))
+    code, _ = run(["ttrr", "--family", family, "--n", "2"])
+    assert code == EXIT_OK and degrees == [1, 2, 3]
 
 
 def test_generate_and_connect():

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -22,8 +22,7 @@ from quadlattice.fbasis import (
     l_matrix,
     operator_matrices,
     structure_scalars,
-    tensor_basis,
-    to_basis,
+    u_blocks,
 )
 from quadlattice.matrix import ExactMatrix
 
@@ -293,6 +292,16 @@ def test_h_1_0_value():
     assert poly.coeff((0,)) == h_closed_1(1, B1)  # F_1 = x + (4 b^2 - 1)/16
 
 
+def tensor_basis(lattices, n):
+    """The tensor-basis entries F_{e_1}(x_1) ... F_{e_p}(x_p) of the
+    lattices, one per variable, at the slots e of degree n."""
+    nvars = len(lattices)
+    return [
+        prod((basis_poly(lattice, d, v, nvars) for v, (lattice, d) in enumerate(zip(lattices, e))), start=1)
+        for e in graded(n, nvars)
+    ]
+
+
 def u_matrices(n, *lattices):
     """U_{n,n-1} and U_{n,n-2} of F_n = X_n + U_{n,n-1} X_{n-1} + U_{n,n-2} X_{n-2} + ...:
     row k holds the coefficients of the tensor-basis entry at slot k of degree
@@ -304,34 +313,49 @@ def u_matrices(n, *lattices):
     )
 
 
+# the Racah beta1, beta2 of the recurrence tests' second parameter set
+ALT_B1, ALT_B2 = Fraction(5, 4), Fraction(10, 3)
+
+
 def test_u_matrix_band_structure():
     # the printed bands of the tensor-basis coefficients: U_{n,n-1} has
     # H^(1) on the diagonal and the subdiagonal, U_{n,n-2} H^(2), H^(1) H^(1)
-    # and H^(2) on three diagonals
-    n = 4
-    u1, u2 = u_matrices(n, lo.quadratic(B1), lo.quadratic(B2))
-    for k in range(n + 1):
-        for c in range(n):
-            expect = Fraction(0)
-            if c == k:
-                expect = h_closed_1(n - k, B1)
-            elif c == k - 1:
-                expect = h_closed_1(k, B2)
-            assert u1.data[k][c] == expect
-    # top-left of U_{2,1} is H^(1)_{2,1}
-    u1_small = u_matrices(2, lo.quadratic(B1), lo.quadratic(B2))[0]
-    assert u1_small.data[0][0] == h_closed_1(2, B1)
-    # second subdiagonal structure of U_{n,n-2}
-    for k in range(n + 1):
-        for c in range(n - 1):
-            expect = Fraction(0)
-            if c == k:
-                expect = h_closed_2(n - k, B1)
-            elif c == k - 1:
-                expect = h_closed_1(n - k, B1) * h_closed_1(k, B2)
-            elif c == k - 2:
-                expect = h_closed_2(k, B2)
-            assert u2.data[k][c] == expect
+    # and H^(2) on three diagonals; the package's U blocks and the expanded
+    # tensor basis both
+    for b1, b2 in ((B1, B2), (ALT_B1, ALT_B2)):
+        lattices = (lo.quadratic(b1), lo.quadratic(b2))
+        for n in range(1, 7):
+            for u1, u2 in (u_matrices(n, *lattices), u_blocks(lattices, n)):
+                for k in range(n + 1):
+                    for c in range(n):
+                        expect = Fraction(0)
+                        if c == k:
+                            expect = h_closed_1(n - k, b1)
+                        elif c == k - 1:
+                            expect = h_closed_1(k, b2)
+                        assert u1.data[k][c] == expect, (b1, n, k, c)
+                    for c in range(n - 1):
+                        expect = Fraction(0)
+                        if c == k:
+                            expect = h_closed_2(n - k, b1)
+                        elif c == k - 1:
+                            expect = h_closed_1(n - k, b1) * h_closed_1(k, b2)
+                        elif c == k - 2:
+                            expect = h_closed_2(k, b2)
+                        assert u2.data[k][c] == expect, (b1, n, k, c)
+        # top-left of U_{2,1} is H^(1)_{2,1}
+        assert u_blocks(lattices, 2)[0].data[0][0] == h_closed_1(2, b1)
+
+
+@pytest.mark.parametrize("lattices", [
+    (lo.wilson_square(), MONOMIAL),
+    (lo.quadratic(B1), MONOMIAL, lo.wilson_square()),
+], ids=["wilson-linear", "three-variables"])
+def test_u_blocks_are_the_expanded_tensor_basis(lattices):
+    # lattices of different kinds on the axes, and three variables, whose
+    # h1 h1 entries pair every two axes
+    for n in range(1, 7):
+        assert u_blocks(lattices, n) == u_matrices(n, *lattices), n
 
 
 # -- the slot rule -------------------------------------------------------------------
@@ -366,48 +390,6 @@ def test_l_matrix_is_x_j_on_the_slots_in_three_variables():
         for j in (1, 2, 3):
             shifted = l_matrix(n, j, 3).apply_rows(_monomials(n + 1, 3))
             assert shifted == [MPoly.var(j - 1, 3) * m for m in _monomials(n, 3)], (n, j)
-
-
-def test_convert_round_trip():
-    rng = random.Random(31)
-    bases = (lo.quadratic(B1), lo.quadratic(B2))
-    for _ in range(5):
-        coeffs = {}
-        for _ in range(10):
-            i, j = rng.randint(0, 4), rng.randint(0, 4)
-            if i + j <= 4:
-                coeffs[(i, j)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-        p = MPoly(2, coeffs)
-        fcoeffs = to_basis(p, bases)
-        assert tensor_poly(fcoeffs, bases) == p
-        # evaluation agrees across representations
-        u, v = Fraction(11, 7), Fraction(-4, 5)
-        assert p.eval((u, v)) == sum(
-            c * basis_poly(bases[0], i).eval((u,)) * basis_poly(bases[1], j).eval((v,))
-            for (i, j), c in fcoeffs.items()
-        )
-
-
-def test_constant_unchanged_in_either_basis():
-    p = MPoly.const(2, Fraction(9, 2))
-    assert to_basis(p, (lo.quadratic(B1), lo.quadratic(B2))) == {(0, 0): Fraction(9, 2)}
-
-
-def test_to_basis_converts_only_non_linear_axes():
-    p = MPoly(2, {(2, 1): Fraction(3), (1, 0): Fraction(-1, 2), (0, 2): Fraction(5)})
-    same = to_basis(p, (MONOMIAL, MONOMIAL))
-    assert same == p.coeffs and same is not p.coeffs
-    wilson = lo.wilson_square()
-    # only x changes: x^2 = F_2 + (f_0 + f_1) F_1 + f_0^2 on the Wilson nodes
-    f0, f1 = wilson.node(0), wilson.node(1)
-    assert to_basis(p, (wilson, MONOMIAL)) == {
-        (2, 1): Fraction(3),
-        (1, 1): 3 * (f0 + f1),
-        (0, 1): 3 * f0 * f0,
-        (1, 0): Fraction(-1, 2),
-        (0, 0): -f0 / 2,
-        (0, 2): Fraction(5),
-    }
 
 
 def test_falling_product_expansion_in_f_basis():

@@ -862,15 +862,14 @@ def test_a_coefficient_typo_changes_the_images_and_the_derived_s_n():
     spec = fam.FamilySpec(fam.WILSON)
     table = pv.coefficients(spec)
     typo = _typo(table, (1, 0))
-    monomials = (fbasis.MONOMIAL,) * 2
     images, typo_images = pv.operator_images(table, 3), pv.operator_images(typo, 3)
     # 1/1000 E(1,0) x^e = 1/1000 S D x^e, nonzero exactly when x appears
     assert [e for e in images if images[e] != typo_images[e]] == [
         e for e in images if e[0]
     ]
     for n in (1, 2, 3):
-        s_n, t_n = ttrr.sn_tn_derived(spec, n, table=table, bases=monomials)
-        typo_s_n, typo_t_n = ttrr.sn_tn_derived(spec, n, table=typo, bases=monomials)
+        s_n, t_n = ttrr.sn_tn_derived(spec, n, table=table)
+        typo_s_n, typo_t_n = ttrr.sn_tn_derived(spec, n, table=typo)
         assert typo_s_n != s_n, n
 
 

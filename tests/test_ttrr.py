@@ -19,8 +19,9 @@ from quadlattice.fbasis import (
     interpolate_on_grid,
     l_matrix,
     poly_shift_pair,
-    to_basis,
+    u_blocks,
 )
+from quadlattice.latticeops import LatticeSpec
 from quadlattice.matrix import ExactMatrix, exact_inverse, solve_stacked
 from quadlattice.pdeverify import coefficients
 
@@ -216,11 +217,13 @@ ALT_PARAMS = {
 
 def test_printed_st_match_derivation_route():
     # the cross-validation that arbitrates the long printed closed forms,
-    # run at two unrelated generic parameter sets
+    # run at two unrelated generic parameter sets, to n = 8 for the Racah
+    # families, whose derived blocks go through the change of basis
     for name in ttrr.TTRR_FAMILIES:
+        top = 8 if fam.base_family(name) == fam.RACAH else 4
         for params in (None, ALT_PARAMS[fam.base_family(name)]):
             spec = fam.FamilySpec(name, params=params)
-            for n in range(1, 5):
+            for n in range(1, top + 1):
                 sd, td = ttrr.sn_tn_derived(spec, n)
                 sp, tp = ttrr.sn_tn(name, spec.params, n)
                 assert sd == sp, (name, n)
@@ -322,13 +325,16 @@ def test_wilson_chain_has_no_u_corrections():
 
 def test_every_chain_derives_s_k_t_k_on_the_monomials(monkeypatch):
     # the G blocks are read straight from S_k / T_k on the monomials, the
-    # F-basis families included, so no chain changes basis
+    # F-basis families included, so no chain changes basis: one derivation
+    # per degree and none on the paper's basis
     derivations = _counted(monkeypatch, ttrr, "_phi_blocks")
+    conversions = _counted(monkeypatch, ttrr, "_on_working_bases")
     for name in ttrr.TTRR_FAMILIES:
         derivations.clear()
-        ttrr.GChain(fam.FamilySpec(name), 3, "family")
-        monomials = [(k, (MONOMIAL, MONOMIAL)) for k in (1, 2, 3)]
-        assert [(n, bases) for _, n, bases in derivations] == monomials, name
+        chain = ttrr.GChain(fam.FamilySpec(name), 3, "family")
+        assert [n for _, n in derivations] == [1, 2, 3], name
+        assert all(table is chain.table for table, _ in derivations), name
+    assert not conversions
 
 
 def test_g_outside_the_chain_raises():
@@ -448,6 +454,20 @@ def reference_u_matrices(n, lattice_x, lattice_y):
     return u1, u2
 
 
+@pytest.mark.parametrize("name, params", [
+    (fam.RACAH, None), (fam.RACAH, ALT_PARAMS[fam.RACAH]), (fam.WILSON, None), (fam.CH, None),
+])
+def test_u_blocks_match_the_reference(name, params):
+    # quadratic lattices at two parameter sets, the Wilson square lattice and
+    # the linear lattice, whose U blocks vanish
+    lattices = fam.FamilySpec(name, params=params).lattices()
+    for n in range(1, 7):
+        u1, u2 = u_blocks(lattices, n)
+        assert (u1, u2) == reference_u_matrices(n, *lattices), n
+        if lattices[0].kind == LatticeSpec.LINEAR:
+            assert not any(x for m in (u1, u2) for row in m.data for x in row), n
+
+
 def reference_tensor_entry(bases, degree, k):
     px = basis_poly(bases[0], degree - k, index=0, nvars=2)
     py = basis_poly(bases[1], k, index=1, nvars=2)
@@ -471,7 +491,50 @@ def reference_table_action(table, p):
     return out
 
 
+def monomial_to_nodes(coeffs, lattice):
+    """Univariate monomial coefficients (index = degree) to coefficients on
+    the lattice's basis, by repeated synthetic division."""
+    work = list(coeffs)
+    out = []
+    for k in range(len(coeffs)):
+        node = lattice.node(k)
+        # synthetic division of work by (u - node): remainder, then quotient
+        rem = work[-1]
+        quot = [work[-1]]
+        for c in reversed(work[:-1]):
+            rem = c + node * rem
+            quot.append(rem)
+        quot.reverse()
+        out.append(quot[0])
+        work = quot[1:]
+    return out
+
+
+def to_basis(p, lattices):
+    """Coefficients {exponents: c}, in a new dict, of p on the tensor basis
+    F_i(x) F_j(y) ... of the lattices, one per variable.  An axis on a linear
+    lattice is already monomial and is left as it is."""
+    coeffs = dict(p.coeffs)
+    for var, lattice in enumerate(lattices):
+        if lattice.kind == LatticeSpec.LINEAR:
+            continue
+        columns = {}
+        for exps, c in coeffs.items():
+            rest = exps[:var] + (0,) + exps[var + 1:]
+            columns.setdefault(rest, {})[exps[var]] = c
+        coeffs = {}
+        for rest, column in columns.items():
+            lst = [column.get(d, Fraction(0)) for d in range(max(column) + 1)]
+            for d, c in enumerate(monomial_to_nodes(lst, lattice)):
+                if c:
+                    coeffs[rest[:var] + (d,) + rest[var + 1:]] = c
+    return coeffs
+
+
 def reference_phi_blocks(table, degree, bases):
+    """The diagonal, first and second subdiagonal blocks of the table's
+    action on the tensor basis of ``bases``, each entry imaged by the Horner
+    route and read off that basis by synthetic division (:func:`to_basis`)."""
     diag = ExactMatrix.zero(degree + 1, degree + 1)
     sub1 = ExactMatrix.zero(degree + 1, max(degree, 0))
     sub2 = ExactMatrix.zero(degree + 1, max(degree - 1, 0))
@@ -573,14 +636,20 @@ def test_gl_is_the_product_with_l(name):
 @pytest.mark.parametrize("draw", ["default", 1, 5])
 @pytest.mark.parametrize("name", ttrr.TTRR_FAMILIES)
 def test_slot_readers_match_the_reference(name, draw):
-    # the S_n / T_n blocks and the oracle's leading block, in value and in
-    # entry type, for n <= 5
+    # the S_n / T_n blocks on the monomials and, changed to it, on the paper's
+    # basis, and the oracle's leading block, in value and in entry type, for
+    # n <= 5
     params = None if draw == "default" else _perfbench_draw(draw)[fam.base_family(name)]
     spec = fam.FamilySpec(name, params=params)
     table = coefficients(spec)
-    bases = ttrr.working_bases(spec)
+    monomials = (MONOMIAL, MONOMIAL)
     for n in range(6):
-        got, want = ttrr._phi_blocks(table, n, bases), reference_phi_blocks(table, n, bases)
+        diag, *want = reference_phi_blocks(table, n, monomials)
+        assert diag == ExactMatrix.identity(n + 1).scale(-table.eigenvalue((n, 0))), n
+        got = ttrr._phi_blocks(table, n)
+        assert [_typed(m) for m in got] == [_typed(m) for m in want], n
+        want = reference_phi_blocks(table, n, ttrr.working_bases(spec))[1:]
+        got = ttrr.sn_tn_derived(spec, n, table)
         assert [_typed(m) for m in got] == [_typed(m) for m in want], n
         got, want = ttrr.leading_matrix_oracle(spec, n), reference_leading_matrix_oracle(spec, n)
         assert _typed(got) == _typed(want), n
@@ -591,12 +660,17 @@ def test_slot_readers_match_the_reference(name, draw):
 def test_ch_tri_table_cancels_lambda_n_on_the_monomial_slots():
     spec = fam.FamilySpec(fam.CH_TRI)
     table = coefficients(spec)
-    bases = ttrr.working_bases(spec)
-    assert bases == (MONOMIAL,) * 3
+    assert ttrr.working_bases(spec) == (MONOMIAL,) * 3
     for n in range(5):
-        diag = ttrr._phi_blocks(table, n, bases)[0]
-        lam = table.eigenvalue(graded(n, 3)[0])
-        assert diag == ExactMatrix.identity(comb(n + 2, 2)).scale(-lam), n
+        slots = graded(n, 3)
+        lam = table.eigenvalue(slots[0])
+        images = table.images(slots)
+        for e in slots:
+            top = {x: c for x, c in images[e].coeffs.items() if sum(x) == n}
+            assert MPoly(3, top) == MPoly(3, {e: -lam}), (n, e)
+        # the derivation makes the same check and keeps the two blocks below
+        s, t = ttrr._phi_blocks(table, n)
+        assert (s.rows, s.cols, t.cols) == (len(slots), comb(n + 1, 2), comb(n, 2)), n
 
 
 def test_ch_tri_monic_generation_is_the_family_over_its_leading_block(monkeypatch):
@@ -754,14 +828,13 @@ def _counted(monkeypatch, module, name):
 
 
 def test_each_sn_tn_call_is_one_derivation(monkeypatch):
-    # seven families x both leadings at upto 4: each chain asks for its own
-    # S_k / T_k (k = 1..4), and each of the 56 calls derives them afresh
-    calls = _counted(monkeypatch, ttrr, "sn_tn_derived")
+    # seven families x both leadings at upto 4: each chain derives its own
+    # S_k / T_k (k = 1..4) afresh, 56 derivations
     derivations = _counted(monkeypatch, ttrr, "_phi_blocks")
     for name in ttrr.TTRR_FAMILIES:
         for leading in ("family", "monic"):
             ttrr.generate(fam.FamilySpec(name), 4, leading)
-    assert len(calls) == len(derivations) == 56
+    assert len(derivations) == 56
 
 
 def _wilson_typo(monkeypatch, change):
