@@ -34,14 +34,20 @@ Layers timed:
       printed table per repeat, at degree 4 for the seven bivariate tables
       and 6 for ch-tri at either size (``L2.operator_images.<family>``, ops: the
       monomials imaged), so that a table's symbolic split and univariate
-      images are built inside the timed call; the
+      images are built inside the timed call; the printed leading
+      matrix ``leading_matrix(family, params, 4)`` of the seven recurrence
+      families at either size (``L2.leading.<family>``, ops: its 25
+      entries); the
       interpolation oracle ``family_poly_vector(spec, 3)``
-      (n = 1 with ``--quick``) for the same seven families, with the
-      family caches cleared before every repeat; and
-      ``interpolate_on_grid`` of that oracle at degree 4
-      (1 with ``--quick``) on samples recorded outside the timed call, so
-      that the oracle's interpolation reads apart from its sampling (ops:
-      the interpolated polynomials); ``L2.interpolate.recover`` does the
+      (n = 1 with ``--quick``) for the same seven families, which samples
+      its members on the grid in integers (``families.family_grid``), with
+      the family caches cleared before every repeat; and
+      ``interpolate_on_grid`` of that oracle's members at degree 4
+      (1 with ``--quick``) on field-valued samples recorded outside the
+      timed call, so that the interpolation reads apart from the sampling
+      (ops: the interpolated polynomials; the oracle itself hands its
+      integer samples to ``interpolate_parts_on_grid``, which skips the
+      samples' ``integer_parts``); ``L2.interpolate.recover`` does the
       same for the grid of ``recover_coefficients`` at the default Racah
       parameters (nine polynomials on 6 x 6 points, at either size);
   L3  residual sweeps: ``verify_table`` for racah, wilson, cdh and ch at
@@ -51,8 +57,9 @@ Layers timed:
       point once.
   L4  exact linear algebra on the inputs the proofs hand it: every
       ``exact_inverse`` (the G-matrix inverses), ``ExactMatrix.rank`` (the
-      rank conditions on A_n and C_n) and ``solve_stacked`` (the stacked
-      recurrence steps, with polynomial right-hand sides) that
+      rank conditions on A_n and C_n, a fraction-free elimination) and
+      ``solve_stacked`` (the stacked recurrence steps, with polynomial
+      right-hand sides) that
       ``generate(spec, 4, leading)`` (upto 2 with ``--quick``) makes for the
       seven recurrence families with monic and family leading matrices,
       and the 12 axis inverses (M_v^T)^-1 that ``recover_coefficients``
@@ -282,6 +289,8 @@ def _recorded_recover_grid():
     return lattices, count, {point: sample(point) for point in grid}
 
 
+# the degree of L2.leading, at either size
+LEADING_DEGREE = 4
 # the degree of L2.operator_images per variable count, at either size
 IMAGES_DEGREE = {2: 4, 3: 6}
 
@@ -317,6 +326,11 @@ def _l2_entries(oracle_degree, interpolate_degree, upto, phi_degree):
             out[f"L2.generate.{name}.{leading}"] = (
                 lambda spec=spec, leading=leading: ttrr.generate(spec, upto, leading), upto
             )
+
+        out[f"L2.leading.{name}"] = (
+            lambda spec=spec: ttrr.leading_matrix(spec.family, spec.params, LEADING_DEGREE),
+            (LEADING_DEGREE + 1) ** 2,
+        )
 
         def oracle(name=name):
             _clear_family_caches()

@@ -48,6 +48,13 @@ the lower vector of each coupled coordinate it has met, and a point is one
 integer dot product per factor; a grid of |X| * |Y| points runs the kernel
 |X| + |Y| times per factor.  The values are exactly those of the kernel at
 the point's arguments, and a test checks the cancellation, not assumes it.
+``family_grid`` samples members on a tensor grid this way and stays in
+integers: each factor's vectors of an axis are written over one
+denominator, and a member comes back as the Gaussian-integer numerators of
+its values over one denominator, which the interpolation oracle hands to
+``fbasis`` as they are.  It shares the member's factors (``_member``) and
+the product with its realness check (``_product``) with ``_eval_cached``,
+the pointwise route, and fills no cache entry.
 A lower vector is built only after ``check_lower`` has formed every lower
 Pochhammer (l)_n with ``pochhammer`` and found none vanishing; a degree-0
 factor is 1 and builds nothing.  The univariate primaries ``racah_uni``,
@@ -64,7 +71,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial, prod
+from itertools import product
+from math import factorial, lcm, prod
 from operator import mul
 from types import MappingProxyType
 
@@ -647,10 +655,15 @@ class _Factor:
         """(den, (re, im)): the factor at the point as (re + im i) / den."""
         hden, heads = self.head(point[self.own])
         tden, tails = self.tail(None if self.coupled is None else point[self.coupled])
+        return hden * tden, self.dot(heads, tails)
+
+    def dot(self, heads, tails):
+        """(re, im) of the factor from an upper and a lower vector: their
+        dot product, turned by i^n for the continuous Hahn factor."""
         re, im = gdot(zip(heads, tails))
         for _ in range(self.turns):
             re, im = -im, re
-        return hden * tden, (re, im)
+        return re, im
 
 
 def _keep(store, key, value):
@@ -661,23 +674,80 @@ def _keep(store, key, value):
     return value
 
 
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def _eval_cached(spec, label, point):
-    # keyed by the spec itself: equal specs hash and compare by their key()
+def _member(spec, label):
+    """The factors of nonzero degree of the member, built once per label and
+    kept on the spec; a degree-0 factor is 1: (a)_0 = 1, one term, and
+    nothing to check."""
     factors = spec._members.get(label)
     if factors is None:
-        # a degree-0 factor is 1: (a)_0 = 1, one term, and nothing to check
         factors = spec._members[label] = [
             _Factor(*c) for c in _couplings(spec.family, spec.params, label) if c[1]
         ]
-    values = [factor.at(point) for factor in factors]
-    re, im = gmul(pair for _, pair in values)
-    value = from_parts(prod(den for den, _ in values), re, im)
+    return factors
+
+
+def _product(spec, point, den, pairs):
+    """(re, im) of the product of the factor values ``pairs``, the member's
+    value at the point being (re + im i) / den; a non-real value of a
+    Racah, Wilson or continuous dual Hahn member at a real point raises."""
+    re, im = gmul(pairs)
     if im and base_family(spec.family) in (RACAH, WILSON, CDH) and all(
         imag_part(v) == 0 for v in point
     ):
+        value = from_parts(den, re, im)
         raise ArithmeticError(f"{spec.family} value at {point} came out non-real: {value}")
-    return value
+    return re, im
+
+
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _eval_cached(spec, label, point):
+    # keyed by the spec itself: equal specs hash and compare by their key()
+    values = [factor.at(point) for factor in _member(spec, label)]
+    den = prod(den for den, _ in values)
+    return from_parts(den, *_product(spec, point, den, [pair for _, pair in values]))
+
+
+def _over_one(vectors):
+    """(den, [vector]): the (den_k, vector_k) pairs written over the lcm of
+    their denominators."""
+    den = lcm(*(d for d, _ in vectors))
+    return den, [
+        vector if d == den else [(a * (den // d), b * (den // d)) for a, b in vector]
+        for d, vector in vectors
+    ]
+
+
+def family_grid(spec, labels, axes):
+    """Per label, (den, [(A, B)]): the member's values (A + Bi) / den at the
+    points of the tensor grid of ``axes`` (one list of coordinates per
+    variable), row-major, over one denominator that is not reduced.  At
+    every point, ``from_parts(den, A, B)`` is the value of
+    ``family_function(spec, label)``, in value and type, and the same
+    ArithmeticError or DegenerateParameterError is raised.  A factor reads
+    its upper vector once per coordinate of its own axis and its lower
+    vector once per coordinate of its coupled axis, the member's
+    ``_Factor`` vectors, each side written over one denominator for the
+    axis; a point is then one dot product per factor and their product."""
+    points = list(product(*axes))
+    indices = list(product(*(range(len(axis)) for axis in axes)))
+    out = []
+    for label in labels:
+        den, tables = 1, []
+        for f in _member(spec, check_label(spec, label)):
+            hden, heads = _over_one([f.head(v) for v in axes[f.own]])
+            coupled = [None] if f.coupled is None else axes[f.coupled]
+            tden, tails = _over_one([f.tail(w) for w in coupled])
+            den *= hden * tden
+            values = [[f.dot(h, t) for t in tails] for h in heads]
+            tables.append((f.own, f.coupled, values))
+        out.append((den, [
+            _product(spec, point, den, [
+                values[idx[own]][0 if coupled is None else idx[coupled]]
+                for own, coupled, values in tables
+            ])
+            for point, idx in zip(points, indices)
+        ]))
+    return out
 
 
 _ORACLES = {

@@ -19,6 +19,13 @@ powers of x.  The lattice owns its nodes (:meth:`LatticeSpec.node`), so a
 basis is named by its lattice, and :func:`u_blocks` reads the top two
 monomial blocks of a tensor basis off the elementary symmetric functions of
 its nodes.
+
+The exact tensor interpolation works in integers: one inverse Vandermonde
+plan per axis (:func:`interpolation_plan`), applied to the samples'
+integer numerators over one denominator.  :func:`interpolate_on_grid`
+writes field samples that way (:func:`exactfield.integer_parts`);
+:func:`interpolate_parts_on_grid` takes them already so, as
+``families.family_grid`` gives them, and both end in one integer core.
 """
 
 from __future__ import annotations
@@ -475,17 +482,26 @@ def _apply_plans(plans, numerators):
 def _interpolate(plans, values):
     """Monomial coefficients of the tensor interpolant of ``values`` (flat,
     row-major over the nodes of ``plans``, one plan per axis), in the same
-    order.  The samples are written as integers over one common
-    denominator, real and imaginary parts apart, each part goes through
-    the plans as integer matrix products, and each nonzero coefficient
-    becomes one Fraction (one per part) at the end, with the types of
-    :func:`interpolate_univariate`."""
-    if len(values) != prod(len(weights) for weights, _ in plans):
-        raise ValueError("nodes/values length mismatch")
+    order, with the types of :func:`interpolate_univariate`.  The samples
+    are written as integers over one common denominator, and
+    :func:`_interpolate_parts` does the rest."""
     den, parts = integer_parts(values)
+    gaussian = any(isinstance(v, GaussianRational) for v in values)
+    return _interpolate_parts(plans, den, parts, gaussian)
+
+
+def _interpolate_parts(plans, den, parts, gaussian):
+    """The integer core of :func:`_interpolate`, from the samples
+    (A + Bi) / den given as the (A, B) of ``parts``: real and imaginary
+    parts go through the plans apart, as integer matrix products, and each
+    nonzero coefficient becomes one Fraction (one per part) at the end,
+    every coefficient a GaussianRational when ``gaussian``, else a
+    Fraction."""
+    if len(parts) != prod(len(weights) for weights, _ in plans):
+        raise ValueError("nodes/values length mismatch")
     den *= prod(d for _, d in plans)
     real = _apply_plans(plans, [a for a, _ in parts])
-    if not any(isinstance(v, GaussianRational) for v in values):
+    if not gaussian:
         return [Fraction(a, den) if a else _ZERO for a in real]
     imag = _apply_plans(plans, [b for _, b in parts])
     return [
@@ -494,9 +510,9 @@ def _interpolate(plans, values):
     ]
 
 
-def _mpoly(plans, values) -> MPoly:
+def _mpoly(plans, coeffs) -> MPoly:
     exps = product(*(range(len(weights)) for weights, _ in plans))
-    return MPoly(len(plans), dict(zip(exps, _interpolate(plans, values))))
+    return MPoly(len(plans), dict(zip(exps, coeffs)))
 
 
 def interpolate_univariate(nodes, values):
@@ -514,7 +530,17 @@ def interpolate_bivariate(xnodes, ynodes, value_at) -> MPoly:
     the sample at (xnodes[i], ynodes[j]).  One plan per axis; coefficient
     types as in :func:`interpolate_univariate`."""
     plans = [interpolation_plan(xnodes), interpolation_plan(ynodes)]
-    return _mpoly(plans, [value_at(i, j) for i in range(len(xnodes)) for j in range(len(ynodes))])
+    values = [value_at(i, j) for i in range(len(xnodes)) for j in range(len(ynodes))]
+    return _mpoly(plans, _interpolate(plans, values))
+
+
+def _plans(lattices, axes):
+    """One interpolation plan per axis of a grid: the lattice's values at
+    the axis's coordinates."""
+    return [
+        interpolation_plan([lattice_value(lattice, s) for s in axis])
+        for lattice, axis in zip(lattices, axes)
+    ]
 
 
 def interpolate_on_grid(lattices, count, sample):
@@ -524,9 +550,24 @@ def interpolate_on_grid(lattices, count, sample):
     in the lattice variables.  One plan per axis serves every member;
     coefficient types as in :func:`interpolate_univariate`, per member."""
     axes = grid_axes(lattices, count)
-    plans = [
-        interpolation_plan([lattice_value(lattice, s) for s in axis])
-        for lattice, axis in zip(lattices, axes)
-    ]
+    plans = _plans(lattices, axes)
     samples = [sample(point) for point in product(*axes)]
-    return [_mpoly(plans, [values[k] for values in samples]) for k in range(len(samples[0]))]
+    return [
+        _mpoly(plans, _interpolate(plans, [values[k] for values in samples]))
+        for k in range(len(samples[0]))
+    ]
+
+
+def interpolate_parts_on_grid(lattices, axes, members):
+    """The interpolants on the grid of ``axes`` (one list of coordinates
+    per lattice) of ``members``, each (den, [(A, B)]): its values
+    (A + Bi) / den at the grid points, row-major, as
+    ``families.family_grid`` gives them.  One plan per axis serves every
+    member.  A member's coefficients are GaussianRationals when some B is
+    nonzero, else Fractions: the types :func:`interpolate_on_grid` gives
+    when each value is ``exactfield.from_parts(den, A, B)``."""
+    plans = _plans(lattices, axes)
+    return [
+        _mpoly(plans, _interpolate_parts(plans, den, parts, any(b for _, b in parts)))
+        for den, parts in members
+    ]

@@ -1,13 +1,14 @@
 """Dense matrices over an exact field (rationals or Gaussian rationals).
 
 One Gauss-Jordan elimination (:func:`_reduce`) with exact field division
-lies behind :meth:`ExactMatrix.rank`, :func:`exact_inverse` (it reduces
-[A | I]) and :func:`solve_stacked` (it reduces [A | rhs]); with Fraction /
-GaussianRational entries every step is exact, so ranks, inverses and
-solutions carry no rounding.  Right-hand sides may be any values supporting
-addition and multiplication by field scalars (in particular, polynomials),
-which is how the recurrence solver feeds vectors of polynomials through an
-exact linear solve.
+lies behind :func:`exact_inverse` (it reduces [A | I]) and
+:func:`solve_stacked` (it reduces [A | rhs]); with Fraction /
+GaussianRational entries every step is exact, so inverses and solutions
+carry no rounding.  Right-hand sides may be any values supporting addition
+and multiplication by field scalars (in particular, polynomials), which is
+how the recurrence solver feeds vectors of polynomials through an exact
+linear solve.  :meth:`ExactMatrix.rank` does not run through it: it counts
+the pivots of a fraction-free elimination in Gaussian integers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, sub
 
-from .exactfield import field_str
+from .exactfield import field_str, integer_parts
 
 _ZERO = Fraction(0)
 
@@ -140,7 +141,33 @@ class ExactMatrix:
         return out
 
     def rank(self):
-        return len(_reduce([row[:] for row in self.data], self.cols))
+        """The rank, by fraction-free elimination (Bareiss) in Z[i]: each row
+        is scaled to Gaussian integers over its own lcm (:func:`integer_parts`),
+        which keeps the rank, and each step divides the 2 x 2 minors of the
+        rows below the pivot exactly by the previous pivot, so no entry leaves
+        Z[i] and none grows beyond a minor of the scaled matrix."""
+        rows = [integer_parts(row)[1] for row in self.data]
+        rank, (qr, qi) = 0, (1, 0)
+        for col in range(self.cols):
+            pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != (0, 0)), None)
+            if pivot is None:
+                continue
+            # the pivot row leaves the active rows, and the row it displaces moves down
+            top, rows[pivot] = rows[pivot], rows[rank]
+            (pr, pi), norm = top[col], qr * qr + qi * qi
+            for i in range(rank + 1, len(rows)):
+                row = rows[i]
+                fr, fi = row[col]
+                out = row[:col + 1]
+                for (xr, xi), (yr, yi) in zip(row[col + 1:], top[col + 1:]):
+                    # (p x - f y) / q, the division exact: times conj(q) over |q|^2
+                    ar = pr * xr - pi * xi - fr * yr + fi * yi
+                    ai = pr * xi + pi * xr - fr * yi - fi * yr
+                    out.append(((ar * qr + ai * qi) // norm, (ai * qr - ar * qi) // norm))
+                rows[i] = out
+            qr, qi = pr, pi
+            rank += 1
+        return rank
 
     def to_json(self):
         return {

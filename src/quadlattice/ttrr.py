@@ -25,6 +25,13 @@ blocks there (:func:`sn_tn_derived`).  The tests compare the two; the
 derivation is also what arbitrates typos in the long printed entries.
 A, B and C read L_{n,j} as a column placement (:func:`_gl`), so no matrix
 product multiplies by it.
+
+The oracle side of every comparison, :func:`family_poly_vector`, samples
+the family's members on the grid in integers (``families.family_grid``)
+and interpolates them with no field value in between.
+:func:`leading_matrix` builds each printed entry from integer Pochhammer
+products, one Fraction per entry, and the rank conditions on A and C
+count the pivots of a fraction-free elimination (:meth:`ExactMatrix.rank`).
 """
 
 from __future__ import annotations
@@ -33,7 +40,9 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, factorial
 
-from .exactfield import GaussianRational, pochhammer
+# pochhammer is bound here for the perfbench tracer, which patches it in every
+# namespace that holds it and whose unit test checks this one
+from .exactfield import GaussianRational, pochhammer, rising  # noqa: F401
 from .families import (
     CDH,
     CH,
@@ -46,16 +55,17 @@ from .families import (
     FamilySpec,
     base_family,
     check_lower,
-    family_function,
+    family_grid,
 )
 from .fbasis import (
     MONOMIAL,
     MPoly,
     graded,
-    interpolate_on_grid,
+    interpolate_parts_on_grid,
     l_columns,
     u_blocks,
 )
+from .latticeops import grid_axes
 from .matrix import ExactMatrix, InconsistentSystemError, exact_inverse, solve_stacked
 from .pdeverify import coefficients
 
@@ -853,87 +863,90 @@ def generate(spec: FamilySpec, upto, leading="monic"):
 # leading matrices
 # ---------------------------------------------------------------------------
 
+def _entry(num, den, ups, downs=()):
+    """num / den * prod (c + m)_k over the (c, m, k) of ``ups``, over
+    prod (c + m)_k over those of ``downs``, as one Fraction.  With c an int
+    or a Fraction C / D and m an int, (c + m)_k is the integer
+    ``rising(C + mD, D, k)`` over D^k, so the products stay in integers."""
+    for c, m, k in ups:
+        step = c.denominator
+        num, den = num * rising(c.numerator + m * step, step, k), den * step ** k
+    for c, m, k in downs:
+        step = c.denominator
+        num, den = num * step ** k, den * rising(c.numerator + m * step, step, k)
+    return Fraction(num, den)
+
+
+def _sign(k):
+    return -1 if k % 2 else 1
+
+
 def leading_matrix(family, params, n) -> ExactMatrix:
     """The (n+1) x (n+1) leading-coefficient matrix G_{n,n} of the family,
     from the printed closed forms (with the index misprints resolved in
-    favour of the interpolation oracle)."""
+    favour of the interpolation oracle).  Each entry is a sign times a
+    binomial times Pochhammer symbols (c + m)_k, c a parameter combination
+    and m an integer, over a factorial and one more Pochhammer symbol for
+    Racah; :func:`_entry` builds each as one Fraction."""
     p = params
     out = ExactMatrix.zero(n + 1, n + 1)
     if family == RACAH:
         b0, b1, b2, b3 = p["beta0"], p["beta1"], p["beta2"], p["beta3"]
         check_lower([("beta1-beta0", b1 - b0)], n)
+        c10, c30, c20 = b1 - b0, b3 - b0 - 1, b2 - b0 - 1
         for i in range(n + 1):
             for j in range(n + 1):
-                val = (
-                    Fraction(1 if (i + n) % 2 == 0 else -1)
-                    * pochhammer(b1 - b0, n - i)
-                    * pochhammer(2 * n - i - b0 + b3 - 1, i)
-                    * pochhammer(Fraction(i - n), n - j)
-                    * pochhammer(n - i - b0 + b2 - 1, n - j)
-                    / (factorial(n - j) * pochhammer(b1 - b0, n - j))
+                out[i, j] = _entry(
+                    _sign(i + n), factorial(n - j),
+                    ((c10, 0, n - i), (c30, 2 * n - i, i), (0, i - n, n - j),
+                     (c20, n - i, n - j)),
+                    ((c10, 0, n - j),),
                 )
-                out[i, j] = val
     elif family == RACAH_BAR:
         b0, b1, b2, b3 = p["beta0"], p["beta1"], p["beta2"], p["beta3"]
+        c23, c31, c30 = b2 - b3 + 1, b3 - b1 - 1, b3 - b0 - 1
         for i in range(n + 1):
             for j in range(i + 1):
-                out[i, j] = (
-                    Fraction(comb(i, j))
-                    * pochhammer(b2 - b3 - i + 1, i - j)
-                    * pochhammer(i - b1 + b3 - 1, j)
-                    * pochhammer(i + n - b0 + b3 - 1, n - i)
+                out[i, j] = _entry(
+                    comb(i, j), 1, ((c23, -i, i - j), (c31, i, j), (c30, i + n, n - i))
                 )
     elif family == WILSON:
         a, b, c, d, e2 = (p[x] for x in ("a", "b", "c", "d", "e2"))
-        sig = a + b + c + d + 2 * e2
+        sig, ab, abe = a + b + c + d + 2 * e2 - 1, a + b, a + b + 2 * e2 - 1
         for r in range(n + 1):
             for s in range(r, n + 1):
-                out[r, s] = (
-                    Fraction(1 if (n - r - s) % 2 == 0 else -1)
-                    * comb(n - r, s - r)
-                    * pochhammer(2 * n - r - 1 + sig, r)
-                    * pochhammer(a + b + n - s, s - r)
-                    * pochhammer(a + b + 2 * e2 + n - r - 1, n - s)
+                out[r, s] = _entry(
+                    _sign(n - r - s) * comb(n - r, s - r), 1,
+                    ((sig, 2 * n - r, r), (ab, n - s, s - r), (abe, n - r, n - s)),
                 )
     elif family == WILSON_BAR:
         a, b, c, d, e2 = (p[x] for x in ("a", "b", "c", "d", "e2"))
-        sig = a + b + c + d + 2 * e2
+        sig, cd, cde = a + b + c + d + 2 * e2 - 1, 1 - c - d, c + d + 2 * e2 - 1
         for r in range(n + 1):
             for s in range(r + 1):
-                out[r, s] = (
-                    Fraction(1 if n % 2 == 0 else -1)
-                    * comb(r, s)
-                    * pochhammer(-c - d - r + 1, r - s)
-                    * pochhammer(c + d + r + 2 * e2 - 1, s)
-                    * pochhammer(sig + r + n - 1, n - r)
+                out[r, s] = _entry(
+                    _sign(n) * comb(r, s), 1, ((cd, -r, r - s), (cde, r, s), (sig, r + n, n - r))
                 )
     elif family == CDH:
         for r in range(n + 1):
             for s in range(r, n + 1):
-                out[r, s] = Fraction(1 if (n - r - s) % 2 == 0 else -1) * comb(n - r, s - r)
+                out[r, s] = Fraction(_sign(n - r - s) * comb(n - r, s - r))
     elif family == CH:
         a1, e2, a3, b1, b3 = (p[x] for x in ("a1", "e2", "a3", "b1", "b3"))
-        sig = a1 + a3 + b1 + b3 + 2 * e2
+        sig, ab, abe = a1 + a3 + b1 + b3 + 2 * e2 - 1, a1 + b1, a1 + b1 + 2 * e2 - 1
         for r in range(n + 1):
             for s in range(r, n + 1):
-                out[r, s] = (
-                    Fraction(1 if (r - s) % 2 == 0 else -1)
-                    * comb(n - r, s - r)
-                    * pochhammer(a1 + b1 + 2 * e2 - r + n - 1, n - s)
-                    * pochhammer(a1 + b1 - s + n, s - r)
-                    * pochhammer(sig - r + 2 * n - 1, r)
+                out[r, s] = _entry(
+                    _sign(r - s) * comb(n - r, s - r), 1,
+                    ((abe, n - r, n - s), (ab, n - s, s - r), (sig, 2 * n - r, r)),
                 )
     elif family == CH_BAR:
         a1, e2, a3, b1, b3 = (p[x] for x in ("a1", "e2", "a3", "b1", "b3"))
-        sig = a1 + a3 + b1 + b3 + 2 * e2
+        sig, ab, abe = a1 + a3 + b1 + b3 + 2 * e2 - 1, a3 + b3, a3 + b3 + 2 * e2 - 1
         for r in range(n + 1):
             for s in range(r + 1):
-                out[r, s] = (
-                    Fraction(1 if (r - s) % 2 == 0 else -1)
-                    * comb(r, s)
-                    * pochhammer(a3 + b3 + s, r - s)
-                    * pochhammer(a3 + b3 + 2 * e2 + r - 1, s)
-                    * pochhammer(sig + r + n - 1, n - r)
+                out[r, s] = _entry(
+                    _sign(r - s) * comb(r, s), 1, ((ab, s, r - s), (abe, r, s), (sig, r + n, n - r))
                 )
     else:
         raise ValueError(f"no leading matrix for family {family!r}")
@@ -943,10 +956,13 @@ def leading_matrix(family, params, n) -> ExactMatrix:
 def family_poly_vector(spec: FamilySpec, n) -> PolyVector:
     """The family's degree-n vector interpolated into exact polynomials in
     the lattice variables (the oracle side of every TTRR comparison), on
-    one node per axis more than degree n needs."""
-    members = [family_function(spec, label) for label in graded(n, spec.nvars)]
-    entries = interpolate_on_grid(
-        spec.lattices(), n + 2, lambda point: [member(point) for member in members]
+    one node per axis more than degree n needs, so that a member of a
+    higher total degree shows; the members are sampled in integers
+    (``families.family_grid``) and interpolated from them."""
+    lattices = spec.lattices()
+    axes = grid_axes(lattices, n + 2)
+    entries = interpolate_parts_on_grid(
+        lattices, axes, family_grid(spec, graded(n, spec.nvars), axes)
     )
     if any(poly.total_degree() > n for poly in entries):
         raise AssertionError("interpolated family entry exceeds total degree")

@@ -9,7 +9,7 @@ from quadlattice import families as fam
 from quadlattice import fbasis
 from quadlattice import latticeops as lo
 from quadlattice import ttrr
-from quadlattice.exactfield import GaussianRational, pochhammer
+from quadlattice.exactfield import GaussianRational, from_parts, pochhammer
 from quadlattice.fbasis import (
     MONOMIAL,
     MPoly,
@@ -627,18 +627,108 @@ def test_oracle_rejects_a_sample_perturbed_at_one_grid_point(monkeypatch, family
     spec = fam.FamilySpec(family)
     n = 2
     svals, tvals = lo.grid_axes(spec.lattices(), n + 2)
-    bad = (svals[1], tvals[2])
-    original = ttrr.family_function
+    # the sample at (svals[1], tvals[2]), row-major over the grid
+    bad = 1 * len(tvals) + 2
+    original = ttrr.family_grid
 
-    def perturbed(spec, label):
-        member = original(spec, label)
-        if tuple(label) != (1, 1):
-            return member
-        return lambda point: member(point) + (Fraction(1, 1000) if point == bad else 0)
+    def perturbed(spec, labels, axes):
+        grids = original(spec, labels, axes)
+        k = list(labels).index((1, 1))
+        den, parts = grids[k]
+        # (A + Bi) / den + 1/1000 at the one point, over 1000 den
+        parts = [(1000 * a + (den if j == bad else 0), 1000 * b) for j, (a, b) in enumerate(parts)]
+        grids[k] = (1000 * den, parts)
+        return grids
 
-    monkeypatch.setattr(ttrr, "family_function", perturbed)
+    monkeypatch.setattr(ttrr, "family_grid", perturbed)
     with pytest.raises(AssertionError, match="interpolated family entry exceeds total degree"):
         ttrr.family_poly_vector(spec, n)
+
+
+# the families whose members the oracle grid samples
+GRID_FAMILIES = ttrr.TTRR_FAMILIES + (fam.CH_TRI,)
+
+
+# coordinates over different denominators, so that the vectors of one axis
+# do not share one
+MIXED_AXIS = [Fraction(8, 7), Fraction(5, 3), Fraction(13, 4), Fraction(6), Fraction(23, 10)]
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("family", GRID_FAMILIES)
+def test_family_grid_is_the_pointwise_member_at_every_grid_point(family, seed):
+    params = None if seed is None else _benchmark_params(seed, family)
+    spec = fam.FamilySpec(family, params)
+    grids = [(n, lo.grid_axes(spec.lattices(), n + 2)) for n in range(5)]
+    grids += [(n, [MIXED_AXIS[k:] + MIXED_AXIS[:k] for k in range(spec.nvars)]) for n in (1, 3)]
+    for n, axes in grids:
+        labels = graded(n, spec.nvars)
+        # a spec of its own, so that the grid builds every factor vector itself
+        grids = fam.family_grid(fam.FamilySpec(family, params), labels, axes)
+        assert len(grids) == len(labels)
+        for label, (den, parts) in zip(labels, grids):
+            member = fam.family_function(spec, label)
+            want = [member(point) for point in product(*axes)]
+            got = [from_parts(den, a, b) for a, b in parts]
+            assert got == want, (family, n, label)
+            assert [type(v) for v in got] == [type(v) for v in want], (family, n, label)
+
+
+@pytest.mark.parametrize("family", [fam.RACAH, fam.WILSON, fam.CDH])
+def test_family_grid_raises_the_pointwise_non_real_error(family):
+    label, n = (1, 1), 2
+    axes = lo.grid_axes(fam.FamilySpec(family).lattices(), n + 2)
+    messages = []
+    try:
+        for grid in (False, True):
+            spec = fam.FamilySpec(family)
+            fam._eval_cached.cache_clear()
+            # the degree-1 factor in x turned by i: its real values come out imaginary
+            fam._member(spec, label)[0].turns = 1
+            with pytest.raises(ArithmeticError, match="came out non-real") as exc:
+                if grid:
+                    fam.family_grid(spec, [label], axes)
+                else:
+                    for point in product(*axes):
+                        fam.family_function(spec, label)(point)
+            messages.append(str(exc.value))
+    finally:
+        # equal specs share the cache: drop what the turned factor left there
+        fam._eval_cached.cache_clear()
+    assert messages[0] == messages[1]
+
+
+DEGENERATE_DRAWS = [
+    # beta + delta + 1 = beta2 + t vanishes at the grid's t = 22/7
+    (fam.RACAH, {"beta2": Fraction(-22, 7)}),
+    # gamma + 1 = s - N vanishes at the grid's s = 15/7
+    (fam.RACAH_BAR, {"N": Fraction(15, 7)}),
+    # a + b = -1 in the x factor, whatever the point
+    (fam.WILSON, {"b": Fraction(-3, 2)}),
+    # (n + a + e2) + b = n - 1 in the y factor, whatever the point
+    (fam.CDH, {"b": Fraction(-19, 10)}),
+]
+
+
+@pytest.mark.parametrize("family, params", DEGENERATE_DRAWS, ids=[d[0] for d in DEGENERATE_DRAWS])
+def test_family_grid_raises_where_the_pointwise_member_does(family, params):
+    spec = fam.FamilySpec(family, params)
+    raised = []
+    for n in range(4):
+        axes = lo.grid_axes(spec.lattices(), n + 2)
+        for label in graded(n, spec.nvars):
+            member = fam.family_function(spec, label)
+            try:
+                for point in product(*axes):
+                    member(point)
+            except fam.DegenerateParameterError:
+                raised.append(label)
+                with pytest.raises(fam.DegenerateParameterError):
+                    fam.family_grid(fam.FamilySpec(family, params), [label], axes)
+            else:
+                fam.family_grid(fam.FamilySpec(family, params), [label], axes)
+    # the draw is degenerate for some labels and not for others
+    assert raised and (0, 0) not in raised
 
 
 def test_mpoly_json():

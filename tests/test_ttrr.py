@@ -2,13 +2,13 @@ import random
 import re
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from quadlattice import families as fam
 from quadlattice import pdeverify, ttrr
-from quadlattice.exactfield import GaussianRational
+from quadlattice.exactfield import GaussianRational, pochhammer
 from quadlattice.fbasis import (
     MONOMIAL,
     MPoly,
@@ -22,7 +22,7 @@ from quadlattice.fbasis import (
     u_blocks,
 )
 from quadlattice.latticeops import LatticeSpec
-from quadlattice.matrix import ExactMatrix, exact_inverse, solve_stacked
+from quadlattice.matrix import ExactMatrix, _reduce, exact_inverse, solve_stacked
 from quadlattice.pdeverify import coefficients
 
 PTS2 = [(Fraction(8, 7), Fraction(16, 7)), (Fraction(15, 7), Fraction(23, 7))]
@@ -200,6 +200,47 @@ def test_rank_deficient_system_names_first_column_without_pivot():
     assert deficient.rank() == 3
     with pytest.raises(ValueError, match="no pivot for column 2"):
         solve_stacked(deficient, [Fraction(0)] * 5)
+
+
+def _rank_case(rng, rows, cols):
+    """A rows x cols matrix over Q (or Q(i), mixed with real entries), with
+    zero entries, some zero columns and, often, rows planted as combinations
+    of others."""
+    gaussian = rng.random() < 0.5
+    zero_cols = {c for c in range(cols) if rng.random() < 0.2}
+
+    def entry(c):
+        if c in zero_cols or rng.random() < 0.3:
+            return Fraction(0)
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        if gaussian and rng.random() < 0.5:
+            return GaussianRational(q, Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+        return q
+
+    data = [[entry(c) for c in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randint(0, rows // 2)):
+        i, j, k = (rng.randrange(rows) for _ in range(3))
+        a, b = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
+        if gaussian:
+            a = GaussianRational(a, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        data[i] = [a * x + b * y for x, y in zip(data[j], data[k])]
+    return ExactMatrix(data, cols)
+
+
+def test_rank_is_the_pivot_count_of_gauss_jordan():
+    # the fraction-free rank against the field elimination behind the solves
+    rng = random.Random(35)
+    shapes = [(r, c) for r in range(8) for c in range(8)]
+    seen = set()
+    for t in range(2200):
+        rows, cols = shapes[t % len(shapes)]
+        m = _rank_case(rng, rows, cols)
+        want = len(_reduce([row[:] for row in m.data], m.cols))
+        assert m.rank() == want, m
+        seen.add((rows, cols, want))
+    # every shape met, from 0 x n and n x 0 up, full and deficient ranks among them
+    assert {(r, c) for r, c, _ in seen} == set(shapes)
+    assert any(k < min(r, c) for r, c, k in seen) and any(k == min(r, c) > 0 for r, c, k in seen)
 
 
 # -- S_n / T_n ---------------------------------------------------------------------
@@ -895,6 +936,116 @@ def test_leading_matrices_match_interpolation_oracle():
             for n in range(4):
                 closed = ttrr.leading_matrix(name, spec.params, n)
                 assert closed == ttrr.leading_matrix_oracle(spec, n), (name, n)
+
+
+def reference_leading_matrix(family, params, n):
+    """The printed closed forms in Fraction arithmetic, a pochhammer call
+    and a field product per factor: the reference the integer entries must
+    reproduce value for value and type for type."""
+    p = params
+    out = ExactMatrix.zero(n + 1, n + 1)
+    if family == fam.RACAH:
+        b0, b1, b2, b3 = p["beta0"], p["beta1"], p["beta2"], p["beta3"]
+        for i in range(n + 1):
+            for j in range(n + 1):
+                out[i, j] = (
+                    Fraction(1 if (i + n) % 2 == 0 else -1)
+                    * pochhammer(b1 - b0, n - i)
+                    * pochhammer(2 * n - i - b0 + b3 - 1, i)
+                    * pochhammer(Fraction(i - n), n - j)
+                    * pochhammer(n - i - b0 + b2 - 1, n - j)
+                    / (factorial(n - j) * pochhammer(b1 - b0, n - j))
+                )
+    elif family == fam.RACAH_BAR:
+        b0, b1, b2, b3 = p["beta0"], p["beta1"], p["beta2"], p["beta3"]
+        for i in range(n + 1):
+            for j in range(i + 1):
+                out[i, j] = (
+                    Fraction(comb(i, j))
+                    * pochhammer(b2 - b3 - i + 1, i - j)
+                    * pochhammer(i - b1 + b3 - 1, j)
+                    * pochhammer(i + n - b0 + b3 - 1, n - i)
+                )
+    elif family == fam.WILSON:
+        a, b, c, d, e2 = (p[x] for x in ("a", "b", "c", "d", "e2"))
+        sig = a + b + c + d + 2 * e2
+        for r in range(n + 1):
+            for s in range(r, n + 1):
+                out[r, s] = (
+                    Fraction(1 if (n - r - s) % 2 == 0 else -1)
+                    * comb(n - r, s - r)
+                    * pochhammer(2 * n - r - 1 + sig, r)
+                    * pochhammer(a + b + n - s, s - r)
+                    * pochhammer(a + b + 2 * e2 + n - r - 1, n - s)
+                )
+    elif family == fam.WILSON_BAR:
+        a, b, c, d, e2 = (p[x] for x in ("a", "b", "c", "d", "e2"))
+        sig = a + b + c + d + 2 * e2
+        for r in range(n + 1):
+            for s in range(r + 1):
+                out[r, s] = (
+                    Fraction(1 if n % 2 == 0 else -1)
+                    * comb(r, s)
+                    * pochhammer(-c - d - r + 1, r - s)
+                    * pochhammer(c + d + r + 2 * e2 - 1, s)
+                    * pochhammer(sig + r + n - 1, n - r)
+                )
+    elif family == fam.CDH:
+        for r in range(n + 1):
+            for s in range(r, n + 1):
+                out[r, s] = Fraction(1 if (n - r - s) % 2 == 0 else -1) * comb(n - r, s - r)
+    elif family == fam.CH:
+        a1, e2, a3, b1, b3 = (p[x] for x in ("a1", "e2", "a3", "b1", "b3"))
+        sig = a1 + a3 + b1 + b3 + 2 * e2
+        for r in range(n + 1):
+            for s in range(r, n + 1):
+                out[r, s] = (
+                    Fraction(1 if (r - s) % 2 == 0 else -1)
+                    * comb(n - r, s - r)
+                    * pochhammer(a1 + b1 + 2 * e2 - r + n - 1, n - s)
+                    * pochhammer(a1 + b1 - s + n, s - r)
+                    * pochhammer(sig - r + 2 * n - 1, r)
+                )
+    else:
+        a1, e2, a3, b1, b3 = (p[x] for x in ("a1", "e2", "a3", "b1", "b3"))
+        sig = a1 + a3 + b1 + b3 + 2 * e2
+        for r in range(n + 1):
+            for s in range(r + 1):
+                out[r, s] = (
+                    Fraction(1 if (r - s) % 2 == 0 else -1)
+                    * comb(r, s)
+                    * pochhammer(a3 + b3 + s, r - s)
+                    * pochhammer(a3 + b3 + 2 * e2 + r - 1, s)
+                    * pochhammer(sig + r + n - 1, n - r)
+                )
+    return out
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 7])
+def test_leading_matrix_matches_the_fraction_formulas(seed):
+    for name in ttrr.TTRR_FAMILIES:
+        params = fam.FamilySpec(name).params if seed is None else (
+            _perfbench_draw(seed)[fam.base_family(name)]
+        )
+        for n in range(7):
+            got = ttrr.leading_matrix(name, params, n)
+            want = reference_leading_matrix(name, params, n)
+            assert got == want, (name, seed, n)
+            assert [type(x) for row in got.data for x in row] == [
+                type(x) for row in want.data for x in row
+            ], (name, seed, n)
+
+
+@pytest.mark.parametrize("beta0, message", [
+    (Fraction(2, 3), "beta1-beta0 = 0 hits zero at shift 0"),
+    (Fraction(5, 3), "beta1-beta0 = -1 hits zero at shift 1"),
+])
+def test_degenerate_racah_leading_matrix_raises(beta0, message):
+    params = fam.FamilySpec(fam.RACAH, {"beta0": beta0}).params
+    with pytest.raises(fam.DegenerateParameterError, match=re.escape(message)):
+        ttrr.leading_matrix(fam.RACAH, params, 2)
+    # below the first vanishing factor the matrix is built
+    ttrr.leading_matrix(fam.RACAH, params, int(beta0 - params["beta1"]))
 
 
 def test_leading_matrix_base_and_triangularity():
