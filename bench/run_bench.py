@@ -19,10 +19,11 @@ Layers timed:
       value plus k/p for the primes p of perfbench's parameter draws;
   L2  tables and chains: ``coefficients`` for each family,
       ``derived_coefficients`` of each distinct bivariate table in the
-      directions x, y and xy, and ``GChain(spec, 4, leading)`` for the
-      seven recurrence families with monic and family leading matrices;
-      whole ``generate(spec, 4, leading)`` calls (upto 2 with ``--quick``)
-      for the same fourteen pairs (ops: the recurrence steps); one
+      directions x, y and xy, and the monic chain ``GChain(spec, 4)`` for
+      the seven recurrence families (``L2.gchain.<family>``); whole
+      ``generate(spec, 4, leading)`` calls (upto 2 with ``--quick``) for the
+      same seven families with monic and family leading matrices (ops: the
+      recurrence steps); one
       S_n / T_n derivation on the monomials, the one a chain makes per
       degree, ``_phi_blocks`` of a fresh copy of the printed table per repeat
       at degree 4 (2 with ``--quick``), for the same seven families and for
@@ -56,7 +57,7 @@ Layers timed:
       repeat; each call builds its printed table, which folds each grid
       point once.
   L4  exact linear algebra on the inputs the proofs hand it: every
-      ``exact_inverse`` (the G-matrix inverses), ``ExactMatrix.rank`` (the
+      ``exact_inverse`` (the leading-matrix checks), ``ExactMatrix.rank`` (the
       rank conditions on A_n and C_n, a fraction-free elimination) and
       ``solve_stacked`` (the stacked recurrence steps, with polynomial
       right-hand sides) that
@@ -65,9 +66,10 @@ Layers timed:
       and the 12 axis inverses (M_v^T)^-1 that ``recover_coefficients``
       builds, one per variable and coordinate of its 6 x 6 grid
       (``L4.exact_inverse.recovery``), each input recorded once before the
-      timing.  A chain inverts each
-      G_{k,k} once, so ``L4.exact_inverse.generate`` records 5 inverses per
-      ``generate`` at upto 4 (3 at upto 2).
+      timing.  The monic recurrence inverts nothing; the family leading
+      inverts each of Lambda_1..Lambda_upto once, to check it is invertible,
+      so ``L4.exact_inverse.generate`` records 4 inverses per family-leading
+      ``generate`` at upto 4 (2 at upto 2).
   L5  the pointwise layer, per lattice kind (quadratic: racah, Wilson
       square: wilson, linear: ch, 3-variable linear: ch-tri):
       ``fold_terms`` of the family's printed table at each point of a
@@ -319,10 +321,8 @@ def _l2_entries(oracle_degree, interpolate_degree, upto, phi_degree):
             )
     for name in ttrr.TTRR_FAMILIES:
         spec = fam.FamilySpec(name)
+        out[f"L2.gchain.{name}"] = (lambda spec=spec: ttrr.GChain(spec, 4), 1)
         for leading in ("monic", "family"):
-            out[f"L2.gchain.{name}.{leading}"] = (
-                lambda spec=spec, leading=leading: ttrr.GChain(spec, 4, leading), 1
-            )
             out[f"L2.generate.{name}.{leading}"] = (
                 lambda spec=spec, leading=leading: ttrr.generate(spec, upto, leading), upto
             )

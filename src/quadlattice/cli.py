@@ -261,26 +261,26 @@ def _run(args):
     elif args.command == "ttrr":
         n = args.n
         leading = "monic" if args.monic else "family"
-        chain = ttrr.GChain(spec, n + 1, leading=leading)
+        lead = ttrr.leading_matrices(spec, n + 1, leading)
+        chain = ttrr.GChain(spec, n + 1)
+        g, abc = ttrr.recurrence_blocks(chain, n, lead)
         out = {
             "n": n,
             "leading": leading,
             "entry_indexing": "1-based s_{k,k} lives at 0-based data[k-1][k-1]",
             "lambda_n": field_str(chain.lam[n]),
-            "Gnn": chain.g(n, n).to_json(),
         }
-        for j in range(1, spec.nvars + 1):
-            for name, m in zip("ABC", ttrr.abc_matrices(chain, n, j)):
+        for name, m in zip(("Gnn", "Gn,n-1", "Gn,n-2"), g):
+            out[name] = m.to_json()
+        for j, matrices in enumerate(abc, 1):
+            for name, m in zip("ABC", matrices):
                 if m is not None:
                     out[f"{name}{j}"] = m.to_json()
         if n >= 1:
-            out["Gn,n-1"] = chain.g(n, n - 1).to_json()
             # printed on the paper's basis, not the chain's monomials
             sn, tn = ttrr._on_working_bases(spec, n, chain.st.__getitem__, chain.lam)
             out["Sn"] = sn.to_json()
             out["Tn"] = tn.to_json()
-        if n >= 2:
-            out["Gn,n-2"] = chain.g(n, n - 2).to_json()
         report["matrices"] = out
 
     elif args.command == "generate":

@@ -3,15 +3,22 @@ vector, block and label reads its slots from :func:`fbasis.graded`; only the
 printed closed forms (:func:`sn_tn`, :func:`leading_matrix`) are bivariate.
 
 The vector recurrence  x_j P_n = A_{n,j} P_{n+1} + B_{n,j} P_n + C_{n,j} P_{n-1}
-is driven by the expansion matrices G_{n,n-1}, G_{n,n-2} of P_n on the
-monomials, read straight from the equation's S_n / T_n on the monomials:
+is computed once, for the monic family Phat_n (G_{n,n} = I), driven by its
+expansion matrices G_{n,n-1}, G_{n,n-2} on the monomials, read straight
+from the equation's S_n / T_n on the monomials:
 
-    G_{n,n-1} = G_{n,n} S_n Z_{n-1}^{-1}(lambda_n),
-    G_{n,n-2} = (G_{n,n} T_n + G_{n,n-1} S_{n-1}) Z_{n-2}^{-1}(lambda_n),
+    G_{n,n-1} = S_n Z_{n-1}^{-1}(lambda_n),
+    G_{n,n-2} = (T_n + G_{n,n-1} S_{n-1}) Z_{n-2}^{-1}(lambda_n),
     Z_k(lambda_n) = (lambda_k - lambda_n) I.
 
 :class:`GChain` builds every block in one loop over the degree.  A, B and C
-are one formula each, a term absent where its G block would lie below G_{k,0}.
+are one formula each, a term absent where its G block would lie below
+G_{k,0}, with no inverse.  The family leading is one change of basis,
+P_n = Lambda_n Phat_n with Lambda_n = :func:`leading_matrix` at degree n: its
+blocks are the monic ones conjugated (:func:`recurrence_blocks`), its
+vectors Lambda_n Phat_n (:func:`generate`), and the connection
+P_n = C_n Pbar_n of two families follows with C_n = Lambda_n Lambdabar_n^{-1}
+(:func:`connection`).
 
 S_n and T_n come in two independent ways: the printed closed forms
 (:func:`sn_tn`), and a derivation that substitutes the monomial expansion
@@ -23,8 +30,8 @@ the Racah families' blocks on the quadratic lattices' tensor F-basis: one
 stated change of basis (:func:`_on_working_bases`) takes the monomial
 blocks there (:func:`sn_tn_derived`).  The tests compare the two; the
 derivation is also what arbitrates typos in the long printed entries.
-A, B and C read L_{n,j} as a column placement (:func:`_gl`), so no matrix
-product multiplies by it.
+A, B and C read L_{n,j} as a column placement (:func:`_gl`) or a row pick
+(:func:`_lg`), so no matrix product multiplies by it.
 
 The oracle side of every comparison, :func:`family_poly_vector`, samples
 the family's members on the grid in integers (``families.family_grid``)
@@ -63,6 +70,7 @@ from .fbasis import (
     graded,
     interpolate_parts_on_grid,
     l_columns,
+    l_matrix,
     u_blocks,
 )
 from .latticeops import grid_axes
@@ -156,12 +164,16 @@ def _on_working_bases(spec: FamilySpec, n, st, lam):
     return sf, tf + u2.scale(lam[n] - lam[n - 2])
 
 
+def _require_recurrence(spec: FamilySpec):
+    if spec.family not in TTRR_FAMILIES:
+        raise ValueError(f"no recurrence machinery for family {spec.family!r}")
+
+
 def sn_tn_derived(spec: FamilySpec, n, table=None):
     """S_n and T_n on the basis the paper prints them in (:func:`working_bases`):
     derived on the monomials (:func:`_phi_blocks`, at n - 1 too on the
     F-basis) and taken there by :func:`_on_working_bases`."""
-    if spec.family not in TTRR_FAMILIES:
-        raise ValueError(f"no recurrence machinery for family {spec.family!r}")
+    _require_recurrence(spec)
     if table is None:
         table = coefficients(spec)
     lam = [table.eigenvalue(graded(k, table.nvars)[0]) for k in range(n + 1)]
@@ -736,53 +748,40 @@ _ST_ENTRIES = {
 # ---------------------------------------------------------------------------
 
 class GChain:
-    """G_{k,k}, G_{k,k-1}, G_{k,k-2} for k = 0..top and a leading sequence
-    (identity for the monic family, or the family's own leading matrices),
+    """The monic chain: G_{k,k} = I, G_{k,k-1} and G_{k,k-2} for k = 0..top,
     in one pass over k, each block read from S_k / T_k derived on the
     monomials (``st``), with Z_l(lambda_k) = (lambda_l - lambda_k) I:
 
-        G_{k,k-1} = G_{k,k} S_k Z_{k-1}^{-1}(lambda_k),
-        G_{k,k-2} = (G_{k,k} T_k + G_{k,k-1} S_{k-1}) Z_{k-2}^{-1}(lambda_k).
+        G_{k,k-1} = S_k Z_{k-1}^{-1}(lambda_k),
+        G_{k,k-2} = (T_k + G_{k,k-1} S_{k-1}) Z_{k-2}^{-1}(lambda_k).
 
-    ``lam`` holds lambda_0..lambda_top, each read at the first slot of its degree.
+    ``lam`` holds lambda_0..lambda_top, each read at the first slot of its
+    degree.  The family-leading blocks are these in the basis
+    P_n = Lambda_n Phat_n (:func:`recurrence_blocks`).
     """
 
-    def __init__(self, spec: FamilySpec, top, leading="monic"):
-        if spec.family not in TTRR_FAMILIES:
-            raise ValueError(f"no recurrence machinery for family {spec.family!r}")
-        if leading not in ("monic", "family"):
-            raise ValueError(f"leading must be 'monic' or 'family', not {leading!r}")
+    def __init__(self, spec: FamilySpec, top):
+        _require_recurrence(spec)
         self.table = table = coefficients(spec)
-        self._inverses = {}
         self.st = {k: _phi_blocks(table, k) for k in range(1, top + 1)}
         self.lam = lam = [table.eigenvalue(graded(k, table.nvars)[0]) for k in range(top + 1)]
         self._blocks = blocks = {}  # (k, j) -> G_{k,j}
         for k in range(top + 1):
-            if leading == "monic":
-                gkk = blocks[k, k] = ExactMatrix.identity(len(graded(k, table.nvars)))
-            else:
-                gkk = blocks[k, k] = leading_matrix(spec.family, spec.params, k)
+            blocks[k, k] = ExactMatrix.identity(len(graded(k, table.nvars)))
             for m in (k - 1, k - 2):
                 if m >= 0 and lam[m] == lam[k]:
                     raise DegenerateParameterError(f"eigenvalue collision lambda_{k} = lambda_{m}")
             if k == 0:
                 continue
             sk, tk = self.st[k]
-            g1 = blocks[k, k - 1] = (gkk * sk).scale(1 / (lam[k - 1] - lam[k]))
+            g1 = blocks[k, k - 1] = sk.scale(1 / (lam[k - 1] - lam[k]))
             if k >= 2:
-                g2 = gkk * tk + g1 * self.st[k - 1][0]
-                blocks[k, k - 2] = g2.scale(1 / (lam[k - 2] - lam[k]))
+                blocks[k, k - 2] = (tk + g1 * self.st[k - 1][0]).scale(1 / (lam[k - 2] - lam[k]))
 
     def g(self, k, j):
         if (k, j) not in self._blocks:
             raise ValueError(f"G_{{{k},{j}}} is not tracked: the chain holds j = k, k-1, k-2 >= 0")
         return self._blocks[k, j]
-
-    def inverse(self, k):
-        """G_{k,k}^{-1}, inverted on first use."""
-        if k not in self._inverses:
-            self._inverses[k] = exact_inverse(self.g(k, k))
-        return self._inverses[k]
 
 
 def _gl(chain, n, m, j):
@@ -801,21 +800,29 @@ def _gl(chain, n, m, j):
     return out
 
 
-def abc_matrices(chain: GChain, n, j):
-    """A_{n,j}, B_{n,j}, C_{n,j} (None for n = 0), from the top blocks of x_j P_n:
+def _lg(chain, n, m, j):
+    """L_{n,j} G_{n+1,m}: row e + unit_j of G_{n+1,m} for each slot e of
+    degree n, so the product picks rows and does no arithmetic."""
+    g = chain.g(n + 1, m)
+    return ExactMatrix([g.data[c] for c in l_columns(n, j, chain.table.nvars)], g.cols)
 
-        A = G_{n,n} L_{n,j} G_{n+1,n+1}^{-1},
-        B = (G_{n,n-1} L_{n-1,j} - A G_{n+1,n}) G_{n,n}^{-1},
-        C = (G_{n,n-2} L_{n-2,j} - A G_{n+1,n-1} - B G_{n,n-1}) G_{n-1,n-1}^{-1}.
+
+def abc_matrices(chain: GChain, n, j):
+    """A_{n,j}, B_{n,j}, C_{n,j} (None for n = 0) of the monic family, from
+    the top blocks of x_j Phat_n with G_{k,k} = I, so no inverse:
+
+        A = L_{n,j},
+        B = G_{n,n-1} L_{n-1,j} - L_{n,j} G_{n+1,n},
+        C = G_{n,n-2} L_{n-2,j} - L_{n,j} G_{n+1,n-1} - B G_{n,n-1}.
     """
-    if not 1 <= j <= chain.table.nvars:
-        raise ValueError(f"j must be 1..{chain.table.nvars}")
-    a = _gl(chain, n, n, j) * chain.inverse(n + 1)
-    b = (_gl(chain, n, n - 1, j) - a * chain.g(n + 1, n)) * chain.inverse(n)
+    nvars = chain.table.nvars
+    if not 1 <= j <= nvars:
+        raise ValueError(f"j must be 1..{nvars}")
+    a = l_matrix(n, j, nvars)
+    b = _gl(chain, n, n - 1, j) - _lg(chain, n, n, j)
     if n == 0:
         return a, b, None
-    c = _gl(chain, n, n - 2, j) - a * chain.g(n + 1, n - 1) - b * chain.g(n, n - 1)
-    return a, b, c * chain.inverse(n - 1)
+    return a, b, _gl(chain, n, n - 2, j) - _lg(chain, n, n - 1, j) - b * chain.g(n, n - 1)
 
 
 def _check_ranks(a_j, c_j, n):
@@ -831,18 +838,71 @@ def _check_ranks(a_j, c_j, n):
         raise DegenerateParameterError(f"joint rank C_{n} != {c_j[0].rows}")
 
 
+def leading_matrices(spec: FamilySpec, top, leading):
+    """Lambda_0..Lambda_top (:func:`leading_matrix`) for the family leading,
+    None for the monic one.  Every recurrence is computed monic; the
+    family's vectors are P_n = Lambda_n Phat_n, so its chain, solve and rank
+    checks are the monic ones once each Lambda_n is invertible.
+
+    A degenerate run names the first failure in this order: the family
+    guard, the leading name, Lambda_0..Lambda_top with their denominator
+    checks (here), the monic chain with its S_k / T_k and eigenvalue
+    collisions (:class:`GChain`), and then per step n, Lambda_{n+1} invertible
+    before the step's rank checks."""
+    _require_recurrence(spec)
+    if leading not in ("monic", "family"):
+        raise ValueError(f"leading must be 'monic' or 'family', not {leading!r}")
+    if leading == "monic":
+        return None
+    return [leading_matrix(spec.family, spec.params, k) for k in range(top + 1)]
+
+
+def recurrence_blocks(chain: GChain, n, lead=None):
+    """(G, ABC) at degree n: G holds G_{n,n}, G_{n,n-1}, G_{n,n-2} down to
+    G_{n,0}, and ABC the (A_{n,j}, B_{n,j}, C_{n,j}) for j = 1..nvars, of the
+    monic chain.  Given ``lead`` = Lambda_0..Lambda_{n+1}
+    (:func:`leading_matrices`), they are the family leading's instead, the
+    monic blocks in the basis P_n = Lambda_n Phat_n:
+
+        Lambda_n G_{n,m},  Lambda_n A Lambda_{n+1}^{-1},
+        Lambda_n B Lambda_n^{-1},  Lambda_n C Lambda_{n-1}^{-1},
+
+    with Lambda_{n+1}, Lambda_n and Lambda_{n-1} inverted in that order."""
+    g = [chain.g(n, m) for m in (n, n - 1, n - 2) if m >= 0]
+    abc = [abc_matrices(chain, n, j) for j in range(1, chain.table.nvars + 1)]
+    if lead is None:
+        return g, abc
+    inv = {k: exact_inverse(lead[k]) for k in (n + 1, n, n - 1) if k >= 0}
+    g = [lead[n]] + [lead[n] * m for m in g[1:]]
+    abc = [
+        (
+            lead[n] * a * inv[n + 1],
+            lead[n] * b * inv[n],
+            None if c is None else lead[n] * c * inv[n - 1],
+        )
+        for a, b, c in abc
+    ]
+    return g, abc
+
+
 def generate(spec: FamilySpec, upto, leading="monic"):
     """Polynomial vectors P_0..P_upto generated from the recurrences: each step
-    solves A_{n,j} P_{n+1} = x_j P_n - B_{n,j} P_n - C_{n,j} P_{n-1}, the
-    variables' systems stacked, exactly, each right-hand-side entry one
-    :meth:`MPoly.combine` (x_j P_n a shift of exponents); any inconsistency is
-    a failed consistency check (an AssertionError, which the CLI reports with
-    exit 3), not a least-squares compromise.  The rank checks come first, so a
-    degenerate A still raises DegenerateParameterError."""
-    chain = GChain(spec, upto, leading=leading)
+    solves A_{n,j} Phat_{n+1} = x_j Phat_n - B_{n,j} Phat_n - C_{n,j} Phat_{n-1}
+    of the monic family, the variables' systems stacked, exactly, each
+    right-hand-side entry one :meth:`MPoly.combine` (x_j Phat_n a shift of
+    exponents); any inconsistency is a failed consistency check (an
+    AssertionError, which the CLI reports with exit 3), not a least-squares
+    compromise.  The rank checks come first, so a degenerate A still raises
+    DegenerateParameterError.  The family leading returns
+    P_n = Lambda_n Phat_n (:func:`leading_matrices`)."""
+    lead = leading_matrices(spec, upto, leading)
+    chain = GChain(spec, upto)
     nvars = spec.nvars
     vectors = [PolyVector(0, [MPoly.const(nvars, Fraction(1))])]
     for n in range(upto):
+        if lead is not None:
+            # raises on a singular Lambda_{n+1}, naming its first column without a pivot
+            exact_inverse(lead[n + 1])
         a_j, b_j, c_j = zip(*(abc_matrices(chain, n, j) for j in range(1, nvars + 1)))
         _check_ranks(a_j, c_j, n)
         polys = vectors[n].entries + (vectors[n - 1].entries if n else [])
@@ -856,7 +916,9 @@ def generate(spec: FamilySpec, upto, leading="monic"):
         except InconsistentSystemError as exc:
             raise AssertionError(f"recurrence step to degree {n + 1}: {exc}") from exc
         vectors.append(PolyVector(n + 1, entries))
-    return vectors
+    if lead is None:
+        return vectors
+    return [PolyVector(v.degree, g.apply_rows(v.entries)) for g, v in zip(lead, vectors)]
 
 
 # ---------------------------------------------------------------------------
@@ -980,7 +1042,9 @@ def leading_matrix_oracle(spec: FamilySpec, n) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 def connection(g: ExactMatrix, gbar: ExactMatrix) -> ExactMatrix:
-    """C with P_n = C Pbar_n, given the two leading matrices."""
+    """C with P_n = C Pbar_n, given the two leading matrices: the two families
+    share one monic Phat_n (equal tables), so P_n = Lambda_n Phat_n and
+    Pbar_n = Lambdabar_n Phat_n give C = Lambda_n Lambdabar_n^{-1}."""
     if g.rows != g.cols or gbar.rows != gbar.cols or g.rows != gbar.rows:
         raise ValueError("connection needs square matrices of equal size")
     return g * exact_inverse(gbar)

@@ -84,6 +84,15 @@ PINNED_REPORTS = [
      "4cdecd9ec3ac9780a717d6ef13b9dc2c46494095f2bad4b875464a9b51587e1e"),
     (["ttrr", "--family", "ch-bar", "--n", "2"], 0,
      "729c03f47fdb37e4da82cb9ba77d0ccb65e7825ce178527071817b9295767e5e"),
+    # degenerate recurrence runs: a singular leading matrix names its first
+    # column without a pivot (Lambda_1 for generate's first step, Lambda_2 for
+    # ttrr at n = 1), and the family guard comes before any leading matrix
+    (["generate", "--family", "racah-bar", "--param", "beta3=2/3", "--upto", "3"], 2,
+     "3136500a7a2d39e10035ade2776a9deb8b34999c64e5be5ce7bc50ad6a7a4e34"),
+    (["ttrr", "--family", "racah-bar", "--param", "beta3=2/3", "--n", "1"], 2,
+     "3ce6ff255fa029b1053c791ee4ee47392474111d107367200fc3da6162b0c139"),
+    (["generate", "--family", "ch-tri", "--upto", "1"], 2,
+     "2a6845ca5762b5cb417594264fd74977ad48b9934b18f2f84432f6dbe663ab7a"),
 ]
 
 
@@ -256,6 +265,21 @@ def test_degenerate_leading_matrix_exits_2(command):
     code, report = run([command, "--family", "racah", *degree, "--param", "beta1=1/5"])
     assert code == EXIT_DEGENERATE
     assert report["error"] == "denominator parameter beta1-beta0 = 0 hits zero at shift 0"
+
+
+@pytest.mark.parametrize("command, degree", [("generate", "--upto=3"), ("ttrr", "--n=1")])
+def test_leading_matrices_are_checked_before_the_chain(command, degree):
+    # beta1 - beta0 = -1 both collides lambda_1 with lambda_0 and makes
+    # Lambda_1 divide by (beta1 - beta0)_1: the family leading builds its
+    # leading matrices first and names the denominator, the monic run the
+    # collision
+    argv = [command, "--family", "racah", degree, "--param", "beta0=9/2", "--param", "beta1=7/2"]
+    assert run(argv) == (EXIT_DEGENERATE, {
+        "command": command,
+        "error": "denominator parameter beta1-beta0 = -1 hits zero at shift 1",
+        "tables_version": "tables-v1",
+    })
+    assert run(argv + ["--monic"])[1]["error"] == "eigenvalue collision lambda_1 = lambda_0"
 
 
 def test_an_inconsistent_recurrence_exits_3(monkeypatch):

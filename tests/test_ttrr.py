@@ -367,12 +367,15 @@ def test_wilson_chain_has_no_u_corrections():
 def test_every_chain_derives_s_k_t_k_on_the_monomials(monkeypatch):
     # the G blocks are read straight from S_k / T_k on the monomials, the
     # F-basis families included, so no chain changes basis: one derivation
-    # per degree and none on the paper's basis
+    # per degree and none on the paper's basis; the family leading's blocks
+    # are the chain's conjugates and derive nothing of their own
     derivations = _counted(monkeypatch, ttrr, "_phi_blocks")
     conversions = _counted(monkeypatch, ttrr, "_on_working_bases")
     for name in ttrr.TTRR_FAMILIES:
         derivations.clear()
-        chain = ttrr.GChain(fam.FamilySpec(name), 3, "family")
+        spec = fam.FamilySpec(name)
+        chain = ttrr.GChain(spec, 3)
+        ttrr.recurrence_blocks(chain, 2, ttrr.leading_matrices(spec, 3, "family"))
         assert [n for _, n in derivations] == [1, 2, 3], name
         assert all(table is chain.table for table, _ in derivations), name
     assert not conversions
@@ -386,12 +389,13 @@ def test_g_outside_the_chain_raises():
 
 
 def test_blocks_past_the_top_of_the_chain_raise_the_untracked_error():
-    # the inverses read through g, so no untracked G_{k,k} escapes as a KeyError
+    # the row picks L_{n,j} G_{n+1,m} read through g, so no untracked block
+    # escapes as a KeyError
     chain = ttrr.GChain(fam.FamilySpec(fam.RACAH), 2)
-    with pytest.raises(ValueError, match=re.escape("G_{3,3} is not tracked")):
+    with pytest.raises(ValueError, match=re.escape("G_{3,2} is not tracked")):
         ttrr.abc_matrices(chain, 2, 1)
-    with pytest.raises(ValueError, match=re.escape("G_{5,5} is not tracked")):
-        chain.inverse(5)
+    with pytest.raises(ValueError, match=re.escape("G_{4,4} is not tracked")):
+        ttrr.recurrence_blocks(chain, 4)
     for j in (0, 3):
         with pytest.raises(ValueError, match=re.escape("j must be 1..2")):
             ttrr.abc_matrices(chain, 1, j)
@@ -628,23 +632,28 @@ def _typed(m):
 @pytest.mark.parametrize("draw", ["default", 1, 5])
 @pytest.mark.parametrize("name", ttrr.TTRR_FAMILIES)
 def test_one_loop_chain_matches_the_reference(name, draw):
-    # every tracked G block and every A/B/C, in value and in entry type
+    # every tracked G block and every A/B/C, in value and in entry type, of
+    # the monic chain, and of its conjugates by the leading matrices against
+    # the family-leading reference chain
     params = None if draw == "default" else _perfbench_draw(draw)[fam.base_family(name)]
     spec = fam.FamilySpec(name, params=params)
     top = 5
-    for leading in ("monic", "family"):
-        chain = ttrr.GChain(spec, top, leading)
-        blocks = reference_chain(spec, top, leading)
-        for k in range(top + 1):
-            for j in range(k - 3, k + 1):
-                if (k, j) in blocks:
-                    assert _typed(chain.g(k, j)) == _typed(blocks[k, j]), (leading, k, j)
-                else:
-                    with pytest.raises(ValueError):
-                        chain.g(k, j)
+    chain = ttrr.GChain(spec, top)
+    monic = reference_chain(spec, top, "monic")
+    for k in range(top + 1):
+        for j in range(k - 3, k + 1):
+            if (k, j) in monic:
+                assert _typed(chain.g(k, j)) == _typed(monic[k, j]), (k, j)
+            else:
+                with pytest.raises(ValueError):
+                    chain.g(k, j)
+    lead = ttrr.leading_matrices(spec, top, "family")
+    for leading, blocks in (("monic", monic), ("family", reference_chain(spec, top, "family"))):
         for n in range(top):
-            for j in (1, 2):
-                got = ttrr.abc_matrices(chain, n, j)
+            g, abc = ttrr.recurrence_blocks(chain, n, lead if leading == "family" else None)
+            want = [blocks[n, m] for m in (n, n - 1, n - 2) if m >= 0]
+            assert [_typed(m) for m in g] == [_typed(m) for m in want], (leading, n)
+            for j, got in enumerate(abc, 1):
                 want = reference_abc(blocks, n, j)
                 assert [_typed(m) for m in got] == [_typed(m) for m in want], (leading, n, j)
 
@@ -658,8 +667,12 @@ def test_l_matrix_matches_the_reference():
 @pytest.mark.parametrize("name", [fam.RACAH, fam.CH])
 def test_gl_is_the_product_with_l(name):
     # a column placement, equal to G_{n,m} L_{m,j} entry by entry and type by
-    # type; an entry no column of G reaches stays Fraction(0)
-    chain = ttrr.GChain(fam.FamilySpec(name), 4, "family")
+    # type; an entry no column of G reaches stays Fraction(0).  Lambda_n times
+    # it is the family-leading block's placement, (Lambda_n G_{n,m}) L_{m,j},
+    # and L_{n,j} G_{n+1,m} is a pick of G's rows, equal to the product
+    spec = fam.FamilySpec(name)
+    chain = ttrr.GChain(spec, 4)
+    lead = ttrr.leading_matrices(spec, 4, "family")
     for n in range(4):
         for m in range(n - 2, n + 1):
             for j in (1, 2):
@@ -672,6 +685,12 @@ def test_gl_is_the_product_with_l(name):
                 assert _typed(got) == _typed(want), (n, m, j)
                 zeros = [x for row in got.data for x in row if not x]
                 assert zeros and all(type(x) is Fraction for x in zeros), (n, m, j)
+                family = (lead[n] * chain.g(n, m)) * l_matrix(m, j, 2)
+                assert _typed(lead[n] * got) == _typed(family), (n, m, j)
+                if m >= n - 1:
+                    picked = ttrr._lg(chain, n, m, j)
+                    want = l_matrix(n, j, 2) * chain.g(n + 1, m)
+                    assert _typed(picked) == _typed(want), (n, m, j)
 
 
 @pytest.mark.parametrize("draw", ["default", 1, 5])
@@ -733,7 +752,7 @@ def test_ch_tri_monic_generation_is_the_family_over_its_leading_block(monkeypatc
 
 def test_monic_abc_shapes_and_l_selection():
     spec = fam.FamilySpec(fam.RACAH)
-    chain = ttrr.GChain(spec, 4, leading="monic")
+    chain = ttrr.GChain(spec, 4)
     for n in range(3):
         for j in (1, 2):
             a, b, c = ttrr.abc_matrices(chain, n, j)
@@ -749,17 +768,20 @@ def test_monic_abc_shapes_and_l_selection():
 
 
 def test_rank_conditions_at_default_parameters():
+    # the family leading's A and C, the monic ones conjugated by invertible
+    # leading matrices, have the monic ranks
     for name in (fam.RACAH, fam.WILSON, fam.CH):
         spec = fam.FamilySpec(name)
-        chain = ttrr.GChain(spec, 3, leading="family")
+        chain = ttrr.GChain(spec, 3)
+        lead = ttrr.leading_matrices(spec, 3, "family")
         for n in range(2):
-            a1, _, c1 = ttrr.abc_matrices(chain, n, 1)
-            a2, _, c2 = ttrr.abc_matrices(chain, n, 2)
-            assert a1.rank() == n + 1 and a2.rank() == n + 1
-            assert a1.vstack(a2).rank() == n + 2
-            if c1 is not None:
-                assert c1.rank() == n and c2.rank() == n
-                assert c1.hstack(c2).rank() == n + 1
+            for blocks in (None, lead):
+                (a1, _, c1), (a2, _, c2) = ttrr.recurrence_blocks(chain, n, blocks)[1]
+                assert a1.rank() == n + 1 and a2.rank() == n + 1
+                assert a1.vstack(a2).rank() == n + 2
+                if c1 is not None:
+                    assert c1.rank() == n and c2.rank() == n
+                    assert c1.hstack(c2).rank() == n + 1
 
 
 def test_monic_generation_unit_leading():
@@ -792,34 +814,40 @@ def test_family_generation_matches_hypergeometric_construction():
 
 
 def test_recurrence_is_an_exact_polynomial_identity():
+    # the conjugated A/B/C on the family vectors, and the monic ones on the
+    # monic vectors
     spec = fam.FamilySpec(fam.RACAH)
-    chain = ttrr.GChain(spec, 4, leading="family")
-    vectors = ttrr.generate(spec, 4, leading="family")
+    chain = ttrr.GChain(spec, 4)
     xvar = MPoly.var(0, 2)
     yvar = MPoly.var(1, 2)
-    for n in range(1, 4):
-        for j, var in ((1, xvar), (2, yvar)):
-            a, b, c = ttrr.abc_matrices(chain, n, j)
-            lhs = [var * p for p in vectors[n].entries]
-            rhs = a.apply_rows(vectors[n + 1].entries)
-            rhs = [r + s for r, s in zip(rhs, b.apply_rows(vectors[n].entries))]
-            rhs = [r + s for r, s in zip(rhs, c.apply_rows(vectors[n - 1].entries))]
-            for l, r in zip(lhs, rhs):
-                assert (l - r).is_zero()
+    for leading in ("family", "monic"):
+        lead = ttrr.leading_matrices(spec, 4, leading)
+        vectors = ttrr.generate(spec, 4, leading=leading)
+        for n in range(1, 4):
+            abc = ttrr.recurrence_blocks(chain, n, lead)[1]
+            for (a, b, c), var in zip(abc, (xvar, yvar)):
+                lhs = [var * p for p in vectors[n].entries]
+                rhs = a.apply_rows(vectors[n + 1].entries)
+                rhs = [r + s for r, s in zip(rhs, b.apply_rows(vectors[n].entries))]
+                rhs = [r + s for r, s in zip(rhs, c.apply_rows(vectors[n - 1].entries))]
+                for l, r in zip(lhs, rhs):
+                    assert (l - r).is_zero(), (leading, n)
 
 
 def reference_generate(spec, upto, leading):
-    """P_0..P_upto with each right-hand side built from binary MPoly
-    operations, x_j P_n - B P_n, then - C P_{n-1}: the reference for the one
-    combination per entry."""
-    chain = ttrr.GChain(spec, upto, leading=leading)
+    """P_0..P_upto solved from the reference chain's A/B/C in the given
+    leading, each right-hand side built from binary MPoly operations,
+    x_j P_n - B P_n, then - C P_{n-1}: the reference for the monic solve, for
+    the family vectors as its change of basis, and for the one combination
+    per entry."""
+    blocks = reference_chain(spec, upto, leading)
     nvars = spec.nvars
     vectors = [[MPoly.const(nvars, Fraction(1))]]
     for n in range(upto):
         a_j, rhs = [], []
         pn = vectors[n]
         for var in range(nvars):
-            a, b, c = ttrr.abc_matrices(chain, n, var + 1)
+            a, b, c = reference_abc(blocks, n, var + 1)
             a_j.append(a)
             part = [MPoly.var(var, nvars) * p - s for p, s in zip(pn, reference_apply_rows(b, pn))]
             if c is not None:
@@ -919,12 +947,16 @@ def test_mutating_a_returned_sn_leaves_the_next_result_unchanged():
 
 @pytest.mark.parametrize("leading", ["monic", "family"])
 def test_generate_inverts_each_leading_matrix_once(monkeypatch, leading):
-    # G_{0,0} .. G_{4,4}, each inverted once for all eight (n, j)
+    # the monic recurrence inverts nothing; the family leading inverts each of
+    # Lambda_1 .. Lambda_4 once, as its check that the leading matrix is
+    # invertible (Lambda_0 = (1))
     inverses = _counted(monkeypatch, ttrr, "exact_inverse")
     for name in ttrr.TTRR_FAMILIES:
         inverses.clear()
-        ttrr.generate(fam.FamilySpec(name), 4, leading)
-        assert len(inverses) == 5, name
+        spec = fam.FamilySpec(name)
+        ttrr.generate(spec, 4, leading)
+        want = [] if leading == "monic" else ttrr.leading_matrices(spec, 4, leading)[1:]
+        assert [m for (m,) in inverses] == want, name
 
 
 # -- leading matrices ----------------------------------------------------------------
