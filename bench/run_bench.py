@@ -55,7 +55,11 @@ Layers timed:
       total degree <= 2 (<= 0 with ``--quick``) and for ch-tri at degree 0
       on a 2-point grid, with the family caches cleared before every
       repeat; each call builds its printed table, which folds each grid
-      point once.
+      point once.  And one label's grid sampling
+      (``L3.label_grid.<family>``): the ``family_grid`` call that samples
+      label (1, 1) ((1, 0, 0) for ch-tri) of a fresh spec on the tensor
+      grid its sweep grid's stencils weigh, as ``StencilGrid`` makes it,
+      the stencils folded outside the timed call (ops: the samples).
   L4  exact linear algebra on the inputs the proofs hand it: every
       ``exact_inverse`` (the leading-matrix checks), ``ExactMatrix.rank`` (the
       rank conditions on A_n and C_n, a fraction-free elimination) and
@@ -66,10 +70,10 @@ Layers timed:
       and the 12 axis inverses (M_v^T)^-1 that ``recover_coefficients``
       builds, one per variable and coordinate of its 6 x 6 grid
       (``L4.exact_inverse.recovery``), each input recorded once before the
-      timing.  The monic recurrence inverts nothing; the family leading
-      inverts each of Lambda_1..Lambda_upto once, to check it is invertible,
-      so ``L4.exact_inverse.generate`` records 4 inverses per family-leading
-      ``generate`` at upto 4 (2 at upto 2).
+      timing.  No recurrence inverts anything; the family leading checks
+      each of Lambda_1..Lambda_upto invertible with the pivot scan
+      ``check_invertible``, so ``L4.pivot_scan.generate`` records 4 scans
+      per family-leading ``generate`` at upto 4 (2 at upto 2).
   L5  the pointwise layer, per lattice kind (quadratic: racah, Wilson
       square: wilson, linear: ch, 3-variable linear: ch-tri):
       ``fold_terms`` of the family's printed table at each point of a
@@ -106,7 +110,8 @@ Layers timed:
       3-per-axis grid (2 with ``--quick``), for every label of total degree
       <= 1, with the family caches cleared before every repeat and the
       stencils built outside the timed call.  A neighbour shared by two
-      stencils is sampled twice, as a sweep samples it.
+      stencils is sampled twice, as the pointwise route samples it; the
+      sweeps sample on grids instead (``L3.label_grid``).
 
 Every entry that evaluates family members (L2 oracle, L3, L5 second-order,
 L6 and L7) builds its ``FamilySpec`` inside the repeat: a spec keeps its
@@ -158,7 +163,12 @@ sys.path.insert(0, str(ROOT / "src"))
 from quadlattice import families as fam  # noqa: E402
 from quadlattice import cli, fbasis, latticeops, pdeverify, ttrr  # noqa: E402
 from quadlattice.exactfield import GaussianRational, pochhammer  # noqa: E402
-from quadlattice.matrix import ExactMatrix, exact_inverse, solve_stacked  # noqa: E402
+from quadlattice.matrix import (  # noqa: E402
+    ExactMatrix,
+    check_invertible,
+    exact_inverse,
+    solve_stacked,
+)
 
 SCHEMA = "quadlattice-bench/1"
 
@@ -392,7 +402,24 @@ def _l3_entries(degree):
 
         checks = sum(r["points"] for r in job())
         out[f"L3.verify_table.{name}"] = (job, checks)
+        label = (1, 1) if name != fam.CH_TRI else (1, 0, 0)
+        axes = _label_grid_axes(name, label, grid_size)
+
+        def sample(name=name, label=label, axes=axes):
+            return fam.family_grid(fam.FamilySpec(name), [label], axes, deferred=True)
+
+        out[f"L3.label_grid.{name}"] = (sample, len(sample()[0][1]))
     return out
+
+
+def _label_grid_axes(name, label, grid_size):
+    """The axes ``StencilGrid`` samples the label's member on: every
+    coordinate the stencils of its sweep grid weigh."""
+    spec = fam.FamilySpec(name)
+    grid = pdeverify.StencilGrid(pdeverify.coefficients(spec), spec)
+    for point in product(*pdeverify.residual_grid(spec, label, size=grid_size)):
+        grid._stencil(point)
+    return grid.axes
 
 
 def _recorded(owner, name, run):
@@ -424,7 +451,7 @@ def _l4_entries(upto):
             for leading in ("monic", "family"):
                 ttrr.generate(fam.FamilySpec(name), upto, leading)
 
-    inverses = _recorded(ttrr, "exact_inverse", generate_all)
+    scans = _recorded(ttrr, "check_invertible", generate_all)
     ranks = _recorded(ExactMatrix, "rank", generate_all)
     steps = _recorded(ttrr, "solve_stacked", generate_all)
     axis_inverses = _recorded(
@@ -437,7 +464,7 @@ def _l4_entries(upto):
         return lambda: [fn(*args) for args in calls], len(calls)
 
     return {
-        "L4.exact_inverse.generate": loop(exact_inverse, inverses),
+        "L4.pivot_scan.generate": loop(check_invertible, scans),
         "L4.rank.generate": loop(ExactMatrix.rank, ranks),
         "L4.solve_stacked.generate": loop(solve_stacked, steps),
         "L4.exact_inverse.recovery": loop(exact_inverse, axis_inverses),

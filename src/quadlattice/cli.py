@@ -176,11 +176,8 @@ def _report_base(args, spec):
     }
 
 
-def _pass_records(spec, bound, points, check):
-    return [
-        pv.label_record(label, witness)
-        for label, _, witness in pv.sweep(spec, bound, points, check)
-    ]
+def _pass_records(spec, bound, values):
+    return [pv.label_record(label, witness) for label, _, witness in pv.sweep(spec, bound, values)]
 
 
 def _run(args):
@@ -209,13 +206,14 @@ def _run(args):
         # ladder's point map only shifts them (racah: x by -(2 beta1 + 1)/4 and
         # y by -(beta2 + 1); racah-bar: y by -(2 beta2 + 1)/4), so |label| + 1
         # values per axis prove it
+        # values, so a ladder checks each point as it goes
         report["results"] = _pass_records(
             spec,
             args.max_total_degree,
-            lambda label: product(
-                *pv.residual_grid(spec, label, size=sum(label) + 1, offset=offset)
+            lambda label: (
+                (pt, fam.derivative_ladder_check(spec, label, pt))
+                for pt in product(*pv.residual_grid(spec, label, size=sum(label) + 1, offset=offset))
             ),
-            lambda label, pt: fam.derivative_ladder_check(spec, label, pt),
         )
 
     elif args.command in ("verify-second-order", "verify-difference-form"):
@@ -231,16 +229,16 @@ def _run(args):
             kind = pv.DIFFERENCE_FORMS.get(fam.base_family(spec.family))
         if kind is None:
             raise ValueError(f"no printed {what} for {spec.family}")
-        # one equation per command: it folds each grid point once
-        equation = build(kind, spec)
+        # one equation and one grid per command: it folds each grid point
+        # once, and samples each label's member once
+        grid = pv.StencilGrid(build(kind, spec), spec)
         report["kind"] = kind
         report["results"] = _pass_records(
             spec,
             args.max_total_degree,
-            lambda label: product(
-                *pv.residual_grid(spec, label, size=args.grid_size, offset=offset)
+            lambda label: grid.residuals(
+                label, product(*pv.residual_grid(spec, label, size=args.grid_size, offset=offset))
             ),
-            lambda label, pt: pv.residual(equation, spec, label, pt),
         )
 
     elif args.command == "recover-coeffs":

@@ -11,34 +11,36 @@ only at the end, if at all: :func:`pochhammer` here (its integer core
 univariate family factors (the dot product of an upper vector, which reads
 only the factor's own coordinate, and a lower vector, which reads at most
 its coupled one, so that a family member keeps each vector per coordinate
-and evaluates a point as one dot product per factor), the oracle grid of
-``families`` (``family_grid``: a member's values on a tensor grid, each
-factor's vectors written over one denominator per axis, as Gaussian
-integers over one denominator), the exact interpolation of ``fbasis`` (an
-integer inverse Vandermonde matrix per axis, applied to the samples; the
-oracle grid's integers enter it as they are), the leading matrices of
+and evaluates a point as one dot product per factor), the member grid of
+``families`` (``family_grid``, through which the oracle and the residual
+sweeps sample: a member's values on a tensor grid, each factor's vectors
+written over one denominator per axis, as Gaussian integers over one
+denominator), the exact interpolation of ``fbasis`` (an integer inverse
+Vandermonde matrix per axis, applied to the samples; the member grid's
+integers enter it as they are), the leading matrices of
 ``ttrr`` (each entry a product of :func:`rising` products over another),
-the rank of ``matrix`` (a fraction-free elimination in Gaussian integers),
-the pointwise engine of ``pdeverify`` (each point's stencil contracted in
-Gaussian integers from per-coordinate rows, and the residual one integer
-dot product with the sampled values), the symbolic images of ``pdeverify``
-(each monomial's image under a table, the f_i terms times tensor products
+the pivot scan of ``matrix`` (a fraction-free elimination in Gaussian
+integers, behind the rank and the invertibility check), the pointwise
+engine of ``pdeverify`` (each point's stencil contracted in Gaussian
+integers from per-coordinate rows, and the residual one integer dot
+product with the member grid's numerators), the symbolic images of
+``pdeverify`` (each monomial's image under a table, the f_i terms times tensor products
 of univariate S D and D^2 images, summed in Gaussian integers), and the
 nine-term forms of ``pdeverify`` (each weight a Gaussian-integer numerator
 over the form's one stated denominator).  Each writes its inputs over a
-common denominator (the family sum and the oracle grid one per factor
-side, the leading entries one per parameter combination, the rank one
-per row, the rest through :func:`integer_parts`) and combines the integer
-(or Gaussian-integer) numerators (the family sum, the oracle grid and the
+common denominator (the family sum and the member grid one per factor
+side, the leading entries one per parameter combination, the pivot scan
+one per row, the rest through :func:`integer_parts`) and combines the integer
+(or Gaussian-integer) numerators (the family sum, the member grid and the
 nine-term forms with :func:`gdot` and :func:`gmul`).  Pochhammer, the
 family sum, the interpolation, the leading entries, the pointwise engine
 and the symbolic images normalise each result once (with
 :func:`from_parts` where it may be complex; the symbolic images give a
 GaussianRational wherever a Gaussian coefficient reaches it, as MPoly
 arithmetic does), to the values and types of the same computations taken
-in Fraction arithmetic.  The other three build no field value: the oracle
-grid hands its numerators and denominator to the interpolation, the rank
-returns a count, and the nine-term forms return their numerators and
+in Fraction arithmetic.  The other three build no field value: the member
+grid hands its numerators and denominator to the interpolation and to the
+residuals, the pivot scan returns column indices, and the nine-term forms return their numerators and
 denominator as integers, for the pointwise engine to fold.
 """
 

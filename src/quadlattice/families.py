@@ -52,9 +52,12 @@ the point's arguments, and a test checks the cancellation, not assumes it.
 integers: each factor's vectors of an axis are written over one
 denominator, and a member comes back as the Gaussian-integer numerators of
 its values over one denominator, which the interpolation oracle hands to
-``fbasis`` as they are.  It shares the member's factors (``_member``) and
-the product with its realness check (``_product``) with ``_eval_cached``,
-the pointwise route, and fills no cache entry.
+``fbasis`` as they are and the residual sweeps dot with their stencils'
+integer weights.  For the sweeps it defers its errors: a point it cannot
+sample holds a function that raises there, so a sweep meets an error where
+the pointwise route would.  It shares the member's factors (``_member``)
+and the product with its realness check (``_product``) with
+``_eval_cached``, the pointwise route, and fills no cache entry.
 A lower vector is built only after ``check_lower`` has formed every lower
 Pochhammer (l)_n with ``pochhammer`` and found none vanishing; a degree-0
 factor is 1 and builds nothing.  The univariate primaries ``racah_uni``,
@@ -70,7 +73,7 @@ no arithmetic beyond the parameters, and a slip in one does not cancel.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import product
 from math import factorial, lcm, prod
 from operator import mul
@@ -100,7 +103,11 @@ HALF = Fraction(1, 2)
 # side, evicting the oldest, but the factors live on their spec, so this
 # bounds the vectors per spec, label and factor side, not in all: a spec,
 # and every vector it holds, lives while its caller or one of its values in
-# ``_eval_cached`` refers to it.  A benchmark job or a CLI command fills a
+# ``_eval_cached`` refers to it.  Only the pointwise route fills
+# ``_eval_cached``: the ladders, the ``eval`` command and the callers of
+# ``family_function``.  The residual sweeps and the interpolation oracle
+# sample through ``family_grid``, which fills none of these caches, only
+# the member's factor vectors.  A benchmark job or a CLI command fills a
 # few thousand entries across all of them, so none of them evicts.
 FAMILY_CACHE_SIZE = 1 << 14
 
@@ -419,8 +426,9 @@ class FamilySpec:
     immutable: its parameters are a read-only mapping and its hash is taken
     once.  It carries its members (``_members``: label -> the ``_Factor`` of
     each nonzero degree, with the vectors it keeps), each built once per
-    label by ``_eval_cached``, and the specs :meth:`shifted` built from it
-    (``_shifted``: shifts -> spec)."""
+    label by ``_member`` for ``family_grid`` and ``_eval_cached`` alike, and
+    the specs :meth:`shifted` built from it (``_shifted``: shifts ->
+    spec)."""
 
     __slots__ = ("family", "params", "_key", "_hash", "_members", "_shifted")
 
@@ -686,17 +694,28 @@ def _member(spec, label):
     return factors
 
 
-def _product(spec, point, den, pairs):
+def _product(spec, point, den, pairs, deferred=False):
     """(re, im) of the product of the factor values ``pairs``, the member's
     value at the point being (re + im i) / den; a non-real value of a
-    Racah, Wilson or continuous dual Hahn member at a real point raises."""
+    Racah, Wilson or continuous dual Hahn member at a real point raises or,
+    with ``deferred``, comes back as a function of the point that raises it
+    (see :func:`family_grid`)."""
     re, im = gmul(pairs)
     if im and base_family(spec.family) in (RACAH, WILSON, CDH) and all(
         imag_part(v) == 0 for v in point
     ):
-        value = from_parts(den, re, im)
-        raise ArithmeticError(f"{spec.family} value at {point} came out non-real: {value}")
+        if deferred:
+            return partial(_raise_non_real, spec.family, den, re, im)
+        _raise_non_real(spec.family, den, re, im, point)
     return re, im
+
+
+def _raise_non_real(family, den, re, im, point):
+    raise ArithmeticError(f"{family} value at {point} came out non-real: {from_parts(den, re, im)}")
+
+
+def _raise(error, point):
+    raise error
 
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
@@ -709,15 +728,17 @@ def _eval_cached(spec, label, point):
 
 def _over_one(vectors):
     """(den, [vector]): the (den_k, vector_k) pairs written over the lcm of
-    their denominators."""
-    den = lcm(*(d for d, _ in vectors))
+    their denominators; an entry that is not a pair is kept as it is."""
+    den = lcm(*(v[0] for v in vectors if v.__class__ is tuple))
     return den, [
-        vector if d == den else [(a * (den // d), b * (den // d)) for a, b in vector]
-        for d, vector in vectors
+        v if v.__class__ is not tuple
+        else v[1] if v[0] == den
+        else [(a * (den // v[0]), b * (den // v[0])) for a, b in v[1]]
+        for v in vectors
     ]
 
 
-def family_grid(spec, labels, axes):
+def family_grid(spec, labels, axes, deferred=False):
     """Per label, (den, [(A, B)]): the member's values (A + Bi) / den at the
     points of the tensor grid of ``axes`` (one list of coordinates per
     variable), row-major, over one denominator that is not reduced.  At
@@ -727,7 +748,17 @@ def family_grid(spec, labels, axes):
     its upper vector once per coordinate of its own axis and its lower
     vector once per coordinate of its coupled axis, the member's
     ``_Factor`` vectors, each side written over one denominator for the
-    axis; a point is then one dot product per factor and their product."""
+    axis; a point is then one dot product per factor and their product.
+
+    With ``deferred``, nothing raises here: a point the member cannot be
+    sampled at holds, in place of its pair, a function of the point's
+    coordinates (as the caller holds them) that raises what
+    ``family_function(spec, label)`` raises there, the degenerate lower
+    vector of the first factor in member order that needs one, else the
+    non-real value.  So a caller meets an error only at a point it reads,
+    in its own order.  Without it the first degenerate lower vector, in
+    factor and axis order, raises as it is built, and then the first
+    non-real value in row-major order."""
     points = list(product(*axes))
     indices = list(product(*(range(len(axis)) for axis in axes)))
     out = []
@@ -736,18 +767,31 @@ def family_grid(spec, labels, axes):
         for f in _member(spec, check_label(spec, label)):
             hden, heads = _over_one([f.head(v) for v in axes[f.own]])
             coupled = [None] if f.coupled is None else axes[f.coupled]
-            tden, tails = _over_one([f.tail(w) for w in coupled])
+            tden, tails = _over_one([_tail(f, w, deferred) for w in coupled])
             den *= hden * tden
-            values = [[f.dot(h, t) for t in tails] for h in heads]
+            values = [[f.dot(h, t) if t.__class__ is list else t for t in tails] for h in heads]
             tables.append((f.own, f.coupled, values))
-        out.append((den, [
-            _product(spec, point, den, [
+        grid = []
+        for point, idx in zip(points, indices):
+            pairs = [
                 values[idx[own]][0 if coupled is None else idx[coupled]]
                 for own, coupled, values in tables
-            ])
-            for point, idx in zip(points, indices)
-        ]))
+            ]
+            unsampled = [p for p in pairs if p.__class__ is not tuple]
+            grid.append(unsampled[0] if unsampled else _product(spec, point, den, pairs, deferred))
+        out.append((den, grid))
     return out
+
+
+def _tail(factor, w, deferred):
+    """The factor's lower vector at the coupled coordinate w or, when it is
+    degenerate and ``deferred``, a function that raises its error."""
+    try:
+        return factor.tail(w)
+    except DegenerateParameterError as exc:
+        if not deferred:
+            raise
+        return partial(_raise, exc)
 
 
 _ORACLES = {

@@ -7,8 +7,10 @@ GaussianRational entries every step is exact, so inverses and solutions
 carry no rounding.  Right-hand sides may be any values supporting addition
 and multiplication by field scalars (in particular, polynomials), which is
 how the recurrence solver feeds vectors of polynomials through an exact
-linear solve.  :meth:`ExactMatrix.rank` does not run through it: it counts
-the pivots of a fraction-free elimination in Gaussian integers.
+linear solve.  :meth:`ExactMatrix.pivot_columns` does not run through it:
+it is a fraction-free elimination in Gaussian integers, whose pivots give
+:meth:`ExactMatrix.rank` and the invertibility check
+(:func:`check_invertible`) that :func:`exact_inverse` makes first.
 """
 
 from __future__ import annotations
@@ -141,14 +143,22 @@ class ExactMatrix:
         return out
 
     def rank(self):
-        """The rank, by fraction-free elimination (Bareiss) in Z[i]: each row
-        is scaled to Gaussian integers over its own lcm (:func:`integer_parts`),
-        which keeps the rank, and each step divides the 2 x 2 minors of the
-        rows below the pivot exactly by the previous pivot, so no entry leaves
-        Z[i] and none grows beyond a minor of the scaled matrix."""
+        """The rank: the number of pivot columns (:meth:`pivot_columns`)."""
+        return len(self.pivot_columns())
+
+    def pivot_columns(self):
+        """The columns that raise the rank of the columns before them, by
+        fraction-free elimination (Bareiss) in Z[i]: each row is scaled to
+        Gaussian integers over its own lcm (:func:`integer_parts`), which
+        keeps the rank, and each step divides the 2 x 2 minors of the rows
+        below the pivot exactly by the previous pivot, so no entry leaves
+        Z[i] and none grows beyond a minor of the scaled matrix.  Every
+        entry is a nonzero multiple of the one Gauss-Jordan elimination
+        reaches, so the pivots fall in the same columns as :func:`_reduce`'s."""
         rows = [integer_parts(row)[1] for row in self.data]
-        rank, (qr, qi) = 0, (1, 0)
+        pivots, (qr, qi) = [], (1, 0)
         for col in range(self.cols):
+            rank = len(pivots)
             pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != (0, 0)), None)
             if pivot is None:
                 continue
@@ -166,8 +176,8 @@ class ExactMatrix:
                     out.append(((ar * qr + ai * qi) // norm, (ai * qr - ar * qi) // norm))
                 rows[i] = out
             qr, qi = pr, pi
-            rank += 1
-        return rank
+            pivots.append(col)
+        return pivots
 
     def to_json(self):
         return {
@@ -218,16 +228,25 @@ def _first_missing(pivots, width):
     return next((c for c in range(width) if c not in pivots), None)
 
 
-def exact_inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by Gauss-Jordan elimination of [m | I]; raises on
-    singular input."""
+def check_invertible(m: ExactMatrix):
+    """Raise ValueError unless m is square and invertible, naming its first
+    column without a pivot: a pivot scan (:meth:`ExactMatrix.pivot_columns`)
+    in Gaussian integers, which builds no inverse."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
-    n = m.rows
-    rows = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.data)]
-    col = _first_missing(_reduce(rows, n), n)
+    col = _first_missing(m.pivot_columns(), m.cols)
     if col is not None:
         raise ValueError(f"singular matrix: no pivot in column {col}")
+
+
+def exact_inverse(m: ExactMatrix) -> ExactMatrix:
+    """Exact inverse by Gauss-Jordan elimination of [m | I], once the pivot
+    scan (:func:`check_invertible`) has found m invertible; raises on
+    singular input."""
+    check_invertible(m)
+    n = m.rows
+    rows = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.data)]
+    _reduce(rows, n)
     return ExactMatrix([row[n:] for row in rows], n)
 
 

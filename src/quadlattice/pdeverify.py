@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import lcm
-from operator import add
+from operator import add, mul
 
 from .exactfield import GaussianRational, field_str, from_parts, gauss, gdot, gmul, integer_parts
 from .families import (
@@ -41,6 +41,7 @@ from .families import (
     check_label,
     check_point,
     family_function,
+    family_grid,
 )
 from .fbasis import MPoly, graded, interpolate_on_grid, poly_shift_pair
 from .latticeops import (
@@ -1039,36 +1040,134 @@ def eigenvalue_shift(base: CoeffTable, direction) -> Fraction:
 # residual evaluation
 # ---------------------------------------------------------------------------
 
+def join_eigenvalue(lam, den, weights, own):
+    """(den * b, joined): the integer stencil ``(den, {key: (A, B)})`` with
+    lambda = a / b in integers joined at the key ``own``, the point's own:
+    every weight times b, and a den added to own's weight (a new last entry
+    where the stencil does not weigh own).  The keys are the caller's, and
+    the joined weights a new dict, so the stencil stays as it is.  The one
+    place an eigenvalue meets a stencil."""
+    lam_den, ((la, lb),) = integer_parts((lam,))
+    joined = {q: (a * lam_den, b * lam_den) for q, (a, b) in weights.items()}
+    a, b = joined.get(own, (0, 0))
+    joined[own] = (a + la * den, b + lb * den)
+    return den * lam_den, joined
+
+
 def table_residual_on(equation: Equation, f, label, point):
     """lambda(label) f(point) + sum w f(q) over the equation's integer
     stencil ``(den, {q: (A, B)})`` at the point: the shape of every printed
-    equation.
+    equation, for any stencil function f.
 
-    With lambda = a / b in integers, every weight is multiplied by b and
-    a den joins the point's own weight, so f is sampled once per neighbour
-    of nonzero weight; the sum is one integer dot product with the samples
+    The eigenvalue is joined at the point (:func:`join_eigenvalue`), so f
+    is sampled once per neighbour of nonzero joined weight, in the joined
+    weights' order; the sum is one integer dot product with the samples
     over their common denominator; a zero weight (the point's own, when
     lambda cancels it) samples nothing.  The residual is zero exactly when
     both integer parts are; only a nonzero residual becomes a field value,
     a Fraction when real, else a GaussianRational, and no Fraction view of
-    the stencil is built.  The joined weights are a new dict: the stencil
-    the equation keeps stays as it is.
+    the stencil is built.  A family member's residuals are read from its
+    samples on a grid instead (:class:`StencilGrid`), to the same values;
+    this is the route for other functions, and the tests' per-point
+    reference.
     """
     point = tuple(point)
-    den, weights = equation.stencil(point)
-    lam_den, ((la, lb),) = integer_parts((equation.eigenvalue(label),))
-    joined = {q: (a * lam_den, b * lam_den) for q, (a, b) in weights.items()}
-    a, b = joined.get(point, (0, 0))
-    joined[point] = (a + la * den, b + lb * den)
-    return _dot(den * lam_den, joined, f)
+    return _dot(*join_eigenvalue(equation.eigenvalue(label), *equation.stencil(point), point), f)
+
+
+class StencilGrid:
+    """An equation's residuals on one family's members, each label's member
+    sampled once, in integers, on the tensor grid its points' stencils
+    weigh.
+
+    Per variable the axis holds every coordinate a folded stencil weighs,
+    the points' own coordinates among them, each at the position where it
+    was first met.  A sweep's label grids are prefixes of one another, so
+    the axes only grow, and each point's stencil is read into axis
+    positions once, beside the fold the equation keeps.  A label's member
+    is sampled at every point of the axes' tensor grid by one
+    ``family_grid`` call, as Gaussian integers over one denominator, and a
+    point's residual is one integer dot product: its weights with the
+    eigenvalue joined (:func:`join_eigenvalue`) against the samples at
+    their positions.  Only a nonzero residual becomes a field value, the
+    value :func:`table_residual_on` gives with the member, in value and
+    type.
+
+    A label folds all of its points and samples its whole grid before its
+    first residual is read, so a failing label samples points that the
+    per-point route never reaches, and a fold that cannot be made raises
+    before any of its residuals.  The residuals are read lazily in the
+    points' order, and a sample that cannot be taken raises only when a
+    residual reads it (``family_grid``'s deferred errors), with the point's
+    coordinates as its stencil holds them: the witness is the first failing
+    point, with the same value, and an error is the one the per-point route
+    meets first, with the same message.
+    """
+
+    def __init__(self, equation: Equation, spec: FamilySpec):
+        self.equation = equation
+        self.spec = spec
+        self.axes = [[] for _ in range(spec.nvars)]
+        self._positions = [{} for _ in range(spec.nvars)]
+        self._stencils = {}
+
+    def residuals(self, label, points):
+        """(point, residual) at each of the points, in their order, read
+        lazily: a caller that stops at a failing point reads no further."""
+        stencils = [(point, self._stencil(point)) for point in points]
+        ((den, samples),) = family_grid(self.spec, [label], self.axes, deferred=True)
+        lam = self.equation.eigenvalue(label)
+        strides = [1] * len(self.axes)
+        for var in range(len(self.axes) - 1, 0, -1):
+            strides[var - 1] = strides[var] * len(self.axes[var])
+        for point, (sden, weights, own) in stencils:
+            jden, joined = join_eigenvalue(lam, sden, weights, own)
+            re = im = 0
+            for at, (a, b) in joined.items():
+                if a or b:
+                    sample = samples[sum(map(mul, at, strides))]
+                    if sample.__class__ is not tuple:
+                        sample(self._key(point, at))
+                    c, d = sample
+                    re += a * c - b * d
+                    im += a * d + b * c
+            yield point, (from_parts(jden * den, re, im) if re or im else ZERO)
+
+    def _stencil(self, point):
+        """(den, {positions: (A, B)}, own positions): the point's stencil
+        with each neighbour at its axis positions."""
+        entry = self._stencils.get(point)
+        if entry is None:
+            den, weights = self.equation.stencil(point)
+            entry = self._stencils[point] = (
+                den, {self._place(q): w for q, w in weights.items()}, self._place(point)
+            )
+        return entry
+
+    def _place(self, q):
+        out = []
+        for positions, axis, c in zip(self._positions, self.axes, q):
+            at = positions.get(c)
+            if at is None:
+                at = positions[c] = len(axis)
+                axis.append(c)
+            out.append(at)
+        return tuple(out)
+
+    def _key(self, point, at):
+        """The neighbour at the positions ``at`` as the point's stencil keys
+        it, or the point itself: the coordinates a sample error names."""
+        return next((q for q in self.equation.stencil(point)[1] if self._place(q) == at), point)
 
 
 def residual(equation: Equation, spec: FamilySpec, label, point):
     """lambda P(point) + (L P)(point) for the family member P; exactly 0 on
-    family members.  For a coefficient table L is sum f_i E_i."""
+    family members.  For a coefficient table L is sum f_i E_i.  The
+    one-point grid of :class:`StencilGrid`."""
     label = check_label(spec, label)
     point = check_point(spec, point)
-    return table_residual_on(equation, family_function(spec, label), label, point)
+    ((_, value),) = StencilGrid(equation, spec).residuals(label, [point])
+    return value
 
 
 def derivative_function(spec: FamilySpec, label, direction):
@@ -1423,10 +1522,10 @@ def residual_grid(spec: FamilySpec, label, size=None, offset=Fraction(1, 7)):
     return grid_axes(spec.lattices(), size, offset)
 
 
-def sweep(spec: FamilySpec, max_total_degree, points, check):
+def sweep(spec: FamilySpec, max_total_degree, values):
     """Walk every label of total degree <= the bound, in (degree, label)
-    order, over the points ``points(label)`` until ``check(label, point)``
-    is nonzero.
+    order, over ``values(label)``, the label's (point, value) pairs in sweep
+    order, until a value is nonzero.
 
     Yields (label, points checked, witness), where the witness is the first
     (point, nonzero value), or None when every point checked zero.
@@ -1434,8 +1533,7 @@ def sweep(spec: FamilySpec, max_total_degree, points, check):
     for label in (l for n in range(max_total_degree + 1) for l in reversed(graded(n, spec.nvars))):
         checked = 0
         witness = None
-        for point in points(label):
-            value = check(label, point)
+        for point, value in values(label):
             checked += 1
             if value:
                 witness = (point, value)
@@ -1477,18 +1575,19 @@ def verify_table(spec: FamilySpec, max_total_degree, grid_size=None):
     Returns a list of {label, points, pass} reports; residuals are exact
     zeros or the sweep reports failure with a witness.  The residual
     f_i E_i P + lambda P of a member P obeys the degree bound of
-    :func:`check_proof_grid`.
+    :func:`check_proof_grid`.  Each label's member is sampled once on its
+    grid's stencils (:class:`StencilGrid`), so a failing label samples its
+    whole grid before its first point is read.
     """
     check_proof_grid(max_total_degree, grid_size)
-    # one table for the sweep: each label's grid is a prefix of the next
-    # one's, and the table folds each point once
-    table = coefficients(spec)
+    # one table and one grid for the sweep: each label's grid is a prefix of
+    # the next one's, and the table folds each point once
+    grid = StencilGrid(coefficients(spec), spec)
     return [
         {**label_record(label, witness), "points": checked}
         for label, checked, witness in sweep(
             spec,
             max_total_degree,
-            lambda label: product(*residual_grid(spec, label, size=grid_size)),
-            lambda label, point: residual(table, spec, label, point),
+            lambda label: grid.residuals(label, product(*residual_grid(spec, label, size=grid_size))),
         )
     ]

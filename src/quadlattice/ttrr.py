@@ -74,7 +74,13 @@ from .fbasis import (
     u_blocks,
 )
 from .latticeops import grid_axes
-from .matrix import ExactMatrix, InconsistentSystemError, exact_inverse, solve_stacked
+from .matrix import (
+    ExactMatrix,
+    InconsistentSystemError,
+    check_invertible,
+    exact_inverse,
+    solve_stacked,
+)
 from .pdeverify import coefficients
 
 II = GaussianRational(0, 1)
@@ -902,7 +908,7 @@ def generate(spec: FamilySpec, upto, leading="monic"):
     for n in range(upto):
         if lead is not None:
             # raises on a singular Lambda_{n+1}, naming its first column without a pivot
-            exact_inverse(lead[n + 1])
+            check_invertible(lead[n + 1])
         a_j, b_j, c_j = zip(*(abc_matrices(chain, n, j) for j in range(1, nvars + 1)))
         _check_ranks(a_j, c_j, n)
         polys = vectors[n].entries + (vectors[n - 1].entries if n else [])

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -344,23 +345,85 @@ def test_trivariate_has_no_recurrence_machinery():
     assert "no recurrence machinery" in report["error"]
 
 
+def _coefficient_typo(monkeypatch, family, index):
+    """The family's printed table with f_(index + 1) off by +1/1000."""
+    printed = pdeverify._TABLE_BUILDERS[family]
+
+    def typo(params):
+        coeffs, eigenvalue = printed(params)
+        coeffs[index] = coeffs[index] + Fraction(1, 1000)
+        return coeffs, eigenvalue
+
+    monkeypatch.setitem(pdeverify._TABLE_BUILDERS, family, typo)
+
+
+def _tau_typo(monkeypatch, kind):
+    """The second-order form's tau off by +1/1000."""
+    family, var, form, eigenvalue = pdeverify.SECOND_ORDER_FORMS[kind]
+
+    def typo(params, x, y):
+        phi, tau = form(params, x, y)
+        return phi, tau + Fraction(1, 1000)
+
+    monkeypatch.setitem(pdeverify.SECOND_ORDER_FORMS, kind, (family, var, typo, eigenvalue))
+
+
+def _failing_ladder(monkeypatch):
+    monkeypatch.setattr(families, "derivative_ladder_check", lambda *a, **k: Fraction(1))
+
+
+# command -> (family, the failure: an equation with one printed coefficient
+# off by +1/1000 or a ladder check that never vanishes, the equation, and
+# the first failing label with its witness point and value); the Hahn
+# nine-term form reads the Hahn table's f8
 SWEEP_FAILURES = {
-    "verify-pde": (pdeverify, "residual", "cdh"),
-    "verify-ladder": (families, "derivative_ladder_check", "racah"),
-    "verify-second-order": (pdeverify, "residual", "cdh"),
-    "verify-difference-form": (pdeverify, "residual", "ch"),
+    "verify-pde": (
+        "cdh", lambda mp: _coefficient_typo(mp, families.CDH, 7), pdeverify.coefficients,
+        [0, 1], ["8/7", "15/7"], "-1/1000",
+    ),
+    "verify-ladder": ("racah", _failing_ladder, None, [0, 0], ["8/7", "15/7"], "1"),
+    "verify-second-order": (
+        "cdh", lambda mp: _tau_typo(mp, "cdh-x"),
+        lambda spec: pdeverify.second_order_equation("cdh-x", spec),
+        [1, 0], ["8/7", "15/7"], "-1/1000",
+    ),
+    "verify-difference-form": (
+        "ch", lambda mp: _coefficient_typo(mp, families.CH, 7),
+        lambda spec: pdeverify.difference_form_equation("ch-f", spec),
+        [0, 1], ["8/7", "15/7"], "1753/630000",
+    ),
 }
 
 
 @pytest.mark.parametrize("command", SWEEP_FAILURES)
 def test_verification_failure_exits_3(monkeypatch, command):
-    module, name, family = SWEEP_FAILURES[command]
-    monkeypatch.setattr(module, name, lambda *a, **k: Fraction(1))
-    code, report = run([command, "--family", family, "--max-total-degree", "0"])
+    # the first failing label's witness is pinned; for an equation, every
+    # witness is the first point of its label's grid, in sweep order, whose
+    # residual on the series oracle's member is nonzero, with that residual
+    # as its value
+    family, fail, build, label, point, value = SWEEP_FAILURES[command]
+    fail(monkeypatch)
+    code, report = run([command, "--family", family, "--max-total-degree", "1"])
     assert code == EXIT_MISMATCH
-    assert not report["results"][0]["pass"]
-    assert report["results"][0]["value"] == "1"
-    assert len(report["results"][0]["point"]) == 2
+    failing = [r for r in report["results"] if not r["pass"]]
+    assert (failing[0]["label"], failing[0]["point"], failing[0]["value"]) == (label, point, value)
+    if build is None:
+        return
+    spec = families.FamilySpec(family)
+    equation = build(spec)
+    for record in report["results"]:
+        lbl = tuple(record["label"])
+        oracle = lambda q: families.eval_family_oracle(spec, lbl, q)
+        witness = next(
+            (
+                (pt, value)
+                for pt in product(*pdeverify.residual_grid(spec, lbl))
+                if (value := pdeverify.table_residual_on(equation, oracle, lbl, pt))
+            ),
+            None,
+        )
+        record.pop("points", None)
+        assert record == pdeverify.label_record(lbl, witness)
 
 
 def test_ladder_factor_typo_fails_with_witnesses(monkeypatch):

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -163,7 +164,7 @@ def test_sweep_walks_labels_in_the_reference_order(name):
         (l for l in product(range(7), repeat=spec.nvars) if sum(l) <= 6),
         key=lambda l: (sum(l), l),
     )
-    swept = pv.sweep(spec, 6, lambda label: [None], lambda label, point: 0)
+    swept = pv.sweep(spec, 6, lambda label: [(None, 0)])
     assert [label for label, _, _ in swept] == reference
 
 
@@ -228,6 +229,207 @@ def test_residual_raises_on_singular_point():
     bad_s = -spec.params["beta1"] / 2
     with pytest.raises(SingularPointError):
         pv.residual(table, spec, (1, 1), (bad_s, Fraction(16, 7)))
+
+
+# -- grid sampling against the per-point route ---------------------------------------
+
+def _coefficient_typo(table, index):
+    """The table with f_(index + 1) off by +1/1000."""
+    coeffs = list(table.coeffs)
+    coeffs[index] = coeffs[index] + Fraction(1, 1000)
+    return pv.CoeffTable(coeffs, table.eigenvalue, table.lattices)
+
+
+def _weight_typo(equation):
+    """The equation with the first weight of every folded stencil off by
+    +1/1000."""
+
+    def fold(point):
+        den, weights = equation.fold(point)
+        weights = {q: (1000 * a, 1000 * b) for q, (a, b) in weights.items()}
+        first = next(iter(weights))
+        a, b = weights[first]
+        weights[first] = (a + den, b)
+        return 1000 * den, weights
+
+    return pv.Equation(fold, equation.eigenvalue)
+
+
+def _grid_sweep(equation, spec, bound, grid_size=None):
+    """The sweep as the commands make it: one StencilGrid, each label's
+    residuals read from its member's samples."""
+    grid = pv.StencilGrid(equation, spec)
+    grids = lambda label: product(*pv.residual_grid(spec, label, size=grid_size))
+    return list(pv.sweep(spec, bound, lambda label: grid.residuals(label, grids(label))))
+
+
+def _per_point_sweep(equation, spec, bound, member, grid_size=None):
+    """The sweep point by point: each residual from table_residual_on with
+    ``member(label)``, a function of the point, up to each label's first
+    nonzero one."""
+
+    def values(label):
+        f = member(label)
+        for point in product(*pv.residual_grid(spec, label, size=grid_size)):
+            yield point, pv.table_residual_on(equation, f, label, point)
+
+    return list(pv.sweep(spec, bound, values))
+
+
+def _series_member(spec):
+    return lambda label: lambda q: fam.eval_family_oracle(spec, label, q)
+
+
+def _pointwise_member(spec):
+    return lambda label: fam.family_function(spec, label)
+
+
+def _typed(swept):
+    return [(label, checked, w and (w[0], w[1], type(w[1]))) for label, checked, w in swept]
+
+
+# name -> (family, the equation with one printed coefficient (or weight) off
+# by +1/1000, degree bound, grid size)
+WITNESS_CASES = {
+    "racah": (fam.RACAH, lambda spec: _coefficient_typo(pv.coefficients(spec), 7), 2, None),
+    "wilson": (fam.WILSON, lambda spec: _coefficient_typo(pv.coefficients(spec), 3), 2, None),
+    "cdh": (fam.CDH, lambda spec: _coefficient_typo(pv.coefficients(spec), 4), 2, None),
+    "ch": (fam.CH, lambda spec: _coefficient_typo(pv.coefficients(spec), 6), 2, None),
+    "ch-tri": (fam.CH_TRI, lambda spec: _coefficient_typo(pv.coefficients(spec), 0), 1, 2),
+    "wilson-x": (
+        fam.WILSON, lambda spec: _coefficient_typo(pv.second_order_equation("wilson-x", spec), 6), 2,
+        None,
+    ),
+    "racah-gi": (
+        fam.RACAH, lambda spec: _weight_typo(pv.difference_form_equation("racah-gi", spec)), 1,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WITNESS_CASES)
+def test_grid_witnesses_are_the_series_oracle_witnesses(name):
+    # with one coefficient off, each label's first failing point and its
+    # value are those of the per-point sweep on the independent series
+    # oracle, and a passing label checks its whole grid
+    family, build, bound, grid_size = WITNESS_CASES[name]
+    spec = fam.FamilySpec(family)
+    swept = _grid_sweep(build(spec), spec, bound, grid_size)
+    reference = _per_point_sweep(build(spec), spec, bound, _series_member(spec), grid_size)
+    assert _typed(swept) == _typed(reference)
+    assert any(w for _, _, w in swept)
+
+
+@pytest.mark.parametrize("family", [fam.RACAH, fam.WILSON, fam.CDH, fam.CH, fam.CH_TRI])
+def test_grid_sweep_passes_at_drawn_parameters_over_whole_grids(family):
+    spec = fam.FamilySpec(family, _drawn_params(family))
+    bound, grid_size = (1, 2) if family == fam.CH_TRI else (2, None)
+    reports = pv.verify_table(spec, bound, grid_size=grid_size)
+    assert all(r["pass"] for r in reports)
+    size = lambda label: grid_size or sum(label) + 5
+    assert [r["points"] for r in reports] == [size(r["label"]) ** spec.nvars for r in reports]
+    reference = _per_point_sweep(pv.coefficients(spec), spec, bound, _pointwise_member(spec), grid_size)
+    assert [(list(label), checked) for label, checked, _ in reference] == [
+        (r["label"], r["points"]) for r in reports
+    ]
+
+
+# name -> (family, parameters, equation builder, degree bound, the error);
+# each draw makes a lower Pochhammer vanish at some sweep coordinates only
+# or at every point of some labels
+SAMPLE_ERROR_CASES = {
+    # beta + delta + 1 = beta2 + t vanishes at t = 22/7, beside the first point
+    "racah-coordinate": (
+        fam.RACAH, {"beta2": Fraction(-22, 7)}, pv.coefficients, 2,
+        "denominator parameter beta+delta+1 = 0 hits zero at shift 0",
+    ),
+    # at label (1, 1) alpha + 1 = 2 + beta2 - beta0 vanishes in the y factor
+    # whatever the point, and beta2 + t in the x factor at t = 64/7 only, the
+    # last neighbour of the label's grid: the per-point route meets the y
+    # factor's first, where a grid that raised as it sampled would not
+    "racah-both": (
+        fam.RACAH, {"beta0": Fraction(-50, 7), "beta2": Fraction(-64, 7)}, pv.coefficients, 2,
+        "denominator parameter alpha+1 = 0 hits zero at shift 0",
+    ),
+    # gamma + 1 = s - N vanishes at s = 15/7 in the y factor of racah-bar
+    "racah-bar-gi": (
+        fam.RACAH_BAR, {"N": Fraction(15, 7)},
+        lambda spec: pv.difference_form_equation("racah-gi", spec), 2,
+        "denominator parameter gamma+1 = 0 hits zero at shift 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLE_ERROR_CASES)
+def test_grid_sweep_raises_what_the_per_point_sweep_raises(name):
+    family, params, build, bound, message = SAMPLE_ERROR_CASES[name]
+    raised = []
+    for sweep in (
+        lambda spec: _grid_sweep(build(spec), spec, bound),
+        lambda spec: _per_point_sweep(build(spec), spec, bound, _pointwise_member(spec)),
+    ):
+        with pytest.raises(fam.DegenerateParameterError) as exc:
+            sweep(fam.FamilySpec(family, params))
+        raised.append(str(exc.value))
+    assert raised == [message, message]
+
+
+def test_a_failing_point_comes_before_a_sample_that_cannot_be_taken():
+    # with f8 off, label (1, 1) fails at its first point, before any residual
+    # reads the sample at t = 64/7 that raises: the witness is reported, as the
+    # per-point route reports it, though the grid holds the error
+    spec = fam.FamilySpec(fam.RACAH, {"beta2": Fraction(-64, 7)})
+    table = _coefficient_typo(pv.coefficients(spec), 7)
+    swept = dict((label, w) for label, _, w in _grid_sweep(table, spec, 2))
+    assert swept[(1, 1)] is not None
+    reference = _per_point_sweep(table, spec, 2, _pointwise_member(spec))
+    assert _typed(_grid_sweep(table, spec, 2)) == _typed(reference)
+
+
+@pytest.mark.parametrize("kind", ["table", "wilson-f"])
+def test_a_non_real_sample_raises_the_per_point_message(kind):
+    # the x factor of label (1, 1) turned by i: its value at a real point,
+    # the grid point itself, comes out imaginary; the message names the
+    # point as the stencil keys it (the nine-term form's as Gaussian
+    # coordinates), as the per-point route does
+    build = pv.coefficients if kind == "table" else partial(pv.difference_form_equation, "wilson-f")
+    raised = []
+    try:
+        for grid in (True, False):
+            spec = fam.FamilySpec(fam.WILSON)
+            fam._eval_cached.cache_clear()
+            fam._member(spec, (1, 1))[0].turns = 1
+            with pytest.raises(ArithmeticError, match="came out non-real") as exc:
+                if grid:
+                    _grid_sweep(build(spec), spec, 2)
+                else:
+                    _per_point_sweep(build(spec), spec, 2, _pointwise_member(spec))
+            raised.append(str(exc.value))
+    finally:
+        # equal specs share the cache: drop what the turned factor left there
+        fam._eval_cached.cache_clear()
+    assert raised[0] == raised[1]
+    point = "(Fraction(8, 7), Fraction(15, 7))"
+    if kind == "wilson-f":
+        point = "(GaussianRational(Fraction(8, 7), Fraction(0, 1)), GaussianRational(Fraction(15, 7), Fraction(0, 1)))"
+    assert raised[0].startswith(f"wilson value at {point} came out non-real: ")
+
+
+def test_residual_is_the_one_point_grid(monkeypatch):
+    # residual samples its member by one family_grid call on the point's
+    # stencil coordinates, and never through the pointwise member
+    calls = []
+    grid = fam.family_grid
+
+    def counted(spec, labels, axes, deferred=False):
+        calls.append([len(axis) for axis in axes])
+        return grid(spec, labels, axes, deferred)
+
+    monkeypatch.setattr(pv, "family_grid", counted)
+    monkeypatch.setattr(fam, "_eval_cached", None)
+    spec = fam.FamilySpec(fam.WILSON)
+    assert pv.residual(pv.coefficients(spec), spec, (1, 1), PTS2[0]) == 0
+    assert calls == [[3, 3]]
 
 
 # -- the pointwise operator engine ---------------------------------------------------

@@ -22,7 +22,7 @@ from quadlattice.fbasis import (
     u_blocks,
 )
 from quadlattice.latticeops import LatticeSpec
-from quadlattice.matrix import ExactMatrix, _reduce, exact_inverse, solve_stacked
+from quadlattice.matrix import ExactMatrix, _reduce, check_invertible, exact_inverse, solve_stacked
 from quadlattice.pdeverify import coefficients
 
 PTS2 = [(Fraction(8, 7), Fraction(16, 7)), (Fraction(15, 7), Fraction(23, 7))]
@@ -946,17 +946,45 @@ def test_mutating_a_returned_sn_leaves_the_next_result_unchanged():
 
 
 @pytest.mark.parametrize("leading", ["monic", "family"])
-def test_generate_inverts_each_leading_matrix_once(monkeypatch, leading):
-    # the monic recurrence inverts nothing; the family leading inverts each of
-    # Lambda_1 .. Lambda_4 once, as its check that the leading matrix is
-    # invertible (Lambda_0 = (1))
+def test_generate_scans_each_leading_matrix_once(monkeypatch, leading):
+    # no recurrence inverts anything; the family leading scans each of
+    # Lambda_1 .. Lambda_4 once for pivots, as its check that the leading
+    # matrix is invertible (Lambda_0 = (1)), and the monic one scans none
     inverses = _counted(monkeypatch, ttrr, "exact_inverse")
+    scans = _counted(monkeypatch, ttrr, "check_invertible")
     for name in ttrr.TTRR_FAMILIES:
-        inverses.clear()
+        scans.clear()
         spec = fam.FamilySpec(name)
         ttrr.generate(spec, 4, leading)
         want = [] if leading == "monic" else ttrr.leading_matrices(spec, 4, leading)[1:]
-        assert [m for (m,) in inverses] == want, name
+        assert [m for (m,) in scans] == want, name
+    assert inverses == []
+
+
+def test_the_pivot_scan_names_the_column_gauss_jordan_does():
+    # a singular Lambda_2 (its second row a copy of the first) is refused by
+    # the scan with exact_inverse's message, and on random square matrices,
+    # singular ones and Gaussian entries among them, the scan's pivots are
+    # those of the Gauss-Jordan elimination, which it replaces as the check
+    g = ttrr.leading_matrix(fam.RACAH, fam.FamilySpec(fam.RACAH).params, 2)
+    g.data[1] = list(g.data[0])
+    for check in (check_invertible, exact_inverse):
+        with pytest.raises(ValueError, match=r"^singular matrix: no pivot in column 1$"):
+            check(g)
+    rng = random.Random(5)
+    values = [Fraction(0)] * 4 + [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(8)]
+    values += [GaussianRational(1, 2), GaussianRational(0, -1)]
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.4:
+            # one row a multiple of another
+            i, j = rng.sample(range(n), 2)
+            rows[i] = [Fraction(3, 2) * x for x in rows[j]]
+        m = ExactMatrix(rows)
+        reduced = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+        assert m.pivot_columns() == _reduce(reduced, n), rows
+        assert m.rank() == len(m.pivot_columns())
 
 
 # -- leading matrices ----------------------------------------------------------------
