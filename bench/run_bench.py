@@ -13,7 +13,9 @@ Layers timed:
       ``L0.gauss.hash_first`` times the first hash of values built in the
       same repeat (a conjugate, then its hash);
   L1  the four univariate primaries (racah_uni, wilson_uni, cdh_uni,
-      ch_uni) at n = 0..4, with their caches cleared before every repeat;
+      ch_uni) at n = 0..4, with their caches cleared before every repeat,
+      each call building one ``_Factor`` and reading its upper vector,
+      lower vector and dot;
       and ``pochhammer`` at n = 0..4 on Fraction (``L1.pochhammer.fraction``)
       and Gaussian (``L1.pochhammer.gauss``) arguments, each a default-sized
       value plus k/p for the primes p of perfbench's parameter draws;
@@ -61,7 +63,8 @@ Layers timed:
       grid its sweep grid's stencils weigh, as ``StencilGrid`` makes it,
       the stencils folded outside the timed call (ops: the samples).
   L4  exact linear algebra on the inputs the proofs hand it: every
-      ``exact_inverse`` (the leading-matrix checks), ``ExactMatrix.rank`` (the
+      ``exact_inverse`` (one Gauss-Jordan elimination, with no pivot scan
+      before it), ``ExactMatrix.rank`` (the
       rank conditions on A_n and C_n, a fraction-free elimination) and
       ``solve_stacked`` (the stacked recurrence steps, with polynomial
       right-hand sides) that
@@ -109,9 +112,10 @@ Layers timed:
       ``CoeffTable.stencil`` at each point of a
       3-per-axis grid (2 with ``--quick``), for every label of total degree
       <= 1, with the family caches cleared before every repeat and the
-      stencils built outside the timed call.  A neighbour shared by two
-      stencils is sampled twice, as the pointwise route samples it; the
-      sweeps sample on grids instead (``L3.label_grid``).
+      stencils built outside the timed call.  Each neighbour is one
+      one-point ``family_grid`` read, as the ladders and the ``eval``
+      command read a value, and one shared by two stencils is read twice;
+      the sweeps sample whole grids instead (``L3.label_grid``).
 
 Every entry that evaluates family members (L2 oracle, L3, L5 second-order,
 L6 and L7) builds its ``FamilySpec`` inside the repeat: a spec keeps its

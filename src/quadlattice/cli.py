@@ -205,8 +205,9 @@ def _run(args):
         # D P - c P~ has total degree <= |label| - 1 in the lattice values: a
         # ladder's point map only shifts them (racah: x by -(2 beta1 + 1)/4 and
         # y by -(beta2 + 1); racah-bar: y by -(2 beta2 + 1)/4), so |label| + 1
-        # values per axis prove it
-        # values, so a ladder checks each point as it goes
+        # values per axis prove it.  A ladder's two members come from two
+        # specs, so no single equation's StencilGrid holds both, and it
+        # checks each point as it goes
         report["results"] = _pass_records(
             spec,
             args.max_total_degree,

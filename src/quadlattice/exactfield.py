@@ -7,13 +7,14 @@ ever.
 
 Nine kernels use integer numerators internally and build their Fractions
 only at the end, if at all: :func:`pochhammer` here (its integer core
-:func:`rising`), ``families._terminating_sum``, the sum behind the
-univariate family factors (the dot product of an upper vector, which reads
+:func:`rising`), the kernel sum of ``families._Factor``, behind every
+univariate family factor (the dot product of an upper vector, which reads
 only the factor's own coordinate, and a lower vector, which reads at most
 its coupled one, so that a family member keeps each vector per coordinate
 and evaluates a point as one dot product per factor), the member grid of
-``families`` (``family_grid``, through which the oracle and the residual
-sweeps sample: a member's values on a tensor grid, each factor's vectors
+``families`` (``family_grid``, through which every member value is read,
+the oracle's and the sweeps' tensor grids and a single value's one-point
+grid alike: a member's values on a tensor grid, each factor's vectors
 written over one denominator per axis, as Gaussian integers over one
 denominator), the exact interpolation of ``fbasis`` (an integer inverse
 Vandermonde matrix per axis, applied to the samples; the member grid's
@@ -39,9 +40,10 @@ and the symbolic images normalise each result once (with
 GaussianRational wherever a Gaussian coefficient reaches it, as MPoly
 arithmetic does), to the values and types of the same computations taken
 in Fraction arithmetic.  The other three build no field value: the member
-grid hands its numerators and denominator to the interpolation and to the
-residuals, the pivot scan returns column indices, and the nine-term forms return their numerators and
-denominator as integers, for the pointwise engine to fold.
+grid hands its numerators and denominator to the interpolation, to the
+residuals and to a single value's reader, the pivot scan returns column
+indices, and the nine-term forms return their numerators and denominator
+as integers, for the pointwise engine to fold.
 """
 
 from __future__ import annotations

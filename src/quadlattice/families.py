@@ -26,17 +26,18 @@ other coordinate the factor's parameters read, if any).  A ``FamilySpec``
 is immutable: it hashes once and keeps the factors of each member it has
 evaluated, every label-only part built once.
 
-The univariate factors share one cancellation-free kernel,
-``_terminating_sum``: the lower Pochhammers are multiplied through, so the
-k-th term is H_k * T_k / k! with H_k = prod (u_j)_k, the prefix products of
-the upper parameters, and T_k = prod (l_j + k)_{n-k}, the suffix products
-of the lower tails (O(n) multiplications).  The kernel works in integers:
-the uppers are written over one common denominator and the lowers over
-another, each as an integer pair (A, B), B = 0 for a real one, so the
-products are Gaussian-integer products; each side is scaled so that term k
-is H'_k * T'_k over the product of the two sides' denominators, and one
-Fraction per part is built from the integer dot product at the end.  Each
-kind's uppers and named lowers are written once (``_KINDS``).
+Every univariate factor is one cancellation-free kernel sum: the lower
+Pochhammers are multiplied through, so the k-th term is H_k * T_k / k!
+with H_k = prod (u_j)_k, the prefix products of the upper parameters, and
+T_k = prod (l_j + k)_{n-k}, the suffix products of the lower tails (O(n)
+multiplications).  The kernel works in integers: the uppers are written
+over one common denominator and the lowers over another, each as an
+integer pair (A, B), B = 0 for a real one, so the products are
+Gaussian-integer products; each side is scaled so that term k is
+H'_k * T'_k over the product of the two sides' denominators, and the sum
+is one integer dot product.  Each kind's uppers and named lowers are
+written once (``_KINDS``), and a ``_Factor`` holds the two sides and
+their dot, the one place the continuous Hahn i^n is applied.
 
 The split is what makes a member cheap.  In every coupling a factor's
 upper parameters read only its own coordinate: where the coupled
@@ -48,26 +49,28 @@ the lower vector of each coupled coordinate it has met, and a point is one
 integer dot product per factor; a grid of |X| * |Y| points runs the kernel
 |X| + |Y| times per factor.  The values are exactly those of the kernel at
 the point's arguments, and a test checks the cancellation, not assumes it.
-``family_grid`` samples members on a tensor grid this way and stays in
-integers: each factor's vectors of an axis are written over one
-denominator, and a member comes back as the Gaussian-integer numerators of
-its values over one denominator, which the interpolation oracle hands to
-``fbasis`` as they are and the residual sweeps dot with their stencils'
-integer weights.  For the sweeps it defers its errors: a point it cannot
-sample holds a function that raises there, so a sweep meets an error where
-the pointwise route would.  It shares the member's factors (``_member``)
-and the product with its realness check (``_product``) with
-``_eval_cached``, the pointwise route, and fills no cache entry.
-A lower vector is built only after ``check_lower`` has formed every lower
-Pochhammer (l)_n with ``pochhammer`` and found none vanishing; a degree-0
-factor is 1 and builds nothing.  The univariate primaries ``racah_uni``,
-``wilson_uni``, ``cdh_uni`` and ``ch_uni`` run the same kernel at their
-arguments.  Every univariate factor has a second, independent
-implementation used as a brute-force oracle by the tests: a prefactor
-(from ``pochhammer``) times the plain series summed by running term ratios
-in Fraction arithmetic, dividing by every lower parameter at every term.
-The kernel never calls ``pochhammer`` for a value, so the two routes share
-no arithmetic beyond the parameters, and a slip in one does not cancel.
+``family_grid`` is the one code that turns a member's factor vectors into
+values.  It samples members on a tensor grid and stays in integers: each
+factor's vectors of an axis are written over one denominator, and a member
+comes back as the Gaussian-integer numerators of its values over one
+denominator, which the interpolation oracle hands to ``fbasis`` as they
+are and the residual sweeps dot with their stencils' integer weights.  For
+the sweeps it defers its errors: a point it cannot sample holds a function
+that raises there, so a sweep meets an error where a per-point evaluation
+would.  Every single value is its one-point grid: ``_eval_cached``, behind
+``family_function`` and ``eval_family``, reads it for the ladders and the
+``eval`` command.  A lower vector is built only after ``check_lower`` has
+formed every lower Pochhammer (l)_n with ``pochhammer`` and found none
+vanishing; a degree-0 factor of a member is 1 and builds nothing.  The
+univariate primaries ``racah_uni``, ``wilson_uni``, ``cdh_uni`` and
+``ch_uni`` each build one ``_Factor`` at their arguments and read its
+upper vector, lower vector and dot.  Every univariate factor has a second,
+independent implementation used as a brute-force oracle by the tests: a
+prefactor (from ``pochhammer``) times the plain series summed by running
+term ratios in Fraction arithmetic, dividing by every lower parameter at
+every term.  The kernel never calls ``pochhammer`` for a value, so the two
+routes share no arithmetic beyond the parameters, and a slip in one does
+not cancel.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import product
-from math import factorial, lcm, prod
+from math import factorial, lcm
 from operator import mul
 from types import MappingProxyType
 
@@ -103,12 +106,12 @@ HALF = Fraction(1, 2)
 # side, evicting the oldest, but the factors live on their spec, so this
 # bounds the vectors per spec, label and factor side, not in all: a spec,
 # and every vector it holds, lives while its caller or one of its values in
-# ``_eval_cached`` refers to it.  Only the pointwise route fills
-# ``_eval_cached``: the ladders, the ``eval`` command and the callers of
-# ``family_function``.  The residual sweeps and the interpolation oracle
-# sample through ``family_grid``, which fills none of these caches, only
-# the member's factor vectors.  A benchmark job or a CLI command fills a
-# few thousand entries across all of them, so none of them evicts.
+# ``_eval_cached`` refers to it.  ``_eval_cached`` holds the one-point reads
+# of ``family_grid`` (the ladders, the ``eval`` command and the callers of
+# ``family_function``); the residual sweeps and the interpolation oracle
+# call ``family_grid`` directly, which fills none of these caches, only the
+# member's factor vectors.  A benchmark job or a CLI command fills a few
+# thousand entries across all of them, so none of them evicts.
 FAMILY_CACHE_SIZE = 1 << 14
 
 
@@ -127,27 +130,8 @@ def check_lower(pairs, n):
 
 
 # ---------------------------------------------------------------------------
-# univariate factors: cancellation-free primaries
+# univariate factors: one integer kernel, read through _Factor
 # ---------------------------------------------------------------------------
-
-def _terminating_sum(n, uppers, lowers):
-    """Sum_{k=0}^{n} prod_j (u_j)_k * prod_j (l_j + k)_{n-k} / k!.
-
-    This is prod_j (l_j)_n times the terminating series with upper
-    parameters ``uppers`` (the first one -n) and lower parameters
-    ``lowers``, with every lower Pochhammer cancelled: only k! divides.
-    The sum is the dot product of the upper vector (:func:`_head_vector`)
-    and the lower vector (:func:`_tail_vector`), each a list of integer
-    pairs over its own denominator, and one field value is built from the
-    integer sum at the end: a Fraction when its imaginary part is zero,
-    else a GaussianRational.
-    """
-    if not n:
-        return Fraction(1)
-    hden, heads = _head_vector(n, uppers)
-    tden, tails = _tail_vector(n, lowers)
-    return from_parts(hden * tden, *gdot(zip(heads, tails)))
-
 
 def _head_vector(n, uppers):
     """(den, [H'_k]): the upper prefix products prod_j (u_j)_k as integer
@@ -209,8 +193,8 @@ def _pair(e, v):
 
 
 # kind -> (uppers(n, *args), named lowers(*args)) of the kernel sum, each
-# written once: the primaries and the member vectors both read them.  The
-# lowers never read the kind's argument (the last one).
+# written once and read by ``_Factor``, for the primaries and the members
+# alike.  The lowers never read the kind's argument (the last one).
 _KINDS = {
     "racah": (
         lambda n, alpha, beta, gamma, delta, s: (
@@ -233,12 +217,73 @@ _KINDS = {
 }
 
 
+# the value passed for the coordinate a side of a factor does not read
+_ANY = Fraction(0)
+
+
+class _Factor:
+    """One univariate factor of degree n, evaluated from stored vectors.
+    Its upper parameters read only the coordinate ``own`` (the coupled
+    coordinate cancels from them) and its lower parameters only the
+    coordinate ``coupled``, so term k of the kernel sum is
+    H'_k(own) * T'_k(coupled) over one denominator.  The factor keeps the
+    upper vector of each own coordinate and the lower vector of each coupled
+    coordinate it has met, at most ``FAMILY_CACHE_SIZE`` per side, dropping
+    the oldest first; a value is then one dot product (:meth:`dot`), which
+    ``family_grid`` takes for a member's factors and each primary for its
+    one factor, whose arguments read no coordinate.  ``check_lower`` runs
+    when a lower vector is built, and a degenerate one is not kept."""
+
+    __slots__ = ("kind", "n", "own", "coupled", "args", "turns", "heads", "tails")
+
+    def __init__(self, kind, n, own, coupled, args):
+        self.kind, self.n, self.own, self.coupled, self.args = kind, n, own, coupled, args
+        # the continuous Hahn factor carries i^n
+        self.turns = n % 4 if kind == "ch" else 0
+        self.heads, self.tails = {}, {}
+
+    def head(self, v):
+        """(den, vector) of the upper products at own coordinate v."""
+        vector = self.heads.get(v)
+        if vector is None:
+            uppers = _KINDS[self.kind][0](self.n, *self.args(v, _ANY))
+            vector = _keep(self.heads, v, _head_vector(self.n, uppers))
+        return vector
+
+    def tail(self, w):
+        """(den, vector) of the lower tails at coupled coordinate w."""
+        vector = self.tails.get(w)
+        if vector is None:
+            lowers = _KINDS[self.kind][1](*self.args(_ANY, w))
+            check_lower(lowers, self.n)
+            vector = _keep(self.tails, w, _tail_vector(self.n, [a for _, a in lowers]))
+        return vector
+
+    def dot(self, heads, tails):
+        """(re, im) of the factor from an upper and a lower vector: their
+        dot product, turned by i^n for the continuous Hahn factor."""
+        re, im = gdot(zip(heads, tails))
+        for _ in range(self.turns):
+            re, im = -im, re
+        return re, im
+
+
+def _keep(store, key, value):
+    """Store the value, first dropping the oldest entry of a full store."""
+    if len(store) >= FAMILY_CACHE_SIZE:
+        del store[next(iter(store))]
+    store[key] = value
+    return value
+
+
 def _primary(kind, n, args):
-    """The kernel sum of the kind at its arguments, its lowers checked."""
-    uppers, lowers = _KINDS[kind]
-    named = lowers(*args)
-    check_lower(named, n)
-    return _terminating_sum(n, uppers(n, *args), [a for _, a in named])
+    """The kind's factor of degree n at its arguments: one ``_Factor``
+    whose arguments read no coordinate, its lowers checked as its lower
+    vector is built, and the value its dot gives."""
+    factor = _Factor(kind, n, 0, None, lambda *_: args)
+    hden, heads = factor.head(None)
+    tden, tails = factor.tail(None)
+    return from_parts(hden * tden, *factor.dot(heads, tails))
 
 
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
@@ -265,10 +310,7 @@ def cdh_uni(n, a, b, c, x):
 @lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def ch_uni(n, a, b, c, d, x):
     """Continuous Hahn polynomial h_n(a, b, c, d | x) with the i^n prefactor."""
-    value = _primary("ch", n, (a, b, c, d, x))
-    for _ in range(n % 4):
-        value = times_i(value)
-    return demote(value)
+    return _primary("ch", n, (a, b, c, d, x))
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +468,8 @@ class FamilySpec:
     immutable: its parameters are a read-only mapping and its hash is taken
     once.  It carries its members (``_members``: label -> the ``_Factor`` of
     each nonzero degree, with the vectors it keeps), each built once per
-    label by ``_member`` for ``family_grid`` and ``_eval_cached`` alike, and
-    the specs :meth:`shifted` built from it (``_shifted``: shifts ->
-    spec)."""
+    label by ``_member`` for ``family_grid``, and the specs :meth:`shifted`
+    built from it (``_shifted``: shifts -> spec)."""
 
     __slots__ = ("family", "params", "_key", "_hash", "_members", "_shifted")
 
@@ -539,7 +580,7 @@ def _couplings(family, p, label):
     point's coordinate ``own`` at v and its coordinate ``coupled`` at w
     (None: no coordinate but ``own`` enters, and w is not read).  These are
     the couplings of the module docstring, with every label-only part
-    computed here once.  The primary and the oracle paths share them."""
+    computed here once.  The member factors and the oracle path share them."""
     values = [p[k] for k in PARAM_NAMES[family]]
     if family == RACAH:
         (n, m), (b0, b1, b2, b3, N) = label, values
@@ -619,69 +660,6 @@ def _multiply(uni, factors):
     return demote(reduce(mul, values)) if values else Fraction(1)
 
 
-# the value passed for the coordinate a side of a factor does not read
-_ANY = Fraction(0)
-
-
-class _Factor:
-    """One univariate factor of nonzero degree n of a member, evaluated from
-    stored vectors.  Its upper parameters read only the coordinate ``own``
-    (the coupled coordinate cancels from them) and its lower parameters only
-    the coordinate ``coupled``, so term k of the kernel sum is
-    H'_k(own) * T'_k(coupled) over one denominator.  The factor keeps the
-    upper vector of each own coordinate and the lower vector of each coupled
-    coordinate it has met, at most ``FAMILY_CACHE_SIZE`` per side, dropping
-    the oldest first; a value is then one dot product.  ``check_lower`` runs
-    when a lower vector is built, and a degenerate one is not kept."""
-
-    __slots__ = ("kind", "n", "own", "coupled", "args", "turns", "heads", "tails")
-
-    def __init__(self, kind, n, own, coupled, args):
-        self.kind, self.n, self.own, self.coupled, self.args = kind, n, own, coupled, args
-        # the continuous Hahn factor carries i^n
-        self.turns = n % 4 if kind == "ch" else 0
-        self.heads, self.tails = {}, {}
-
-    def head(self, v):
-        """(den, vector) of the upper products at own coordinate v."""
-        vector = self.heads.get(v)
-        if vector is None:
-            uppers = _KINDS[self.kind][0](self.n, *self.args(v, _ANY))
-            vector = _keep(self.heads, v, _head_vector(self.n, uppers))
-        return vector
-
-    def tail(self, w):
-        """(den, vector) of the lower tails at coupled coordinate w."""
-        vector = self.tails.get(w)
-        if vector is None:
-            lowers = _KINDS[self.kind][1](*self.args(_ANY, w))
-            check_lower(lowers, self.n)
-            vector = _keep(self.tails, w, _tail_vector(self.n, [a for _, a in lowers]))
-        return vector
-
-    def at(self, point):
-        """(den, (re, im)): the factor at the point as (re + im i) / den."""
-        hden, heads = self.head(point[self.own])
-        tden, tails = self.tail(None if self.coupled is None else point[self.coupled])
-        return hden * tden, self.dot(heads, tails)
-
-    def dot(self, heads, tails):
-        """(re, im) of the factor from an upper and a lower vector: their
-        dot product, turned by i^n for the continuous Hahn factor."""
-        re, im = gdot(zip(heads, tails))
-        for _ in range(self.turns):
-            re, im = -im, re
-        return re, im
-
-
-def _keep(store, key, value):
-    """Store the value, first dropping the oldest entry of a full store."""
-    if len(store) >= FAMILY_CACHE_SIZE:
-        del store[next(iter(store))]
-    store[key] = value
-    return value
-
-
 def _member(spec, label):
     """The factors of nonzero degree of the member, built once per label and
     kept on the spec; a degree-0 factor is 1: (a)_0 = 1, one term, and
@@ -694,36 +672,12 @@ def _member(spec, label):
     return factors
 
 
-def _product(spec, point, den, pairs, deferred=False):
-    """(re, im) of the product of the factor values ``pairs``, the member's
-    value at the point being (re + im i) / den; a non-real value of a
-    Racah, Wilson or continuous dual Hahn member at a real point raises or,
-    with ``deferred``, comes back as a function of the point that raises it
-    (see :func:`family_grid`)."""
-    re, im = gmul(pairs)
-    if im and base_family(spec.family) in (RACAH, WILSON, CDH) and all(
-        imag_part(v) == 0 for v in point
-    ):
-        if deferred:
-            return partial(_raise_non_real, spec.family, den, re, im)
-        _raise_non_real(spec.family, den, re, im, point)
-    return re, im
-
-
 def _raise_non_real(family, den, re, im, point):
     raise ArithmeticError(f"{family} value at {point} came out non-real: {from_parts(den, re, im)}")
 
 
 def _raise(error, point):
     raise error
-
-
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def _eval_cached(spec, label, point):
-    # keyed by the spec itself: equal specs hash and compare by their key()
-    values = [factor.at(point) for factor in _member(spec, label)]
-    den = prod(den for den, _ in values)
-    return from_parts(den, *_product(spec, point, den, [pair for _, pair in values]))
 
 
 def _over_one(vectors):
@@ -741,14 +695,15 @@ def _over_one(vectors):
 def family_grid(spec, labels, axes, deferred=False):
     """Per label, (den, [(A, B)]): the member's values (A + Bi) / den at the
     points of the tensor grid of ``axes`` (one list of coordinates per
-    variable), row-major, over one denominator that is not reduced.  At
-    every point, ``from_parts(den, A, B)`` is the value of
-    ``family_function(spec, label)``, in value and type, and the same
-    ArithmeticError or DegenerateParameterError is raised.  A factor reads
+    variable), row-major, over one denominator that is not reduced.  This
+    is the one code that turns a member's ``_Factor`` vectors into values;
+    ``_eval_cached`` reads one point as its one-point grid.  A factor reads
     its upper vector once per coordinate of its own axis and its lower
-    vector once per coordinate of its coupled axis, the member's
-    ``_Factor`` vectors, each side written over one denominator for the
-    axis; a point is then one dot product per factor and their product.
+    vector once per coordinate of its coupled axis, each side written over
+    one denominator for the axis; a point is then one dot product per
+    factor and their product.  A Racah, Wilson or continuous dual Hahn
+    member must be real at a real point: a non-real value there raises an
+    ArithmeticError.
 
     With ``deferred``, nothing raises here: a point the member cannot be
     sampled at holds, in place of its pair, a function of the point's
@@ -761,6 +716,7 @@ def family_grid(spec, labels, axes, deferred=False):
     non-real value in row-major order."""
     points = list(product(*axes))
     indices = list(product(*(range(len(axis)) for axis in axes)))
+    real = base_family(spec.family) in (RACAH, WILSON, CDH)
     out = []
     for label in labels:
         den, tables = 1, []
@@ -778,7 +734,17 @@ def family_grid(spec, labels, axes, deferred=False):
                 for own, coupled, values in tables
             ]
             unsampled = [p for p in pairs if p.__class__ is not tuple]
-            grid.append(unsampled[0] if unsampled else _product(spec, point, den, pairs, deferred))
+            if unsampled:
+                grid.append(unsampled[0])
+                continue
+            re, im = gmul(pairs)
+            if im and real and all(imag_part(v) == 0 for v in point):
+                error = partial(_raise_non_real, spec.family, den, re, im)
+                if not deferred:
+                    error(point)
+                grid.append(error)
+            else:
+                grid.append((re, im))
         out.append((den, grid))
     return out
 
@@ -814,6 +780,14 @@ def family_function(spec, label):
     """The family member as a stencil function of its grid point (a tuple)."""
     label = check_label(spec, label)
     return lambda point: _eval_cached(spec, label, tuple(point))
+
+
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _eval_cached(spec, label, point):
+    # keyed by the spec itself: equal specs hash and compare by their key();
+    # the value is the member's one-point grid
+    ((den, (pair,)),) = family_grid(spec, [label], [[c] for c in point])
+    return from_parts(den, *pair)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ GaussianRational entries every step is exact, so inverses and solutions
 carry no rounding.  Right-hand sides may be any values supporting addition
 and multiplication by field scalars (in particular, polynomials), which is
 how the recurrence solver feeds vectors of polynomials through an exact
-linear solve.  :meth:`ExactMatrix.pivot_columns` does not run through it:
-it is a fraction-free elimination in Gaussian integers, whose pivots give
+linear solve; a singular input is named by the first column without a
+pivot.  :meth:`ExactMatrix.pivot_columns` does not run through it: it is a
+fraction-free elimination in Gaussian integers, whose pivots give
 :meth:`ExactMatrix.rank` and the invertibility check
-(:func:`check_invertible`) that :func:`exact_inverse` makes first.
+(:func:`check_invertible`) that builds no inverse, with the message
+:func:`exact_inverse` gives.
 """
 
 from __future__ import annotations
@@ -240,13 +242,15 @@ def check_invertible(m: ExactMatrix):
 
 
 def exact_inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by Gauss-Jordan elimination of [m | I], once the pivot
-    scan (:func:`check_invertible`) has found m invertible; raises on
-    singular input."""
-    check_invertible(m)
+    """Exact inverse by one Gauss-Jordan elimination of [m | I]; raises on
+    singular input, naming the first column without a pivot."""
+    if m.rows != m.cols:
+        raise ValueError("only square matrices can be inverted")
     n = m.rows
     rows = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.data)]
-    _reduce(rows, n)
+    col = _first_missing(_reduce(rows, n), n)
+    if col is not None:
+        raise ValueError(f"singular matrix: no pivot in column {col}")
     return ExactMatrix([row[n:] for row in rows], n)
 
 

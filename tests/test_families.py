@@ -7,7 +7,9 @@ import pytest
 
 from quadlattice import families as fam
 from quadlattice import latticeops as lo
-from quadlattice.exactfield import GaussianRational, demote, gauss, imag_part, integer_parts
+from quadlattice.exactfield import (
+    GaussianRational, demote, from_parts, gauss, gdot, imag_part, integer_parts,
+)
 from quadlattice.fbasis import interpolate_univariate
 
 RACAH_ARGS = (Fraction(1, 5), Fraction(2, 3), Fraction(7, 3), Fraction(9, 2))
@@ -195,6 +197,14 @@ def fraction_terminating_sum(n, uppers, lowers):
     return total
 
 
+def kernel_sum(n, uppers, lowers):
+    """The integer kernel as a ``_Factor`` reads it: the dot product of the
+    upper and lower vectors, over the product of their denominators."""
+    hden, heads = fam._head_vector(n, uppers)
+    tden, tails = fam._tail_vector(n, lowers)
+    return from_parts(hden * tden, *gdot(zip(heads, tails)))
+
+
 # perfbench draws each parameter as a default plus k/p for these primes, and
 # its CLI grids are offset by 1/7 + r/101, a denominator of 707
 BENCH_PRIMES = (13, 17, 19, 23, 29, 31)
@@ -267,7 +277,7 @@ def test_integer_kernel_matches_fraction_kernel(draw):
         for _ in range(12):
             uppers, lowers = draw_kernel_args(rng, n, KERNEL_DRAWS[draw])
             assert_same_value_and_type(
-                fam._terminating_sum(n, uppers, lowers),
+                kernel_sum(n, uppers, lowers),
                 fraction_terminating_sum(n, uppers, lowers),
                 (n, uppers, lowers),
             )
@@ -284,7 +294,7 @@ def test_integer_kernel_stops_at_first_vanishing_upper_product(zero):
             uppers, lowers = draw_kernel_args(rng, n, ("height", "pair"))
             uppers.insert(rng.randint(1, len(uppers)), zero - j)
             assert_same_value_and_type(
-                fam._terminating_sum(n, uppers, lowers),
+                kernel_sum(n, uppers, lowers),
                 fraction_terminating_sum(n, uppers, lowers),
                 (n, uppers, lowers),
             )
@@ -306,7 +316,7 @@ def test_integer_kernel_at_a_vanishing_lower_tail():
             uppers, lowers = draw_kernel_args(rng, n, ("real", "pair"))
             lowers.append(Fraction(-j))
             assert_same_value_and_type(
-                fam._terminating_sum(n, uppers, lowers),
+                kernel_sum(n, uppers, lowers),
                 fraction_terminating_sum(n, uppers, lowers),
                 (n, uppers, lowers),
             )
@@ -723,6 +733,41 @@ def test_equal_specs_share_one_cached_member():
     assert fam.family_function(b, (1, 1))(point) == first
     info = fam._eval_cached.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+def test_a_value_is_one_family_grid_read_and_ch_uni_turns_through_its_factor(monkeypatch):
+    """An uncached value is one call of ``family_grid`` on a one-point grid,
+    and a hit of ``_eval_cached`` makes none; ``ch_uni`` applies i^n only
+    through its ``_Factor``, and n = 0..7 takes each of the four turns
+    twice, against the oracle in value and type."""
+    calls = []
+    original = fam.family_grid
+
+    def counted(spec, labels, axes, deferred=False):
+        calls.append((labels, axes, deferred))
+        return original(spec, labels, axes, deferred)
+
+    monkeypatch.setattr(fam, "family_grid", counted)
+    fam._eval_cached.cache_clear()
+    spec = fam.FamilySpec(fam.CH)
+    point = (Fraction(8, 7), Fraction(16, 7))
+    value = fam.eval_family(spec, (2, 1), point)
+    assert calls == [([(2, 1)], [[point[0]], [point[1]]], False)]
+    assert fam.eval_family(spec, (2, 1), point) == value
+    assert len(calls) == 1
+    assert_same_value_and_type(value, fam.eval_family_oracle(spec, (2, 1), point), point)
+    args = (Fraction(1, 3), Fraction(5, 6), GaussianRational(Fraction(2, 7), Fraction(-9, 7)),
+            GaussianRational(Fraction(2, 7), Fraction(9, 7)), Fraction(8, 7))
+    fam.ch_uni.cache_clear()
+    for n in range(8):
+        assert_same_value_and_type(fam.ch_uni(n, *args), fam.ch_uni_oracle(n, *args), n)
+    # real arguments give a real sum, so i^n leaves it real at even n and
+    # imaginary at odd n
+    real = (Fraction(1, 3), Fraction(5, 6), Fraction(4, 9), Fraction(3, 5), Fraction(0))
+    for n in range(8):
+        value = fam.ch_uni(n, *real)
+        assert_same_value_and_type(value, fam.ch_uni_oracle(n, *real), n)
+        assert value and (type(value) is Fraction) == (n % 2 == 0), n
 
 
 class CountingMembers(dict):
