@@ -24,8 +24,9 @@ Layers timed:
       directions x, y and xy, and the monic chain ``GChain(spec, 4)`` for
       the seven recurrence families (``L2.gchain.<family>``); whole
       ``generate(spec, 4, leading)`` calls (upto 2 with ``--quick``) for the
-      same seven families with monic and family leading matrices (ops: the
-      recurrence steps); one
+      same seven families with monic and family leading matrices, each on a
+      spec built inside the repeat, so that each builds the monic chain a
+      spec keeps, as one command does (ops: the recurrence steps); one
       S_n / T_n derivation on the monomials, the one a chain makes per
       degree, ``_phi_blocks`` of a fresh copy of the printed table per repeat
       at degree 4 (2 with ``--quick``), for the same seven families and for
@@ -66,8 +67,10 @@ Layers timed:
       ``exact_inverse`` (one Gauss-Jordan elimination, with no pivot scan
       before it), ``ExactMatrix.rank`` (the
       rank conditions on A_n and C_n, a fraction-free elimination) and
-      ``solve_stacked`` (the stacked recurrence steps, with polynomial
-      right-hand sides) that
+      every recurrence step ``ttrr._read_step`` (``L4.read_step.generate``: the
+      stacked monic step read off the L rows, with polynomial right-hand
+      sides, one slot per row and the other rows compared with it, no
+      elimination) that
       ``generate(spec, 4, leading)`` (upto 2 with ``--quick``) makes for the
       seven recurrence families with monic and family leading matrices,
       and the 12 axis inverses (M_v^T)^-1 that ``recover_coefficients``
@@ -167,12 +170,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from quadlattice import families as fam  # noqa: E402
 from quadlattice import cli, fbasis, latticeops, pdeverify, ttrr  # noqa: E402
 from quadlattice.exactfield import GaussianRational, pochhammer  # noqa: E402
-from quadlattice.matrix import (  # noqa: E402
-    ExactMatrix,
-    check_invertible,
-    exact_inverse,
-    solve_stacked,
-)
+from quadlattice.matrix import ExactMatrix, check_invertible, exact_inverse  # noqa: E402
 
 SCHEMA = "quadlattice-bench/1"
 
@@ -338,7 +336,10 @@ def _l2_entries(oracle_degree, interpolate_degree, upto, phi_degree):
         out[f"L2.gchain.{name}"] = (lambda spec=spec: ttrr.GChain(spec, 4), 1)
         for leading in ("monic", "family"):
             out[f"L2.generate.{name}.{leading}"] = (
-                lambda spec=spec, leading=leading: ttrr.generate(spec, upto, leading), upto
+                lambda name=name, leading=leading: ttrr.generate(
+                    fam.FamilySpec(name), upto, leading
+                ),
+                upto,
             )
 
         out[f"L2.leading.{name}"] = (
@@ -448,7 +449,7 @@ def _recorded(owner, name, run):
 
 
 def _l4_entries(upto):
-    """ops is the number of eliminations in one repeat."""
+    """ops is the number of eliminations, scans or step reads in one repeat."""
 
     def generate_all():
         for name in ttrr.TTRR_FAMILIES:
@@ -457,7 +458,7 @@ def _l4_entries(upto):
 
     scans = _recorded(ttrr, "check_invertible", generate_all)
     ranks = _recorded(ExactMatrix, "rank", generate_all)
-    steps = _recorded(ttrr, "solve_stacked", generate_all)
+    steps = _recorded(ttrr, "_read_step", generate_all)
     axis_inverses = _recorded(
         pdeverify,
         "exact_inverse",
@@ -470,7 +471,7 @@ def _l4_entries(upto):
     return {
         "L4.pivot_scan.generate": loop(check_invertible, scans),
         "L4.rank.generate": loop(ExactMatrix.rank, ranks),
-        "L4.solve_stacked.generate": loop(solve_stacked, steps),
+        "L4.read_step.generate": loop(ttrr._read_step, steps),
         "L4.exact_inverse.recovery": loop(exact_inverse, axis_inverses),
     }
 

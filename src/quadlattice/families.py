@@ -468,10 +468,12 @@ class FamilySpec:
     immutable: its parameters are a read-only mapping and its hash is taken
     once.  It carries its members (``_members``: label -> the ``_Factor`` of
     each nonzero degree, with the vectors it keeps), each built once per
-    label by ``_member`` for ``family_grid``, and the specs :meth:`shifted`
-    built from it (``_shifted``: shifts -> spec)."""
+    label by ``_member`` for ``family_grid``, the specs :meth:`shifted`
+    built from it (``_shifted``: shifts -> spec), and its monic recurrence
+    chain (``_chain``: the ``ttrr.GChain`` that ``ttrr.monic_chain`` keeps,
+    None until one is built), which both leadings of ``ttrr.generate`` read."""
 
-    __slots__ = ("family", "params", "_key", "_hash", "_members", "_shifted")
+    __slots__ = ("family", "params", "_key", "_hash", "_members", "_shifted", "_chain")
 
     def __init__(self, family, params=None):
         if family not in PARAM_NAMES:
@@ -484,7 +486,7 @@ class FamilySpec:
             raise ValueError(f"parameters {sorted(unknown)} do not belong to {family}")
         key = (family,) + tuple(base[k] for k in PARAM_NAMES[family])
         state = {"family": family, "params": MappingProxyType(base), "_key": key,
-                 "_hash": hash(key), "_members": {}, "_shifted": {}}
+                 "_hash": hash(key), "_members": {}, "_shifted": {}, "_chain": None}
         for name, value in state.items():
             object.__setattr__(self, name, value)
 
@@ -770,7 +772,9 @@ _ORACLES = {
 
 def eval_family_oracle(spec: FamilySpec, label, point):
     """Brute-force evaluation: the same factor couplings, but every
-    univariate factor summed term-by-term by the series oracles."""
+    univariate factor summed term-by-term by the series oracles.  No proof
+    path calls it: it is kept as the independent route the tests compare
+    ``family_grid`` and the primaries against, value and type."""
     label = check_label(spec, label)
     point = check_point(spec, point)
     return _multiply(_ORACLES, _factors(spec.family, spec.params, label, point))

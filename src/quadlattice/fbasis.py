@@ -245,22 +245,6 @@ class MPoly:
 MONOMIAL = linear()
 
 
-def basis_polys(lattice: LatticeSpec, n, index=0, nvars=1):
-    """F_0..F_n of the lattice as explicit monomial polynomials in variable
-    ``index``, each the one before times (x - node)."""
-    out = [MPoly.const(nvars, Fraction(1))]
-    x = MPoly.var(index, nvars)
-    for k in range(n):
-        out.append(out[-1] * (x - lattice.node(k)))
-    return out
-
-
-def basis_poly(lattice: LatticeSpec, n, index=0, nvars=1) -> MPoly:
-    """F_n of the lattice as an explicit monomial polynomial in variable
-    ``index``."""
-    return basis_polys(lattice, n, index, nvars)[-1]
-
-
 def graded(n, nvars):
     """The slots of degree n: the exponents e of total degree n in ``nvars``
     variables, the first variable's falling (for two, slot k is (n - k, k)).

@@ -156,7 +156,10 @@ def partial_D(spec, f, point, var):
 
 
 def apply_S(spec, f, point):
-    """Averaging operator: mean of the two half-shifted values."""
+    """Averaging operator: mean of the two half-shifted values.  No proof
+    path calls it: it is kept as the definition-level operator that
+    criterion 9's product rules, S D / D S relations and degree changes are
+    checked on."""
     up, down = shifted_points(spec, point)
     return demote((f(up) + f(down)) * HALF)
 

@@ -5,10 +5,11 @@ lies behind :func:`exact_inverse` (it reduces [A | I]) and
 :func:`solve_stacked` (it reduces [A | rhs]); with Fraction /
 GaussianRational entries every step is exact, so inverses and solutions
 carry no rounding.  Right-hand sides may be any values supporting addition
-and multiplication by field scalars (in particular, polynomials), which is
-how the recurrence solver feeds vectors of polynomials through an exact
-linear solve; a singular input is named by the first column without a
-pivot.  :meth:`ExactMatrix.pivot_columns` does not run through it: it is a
+and multiplication by field scalars (in particular, polynomials); a
+singular input is named by the first column without a pivot.  No proof
+path calls :func:`solve_stacked`: the recurrence step reads its stacked
+system off the L rows (``ttrr._read_step``), and the tests check that read
+against this elimination.  :meth:`ExactMatrix.pivot_columns` does not run through it: it is a
 fraction-free elimination in Gaussian integers, whose pivots give
 :meth:`ExactMatrix.rank` and the invertibility check
 (:func:`check_invertible`) that builds no inverse, with the message

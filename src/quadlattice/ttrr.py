@@ -11,14 +11,17 @@ from the equation's S_n / T_n on the monomials:
     G_{n,n-2} = (T_n + G_{n,n-1} S_{n-1}) Z_{n-2}^{-1}(lambda_n),
     Z_k(lambda_n) = (lambda_k - lambda_n) I.
 
-:class:`GChain` builds every block in one loop over the degree.  A, B and C
-are one formula each, a term absent where its G block would lie below
-G_{k,0}, with no inverse.  The family leading is one change of basis,
-P_n = Lambda_n Phat_n with Lambda_n = :func:`leading_matrix` at degree n: its
-blocks are the monic ones conjugated (:func:`recurrence_blocks`), its
-vectors Lambda_n Phat_n (:func:`generate`), and the connection
-P_n = C_n Pbar_n of two families follows with C_n = Lambda_n Lambdabar_n^{-1}
-(:func:`connection`).
+:class:`GChain` builds every block in one loop over the degree, and each
+spec keeps one chain (:func:`monic_chain`) for every call that reads it.
+A, B and C are one formula each, a term absent where its G block would lie
+below G_{k,0}, with no inverse.  Since A_{n,j} = L_{n,j}, each step of
+:func:`generate` reads Phat_{n+1} off the stacked rows, one slot per row,
+with no elimination (:func:`_read_step`).  The family leading is one change
+of basis, P_n = Lambda_n Phat_n with Lambda_n = :func:`leading_matrix` at
+degree n: its blocks are the monic ones conjugated
+(:func:`recurrence_blocks`), its vectors Lambda_n Phat_n (:func:`generate`),
+and the connection P_n = C_n Pbar_n of two families follows with
+C_n = Lambda_n Lambdabar_n^{-1} (:func:`connection`).
 
 S_n and T_n come in two independent ways: the printed closed forms
 (:func:`sn_tn`), and a derivation that substitutes the monomial expansion
@@ -74,13 +77,7 @@ from .fbasis import (
     u_blocks,
 )
 from .latticeops import grid_axes
-from .matrix import (
-    ExactMatrix,
-    InconsistentSystemError,
-    check_invertible,
-    exact_inverse,
-    solve_stacked,
-)
+from .matrix import ExactMatrix, check_invertible, exact_inverse
 from .pdeverify import coefficients
 
 II = GaussianRational(0, 1)
@@ -763,11 +760,13 @@ class GChain:
 
     ``lam`` holds lambda_0..lambda_top, each read at the first slot of its
     degree.  The family-leading blocks are these in the basis
-    P_n = Lambda_n Phat_n (:func:`recurrence_blocks`).
+    P_n = Lambda_n Phat_n (:func:`recurrence_blocks`).  The chain
+    :func:`generate` reads is the one its spec keeps (:func:`monic_chain`).
     """
 
     def __init__(self, spec: FamilySpec, top):
         _require_recurrence(spec)
+        self.top = top
         self.table = table = coefficients(spec)
         self.st = {k: _phi_blocks(table, k) for k in range(1, top + 1)}
         self.lam = lam = [table.eigenvalue(graded(k, table.nvars)[0]) for k in range(top + 1)]
@@ -788,6 +787,22 @@ class GChain:
         if (k, j) not in self._blocks:
             raise ValueError(f"G_{{{k},{j}}} is not tracked: the chain holds j = k, k-1, k-2 >= 0")
         return self._blocks[k, j]
+
+
+def monic_chain(spec: FamilySpec, top) -> GChain:
+    """The monic chain the spec keeps (``FamilySpec._chain``) when its top
+    is at least ``top``; otherwise a new ``GChain(spec, top)``, which the
+    spec keeps in its place.  So the two leadings of one spec, and every
+    ``upto`` up to the top, share one chain, its table and its univariate
+    images.  A build that raises keeps nothing: a spec meets each error of
+    a chain to ``top`` exactly when a fresh spec would, since a kept chain
+    reaching ``top`` passed every check up to it."""
+    chain = spec._chain
+    if chain is None or chain.top < top:
+        chain = GChain(spec, top)
+        # the one slot of the immutable spec filled after it is built
+        object.__setattr__(spec, "_chain", chain)
+    return chain
 
 
 def _gl(chain, n, m, j):
@@ -847,14 +862,15 @@ def _check_ranks(a_j, c_j, n):
 def leading_matrices(spec: FamilySpec, top, leading):
     """Lambda_0..Lambda_top (:func:`leading_matrix`) for the family leading,
     None for the monic one.  Every recurrence is computed monic; the
-    family's vectors are P_n = Lambda_n Phat_n, so its chain, solve and rank
+    family's vectors are P_n = Lambda_n Phat_n, so its chain, step and rank
     checks are the monic ones once each Lambda_n is invertible.
 
     A degenerate run names the first failure in this order: the family
     guard, the leading name, Lambda_0..Lambda_top with their denominator
     checks (here), the monic chain with its S_k / T_k and eigenvalue
-    collisions (:class:`GChain`), and then per step n, Lambda_{n+1} invertible
-    before the step's rank checks."""
+    collisions (:class:`GChain`, through :func:`monic_chain`), and then per
+    step n, Lambda_{n+1} invertible before the step's rank checks and its
+    consistency check."""
     _require_recurrence(spec)
     if leading not in ("monic", "family"):
         raise ValueError(f"leading must be 'monic' or 'family', not {leading!r}")
@@ -891,18 +907,40 @@ def recurrence_blocks(chain: GChain, n, lead=None):
     return g, abc
 
 
+def _read_step(n, nvars, rhs):
+    """Phat_{n+1} from the stacked monic step L_{n,j} Phat_{n+1} = rhs_j,
+    j = 1..nvars, with no elimination: the monic A_{n,j} is L_{n,j}, so
+    stacked row (j, e) reaches only slot e + unit_j of degree n + 1
+    (:func:`fbasis.l_columns`).  Each slot takes the right-hand side of the
+    first row that reaches it, and every other row that reaches it must
+    equal that exactly; one that does not is a failed consistency check (an
+    AssertionError), not a least-squares compromise.  Every slot is
+    reached: x^e' with e'_j >= 1 is x_j x^(e' - unit_j)."""
+    out = [None] * len(graded(n + 1, nvars))
+    slots = (c for j in range(1, nvars + 1) for c in l_columns(n, j, nvars))
+    for c, value in zip(slots, rhs, strict=True):
+        if out[c] is None:
+            out[c] = value
+        elif out[c] != value:
+            raise AssertionError(f"recurrence step to degree {n + 1}: "
+                                 "inconsistent stacked system: nonzero residual row")
+    assert None not in out, f"a slot of degree {n + 1} that no stacked row reaches"
+    return out
+
+
 def generate(spec: FamilySpec, upto, leading="monic"):
     """Polynomial vectors P_0..P_upto generated from the recurrences: each step
-    solves A_{n,j} Phat_{n+1} = x_j Phat_n - B_{n,j} Phat_n - C_{n,j} Phat_{n-1}
-    of the monic family, the variables' systems stacked, exactly, each
-    right-hand-side entry one :meth:`MPoly.combine` (x_j Phat_n a shift of
-    exponents); any inconsistency is a failed consistency check (an
-    AssertionError, which the CLI reports with exit 3), not a least-squares
-    compromise.  The rank checks come first, so a degenerate A still raises
-    DegenerateParameterError.  The family leading returns
-    P_n = Lambda_n Phat_n (:func:`leading_matrices`)."""
+    reads Phat_{n+1} off A_{n,j} Phat_{n+1} = x_j Phat_n - B_{n,j} Phat_n
+    - C_{n,j} Phat_{n-1} of the monic family, the variables' systems stacked
+    (:func:`_read_step`), each right-hand-side entry one
+    :meth:`MPoly.combine` (x_j Phat_n a shift of exponents); an
+    inconsistency raises AssertionError, which the CLI reports with exit 3.
+    The rank checks come first, so a degenerate A still raises
+    DegenerateParameterError.  Both leadings read the chain the spec keeps
+    (:func:`monic_chain`), and none of its blocks is returned.  The family
+    leading returns P_n = Lambda_n Phat_n (:func:`leading_matrices`)."""
     lead = leading_matrices(spec, upto, leading)
-    chain = GChain(spec, upto)
+    chain = monic_chain(spec, upto)
     nvars = spec.nvars
     vectors = [PolyVector(0, [MPoly.const(nvars, Fraction(1))])]
     for n in range(upto):
@@ -917,11 +955,7 @@ def generate(spec: FamilySpec, upto, leading="monic"):
             for var, (b, c) in enumerate(zip(b_j, c_j))
             for p, row in zip(vectors[n].entries, (-b if c is None else (-b).hstack(-c)).data)
         ]
-        try:
-            entries = solve_stacked(reduce(ExactMatrix.vstack, a_j), rhs)
-        except InconsistentSystemError as exc:
-            raise AssertionError(f"recurrence step to degree {n + 1}: {exc}") from exc
-        vectors.append(PolyVector(n + 1, entries))
+        vectors.append(PolyVector(n + 1, _read_step(n, nvars, rhs)))
     if lead is None:
         return vectors
     return [PolyVector(v.degree, g.apply_rows(v.entries)) for g, v in zip(lead, vectors)]

@@ -12,11 +12,12 @@ from quadlattice import pdeverify as pv
 from quadlattice import ttrr
 from quadlattice.fbasis import (
     MPoly,
-    basis_poly,
     interpolate_univariate,
     operator_matrices,
 )
 from quadlattice.matrix import ExactMatrix
+
+from basis_reference import basis_poly
 
 
 def test_criterion_1_racah_residuals():

@@ -13,7 +13,6 @@ from quadlattice.exactfield import GaussianRational, from_parts, pochhammer
 from quadlattice.fbasis import (
     MONOMIAL,
     MPoly,
-    basis_poly,
     graded,
     h_closed_1,
     h_closed_2,
@@ -25,6 +24,8 @@ from quadlattice.fbasis import (
     u_blocks,
 )
 from quadlattice.matrix import ExactMatrix
+
+from basis_reference import basis_poly
 
 B1 = Fraction(2, 3)
 B2 = Fraction(7, 3)

@@ -12,8 +12,6 @@ from quadlattice.exactfield import GaussianRational, pochhammer
 from quadlattice.fbasis import (
     MONOMIAL,
     MPoly,
-    basis_poly,
-    basis_polys,
     graded,
     h_closed_1,
     interpolate_on_grid,
@@ -22,8 +20,17 @@ from quadlattice.fbasis import (
     u_blocks,
 )
 from quadlattice.latticeops import LatticeSpec
-from quadlattice.matrix import ExactMatrix, _reduce, check_invertible, exact_inverse, solve_stacked
+from quadlattice.matrix import (
+    ExactMatrix,
+    InconsistentSystemError,
+    _reduce,
+    check_invertible,
+    exact_inverse,
+    solve_stacked,
+)
 from quadlattice.pdeverify import coefficients
+
+from basis_reference import basis_poly, basis_polys
 
 PTS2 = [(Fraction(8, 7), Fraction(16, 7)), (Fraction(15, 7), Fraction(23, 7))]
 
@@ -867,6 +874,86 @@ def test_generation_matches_the_binary_reference_step(name, draw):
         got = ttrr.generate(spec, 4, leading)
         want = reference_generate(spec, 4, leading)
         assert [_typed_polys(v.entries) for v in got] == [_typed_polys(v) for v in want], leading
+
+
+def _generated(vectors):
+    return [_typed_polys(v.entries) for v in vectors]
+
+
+def test_both_leadings_of_a_spec_read_one_kept_chain(monkeypatch):
+    # one chain per spec, built by the first call and read by the second; an
+    # equal spec is another object and builds its own, and a lower upto on
+    # the kept chain builds none and gives a fresh spec's vectors
+    built = _counted(monkeypatch, ttrr, "GChain")
+    spec = fam.FamilySpec(fam.WILSON)
+    ttrr.generate(spec, 4, "family")
+    ttrr.generate(spec, 4, "monic")
+    assert [args[1:] for args in built] == [(4,)]
+    twin = fam.FamilySpec(fam.WILSON)
+    assert twin == spec
+    ttrr.generate(twin, 4, "monic")
+    assert len(built) == 2 and built[1][0] is twin
+    for leading in ("monic", "family"):
+        built.clear()
+        got = ttrr.generate(spec, 2, leading)
+        assert built == []
+        want = ttrr.generate(fam.FamilySpec(fam.WILSON), 2, leading)
+        assert _generated(got) == _generated(want), leading
+
+
+@pytest.mark.parametrize("leading", ["monic", "family"])
+def test_a_chain_that_fails_above_the_kept_top_keeps_the_kept_one(leading):
+    # beta3 - beta0 = -3 collides lambda_3 with lambda_1: upto 2 never meets
+    # it, upto 4 raises what a fresh spec raises, and the chain to degree 2
+    # kept before still serves upto 2
+    params = {"beta3": Fraction(1, 5) - 3}
+    spec = fam.FamilySpec(fam.RACAH, params=params)
+    first = ttrr.generate(spec, 2, leading)
+    with pytest.raises(fam.DegenerateParameterError) as fresh:
+        ttrr.generate(fam.FamilySpec(fam.RACAH, params=params), 4, leading)
+    assert str(fresh.value) == "eigenvalue collision lambda_3 = lambda_1"
+    with pytest.raises(fam.DegenerateParameterError, match=re.escape(str(fresh.value))):
+        ttrr.generate(spec, 4, leading)
+    assert spec._chain.top == 2
+    assert _generated(ttrr.generate(spec, 2, leading)) == _generated(first)
+
+
+@pytest.mark.parametrize("name", ttrr.TTRR_FAMILIES)
+def test_each_step_read_is_the_elimination_of_the_stacked_l_system(monkeypatch, name):
+    # every monic step to degree 5: the slots read off the L rows equal
+    # solve_stacked on the stacked L_{n,j}, in value and coefficient type,
+    # and a right-hand side moved off its slot's other row fails both
+    steps = _counted(monkeypatch, ttrr, "_read_step")
+    ttrr.generate(fam.FamilySpec(name), 5, "monic")
+    monkeypatch.undo()
+    assert [n for n, _, _ in steps] == list(range(5))
+    for n, nvars, rhs in steps:
+        a = reduce(ExactMatrix.vstack, (l_matrix(n, j, nvars) for j in range(1, nvars + 1)))
+        want = solve_stacked(a, rhs)
+        assert _typed_polys(ttrr._read_step(n, nvars, rhs)) == _typed_polys(want), n
+        if n == 0:
+            continue  # two rows, two slots: no row is redundant
+        # row n + 1, y times slot (n, 0), is the second row to reach slot 1
+        off = list(rhs)
+        off[n + 1] = off[n + 1] + MPoly.const(nvars, Fraction(1, 1000))
+        with pytest.raises(InconsistentSystemError):
+            solve_stacked(a, off)
+        with pytest.raises(AssertionError, match=re.escape(
+            f"recurrence step to degree {n + 1}: inconsistent stacked system: nonzero residual row"
+        )):
+            ttrr._read_step(n, nvars, off)
+
+
+def test_mutating_returned_vectors_leaves_the_next_generation_unchanged():
+    spec = fam.FamilySpec(fam.CH)
+    want = {leading: _generated(ttrr.generate(spec, 3, leading)) for leading in ("monic", "family")}
+    for leading in ("monic", "family"):
+        for vector in ttrr.generate(spec, 3, leading):
+            for poly in vector.entries:
+                poly.coeffs.clear()
+            vector.entries.append(MPoly.const(2, Fraction(7)))
+    for leading in ("monic", "family"):
+        assert _generated(ttrr.generate(spec, 3, leading)) == want[leading], leading
 
 
 def test_monic_family_relation_p_equals_gnn_phat():
