@@ -96,8 +96,9 @@ Layers timed:
       coordinates (4 with ``--quick``) and 10 calls of ``grid_points(lattice,
       8)``; and the residual of each printed second-order form kind at label
       (1, 1) on a 3 x 3 grid (2 x 2 with ``--quick``), one equation built
-      per repeat and ``residual(equation, ...)`` per point, as the CLI
-      checks a form, with the family caches cleared before every repeat.
+      per repeat and ``residual(equation, ...)`` per point, each call
+      folding its point afresh on a one-point ``StencilGrid``, with the
+      family caches cleared before every repeat.
   L6  the printed forms end to end: in-process ``cli.run`` of
       ``verify-second-order`` for each of its four families, of
       ``verify-difference-form`` for each nine-term kind and of
@@ -108,11 +109,11 @@ Layers timed:
       parameters; and one ``residual(equation, ...)`` at label (1, 1) and
       one point per equation kind (the Racah coefficient table, each
       second-order kind, each nine-term kind), each equation built, and its
-      stencil folded, inside the repeat: an equation keeps the stencils it
-      folds, so one reused across repeats would time only the first.
+      stencil folded, inside the repeat: a table keeps its rows and suffix
+      contractions, so one reused across repeats would time only the first.
   L7  family evaluation, per family: ``family_function(spec, label)`` at
       every neighbour (the keys of the integer stencil's weights) of
-      ``CoeffTable.stencil`` at each point of a
+      ``CoeffTable.fold`` at each point of a
       3-per-axis grid (2 with ``--quick``), for every label of total degree
       <= 1, with the family caches cleared before every repeat and the
       stencils built outside the timed call.  Each neighbour is one
@@ -594,7 +595,7 @@ def _l7_entries(size):
         spec = fam.FamilySpec(name)
         table = pdeverify.coefficients(spec)
         grid = product(*pdeverify.residual_grid(spec, (0,) * spec.nvars, size=size))
-        neighbours = [q for point in grid for q in table.stencil(point)[1]]
+        neighbours = [q for point in grid for q in table.fold(point)[1]]
         labels = [lbl for lbl in product((0, 1), repeat=spec.nvars) if sum(lbl) <= 1]
 
         def job(name=name, neighbours=neighbours, labels=labels):

@@ -176,8 +176,8 @@ def _report_base(args, spec):
     }
 
 
-def _pass_records(spec, bound, values):
-    return [pv.label_record(label, witness) for label, _, witness in pv.sweep(spec, bound, values)]
+def _pass_records(swept):
+    return [pv.label_record(label, witness) for label, _, witness in swept]
 
 
 def _run(args):
@@ -208,14 +208,14 @@ def _run(args):
         # values per axis prove it.  A ladder's two members come from two
         # specs, so no single equation's StencilGrid holds both, and it
         # checks each point as it goes
-        report["results"] = _pass_records(
+        report["results"] = _pass_records(pv.sweep(
             spec,
             args.max_total_degree,
             lambda label: (
                 (pt, fam.derivative_ladder_check(spec, label, pt))
                 for pt in product(*pv.residual_grid(spec, label, size=sum(label) + 1, offset=offset))
             ),
-        )
+        ))
 
     elif args.command in ("verify-second-order", "verify-difference-form"):
         if args.command == "verify-second-order":
@@ -230,16 +230,10 @@ def _run(args):
             kind = pv.DIFFERENCE_FORMS.get(fam.base_family(spec.family))
         if kind is None:
             raise ValueError(f"no printed {what} for {spec.family}")
-        # one equation and one grid per command: it folds each grid point
-        # once, and samples each label's member once
-        grid = pv.StencilGrid(build(kind, spec), spec)
+        equation = build(kind, spec)
         report["kind"] = kind
         report["results"] = _pass_records(
-            spec,
-            args.max_total_degree,
-            lambda label: grid.residuals(
-                label, product(*pv.residual_grid(spec, label, size=args.grid_size, offset=offset))
-            ),
+            pv.equation_sweep(equation, spec, args.max_total_degree, args.grid_size, offset)
         )
 
     elif args.command == "recover-coeffs":
@@ -261,7 +255,7 @@ def _run(args):
         n = args.n
         leading = "monic" if args.monic else "family"
         lead = ttrr.leading_matrices(spec, n + 1, leading)
-        chain = ttrr.GChain(spec, n + 1)
+        chain = ttrr.monic_chain(spec, n + 1)
         g, abc = ttrr.recurrence_blocks(chain, n, lead)
         out = {
             "n": n,

@@ -13,7 +13,8 @@ the sixth-order trivariate table lists twenty-six such polynomials over the
 cube {0,1,2}^3.  A table's residual on a family member must vanish at every
 nonsingular grid point; on a member of total degree k, a tensor grid of
 k + 1 distinct lattice values per axis promotes the pointwise zeros to a
-polynomial identity (see :func:`check_proof_grid`).
+polynomial identity (see :func:`check_proof_grid`).  A sweep's one
+:class:`StencilGrid` (:func:`equation_sweep`) keeps its folded stencils.
 
 The table annihilating a difference derivative of the solutions follows
 from the base table by one rule over the operator indices, taken once per
@@ -22,11 +23,13 @@ differentiated variable (see :func:`derived_coefficients`).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import lcm
 from operator import add, mul
+from typing import NamedTuple
 
 from .exactfield import GaussianRational, field_str, from_parts, gauss, gdot, gmul, integer_parts
 from .families import (
@@ -86,43 +89,34 @@ def validate_mixed_index(lindex, nvars):
     return lindex
 
 
-class Equation:
+class Equation(NamedTuple):
     """A printed equation lambda(label) P + (L P)(point) = 0 with a
-    label-free operator L.
+    label-free operator L, as the record (fold, eigenvalue).
 
-    ``stencil(point)`` is L at the point as one integer stencil
+    ``fold(point)`` is L at the point as one integer stencil
     ``(den, {q: (A, B)})``: the neighbour q weighs (A + Bi) / den, with den
     a nonzero integer.  A zero weight is not kept, so no residual samples
-    its neighbour.  Each point is folded once per equation, by
-    ``fold(point)``: a nine-term form's fold keeps its builder's numerators
+    its neighbour.  A nine-term form's fold keeps its builder's numerators
     over the form's stated denominator, which may be negative (Wilson's at
     x < 0); a :class:`CoeffTable` contracts its operators into a positive
     one.  Every consumer divides through ``Fraction`` or
     ``exactfield.from_parts``, so either sign gives the same values.  No
     residual reads field weights: the Fraction view (:func:`fraction_view`)
-    is built only by :func:`stencil_weights` and the recovery.
+    is built only by :func:`stencil_weights` and the recovery.  The record
+    keeps no stencil; a sweep's :class:`StencilGrid` does.
     """
 
-    __slots__ = ("fold", "eigenvalue", "_stencils")
-
-    def __init__(self, fold, eigenvalue):
-        self.fold = fold
-        self.eigenvalue = eigenvalue
-        self._stencils = {}
-
-    def stencil(self, point):
-        stencil = self._stencils.get(point)
-        if stencil is None:
-            stencil = self._stencils[point] = self.fold(point)
-        return stencil
+    fold: Callable
+    eigenvalue: Callable
 
 
-class CoeffTable(Equation):
+class CoeffTable:
     """The printed coefficients f_1..f_k and the eigenvalue closure of one
     divided-difference equation, on its family's lattices.  The operator
     list follows from the number of variables, the order from the top
-    operator whose coefficient is nonzero.
-    The coefficients are a tuple, so a folded stencil cannot go stale.
+    operator whose coefficient is nonzero.  Its ``fold`` and ``eigenvalue``
+    are an :class:`Equation`'s.  The coefficients are a tuple, so neither
+    its rows nor a sweep's folded stencils can go stale.
 
     Each f_i is a polynomial and each E_l a tensor product of one-variable
     operators, so the table's operator is a sum of terms
@@ -154,7 +148,9 @@ class CoeffTable(Equation):
     degree asked and no further.
     """
 
-    __slots__ = ("coeffs", "lattices", "_terms", "_rows", "_suffixes", "_split", "_univariate")
+    __slots__ = (
+        "coeffs", "eigenvalue", "lattices", "_terms", "_rows", "_suffixes", "_split", "_univariate"
+    )
 
     def __init__(self, coeffs, eigenvalue, lattices):
         self.coeffs = tuple(coeffs)
@@ -165,9 +161,7 @@ class CoeffTable(Equation):
                 f" not {len(self.coeffs)}"
             )
         self._check_structure()
-        # the class's fold method contracts the operators: no fold is stored
         self.eigenvalue = eigenvalue
-        self._stencils = {}
         self._terms = None
         self._rows = {}
         self._suffixes = {}
@@ -175,9 +169,10 @@ class CoeffTable(Equation):
         self._univariate = {}
 
     def fold(self, point):
-        """sum f_i E_i at the point as an integer stencil, contracted from the
-        rows of its coordinates; a zero f_i skips its operator, singular or
-        not."""
+        """sum f_i E_i at the point as an :class:`Equation`'s integer stencil
+        ``(den, {q: (A, B)})``, den positive and zero weights dropped,
+        contracted from the rows of its coordinates; a zero f_i skips its
+        operator, singular or not."""
         if self._terms is None:
             self._terms = _table_terms(
                 self.nvars, ((lind, fi.coeffs) for fi, lind in zip(self.coeffs, self.lindices))
@@ -1066,13 +1061,13 @@ def table_residual_on(equation: Equation, f, label, point):
     lambda cancels it) samples nothing.  The residual is zero exactly when
     both integer parts are; only a nonzero residual becomes a field value,
     a Fraction when real, else a GaussianRational, and no Fraction view of
-    the stencil is built.  A family member's residuals are read from its
-    samples on a grid instead (:class:`StencilGrid`), to the same values;
-    this is the route for other functions, and the tests' per-point
-    reference.
+    the stencil is built.  Each call folds its point afresh.  A family
+    member's residuals are read from its samples on a grid instead
+    (:class:`StencilGrid`), to the same values; this is the route for
+    other functions, and the tests' per-point reference.
     """
     point = tuple(point)
-    return _dot(*join_eigenvalue(equation.eigenvalue(label), *equation.stencil(point), point), f)
+    return _dot(*join_eigenvalue(equation.eigenvalue(label), *equation.fold(point), point), f)
 
 
 class StencilGrid:
@@ -1083,15 +1078,15 @@ class StencilGrid:
     Per variable the axis holds every coordinate a folded stencil weighs,
     the points' own coordinates among them, each at the position where it
     was first met.  A sweep's label grids are prefixes of one another, so
-    the axes only grow, and each point's stencil is read into axis
-    positions once, beside the fold the equation keeps.  A label's member
-    is sampled at every point of the axes' tensor grid by one
-    ``family_grid`` call, as Gaussian integers over one denominator, and a
-    point's residual is one integer dot product: its weights with the
-    eigenvalue joined (:func:`join_eigenvalue`) against the samples at
-    their positions.  Only a nonzero residual becomes a field value, the
-    value :func:`table_residual_on` gives with the member, in value and
-    type.
+    the axes only grow, and the grid folds each point once and keeps its
+    stencil read into axis positions: the one place a sweep keeps
+    stencils.  A label's member is sampled at every point of the axes'
+    tensor grid by one ``family_grid`` call, as Gaussian integers over one
+    denominator, and a point's residual is one integer dot product: its
+    weights with the eigenvalue joined (:func:`join_eigenvalue`) against
+    the samples at their positions.  Only a nonzero residual becomes a
+    field value, the value :func:`table_residual_on` gives with the
+    member, in value and type.
 
     A label folds all of its points and samples its whole grid before its
     first residual is read, so a failing label samples points that the
@@ -1138,7 +1133,7 @@ class StencilGrid:
         with each neighbour at its axis positions."""
         entry = self._stencils.get(point)
         if entry is None:
-            den, weights = self.equation.stencil(point)
+            den, weights = self.equation.fold(point)
             entry = self._stencils[point] = (
                 den, {self._place(q): w for q, w in weights.items()}, self._place(point)
             )
@@ -1156,14 +1151,16 @@ class StencilGrid:
 
     def _key(self, point, at):
         """The neighbour at the positions ``at`` as the point's stencil keys
-        it, or the point itself: the coordinates a sample error names."""
-        return next((q for q in self.equation.stencil(point)[1] if self._place(q) == at), point)
+        it, or the point itself: the coordinates a sample error names.  Only
+        an error reads it, so it folds the point again."""
+        return next((q for q in self.equation.fold(point)[1] if self._place(q) == at), point)
 
 
 def residual(equation: Equation, spec: FamilySpec, label, point):
     """lambda P(point) + (L P)(point) for the family member P; exactly 0 on
     family members.  For a coefficient table L is sum f_i E_i.  The
-    one-point grid of :class:`StencilGrid`."""
+    one-point grid of :class:`StencilGrid`, so each call folds its point
+    afresh."""
     label = check_label(spec, label)
     point = check_point(spec, point)
     ((_, value),) = StencilGrid(equation, spec).residuals(label, [point])
@@ -1569,25 +1566,33 @@ def check_proof_grid(max_total_degree, grid_size):
         )
 
 
+def equation_sweep(
+    equation: Equation, spec: FamilySpec, max_total_degree, grid_size=None, offset=Fraction(1, 7)
+):
+    """:func:`sweep` of the equation's residuals on the spec's members, each
+    label over its :func:`residual_grid`.  One :class:`StencilGrid` serves
+    the whole sweep: each label's grid is a prefix of the next one's, so
+    every point is folded once and each label's member sampled once, and a
+    failing label samples its whole grid before its first point is read.
+    The grid size is the caller's to check (:func:`check_proof_grid`)."""
+    grid = StencilGrid(equation, spec)
+    grids = lambda label: product(*residual_grid(spec, label, size=grid_size, offset=offset))
+    return sweep(spec, max_total_degree, lambda label: grid.residuals(label, grids(label)))
+
+
 def verify_table(spec: FamilySpec, max_total_degree, grid_size=None):
     """Residual sweep over all labels with total degree <= the bound.
 
     Returns a list of {label, points, pass} reports; residuals are exact
     zeros or the sweep reports failure with a witness.  The residual
     f_i E_i P + lambda P of a member P obeys the degree bound of
-    :func:`check_proof_grid`.  Each label's member is sampled once on its
-    grid's stencils (:class:`StencilGrid`), so a failing label samples its
-    whole grid before its first point is read.
+    :func:`check_proof_grid`.  The sweep is :func:`equation_sweep`'s over
+    the printed table.
     """
     check_proof_grid(max_total_degree, grid_size)
-    # one table and one grid for the sweep: each label's grid is a prefix of
-    # the next one's, and the table folds each point once
-    grid = StencilGrid(coefficients(spec), spec)
     return [
         {**label_record(label, witness), "points": checked}
-        for label, checked, witness in sweep(
-            spec,
-            max_total_degree,
-            lambda label: grid.residuals(label, product(*residual_grid(spec, label, size=grid_size))),
+        for label, checked, witness in equation_sweep(
+            coefficients(spec), spec, max_total_degree, grid_size
         )
     ]

@@ -169,6 +169,19 @@ def test_ttrr_report_derives_each_degree_once(monkeypatch, family):
     assert code == EXIT_OK and degrees == [1, 2, 3]
 
 
+@pytest.mark.parametrize("family, n, leading", [
+    ("cdh", 0, "family"), ("racah", 2, "family"), ("wilson", 1, "monic"), ("ch-bar", 3, "monic"),
+])
+def test_ttrr_reads_the_chain_its_spec_keeps(monkeypatch, family, n, leading):
+    # the command's chain is the spec's (ttrr.monic_chain), built once to n + 1
+    tops = []
+    monic_chain = ttrr.monic_chain
+    monkeypatch.setattr(ttrr, "monic_chain", lambda spec, top: tops.append(top) or monic_chain(spec, top))
+    monic = ["--monic"] if leading == "monic" else []
+    code, _ = run(["ttrr", "--family", family, "--n", str(n), *monic])
+    assert code == EXIT_OK and tops == [n + 1]
+
+
 def test_generate_and_connect():
     code, report = run(["generate", "--family", "wilson", "--upto", "2", "--monic"])
     assert code == EXIT_OK
@@ -706,13 +719,16 @@ NINE_TERM_BUILDERS = {
     ("verify-difference-form", families.RACAH, 1),
     ("verify-difference-form", families.WILSON, 3),
     ("verify-difference-form", families.CH, 1),
+    ("verify-pde", families.RACAH, 2),
+    ("verify-trivariate", families.CH_TRI, 1),
 ])
 def test_form_commands_build_each_grid_point_stencil_once(monkeypatch, command, family, degree):
     # a form's stencil does not depend on the label, and each label's grid is
     # a prefix of the next: a command builds the (degree + 5)^2 points of its
-    # largest grid once each (wilson at degree 3: 64)
+    # largest grid once each (wilson at degree 3: 64); the sixth-order sweep
+    # takes the smallest proof grid, (degree + 1)^3 points
     calls = []
-    if command == "verify-second-order":
+    if command != "verify-difference-form":
         fold = pdeverify.CoeffTable.fold
 
         def counted(self, point):
@@ -729,9 +745,13 @@ def test_form_commands_build_each_grid_point_stencil_once(monkeypatch, command, 
             return builder(first, x, y)
 
         monkeypatch.setattr(pdeverify, name, counted)
-    code, report = run([command, "--family", family, "--max-total-degree", str(degree)])
+    argv = [command, "--max-total-degree", str(degree)]
+    if command != "verify-trivariate":
+        argv += ["--family", family]
+    code, report = run(argv)
     assert code == EXIT_OK
-    assert len(calls) == len(set(calls)) == (degree + 5) ** 2
+    folds = (degree + 1) ** 3 if command == "verify-trivariate" else (degree + 5) ** 2
+    assert len(calls) == len(set(calls)) == folds
 
 
 # One parameter draw per family, seed-pinned: each DEFAULT_PARAMS value plus

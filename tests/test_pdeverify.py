@@ -196,8 +196,8 @@ def test_sweep_folds_each_grid_point_once(monkeypatch, name, degree, grid_size, 
 
 @pytest.mark.parametrize("kind", ["wilson-x", "wilson-f"])
 def test_an_equation_folds_each_grid_point_once(monkeypatch, kind):
-    # a caller that holds no dict of its own still folds the (3 + 5)^2
-    # points of the largest grid of degree <= 3 once each
+    # one sweep of degree <= 3 folds the (3 + 5)^2 points of its largest
+    # grid once each: its StencilGrid keeps the stencils, the equation none
     calls = []
     if kind == "wilson-x":
         fold, build = pv.CoeffTable.fold, pv.second_order_equation
@@ -216,10 +216,9 @@ def test_an_equation_folds_each_grid_point_once(monkeypatch, kind):
 
         monkeypatch.setattr(pv, "wilson_f_stencil", counted)
     spec = fam.FamilySpec(fam.WILSON)
-    equation = build(kind, spec)
-    for label in [(n, m) for n in range(4) for m in range(4 - n)]:
-        for pt in product(*pv.residual_grid(spec, label)):
-            assert pv.residual(equation, spec, label, pt) == 0
+    swept = list(pv.equation_sweep(build(kind, spec), spec, 3))
+    assert len(swept) == 10 and all(witness is None for _, _, witness in swept)
+    assert sum(checked for _, checked, _ in swept) > 64
     assert len(calls) == len(set(calls)) == 64
 
 
@@ -253,14 +252,6 @@ def _weight_typo(equation):
         return 1000 * den, weights
 
     return pv.Equation(fold, equation.eigenvalue)
-
-
-def _grid_sweep(equation, spec, bound, grid_size=None):
-    """The sweep as the commands make it: one StencilGrid, each label's
-    residuals read from its member's samples."""
-    grid = pv.StencilGrid(equation, spec)
-    grids = lambda label: product(*pv.residual_grid(spec, label, size=grid_size))
-    return list(pv.sweep(spec, bound, lambda label: grid.residuals(label, grids(label))))
 
 
 def _per_point_sweep(equation, spec, bound, member, grid_size=None):
@@ -314,7 +305,7 @@ def test_grid_witnesses_are_the_series_oracle_witnesses(name):
     # oracle, and a passing label checks its whole grid
     family, build, bound, grid_size = WITNESS_CASES[name]
     spec = fam.FamilySpec(family)
-    swept = _grid_sweep(build(spec), spec, bound, grid_size)
+    swept = list(pv.equation_sweep(build(spec), spec, bound, grid_size))
     reference = _per_point_sweep(build(spec), spec, bound, _series_member(spec), grid_size)
     assert _typed(swept) == _typed(reference)
     assert any(w for _, _, w in swept)
@@ -365,7 +356,7 @@ def test_grid_sweep_raises_what_the_per_point_sweep_raises(name):
     family, params, build, bound, message = SAMPLE_ERROR_CASES[name]
     raised = []
     for sweep in (
-        lambda spec: _grid_sweep(build(spec), spec, bound),
+        lambda spec: list(pv.equation_sweep(build(spec), spec, bound)),
         lambda spec: _per_point_sweep(build(spec), spec, bound, _pointwise_member(spec)),
     ):
         with pytest.raises(fam.DegenerateParameterError) as exc:
@@ -380,10 +371,10 @@ def test_a_failing_point_comes_before_a_sample_that_cannot_be_taken():
     # per-point route reports it, though the grid holds the error
     spec = fam.FamilySpec(fam.RACAH, {"beta2": Fraction(-64, 7)})
     table = _coefficient_typo(pv.coefficients(spec), 7)
-    swept = dict((label, w) for label, _, w in _grid_sweep(table, spec, 2))
+    swept = dict((label, w) for label, _, w in pv.equation_sweep(table, spec, 2))
     assert swept[(1, 1)] is not None
     reference = _per_point_sweep(table, spec, 2, _pointwise_member(spec))
-    assert _typed(_grid_sweep(table, spec, 2)) == _typed(reference)
+    assert _typed(list(pv.equation_sweep(table, spec, 2))) == _typed(reference)
 
 
 @pytest.mark.parametrize("kind", ["table", "wilson-f"])
@@ -401,7 +392,7 @@ def test_a_non_real_sample_raises_the_per_point_message(kind):
             fam._member(spec, (1, 1))[0].turns = 1
             with pytest.raises(ArithmeticError, match="came out non-real") as exc:
                 if grid:
-                    _grid_sweep(build(spec), spec, 2)
+                    list(pv.equation_sweep(build(spec), spec, 2))
                 else:
                     _per_point_sweep(build(spec), spec, 2, _pointwise_member(spec))
             raised.append(str(exc.value))
@@ -561,22 +552,22 @@ def test_table_coefficients_cannot_be_reassigned():
 
 
 def test_residual_leaves_the_folded_stencil_unchanged():
-    # lambda joins a new dict, never the stencil the equation keeps
+    # lambda joins a new dict, never the stencil the sweep's grid keeps
     spec = fam.FamilySpec(fam.WILSON)
-    label = (2, 1)
-    f = fam.family_function(spec, label)
     for equation in (
         pv.coefficients(spec),
         pv.second_order_equation("wilson-x", spec),
         pv.difference_form_equation("wilson-f", spec),
     ):
+        grid = pv.StencilGrid(equation, spec)
         for pt in PTS2:
-            kept = equation.stencil(pt)
-            den, weights = kept
+            kept = grid._stencil(pt)
+            den, weights, own = kept
             before = dict(weights)
-            assert pv.table_residual_on(equation, f, label, pt) == 0
-            assert equation.stencil(pt) is kept
-            assert kept == (den, before)
+            for label in ((2, 1), (0, 0)):
+                assert [value for _, value in grid.residuals(label, [pt])] == [0]
+            assert grid._stencil(pt) is kept
+            assert kept == (den, before, own)
 
 
 # -- the integer engine against the Fraction contraction -------------------------------
@@ -709,7 +700,7 @@ def test_integer_residual_matches_the_fraction_contraction(name, draw):
                     assert type(got) is type(expect), (case, label, point)
                     types.add(type(got))
                     member_nonzero = member_nonzero or (f is member and got != 0)
-                view = pv.fraction_view(equation.stencil(point))
+                view = pv.fraction_view(equation.fold(point))
                 assert view == _nonzero(reference_stencil(equation, point)), (case, point)
         # members zero the printed equations and not every mutated one
         assert member_nonzero == mutated, case
@@ -851,7 +842,7 @@ def test_table_fold_matches_the_pointwise_fold(case):
     grid = list(product(*axes))
     assert len(grid) == (64 if table.nvars == 2 else 27)
     for point in grid:
-        folded = pv.fraction_view(table.stencil(point))
+        folded = pv.fraction_view(table.fold(point))
         assert folded == _pointwise_fold(table, point), point
         assert folded == _nonzero(reference_stencil(table, point)), point
     assert None not in table._rows.values()
@@ -866,7 +857,7 @@ def test_a_row_where_the_lattice_value_is_zero(name):
     for point in ((Fraction(0), Fraction(16, 7)), (Fraction(8, 7), Fraction(0))):
         assert lo.lattice_value(spec.lattices()[0], point[0]) * lo.lattice_value(
             spec.lattices()[1], point[1]) == 0
-        folded = pv.fraction_view(table.stencil(point))
+        folded = pv.fraction_view(table.fold(point))
         assert folded == _pointwise_fold(table, point) == _nonzero(reference_stencil(table, point))
 
 
@@ -887,7 +878,7 @@ def test_a_singular_row_folds_its_points_from_their_coefficients():
     s = -spec.params["beta1"] / 2
     table = _singular_row_table(MPoly.var(0, 2) - lo.lattice_value(spec.lattices()[0], s))
     for point in ((s, Fraction(16, 7)), (s, Fraction(23, 7)), (Fraction(8, 7), Fraction(16, 7))):
-        assert pv.fraction_view(table.stencil(point)) == _pointwise_fold(table, point)
+        assert pv.fraction_view(table.fold(point)) == _pointwise_fold(table, point)
     assert table._rows[(0, s)] is None
     assert table._rows[(0, Fraction(8, 7))] is not None
     point = (s, Fraction(16, 7))
@@ -906,7 +897,7 @@ def test_a_singular_row_with_a_nonzero_coefficient_raises_as_before():
     table = _singular_row_table(MPoly.var(0, 2) + 1)
     for t in (Fraction(16, 7), Fraction(23, 7)):
         with pytest.raises(SingularPointError) as err:
-            table.stencil((s, t))
+            table.fold((s, t))
         assert str(err.value) == f"stencil denominator vanishes at {s} on {spec.lattices()[0]!r}"
     assert table._rows[(0, s)] is None
 
@@ -923,7 +914,7 @@ def test_a_singular_row_whose_coefficients_all_vanish_folds_to_the_empty_stencil
     table = pv.CoeffTable([zero] * 4 + [f5, zero, zero, zero], lambda label: 5, lattices)
     for t in (Fraction(16, 7), Fraction(23, 7)):
         point = (s, t)
-        assert table.stencil(point)[1] == {}
+        assert table.fold(point)[1] == {}
         assert pv.table_residual_on(table, _rational_function, (1, 1), point) == (
             5 * _rational_function(point)
         )
@@ -1492,7 +1483,7 @@ def test_nine_term_forms_are_their_tables(kind, name, drawn):
     points = list(product(*pv.residual_grid(spec, (1, 1))))
     assert len(points) == 49
     for pt in points:
-        assert pv.fraction_view(form.stencil(pt)) == pv.fraction_view(table.stencil(pt)), pt
+        assert pv.fraction_view(form.fold(pt)) == pv.fraction_view(table.fold(pt)), pt
     for label in [(n - k, k) for n in range(4) for k in range(n + 1)]:
         assert form.eigenvalue(label) == table.eigenvalue(label), label
 
@@ -1543,7 +1534,7 @@ def test_a_negative_stated_denominator_gives_the_table_stencil():
     pt = (Fraction(-8, 7), Fraction(9, 7))
     assert pv.wilson_f_stencil(table, *pt)[0] < 0
     form = pv.difference_form_equation("wilson-f", spec)
-    assert pv.fraction_view(form.stencil(pt)) == pv.fraction_view(table.stencil(pt))
+    assert pv.fraction_view(form.fold(pt)) == pv.fraction_view(table.fold(pt))
 
 
 def test_the_racah_form_drops_its_zero_weights():
@@ -1553,7 +1544,7 @@ def test_the_racah_form_drops_its_zero_weights():
     pt = (Fraction(0), Fraction(16, 7))
     den, weights = pv.racah_gi_stencil(spec.params, *pt)
     assert [weights[(-1, o)] for o in (-1, 0, 1)] == [(0, 0)] * 3
-    stencil = pv.difference_form_equation("racah-gi", spec).stencil(pt)[1]
+    stencil = pv.difference_form_equation("racah-gi", spec).fold(pt)[1]
     assert len(stencil) == 6
     assert all(q[0] != -1 for q in stencil)
 
