@@ -79,7 +79,12 @@ Layers timed:
       timing.  No recurrence inverts anything; the family leading checks
       each of Lambda_1..Lambda_upto invertible with the pivot scan
       ``check_invertible``, so ``L4.pivot_scan.generate`` records 4 scans
-      per family-leading ``generate`` at upto 4 (2 at upto 2).
+      per family-leading ``generate`` at upto 4 (2 at upto 2).  The same
+      runs' polynomial combinations, every ``MPoly.combine_rows`` call
+      (``L4.combine.generate``: the right-hand sides of each step, one call
+      per variable, and the family leading's Lambda_n Phat_n, one
+      ``apply_rows`` per degree; ops: the calls), each recorded with its
+      rows and polys before the timing.
   L5  the pointwise layer, per lattice kind (quadratic: racah, Wilson
       square: wilson, linear: ch, 3-variable linear: ch-tri):
       ``fold_terms`` of the family's printed table at each point of a
@@ -431,8 +436,10 @@ def _label_grid_axes(name, label, grid_size):
 def _recorded(owner, name, run):
     """Run ``run()`` with ``owner.name`` wrapped to record its arguments;
     returns the recorded argument tuples.  Raises when ``run`` never calls
-    it, so that no entry times an empty loop."""
+    it, so that no entry times an empty loop.  The attribute is put back as
+    ``owner`` held it, a classmethod as a classmethod."""
     original = getattr(owner, name)
+    held = vars(owner)[name]
     calls = []
 
     def recording(*args):
@@ -443,14 +450,15 @@ def _recorded(owner, name, run):
     try:
         run()
     finally:
-        setattr(owner, name, original)
+        setattr(owner, name, held)
     if not calls:
         raise AssertionError(f"{name} was not called: its entry would time nothing")
     return calls
 
 
 def _l4_entries(upto):
-    """ops is the number of eliminations, scans or step reads in one repeat."""
+    """ops is the number of eliminations, scans, step reads or combinations
+    in one repeat."""
 
     def generate_all():
         for name in ttrr.TTRR_FAMILIES:
@@ -460,6 +468,7 @@ def _l4_entries(upto):
     scans = _recorded(ttrr, "check_invertible", generate_all)
     ranks = _recorded(ExactMatrix, "rank", generate_all)
     steps = _recorded(ttrr, "_read_step", generate_all)
+    combinations = _recorded(fbasis.MPoly, "combine_rows", generate_all)
     axis_inverses = _recorded(
         pdeverify,
         "exact_inverse",
@@ -473,6 +482,7 @@ def _l4_entries(upto):
         "L4.pivot_scan.generate": loop(check_invertible, scans),
         "L4.rank.generate": loop(ExactMatrix.rank, ranks),
         "L4.read_step.generate": loop(ttrr._read_step, steps),
+        "L4.combine.generate": loop(fbasis.MPoly.combine_rows, combinations),
         "L4.exact_inverse.recovery": loop(exact_inverse, axis_inverses),
     }
 

@@ -5,7 +5,7 @@ precision rational, always reduced, positive denominator) or a
 :class:`GaussianRational` (a + b*i with exact rational parts).  No floats,
 ever.
 
-Nine kernels use integer numerators internally and build their Fractions
+Ten kernels use integer numerators internally and build their Fractions
 only at the end, if at all: :func:`pochhammer` here (its integer core
 :func:`rising`), the kernel sum of ``families._Factor``, behind every
 univariate family factor (the dot product of an upper vector, which reads
@@ -18,7 +18,11 @@ grid alike: a member's values on a tensor grid, each factor's vectors
 written over one denominator per axis, as Gaussian integers over one
 denominator), the exact interpolation of ``fbasis`` (an integer inverse
 Vandermonde matrix per axis, applied to the samples; the member grid's
-integers enter it as they are), the leading matrices of
+integers enter it as they are), the polynomial combinations of
+``fbasis`` (``MPoly.combine_rows``, behind ``MPoly.combine``, every
+``ExactMatrix.apply_rows`` on polynomials and each recurrence step's
+right-hand sides: the polys written over one denominator once for all
+rows, each row's coefficients over its own), the leading matrices of
 ``ttrr`` (each entry a product of :func:`rising` products over another),
 the pivot scan of ``matrix`` (a fraction-free elimination in Gaussian
 integers, behind the rank and the invertibility check), the pointwise
@@ -31,19 +35,23 @@ nine-term forms of ``pdeverify`` (each weight a Gaussian-integer numerator
 over the form's one stated denominator).  Each writes its inputs over a
 common denominator (the family sum and the member grid one per factor
 side, the leading entries one per parameter combination, the pivot scan
-one per row, the rest through :func:`integer_parts`) and combines the integer
+one per row, the rest through :func:`integer_parts`, the polynomial
+combinations one per poly list and one per row) and combines the integer
 (or Gaussian-integer) numerators (the family sum, the member grid and the
 nine-term forms with :func:`gdot` and :func:`gmul`).  Pochhammer, the
-family sum, the interpolation, the leading entries, the pointwise engine
-and the symbolic images normalise each result once (with
-:func:`from_parts` where it may be complex; the symbolic images give a
-GaussianRational wherever a Gaussian coefficient reaches it, as MPoly
-arithmetic does), to the values and types of the same computations taken
-in Fraction arithmetic.  The other three build no field value: the member
-grid hands its numerators and denominator to the interpolation, to the
-residuals and to a single value's reader, the pivot scan returns column
-indices, and the nine-term forms return their numerators and denominator
-as integers, for the pointwise engine to fold.
+family sum, the interpolation, the polynomial combinations, the leading
+entries, the pointwise engine and the symbolic images normalise each
+result once (with :func:`from_parts` where it may be complex; the
+symbolic images give a GaussianRational wherever a Gaussian coefficient
+reaches it, as MPoly arithmetic does, and the polynomial combinations
+wherever a Gaussian operand entered since the running sum last reached
+zero, as the chain of binary operations does), to the values and types of
+the same computations taken in Fraction arithmetic.  The other three
+build no field value: the member grid hands its numerators and
+denominator to the interpolation, to the residuals and to a single
+value's reader, the pivot scan returns column indices, and the nine-term
+forms return their numerators and denominator as integers, for the
+pointwise engine to fold.
 """
 
 from __future__ import annotations

@@ -20,6 +20,14 @@ basis is named by its lattice, and :func:`u_blocks` reads the top two
 monomial blocks of a tensor basis off the elementary symmetric functions of
 its nodes.
 
+Linear combinations of polynomials work in Gaussian integers:
+:meth:`MPoly.combine_rows` writes a list of polys over one denominator
+once, sums each row of coefficients over them as integers and makes each
+output coefficient one field value at the end, with the value and type the
+left-to-right chain of binary field operations gives.  :meth:`MPoly.combine`
+is one row of it, and ``ExactMatrix.apply_rows`` on polynomials all of
+its rows.
+
 The exact tensor interpolation works in integers: one inverse Vandermonde
 plan per axis (:func:`interpolation_plan`), applied to the samples'
 integer numerators over one denominator.  :func:`interpolate_on_grid`
@@ -82,24 +90,27 @@ class MPoly:
 
     @classmethod
     def combine(cls, coeffs, polys):
-        """sum_k coeffs[k] polys[k] (``polys`` nonempty) in one dict: the terms are
-        added in order and a sum that reaches zero is dropped, so each coefficient
-        has the value and type (a GaussianRational wherever a Gaussian operand
-        enters, even when real) of the left-to-right chain of binary * and +."""
+        """sum_k coeffs[k] polys[k] (``polys`` nonempty): one row of
+        :meth:`combine_rows`."""
+        return cls.combine_rows([coeffs], polys)[0]
+
+    @classmethod
+    def combine_rows(cls, rows, polys):
+        """[sum_k row[k] polys[k] for row in rows] (``polys`` nonempty), in
+        Gaussian integers: the polys' coefficients are written over one
+        denominator once for all rows, and each row's over its own
+        (:func:`exactfield.integer_parts`).  The terms are added in order and
+        a sum that reaches zero is dropped, and each output coefficient
+        becomes one field value at the end, with the value and type of the
+        left-to-right chain of binary * and +: a GaussianRational wherever a
+        Gaussian operand entered since the running sum last reached zero
+        (even when real), else a Fraction wherever a Fraction did, else an
+        int."""
         nvars = polys[0].nvars
-        out = {}
-        for k, p in zip(coeffs, polys, strict=True):
-            if p.nvars != nvars:
-                raise ValueError("variable count mismatch")
-            if not k:
-                continue
-            for e, c in p.coeffs.items():
-                s = out[e] + c * k if e in out else c * k
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return cls._of(nvars, out)
+        if any(p.nvars != nvars for p in polys):
+            raise ValueError("variable count mismatch")
+        written = _integer_terms(polys)
+        return [cls._of(nvars, _combine_row(row, *written)) for row in rows]
 
     def is_zero(self):
         return not self.coeffs
@@ -235,6 +246,65 @@ class MPoly:
             entry["coeff"] = field_str(self.coeffs[exps])
             terms.append(entry)
         return terms
+
+
+# ---------------------------------------------------------------------------
+# linear combinations in Gaussian integers
+# ---------------------------------------------------------------------------
+
+def _rank(value):
+    """The type of a coefficient as a rank, 0 int, 1 Fraction, 2
+    GaussianRational: a binary * or + has the higher rank of its operands."""
+    if isinstance(value, GaussianRational):
+        return 2
+    return 1 if isinstance(value, Fraction) else 0
+
+
+def _integer_terms(polys):
+    """(den, terms): the polys' coefficients as Gaussian integers (A + Bi) /
+    den over one denominator, terms[k] the (e, A, B, rank) of the terms of
+    polys[k]."""
+    values = [c for p in polys for c in p.coeffs.values()]
+    den, parts = integer_parts(values)
+    flat = zip(parts, map(_rank, values))
+    return den, [[(e, a, b, r) for e, ((a, b), r) in zip(p.coeffs, flat)] for p in polys]
+
+
+def _combine_row(row, den, terms):
+    """The coefficients of sum_k row[k] polys[k], the polys as
+    :func:`_integer_terms` writes them: each running sum is a Gaussian
+    integer over the row's denominator times ``den``, beside the highest
+    rank that entered it since it last reached zero.  Only the row's nonzero
+    coefficients are written in integers."""
+    if len(row) != len(terms):
+        raise ValueError("coefficient and polynomial counts differ")
+    nonzero = [(k, poly_terms) for k, poly_terms in zip(row, terms) if k]
+    kden, kparts = integer_parts([k for k, _ in nonzero])
+    scale = kden * den
+    out = {}
+    get = out.get
+    for (ka, kb), (k, poly_terms) in zip(kparts, nonzero):
+        kr = _rank(k)
+        for e, a, b, r in poly_terms:
+            pa, pb, r = ka * a - kb * b, ka * b + kb * a, max(r, kr)
+            old = get(e)
+            if old is None:
+                out[e] = pa, pb, r
+                continue
+            pa, pb = old[0] + pa, old[1] + pb
+            if pa or pb:
+                out[e] = pa, pb, max(old[2], r)
+            else:
+                del out[e]
+    return {e: _field(a, b, r, scale) for e, (a, b, r) in out.items()}
+
+
+def _field(a, b, rank, den):
+    """(a + bi) / den as a value of the rank's type (an int when rank 0,
+    when den divides a and b is 0)."""
+    if rank == 2:
+        return GaussianRational(Fraction(a, den), Fraction(b, den))
+    return Fraction(a, den) if rank else a // den
 
 
 # ---------------------------------------------------------------------------

@@ -125,12 +125,14 @@ class ExactMatrix:
         return ExactMatrix(self.data + other.data, self.cols)
 
     def apply_rows(self, vector):
-        """Matrix action on a list of ring elements: one ``combine`` per row for
-        polynomials (found on the entries' class), else a running sum per row."""
+        """Matrix action on a list of ring elements: for polynomials one
+        ``combine_rows`` (found on the entries' class), which writes the
+        vector in Gaussian integers once for every row, else a running sum
+        per row."""
         if self.cols != len(vector):
             raise ValueError("length mismatch")
-        if vector and hasattr(type(vector[0]), "combine"):
-            return [type(vector[0]).combine(row, vector) for row in self.data]
+        if vector and hasattr(type(vector[0]), "combine_rows"):
+            return type(vector[0]).combine_rows(self.data, vector)
         out = []
         for i in range(self.rows):
             acc = None

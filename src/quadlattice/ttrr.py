@@ -16,7 +16,9 @@ spec keeps one chain (:func:`monic_chain`) for every call that reads it.
 A, B and C are one formula each, a term absent where its G block would lie
 below G_{k,0}, with no inverse.  Since A_{n,j} = L_{n,j}, each step of
 :func:`generate` reads Phat_{n+1} off the stacked rows, one slot per row,
-with no elimination (:func:`_read_step`).  The family leading is one change
+with no elimination (:func:`_read_step`), and the chain keeps
+Phat_0..Phat_k as far as its steps have run, so each step runs once per
+chain, whichever leading asks.  The family leading is one change
 of basis, P_n = Lambda_n Phat_n with Lambda_n = :func:`leading_matrix` at
 degree n: its blocks are the monic ones conjugated
 (:func:`recurrence_blocks`), its vectors Lambda_n Phat_n (:func:`generate`),
@@ -170,6 +172,11 @@ def _on_working_bases(spec: FamilySpec, n, st, lam):
 def _require_recurrence(spec: FamilySpec):
     if spec.family not in TTRR_FAMILIES:
         raise ValueError(f"no recurrence machinery for family {spec.family!r}")
+
+
+def _require_degree(n):
+    if n < 0:
+        raise ValueError(f"negative degree {n}")
 
 
 def sn_tn_derived(spec: FamilySpec, n, table=None):
@@ -762,10 +769,15 @@ class GChain:
     degree.  The family-leading blocks are these in the basis
     P_n = Lambda_n Phat_n (:func:`recurrence_blocks`).  The chain
     :func:`generate` reads is the one its spec keeps (:func:`monic_chain`).
+    It also keeps the monic vectors Phat_0..Phat_k (``_vectors``, each a
+    list of entries) as far as :func:`generate` has run its steps, so each
+    step runs once per chain; it starts with Phat_0 = (1).  A negative top
+    raises ValueError.
     """
 
     def __init__(self, spec: FamilySpec, top):
         _require_recurrence(spec)
+        _require_degree(top)
         self.top = top
         self.table = table = coefficients(spec)
         self.st = {k: _phi_blocks(table, k) for k in range(1, top + 1)}
@@ -782,6 +794,7 @@ class GChain:
             g1 = blocks[k, k - 1] = sk.scale(1 / (lam[k - 1] - lam[k]))
             if k >= 2:
                 blocks[k, k - 2] = (tk + g1 * self.st[k - 1][0]).scale(1 / (lam[k - 2] - lam[k]))
+        self._vectors = [[MPoly.const(table.nvars, Fraction(1))]]
 
     def g(self, k, j):
         if (k, j) not in self._blocks:
@@ -793,12 +806,14 @@ def monic_chain(spec: FamilySpec, top) -> GChain:
     """The monic chain the spec keeps (``FamilySpec._chain``) when its top
     is at least ``top``; otherwise a new ``GChain(spec, top)``, which the
     spec keeps in its place.  So the two leadings of one spec, and every
-    ``upto`` up to the top, share one chain, its table and its univariate
-    images.  A build that raises keeps nothing: a spec meets each error of
-    a chain to ``top`` exactly when a fresh spec would, since a kept chain
-    reaching ``top`` passed every check up to it."""
+    ``upto`` up to the top, share one chain, its table, its univariate
+    images and its kept vectors Phat_0..Phat_k, each step run once.  A
+    build that raises keeps nothing: a spec meets each error of a chain to
+    ``top`` exactly when a fresh spec would, since a kept chain reaching
+    ``top`` passed every check up to it.  A negative top raises
+    ValueError, as ``GChain`` does."""
     chain = spec._chain
-    if chain is None or chain.top < top:
+    if top < 0 or chain is None or chain.top < top:
         chain = GChain(spec, top)
         # the one slot of the immutable spec filled after it is built
         object.__setattr__(spec, "_chain", chain)
@@ -870,10 +885,12 @@ def leading_matrices(spec: FamilySpec, top, leading):
     checks (here), the monic chain with its S_k / T_k and eigenvalue
     collisions (:class:`GChain`, through :func:`monic_chain`), and then per
     step n, Lambda_{n+1} invertible before the step's rank checks and its
-    consistency check."""
+    consistency check.  A negative top raises ValueError after the leading
+    name."""
     _require_recurrence(spec)
     if leading not in ("monic", "family"):
         raise ValueError(f"leading must be 'monic' or 'family', not {leading!r}")
+    _require_degree(top)
     if leading == "monic":
         return None
     return [leading_matrix(spec.family, spec.params, k) for k in range(top + 1)]
@@ -928,37 +945,59 @@ def _read_step(n, nvars, rhs):
     return out
 
 
+def _step(chain: GChain, n):
+    """Phat_{n+1} read off A_{n,j} Phat_{n+1} = x_j Phat_n - B_{n,j} Phat_n
+    - C_{n,j} Phat_{n-1} of the monic family, from the chain's kept Phat_n
+    and Phat_{n-1}, the variables' systems stacked (:func:`_read_step`).  The
+    rank checks come first, so a degenerate A still raises
+    DegenerateParameterError.  Variable j's right-hand sides are
+    [I | -B_{n,j} | -C_{n,j}] applied to one shared list, x_j Phat_n (a shift
+    of exponents), Phat_n and Phat_{n-1}, by one
+    :meth:`MPoly.combine_rows`."""
+    nvars = chain.table.nvars
+    a_j, b_j, c_j = zip(*(abc_matrices(chain, n, j) for j in range(1, nvars + 1)))
+    _check_ranks(a_j, c_j, n)
+    pn = chain._vectors[n]
+    shared = pn + (chain._vectors[n - 1] if n else [])
+    unit = ExactMatrix.identity(len(pn))
+    rhs = [
+        entry
+        for var, (b, c) in enumerate(zip(b_j, c_j))
+        for entry in unit.hstack(-b if c is None else (-b).hstack(-c)).apply_rows(
+            [p.mul_var(var) for p in pn] + shared
+        )
+    ]
+    return _read_step(n, nvars, rhs)
+
+
 def generate(spec: FamilySpec, upto, leading="monic"):
-    """Polynomial vectors P_0..P_upto generated from the recurrences: each step
-    reads Phat_{n+1} off A_{n,j} Phat_{n+1} = x_j Phat_n - B_{n,j} Phat_n
-    - C_{n,j} Phat_{n-1} of the monic family, the variables' systems stacked
-    (:func:`_read_step`), each right-hand-side entry one
-    :meth:`MPoly.combine` (x_j Phat_n a shift of exponents); an
-    inconsistency raises AssertionError, which the CLI reports with exit 3.
-    The rank checks come first, so a degenerate A still raises
-    DegenerateParameterError.  Both leadings read the chain the spec keeps
-    (:func:`monic_chain`), and none of its blocks is returned.  The family
-    leading returns P_n = Lambda_n Phat_n (:func:`leading_matrices`)."""
+    """Polynomial vectors P_0..P_upto generated from the recurrences.  Both
+    leadings read the chain the spec keeps (:func:`monic_chain`) and its
+    kept Phat_0..Phat_k: step n (:func:`_step`) runs only when Phat_{n+1}
+    is not kept yet, and its result is kept once the step passes, so a step
+    that raises keeps nothing.  An inconsistent step raises AssertionError,
+    which the CLI reports with exit 3.  The family leading checks
+    Lambda_{n+1} invertible before step n, kept or not, so every error comes
+    in the order :func:`leading_matrices` gives.  The monic leading returns
+    new copies of Phat_0..Phat_upto, the family leading
+    P_n = Lambda_n Phat_n (:func:`leading_matrices`); none of the chain's
+    blocks or vectors is returned.  A negative ``upto`` raises ValueError."""
     lead = leading_matrices(spec, upto, leading)
     chain = monic_chain(spec, upto)
-    nvars = spec.nvars
-    vectors = [PolyVector(0, [MPoly.const(nvars, Fraction(1))])]
+    kept = chain._vectors
     for n in range(upto):
         if lead is not None:
             # raises on a singular Lambda_{n+1}, naming its first column without a pivot
             check_invertible(lead[n + 1])
-        a_j, b_j, c_j = zip(*(abc_matrices(chain, n, j) for j in range(1, nvars + 1)))
-        _check_ranks(a_j, c_j, n)
-        polys = vectors[n].entries + (vectors[n - 1].entries if n else [])
-        rhs = [
-            MPoly.combine((1, *row), (p.mul_var(var), *polys))
-            for var, (b, c) in enumerate(zip(b_j, c_j))
-            for p, row in zip(vectors[n].entries, (-b if c is None else (-b).hstack(-c)).data)
-        ]
-        vectors.append(PolyVector(n + 1, _read_step(n, nvars, rhs)))
+        if len(kept) == n + 1:
+            kept.append(_step(chain, n))
     if lead is None:
-        return vectors
-    return [PolyVector(v.degree, g.apply_rows(v.entries)) for g, v in zip(lead, vectors)]
+        # a new dict per entry, so a caller's edit reaches no kept vector
+        return [
+            PolyVector(n, [MPoly._of(p.nvars, dict(p.coeffs)) for p in kept[n]])
+            for n in range(upto + 1)
+        ]
+    return [PolyVector(n, g.apply_rows(v)) for n, (g, v) in enumerate(zip(lead, kept))]
 
 
 # ---------------------------------------------------------------------------
@@ -989,7 +1028,9 @@ def leading_matrix(family, params, n) -> ExactMatrix:
     favour of the interpolation oracle).  Each entry is a sign times a
     binomial times Pochhammer symbols (c + m)_k, c a parameter combination
     and m an integer, over a factorial and one more Pochhammer symbol for
-    Racah; :func:`_entry` builds each as one Fraction."""
+    Racah; :func:`_entry` builds each as one Fraction.  A negative degree
+    raises ValueError."""
+    _require_degree(n)
     p = params
     out = ExactMatrix.zero(n + 1, n + 1)
     if family == RACAH:
@@ -1060,7 +1101,9 @@ def family_poly_vector(spec: FamilySpec, n) -> PolyVector:
     the lattice variables (the oracle side of every TTRR comparison), on
     one node per axis more than degree n needs, so that a member of a
     higher total degree shows; the members are sampled in integers
-    (``families.family_grid``) and interpolated from them."""
+    (``families.family_grid``) and interpolated from them.  A negative
+    degree raises ValueError."""
+    _require_degree(n)
     lattices = spec.lattices()
     axes = grid_axes(lattices, n + 2)
     entries = interpolate_parts_on_grid(

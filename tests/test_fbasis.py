@@ -25,7 +25,7 @@ from quadlattice.fbasis import (
 )
 from quadlattice.matrix import ExactMatrix
 
-from basis_reference import basis_poly
+from basis_reference import basis_poly, chain_apply_rows, chain_combine
 
 B1 = Fraction(2, 3)
 B2 = Fraction(7, 3)
@@ -113,6 +113,93 @@ def test_an_all_zero_combination_is_the_zero_polynomial():
         assert got == MPoly.zero(2) and got.coeffs == {}
     with pytest.raises(ValueError, match="variable count"):
         MPoly.combine([1, 1], [X, MPoly.var(0, 3)])
+
+
+# -- the integer core of combine, against the field-arithmetic chain ----------------
+
+SCALAR_KINDS = {
+    "int": lambda rng: rng.randint(-2, 2),
+    "fraction": lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+    # real ones among them: a Gaussian operand makes a real sum Gaussian
+    "gaussian": lambda rng: GaussianRational(Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
+                                             rng.randint(-1, 1)),
+}
+
+
+def _draw_combination(rng, kinds, rows):
+    """``rows`` coefficient rows and one list of sparse polys in two variables
+    over the scalar ``kinds``, with zero coefficients of every type and an
+    empty poly.  Some polys repeat the one before them, and some rows take
+    the negated coefficient there, so that running sums cancel part-way."""
+
+    def scalar():
+        if rng.random() < 0.15:
+            return rng.choice([0, Fraction(0), GaussianRational(0, 0)])
+        return SCALAR_KINDS[rng.choice(kinds)](rng)
+
+    count = rng.randint(2, 7)
+    polys, echoes = [], []
+    for k in range(count):
+        if k and rng.random() < 0.35:
+            polys.append(polys[-1])
+            echoes.append(k)
+        else:
+            terms = rng.randint(1, 3)
+            polys.append(MPoly(2, {(rng.randrange(3), rng.randrange(3)): scalar() for _ in range(terms)}))
+    polys[rng.randrange(count)] = MPoly.zero(2)
+    out = [[scalar() for _ in range(count)] for _ in range(rows)]
+    for row in out:
+        for k in echoes:
+            if rng.random() < 0.6:
+                row[k] = -row[k - 1]
+    return out, polys
+
+
+@pytest.mark.parametrize("kinds", [
+    ("int",), ("fraction",), ("int", "fraction"), ("gaussian",), ("int", "fraction", "gaussian"),
+])
+def test_integer_combine_is_the_field_chain(kinds):
+    # every coefficient of combine and apply_rows equals the field
+    # arithmetic chain's (tests/basis_reference.py) in value and type
+    rng = random.Random(41)
+    for _ in range(150):
+        rows, polys = _draw_combination(rng, kinds, 3)
+        for row in rows:
+            got = MPoly.combine(row, polys)
+            assert _typed_coeffs(got) == _typed_coeffs(chain_combine(row, polys)), (row, polys)
+            assert all(got.coeffs.values())
+        matrix = ExactMatrix(rows)
+        assert [_typed_coeffs(p) for p in matrix.apply_rows(polys)] == [
+            _typed_coeffs(p) for p in chain_apply_rows(matrix, polys)
+        ]
+
+
+def test_a_gaussian_sum_that_cancels_part_way_goes_on_in_fractions():
+    # x: (1 + i) and then -(1 + i) cancel to zero, which is dropped, and the
+    # Fraction terms after them start it again, so x ends a Fraction; y and 1
+    # keep their Gaussian operands; and a sum of int terms stays an int
+    coeffs = [GaussianRational(1, 1), GaussianRational(-1, -1), Fraction(2, 3), 1]
+    polys = [X + Y, X + MPoly.const(2, 3), X, MPoly(2, {(1, 0): Fraction(1, 4), (0, 0): 5})]
+    want = {
+        (1, 0): (Fraction(11, 12), Fraction), (0, 1): (GaussianRational(1, 1), GaussianRational),
+        (0, 0): (GaussianRational(2, -3), GaussianRational),
+    }
+    for got in (MPoly.combine(coeffs, polys), ExactMatrix([coeffs]).apply_rows(polys)[0]):
+        assert _typed_coeffs(got) == want == _typed_coeffs(chain_combine(coeffs, polys))
+    ints = MPoly.combine([2, -1], [MPoly.const(2, 3), MPoly.const(2, 1)])
+    assert _typed_coeffs(ints) == {(0, 0): (5, int)}
+
+
+def test_combinations_refuse_mismatched_inputs():
+    # combine's variable count check is test_an_all_zero_combination_is_the_zero_polynomial's
+    for call in (
+        lambda: MPoly.combine_rows([[1, 0], [0, 1]], [MPoly.zero(3), Y]),
+        lambda: ExactMatrix([[1, 1]]).apply_rows([X, MPoly.var(0, 3)]),
+        lambda: MPoly.combine([1], [X, Y]),
+        lambda: MPoly.combine_rows([[1, 1], [1]], [X, Y]),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_arithmetic_results_hold_no_zero_and_share_no_dict():

@@ -944,6 +944,67 @@ def test_each_step_read_is_the_elimination_of_the_stacked_l_system(monkeypatch, 
             ttrr._read_step(n, nvars, off)
 
 
+@pytest.mark.parametrize("name", ttrr.TTRR_FAMILIES)
+def test_both_leadings_of_a_spec_run_each_step_once(monkeypatch, name):
+    # the family leading runs steps 0..3 and keeps Phat_1..Phat_4 on the
+    # chain; the monic call after it reads them and runs no step, and both
+    # equal a fresh spec's vectors in value and type
+    steps = _counted(monkeypatch, ttrr, "_read_step")
+    ranks = _counted(monkeypatch, ttrr, "_check_ranks")
+    spec = fam.FamilySpec(name)
+    got = {leading: _generated(ttrr.generate(spec, 4, leading)) for leading in ("family", "monic")}
+    assert [n for n, _, _ in steps] == [0, 1, 2, 3]
+    assert [n for _, _, n in ranks] == [0, 1, 2, 3]
+    for leading in ("family", "monic"):
+        assert got[leading] == _generated(ttrr.generate(fam.FamilySpec(name), 4, leading)), leading
+
+
+@pytest.mark.parametrize("leading", ["monic", "family"])
+def test_a_step_that_raises_keeps_nothing(monkeypatch, leading):
+    # a constant slip in Wilson's f4 passes the chain's -lambda_n I checks and
+    # fails the consistency check of the step to degree 3: the spec keeps
+    # Phat_0..Phat_2 only, runs that step again on the next call, raises a
+    # fresh spec's message again, and still serves upto 2
+    _wilson_typo(monkeypatch, (3, Fraction(1, 1000)))
+    with pytest.raises(AssertionError) as fresh:
+        ttrr.generate(fam.FamilySpec(fam.WILSON), 4, leading)
+    assert str(fresh.value) == (
+        "recurrence step to degree 3: inconsistent stacked system: nonzero residual row"
+    )
+    steps = _counted(monkeypatch, ttrr, "_read_step")
+    spec = fam.FamilySpec(fam.WILSON)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match=re.escape(str(fresh.value))):
+            ttrr.generate(spec, 4, leading)
+        assert len(spec._chain._vectors) == 3
+    assert [n for n, _, _ in steps] == [0, 1, 2, 2]
+    got = ttrr.generate(spec, 2, leading)
+    assert _generated(got) == _generated(ttrr.generate(fam.FamilySpec(fam.WILSON), 2, leading))
+
+
+NEGATIVE_DEGREE_CALLS = {
+    "generate monic": lambda spec: ttrr.generate(spec, -1, "monic"),
+    "generate family": lambda spec: ttrr.generate(spec, -3, "family"),
+    "leading_matrices": lambda spec: ttrr.leading_matrices(spec, -1, "monic"),
+    "monic_chain": lambda spec: ttrr.monic_chain(spec, -1),
+    "GChain": lambda spec: ttrr.GChain(spec, -1),
+    "family_poly_vector": lambda spec: ttrr.family_poly_vector(spec, -1),
+    "leading_matrix": lambda spec: ttrr.leading_matrix(spec.family, spec.params, -1),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NEGATIVE_DEGREE_CALLS))
+def test_a_negative_degree_raises(call):
+    # on a spec that keeps a chain and its vectors, which stay as they were
+    spec = fam.FamilySpec(fam.RACAH)
+    want = _generated(ttrr.generate(spec, 2, "monic"))
+    chain = spec._chain
+    with pytest.raises(ValueError, match=r"^negative degree -[13]$"):
+        NEGATIVE_DEGREE_CALLS[call](spec)
+    assert spec._chain is chain and len(chain._vectors) == 3
+    assert _generated(ttrr.generate(spec, 2, "monic")) == want
+
+
 def test_mutating_returned_vectors_leaves_the_next_generation_unchanged():
     spec = fam.FamilySpec(fam.CH)
     want = {leading: _generated(ttrr.generate(spec, 3, leading)) for leading in ("monic", "family")}
