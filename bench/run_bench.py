@@ -98,8 +98,11 @@ Layers timed:
       each point) all built inside the timed call, as a sweep builds them,
       and the table builder's arithmetic outside it; per one-variable
       lattice kind, ``apply_D`` at 40 grid
-      coordinates (4 with ``--quick``) and 10 calls of ``grid_points(lattice,
-      8)``; and the residual of each printed second-order form kind at label
+      coordinates (4 with ``--quick``), the S D and D^2 axis entries
+      ``_axis_entry(lattice, s, l)`` for l = 1 and l = 2 at the same
+      coordinates (``L5.axis_entry.<kind>``, ops: the entries), and 10
+      calls of ``grid_points(lattice, 8)``; and the residual of each
+      printed second-order form kind at label
       (1, 1) on a 3 x 3 grid (2 x 2 with ``--quick``), one equation built
       per repeat and ``residual(equation, ...)`` per point, each call
       folding its point afresh on a one-point ``StencilGrid``, with the
@@ -497,7 +500,7 @@ L5_KINDS = {
 
 
 def _l5_entries(size, coordinates):
-    """ops is the number of folds, D applications, grids or residuals."""
+    """ops is the number of folds, D applications, axis entries, grids or residuals."""
     out = {}
     for kind, name in L5_KINDS.items():
         spec = fam.FamilySpec(name)
@@ -532,6 +535,12 @@ def _l5_entries(size, coordinates):
                 latticeops.apply_D(lattice, f, s) for s in coords
             ],
             len(coords),
+        )
+        out[f"L5.axis_entry.{kind}"] = (
+            lambda lattice=lattice, coords=coords: [
+                pdeverify._axis_entry(lattice, s, l) for s in coords for l in (1, 2)
+            ],
+            2 * len(coords),
         )
         out[f"L5.grid_points.{kind}"] = (
             lambda lattice=lattice: [latticeops.grid_points(lattice, 8) for _ in range(10)],

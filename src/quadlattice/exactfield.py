@@ -27,11 +27,13 @@ rows, each row's coefficients over its own), the leading matrices of
 the pivot scan of ``matrix`` (a fraction-free elimination in Gaussian
 integers, behind the rank and the invertibility check), the pointwise
 engine of ``pdeverify`` (each point's stencil contracted in Gaussian
-integers from per-coordinate rows, and the residual one integer dot
-product with the member grid's numerators), the symbolic images of
-``pdeverify`` (each monomial's image under a table, the f_i terms times tensor products
-of univariate S D and D^2 images, summed in Gaussian integers), and the
-nine-term forms of ``pdeverify`` (each weight a Gaussian-integer numerator
+integers from per-coordinate rows, whose S D and D^2 weights are formed
+from the integer reciprocals of ``latticeops.half_step``, and the residual
+one integer dot product with the member grid's numerators), the symbolic
+images of ``pdeverify`` (each monomial's image under a table, the f_i
+terms times tensor products of univariate S D and D^2 images, summed in
+Gaussian integers), and the nine-term forms of ``pdeverify`` (each
+weight a Gaussian-integer numerator
 over the form's one stated denominator).  Each writes its inputs over a
 common denominator (the family sum and the member grid one per factor
 side, the leading entries one per parameter combination, the pivot scan

@@ -96,7 +96,7 @@ from .exactfield import (
     rat_str,
     times_i,
 )
-from .latticeops import linear, partial_D, quadratic, wilson_square
+from .latticeops import lattice_axes, linear, partial_D, quadratic, wilson_square
 
 HALF = Fraction(1, 2)
 
@@ -471,9 +471,11 @@ class FamilySpec:
     label by ``_member`` for ``family_grid``, the specs :meth:`shifted`
     built from it (``_shifted``: shifts -> spec), and its monic recurrence
     chain (``_chain``: the ``ttrr.GChain`` that ``ttrr.monic_chain`` keeps,
-    None until one is built), which both leadings of ``ttrr.generate`` read."""
+    None until one is built), which both leadings of ``ttrr.generate`` read,
+    and its grid axes (``_axes``: offset -> one ``latticeops.GridAxis`` per
+    variable), whose prefixes :meth:`grid_axes` extends."""
 
-    __slots__ = ("family", "params", "_key", "_hash", "_members", "_shifted", "_chain")
+    __slots__ = ("family", "params", "_key", "_hash", "_members", "_shifted", "_chain", "_axes")
 
     def __init__(self, family, params=None):
         if family not in PARAM_NAMES:
@@ -486,7 +488,8 @@ class FamilySpec:
             raise ValueError(f"parameters {sorted(unknown)} do not belong to {family}")
         key = (family,) + tuple(base[k] for k in PARAM_NAMES[family])
         state = {"family": family, "params": MappingProxyType(base), "_key": key,
-                 "_hash": hash(key), "_members": {}, "_shifted": {}, "_chain": None}
+                 "_hash": hash(key), "_members": {}, "_shifted": {}, "_chain": None,
+                 "_axes": {}}
         for name, value in state.items():
             object.__setattr__(self, name, value)
 
@@ -536,6 +539,16 @@ class FamilySpec:
         if base == CH_TRI:
             return (linear("x"), linear("y"), linear("z"))
         return (linear("x"), linear("y"))
+
+    def grid_axes(self, count, offset=Fraction(1, 7)):
+        """``latticeops.grid_axes(self.lattices(), count, offset)``, read
+        off the axes the spec keeps per offset: each axis examines a
+        candidate coordinate once, whatever counts are asked in whatever
+        order, and raises where ``grid_axes`` would."""
+        axes = self._axes.get(offset)
+        if axes is None:
+            axes = self._axes[offset] = lattice_axes(self.lattices(), offset)
+        return [axis.take(count) for axis in axes]
 
     def to_json(self):
         return {

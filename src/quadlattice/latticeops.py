@@ -10,7 +10,11 @@ S f = (f(up) + f(down)) / 2:
 * Linear:           lattice x itself, imaginary shifts, denominator i.
 
 :func:`half_step` is D's one definition: its denominator, its singular points
-and, through :func:`grid_points`, the singular set every grid avoids.
+and, through :class:`GridAxis`, the singular set every grid avoids.  It
+gives the reciprocal denominator in integers, a triple (N, A, B) standing
+for (A + Bi) / N in lowest terms with N > 0; the pointwise stencil weights
+(``pdeverify._axis_entry``), :func:`apply_D` and the grid filter all read
+that triple, and no other code forms a D denominator.
 
 All applications are pointwise on arbitrary callables ("stencil functions");
 verification elsewhere turns pointwise exact zeros into polynomial identities
@@ -26,8 +30,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from .exactfield import GaussianRational, demote, gauss
+from .exactfield import GaussianRational, demote, from_parts, gauss, integer_parts
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -128,25 +133,37 @@ def shifted_points(spec, point):
 
 
 def half_step(spec, point):
-    """(up, down, 1 / (x(up) - x(down))): the half-shifted points and the
-    reciprocal denominator of D at the point.  The one test of a D
-    denominator for zero; SingularPointError where it vanishes."""
-    if spec.kind == LatticeSpec.QUADRATIC:
-        den = 2 * point + spec.beta
-    elif spec.kind == LatticeSpec.WILSON:
-        den = GaussianRational(0, 2) * gauss(point)
+    """(up, down, (N, A, B)): the half-shifted points and the reciprocal
+    denominator of D at the point, 1 / (x(up) - x(down)) = (A + Bi) / N in
+    lowest terms with N > 0, the reciprocal of 2s + beta on the quadratic
+    lattice, of 2is on the Wilson square and of i on the linear lattice.
+    The one definition of a D denominator and its one test for zero;
+    SingularPointError where it vanishes."""
+    if spec.kind == LatticeSpec.LINEAR:
+        inv = (1, 0, -1)
     else:
-        den = GaussianRational(0, 1)
-    if not den:
-        raise SingularPointError(f"stencil denominator vanishes at {point} on {spec!r}")
+        m, ((a, b),) = integer_parts((point,))
+        if spec.kind == LatticeSpec.QUADRATIC:
+            # 2 (a + bi) / m + p / q over m q
+            p, q = spec.beta.numerator, spec.beta.denominator
+            m, re, im = m * q, 2 * a * q + p * m, 2 * b * q
+        else:
+            # 2i (a + bi) / m
+            re, im = -2 * b, 2 * a
+        # 1 / ((re + im i) / m) = m (re - im i) / (re^2 + im^2)
+        n = re * re + im * im
+        if not n:
+            raise SingularPointError(f"stencil denominator vanishes at {point} on {spec!r}")
+        g = gcd(n, m * re, m * im)
+        inv = n // g, m * re // g, -m * im // g
     up, down = shifted_points(spec, point)
-    return up, down, 1 / den
+    return up, down, inv
 
 
 def apply_D(spec, f, point):
     """Divided difference of f at the point; exact, or SingularPointError."""
     up, down, inv = half_step(spec, point)
-    return demote((f(up) - f(down)) * inv)
+    return demote((f(up) - f(down)) * from_parts(*inv))
 
 
 def partial_D(spec, f, point, var):
@@ -164,43 +181,78 @@ def apply_S(spec, f, point):
     return demote((f(up) + f(down)) * HALF)
 
 
-def grid_points(spec, count, origin=1, offset=Fraction(1, 7)):
-    """Distinct nonsingular grid coordinates s = k + offset, k = origin, ...
+class GridAxis:
+    """The nonsingular grid coordinates s = k + offset of one lattice, taken
+    for k = origin, origin + 1, ... and kept: a prefix that only grows.
 
-    Candidates are dropped where a D denominator vanishes at s, s +- 1/2 or
+    A candidate is dropped where a D denominator vanishes at s, s +- 1/2 or
     s +- 1: a nested second-order operator (S D or D^2) divides at s and
-    s +- 1/2, and one acting on a divided difference also at s +- 1.  The
-    resulting lattice values are pairwise distinct, which is what the
-    interpolation arguments need.
+    s +- 1/2, and one acting on a divided difference also at s +- 1.  It is
+    also dropped where its lattice value repeats an earlier one, so the
+    values are pairwise distinct, which is what the interpolation arguments
+    need.  Each candidate is examined once, however many counts are asked.
     """
-    points = []
-    k = origin
-    seen_lattice = set()
-    while len(points) < count:
-        s = Fraction(k) + Fraction(offset)
-        k += 1
-        if k > origin + 40 * count + 100:
+
+    __slots__ = ("lattice", "origin", "offset", "_points", "_taken", "_next", "_seen")
+
+    def __init__(self, lattice, origin=1, offset=Fraction(1, 7)):
+        self.lattice = lattice
+        self.origin = origin
+        self.offset = Fraction(offset)
+        self._points = []
+        self._taken = []
+        self._next = origin
+        self._seen = set()
+
+    def take(self, count):
+        """The first ``count`` coordinates, extending the prefix as far as
+        needed.  SingularPointError when fewer than ``count`` of them lie at
+        k <= origin + 40 count + 99, whether the prefix held them already or
+        not."""
+        bound = self.origin + 40 * count + 100
+        points, taken = self._points, self._taken
+        while len(points) < count:
+            k = self._next
+            if k + 1 > bound:
+                raise SingularPointError("could not assemble a nonsingular grid")
+            self._next = k + 1
+            s = Fraction(k) + self.offset
+            if not _nonsingular(self.lattice, s):
+                continue
+            xval = lattice_value(self.lattice, s)
+            if xval in self._seen:
+                continue
+            self._seen.add(xval)
+            points.append(s)
+            taken.append(k)
+        if count and taken[count - 1] + 1 > bound:
             raise SingularPointError("could not assemble a nonsingular grid")
-        if not _nonsingular(spec, s):
-            continue
-        xval = lattice_value(spec, s)
-        if xval in seen_lattice:
-            continue
-        seen_lattice.add(xval)
-        points.append(s)
-    return points
+        return points[:count]
+
+
+def grid_points(spec, count, origin=1, offset=Fraction(1, 7)):
+    """The first ``count`` coordinates of a fresh :class:`GridAxis`."""
+    return GridAxis(spec, origin, offset).take(count)
+
+
+def lattice_axes(lattices, offset=Fraction(1, 7)):
+    """One :class:`GridAxis` per lattice: axis j (from 0) takes its
+    coordinates from origin j + 1."""
+    return [GridAxis(lat, 1 + k, offset) for k, lat in enumerate(lattices)]
 
 
 def grid_axes(lattices, count, offset=Fraction(1, 7)):
-    """Axes of a tensor grid, ``count`` values per lattice: axis j (from 0)
-    takes ``grid_points`` from origin j + 1.  The oracle and proof grids share it."""
-    return [
-        grid_points(lat, count, origin=1 + k, offset=offset)
-        for k, lat in enumerate(lattices)
-    ]
+    """Axes of a tensor grid, ``count`` values per lattice, from fresh
+    :func:`lattice_axes`.  The recovery grid reads it; a family spec keeps
+    its own axes (``FamilySpec.grid_axes``) for the proof and oracle grids."""
+    return [axis.take(count) for axis in lattice_axes(lattices, offset)]
 
 
-# every label of a sweep asks again for the candidates of the label before
+# a GridAxis examines each candidate once, but the specs and commands of one
+# process share lattices, so they ask again for the same candidates: in a
+# seed-3 perfbench job 28 of 54 calls hit on pde-sweep, 86 of 124 on forms
+# and 58 of 84 on ttrr, and without the cache proof_s read about 3 % higher
+# on pde-sweep and forms (2 cores, CPython 3.11)
 @lru_cache(maxsize=4096)
 def _nonsingular(spec, s):
     try:

@@ -27,7 +27,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import NamedTuple
 
@@ -49,7 +49,6 @@ from .families import (
 from .fbasis import MPoly, graded, interpolate_on_grid, poly_shift_pair
 from .latticeops import (
     SingularPointError,
-    grid_axes,
     half_step,
     lattice_value,
     partial_D,
@@ -271,21 +270,30 @@ class CoeffTable:
 def _axis_entry(lattice, s, l):
     """S D (l = 1) or D^2 (l = 2) in one variable at the coordinate s:
     ``(den, {o: (A, B)}, {o: coordinate})``, the weights of the neighbours at
-    the offsets o = 1, 0, -1 as integers over their own common denominator,
-    zero weights dropped.  The inner D denominators at s + 1/2 and s - 1/2
-    are checked first, then D^2's outer one at s: the order nested
-    application meets them."""
+    the offsets o = 1, 0, -1 as Gaussian integers over their least common
+    denominator, zero weights dropped, formed in integers from the
+    reciprocal denominators :func:`half_step` gives.  The inner D
+    denominators at s + 1/2 and s - 1/2 are checked first, then D^2's outer
+    one at s: the order nested application meets them."""
     up, down = shifted_points(lattice, s)
-    up_up, _, inv_up = half_step(lattice, up)
-    down_down, inv_down = half_step(lattice, down)[1:]
+    up_up, _, (nu, au, bu) = half_step(lattice, up)
+    down_down, (nd, ad, bd) = half_step(lattice, down)[1:]
     if l == 2:
-        outer = half_step(lattice, s)[2]
-        w_up, w_down = outer * inv_up, -outer * inv_down
+        # outer * inv_up and -outer * inv_down
+        no, ao, bo = half_step(lattice, s)[2]
+        nu, au, bu = no * nu, ao * au - bo * bu, ao * bu + bo * au
+        nd, ad, bd = no * nd, -(ao * ad - bo * bd), -(ao * bd + bo * ad)
     else:
-        w_up, w_down = HALF * inv_up, HALF * inv_down
-    den, parts = integer_parts((w_up, w_down - w_up, -w_down))
-    weights = {o: w for o, w in zip((1, 0, -1), parts) if w[0] or w[1]}
-    return den, weights, {1: up_up, 0: s, -1: down_down}
+        # inv_up / 2 and inv_down / 2
+        nu, nd = 2 * nu, 2 * nd
+    # both over their lcm, then all three weights in lowest terms
+    den = lcm(nu, nd)
+    ku, kd = den // nu, den // nd
+    au, bu, ad, bd = ku * au, ku * bu, kd * ad, kd * bd
+    g = gcd(den, au, bu, ad, bd)
+    parts = ((au, bu), (ad - au, bd - bu), (-ad, -bd))
+    weights = {o: (a // g, b // g) for o, (a, b) in zip((1, 0, -1), parts) if a or b}
+    return den // g, weights, {1: up_up, 0: s, -1: down_down}
 
 
 def fraction_view(stencil):
@@ -1077,16 +1085,17 @@ class StencilGrid:
 
     Per variable the axis holds every coordinate a folded stencil weighs,
     the points' own coordinates among them, each at the position where it
-    was first met.  A sweep's label grids are prefixes of one another, so
-    the axes only grow, and the grid folds each point once and keeps its
-    stencil read into axis positions: the one place a sweep keeps
-    stencils.  A label's member is sampled at every point of the axes'
-    tensor grid by one ``family_grid`` call, as Gaussian integers over one
-    denominator, and a point's residual is one integer dot product: its
-    weights with the eigenvalue joined (:func:`join_eigenvalue`) against
-    the samples at their positions.  Only a nonzero residual becomes a
-    field value, the value :func:`table_residual_on` gives with the
-    member, in value and type.
+    was first met.  A sweep's label grids are read off the axes its spec
+    keeps (:func:`residual_grid`), each a prefix of one kept prefix that
+    only grows, so these axes only grow too, and the grid folds each point
+    once and keeps its stencil read into axis positions: the one place a
+    sweep keeps stencils.  A label's member is sampled at every point of
+    the axes' tensor grid by one ``family_grid`` call, as Gaussian integers
+    over one denominator, and a point's residual is one integer dot
+    product: its weights with the eigenvalue joined
+    (:func:`join_eigenvalue`) against the samples at their positions.
+    Only a nonzero residual becomes a field value, the value
+    :func:`table_residual_on` gives with the member, in value and type.
 
     A label folds all of its points and samples its whole grid before its
     first residual is read, so a failing label samples points that the
@@ -1514,9 +1523,11 @@ def compare_tables(table_a: CoeffTable, table_b: CoeffTable):
 def residual_grid(spec: FamilySpec, label, size=None, offset=Fraction(1, 7)):
     """Axes of a tensor grid of nonsingular points, ``size`` lattice values
     per axis; by default |label| + 5, four more than the table residual's
-    degree bound (see :func:`check_proof_grid`) asks for."""
+    degree bound (see :func:`check_proof_grid`) asks for.  They are read off
+    the axes the spec keeps (``FamilySpec.grid_axes``), so a sweep's labels
+    examine each candidate coordinate once."""
     size = size if size is not None else sum(check_label(spec, label)) + 5
-    return grid_axes(spec.lattices(), size, offset)
+    return spec.grid_axes(size, offset)
 
 
 def sweep(spec: FamilySpec, max_total_degree, values):

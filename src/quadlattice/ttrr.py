@@ -78,7 +78,6 @@ from .fbasis import (
     l_matrix,
     u_blocks,
 )
-from .latticeops import grid_axes
 from .matrix import ExactMatrix, check_invertible, exact_inverse
 from .pdeverify import coefficients
 
@@ -1100,14 +1099,15 @@ def family_poly_vector(spec: FamilySpec, n) -> PolyVector:
     """The family's degree-n vector interpolated into exact polynomials in
     the lattice variables (the oracle side of every TTRR comparison), on
     one node per axis more than degree n needs, so that a member of a
-    higher total degree shows; the members are sampled in integers
+    higher total degree shows.  The nodes are read off the axes the spec
+    keeps (``FamilySpec.grid_axes``), so the degrees of one spec examine
+    each candidate coordinate once; the members are sampled in integers
     (``families.family_grid``) and interpolated from them.  A negative
     degree raises ValueError."""
     _require_degree(n)
-    lattices = spec.lattices()
-    axes = grid_axes(lattices, n + 2)
+    axes = spec.grid_axes(n + 2)
     entries = interpolate_parts_on_grid(
-        lattices, axes, family_grid(spec, graded(n, spec.nvars), axes)
+        spec.lattices(), axes, family_grid(spec, graded(n, spec.nvars), axes)
     )
     if any(poly.total_degree() > n for poly in entries):
         raise AssertionError("interpolated family entry exceeds total degree")

@@ -1,12 +1,17 @@
 """References for the tests, which no proof path needs: the lattices' monic
 bases F_n written out as monomial polynomials, one node product after
 another (``fbasis.u_blocks`` reads the top blocks off the nodes instead),
-and polynomial combinations summed in field arithmetic, term by term
-(``MPoly.combine_rows`` sums them in Gaussian integers instead)."""
+polynomial combinations summed in field arithmetic, term by term
+(``MPoly.combine_rows`` sums them in Gaussian integers instead), and D's
+half step and the one-variable S D and D^2 weights in field arithmetic
+(``latticeops.half_step`` and ``pdeverify._axis_entry`` form them in
+integers instead)."""
 
 from fractions import Fraction
 
+from quadlattice.exactfield import GaussianRational, gauss, integer_parts
 from quadlattice.fbasis import MPoly
+from quadlattice.latticeops import LatticeSpec, SingularPointError, shifted_points
 
 
 def basis_polys(lattice, n, index=0, nvars=1):
@@ -49,3 +54,37 @@ def chain_combine(coeffs, polys):
 def chain_apply_rows(matrix, polys):
     """The matrix action on polynomials as one :func:`chain_combine` per row."""
     return [chain_combine(row, polys) for row in matrix.data]
+
+
+def half_step(spec, point):
+    """(up, down, 1 / (x(up) - x(down))) in field arithmetic: the
+    denominator 2s + beta, 2is or i, tested for zero and inverted."""
+    if spec.kind == LatticeSpec.QUADRATIC:
+        den = 2 * point + spec.beta
+    elif spec.kind == LatticeSpec.WILSON:
+        den = GaussianRational(0, 2) * gauss(point)
+    else:
+        den = GaussianRational(0, 1)
+    if not den:
+        raise SingularPointError(f"stencil denominator vanishes at {point} on {spec!r}")
+    up, down = shifted_points(spec, point)
+    return up, down, 1 / den
+
+
+def axis_entry(lattice, s, l):
+    """S D (l = 1) or D^2 (l = 2) in one variable at the coordinate s as
+    ``(den, {o: (A, B)}, {o: coordinate})``: the field weights of the
+    offsets o = 1, 0, -1, then written over their common denominator by
+    ``integer_parts``, zero weights dropped.  The inner denominators at
+    s + 1/2 and s - 1/2 are tested first, then D^2's outer one at s."""
+    up, down = shifted_points(lattice, s)
+    up_up, _, inv_up = half_step(lattice, up)
+    down_down, inv_down = half_step(lattice, down)[1:]
+    if l == 2:
+        outer = half_step(lattice, s)[2]
+        w_up, w_down = outer * inv_up, -outer * inv_down
+    else:
+        w_up, w_down = Fraction(1, 2) * inv_up, Fraction(1, 2) * inv_down
+    den, parts = integer_parts((w_up, w_down - w_up, -w_down))
+    weights = {o: w for o, w in zip((1, 0, -1), parts) if w[0] or w[1]}
+    return den, weights, {1: up_up, 0: s, -1: down_down}

@@ -912,3 +912,47 @@ def test_spec_json_echo():
     blob = spec.to_json()
     assert blob["family"] == "cdh"
     assert blob["params"]["e2"] == "2/5"
+
+
+# -- the grid axes a spec keeps -----------------------------------------------
+
+def _axes_or_error(build, count):
+    try:
+        return build(count)
+    except lo.SingularPointError as err:
+        return ("raised", str(err))
+
+
+@pytest.mark.parametrize("family", [fam.RACAH, fam.WILSON, fam.CH, fam.CH_TRI])
+@pytest.mark.parametrize("offset", [Fraction(1, 7), Fraction(1, 2)])
+def test_kept_axes_are_the_grid_axes(family, offset):
+    # counts asked in ascending, descending and repeated order are read off
+    # one kept prefix per axis, equal to freshly built axes every time
+    spec = fam.FamilySpec(family)
+    for count in [1, 2, 4, 7, 6, 3, 0, 3, 3, 8, 5, 8]:
+        assert spec.grid_axes(count, offset) == lo.grid_axes(spec.lattices(), count, offset), count
+    assert spec.grid_axes(4) == lo.grid_axes(spec.lattices(), 4)
+
+
+@pytest.mark.parametrize("edge", [181, 182])
+def test_kept_axes_raise_at_the_grid_bound(monkeypatch, edge):
+    # with the candidates k = 1, 2, edge, edge + 1, edge + 2 the only
+    # nonsingular ones, axis 1 (from origin 2) finds its second point at
+    # k = edge, and grid_points examines k only while k + 1 <= origin +
+    # 40 * count + 100: two points per axis raise past that bound, whether
+    # the axis extends to them or a larger count kept them already, and six
+    # points raise once axis 0's five run out
+    offset = Fraction(1, 7)
+    accepted = {k + offset for k in (1, 2, edge, edge + 1, edge + 2)}
+    monkeypatch.setattr(lo, "_nonsingular", lambda lattice, s: s in accepted)
+    raised = ("raised", "could not assemble a nonsingular grid")
+    two = raised if edge + 1 > 2 + 40 * 2 + 100 else None
+    spec = fam.FamilySpec(fam.CH)
+    fresh = lambda count: lo.grid_axes(spec.lattices(), count, offset)
+    for build in (fresh, lambda count: fam.FamilySpec(fam.CH).grid_axes(count, offset)):
+        assert (_axes_or_error(build, 2) == raised) == (two == raised)
+    kept = lambda count: spec.grid_axes(count, offset)
+    for count, outcome in [(3, None), (2, two), (1, None), (6, raised), (4, None), (2, two)]:
+        want = _axes_or_error(fresh, count)
+        assert _axes_or_error(kept, count) == want, count
+        assert (want == raised) == (outcome == raised), count

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -5,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from quadlattice import latticeops as lo
-from quadlattice.exactfield import GaussianRational, imag_part
+from quadlattice.exactfield import GaussianRational, from_parts, imag_part
 from quadlattice.fbasis import MPoly, interpolate_univariate, poly_D, poly_S
+
+import basis_reference
 
 
 QUAD = lo.quadratic(Fraction(2, 3))
@@ -74,9 +77,34 @@ def test_singular_point_raises():
 def test_half_step_denominators():
     # x(s + 1/2) - x(s - 1/2) is 2s + beta, 2is and i on the three lattices
     for s in (Fraction(8, 7), Fraction(-3, 5)):
-        assert lo.half_step(QUAD, s) == (s + Fraction(1, 2), s - Fraction(1, 2), 1 / (2 * s + QUAD.beta))
-        assert lo.half_step(WIL, s)[2] == 1 / GaussianRational(0, 2 * s)
-        assert lo.half_step(LIN, s)[2] == 1 / GaussianRational(0, 1)
+        up, down, inv = lo.half_step(QUAD, s)
+        assert (up, down, from_parts(*inv)) == (s + Fraction(1, 2), s - Fraction(1, 2), 1 / (2 * s + QUAD.beta))
+        assert from_parts(*lo.half_step(WIL, s)[2]) == 1 / GaussianRational(0, 2 * s)
+        assert from_parts(*lo.half_step(LIN, s)[2]) == 1 / GaussianRational(0, 1)
+
+
+def test_half_step_triples_are_reduced_field_reciprocals():
+    # (N, A, B) is the field reciprocal in lowest terms with N > 0, at real
+    # and Gaussian points alike, and a vanishing denominator raises the
+    # field form's message
+    rng = random.Random(43)
+    for spec in (QUAD, lo.quadratic(Fraction(-5, 2)), WIL, LIN):
+        points = [-spec.beta / 2 if spec.beta is not None else Fraction(0)]
+        for _ in range(40):
+            re_part = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+            im_part = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+            points += [re_part, GaussianRational(re_part, im_part)]
+        for point in points:
+            try:
+                want = basis_reference.half_step(spec, point)
+            except lo.SingularPointError as err:
+                with pytest.raises(lo.SingularPointError) as got:
+                    lo.half_step(spec, point)
+                assert str(got.value) == str(err)
+                continue
+            up, down, (n, a, b) = lo.half_step(spec, point)
+            assert n > 0 and math.gcd(n, a, b) == 1, point
+            assert (up, down, from_parts(n, a, b)) == want, point
 
 
 def test_singular_point_message_is_the_engine_message():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -14,11 +15,13 @@ from quadlattice import latticeops as lo
 from quadlattice import pdeverify as pv
 from quadlattice import ttrr
 from quadlattice.cli import EXIT_MISMATCH, run
-from quadlattice.exactfield import GaussianRational, demote
+from quadlattice.exactfield import GaussianRational, demote, from_parts
 from quadlattice.fbasis import MPoly, poly_D, poly_S
 from quadlattice.latticeops import SingularPointError
 from quadlattice.matrix import ExactMatrix, solve_stacked
 from test_cli import _drawn_params
+
+import basis_reference
 
 PTS2 = [(Fraction(8, 7), Fraction(16, 7)), (Fraction(15, 7), Fraction(23, 7))]
 PTS3 = [(Fraction(8, 7), Fraction(16, 7), Fraction(9, 7)),
@@ -498,7 +501,7 @@ def test_engine_nested_denominator_singularity():
     lattices = spec.lattices()
     s = (-spec.params["beta1"] - 1) / 2
     point = (s, Fraction(16, 7))
-    assert lo.half_step(lattices[0], s)[2] == -1
+    assert from_parts(*lo.half_step(lattices[0], s)[2]) == -1
     for lindex in ((2, 0), (1, 0)):
         with pytest.raises(SingularPointError, match=f"vanishes at {s + Fraction(1, 2)} on"):
             pv.stencil_weights(lattices, lindex, point)
@@ -576,10 +579,10 @@ def test_residual_leaves_the_folded_stencil_unchanged():
 
 def _reference_weights_1d(lattice, s, l):
     up, down = lo.shifted_points(lattice, s)
-    up_up, mid, inv_up = lo.half_step(lattice, up)
-    down_down, inv_down = lo.half_step(lattice, down)[1:]
+    up_up, mid, inv_up = basis_reference.half_step(lattice, up)
+    down_down, inv_down = basis_reference.half_step(lattice, down)[1:]
     if l == 2:
-        outer = lo.half_step(lattice, s)[2]
+        outer = basis_reference.half_step(lattice, s)[2]
         w_up, w_down = outer * inv_up, -outer * inv_down
     else:
         w_up, w_down = Fraction(1, 2) * inv_up, Fraction(1, 2) * inv_down
@@ -798,6 +801,139 @@ def test_a_sweep_builds_each_axis_entry_once(monkeypatch, name, degree, grid_siz
     reports = pv.verify_table(fam.FamilySpec(name), degree, grid_size=grid_size)
     assert all(r["pass"] for r in reports)
     assert len(calls) == len(set(calls)) == entries
+
+
+# -- the integer axis entries against the field ones ---------------------------------
+# The entries used to be formed in field arithmetic from field reciprocals;
+# tests/basis_reference.py keeps that form as the reference.
+
+AXIS_LATTICES = {
+    "racah-x": fam.FamilySpec(fam.RACAH).lattices()[0],
+    "racah-y": fam.FamilySpec(fam.RACAH).lattices()[1],
+    "quadratic-negative": lo.quadratic(Fraction(-7, 4)),
+    "wilson": lo.wilson_square(),
+    "linear": lo.linear(),
+}
+
+
+def _axis_coordinates(lattice, seed):
+    """Real coordinates: the lattice's proof-grid axis and draws of both signs."""
+    rng = random.Random(seed)
+    return lo.grid_points(lattice, 6) + [
+        Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(30)
+    ]
+
+
+def _entry_or_error(build, lattice, s, l):
+    try:
+        return build(lattice, s, l)
+    except SingularPointError as err:
+        return ("raised", str(err))
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_LATTICES))
+@pytest.mark.parametrize("l", [1, 2])
+def test_integer_axis_entries_are_the_field_entries(name, l):
+    # each weight (A + Bi) / den has the field weight's value, over the same
+    # least common denominator; the coordinates are the same field values,
+    # Gaussian one half step off the real axis on the Wilson and linear
+    # lattices
+    lattice = AXIS_LATTICES[name]
+    for s in _axis_coordinates(lattice, 43 + l):
+        got = _entry_or_error(pv._axis_entry, lattice, s, l)
+        want = _entry_or_error(basis_reference.axis_entry, lattice, s, l)
+        if want[0] == "raised":
+            assert got == want, s
+            continue
+        (den, weights, coords), (rden, rweights, rcoords) = got, want
+        assert den > 0 and den == rden, s
+        assert sorted(weights) == sorted(rweights), s
+        for o, (a, b) in weights.items():
+            assert from_parts(den, a, b) == from_parts(rden, *rweights[o]), (s, o)
+        assert coords == rcoords, s
+        if lattice.kind != lo.LatticeSpec.QUADRATIC:
+            up = lo.shifted_points(lattice, s)[0]
+            assert isinstance(up, GaussianRational) and up.im, s
+
+
+def _singular_coordinates(lattice):
+    """Coordinates at which one D denominator of an axis entry vanishes:
+    the inner one at s + 1/2, the inner one at s - 1/2, D^2's outer one at
+    s, then a point where none does."""
+    if lattice.kind == lo.LatticeSpec.QUADRATIC:
+        beta = lattice.beta
+        return [(-beta - 1) / 2, (1 - beta) / 2, -beta / 2, Fraction(8, 7)]
+    if lattice.kind == lo.LatticeSpec.WILSON:
+        half_i = GaussianRational(0, Fraction(1, 2))
+        return [-half_i, half_i, Fraction(0), Fraction(8, 7)]
+    return [Fraction(0), Fraction(8, 7)]
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_LATTICES))
+def test_integer_axis_entries_raise_as_the_field_entries(name):
+    # the same exception with the same message, naming the one point where a
+    # denominator vanishes (at most one of the three does at a coordinate);
+    # S D never tests D^2's outer one
+    lattice = AXIS_LATTICES[name]
+    raised = []
+    for s in _singular_coordinates(lattice):
+        for l in (1, 2):
+            got = _entry_or_error(pv._axis_entry, lattice, s, l)
+            assert got == _entry_or_error(basis_reference.axis_entry, lattice, s, l), (s, l)
+            if got[0] == "raised":
+                raised.append((s, l, got[1]))
+    if lattice.kind == lo.LatticeSpec.LINEAR:
+        assert raised == []
+        return
+    up_s, down_s, outer_s = _singular_coordinates(lattice)[:3]
+    up, down = lo.shifted_points(lattice, up_s)[0], lo.shifted_points(lattice, down_s)[1]
+    vanish = "stencil denominator vanishes at {} on " + repr(lattice)
+    assert raised == [
+        (up_s, 1, vanish.format(up)), (up_s, 2, vanish.format(up)),
+        (down_s, 1, vanish.format(down)), (down_s, 2, vanish.format(down)),
+        (outer_s, 2, vanish.format(outer_s)),
+    ]
+
+
+def _counted_candidates(monkeypatch):
+    """A Counter of the (lattice, coordinate) candidates the grid filter is
+    asked about from here on."""
+    calls = Counter()
+    check = lo._nonsingular
+
+    def counted(lattice, s):
+        calls[(lattice, s)] += 1
+        return check(lattice, s)
+
+    monkeypatch.setattr(lo, "_nonsingular", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", [fam.RACAH, fam.WILSON, fam.CH])
+def test_a_spec_examines_each_grid_candidate_once(monkeypatch, family):
+    # a sweep's labels and the oracle's degrees ask for growing grids; each
+    # reads the spec's kept axes, so every candidate is examined once per
+    # axis, as one grid of the largest size examines it
+    calls = _counted_candidates(monkeypatch)
+    lattices = fam.FamilySpec(family).lattices()
+
+    def largest_grid(count):
+        calls.clear()
+        lo.grid_axes(lattices, count)
+        return Counter(calls)
+
+    code, report = run(["verify-pde", "--family", family, "--max-total-degree", "3"])
+    assert code == 0 and all(r["pass"] for r in report["results"])
+    sweep = Counter(calls)
+    assert sweep == largest_grid(3 + 5)
+    calls.clear()
+    spec = fam.FamilySpec(family)
+    for n in range(5):
+        ttrr.family_poly_vector(spec, n)
+    oracle = Counter(calls)
+    assert oracle == largest_grid(4 + 2)
+    # only the two axes of one lattice (wilson's, ch's) share candidates
+    assert max(sweep.values()) == max(oracle.values()) == (1 if family == fam.RACAH else 2)
 
 
 # -- a table's fold from per-coordinate rows ------------------------------------------
