@@ -420,7 +420,7 @@ def _l3_entries(degree):
         axes = _label_grid_axes(name, label, grid_size)
 
         def sample(name=name, label=label, axes=axes):
-            return fam.family_grid(fam.FamilySpec(name), [label], axes, deferred=True)
+            return fam.family_grid(fam.FamilySpec(name), [label], axes)
 
         out[f"L3.label_grid.{name}"] = (sample, len(sample()[0][1]))
     return out

@@ -22,6 +22,7 @@ from . import families as fam
 from . import pdeverify as pv
 from . import ttrr
 from .exactfield import field_str, rat
+from .latticeops import GRID_OFFSET
 
 TABLES_VERSION = "tables-v1"
 
@@ -148,7 +149,7 @@ def _spec_from(args):
 
 
 def _grid_offset(seed):
-    return Fraction(1, 7) + Fraction(seed % 23, 101)
+    return GRID_OFFSET + Fraction(seed % 23, 101)
 
 
 def _read(option, text, entry, convert, what):

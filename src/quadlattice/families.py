@@ -54,9 +54,10 @@ values.  It samples members on a tensor grid and stays in integers: each
 factor's vectors of an axis are written over one denominator, and a member
 comes back as the Gaussian-integer numerators of its values over one
 denominator, which the interpolation oracle hands to ``fbasis`` as they
-are and the residual sweeps dot with their stencils' integer weights.  For
-the sweeps it defers its errors: a point it cannot sample holds a function
-that raises there, so a sweep meets an error where a per-point evaluation
+are and the residual sweeps dot with their stencils' integer weights.  A
+grid it cannot sample raises the first error it meets, and a residual
+sweep then reads that label's member point by point through
+``family_function``, meeting its errors where a per-point evaluation
 would.  Every single value is its one-point grid: ``_eval_cached``, behind
 ``family_function`` and ``eval_family``, reads it for the ladders and the
 ``eval`` command.  A lower vector is built only after ``check_lower`` has
@@ -76,7 +77,7 @@ not cancel.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import product
 from math import factorial, lcm
 from operator import mul
@@ -96,7 +97,7 @@ from .exactfield import (
     rat_str,
     times_i,
 )
-from .latticeops import lattice_axes, linear, partial_D, quadratic, wilson_square
+from .latticeops import GRID_OFFSET, lattice_axes, linear, partial_D, quadratic, wilson_square
 
 HALF = Fraction(1, 2)
 
@@ -108,10 +109,12 @@ HALF = Fraction(1, 2)
 # and every vector it holds, lives while its caller or one of its values in
 # ``_eval_cached`` refers to it.  ``_eval_cached`` holds the one-point reads
 # of ``family_grid`` (the ladders, the ``eval`` command and the callers of
-# ``family_function``); the residual sweeps and the interpolation oracle
-# call ``family_grid`` directly, which fills none of these caches, only the
-# member's factor vectors.  A benchmark job or a CLI command fills a few
-# thousand entries across all of them, so none of them evicts.
+# ``family_function``, among them a residual sweep's label whose grid
+# cannot be sampled, read point by point); the residual sweeps and the
+# interpolation oracle otherwise call ``family_grid`` directly, which fills
+# none of these caches, only the member's factor vectors.  A benchmark job
+# or a CLI command fills a few thousand entries across all of them, so
+# none of them evicts.
 FAMILY_CACHE_SIZE = 1 << 14
 
 
@@ -540,7 +543,7 @@ class FamilySpec:
             return (linear("x"), linear("y"), linear("z"))
         return (linear("x"), linear("y"))
 
-    def grid_axes(self, count, offset=Fraction(1, 7)):
+    def grid_axes(self, count, offset=GRID_OFFSET):
         """``latticeops.grid_axes(self.lattices(), count, offset)``, read
         off the axes the spec keeps per offset: each axis examines a
         candidate coordinate once, whatever counts are asked in whatever
@@ -687,27 +690,15 @@ def _member(spec, label):
     return factors
 
 
-def _raise_non_real(family, den, re, im, point):
-    raise ArithmeticError(f"{family} value at {point} came out non-real: {from_parts(den, re, im)}")
-
-
-def _raise(error, point):
-    raise error
-
-
 def _over_one(vectors):
     """(den, [vector]): the (den_k, vector_k) pairs written over the lcm of
-    their denominators; an entry that is not a pair is kept as it is."""
-    den = lcm(*(v[0] for v in vectors if v.__class__ is tuple))
-    return den, [
-        v if v.__class__ is not tuple
-        else v[1] if v[0] == den
-        else [(a * (den // v[0]), b * (den // v[0])) for a, b in v[1]]
-        for v in vectors
-    ]
+    their denominators."""
+    den = lcm(*(d for d, _ in vectors))
+    return den, [v if d == den else [(a * (den // d), b * (den // d)) for a, b in v]
+                 for d, v in vectors]
 
 
-def family_grid(spec, labels, axes, deferred=False):
+def family_grid(spec, labels, axes):
     """Per label, (den, [(A, B)]): the member's values (A + Bi) / den at the
     points of the tensor grid of ``axes`` (one list of coordinates per
     variable), row-major, over one denominator that is not reduced.  This
@@ -716,19 +707,11 @@ def family_grid(spec, labels, axes, deferred=False):
     its upper vector once per coordinate of its own axis and its lower
     vector once per coordinate of its coupled axis, each side written over
     one denominator for the axis; a point is then one dot product per
-    factor and their product.  A Racah, Wilson or continuous dual Hahn
-    member must be real at a real point: a non-real value there raises an
-    ArithmeticError.
-
-    With ``deferred``, nothing raises here: a point the member cannot be
-    sampled at holds, in place of its pair, a function of the point's
-    coordinates (as the caller holds them) that raises what
-    ``family_function(spec, label)`` raises there, the degenerate lower
-    vector of the first factor in member order that needs one, else the
-    non-real value.  So a caller meets an error only at a point it reads,
-    in its own order.  Without it the first degenerate lower vector, in
-    factor and axis order, raises as it is built, and then the first
-    non-real value in row-major order."""
+    factor and their product.  The first degenerate lower vector, in factor
+    and axis order, raises its ``DegenerateParameterError`` as it is built.
+    A Racah, Wilson or continuous dual Hahn member must be real at a real
+    point: the first non-real value there, in row-major order, raises an
+    ArithmeticError."""
     points = list(product(*axes))
     indices = list(product(*(range(len(axis)) for axis in axes)))
     real = base_family(spec.family) in (RACAH, WILSON, CDH)
@@ -738,41 +721,22 @@ def family_grid(spec, labels, axes, deferred=False):
         for f in _member(spec, check_label(spec, label)):
             hden, heads = _over_one([f.head(v) for v in axes[f.own]])
             coupled = [None] if f.coupled is None else axes[f.coupled]
-            tden, tails = _over_one([_tail(f, w, deferred) for w in coupled])
+            tden, tails = _over_one([f.tail(w) for w in coupled])
             den *= hden * tden
-            values = [[f.dot(h, t) if t.__class__ is list else t for t in tails] for h in heads]
-            tables.append((f.own, f.coupled, values))
+            tables.append((f.own, f.coupled, [[f.dot(h, t) for t in tails] for h in heads]))
         grid = []
         for point, idx in zip(points, indices):
-            pairs = [
+            re, im = gmul([
                 values[idx[own]][0 if coupled is None else idx[coupled]]
                 for own, coupled, values in tables
-            ]
-            unsampled = [p for p in pairs if p.__class__ is not tuple]
-            if unsampled:
-                grid.append(unsampled[0])
-                continue
-            re, im = gmul(pairs)
+            ])
             if im and real and all(imag_part(v) == 0 for v in point):
-                error = partial(_raise_non_real, spec.family, den, re, im)
-                if not deferred:
-                    error(point)
-                grid.append(error)
-            else:
-                grid.append((re, im))
+                raise ArithmeticError(
+                    f"{spec.family} value at {point} came out non-real: {from_parts(den, re, im)}"
+                )
+            grid.append((re, im))
         out.append((den, grid))
     return out
-
-
-def _tail(factor, w, deferred):
-    """The factor's lower vector at the coupled coordinate w or, when it is
-    degenerate and ``deferred``, a function that raises its error."""
-    try:
-        return factor.tail(w)
-    except DegenerateParameterError as exc:
-        if not deferred:
-            raise
-        return partial(_raise, exc)
 
 
 _ORACLES = {

@@ -38,6 +38,9 @@ HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 HALF_I = GaussianRational(0, HALF)
 
+# the default offset of every grid coordinate s = k + offset (GridAxis)
+GRID_OFFSET = Fraction(1, 7)
+
 
 def structure_scalars(n, beta):
     """The scalars f_n(beta) and g_n of the monic-basis relations."""
@@ -193,14 +196,13 @@ class GridAxis:
     need.  Each candidate is examined once, however many counts are asked.
     """
 
-    __slots__ = ("lattice", "origin", "offset", "_points", "_taken", "_next", "_seen")
+    __slots__ = ("lattice", "origin", "offset", "_points", "_next", "_seen")
 
-    def __init__(self, lattice, origin=1, offset=Fraction(1, 7)):
+    def __init__(self, lattice, origin=1, offset=GRID_OFFSET):
         self.lattice = lattice
         self.origin = origin
         self.offset = Fraction(offset)
         self._points = []
-        self._taken = []
         self._next = origin
         self._seen = set()
 
@@ -210,7 +212,7 @@ class GridAxis:
         k <= origin + 40 count + 99, whether the prefix held them already or
         not."""
         bound = self.origin + 40 * count + 100
-        points, taken = self._points, self._taken
+        points = self._points
         while len(points) < count:
             k = self._next
             if k + 1 > bound:
@@ -224,24 +226,23 @@ class GridAxis:
                 continue
             self._seen.add(xval)
             points.append(s)
-            taken.append(k)
-        if count and taken[count - 1] + 1 > bound:
+        if count and points[count - 1] - self.offset + 1 > bound:
             raise SingularPointError("could not assemble a nonsingular grid")
         return points[:count]
 
 
-def grid_points(spec, count, origin=1, offset=Fraction(1, 7)):
+def grid_points(spec, count, origin=1, offset=GRID_OFFSET):
     """The first ``count`` coordinates of a fresh :class:`GridAxis`."""
     return GridAxis(spec, origin, offset).take(count)
 
 
-def lattice_axes(lattices, offset=Fraction(1, 7)):
+def lattice_axes(lattices, offset=GRID_OFFSET):
     """One :class:`GridAxis` per lattice: axis j (from 0) takes its
     coordinates from origin j + 1."""
     return [GridAxis(lat, 1 + k, offset) for k, lat in enumerate(lattices)]
 
 
-def grid_axes(lattices, count, offset=Fraction(1, 7)):
+def grid_axes(lattices, count, offset=GRID_OFFSET):
     """Axes of a tensor grid, ``count`` values per lattice, from fresh
     :func:`lattice_axes`.  The recovery grid reads it; a family spec keeps
     its own axes (``FamilySpec.grid_axes``) for the proof and oracle grids."""

@@ -39,6 +39,7 @@ from .families import (
     RACAH,
     WILSON,
     WILSON_BAR,
+    DegenerateParameterError,
     FamilySpec,
     base_family,
     check_label,
@@ -48,6 +49,7 @@ from .families import (
 )
 from .fbasis import MPoly, graded, interpolate_on_grid, poly_shift_pair
 from .latticeops import (
+    GRID_OFFSET,
     SingularPointError,
     half_step,
     lattice_value,
@@ -1072,7 +1074,8 @@ def table_residual_on(equation: Equation, f, label, point):
     the stencil is built.  Each call folds its point afresh.  A family
     member's residuals are read from its samples on a grid instead
     (:class:`StencilGrid`), to the same values; this is the route for
-    other functions, and the tests' per-point reference.
+    other functions, for a member whose grid cannot be sampled, and the
+    tests' per-point reference.
     """
     point = tuple(point)
     return _dot(*join_eigenvalue(equation.eigenvalue(label), *equation.fold(point), point), f)
@@ -1098,14 +1101,14 @@ class StencilGrid:
     :func:`table_residual_on` gives with the member, in value and type.
 
     A label folds all of its points and samples its whole grid before its
-    first residual is read, so a failing label samples points that the
-    per-point route never reaches, and a fold that cannot be made raises
-    before any of its residuals.  The residuals are read lazily in the
-    points' order, and a sample that cannot be taken raises only when a
-    residual reads it (``family_grid``'s deferred errors), with the point's
-    coordinates as its stencil holds them: the witness is the first failing
-    point, with the same value, and an error is the one the per-point route
-    meets first, with the same message.
+    first residual is read, so a fold that cannot be made raises before any
+    of its residuals.  A label whose grid cannot be sampled (``family_grid``
+    raises a ``DegenerateParameterError`` or a non-real value's
+    ArithmeticError) is swept point by point instead, each residual
+    :func:`table_residual_on` of its member: the witness is the first
+    failing point, with the same value, and an error is the one the
+    per-point route meets first, with the same message.  The residuals are
+    read lazily in the points' order.
     """
 
     def __init__(self, equation: Equation, spec: FamilySpec):
@@ -1119,7 +1122,16 @@ class StencilGrid:
         """(point, residual) at each of the points, in their order, read
         lazily: a caller that stops at a failing point reads no further."""
         stencils = [(point, self._stencil(point)) for point in points]
-        ((den, samples),) = family_grid(self.spec, [label], self.axes, deferred=True)
+        try:
+            ((den, samples),) = family_grid(self.spec, [label], self.axes)
+        except (DegenerateParameterError, ArithmeticError) as exc:
+            # a sample that cannot be taken; a ZeroDivisionError passes on
+            if exc.__class__ not in (DegenerateParameterError, ArithmeticError):
+                raise
+            f = family_function(self.spec, label)
+            for point, _ in stencils:
+                yield point, table_residual_on(self.equation, f, label, point)
+            return
         lam = self.equation.eigenvalue(label)
         strides = [1] * len(self.axes)
         for var in range(len(self.axes) - 1, 0, -1):
@@ -1129,10 +1141,7 @@ class StencilGrid:
             re = im = 0
             for at, (a, b) in joined.items():
                 if a or b:
-                    sample = samples[sum(map(mul, at, strides))]
-                    if sample.__class__ is not tuple:
-                        sample(self._key(point, at))
-                    c, d = sample
+                    c, d = samples[sum(map(mul, at, strides))]
                     re += a * c - b * d
                     im += a * d + b * c
             yield point, (from_parts(jden * den, re, im) if re or im else ZERO)
@@ -1158,18 +1167,13 @@ class StencilGrid:
             out.append(at)
         return tuple(out)
 
-    def _key(self, point, at):
-        """The neighbour at the positions ``at`` as the point's stencil keys
-        it, or the point itself: the coordinates a sample error names.  Only
-        an error reads it, so it folds the point again."""
-        return next((q for q in self.equation.fold(point)[1] if self._place(q) == at), point)
-
 
 def residual(equation: Equation, spec: FamilySpec, label, point):
     """lambda P(point) + (L P)(point) for the family member P; exactly 0 on
     family members.  For a coefficient table L is sum f_i E_i.  The
     one-point grid of :class:`StencilGrid`, so each call folds its point
-    afresh."""
+    afresh, and a point the member cannot be sampled at raises the error
+    :func:`table_residual_on` meets there."""
     label = check_label(spec, label)
     point = check_point(spec, point)
     ((_, value),) = StencilGrid(equation, spec).residuals(label, [point])
@@ -1520,7 +1524,7 @@ def compare_tables(table_a: CoeffTable, table_b: CoeffTable):
 # verification sweeps
 # ---------------------------------------------------------------------------
 
-def residual_grid(spec: FamilySpec, label, size=None, offset=Fraction(1, 7)):
+def residual_grid(spec: FamilySpec, label, size=None, offset=GRID_OFFSET):
     """Axes of a tensor grid of nonsingular points, ``size`` lattice values
     per axis; by default |label| + 5, four more than the table residual's
     degree bound (see :func:`check_proof_grid`) asks for.  They are read off
@@ -1578,7 +1582,7 @@ def check_proof_grid(max_total_degree, grid_size):
 
 
 def equation_sweep(
-    equation: Equation, spec: FamilySpec, max_total_degree, grid_size=None, offset=Fraction(1, 7)
+    equation: Equation, spec: FamilySpec, max_total_degree, grid_size=None, offset=GRID_OFFSET
 ):
     """:func:`sweep` of the equation's residuals on the spec's members, each
     label over its :func:`residual_grid`.  One :class:`StencilGrid` serves

@@ -238,6 +238,26 @@ def test_negative_degree_exits_2_without_traceback():
     assert "--n: must be at least 0" in proc.stderr
 
 
+def test_the_package_imports_only_the_standard_library():
+    # every module of the package, imported in a fresh isolated interpreter;
+    # the site hooks may load modules at startup, so only those the package
+    # imports count
+    script = (
+        "import importlib, json, pkgutil, sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "before = set(sys.modules)\n"
+        "import quadlattice\n"
+        "for info in pkgutil.iter_modules(quadlattice.__path__):\n"
+        "    importlib.import_module('quadlattice.' + info.name)\n"
+        "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "quadlattice" in loaded
+    assert [m for m in loaded if m != "quadlattice" and m not in sys.stdlib_module_names] == []
+
+
 @pytest.mark.parametrize("target, cause", [
     ("missing/r.json", "No such file or directory"),
     (".", "Is a directory"),

@@ -743,16 +743,16 @@ def test_a_value_is_one_family_grid_read_and_ch_uni_turns_through_its_factor(mon
     calls = []
     original = fam.family_grid
 
-    def counted(spec, labels, axes, deferred=False):
-        calls.append((labels, axes, deferred))
-        return original(spec, labels, axes, deferred)
+    def counted(spec, labels, axes):
+        calls.append((labels, axes))
+        return original(spec, labels, axes)
 
     monkeypatch.setattr(fam, "family_grid", counted)
     fam._eval_cached.cache_clear()
     spec = fam.FamilySpec(fam.CH)
     point = (Fraction(8, 7), Fraction(16, 7))
     value = fam.eval_family(spec, (2, 1), point)
-    assert calls == [([(2, 1)], [[point[0]], [point[1]]], False)]
+    assert calls == [([(2, 1)], [[point[0]], [point[1]]])]
     assert fam.eval_family(spec, (2, 1), point) == value
     assert len(calls) == 1
     assert_same_value_and_type(value, fam.eval_family_oracle(spec, (2, 1), point), point)

@@ -409,15 +409,46 @@ def test_a_non_real_sample_raises_the_per_point_message(kind):
     assert raised[0].startswith(f"wilson value at {point} came out non-real: ")
 
 
+@pytest.mark.parametrize("name", SAMPLE_ERROR_CASES)
+def test_a_label_its_grid_cannot_sample_is_swept_point_by_point(monkeypatch, name):
+    # the labels swept before the failing one read no pointwise value; the
+    # failing label reads its member through family_function, at the points
+    # the per-point route reads there, in its order, up to the same error
+    family, params, build, bound, message = SAMPLE_ERROR_CASES[name]
+    reads = []
+    cached = fam._eval_cached
+
+    def counted(spec, label, point):
+        reads.append((label, point))
+        return cached(spec, label, point)
+
+    monkeypatch.setattr(fam, "_eval_cached", counted)
+    spec = fam.FamilySpec(family, params)
+    swept = []
+    with pytest.raises(fam.DegenerateParameterError) as exc:
+        for label, _, _ in pv.equation_sweep(build(spec), spec, bound):
+            swept.append(label)
+    assert str(exc.value) == message
+    order = [label for n in range(bound + 1) for label in reversed(fbasis.graded(n, spec.nvars))]
+    failing = order[len(swept)]
+    grid_reads = reads[:]
+    assert grid_reads and {label for label, _ in grid_reads} == {failing}
+    reads.clear()
+    spec = fam.FamilySpec(family, params)
+    with pytest.raises(fam.DegenerateParameterError):
+        _per_point_sweep(build(spec), spec, bound, _pointwise_member(spec))
+    assert grid_reads == [read for read in reads if read[0] == failing]
+
+
 def test_residual_is_the_one_point_grid(monkeypatch):
     # residual samples its member by one family_grid call on the point's
     # stencil coordinates, and never through the pointwise member
     calls = []
     grid = fam.family_grid
 
-    def counted(spec, labels, axes, deferred=False):
+    def counted(spec, labels, axes):
         calls.append([len(axis) for axis in axes])
-        return grid(spec, labels, axes, deferred)
+        return grid(spec, labels, axes)
 
     monkeypatch.setattr(pv, "family_grid", counted)
     monkeypatch.setattr(fam, "_eval_cached", None)
