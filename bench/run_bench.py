@@ -101,7 +101,17 @@ Layers timed:
       coordinates (4 with ``--quick``), the S D and D^2 axis entries
       ``_axis_entry(lattice, s, l)`` for l = 1 and l = 2 at the same
       coordinates (``L5.axis_entry.<kind>``, ops: the entries), and 10
-      calls of ``grid_points(lattice, 8)``; and the residual of each
+      calls of ``grid_points(lattice, 8)``; the point values of the
+      nine-term forms' f_i, ``_form_values`` at each point of the label-(1, 1)
+      grid of ``residual_grid`` (49 points at either size) on a fresh copy
+      of the Wilson and of the continuous Hahn table per repeat
+      (``L5.form_values.<family>``), so that the table's coefficient split
+      is built inside the timed call; the 36 node solves of
+      ``recover_coefficients`` at the default Racah parameters
+      (``L5.recover_node.racah``), its ``sample`` recorded outside the timed
+      call after one whole recovery, which has built the axis inverses it
+      keeps, so each solve forms the node's stencil and its product with
+      them; and the residual of each
       printed second-order form kind at label
       (1, 1) on a 3 x 3 grid (2 x 2 with ``--quick``), one equation built
       per repeat and ``residual(equation, ...)`` per point, each call
@@ -299,17 +309,17 @@ def _recorded_samples(spec, degree):
     return samples
 
 
-def _recorded_recover_grid():
+def _recorded_recover_sample():
     """The grid call of ``recover_coefficients`` at the default Racah
-    parameters as (lattices, count, {point: values}), every sample taken
-    here, outside any timing."""
+    parameters as (lattices, count, sample, nodes), recorded after one whole
+    recovery, so ``sample`` keeps every axis inverse its nodes read."""
     ((lattices, count, sample),) = _recorded(
         pdeverify,
         "interpolate_on_grid",
         lambda: pdeverify.recover_coefficients(fam.FamilySpec(fam.RACAH).params),
     )
-    grid = product(*latticeops.grid_axes(lattices, count))
-    return lattices, count, {point: sample(point) for point in grid}
+    return lattices, count, sample, list(product(*latticeops.grid_axes(lattices, count)))
+
 
 
 # the degree of L2.leading, at either size
@@ -385,7 +395,9 @@ def _l2_entries(oracle_degree, interpolate_degree, upto, phi_degree):
             lambda table=table, degree=degree: pdeverify.operator_images(_fresh(table), degree),
             sum(len(fbasis.graded(d, spec.nvars)) for d in range(degree + 1)),
         )
-    lattices, count, samples = _recorded_recover_grid()
+    # every sample taken here, outside any timing
+    lattices, count, sample, nodes = _recorded_recover_sample()
+    samples = {point: sample(point) for point in nodes}
     out["L2.interpolate.recover"] = (
         lambda: fbasis.interpolate_on_grid(lattices, count, samples.__getitem__),
         len(next(iter(samples.values()))),
@@ -546,6 +558,18 @@ def _l5_entries(size, coordinates):
             lambda lattice=lattice: [latticeops.grid_points(lattice, 8) for _ in range(10)],
             10,
         )
+    for name in (fam.WILSON, fam.CH):
+        spec = fam.FamilySpec(name)
+        table = pdeverify.coefficients(spec)
+        grid = list(product(*pdeverify.residual_grid(spec, (1, 1))))
+
+        def form_values(table=table, grid=grid):
+            fresh = _fresh(table)
+            return [pdeverify._form_values(fresh, *point) for point in grid]
+
+        out[f"L5.form_values.{name}"] = (form_values, len(grid))
+    _, _, sample, nodes = _recorded_recover_sample()
+    out["L5.recover_node.racah"] = (lambda: [sample(node) for node in nodes], len(nodes))
     for kind, (name, *_) in pdeverify.SECOND_ORDER_FORMS.items():
         spec = fam.FamilySpec(name)
         grid = list(product(*pdeverify.residual_grid(spec, (1, 1), size=size)))

@@ -33,8 +33,10 @@ one integer dot product with the member grid's numerators), the symbolic
 images of ``pdeverify`` (each monomial's image under a table, the f_i
 terms times tensor products of univariate S D and D^2 images, summed in
 Gaussian integers), and the nine-term forms of ``pdeverify`` (each
-weight a Gaussian-integer numerator
-over the form's one stated denominator).  Each writes its inputs over a
+weight a Gaussian-integer numerator over the form's one stated
+denominator, the table's f_i read from per-axis integer powers of the
+lattice values, and the recovery's node solves integer products of the
+Racah form's stencil and two integer axis inverses).  Each writes its inputs over a
 common denominator (the family sum and the member grid one per factor
 side, the leading entries one per parameter combination, the pivot scan
 one per row, the rest through :func:`integer_parts`, the polynomial

@@ -9,12 +9,13 @@ S f = (f(up) + f(down)) / 2:
 * WilsonSquare:     lattice x^2, imaginary shifts x -> x +- i/2, denominator 2ix.
 * Linear:           lattice x itself, imaginary shifts, denominator i.
 
-:func:`half_step` is D's one definition: its denominator, its singular points
-and, through :class:`GridAxis`, the singular set every grid avoids.  It
-gives the reciprocal denominator in integers, a triple (N, A, B) standing
-for (A + Bi) / N in lowest terms with N > 0; the pointwise stencil weights
-(``pdeverify._axis_entry``), :func:`apply_D` and the grid filter all read
-that triple, and no other code forms a D denominator.
+:func:`inverse_denominator` is D's one definition: its denominator, its
+singular points and, through :func:`half_step` and :class:`GridAxis`, the
+singular set every grid avoids.  It gives the reciprocal denominator in
+integers, a triple (N, A, B) standing for (A + Bi) / N in lowest terms with
+N > 0; the pointwise stencil weights (``pdeverify._axis_entry``),
+:func:`apply_D` and the grid filter all read that triple, and no other code
+forms a D denominator.
 
 All applications are pointwise on arbitrary callables ("stencil functions");
 verification elsewhere turns pointwise exact zeros into polynomial identities
@@ -32,11 +33,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .exactfield import GaussianRational, demote, from_parts, gauss, integer_parts
+from .exactfield import GaussianRational, _gauss, demote, from_parts, integer_parts
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
-HALF_I = GaussianRational(0, HALF)
 
 # the default offset of every grid coordinate s = k + offset (GridAxis)
 GRID_OFFSET = Fraction(1, 7)
@@ -130,37 +130,49 @@ def lattice_value(spec, s):
 
 
 def shifted_points(spec, point):
+    """(up, down): point +- 1/2 on the quadratic lattice, and point +- i/2
+    on the Wilson and linear lattices, a GaussianRational formed from the
+    point's parts even where it is real."""
     if spec.kind == LatticeSpec.QUADRATIC:
         return point + HALF, point - HALF
-    return gauss(point) + HALF_I, gauss(point) - HALF_I
+    if isinstance(point, GaussianRational):
+        re, im = point.re, point.im
+        return _gauss(re, im + HALF), _gauss(re, im - HALF)
+    re = point if isinstance(point, Fraction) else Fraction(point)
+    return _gauss(re, HALF), _gauss(re, -HALF)
+
+
+def inverse_denominator(spec, point):
+    """(N, A, B): the reciprocal denominator of D at the point,
+    1 / (x(up) - x(down)) = (A + Bi) / N in lowest terms with N > 0, the
+    reciprocal of 2s + beta on the quadratic lattice, of 2is on the Wilson
+    square and of i on the linear lattice.  The one definition of a D
+    denominator and its one test for zero; SingularPointError where it
+    vanishes."""
+    if spec.kind == LatticeSpec.LINEAR:
+        return 1, 0, -1
+    m, ((a, b),) = integer_parts((point,))
+    if spec.kind == LatticeSpec.QUADRATIC:
+        # 2 (a + bi) / m + p / q over m q
+        p, q = spec.beta.numerator, spec.beta.denominator
+        m, re, im = m * q, 2 * a * q + p * m, 2 * b * q
+    else:
+        # 2i (a + bi) / m
+        re, im = -2 * b, 2 * a
+    # 1 / ((re + im i) / m) = m (re - im i) / (re^2 + im^2)
+    n = re * re + im * im
+    if not n:
+        raise SingularPointError(f"stencil denominator vanishes at {point} on {spec!r}")
+    g = gcd(n, m * re, m * im)
+    return n // g, m * re // g, -m * im // g
 
 
 def half_step(spec, point):
     """(up, down, (N, A, B)): the half-shifted points and the reciprocal
-    denominator of D at the point, 1 / (x(up) - x(down)) = (A + Bi) / N in
-    lowest terms with N > 0, the reciprocal of 2s + beta on the quadratic
-    lattice, of 2is on the Wilson square and of i on the linear lattice.
-    The one definition of a D denominator and its one test for zero;
-    SingularPointError where it vanishes."""
-    if spec.kind == LatticeSpec.LINEAR:
-        inv = (1, 0, -1)
-    else:
-        m, ((a, b),) = integer_parts((point,))
-        if spec.kind == LatticeSpec.QUADRATIC:
-            # 2 (a + bi) / m + p / q over m q
-            p, q = spec.beta.numerator, spec.beta.denominator
-            m, re, im = m * q, 2 * a * q + p * m, 2 * b * q
-        else:
-            # 2i (a + bi) / m
-            re, im = -2 * b, 2 * a
-        # 1 / ((re + im i) / m) = m (re - im i) / (re^2 + im^2)
-        n = re * re + im * im
-        if not n:
-            raise SingularPointError(f"stencil denominator vanishes at {point} on {spec!r}")
-        g = gcd(n, m * re, m * im)
-        inv = n // g, m * re // g, -m * im // g
-    up, down = shifted_points(spec, point)
-    return up, down, inv
+    denominator of D at the point (:func:`inverse_denominator`), which is
+    checked first."""
+    inv = inverse_denominator(spec, point)
+    return (*shifted_points(spec, point), inv)
 
 
 def apply_D(spec, f, point):

@@ -31,7 +31,16 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import NamedTuple
 
-from .exactfield import GaussianRational, field_str, from_parts, gauss, gdot, gmul, integer_parts
+from .exactfield import (
+    GaussianRational,
+    field_str,
+    from_parts,
+    gauss,
+    gdot,
+    gmul,
+    imag_part,
+    integer_parts,
+)
 from .families import (
     CDH,
     CH,
@@ -52,6 +61,7 @@ from .latticeops import (
     GRID_OFFSET,
     SingularPointError,
     half_step,
+    inverse_denominator,
     lattice_value,
     partial_D,
     shifted_points,
@@ -103,8 +113,8 @@ class Equation(NamedTuple):
     one.  Every consumer divides through ``Fraction`` or
     ``exactfield.from_parts``, so either sign gives the same values.  No
     residual reads field weights: the Fraction view (:func:`fraction_view`)
-    is built only by :func:`stencil_weights` and the recovery.  The record
-    keeps no stencil; a sweep's :class:`StencilGrid` does.
+    is built only by :func:`stencil_weights`.  The record keeps no stencil;
+    a sweep's :class:`StencilGrid` does.
     """
 
     fold: Callable
@@ -137,7 +147,10 @@ class CoeffTable:
     A row that would need a singular axis entry is not built: a point on
     that coordinate folds from its f_i at the point (:func:`fold_terms`), so
     a zero f_i skips its operator and a nonzero one raises for the first
-    denominator nested application meets.
+    denominator nested application meets.  The f_i at a point
+    (:meth:`values`, which the Wilson and continuous Hahn nine-term forms
+    read too) come in integers from a split of their own, each f_i's
+    monomial terms over one denominator, built on first use.
 
     The symbolic route (:meth:`images`) keeps a split of its own, built on
     its first call from ``coeffs`` and never from the pointwise terms: each
@@ -150,7 +163,8 @@ class CoeffTable:
     """
 
     __slots__ = (
-        "coeffs", "eigenvalue", "lattices", "_terms", "_rows", "_suffixes", "_split", "_univariate"
+        "coeffs", "eigenvalue", "lattices", "_terms", "_values", "_rows", "_suffixes", "_split",
+        "_univariate",
     )
 
     def __init__(self, coeffs, eigenvalue, lattices):
@@ -164,6 +178,7 @@ class CoeffTable:
         self._check_structure()
         self.eigenvalue = eigenvalue
         self._terms = None
+        self._values = None
         self._rows = {}
         self._suffixes = {}
         self._split = None
@@ -181,12 +196,41 @@ class CoeffTable:
         den, terms, keys = self._terms
         rows = [self._row(var, point[var], used) for var, used in enumerate(keys)]
         if None in rows:
-            latpt = self.lattice_point(point)
-            pairs = zip(self.coeffs, self.lindices)
+            vden, values = self.values(point)
+            pairs = zip(values, self.lindices)
             return fold_terms(
-                self.lattices, point, [(ci, lind) for fi, lind in pairs if (ci := fi.eval(latpt))]
+                self.lattices, point,
+                [(from_parts(vden, a, b), lind) for (a, b), lind in pairs if a or b],
             )
         return contract_terms(point, den, terms, rows, self._suffixes)
+
+    def values(self, point):
+        """(den, [(A, B)]): each f_i at the point as a Gaussian integer over
+        one positive denominator, not in lowest terms.  The coefficients are
+        split once per table (:func:`_coefficient_terms`), and each
+        coordinate gives its powers x(s)^a as integers over xden^top
+        (:func:`_lattice_powers`, as its rows read them), so no f_i is
+        evaluated in field arithmetic."""
+        if self._values is None:
+            self._values = _coefficient_terms(self.nvars, self.coeffs)
+        den, split, tops = self._values
+        axes = []
+        for lattice, s, top in zip(self.lattices, point, tops):
+            xden, powers = _lattice_powers(lattice, s, top)
+            den *= xden ** top
+            axes.append(powers)
+        out = []
+        for terms in split:
+            re = im = 0
+            for e, (pa, pb) in terms:
+                # c times each variable's power, then summed
+                for powers, a in zip(axes, e):
+                    xa, xb = powers[a]
+                    pa, pb = pa * xa - pb * xb, pa * xb + pb * xa
+                re += pa
+                im += pb
+            out.append((re, im))
+        return den, out
 
     def _row(self, var, s, keys):
         """The variable's row at the coordinate s, built with its own axis
@@ -274,15 +318,16 @@ def _axis_entry(lattice, s, l):
     ``(den, {o: (A, B)}, {o: coordinate})``, the weights of the neighbours at
     the offsets o = 1, 0, -1 as Gaussian integers over their least common
     denominator, zero weights dropped, formed in integers from the
-    reciprocal denominators :func:`half_step` gives.  The inner D
-    denominators at s + 1/2 and s - 1/2 are checked first, then D^2's outer
-    one at s: the order nested application meets them."""
+    reciprocal denominators :func:`half_step` gives, and D^2's outer one at s
+    from :func:`inverse_denominator`, so the points of s are shifted once.
+    The inner D denominators at s + 1/2 and s - 1/2 are checked first, then
+    D^2's outer one at s: the order nested application meets them."""
     up, down = shifted_points(lattice, s)
     up_up, _, (nu, au, bu) = half_step(lattice, up)
     down_down, (nd, ad, bd) = half_step(lattice, down)[1:]
     if l == 2:
         # outer * inv_up and -outer * inv_down
-        no, ao, bo = half_step(lattice, s)[2]
+        no, ao, bo = inverse_denominator(lattice, s)
         nu, au, bu = no * nu, ao * au - bo * bu, ao * bu + bo * au
         nd, ad, bd = no * nd, -(ao * ad - bo * bd), -(ao * bd + bo * ad)
     else:
@@ -337,6 +382,26 @@ def _table_terms(nvars, polys):
     return den, terms, [{key[var] for key in terms} for var in range(nvars)]
 
 
+def _lattice_powers(lattice, s, top):
+    """(xden, powers): x(s)^a for a = 0..top as Gaussian integers
+    powers[a] over xden^top, x(s) written over its own denominator xden."""
+    if not top:
+        return 1, [(1, 0)]
+    xden, ((xa, xb),) = integer_parts((lattice_value(lattice, s),))
+    return xden, [gmul([(xa, xb)] * a + [(xden, 0)] * (top - a)) for a in range(top + 1)]
+
+
+def _coefficient_terms(nvars, coeffs):
+    """(den, [[(e, (A, B))]], tops): each f_i's monomial terms c x^e, every
+    c as (A + Bi) / den over one denominator (a zero f_i has none), and per
+    variable the highest power a term takes."""
+    den, parts = integer_parts([c for fi in coeffs for c in fi.coeffs.values()])
+    parts = iter(parts)
+    split = [[(e, next(parts)) for e in fi.coeffs] for fi in coeffs]
+    tops = [max((e[v] for fi in coeffs for e in fi.coeffs), default=0) for v in range(nvars)]
+    return den, split, tops
+
+
 def _axis_row(lattice, s, keys, entry):
     """One variable's factors at the coordinate s:
     ``(den, {(a, l): {o: (A, B)}}, {o: coordinate})``, for each key (a, l)
@@ -350,12 +415,7 @@ def _axis_row(lattice, s, keys, entry):
             entries[l] = entry(l)
         top = max(top, a)
     scale = lcm(*(d for d, _, _ in entries.values()))
-    if top:
-        # x^a over the row's xden^top
-        xden, ((xa, xb),) = integer_parts((lattice_value(lattice, s),))
-        powers = [gmul([(xa, xb)] * a + [(xden, 0)] * (top - a)) for a in range(top + 1)]
-    else:
-        xden, powers = 1, ((1, 0),)
+    xden, powers = _lattice_powers(lattice, s, top)
     row = {}
     for a, l in keys:
         pa, pb = powers[a]
@@ -1280,9 +1340,13 @@ def racah_gi_stencil(params, s, t):
     checked once for zero.  With s, t and the parameters written as integers
     over one common denominator d, every numerator is an integer of degree
     8 over d^8 and the denominator one of degree 6 over d^6: A is the
-    numerator's integer and den the denominator's times d^2.
+    numerator's integer and den the denominator's times d^2.  Those integers
+    are real, so a non-real point or parameter raises ValueError before any
+    arithmetic.
     """
     b0, b1, b2, b3, N = (params[k] for k in ("beta0", "beta1", "beta2", "beta3", "N"))
+    if any(imag_part(v) for v in (s, t, b0, b1, b2, b3, N)):
+        raise ValueError(f"racah-gi form needs a real point and parameters, not ({s}, {t})")
     d, parts = integer_parts((s, t, b0, b1, b2, b3, N))
     S, T, B0, B1, B2, B3, NN = (a for a, _ in parts)
     sm, s0, sp = B1 + 2 * S - d, B1 + 2 * S, B1 + 2 * S + d
@@ -1323,10 +1387,17 @@ def racah_gi_eigenvalue(params, label):
 
 
 def _form_values(table: CoeffTable, x, y):
-    """(d, [(X, 0), (Y, 0), f1, .., f8]): the point and the table's f_i at
-    it as Gaussian integers (A, B) over one common denominator d."""
-    values = [fi.eval(table.lattice_point((x, y))) for fi in table.coeffs]
-    return integer_parts((x, y, *values))
+    """(d, [(X, A), (Y, B), f1, .., f8]): the point and the table's f_i at
+    it as Gaussian integers over their least common denominator d, the
+    integers ``integer_parts`` gives for their field values.  The f_i come
+    from the table's integer values (:meth:`CoeffTable.values`) over one
+    denominator den: a part's lowest denominator is den / gcd(den, part),
+    and the lcm of a value's two is den / gcd(den, A, B)."""
+    den, values = table.values((x, y))
+    pd, point = integer_parts((x, y))
+    d = lcm(pd, *(den // gcd(den, a, b) for a, b in values))
+    k = d // pd
+    return d, [(a * k, b * k) for a, b in point] + [(a * d // den, b * d // den) for a, b in values]
 
 
 def wilson_f_stencil(table: CoeffTable, x, y):
@@ -1340,8 +1411,11 @@ def wilson_f_stencil(table: CoeffTable, x, y):
     as Gaussian integers over one common denominator d, each numerator is
     of degree 6 in them once its lower-degree parts carry powers of d, as
     the denominator is: den is 4XY(4X^2 + d^2)(4Y^2 + d^2), negative where
-    xy is, and (A, B) the numerator.
+    xy is, and (A, B) the numerator.  X and Y are real integers, so a
+    non-real point raises ValueError before any arithmetic.
     """
+    if imag_part(x) or imag_part(y):
+        raise ValueError(f"wilson-f form needs a real point, not ({x}, {y})")
     d, ((X, _), (Y, _), f1, f2, f3, f4, f5, f6, f7, f8) = _form_values(table, x, y)
     d2 = d * d
     qx, qy = 4 * X * X + d2, 4 * Y * Y + d2
@@ -1447,15 +1521,19 @@ OP_ORDER_WITH_IDENTITY = BIVARIATE_OPS + ((0, 0),)
 
 
 def _axis_inverse(lattice, s):
-    """(M^T)^-1 for the 3 x 3 matrix M of one variable at the coordinate s:
-    row l holds the identity (l = 0), S D (l = 1) and D^2 (l = 2) at the
-    offsets -1, 0, 1, the weights :func:`_axis_entry` gives.  Raises
-    ValueError when M is singular."""
+    """(den, N): (M^T)^-1 = N / den for the 3 x 3 matrix M of one variable
+    at the coordinate s, N an integer matrix (a list of rows) over one
+    positive denominator: row l of M holds the identity (l = 0), S D
+    (l = 1) and D^2 (l = 2) at the offsets -1, 0, 1, the weights
+    :func:`_axis_entry` gives, real on the quadratic lattice at a real s,
+    where the recovery builds it.  Raises ValueError when M is singular."""
     rows = [[ZERO, ONE, ZERO]]
     for l in (1, 2):
         den, weights, _ = _axis_entry(lattice, s, l)
         rows.append([from_parts(den, *weights.get(o, (0, 0))) for o in (-1, 0, 1)])
-    return exact_inverse(ExactMatrix(rows).transpose())
+    inverse = exact_inverse(ExactMatrix(rows).transpose()).data
+    den = lcm(*(v.denominator for row in inverse for v in row))
+    return den, [[v.numerator * (den // v.denominator) for v in row] for row in inverse]
 
 
 def recover_coefficients(params):
@@ -1465,16 +1543,19 @@ def recover_coefficients(params):
 
     At each node the coefficients g of the nine operators E_(l1, l2), the
     identity among them, solve M^T g = c, with c the form's nine weights
-    (the Fraction view of its integer stencil) and M[(l1, l2), (o1, o2)]
-    the weight of E_(l1, l2) at the offset (o1, o2).  Every operator
-    denominator depends on its own coordinate only, so that weight is
-    M_x[l1, o1] M_y[l2, o2], the product of the one-variable weights (as
-    :func:`fold_terms` builds every E_l):
+    and M[(l1, l2), (o1, o2)] the weight of E_(l1, l2) at the offset
+    (o1, o2).  Every operator denominator depends on its own coordinate
+    only, so that weight is M_x[l1, o1] M_y[l2, o2], the product of the
+    one-variable weights (as :func:`fold_terms` builds every E_l):
     M = M_x (x) M_y exactly, and with G[l1, l2] = g and C[o1, o2] = c the
     system reads C = M_x^T G M_y, so G = (M_x^T)^-1 C ((M_y^T)^-1)^T.  The
     solution is that of the 9 x 9 system, unique when M is invertible,
     which is when both M_v are.  Each axis inverse (M_v^T)^-1 is built
-    once per (variable, coordinate) and shared by the nodes on it.
+    once per (variable, coordinate) as an integer matrix over one
+    denominator (:func:`_axis_inverse`) and shared by the nodes on it; C
+    is the form's integer stencil with lambda(1, 1) joined at (0, 0)
+    (:func:`join_eigenvalue`), so G is one integer product over the three
+    denominators, and each entry one Fraction at the end.
 
     Returns (table, eigenvalue_constant).  The recovered table is the
     typo-arbitration oracle for the printed Theorem coefficients.
@@ -1482,6 +1563,7 @@ def recover_coefficients(params):
     spec = FamilySpec(RACAH, params=params)
     lattices = spec.lattices()
     lam = partial(racah_gi_eigenvalue, spec.params)
+    offsets = (-1, 0, 1)
     inverses = {}
 
     def axis_inverse(var, s):
@@ -1491,13 +1573,17 @@ def recover_coefficients(params):
         return inverse
 
     def sample(point):
-        gi = fraction_view(racah_gi_stencil(spec.params, *point))
         # the form at label (1, 1): the identity row recovers its eigenvalue
-        gi[(0, 0)] += lam((1, 1))
-        c = ExactMatrix([[gi[(o1, o2)] for o2 in (-1, 0, 1)] for o1 in (-1, 0, 1)])
-        ax, ay = (axis_inverse(var, s) for var, s in enumerate(point))
-        g = ax * c * ay.transpose()
-        return [g[lind] for lind in OP_ORDER_WITH_IDENTITY]
+        den, weights = join_eigenvalue(
+            lam((1, 1)), *racah_gi_stencil(spec.params, *point), (0, 0)
+        )
+        # real parts only: the Racah form is real, or raises
+        c = [[weights[(o1, o2)][0] for o2 in offsets] for o1 in offsets]
+        (dx, ax), (dy, ay) = (axis_inverse(var, s) for var, s in enumerate(point))
+        # (ax c)[l1][o2], then g[l1][l2] = sum over o2 of (ax c)[l1][o2] ay[l2][o2]
+        axc = [[sum(map(mul, row, col)) for col in zip(*c)] for row in ax]
+        den *= dx * dy
+        return [Fraction(sum(map(mul, axc[l1], ay[l2])), den) for l1, l2 in OP_ORDER_WITH_IDENTITY]
 
     # the coefficients have total degree <= 4 (CoeffTable checks it), so 6
     # nodes per axis interpolate them with one node to spare

@@ -2,16 +2,22 @@
 bases F_n written out as monomial polynomials, one node product after
 another (``fbasis.u_blocks`` reads the top blocks off the nodes instead),
 polynomial combinations summed in field arithmetic, term by term
-(``MPoly.combine_rows`` sums them in Gaussian integers instead), and D's
+(``MPoly.combine_rows`` sums them in Gaussian integers instead), D's
 half step and the one-variable S D and D^2 weights in field arithmetic
 (``latticeops.half_step`` and ``pdeverify._axis_entry`` form them in
-integers instead)."""
+integers instead), a nine-term form's f_i evaluated at the point in field
+arithmetic (``pdeverify._form_values`` reads them from integer powers of
+the lattice values instead), and a recovery node solved with two
+``ExactMatrix`` products in field arithmetic (``recover_coefficients``
+multiplies integer matrices instead)."""
 
 from fractions import Fraction
 
-from quadlattice.exactfield import GaussianRational, gauss, integer_parts
+from quadlattice import pdeverify
+from quadlattice.exactfield import GaussianRational, from_parts, gauss, integer_parts
 from quadlattice.fbasis import MPoly
 from quadlattice.latticeops import LatticeSpec, SingularPointError, shifted_points
+from quadlattice.matrix import ExactMatrix, exact_inverse
 
 
 def basis_polys(lattice, n, index=0, nvars=1):
@@ -88,3 +94,34 @@ def axis_entry(lattice, s, l):
     den, parts = integer_parts((w_up, w_down - w_up, -w_down))
     weights = {o: w for o, w in zip((1, 0, -1), parts) if w[0] or w[1]}
     return den, weights, {1: up_up, 0: s, -1: down_down}
+
+
+def form_values(table, x, y):
+    """(d, [(X, A), (Y, B), f1, .., f8]): each f_i evaluated by ``MPoly.eval``
+    at the lattice point, then the point and the values written over their
+    common denominator by ``integer_parts``."""
+    values = [fi.eval(table.lattice_point((x, y))) for fi in table.coeffs]
+    return integer_parts((x, y, *values))
+
+
+def axis_inverse(lattice, s):
+    """(M^T)^-1 as an ExactMatrix of field values, M the 3 x 3 matrix of the
+    identity, S D and D^2 weights at the offsets -1, 0, 1."""
+    rows = [[Fraction(0), Fraction(1), Fraction(0)]]
+    for l in (1, 2):
+        den, weights, _ = pdeverify._axis_entry(lattice, s, l)
+        rows.append([from_parts(den, *weights.get(o, (0, 0))) for o in (-1, 0, 1)])
+    return exact_inverse(ExactMatrix(rows).transpose())
+
+
+def recovery_node(params, lattices, point):
+    """The nine operator coefficients of the Racah nine-term form at the
+    node, in ``OP_ORDER_WITH_IDENTITY`` order: the form's Fraction weights
+    with lambda(1, 1) added at (0, 0) as C, then
+    G = (M_x^T)^-1 C ((M_y^T)^-1)^T as two ExactMatrix products."""
+    gi = pdeverify.fraction_view(pdeverify.racah_gi_stencil(params, *point))
+    gi[(0, 0)] += pdeverify.racah_gi_eigenvalue(params, (1, 1))
+    c = ExactMatrix([[gi[(o1, o2)] for o2 in (-1, 0, 1)] for o1 in (-1, 0, 1)])
+    ax, ay = (axis_inverse(lattice, s) for lattice, s in zip(lattices, point))
+    g = ax * c * ay.transpose()
+    return [g[lind] for lind in pdeverify.OP_ORDER_WITH_IDENTITY]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quadlattice import latticeops as lo
-from quadlattice.exactfield import GaussianRational, from_parts, imag_part
+from quadlattice.exactfield import GaussianRational, from_parts, gauss, imag_part
 from quadlattice.fbasis import MPoly, interpolate_univariate, poly_D, poly_S
 
 import basis_reference
@@ -105,6 +105,27 @@ def test_half_step_triples_are_reduced_field_reciprocals():
             up, down, (n, a, b) = lo.half_step(spec, point)
             assert n > 0 and math.gcd(n, a, b) == 1, point
             assert (up, down, from_parts(n, a, b)) == want, point
+
+
+def test_shifted_points_are_the_field_shifts():
+    # on the Wilson and linear lattices the points are gauss(p) +- i/2, as
+    # GaussianRationals even where real; on the quadratic lattice p +- 1/2
+    # as they were; half_step gives the same (up, down)
+    half, half_i = Fraction(1, 2), GaussianRational(0, Fraction(1, 2))
+    points = [3, Fraction(-8, 7), GaussianRational(Fraction(2, 5), Fraction(1, 2)),
+              GaussianRational(Fraction(-3), Fraction(-1, 3)), GaussianRational(0, Fraction(-1, 2))]
+    for spec in (WIL, LIN):
+        for point in points:
+            got = lo.shifted_points(spec, point)
+            want = (gauss(point) + half_i, gauss(point) - half_i)
+            assert got == want, (spec, point)
+            assert all(type(q) is GaussianRational for q in got), (spec, point)
+            assert lo.half_step(spec, point)[:2] == got
+    for point in points[:2]:
+        got = lo.shifted_points(QUAD, point)
+        assert got == (point + half, point - half)
+        assert all(type(q) is Fraction for q in got)
+        assert lo.half_step(QUAD, point)[:2] == got
 
 
 def test_singular_point_message_is_the_engine_message():

@@ -1655,6 +1655,45 @@ def test_nine_term_forms_are_their_tables(kind, name, drawn):
         assert form.eigenvalue(label) == table.eigenvalue(label), label
 
 
+@pytest.mark.parametrize("drawn", [False, True], ids=["default", "drawn"])
+@pytest.mark.parametrize("name", [fam.WILSON, fam.WILSON_BAR, fam.CH, fam.CH_BAR])
+def test_form_values_are_the_field_route(name, drawn):
+    # the f_i read from integer powers of the lattice values are the
+    # integers of MPoly.eval and integer_parts, denominator and numerators,
+    # at every point of the label-(1, 1) grid
+    spec = fam.FamilySpec(name, params=_drawn_params(name) if drawn else None)
+    table = pv.coefficients(spec)
+    points = list(product(*pv.residual_grid(spec, (1, 1))))
+    assert len(points) == 49
+    for pt in points:
+        d, parts = pv._form_values(table, *pt)
+        assert (d, parts) == basis_reference.form_values(table, *pt), pt
+        assert type(d) is int and all(type(a) is int and type(b) is int for a, b in parts)
+
+
+NON_REAL_POINT = (GaussianRational(Fraction(1, 3), Fraction(1, 5)), Fraction(2, 7))
+
+
+@pytest.mark.parametrize("kind, name", [("racah-gi", fam.RACAH), ("wilson-f", fam.WILSON)])
+def test_a_real_nine_term_form_rejects_a_non_real_point(kind, name):
+    # the Racah and Wilson forms are built in real integers: a non-real point
+    # raises before any arithmetic instead of dropping its imaginary part
+    spec = fam.FamilySpec(name)
+    assert pv.residual(pv.coefficients(spec), spec, (1, 1), NON_REAL_POINT) == 0
+    with pytest.raises(ValueError, match=rf"{kind} form needs a real point.*\(1/3 \+ 1/5i\), 2/7"):
+        pv.difference_form_residual(kind, spec, (1, 1), NON_REAL_POINT)
+
+
+def test_the_ch_form_holds_at_a_non_real_point():
+    # the continuous Hahn form is built in Gaussian integers, so it folds to
+    # its table's stencil at a non-real point too
+    spec = fam.FamilySpec(fam.CH)
+    form, table = pv.difference_form_equation("ch-f", spec), pv.coefficients(spec)
+    for pt in (NON_REAL_POINT, NON_REAL_POINT[::-1]):
+        assert pv.fraction_view(form.fold(pt)) == pv.fraction_view(table.fold(pt)), pt
+        assert pv.difference_form_residual("ch-f", spec, (1, 1), pt) == 0
+
+
 def _common_denominator(values):
     parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v, 0) for v in values]
     return math.lcm(*(Fraction(p).denominator for pair in parts for p in pair))
@@ -1769,6 +1808,30 @@ def test_recovery_nodes_solve_the_nine_by_nine_system(monkeypatch, drawn):
     assert len(nodes) == 36
     for node in nodes:
         assert sample(node) == _nine_by_nine_solution(params, node), node
+
+
+@pytest.mark.parametrize("drawn", [False, True], ids=["default", "drawn"])
+def test_recovery_nodes_are_the_matrix_route(monkeypatch, drawn):
+    # the integer solve gives each of the nine coefficients of the two
+    # ExactMatrix products in field arithmetic, value and type, at all 36
+    # nodes of the recovery grid
+    params = fam.FamilySpec(fam.RACAH, params=_drawn_params(fam.RACAH) if drawn else None).params
+    grids = []
+    interpolate = pv.interpolate_on_grid
+
+    def recording(lattices, count, sample):
+        grids.append((lattices, count, sample))
+        return interpolate(lattices, count, sample)
+
+    monkeypatch.setattr(pv, "interpolate_on_grid", recording)
+    pv.recover_coefficients(params)
+    ((lattices, count, sample),) = grids
+    nodes = list(product(*lo.grid_axes(lattices, count)))
+    assert len(nodes) == 36
+    for node in nodes:
+        got, want = sample(node), basis_reference.recovery_node(params, lattices, node)
+        assert got == want, node
+        assert [type(v) for v in got] == [type(v) for v in want], node
 
 
 def test_a_singular_axis_matrix_raises(monkeypatch):
